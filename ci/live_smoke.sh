@@ -3,7 +3,7 @@
 # loopback UDP, feed it a synthetic probe report and two procfs-fixture
 # reports, issue a request, then stop it gracefully and check the stats
 # and the exported telemetry trace. Single source of truth for CI
-# (ci.yml `live-interop` job, under a hard timeout) and for local runs:
+# (ci.yml `live-smoke` job, under a hard timeout) and for local runs:
 #
 #   ./ci/live_smoke.sh
 #

@@ -494,8 +494,8 @@ fn extract_codec_pairs(units: &[SourceUnit<'_>], model: &mut WorkspaceModel) {
 const ACQUIRERS: &[&str] = &["lock", "read", "write"];
 
 /// The receiver component nearest the acquiring call: `self.sysdb.read()` →
-/// `sysdb`, `queues[i % n].lock()` → `queues`, `wiz.health().write()` →
-/// `health`.
+/// `sysdb`, `queues[i % n].lock()` → `queues`, `rig.sysdb().write()` →
+/// `sysdb`.
 fn receiver_of(toks: &[Tok], before_dot: usize) -> Option<String> {
     let mut j = before_dot;
     loop {

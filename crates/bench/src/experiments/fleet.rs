@@ -21,7 +21,6 @@
 //! aggregates the run per `subnet/<a>.<b>.<c>.0/24` scope.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use smartsock_hostsim::TopologySpec;
@@ -29,9 +28,7 @@ use smartsock_monitor::db::shared_dbs;
 use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
 use smartsock_proto::{Endpoint, Ip, NetPathRecord, RequestOption, UserRequest, WizardReply};
 use smartsock_sim::{SimDuration, SimTime};
-use smartsock_wizard::{
-    engine, select_flat, select_with_stats, SelectPolicy, Wizard, WizardConfig,
-};
+use smartsock_wizard::{select_flat, select_with_stats, Wizard, WizardConfig};
 
 use super::rig;
 use crate::report::{colf, Report};
@@ -93,20 +90,16 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
         net.clone(),
         sysdb.clone(),
         netdb.clone(),
-        secdb.clone(),
+        secdb,
         WizardConfig::default(),
     );
     // Group map: every fleet host belongs to its subnet's monitor, the
     // client to the harness-side monitor; `monitor_*` variables then
     // resolve through `netdb` exactly as in the testbed experiments.
-    let mut group_map: BTreeMap<Ip, Ip> = BTreeMap::new();
     for h in &fleet.hosts {
-        let mon = fleet.subnets[h.subnet].monitor;
-        wiz.map_group(h.ip, mon);
-        group_map.insert(h.ip, mon);
+        wiz.map_group(h.ip, fleet.subnets[h.subnet].monitor);
     }
     wiz.map_group(CLIENT_IP, CLIENT_MON);
-    group_map.insert(CLIENT_IP, CLIENT_MON);
     for sn in &fleet.subnets {
         netdb.write().upsert(NetPathRecord {
             from_monitor: CLIENT_MON,
@@ -188,27 +181,13 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
         option: RequestOption::DEFAULT,
         detail: REQUIREMENT.to_owned(),
     };
-    let (pruned_reply, stats) = {
-        let sys = sysdb.read();
-        let netd = netdb.read();
-        let sec = secdb.read();
-        let health = wiz.health().read();
-        let templates = BTreeMap::new();
-        let view = engine::SelectView {
-            sysdb: &sys,
-            netdb: &netd,
-            secdb: &sec,
-            health: &health,
-            group_map: &group_map,
-            templates: &templates,
-        };
-        let policy = SelectPolicy::default();
+    let (pruned_reply, stats) = wiz.engine().with_view(|view, policy| {
         let now = s.now();
-        let flat = select_flat(&view, &policy, now, &final_req, CLIENT_IP);
-        let (pruned, stats) = select_with_stats(&view, &policy, now, &final_req, CLIENT_IP);
+        let flat = select_flat(view, policy, now, &final_req, CLIENT_IP);
+        let (pruned, stats) = select_with_stats(view, policy, now, &final_req, CLIENT_IP);
         assert_eq!(pruned, flat, "{id}: shard pruning changed the reply");
         (pruned, stats)
-    };
+    });
 
     let live = sysdb.read().len();
     let replies = reply_servers.borrow();

@@ -285,7 +285,8 @@ fn flapping_run(seed: u64, faulty: bool) -> FlappingRun {
     // Let the quarantine backoffs expire so re-admission is observable.
     s.run_until(SimTime::from_secs(45));
     let now = s.now();
-    let health = tb.wizard.health().read();
+    let engine = tb.wizard.engine();
+    let health = engine.health();
     let ok = done.borrow().iter().filter(|&&ok| ok).count() as f64;
     FlappingRun {
         ok,

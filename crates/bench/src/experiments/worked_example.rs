@@ -7,29 +7,21 @@
 //! the resource requirements).
 
 use smartsock_monitor::db::shared_dbs;
-use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
 use smartsock_proto::{Ip, NetPathRecord, RequestOption, ServerStatusReport, UserRequest};
 use smartsock_sim::SimTime;
-use smartsock_wizard::{Wizard, WizardConfig};
+use smartsock_wizard::{select, SelectPolicy, WizardEngine};
 
 use crate::report::Report;
 
-pub fn fig1_4(seed: u64) -> Report {
-    // A throwaway one-link network (the wizard only needs an address).
-    let mut b = NetworkBuilder::new(seed);
-    let wiz_node = b.host("wizard", Ip::new(10, 0, 0, 1), HostParams::testbed());
-    let client_node = b.host("client", Ip::new(10, 0, 0, 2), HostParams::testbed());
-    b.duplex(wiz_node, client_node, LinkParams::lan_100mbps());
-    let net = b.build();
-
+/// Pure matching — no network, no randomness, so the seed is unused.
+pub fn fig1_4(_seed: u64) -> Report {
     let (sysdb, netdb, secdb) = shared_dbs();
-    let wizard = Wizard::new(
+    let mut wizard = WizardEngine::with_dbs(
         Ip::new(10, 0, 0, 1),
-        net,
+        SelectPolicy { stale_max_age: None, ..Default::default() },
         sysdb.clone(),
         netdb.clone(),
         secdb,
-        WizardConfig { stale_max_age: None, ..Default::default() },
     );
 
     let client_ip = Ip::new(10, 0, 0, 2);
@@ -83,7 +75,7 @@ user_denied_host1 = 10.0.3.2
         option: RequestOption::DEFAULT,
         detail: requirement.to_owned(),
     };
-    let got = wizard.select(SimTime::ZERO, &req, client_ip);
+    let got = wizard.with_view(|view, policy| select(view, policy, SimTime::ZERO, &req, client_ip));
 
     let mut r = Report::new("fig1.4", "Worked example: 3 servers from networks A–D");
     r.row("requirement: mem_free >= 100MB, cpu_free > 0.9, delay < 20ms, deny hacker (C2)");

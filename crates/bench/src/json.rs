@@ -4,24 +4,9 @@
 //! not `serde_json`, and the output is a flat, fully-controlled shape —
 //! `{"id": ..., "title": ..., "figures": {...}, "body": ...}`.
 
-use crate::report::Report;
+use smartsock_telemetry::json::escape;
 
-/// Escape a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::report::Report;
 
 /// Render a float as JSON (no NaN/Infinity in JSON: mapped to null).
 fn number(v: f64) -> String {
@@ -60,12 +45,6 @@ pub fn reports_to_json(reports: &[Report]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping_covers_quotes_newlines_and_controls() {
-        assert_eq!(escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn numbers_render_json_compatible() {

@@ -12,7 +12,7 @@
 //! dropped. Experiments construct schedulers via `rig::sim()` — the
 //! returned [`Sim`] handle derefs to `Scheduler`, so experiment code is
 //! untouched beyond the constructor — and unprofiled callers (tests, the
-//! criterion harness) pay nothing but an empty thread-local check.
+//! `benchmark/` package) pay nothing but an empty thread-local check.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};

@@ -668,7 +668,7 @@ mod tests {
     use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
     use smartsock_proto::ServerStatusReport;
     use smartsock_sim::SimTime;
-    use smartsock_wizard::{Wizard, WizardConfig};
+    use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig};
 
     struct Rig {
         s: Scheduler,
@@ -698,7 +698,10 @@ mod tests {
                 sysdb.clone(),
                 netdb,
                 secdb,
-                WizardConfig { stale_max_age: None, ..Default::default() },
+                WizardConfig {
+                    policy: SelectPolicy { stale_max_age: None, ..Default::default() },
+                    ..Default::default()
+                },
             );
             wiz.start(&mut s);
             wiz
@@ -951,7 +954,8 @@ mod tests {
         assert_eq!(s.telemetry.counter("client-outcome-reports"), 2);
         assert_eq!(s.telemetry.counter("wizard-outcome-reports"), 2);
         let wizard = rig.wizard.as_ref().unwrap();
-        let health = wizard.health().read();
+        let engine = wizard.engine();
+        let health = engine.health();
         assert_eq!(health.score(Ip::new(10, 0, 0, 3), s.now()), 1.0);
         assert!(health.score(Ip::new(10, 0, 0, 4), s.now()) < 1.0);
     }

@@ -34,7 +34,7 @@ use smartsock_proto::consts::ports;
 use smartsock_proto::{Endpoint, Ip};
 use smartsock_sim::{Scheduler, SimDuration};
 use smartsock_wire::{Mode, Receiver, Transmitter};
-use smartsock_wizard::{Wizard, WizardConfig, WizardMode};
+use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig, WizardMode};
 
 use crate::client::SmartClient;
 
@@ -307,9 +307,10 @@ impl TestbedBuilder {
             wiz_sec.clone(),
             WizardConfig {
                 mode: wizard_mode,
-                stale_max_age: Some(self.probe_interval.saturating_mul(4)),
-                age_discount: self.wizard_age_discount,
-                ..Default::default()
+                policy: SelectPolicy {
+                    stale_max_age: Some(self.probe_interval.saturating_mul(4)),
+                    age_discount: self.wizard_age_discount,
+                },
             },
         )
         .with_receiver(receiver.clone());

@@ -126,16 +126,12 @@ impl Flags {
 
 fn cmd_wizard(flags: &Flags) -> Result<(), String> {
     let bind = flags.get("bind").unwrap_or("127.0.0.1:1120");
+    let (policy, clock) = (SelectPolicy::default(), Clock::wall());
     let wiz = match flags.get("stream-trace") {
-        Some(path) => LiveWizard::spawn_streaming(
-            bind,
-            SelectPolicy::default(),
-            Clock::wall(),
-            std::path::Path::new(path),
-        )
-        .map_err(|e| e.to_string())?,
-        None => LiveWizard::spawn_on(bind).map_err(|e| e.to_string())?,
-    };
+        Some(path) => LiveWizard::spawn_streaming(bind, policy, clock, std::path::Path::new(path)),
+        None => LiveWizard::spawn_with(bind, policy, clock),
+    }
+    .map_err(|e| e.to_string())?;
     println!("smartsockd wizard listening on {}", wiz.addr());
     println!("press ENTER (or close stdin) to stop");
     let mut line = String::new();

@@ -1,9 +1,10 @@
 //! The combined monitor+wizard daemon on a real UDP socket.
 //!
-//! One background thread owns a [`WizardEngine`] — the same demux,
-//! ingest, staleness, and matching core the simulated daemons run — and a
-//! [`Telemetry`] sink recording the same counter/span/event names, so
-//! `telemetry summary` reads a live trace exactly like a simulated one.
+//! One background thread owns a [`WizardEngine`] — the one wizard the
+//! simulated daemon also drives — and the [`Telemetry`] the engine
+//! records into, so `telemetry summary` reads a live trace exactly like a
+//! simulated one. What is left here is what only a real daemon has: the
+//! socket, the clock, the heartbeat and the stats side channel.
 //!
 //! The receive loop blocks in `recv_from` with **no read timeout**: a
 //! stopped daemon is woken by one empty datagram to its own port (the
@@ -63,23 +64,15 @@ type SinkFactory = Box<dyn FnOnce() -> Box<dyn Sink> + Send>;
 /// A monitor+wizard daemon on a background thread.
 pub struct LiveWizard {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    reports: Arc<AtomicU64>,
-    served: Arc<AtomicU64>,
-    records: Arc<AtomicU64>,
+    shared: Shared,
     handle: Option<JoinHandle<io::Result<WizardStats>>>,
 }
 
 impl LiveWizard {
-    /// Bind an ephemeral loopback port and start serving.
+    /// Bind an ephemeral loopback port and start serving with default
+    /// policy and wall-clock time.
     pub fn spawn() -> io::Result<LiveWizard> {
-        Self::spawn_on("127.0.0.1:0")
-    }
-
-    /// Bind a specific address and start serving with default policy and
-    /// wall-clock time.
-    pub fn spawn_on(addr: &str) -> io::Result<LiveWizard> {
-        Self::spawn_with(addr, SelectPolicy::default(), Clock::wall())
+        Self::spawn_with("127.0.0.1:0", SelectPolicy::default(), Clock::wall())
     }
 
     /// Bind `addr` and serve with an explicit staleness/ranking policy and
@@ -137,18 +130,10 @@ impl LiveWizard {
             .ok_or_else(|| io::Error::other("live wizard requires an IPv4 bind address"))?
             .ip;
         let engine = WizardEngine::new(ip, policy);
-        let stop = Arc::new(AtomicBool::new(false));
-        let reports = Arc::new(AtomicU64::new(0));
-        let served = Arc::new(AtomicU64::new(0));
-        let records = Arc::new(AtomicU64::new(0));
-        let shared = Shared {
-            stop: Arc::clone(&stop),
-            reports: Arc::clone(&reports),
-            served: Arc::clone(&served),
-            records: Arc::clone(&records),
-        };
-        let handle = std::thread::spawn(move || serve(sock, engine, clock, shared, make_sink));
-        Ok(LiveWizard { addr, stop, reports, served, records, handle: Some(handle) })
+        let shared = Shared::default();
+        let theirs = shared.clone();
+        let handle = std::thread::spawn(move || serve(sock, engine, clock, theirs, make_sink));
+        Ok(LiveWizard { addr, shared, handle: Some(handle) })
     }
 
     /// Where probes report and clients ask.
@@ -158,22 +143,22 @@ impl LiveWizard {
 
     /// Number of live server records (post the most recent sweep).
     pub fn live_servers(&self) -> usize {
-        self.records.load(Ordering::SeqCst) as usize
+        self.shared.records.load(Ordering::SeqCst) as usize
     }
 
     /// Probe reports ingested so far.
     pub fn reports_ingested(&self) -> u64 {
-        self.reports.load(Ordering::SeqCst)
+        self.shared.reports.load(Ordering::SeqCst)
     }
 
     /// User requests answered so far.
     pub fn requests_served(&self) -> u64 {
-        self.served.load(Ordering::SeqCst)
+        self.shared.served.load(Ordering::SeqCst)
     }
 
     /// Stop the daemon promptly and collect its stats and trace.
     pub fn shutdown(mut self) -> io::Result<WizardStats> {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
         wake(self.addr);
         match self.handle.take() {
             Some(h) => h.join().map_err(|_| io::Error::other("wizard thread panicked"))?,
@@ -184,7 +169,7 @@ impl LiveWizard {
 
 impl Drop for LiveWizard {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
             wake(self.addr);
             let _ = h.join();
@@ -200,6 +185,8 @@ fn wake(addr: SocketAddr) {
     }
 }
 
+/// What the daemon thread and its [`LiveWizard`] handle both see.
+#[derive(Clone, Default)]
 struct Shared {
     stop: Arc<AtomicBool>,
     reports: Arc<AtomicU64>,
@@ -239,17 +226,8 @@ fn serve(
         // expiry horizon, so dead servers stop being offered without a
         // timer thread. (`select` independently skips stale records, so
         // sweep cadence affects bookkeeping, not matching.)
-        let evicted = engine.sweep(SimTime(now));
-        if !evicted.is_empty() {
-            tel.counter_add("wizard-stale-evictions", evicted.len() as u64);
-            for ip in &evicted {
-                tel.event(
-                    "status-db-expired",
-                    &host,
-                    &[("db", "wizard-sysdb"), ("server", &ip.to_string())],
-                );
-            }
-        }
+        engine.sweep(SimTime(now));
+        engine.record(&mut tel);
         // Sonar-style self-report: every so often the daemon describes
         // itself in its own trace, same schema a probe would send about it.
         if last_heartbeat.is_none_or(|at| now.saturating_sub(at) >= HEARTBEAT_INTERVAL_NS) {
@@ -273,33 +251,18 @@ fn serve(
             continue;
         }
         let Some(from_ep) = endpoint_of(from) else { continue };
-        let is_report =
-            payload.starts_with(smartsock_proto::ServerStatusReport::ASCII_MAGIC.as_bytes());
-        let span = if is_report { None } else { Some(tel.span_start("wizard-match", &host)) };
-        let outcome = {
-            let mut t = UdpTransport::new(&sock, &clock);
-            engine.handle(&mut t, from_ep, payload)
-        };
-        if let Some(span) = span {
-            tel.span_end(span);
-        }
+        let outcome = engine.handle(&mut UdpTransport::new(&sock, &clock), from_ep, payload);
+        engine.record(&mut tel);
+        // The side channel callers poll while the daemon runs; everything
+        // else about the datagram is in the trace the engine just wrote.
         match outcome {
-            Ok(Ingest::Report(_ip)) => {
-                tel.counter_incr("sysmon-reports");
-                tel.counter_add("sysmon-bytes", n as u64);
+            Ok(Ingest::Report(_)) => {
                 shared.reports.fetch_add(1, Ordering::SeqCst);
             }
-            Ok(Ingest::BadReport(_)) => tel.counter_incr("sysmon-bad-reports"),
-            Ok(Ingest::Replied { reply, to: _ }) => {
-                tel.counter_incr("wizard-requests");
-                tel.counter_incr("wizard-replies");
-                tel.counter_add("wizard-reply-servers", reply.servers.len() as u64);
+            Ok(Ingest::Replied { .. }) => {
                 shared.served.fetch_add(1, Ordering::SeqCst);
             }
-            Ok(Ingest::BadRequest) => tel.counter_incr("wizard-bad-requests"),
-            // A reply that failed to send: the client's retry loop covers
-            // it, exactly as it covers a datagram lost on the wire.
-            Err(_e) => tel.counter_incr("wizard-reply-send-errors"),
+            _ => {}
         }
         shared.records.store(engine.live_servers() as u64, Ordering::SeqCst);
     }

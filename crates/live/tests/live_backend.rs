@@ -12,6 +12,7 @@ use smartsock_live::{
 };
 use smartsock_probe::ProbeIdentity;
 use smartsock_proto::{Ip, ReplyStatus, RequestOption, ServerStatusReport, UserRequest};
+use smartsock_telemetry::trace::Trace;
 use smartsock_wizard::SelectPolicy;
 
 fn report(name: &str, last_octet: u8, cpu_idle: f64) -> ServerStatusReport {
@@ -82,9 +83,16 @@ fn live_trace_carries_simulator_telemetry_names() {
     wait_for_reports(&wiz, 1);
     let _ = live_request(wiz.addr(), &req(7, 1, ""), Duration::from_millis(500), 3).unwrap();
     let trace = wiz.shutdown().unwrap().trace_jsonl;
-    for needle in
-        ["sysmon-reports", "sysmon-bytes", "wizard-match", "wizard-replies", "wizard-reply-servers"]
-    {
+    for needle in [
+        "sysmon-reports",
+        "sysmon-bytes",
+        "wizard-match",
+        "wizard-replies",
+        "wizard-reply-servers",
+        "wizard-rows-evaluated",
+        "wizard-shards-scanned",
+        "wizard-shards-pruned",
+    ] {
         assert!(trace.contains(needle), "trace missing {needle}:\n{trace}");
     }
 }
@@ -234,6 +242,22 @@ fn manual_clock_expires_stale_reports() {
     assert!(stale.servers.is_empty(), "stale record must not be offered");
     let trace = wiz.shutdown().unwrap().trace_jsonl;
     assert!(trace.contains("status-db-expired"), "expiry must be traced:\n{trace}");
+    assert!(trace.contains("status-db-shard-swept"), "per-shard sweep event missing:\n{trace}");
+}
+
+#[test]
+fn garbage_datagrams_count_as_bad_requests_and_open_no_match_span() {
+    let wiz = LiveWizard::spawn().unwrap();
+    let sock = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    sock.send_to(b"xy", wiz.addr()).unwrap();
+    // A served request proves the daemon is past the garbage (one socket,
+    // one thread: datagrams are handled in arrival order).
+    let _ = live_request(wiz.addr(), &req(3, 1, ""), Duration::from_millis(500), 3).unwrap();
+    let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
+    assert_eq!(trace.counters.get("wizard-bad-requests"), Some(&1));
+    assert_eq!(trace.counters.get("wizard-requests"), Some(&1));
+    let matches = trace.spans.iter().filter(|s| s.name == "wizard-match").count();
+    assert_eq!(matches, 1, "only the decodable request opens a wizard-match span");
 }
 
 #[test]

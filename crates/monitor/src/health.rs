@@ -16,16 +16,13 @@
 //!      └────── probation window ends ── Probation ◀──────────────────────┘
 //! ```
 //!
-//! Quarantined servers are excluded from `Wizard::select` outright;
+//! Quarantined servers are excluded from the wizard's `select` outright;
 //! probation servers are selectable again (ordered last by their low
 //! score) so the system re-learns whether they recovered. Everything is a
 //! pure function of the reported outcomes and simulation time — no RNG, no
 //! wall clock — so runs stay byte-reproducible.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use smartsock_proto::{Ip, OutcomeKind};
 use smartsock_sim::{SimDuration, SimTime};
@@ -298,14 +295,6 @@ fn resolve(state: State, now: SimTime, probation_window: SimDuration) -> State {
         State::Probation { until, .. } if now >= until => State::Healthy,
         other => other,
     }
-}
-
-/// Shared handle, same discipline as the status databases.
-pub type SharedHealthDb = Arc<RwLock<HealthTable>>;
-
-/// Allocate a fresh shared health table.
-pub fn shared_health(cfg: HealthConfig) -> SharedHealthDb {
-    Arc::new(RwLock::new(HealthTable::new(cfg)))
 }
 
 #[cfg(test)]

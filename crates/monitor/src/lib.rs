@@ -39,7 +39,7 @@ pub use db::{
     SharedSysDb, SubnetKey, SysDb, TimedReport, VarRanges, REPORT_VARS,
 };
 pub use estimator::{bandwidth_mbps_from_pair, BwEstimate, ProbePairSpec};
-pub use health::{shared_health, HealthConfig, HealthTable, SharedHealthDb, StateKind, Transition};
+pub use health::{HealthConfig, HealthTable, StateKind, Transition};
 pub use ingest::{ingest_ascii, IngestError};
 pub use netmon::{NetMonConfig, NetworkMonitor};
 pub use secmon::SecurityMonitor;

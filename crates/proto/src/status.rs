@@ -191,8 +191,13 @@ impl ServerStatusReport {
         ) -> Result<&'a str, ProtoError> {
             it.next().ok_or(ProtoError::BadField { field, text: "<missing>".into() })
         }
+        // `"NaN".parse::<f64>()` is `Ok`, and a NaN row is invisible to
+        // the shard range summaries the wizard prunes by: finite only.
         fn f64_of(s: &str, field: &'static str) -> Result<f64, ProtoError> {
-            s.parse().map_err(|_| ProtoError::BadField { field, text: s.into() })
+            s.parse()
+                .ok()
+                .filter(|v: &f64| v.is_finite())
+                .ok_or(ProtoError::BadField { field, text: s.into() })
         }
         fn u64_of(s: &str, field: &'static str) -> Result<u64, ProtoError> {
             s.parse().map_err(|_| ProtoError::BadField { field, text: s.into() })
@@ -422,6 +427,24 @@ mod tests {
         let bad_mask_line = line.rsplit_once(' ').unwrap().0;
         let bad = format!("{bad_mask_line} notamask");
         assert!(ServerStatusReport::parse_ascii(&bad).is_err());
+    }
+
+    #[test]
+    fn ascii_rejects_non_finite_floats_in_every_float_field() {
+        let line = sample().encode_ascii();
+        let fields: Vec<&str> = line.split_ascii_whitespace().collect();
+        // loads, cpu shares, bogomips; then the four net rates.
+        for i in (3..=10).chain(22..=25) {
+            for token in ["NaN", "nan", "inf", "-inf", "infinity"] {
+                let mut bad = fields.clone();
+                bad[i] = token;
+                let got = ServerStatusReport::parse_ascii(&bad.join(" "));
+                assert!(
+                    matches!(got, Err(ProtoError::BadField { .. })),
+                    "field {i} = {token}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,36 +1,38 @@
-//! The backend-agnostic wizard engine.
+//! The wizard engine: the one implementation of the paper's wizard.
 //!
-//! Everything the wizard *decides* — which servers qualify, how they are
-//! ordered, when records expire — lives here, independent of transport.
-//! Two drivers exist:
+//! Everything the wizard *does* with a datagram or a sweep tick lives
+//! here, independent of transport — request decode → match → reply,
+//! outcome report → health transitions, sweep → health poll + per-shard
+//! expiry — together with the state it does it to (health table, group
+//! map, templates, [`SelectPolicy`]) and the telemetry it owes for it
+//! ([`WizardEngine::record`]). The three status databases are reached
+//! through the shared handles the monitors and the receiver write.
 //!
-//! * the simulated daemon ([`crate::Wizard`]) keeps its shared-memory
-//!   databases (`Arc<RwLock<…>>`, written by monitors and receivers) and
-//!   calls [`select`] with borrowed views;
-//! * the live daemon (`smartsock-live`) owns a [`WizardEngine`] outright
-//!   — one thread, no locks — and drives it through the
-//!   [`smartsock_proto::Transport`] seam over real UDP sockets.
-//!
-//! Because both backends execute this one matching core, the interop
-//! conformance suite can assert byte-identical replies between them.
+//! The backends are thin drivers over it (DESIGN.md §13): the simulated
+//! daemon ([`crate::Wizard`]) adds port bindings, the sweep timer and
+//! distributed mode's pull-then-settle delay; the live daemon
+//! (`smartsock-live`) adds a socket, a clock and its stats side channel.
+//! Both reach the engine through the [`smartsock_proto::Transport`] seam,
+//! so replies and telemetry agree between them by construction — the
+//! interop conformance suite pins it.
 
 use std::collections::BTreeMap;
 
 use smartsock_lang::{compile, may_qualify, Evaluator, HostLists, RangeProvider, VarProvider};
-use smartsock_monitor::db::{TimedReport, VarRanges};
-use smartsock_monitor::health::HealthTable;
+use smartsock_monitor::db::{shared_dbs, SubnetKey, TimedReport, VarRanges};
+use smartsock_monitor::health::{HealthTable, StateKind, Transition};
 use smartsock_monitor::ingest::{ingest_ascii, IngestError};
-use smartsock_monitor::{NetDb, SecDb, SysDb};
+use smartsock_monitor::{NetDb, SecDb, SharedNetDb, SharedSecDb, SharedSysDb, SysDb};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{
-    Endpoint, Ip, ServerStatusReport, Transport, TransportError, UserRequest, WizardReply,
-    MAX_SERVERS_PER_REPLY,
+    Endpoint, Ip, OutcomeReport, ServerStatusReport, Transport, TransportError, UserRequest,
+    WizardReply, MAX_SERVERS_PER_REPLY,
 };
-use smartsock_sim::{SimDuration, SimTime};
+use smartsock_sim::{SimDuration, SimTime, Telemetry};
 
 use crate::vars::ServerVars;
 
-/// The selection-relevant slice of [`crate::WizardConfig`].
+/// How the wizard treats the age of a status row.
 #[derive(Clone, Debug)]
 pub struct SelectPolicy {
     /// Records older than this are skipped even before the sweep evicts
@@ -46,9 +48,8 @@ impl Default for SelectPolicy {
     }
 }
 
-/// Borrowed views of everything [`select`] consults. The simulated wizard
-/// builds this from its shared databases; [`WizardEngine`] from its owned
-/// ones.
+/// Borrowed views of everything [`select`] consults, lent by
+/// [`WizardEngine::with_view`].
 pub struct SelectView<'a> {
     pub sysdb: &'a SysDb,
     pub netdb: &'a NetDb,
@@ -61,7 +62,7 @@ pub struct SelectView<'a> {
 }
 
 /// How much of the status database one [`select_with_stats`] call
-/// actually touched. The sim/live drivers feed these into telemetry
+/// actually touched. [`WizardEngine::record`] feeds these into telemetry
 /// (`wizard-shards-pruned`, `wizard-rows-evaluated`), and the fleet
 /// experiments report the prune ratio as a figure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -329,7 +330,7 @@ pub(crate) fn parse_rank_directive(detail: &str) -> Option<(String, bool)> {
 }
 
 /// What one inbound datagram turned out to be, after the engine handled
-/// it. The driver maps these onto its backend's telemetry.
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Ingest {
     /// A probe status report, upserted for this server address.
@@ -342,32 +343,85 @@ pub enum Ingest {
     BadRequest,
 }
 
-/// The combined monitor+wizard daemon state for single-owner backends:
-/// plain owned databases (no locks — one thread owns the engine), the
-/// same demux the paper's co-hosted daemons perform (§4.3), and the
-/// shared [`select`] core. `Send`, so a live daemon thread can own it.
+/// Modeled cost of evaluating one server record against a requirement:
+/// the wizard walks every record the shard-prune pass could not rule out
+/// (§3.6.1 step 3), so each match pass charges this fixed per-record price
+/// to the "wizard-requirement-eval" histogram. An observation, NOT time —
+/// matching is instantaneous in the event model.
+const EVAL_NS_PER_RECORD: u64 = 2_000;
+
+/// What the engine's most recent call did, kept until
+/// [`WizardEngine::record`] turns it into telemetry.
+#[derive(Default)]
+enum Done {
+    #[default]
+    Nothing,
+    Report {
+        bytes: usize,
+    },
+    BadReport,
+    BadRequest,
+    Matched {
+        stats: SelectStats,
+        servers: usize,
+        quarantined: usize,
+        sent: bool,
+    },
+    /// `None`: the outcome report did not decode.
+    Outcome(Option<Vec<Transition>>),
+    Swept {
+        transitions: Vec<Transition>,
+        by_shard: Vec<(SubnetKey, Vec<Ip>)>,
+    },
+}
+
+/// The wizard daemon's state and behaviour, minus sockets and timers: the
+/// demux the paper's co-hosted daemons perform (§4.3), the shared
+/// [`select`] core, outcome-fed health scores and the stale sweep. `Send`,
+/// so a live daemon thread can own it.
 pub struct WizardEngine {
     ip: Ip,
-    sysdb: SysDb,
-    netdb: NetDb,
-    secdb: SecDb,
+    /// `ip` rendered once: the host label of every record.
+    host: String,
+    sysdb: SharedSysDb,
+    netdb: SharedNetDb,
+    secdb: SharedSecDb,
+    /// Server health scores fed by client outcome reports (DESIGN.md §11).
     health: HealthTable,
+    /// host ip → its group's network-monitor ip (for `monitor_*` vars).
     group_map: BTreeMap<Ip, Ip>,
     templates: BTreeMap<u8, String>,
     policy: SelectPolicy,
+    last: Done,
 }
 
 impl WizardEngine {
+    /// An engine over freshly allocated status databases.
     pub fn new(ip: Ip, policy: SelectPolicy) -> WizardEngine {
+        let (sysdb, netdb, secdb) = shared_dbs();
+        Self::with_dbs(ip, policy, sysdb, netdb, secdb)
+    }
+
+    /// An engine over databases that other daemons (system monitor,
+    /// receiver) write through their own handles.
+    pub fn with_dbs(
+        ip: Ip,
+        policy: SelectPolicy,
+        sysdb: SharedSysDb,
+        netdb: SharedNetDb,
+        secdb: SharedSecDb,
+    ) -> WizardEngine {
         WizardEngine {
             ip,
-            sysdb: SysDb::default(),
-            netdb: NetDb::default(),
-            secdb: SecDb::default(),
-            health: HealthTable::new(Default::default()),
+            host: ip.to_string(),
+            sysdb,
+            netdb,
+            secdb,
+            health: HealthTable::default(),
             group_map: BTreeMap::new(),
             templates: crate::templates::defaults(),
             policy,
+            last: Done::Nothing,
         }
     }
 
@@ -389,7 +443,33 @@ impl WizardEngine {
 
     /// Number of live server records.
     pub fn live_servers(&self) -> usize {
-        self.sysdb.len()
+        self.sysdb.read().len()
+    }
+
+    pub fn policy(&self) -> &SelectPolicy {
+        &self.policy
+    }
+
+    /// The health-score table, for harnesses and experiments.
+    pub fn health(&self) -> &HealthTable {
+        &self.health
+    }
+
+    /// Lend the [`SelectView`] (and policy) every match runs against. Lock
+    /// order sysdb → netdb → secdb, as at every other site.
+    pub fn with_view<R>(&self, f: impl FnOnce(&SelectView<'_>, &SelectPolicy) -> R) -> R {
+        let sysdb = self.sysdb.read();
+        let netdb = self.netdb.read();
+        let secdb = self.secdb.read();
+        let view = SelectView {
+            sysdb: &sysdb,
+            netdb: &netdb,
+            secdb: &secdb,
+            health: &self.health,
+            group_map: &self.group_map,
+            templates: &self.templates,
+        };
+        f(&view, &self.policy)
     }
 
     /// Demux and handle one datagram, replying through the transport when
@@ -404,39 +484,147 @@ impl WizardEngine {
     ) -> Result<Ingest, TransportError> {
         let now = SimTime(t.now_ns());
         if payload.starts_with(ServerStatusReport::ASCII_MAGIC.as_bytes()) {
-            return Ok(match ingest_ascii(&mut self.sysdb, payload, now) {
-                Ok(ip) => Ingest::Report(ip),
-                Err(e) => Ingest::BadReport(e),
-            });
+            let got = ingest_ascii(&mut self.sysdb.write(), payload, now);
+            self.last =
+                if got.is_ok() { Done::Report { bytes: payload.len() } } else { Done::BadReport };
+            return Ok(got.map_or_else(Ingest::BadReport, Ingest::Report));
         }
         let Ok(req) = UserRequest::decode(payload) else {
+            self.last = Done::BadRequest;
             return Ok(Ingest::BadRequest);
         };
-        let servers = select(
-            &SelectView {
-                sysdb: &self.sysdb,
-                netdb: &self.netdb,
-                secdb: &self.secdb,
-                health: &self.health,
-                group_map: &self.group_map,
-                templates: &self.templates,
-            },
-            &self.policy,
-            now,
-            &req,
-            from.ip,
-        );
+        let (servers, stats) =
+            self.with_view(|view, policy| select_with_stats(view, policy, now, &req, from.ip));
+        // Invariant accounting: select() must never hand out a quarantined
+        // server. The count exists so the hostile.* shapes can assert it
+        // stays at zero rather than trusting the exclusion by inspection.
+        let quarantined = servers
+            .iter()
+            .filter(|ep| self.health.effective_state(ep.ip, now) == StateKind::Quarantined)
+            .count();
         let reply = WizardReply { seq: req.seq, servers };
-        t.send(self.endpoint(), from, &reply.encode())?;
+        let sent = t.send(self.endpoint(), from, &reply.encode());
+        self.last =
+            Done::Matched { stats, servers: reply.servers.len(), quarantined, sent: sent.is_ok() };
+        sent?;
         Ok(Ingest::Replied { reply, to: from })
     }
 
-    /// Evict records older than the staleness window, returning exactly
-    /// which addresses went dark (same semantics as the simulated sweep).
+    /// Feed one datagram from the health-feedback port (1122; not in the
+    /// thesis) into the health table.
+    pub fn handle_outcome(&mut self, now: SimTime, payload: &[u8]) {
+        let transitions = OutcomeReport::decode(payload)
+            .ok()
+            .map(|rep| self.health.record(rep.server, rep.outcome, now));
+        self.last = Done::Outcome(transitions);
+    }
+
+    /// The stale sweep: materialize time-based health transitions
+    /// (quarantine expiry → probation → healthy, so they show up even when
+    /// no fresh outcome report arrives for the host) and evict records
+    /// older than the staleness window so dead servers stop being offered.
+    /// Returns exactly which addresses went dark.
     pub fn sweep(&mut self, now: SimTime) -> Vec<Ip> {
-        match self.policy.stale_max_age {
-            Some(age) => self.sysdb.expire(now, age),
+        let transitions = self.health.poll(now);
+        let by_shard = match self.policy.stale_max_age {
+            Some(age) => self.sysdb.write().expire_by_shard(now, age),
             None => Vec::new(),
+        };
+        let evicted = by_shard.iter().flat_map(|(_, ips)| ips).copied().collect();
+        self.last = Done::Swept { transitions, by_shard };
+        evicted
+    }
+
+    /// Record the telemetry owed for the most recent `handle`,
+    /// `handle_outcome` or `sweep` call — the one place the wizard's
+    /// counter, span and event names are emitted, for either backend. A
+    /// sibling of those calls rather than a parameter of them because the
+    /// simulator's transport and telemetry live on the same scheduler and
+    /// cannot be borrowed at once.
+    pub fn record(&mut self, tel: &mut Telemetry) {
+        let host = self.host.as_str();
+        match std::mem::take(&mut self.last) {
+            Done::Nothing => {}
+            Done::Report { bytes } => {
+                tel.counter_incr("sysmon-reports");
+                tel.counter_add("sysmon-bytes", bytes as u64);
+            }
+            Done::BadReport => tel.counter_incr("sysmon-bad-reports"),
+            Done::BadRequest => tel.counter_incr("wizard-bad-requests"),
+            Done::Matched { stats, servers, quarantined, sent } => {
+                tel.counter_incr("wizard-requests");
+                let span = tel.span_start("wizard-match", host);
+                tel.observe_ns(
+                    "wizard-requirement-eval",
+                    stats.rows_evaluated as u64 * EVAL_NS_PER_RECORD,
+                );
+                tel.counter_add(
+                    "wizard-shards-scanned",
+                    (stats.shards_total - stats.shards_pruned) as u64,
+                );
+                tel.counter_add("wizard-shards-pruned", stats.shards_pruned as u64);
+                tel.counter_add("wizard-rows-evaluated", stats.rows_evaluated as u64);
+                if quarantined > 0 {
+                    tel.counter_add("wizard-quarantined-assignments", quarantined as u64);
+                }
+                if sent {
+                    tel.counter_incr("wizard-replies");
+                    tel.counter_add("wizard-reply-servers", servers as u64);
+                } else {
+                    // The client's retry loop covers it, exactly as it
+                    // covers a datagram lost on the wire.
+                    tel.counter_incr("wizard-reply-send-errors");
+                }
+                tel.span_end(span);
+            }
+            Done::Outcome(None) => tel.counter_incr("wizard-bad-outcome-reports"),
+            Done::Outcome(Some(transitions)) => {
+                tel.counter_incr("wizard-outcome-reports");
+                record_transitions(tel, host, &transitions);
+            }
+            Done::Swept { transitions, by_shard } => {
+                record_transitions(tel, host, &transitions);
+                // The global eviction counter keeps its pre-sharding
+                // meaning: total addresses that went dark this sweep,
+                // however they distribute over shards.
+                let total: u64 = by_shard.iter().map(|(_, evicted)| evicted.len() as u64).sum();
+                if total > 0 {
+                    tel.counter_add("wizard-stale-evictions", total);
+                }
+                for ([a, b, c], evicted) in &by_shard {
+                    tel.event(
+                        "status-db-shard-swept",
+                        host,
+                        &[
+                            ("subnet", &format!("{a}.{b}.{c}.0/24")),
+                            ("evicted", &evicted.len().to_string()),
+                        ],
+                    );
+                    for ip in evicted {
+                        tel.event(
+                            "status-db-expired",
+                            host,
+                            &[("db", "wizard-sysdb"), ("server", &ip.to_string())],
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Emit telemetry for a batch of quarantine state-machine transitions.
+fn record_transitions(tel: &mut Telemetry, host: &str, transitions: &[Transition]) {
+    for t in transitions {
+        tel.event(
+            "health-transition",
+            host,
+            &[("server", &t.ip.to_string()), ("from", t.from.label()), ("to", t.to.label())],
+        );
+        match t.to {
+            StateKind::Quarantined => tel.counter_incr("health-quarantines"),
+            StateKind::Probation => tel.counter_incr("health-probations"),
+            _ => {}
         }
     }
 }
@@ -444,7 +632,9 @@ impl WizardEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartsock_proto::RequestOption;
+    use smartsock_proto::{
+        NetPathRecord, OutcomeKind, RequestOption, SecurityRecord, MAX_SERVERS_PER_REPLY,
+    };
 
     struct NullTransport {
         now: u64,
@@ -551,6 +741,209 @@ mod tests {
     }
 
     #[test]
+    fn record_emits_each_call_once() {
+        let mut e = engine();
+        let mut t = NullTransport { now: 0, sent: Vec::new() };
+        let mut tel = Telemetry::new();
+        let client = Endpoint::new(Ip::new(10, 0, 0, 2), 40001);
+        let wire = report("idle", 1, 0.95).encode_ascii();
+        e.handle(&mut t, client, wire.as_bytes()).unwrap();
+        e.record(&mut tel);
+        e.record(&mut tel); // nothing owed: a second call records nothing
+        assert_eq!(tel.counter("sysmon-reports"), 1);
+        assert_eq!(tel.counter("sysmon-bytes"), wire.len() as u64);
+
+        e.handle(&mut t, client, &user_request("host_cpu_free > 0.9\n", 5).encode()).unwrap();
+        e.record(&mut tel);
+        e.handle(&mut t, client, b"xy").unwrap();
+        e.record(&mut tel);
+        assert_eq!(tel.counter("wizard-requests"), 1);
+        assert_eq!(tel.counter("wizard-replies"), 1);
+        assert_eq!(tel.counter("wizard-reply-servers"), 1);
+        assert_eq!(tel.counter("wizard-rows-evaluated"), 1);
+        assert_eq!(tel.counter("wizard-shards-scanned"), 1);
+        assert_eq!(tel.counter("wizard-bad-requests"), 1);
+        assert_eq!(tel.span_durations_ns("wizard-match").len(), 1, "garbage opens no span");
+
+        e.sweep(SimTime::from_secs(60));
+        e.record(&mut tel);
+        assert_eq!(tel.counter("wizard-stale-evictions"), 1);
+        assert_eq!(tel.event_count("status-db-shard-swept"), 1);
+        assert_eq!(tel.event_count("status-db-expired"), 1);
+    }
+
+    // ---- selection behaviour, through the engine ---------------------
+
+    const CLIENT_IP: Ip = Ip::new(10, 0, 0, 2);
+
+    fn upsert(e: &WizardEngine, r: ServerStatusReport, at: SimTime) {
+        e.sysdb.write().upsert(r, at);
+    }
+
+    fn ips(servers: &[Endpoint]) -> Vec<Ip> {
+        servers.iter().map(|ep| ep.ip).collect()
+    }
+
+    impl WizardEngine {
+        fn select(&self, now: SimTime, req: &UserRequest, client_ip: Ip) -> Vec<Endpoint> {
+            self.with_view(|view, policy| select(view, policy, now, req, client_ip))
+        }
+    }
+
+    #[test]
+    fn denied_hosts_are_excluded_even_when_qualified() {
+        let e = engine();
+        upsert(&e, report("titan-x", 1, 0.95), SimTime::ZERO);
+        upsert(&e, report("dione", 2, 0.95), SimTime::ZERO);
+        for (designator, survivor) in [("titan-x", 2), ("10.0.1.2", 1)] {
+            let req = user_request(
+                &format!("host_cpu_free > 0.5\nuser_denied_host1 = {designator}\n"),
+                5,
+            );
+            let got = e.select(SimTime::ZERO, &req, CLIENT_IP);
+            assert_eq!(ips(&got), vec![Ip::new(10, 0, 1, survivor)], "denied {designator}");
+            assert_eq!(got[0].port, ports::SERVICE);
+        }
+    }
+
+    #[test]
+    fn preferred_hosts_come_first() {
+        let e = engine();
+        for (name, last) in [("alpha", 1u8), ("beta", 2), ("gamma", 3)] {
+            upsert(&e, report(name, last, 0.95), SimTime::ZERO);
+        }
+        let req = user_request("host_cpu_free > 0.5\nuser_preferred_host1 = gamma\n", 3);
+        let got = e.select(SimTime::ZERO, &req, CLIENT_IP);
+        assert_eq!(got[0].ip, Ip::new(10, 0, 1, 3), "preferred host leads");
+        assert_eq!(got.len(), 3);
+    }
+
+    #[test]
+    fn empty_requirement_returns_everything_up_to_the_cap() {
+        let e = engine();
+        for i in 0..70u8 {
+            upsert(&e, report(&format!("s{i}"), i, 0.95), SimTime::ZERO);
+        }
+        let got = e.select(SimTime::ZERO, &user_request("", 100), CLIENT_IP);
+        assert_eq!(got.len(), MAX_SERVERS_PER_REPLY);
+        assert_eq!(e.select(SimTime::ZERO, &user_request("", 3), CLIENT_IP).len(), 3);
+    }
+
+    #[test]
+    fn quarantined_servers_are_excluded_until_probation() {
+        let never_stale = SelectPolicy { stale_max_age: None, ..Default::default() };
+        let mut e = WizardEngine::new(Ip::new(10, 0, 0, 1), never_stale);
+        let good = Ip::new(10, 0, 1, 1);
+        let flaky = Ip::new(10, 0, 1, 2);
+        upsert(&e, report("good", 1, 0.95), SimTime::ZERO);
+        upsert(&e, report("flaky", 2, 0.95), SimTime::ZERO);
+        for at in [1, 2] {
+            let rep = OutcomeReport { server: flaky, outcome: OutcomeKind::Timeout };
+            e.handle_outcome(SimTime::from_secs(at), &rep.encode());
+        }
+        // While quarantined: never offered, even though its record is live.
+        let got = e.select(SimTime::from_secs(3), &user_request("", 5), CLIENT_IP);
+        assert_eq!(ips(&got), vec![good]);
+        // Quarantine (8 s from t=2) expires into probation: selectable
+        // again, but its low score orders it after the clean server.
+        let got = e.select(SimTime::from_secs(11), &user_request("", 5), CLIENT_IP);
+        assert_eq!(ips(&got), vec![good, flaky]);
+    }
+
+    #[test]
+    fn fresher_rows_outrank_staler_rows_unless_discount_disabled() {
+        let stale = Ip::new(10, 0, 1, 1);
+        let fresh = Ip::new(10, 0, 1, 2);
+        // With the 6 s staleness window, a 4 s old row lands in a lower
+        // freshness tier than a just-recorded one, overriding address
+        // order; with the discount off both rows are "live" and address
+        // order rules.
+        for (age_discount, expected) in [(true, vec![fresh, stale]), (false, vec![stale, fresh])] {
+            let policy = SelectPolicy { age_discount, ..Default::default() };
+            let e = WizardEngine::new(Ip::new(10, 0, 0, 1), policy);
+            upsert(&e, report("stale", 1, 0.95), SimTime::from_secs(6));
+            upsert(&e, report("fresh", 2, 0.95), SimTime::from_secs(10));
+            let got = e.select(SimTime::from_secs(10), &user_request("", 5), CLIENT_IP);
+            assert_eq!(ips(&got), expected, "age_discount = {age_discount}");
+        }
+    }
+
+    #[test]
+    fn security_levels_flow_from_secdb() {
+        let e = engine();
+        for (name, last, level) in [("secure", 1u8, 5), ("sketchy", 2, 1)] {
+            upsert(&e, report(name, last, 0.95), SimTime::ZERO);
+            e.secdb.write().upsert(SecurityRecord {
+                host: name.into(),
+                ip: Ip::new(10, 0, 1, last),
+                level,
+            });
+        }
+        let req = user_request("host_security_level >= 3\n", 5);
+        assert_eq!(ips(&e.select(SimTime::ZERO, &req, CLIENT_IP)), vec![Ip::new(10, 0, 1, 1)]);
+    }
+
+    #[test]
+    fn monitor_bandwidth_requirements_use_the_group_map() {
+        let mut e = engine();
+        let fast = Ip::new(10, 0, 1, 1);
+        let slow = Ip::new(10, 0, 2, 1);
+        let mon_client = Ip::new(10, 0, 0, 100);
+        e.map_group(CLIENT_IP, mon_client);
+        for (name, ip, bw_mbps) in [("fast", fast, 6.72), ("slow", slow, 1.33)] {
+            upsert(&e, ServerStatusReport::empty(name, ip), SimTime::ZERO);
+            let [a, b, c, _] = ip.octets();
+            let to_monitor = Ip::new(a, b, c, 100);
+            e.map_group(ip, to_monitor);
+            e.netdb.write().upsert(NetPathRecord {
+                from_monitor: mon_client,
+                to_monitor,
+                delay_ms: 0.5,
+                bw_mbps,
+                timestamp_ns: 0,
+            });
+        }
+        // Table 5.7's requirement.
+        let req = user_request("monitor_network_bw > 6\n", 5);
+        assert_eq!(ips(&e.select(SimTime::ZERO, &req, CLIENT_IP)), vec![fast]);
+    }
+
+    #[test]
+    fn rank_directive_orders_by_server_variable() {
+        let e = engine();
+        for (name, last, mem_mb) in [("small", 1u8, 64u64), ("big", 2, 400), ("mid", 3, 128)] {
+            let mut r = report(name, last, 0.95);
+            r.mem_free = mem_mb << 20;
+            upsert(&e, r, SimTime::ZERO);
+        }
+        // "3 servers with largest memory" — the §6 wish, via the rank
+        // directive extension.
+        let req = user_request("#!rank host_memory_free desc\nhost_cpu_free > 0.5\n", 2);
+        let got = e.select(SimTime::ZERO, &req, CLIENT_IP);
+        assert_eq!(ips(&got), vec![Ip::new(10, 0, 1, 2), Ip::new(10, 0, 1, 3)], "largest first");
+    }
+
+    #[test]
+    fn templates_prepend_requirements() {
+        let mut e = engine();
+        upsert(&e, report("weak", 1, 0.2), SimTime::ZERO);
+        upsert(&e, report("strong", 2, 0.95), SimTime::ZERO);
+        e.add_template(9, "host_cpu_free > 0.9");
+        let req = UserRequest {
+            option: RequestOption { accept_fewer: true, template: Some(9) },
+            ..user_request("", 5)
+        };
+        assert_eq!(ips(&e.select(SimTime::ZERO, &req, CLIENT_IP)), vec![Ip::new(10, 0, 1, 2)]);
+    }
+
+    #[test]
+    fn uncompilable_requirements_yield_empty_replies() {
+        let e = engine();
+        upsert(&e, report("x", 1, 0.95), SimTime::ZERO);
+        assert!(e.select(SimTime::ZERO, &user_request("+++ ~~~", 5), CLIENT_IP).is_empty());
+    }
+
+    #[test]
     fn engine_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<WizardEngine>();
@@ -558,38 +951,18 @@ mod tests {
 
     // ---- shard-pruning equivalence ----------------------------------
 
-    /// Owned databases + empty maps, enough to build a `SelectView`.
-    struct Rig {
-        sysdb: SysDb,
-        netdb: NetDb,
-        secdb: SecDb,
-        health: HealthTable,
-        group_map: BTreeMap<Ip, Ip>,
-        templates: BTreeMap<u8, String>,
-    }
-
-    impl Rig {
-        fn new() -> Rig {
-            Rig {
-                sysdb: SysDb::default(),
-                netdb: NetDb::default(),
-                secdb: SecDb::default(),
-                health: HealthTable::new(Default::default()),
-                group_map: BTreeMap::new(),
-                templates: BTreeMap::new(),
-            }
-        }
-
-        fn view(&self) -> SelectView<'_> {
-            SelectView {
-                sysdb: &self.sysdb,
-                netdb: &self.netdb,
-                secdb: &self.secdb,
-                health: &self.health,
-                group_map: &self.group_map,
-                templates: &self.templates,
-            }
-        }
+    /// One request through both scans of the engine's view: the flat
+    /// reference reply, the pruned reply, and the pruned walk's stats.
+    fn both_scans(
+        e: &WizardEngine,
+        now: SimTime,
+        req: &UserRequest,
+    ) -> (Vec<Endpoint>, Vec<Endpoint>, SelectStats) {
+        let client = Ip::new(10, 0, 0, 254);
+        e.with_view(|view, policy| {
+            let (pruned, stats) = select_with_stats(view, policy, now, req, client);
+            (select_flat(view, policy, now, req, client), pruned, stats)
+        })
     }
 
     fn user_request(detail: &str, n: u16) -> UserRequest {
@@ -630,7 +1003,7 @@ mod tests {
             req_idx in 0usize..10,
             server_num in 1u16..20,
         ) {
-            let mut rig = Rig::new();
+            let e = engine();
             for &(subnet, last, age, idle, load, mem_mb) in &hosts {
                 let ip = Ip::new(10, 0, subnet, last);
                 let mut r = ServerStatusReport::empty(format!("h{subnet}-{last}").as_str(), ip);
@@ -638,25 +1011,47 @@ mod tests {
                 r.load1 = load;
                 r.mem_free = mem_mb << 20;
                 r.bogomips = if subnet % 2 == 0 { 4771.02 } else { 1730.15 };
-                rig.sysdb.upsert(r, SimTime::from_secs(age));
+                upsert(&e, r, SimTime::from_secs(age));
             }
-            let now = SimTime::from_secs(12);
-            let policy = SelectPolicy::default();
             let req = user_request(REQUIREMENTS[req_idx], server_num);
-            let client = Ip::new(10, 0, 0, 254);
 
-            let flat = select_flat(&rig.view(), &policy, now, &req, client);
-            let (pruned, stats) = select_with_stats(&rig.view(), &policy, now, &req, client);
+            let (flat, pruned, stats) = both_scans(&e, SimTime::from_secs(12), &req);
             proptest::prop_assert_eq!(&pruned, &flat);
-            proptest::prop_assert!(stats.rows_evaluated <= rig.sysdb.len());
+            proptest::prop_assert!(stats.rows_evaluated <= e.live_servers());
             proptest::prop_assert!(stats.shards_pruned <= stats.shards_total);
-            proptest::prop_assert_eq!(stats.shards_total, rig.sysdb.shard_count());
+            proptest::prop_assert_eq!(stats.shards_total, e.sysdb.read().shard_count());
         }
     }
 
     #[test]
+    fn a_nan_report_is_refused_so_pruning_stays_equal_to_the_flat_scan() {
+        // Regression: `"NaN".parse::<f64>()` is `Ok` and the shard range
+        // summary skips NaN, so a NaN row used to sit outside its own
+        // shard's `[lo, hi]` — the flat scan offered it (`NaN != 0.5`)
+        // while the pruned walk ruled the whole /24 out on `[0.5, 0.5]`.
+        let mut e = engine();
+        let mut t = NullTransport { now: 0, sent: Vec::new() };
+        let from = Endpoint::new(Ip::new(10, 0, 1, 1), 40001);
+        let half = report("half", 1, 0.5).encode_ascii();
+        assert_eq!(e.handle(&mut t, from, half.as_bytes()), Ok(Ingest::Report(from.ip)));
+        let nan = report("nan", 2, 0.5).encode_ascii().replacen(" 0.500 ", " NaN ", 1);
+        assert_eq!(
+            e.handle(&mut t, from, nan.as_bytes()),
+            Ok(Ingest::BadReport(IngestError::BadReport))
+        );
+        let mut tel = Telemetry::new();
+        e.record(&mut tel);
+        assert_eq!(tel.counter("sysmon-bad-reports"), 1);
+
+        let (flat, pruned, _) =
+            both_scans(&e, SimTime::ZERO, &user_request("host_cpu_idle != 0.5\n", 5));
+        assert_eq!(pruned, flat);
+        assert!(flat.is_empty());
+    }
+
+    #[test]
     fn impossible_requirements_prune_every_shard() {
-        let mut rig = Rig::new();
+        let e = engine();
         for subnet in 0..4u8 {
             for last in 1..=20u8 {
                 let mut r = ServerStatusReport::empty(
@@ -665,66 +1060,54 @@ mod tests {
                 );
                 r.cpu_idle = 0.2; // cpu_free 0.2 everywhere
                 r.mem_free = 64 << 20;
-                rig.sysdb.upsert(r, SimTime::ZERO);
+                upsert(&e, r, SimTime::ZERO);
             }
         }
-        let policy = SelectPolicy::default();
-        let req = user_request("host_cpu_free > 0.9\n", 10);
-        let (got, stats) =
-            select_with_stats(&rig.view(), &policy, SimTime::ZERO, &req, Ip::new(10, 0, 0, 254));
+        let (flat, got, stats) =
+            both_scans(&e, SimTime::ZERO, &user_request("host_cpu_free > 0.9\n", 10));
         assert!(got.is_empty());
         assert_eq!(stats.shards_total, 4);
         assert_eq!(stats.shards_pruned, 4, "summary ranges rule out every shard");
         assert_eq!(stats.rows_evaluated, 0);
-        // And the flat scan agrees on the (empty) reply.
-        assert_eq!(
-            select_flat(&rig.view(), &policy, SimTime::ZERO, &req, Ip::new(10, 0, 0, 254)),
-            got
-        );
+        assert_eq!(flat, got, "the flat scan agrees on the (empty) reply");
     }
 
     #[test]
     fn all_stale_shards_are_pruned_without_row_visits() {
-        let mut rig = Rig::new();
+        let e = engine(); // 6 s window
         for last in 1..=10u8 {
             let mut r =
                 ServerStatusReport::empty(format!("old{last}").as_str(), Ip::new(10, 2, 0, last));
             r.cpu_idle = 0.95;
-            rig.sysdb.upsert(r, SimTime::ZERO); // all stale at t = 12 s
+            upsert(&e, r, SimTime::ZERO); // all stale at t = 12 s
         }
         let mut fresh = ServerStatusReport::empty("fresh", Ip::new(10, 2, 1, 1));
         fresh.cpu_idle = 0.95;
         fresh.mem_free = 200 << 20;
-        rig.sysdb.upsert(fresh, SimTime::from_secs(11));
+        upsert(&e, fresh, SimTime::from_secs(11));
 
-        let policy = SelectPolicy::default(); // 6 s window
-        let req = user_request("", 60);
-        let now = SimTime::from_secs(12);
-        let (got, stats) =
-            select_with_stats(&rig.view(), &policy, now, &req, Ip::new(10, 0, 0, 254));
-        assert_eq!(got.iter().map(|e| e.ip).collect::<Vec<_>>(), vec![Ip::new(10, 2, 1, 1)]);
+        let (flat, got, stats) = both_scans(&e, SimTime::from_secs(12), &user_request("", 60));
+        assert_eq!(ips(&got), vec![Ip::new(10, 2, 1, 1)]);
         assert_eq!(stats.shards_pruned, 1, "the all-stale /24 is skipped wholesale");
         assert_eq!(stats.rows_evaluated, 1);
-        assert_eq!(select_flat(&rig.view(), &policy, now, &req, Ip::new(10, 0, 0, 254)), got);
+        assert_eq!(flat, got);
     }
 
     #[test]
     fn untracked_variables_never_prune() {
-        let mut rig = Rig::new();
+        let e = engine();
         let mut r = ServerStatusReport::empty("sec", Ip::new(10, 3, 0, 1));
         r.cpu_idle = 0.5;
-        rig.sysdb.upsert(r, SimTime::ZERO);
-        rig.secdb.upsert(smartsock_proto::SecurityRecord {
+        upsert(&e, r, SimTime::ZERO);
+        e.secdb.write().upsert(SecurityRecord {
             host: "sec".into(),
             ip: Ip::new(10, 3, 0, 1),
             level: 5,
         });
-        let policy = SelectPolicy::default();
         // Security levels are not in the shard rollup; the shard must be
         // descended into and the row must qualify via secdb.
-        let req = user_request("host_security_level >= 3\n", 5);
-        let (got, stats) =
-            select_with_stats(&rig.view(), &policy, SimTime::ZERO, &req, Ip::new(10, 0, 0, 254));
+        let (_, got, stats) =
+            both_scans(&e, SimTime::ZERO, &user_request("host_security_level >= 3\n", 5));
         assert_eq!(got.len(), 1);
         assert_eq!(stats.shards_pruned, 0);
         assert_eq!(stats.rows_evaluated, 1);

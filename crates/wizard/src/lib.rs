@@ -9,7 +9,7 @@
 //!
 //! 1. refreshes its view of the status databases — immediately available
 //!    in centralized mode, pulled from the transmitters in distributed
-//!    mode (§3.6.1 step 2);
+//!    mode (§3.6.1 step 2; the simulated [`Wizard`] driver's job);
 //! 2. compiles the request detail with `smartsock-lang` (lexical +
 //!    syntactical analysis, §3.6.1 step 3);
 //! 3. evaluates every live server record against the requirement, skipping
@@ -33,18 +33,14 @@ pub mod engine;
 pub mod templates;
 pub mod vars;
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cell::{Cell, Ref, RefCell};
 use std::rc::Rc;
 
-use smartsock_monitor::health::{
-    shared_health, HealthConfig, SharedHealthDb, StateKind, Transition,
-};
 use smartsock_monitor::{SharedNetDb, SharedSecDb, SharedSysDb};
-use smartsock_net::{Network, Payload};
+use smartsock_net::{Network, SimTransport, UdpDatagram};
 use smartsock_proto::consts::ports;
-use smartsock_proto::{Endpoint, Ip, OutcomeReport, UserRequest, WizardReply};
-use smartsock_sim::{Scheduler, SimDuration, SimTime};
+use smartsock_proto::{Endpoint, Ip, UserRequest};
+use smartsock_sim::{Scheduler, SimDuration};
 use smartsock_wire::Receiver;
 
 pub use engine::{
@@ -54,9 +50,10 @@ pub use engine::{
 pub use vars::ServerVars;
 
 /// Wizard operating mode, mirroring the transmitters' (§3.5.1).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum WizardMode {
     /// Status arrives continuously; requests are answered immediately.
+    #[default]
     Centralized,
     /// Each request first triggers a pull from the listed transmitter
     /// machines, then matches after a settle delay.
@@ -64,54 +61,29 @@ pub enum WizardMode {
 }
 
 /// Wizard configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct WizardConfig {
     pub mode: WizardMode,
-    /// Records older than this are treated as expired even if the sweep
-    /// has not caught them yet. `None` disables the check.
-    pub stale_max_age: Option<SimDuration>,
-    /// Health-score / quarantine tunables (DESIGN.md §11).
-    pub health: HealthConfig,
-    /// Discount status rows by age during selection (freshness tiers)
-    /// instead of the binary fresh/expired cutoff alone. On by default;
-    /// the `hostile.staleness` experiment A/Bs it.
-    pub age_discount: bool,
+    /// Staleness window and freshness discount; the sweep runs at half the
+    /// window (and not at all when `stale_max_age` is `None`).
+    pub policy: SelectPolicy,
 }
 
-impl Default for WizardConfig {
-    fn default() -> Self {
-        WizardConfig {
-            mode: WizardMode::Centralized,
-            stale_max_age: Some(SimDuration::from_secs(6)),
-            health: HealthConfig::default(),
-            age_discount: true,
-        }
-    }
-}
-
-/// Modeled cost of evaluating one server record against a requirement,
-/// charged to the "wizard-requirement-eval" histogram per match pass.
-const EVAL_NS_PER_RECORD: u64 = 2_000;
-
-/// The wizard daemon.
+/// The simulated wizard daemon: a [`WizardEngine`] bound to ports 1120 and
+/// 1122 of a simulated [`Network`]. It owns only what the simulator adds —
+/// the bindings, the sweep timer with its restart epoch, and distributed
+/// mode's pull-then-settle delay; every datagram and every sweep tick is
+/// one engine call.
 #[derive(Clone)]
 pub struct Wizard {
-    ip: Ip,
     net: Network,
-    sysdb: SharedSysDb,
-    netdb: SharedNetDb,
-    secdb: SharedSecDb,
-    cfg: WizardConfig,
-    /// Server health scores fed by client outcome reports (DESIGN.md §11).
-    health: SharedHealthDb,
-    /// host ip → its group's network-monitor ip (for `monitor_*` vars).
-    group_map: Rc<RefCell<BTreeMap<Ip, Ip>>>,
+    engine: Rc<RefCell<WizardEngine>>,
+    mode: WizardMode,
     /// Receiver co-located with the wizard (needed for distributed pulls).
     receiver: Option<Receiver>,
-    templates: Rc<RefCell<BTreeMap<u8, String>>>,
     /// Restart generation for the stale sweep (same epoch scheme as the
     /// probe daemon): a stopped wizard's pending sweep dies quietly.
-    epoch: Rc<std::cell::Cell<u64>>,
+    epoch: Rc<Cell<u64>>,
 }
 
 impl Wizard {
@@ -123,19 +95,13 @@ impl Wizard {
         secdb: SharedSecDb,
         cfg: WizardConfig,
     ) -> Wizard {
-        let health = shared_health(cfg.health.clone());
+        let engine = WizardEngine::with_dbs(ip, cfg.policy, sysdb, netdb, secdb);
         Wizard {
-            ip,
             net,
-            sysdb,
-            netdb,
-            secdb,
-            cfg,
-            health,
-            group_map: Rc::new(RefCell::new(BTreeMap::new())),
+            engine: Rc::new(RefCell::new(engine)),
+            mode: cfg.mode,
             receiver: None,
-            templates: Rc::new(RefCell::new(templates::defaults())),
-            epoch: Rc::new(std::cell::Cell::new(0)),
+            epoch: Rc::new(Cell::new(0)),
         }
     }
 
@@ -145,58 +111,48 @@ impl Wizard {
         self
     }
 
+    /// The engine behind the ports, for harnesses and experiments (health
+    /// scores, the lent [`SelectView`]).
+    pub fn engine(&self) -> Ref<'_, WizardEngine> {
+        self.engine.borrow()
+    }
+
     /// Register which network monitor serves a host's group.
     pub fn map_group(&self, host: Ip, monitor: Ip) {
-        self.group_map.borrow_mut().insert(host, monitor);
+        self.engine.borrow_mut().map_group(host, monitor);
     }
 
     /// Register a requirement template usable via the request option field.
     pub fn add_template(&self, id: u8, text: impl Into<String>) {
-        self.templates.borrow_mut().insert(id, text.into());
+        self.engine.borrow_mut().add_template(id, text);
     }
 
     /// The service endpoint (port 1120 of Table 4.2).
     pub fn endpoint(&self) -> Endpoint {
-        Endpoint::new(self.ip, ports::WIZARD)
+        self.engine.borrow().endpoint()
     }
 
     /// The health-feedback endpoint (port 1122; not in the thesis).
     pub fn health_endpoint(&self) -> Endpoint {
-        Endpoint::new(self.ip, ports::WIZARD_HEALTH)
+        Endpoint::new(self.endpoint().ip, ports::WIZARD_HEALTH)
     }
 
-    /// The health-score table, for harnesses and experiments.
-    pub fn health(&self) -> &SharedHealthDb {
-        &self.health
-    }
-
-    /// Bind the request socket and start the wizard's own stale sweep
-    /// (skipped when `stale_max_age` is disabled).
+    /// Bind both sockets and start the stale sweep (skipped when
+    /// `stale_max_age` is disabled).
     pub fn start(&self, s: &mut Scheduler) {
         let wiz = self.clone();
-        self.net.bind_udp(self.endpoint(), move |s, dgram| {
-            let Ok(req) = UserRequest::decode(&dgram.payload.data) else {
-                s.telemetry.counter_incr("wizard-bad-requests");
-                return;
-            };
-            s.telemetry.counter_incr("wizard-requests");
-            wiz.handle(s, req, dgram.from);
-        });
+        self.net.bind_udp(self.endpoint(), move |s, dgram| wiz.on_request_port(s, dgram));
         let wiz = self.clone();
         self.net.bind_udp(self.health_endpoint(), move |s, dgram| {
-            let Ok(rep) = OutcomeReport::decode(&dgram.payload.data) else {
-                s.telemetry.counter_incr("wizard-bad-outcome-reports");
-                return;
-            };
-            s.telemetry.counter_incr("wizard-outcome-reports");
-            let transitions = wiz.health.write().record(rep.server, rep.outcome, s.now());
-            wiz.emit_transitions(s, &transitions);
+            let mut engine = wiz.engine.borrow_mut();
+            engine.handle_outcome(s.now(), &dgram.payload.data);
+            engine.record(&mut s.telemetry);
         });
-        if let Some(age) = self.cfg.stale_max_age {
+        if let Some(age) = self.engine.borrow().policy().stale_max_age {
             let interval = SimDuration::from_nanos((age.as_nanos() / 2).max(1));
             let wiz = self.clone();
             let epoch = self.epoch.get();
-            s.schedule_in(interval, move |s| wiz.sweep(s, epoch, interval));
+            s.schedule_in(interval, move |s| wiz.sweep_tick(s, epoch, interval));
         }
     }
 
@@ -216,465 +172,162 @@ impl Wizard {
         self.start(s);
     }
 
-    /// Periodic stale sweep: evict expired records from the wizard's own
-    /// `sysdb` view so dead servers stop being offered, and account for
-    /// exactly which addresses went dark.
-    fn sweep(&self, s: &mut Scheduler, epoch: u64, interval: SimDuration) {
+    fn sweep_tick(&self, s: &mut Scheduler, epoch: u64, interval: SimDuration) {
         if self.epoch.get() != epoch {
             return;
         }
-        // Materialize time-based health transitions (quarantine expiry →
-        // probation → healthy) so they show up in telemetry even when no
-        // fresh outcome report arrives for the host.
-        let transitions = self.health.write().poll(s.now());
-        self.emit_transitions(s, &transitions);
-        if let Some(age) = self.cfg.stale_max_age {
-            let by_shard = self.sysdb.write().expire_by_shard(s.now(), age);
-            // The global eviction counter keeps its pre-sharding meaning:
-            // total addresses that went dark this sweep, regardless of how
-            // they distribute over shards (pinned by a regression test).
-            let total: u64 = by_shard.iter().map(|(_, evicted)| evicted.len() as u64).sum();
-            if total > 0 {
-                s.telemetry.counter_add("wizard-stale-evictions", total);
-            }
-            for (subnet, evicted) in &by_shard {
-                let [a, b, c] = subnet;
-                s.telemetry.event(
-                    "status-db-shard-swept",
-                    &self.ip.to_string(),
-                    &[
-                        ("subnet", &format!("{a}.{b}.{c}.0/24")),
-                        ("evicted", &evicted.len().to_string()),
-                    ],
-                );
-                for ip in evicted {
-                    s.telemetry.event(
-                        "status-db-expired",
-                        &self.ip.to_string(),
-                        &[("db", "wizard-sysdb"), ("server", &ip.to_string())],
-                    );
-                }
-            }
+        {
+            let mut engine = self.engine.borrow_mut();
+            engine.sweep(s.now());
+            engine.record(&mut s.telemetry);
         }
         let wiz = self.clone();
-        s.schedule_in(interval, move |s| wiz.sweep(s, epoch, interval));
+        s.schedule_in(interval, move |s| wiz.sweep_tick(s, epoch, interval));
     }
 
-    /// Emit telemetry for a batch of quarantine state-machine transitions.
-    fn emit_transitions(&self, s: &mut Scheduler, transitions: &[Transition]) {
-        for t in transitions {
-            s.telemetry.event(
-                "health-transition",
-                &self.ip.to_string(),
-                &[("server", &t.ip.to_string()), ("from", t.from.label()), ("to", t.to.label())],
-            );
-            match t.to {
-                StateKind::Quarantined => s.telemetry.counter_incr("health-quarantines"),
-                StateKind::Probation => s.telemetry.counter_incr("health-probations"),
-                _ => {}
-            }
-        }
-    }
-
-    fn handle(&self, s: &mut Scheduler, req: UserRequest, client: Endpoint) {
-        match &self.cfg.mode {
-            WizardMode::Centralized => self.match_and_reply(s, req, client),
-            WizardMode::Distributed { transmitters, settle } => {
+    /// §3.6.1 step 2: centralized status is already here; in distributed
+    /// mode a request first pulls from the transmitters and is served
+    /// after the settle delay. Only a decodable request is worth a pull —
+    /// garbage must not fan out to every transmitter.
+    fn on_request_port(&self, s: &mut Scheduler, dgram: UdpDatagram) {
+        match &self.mode {
+            WizardMode::Distributed { transmitters, settle }
+                if UserRequest::decode(&dgram.payload.data).is_ok() =>
+            {
                 if let Some(rx) = &self.receiver {
                     rx.request_update(s, transmitters);
                 }
                 let wiz = self.clone();
-                let settle = *settle;
-                s.schedule_in(settle, move |s| wiz.match_and_reply(s, req, client));
+                s.schedule_in(*settle, move |s| wiz.serve(s, &dgram));
             }
+            _ => self.serve(s, &dgram),
         }
     }
 
-    /// §3.6.1 steps 3–4: evaluate and reply. Public so the harness can
-    /// drive matching synchronously.
-    pub fn match_and_reply(&self, s: &mut Scheduler, req: UserRequest, client: Endpoint) {
-        let span = s.telemetry.span_start("wizard-match", &self.ip.to_string());
-        let (servers, stats) = self.select_with_stats(s.now(), &req, client.ip);
-        // Modeled requirement-evaluation cost: the wizard walks every
-        // record the shard-prune pass could not rule out (§3.6.1 step 3),
-        // so charge a fixed per-record price. Recorded as an observation,
-        // NOT as simulated time — matching is instantaneous in the event
-        // model.
-        s.telemetry.observe_ns(
-            "wizard-requirement-eval",
-            stats.rows_evaluated as u64 * EVAL_NS_PER_RECORD,
-        );
-        s.telemetry.counter_add(
-            "wizard-shards-scanned",
-            (stats.shards_total - stats.shards_pruned) as u64,
-        );
-        s.telemetry.counter_add("wizard-shards-pruned", stats.shards_pruned as u64);
-        s.telemetry.counter_add("wizard-rows-evaluated", stats.rows_evaluated as u64);
-        // Invariant accounting: select() must never hand out a quarantined
-        // server. The counter exists so the hostile.* shapes can assert it
-        // stays at zero rather than trusting the exclusion by inspection.
-        {
-            let health = self.health.read();
-            let quarantined = servers
-                .iter()
-                .filter(|ep| health.effective_state(ep.ip, s.now()) == StateKind::Quarantined)
-                .count();
-            if quarantined > 0 {
-                s.telemetry.counter_add(
-                    "wizard-quarantined-assignments",
-                    u64::try_from(quarantined).expect("invariant: count fits u64"),
-                );
-            }
-        }
-        let reply = WizardReply { seq: req.seq, servers };
-        let payload = Payload::data(reply.encode().freeze());
-        s.telemetry.counter_incr("wizard-replies");
-        s.telemetry.counter_add("wizard-reply-servers", reply.servers.len() as u64);
-        self.net.send_udp(s, self.endpoint(), client, payload, None);
-        s.telemetry.span_end(span);
-    }
-
-    /// The selection core, independent of the transport: returns the
-    /// ordered candidate list for a request from `client_ip`.
-    ///
-    /// Delegates to [`engine::select`] — the same matching core the live
-    /// backend's [`WizardEngine`] runs, so both backends order candidates
-    /// identically (pinned by the interop conformance suite). Lock order
-    /// (sysdb, netdb, secdb, health) matches every other wizard site.
-    pub fn select(&self, now: SimTime, req: &UserRequest, client_ip: Ip) -> Vec<Endpoint> {
-        self.select_with_stats(now, req, client_ip).0
-    }
-
-    /// [`Wizard::select`], plus the scan statistics the shard-prune pass
-    /// produced (how many shards were skipped, how many rows evaluated).
-    pub fn select_with_stats(
-        &self,
-        now: SimTime,
-        req: &UserRequest,
-        client_ip: Ip,
-    ) -> (Vec<Endpoint>, SelectStats) {
-        let sysdb = self.sysdb.read();
-        let netdb = self.netdb.read();
-        let secdb = self.secdb.read();
-        let health = self.health.read();
-        let group_map = self.group_map.borrow();
-        let templates = self.templates.borrow();
-        let view = engine::SelectView {
-            sysdb: &sysdb,
-            netdb: &netdb,
-            secdb: &secdb,
-            health: &health,
-            group_map: &group_map,
-            templates: &templates,
-        };
-        let policy = engine::SelectPolicy {
-            stale_max_age: self.cfg.stale_max_age,
-            age_discount: self.cfg.age_discount,
-        };
-        engine::select_with_stats(&view, &policy, now, req, client_ip)
+    fn serve(&self, s: &mut Scheduler, dgram: &UdpDatagram) {
+        let mut engine = self.engine.borrow_mut();
+        // The simulated network never fails a send: loss is silence.
+        let _ =
+            engine.handle(&mut SimTransport::new(s, &self.net), dgram.from, &dgram.payload.data);
+        engine.record(&mut s.telemetry);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! Only what the simulated driver adds is tested here; matching,
+    //! ordering and ingest are tested once, on the engine.
     use super::*;
     use smartsock_monitor::db::shared_dbs;
-    use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
+    use smartsock_monitor::StateKind;
+    use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
     use smartsock_proto::{
-        NetPathRecord, RequestOption, SecurityRecord, ServerStatusReport, MAX_SERVERS_PER_REPLY,
+        OutcomeKind, OutcomeReport, RequestOption, ServerStatusReport, WizardReply,
     };
+    use smartsock_sim::SimTime;
+
+    const WIZ_IP: Ip = Ip::new(10, 0, 0, 1);
+    const CLIENT: Endpoint = Endpoint::new(Ip::new(10, 0, 0, 2), 50001);
+
+    /// A started wizard on a two-host LAN, its sysdb handle, and the
+    /// replies the client endpoint has received so far.
+    struct Rig {
+        s: Scheduler,
+        net: Network,
+        wiz: Wizard,
+        sysdb: SharedSysDb,
+        replies: Rc<RefCell<Vec<(SimTime, WizardReply)>>>,
+    }
+
+    fn rig(cfg: WizardConfig) -> Rig {
+        let mut b = NetworkBuilder::new(3);
+        let w = b.host("wiz", WIZ_IP, HostParams::testbed());
+        let c = b.host("client", CLIENT.ip, HostParams::testbed());
+        b.duplex(w, c, LinkParams::lan_100mbps());
+        let net = b.build();
+        let (sysdb, netdb, secdb) = shared_dbs();
+        let wiz = Wizard::new(WIZ_IP, net.clone(), sysdb.clone(), netdb, secdb, cfg);
+        let mut s = Scheduler::new();
+        wiz.start(&mut s);
+        let replies = Rc::new(RefCell::new(Vec::new()));
+        let got = Rc::clone(&replies);
+        net.bind_udp(CLIENT, move |s, d| {
+            got.borrow_mut().push((s.now(), WizardReply::decode(&d.payload.data).unwrap()));
+        });
+        Rig { s, net, wiz, sysdb, replies }
+    }
+
+    fn no_sweep() -> WizardConfig {
+        WizardConfig {
+            policy: SelectPolicy { stale_max_age: None, ..Default::default() },
+            ..Default::default()
+        }
+    }
 
     fn report(name: &str, ip: Ip) -> ServerStatusReport {
         let mut r = ServerStatusReport::empty(name, ip);
         r.cpu_idle = 0.95;
-        r.load1 = 0.1;
         r.mem_free = 200 << 20;
-        r.bogomips = 3394.76;
         r
     }
 
-    fn wizard_rig() -> (Wizard, SharedSysDb, SharedNetDb, SharedSecDb) {
-        let mut b = NetworkBuilder::new(1);
-        let w = b.host("wiz", Ip::new(10, 0, 0, 1), HostParams::testbed());
-        let c = b.host("client", Ip::new(10, 0, 0, 2), HostParams::testbed());
-        b.duplex(w, c, LinkParams::lan_100mbps());
-        let net = b.build();
-        let (sysdb, netdb, secdb) = shared_dbs();
-        let wiz = Wizard::new(
-            Ip::new(10, 0, 0, 1),
-            net,
-            sysdb.clone(),
-            netdb.clone(),
-            secdb.clone(),
-            WizardConfig { stale_max_age: None, ..Default::default() },
-        );
-        (wiz, sysdb, netdb, secdb)
-    }
-
-    fn request(detail: &str, n: u16) -> UserRequest {
-        UserRequest {
+    fn request_bytes(detail: &str) -> Vec<u8> {
+        let req = UserRequest {
             seq: 7,
-            server_num: n,
+            server_num: 1,
             option: RequestOption::DEFAULT,
             detail: detail.to_owned(),
+        };
+        req.encode().to_vec()
+    }
+
+    impl Rig {
+        fn send(&mut self, to: Endpoint, bytes: Vec<u8>) {
+            self.net.send_udp(&mut self.s, CLIENT, to, Payload::data(bytes), None);
         }
     }
 
     #[test]
-    fn selects_only_qualified_servers() {
-        let (wiz, sysdb, ..) = wizard_rig();
-        let mut busy = report("busy", Ip::new(10, 0, 1, 1));
-        busy.cpu_idle = 0.1;
-        sysdb.write().upsert(busy, SimTime::ZERO);
-        sysdb.write().upsert(report("idle", Ip::new(10, 0, 1, 2)), SimTime::ZERO);
-
-        let got =
-            wiz.select(SimTime::ZERO, &request("host_cpu_free > 0.9\n", 5), Ip::new(10, 0, 0, 2));
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].ip, Ip::new(10, 0, 1, 2));
-        assert_eq!(got[0].port, ports::SERVICE);
+    fn end_to_end_over_udp() {
+        let mut r = rig(no_sweep());
+        r.sysdb.write().upsert(report("srv", Ip::new(10, 0, 0, 9)), SimTime::ZERO);
+        r.send(r.wiz.endpoint(), request_bytes("host_cpu_free > 0.5\n"));
+        r.s.run();
+        let replies = r.replies.borrow();
+        assert_eq!(replies.len(), 1, "wizard replied");
+        assert_eq!(replies[0].1.seq, 7);
+        assert_eq!(replies[0].1.servers.len(), 1);
+        assert_eq!(r.s.telemetry.counter("wizard-requests"), 1);
+        assert_eq!(r.s.telemetry.counter("wizard-replies"), 1);
+        assert_eq!(r.s.telemetry.span_durations_ns("wizard-match").len(), 1);
     }
 
     #[test]
-    fn denied_hosts_are_excluded_even_when_qualified() {
-        let (wiz, sysdb, ..) = wizard_rig();
-        sysdb.write().upsert(report("titan-x", Ip::new(10, 0, 1, 1)), SimTime::ZERO);
-        sysdb.write().upsert(report("dione", Ip::new(10, 0, 1, 2)), SimTime::ZERO);
-        let got = wiz.select(
-            SimTime::ZERO,
-            &request("host_cpu_free > 0.5\nuser_denied_host1 = titan-x\n", 5),
-            Ip::new(10, 0, 0, 2),
-        );
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].ip, Ip::new(10, 0, 1, 2));
-        // Denying by IP works too.
-        let got = wiz.select(
-            SimTime::ZERO,
-            &request("host_cpu_free > 0.5\nuser_denied_host1 = 10.0.1.2\n", 5),
-            Ip::new(10, 0, 0, 2),
-        );
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].ip, Ip::new(10, 0, 1, 1));
-    }
-
-    #[test]
-    fn preferred_hosts_come_first() {
-        let (wiz, sysdb, ..) = wizard_rig();
-        for (name, last) in [("alpha", 1u8), ("beta", 2), ("gamma", 3)] {
-            sysdb.write().upsert(report(name, Ip::new(10, 0, 1, last)), SimTime::ZERO);
-        }
-        let got = wiz.select(
-            SimTime::ZERO,
-            &request("host_cpu_free > 0.5\nuser_preferred_host1 = gamma\n", 3),
-            Ip::new(10, 0, 0, 2),
-        );
-        assert_eq!(got[0].ip, Ip::new(10, 0, 1, 3), "preferred host leads");
-        assert_eq!(got.len(), 3);
-    }
-
-    #[test]
-    fn empty_requirement_returns_everything_up_to_the_cap() {
-        let (wiz, sysdb, ..) = wizard_rig();
-        for i in 0..70u8 {
-            sysdb.write().upsert(report(&format!("s{i}"), Ip::new(10, 0, 2, i)), SimTime::ZERO);
-        }
-        let got = wiz.select(SimTime::ZERO, &request("", 100), Ip::new(10, 0, 0, 2));
-        assert_eq!(got.len(), MAX_SERVERS_PER_REPLY);
-        let got = wiz.select(SimTime::ZERO, &request("", 3), Ip::new(10, 0, 0, 2));
-        assert_eq!(got.len(), 3);
-    }
-
-    #[test]
-    fn stale_records_are_not_offered() {
-        let (wiz, sysdb, ..) = wizard_rig();
-        let wiz = Wizard { cfg: WizardConfig::default(), ..wiz }; // 6 s staleness
-        sysdb.write().upsert(report("old", Ip::new(10, 0, 1, 1)), SimTime::ZERO);
-        sysdb.write().upsert(report("new", Ip::new(10, 0, 1, 2)), SimTime::from_secs(10));
-        let got = wiz.select(SimTime::from_secs(12), &request("", 5), Ip::new(10, 0, 0, 2));
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].ip, Ip::new(10, 0, 1, 2));
-    }
-
-    #[test]
-    fn quarantined_servers_are_excluded_until_probation() {
-        use smartsock_proto::OutcomeKind;
-        let (wiz, sysdb, ..) = wizard_rig();
-        let good = Ip::new(10, 0, 1, 1);
-        let flaky = Ip::new(10, 0, 1, 2);
-        sysdb.write().upsert(report("good", good), SimTime::ZERO);
-        sysdb.write().upsert(report("flaky", flaky), SimTime::ZERO);
-        {
-            let mut h = wiz.health().write();
-            h.record(flaky, OutcomeKind::Timeout, SimTime::from_secs(1));
-            h.record(flaky, OutcomeKind::Timeout, SimTime::from_secs(2));
-        }
-        // While quarantined: never offered, even though its record is live.
-        let got = wiz.select(SimTime::from_secs(3), &request("", 5), Ip::new(10, 0, 0, 2));
-        assert_eq!(got.iter().map(|e| e.ip).collect::<Vec<_>>(), vec![good]);
-        // Quarantine (8 s from t=2) expires into probation: selectable
-        // again, but its low score orders it after the clean server.
-        let got = wiz.select(SimTime::from_secs(11), &request("", 5), Ip::new(10, 0, 0, 2));
-        assert_eq!(got.iter().map(|e| e.ip).collect::<Vec<_>>(), vec![good, flaky]);
-    }
-
-    #[test]
-    fn fresher_rows_outrank_staler_rows_unless_discount_disabled() {
-        let (wiz, sysdb, ..) = wizard_rig();
-        let stale = Ip::new(10, 0, 1, 1);
-        let fresh = Ip::new(10, 0, 1, 2);
-        sysdb.write().upsert(report("stale", stale), SimTime::from_secs(6));
-        sysdb.write().upsert(report("fresh", fresh), SimTime::from_secs(10));
-        // With the 6 s staleness window, a 4 s old row lands in a lower
-        // freshness tier than a just-recorded one, overriding address order.
-        let on = Wizard { cfg: WizardConfig::default(), ..wiz.clone() };
-        let got = on.select(SimTime::from_secs(10), &request("", 5), Ip::new(10, 0, 0, 2));
-        assert_eq!(got.iter().map(|e| e.ip).collect::<Vec<_>>(), vec![fresh, stale]);
-        // Discount disabled: both rows are "live" and address order rules.
-        let off = Wizard { cfg: WizardConfig { age_discount: false, ..Default::default() }, ..wiz };
-        let got = off.select(SimTime::from_secs(10), &request("", 5), Ip::new(10, 0, 0, 2));
-        assert_eq!(got.iter().map(|e| e.ip).collect::<Vec<_>>(), vec![stale, fresh]);
+    fn undecodable_datagrams_count_as_bad_requests_and_open_no_match_span() {
+        let mut r = rig(no_sweep());
+        r.send(r.wiz.endpoint(), b"xy".to_vec());
+        r.s.run();
+        assert!(r.replies.borrow().is_empty());
+        assert_eq!(r.s.telemetry.counter("wizard-bad-requests"), 1);
+        assert_eq!(r.s.telemetry.counter("wizard-requests"), 0);
+        assert!(r.s.telemetry.span_durations_ns("wizard-match").is_empty());
+        assert!(r.s.telemetry.records().is_empty(), "a bad request leaves no span record");
     }
 
     #[test]
     fn outcome_reports_feed_the_health_table_over_udp() {
-        use smartsock_proto::{OutcomeKind, OutcomeReport};
-        let mut b = NetworkBuilder::new(5);
-        let w = b.host("wiz", Ip::new(10, 0, 0, 1), HostParams::testbed());
-        let c = b.host("client", Ip::new(10, 0, 0, 2), HostParams::testbed());
-        b.duplex(w, c, LinkParams::lan_100mbps());
-        let net = b.build();
-        let (sysdb, netdb, secdb) = shared_dbs();
-        let wiz = Wizard::new(
-            Ip::new(10, 0, 0, 1),
-            net.clone(),
-            sysdb,
-            netdb,
-            secdb,
-            WizardConfig { stale_max_age: None, ..Default::default() },
-        );
-        let mut s = Scheduler::new();
-        wiz.start(&mut s);
-        let client_ep = Endpoint::new(Ip::new(10, 0, 0, 2), 50001);
+        let mut r = rig(no_sweep());
         let srv = Ip::new(10, 0, 0, 9);
         for _ in 0..2 {
             let rep = OutcomeReport { server: srv, outcome: OutcomeKind::ConnectFailed };
-            net.send_udp(
-                &mut s,
-                client_ep,
-                wiz.health_endpoint(),
-                Payload::data(rep.encode().freeze()),
-                None,
-            );
+            r.send(r.wiz.health_endpoint(), rep.encode().to_vec());
         }
-        s.run();
-        assert_eq!(s.telemetry.counter("wizard-outcome-reports"), 2);
-        assert_eq!(s.telemetry.counter("health-quarantines"), 1);
-        assert_eq!(wiz.health().read().effective_state(srv, s.now()), StateKind::Quarantined);
-    }
-
-    #[test]
-    fn security_levels_flow_from_secdb() {
-        let (wiz, sysdb, _netdb, secdb) = wizard_rig();
-        sysdb.write().upsert(report("secure", Ip::new(10, 0, 1, 1)), SimTime::ZERO);
-        sysdb.write().upsert(report("sketchy", Ip::new(10, 0, 1, 2)), SimTime::ZERO);
-        secdb.write().upsert(SecurityRecord {
-            host: "secure".into(),
-            ip: Ip::new(10, 0, 1, 1),
-            level: 5,
-        });
-        secdb.write().upsert(SecurityRecord {
-            host: "sketchy".into(),
-            ip: Ip::new(10, 0, 1, 2),
-            level: 1,
-        });
-        let got = wiz.select(
-            SimTime::ZERO,
-            &request("host_security_level >= 3\n", 5),
-            Ip::new(10, 0, 0, 2),
-        );
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].ip, Ip::new(10, 0, 1, 1));
-    }
-
-    #[test]
-    fn monitor_bandwidth_requirements_use_the_group_map() {
-        let (wiz, sysdb, netdb, _) = wizard_rig();
-        let client = Ip::new(10, 0, 0, 2);
-        let fast = Ip::new(10, 0, 1, 1);
-        let slow = Ip::new(10, 0, 2, 1);
-        let mon_client = Ip::new(10, 0, 0, 100);
-        let mon_fast = Ip::new(10, 0, 1, 100);
-        let mon_slow = Ip::new(10, 0, 2, 100);
-        sysdb.write().upsert(report("fast", fast), SimTime::ZERO);
-        sysdb.write().upsert(report("slow", slow), SimTime::ZERO);
-        wiz.map_group(client, mon_client);
-        wiz.map_group(fast, mon_fast);
-        wiz.map_group(slow, mon_slow);
-        netdb.write().upsert(NetPathRecord {
-            from_monitor: mon_client,
-            to_monitor: mon_fast,
-            delay_ms: 0.5,
-            bw_mbps: 6.72,
-            timestamp_ns: 0,
-        });
-        netdb.write().upsert(NetPathRecord {
-            from_monitor: mon_client,
-            to_monitor: mon_slow,
-            delay_ms: 0.5,
-            bw_mbps: 1.33,
-            timestamp_ns: 0,
-        });
-        // Table 5.7's requirement.
-        let got = wiz.select(SimTime::ZERO, &request("monitor_network_bw > 6\n", 5), client);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].ip, fast);
-    }
-
-    #[test]
-    fn rank_directive_orders_by_server_variable() {
-        let (wiz, sysdb, ..) = wizard_rig();
-        for (name, ip_last, mem_mb) in [("small", 1u8, 64u64), ("big", 2, 400), ("mid", 3, 128)] {
-            let mut r = report(name, Ip::new(10, 0, 1, ip_last));
-            r.mem_free = mem_mb << 20;
-            sysdb.write().upsert(r, SimTime::ZERO);
-        }
-        // "3 servers with largest memory" — the §6 wish, via the rank
-        // directive extension.
-        let got = wiz.select(
-            SimTime::ZERO,
-            &request("#!rank host_memory_free desc\nhost_cpu_free > 0.5\n", 2),
-            Ip::new(10, 0, 0, 2),
-        );
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].ip, Ip::new(10, 0, 1, 2), "largest memory first");
-        assert_eq!(got[1].ip, Ip::new(10, 0, 1, 3));
-    }
-
-    #[test]
-    fn templates_prepend_requirements() {
-        let (wiz, sysdb, ..) = wizard_rig();
-        let mut weak = report("weak", Ip::new(10, 0, 1, 1));
-        weak.cpu_idle = 0.2;
-        sysdb.write().upsert(weak, SimTime::ZERO);
-        sysdb.write().upsert(report("strong", Ip::new(10, 0, 1, 2)), SimTime::ZERO);
-        wiz.add_template(9, "host_cpu_free > 0.9");
-        let req = UserRequest {
-            seq: 1,
-            server_num: 5,
-            option: RequestOption { accept_fewer: true, template: Some(9) },
-            detail: String::new(),
-        };
-        let got = wiz.select(SimTime::ZERO, &req, Ip::new(10, 0, 0, 2));
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].ip, Ip::new(10, 0, 1, 2));
-    }
-
-    #[test]
-    fn uncompilable_requirements_yield_empty_replies() {
-        let (wiz, sysdb, ..) = wizard_rig();
-        sysdb.write().upsert(report("x", Ip::new(10, 0, 1, 1)), SimTime::ZERO);
-        let got = wiz.select(SimTime::ZERO, &request("+++ ~~~", 5), Ip::new(10, 0, 0, 2));
-        assert!(got.is_empty());
+        r.send(r.wiz.health_endpoint(), b"?".to_vec());
+        r.s.run();
+        assert_eq!(r.s.telemetry.counter("wizard-outcome-reports"), 2);
+        assert_eq!(r.s.telemetry.counter("wizard-bad-outcome-reports"), 1);
+        assert_eq!(r.s.telemetry.counter("health-quarantines"), 1);
+        assert_eq!(r.wiz.engine().health().effective_state(srv, r.s.now()), StateKind::Quarantined);
     }
 
     #[test]
@@ -684,79 +337,62 @@ mod tests {
         // per-shard `status-db-shard-swept` events account for every one
         // of them, and each expired address still gets its
         // `status-db-expired` event.
-        let mut b = NetworkBuilder::new(2);
-        let w = b.host("wiz", Ip::new(10, 0, 0, 1), HostParams::testbed());
-        let c = b.host("client", Ip::new(10, 0, 0, 2), HostParams::testbed());
-        b.duplex(w, c, LinkParams::lan_100mbps());
-        let net = b.build();
-        let (sysdb, netdb, secdb) = shared_dbs();
+        let mut r = rig(WizardConfig::default());
         // Five records across three /24 subnets, all recorded at t = 0 so
         // the 6 s window expires every one of them on the first sweep.
         for (subnet, last) in [(1u8, 1u8), (1, 2), (2, 1), (2, 2), (3, 1)] {
-            sysdb.write().upsert(
+            r.sysdb.write().upsert(
                 report(&format!("s{subnet}{last}"), Ip::new(10, 0, subnet, last)),
                 SimTime::ZERO,
             );
         }
-        let wiz = Wizard::new(
-            Ip::new(10, 0, 0, 1),
-            net,
-            sysdb.clone(),
-            netdb,
-            secdb,
-            WizardConfig::default(),
-        );
-        let mut s = Scheduler::new();
-        wiz.start(&mut s);
-        s.run_until(SimTime::from_secs(10));
+        r.s.run_until(SimTime::from_secs(10));
 
-        assert_eq!(s.telemetry.counter("wizard-stale-evictions"), 5);
-        assert_eq!(sysdb.read().len(), 0);
-        let per_shard: u64 = s
-            .telemetry
+        let tel = &r.s.telemetry;
+        assert_eq!(tel.counter("wizard-stale-evictions"), 5);
+        assert_eq!(r.sysdb.read().len(), 0);
+        let per_shard: u64 = tel
             .events_named("status-db-shard-swept")
             .map(|e| e.attr("evicted").unwrap().parse::<u64>().unwrap())
             .sum();
         assert_eq!(per_shard, 5, "per-shard counts must sum to the global eviction count");
-        assert_eq!(s.telemetry.event_count("status-db-shard-swept"), 3, "one event per /24");
-        assert_eq!(s.telemetry.event_count("status-db-expired"), 5);
+        assert_eq!(tel.event_count("status-db-shard-swept"), 3, "one event per /24");
+        assert_eq!(tel.event_count("status-db-expired"), 5);
     }
 
     #[test]
-    fn end_to_end_over_udp() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let mut b = NetworkBuilder::new(3);
-        let w = b.host("wiz", Ip::new(10, 0, 0, 1), HostParams::testbed());
-        let c = b.host("client", Ip::new(10, 0, 0, 2), HostParams::testbed());
-        b.duplex(w, c, LinkParams::lan_100mbps());
-        let net = b.build();
-        let (sysdb, netdb, secdb) = shared_dbs();
-        sysdb.write().upsert(report("srv", Ip::new(10, 0, 0, 9)), SimTime::ZERO);
-        let wiz = Wizard::new(
-            Ip::new(10, 0, 0, 1),
-            net.clone(),
-            sysdb,
-            netdb,
-            secdb,
-            WizardConfig { stale_max_age: None, ..Default::default() },
-        );
-        let mut s = Scheduler::new();
-        wiz.start(&mut s);
+    fn a_stopped_wizard_neither_answers_nor_sweeps_until_restarted() {
+        let mut r = rig(WizardConfig::default());
+        r.wiz.stop();
+        r.sysdb.write().upsert(report("old", Ip::new(10, 0, 1, 1)), SimTime::ZERO);
+        r.send(r.wiz.endpoint(), request_bytes(""));
+        r.s.run_until(SimTime::from_secs(10));
+        assert!(r.replies.borrow().is_empty(), "no socket, no answer");
+        assert_eq!(r.sysdb.read().len(), 1, "the pending sweep died with the old epoch");
 
-        let got = Rc::new(RefCell::new(None));
-        let g = Rc::clone(&got);
-        let client_ep = Endpoint::new(Ip::new(10, 0, 0, 2), 50001);
-        net.bind_udp(client_ep, move |_s, d| {
-            *g.borrow_mut() = Some(WizardReply::decode(&d.payload.data).unwrap());
+        r.wiz.restart(&mut r.s);
+        r.send(r.wiz.endpoint(), request_bytes(""));
+        r.s.run_until(SimTime::from_secs(14));
+        assert_eq!(r.replies.borrow().len(), 1, "rebound and serving");
+        assert_eq!(r.s.telemetry.counter("wizard-restarts"), 1);
+        assert_eq!(r.s.telemetry.counter("wizard-stale-evictions"), 1, "sweeping again");
+    }
+
+    #[test]
+    fn distributed_mode_answers_after_the_settle_delay_and_never_pulls_for_garbage() {
+        let settle = SimDuration::from_millis(200);
+        let mut r = rig(WizardConfig {
+            mode: WizardMode::Distributed { transmitters: Vec::new(), settle },
+            ..no_sweep()
         });
-        let req = request("host_cpu_free > 0.5\n", 1);
-        net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(req.encode().freeze()), None);
-        s.run();
-        let reply = got.borrow_mut().take().expect("wizard replied");
-        assert_eq!(reply.seq, 7);
-        assert_eq!(reply.servers.len(), 1);
-        assert_eq!(s.telemetry.counter("wizard-requests"), 1);
-        assert_eq!(s.telemetry.counter("wizard-replies"), 1);
+        r.send(r.wiz.endpoint(), b"xy".to_vec());
+        r.send(r.wiz.endpoint(), request_bytes(""));
+        r.s.run_until(SimTime::ZERO + SimDuration::from_millis(100));
+        assert_eq!(r.s.telemetry.counter("wizard-bad-requests"), 1, "garbage is judged on arrival");
+        assert_eq!(r.s.telemetry.counter("wizard-requests"), 0, "the request is still settling");
+        r.s.run();
+        let replies = r.replies.borrow();
+        assert_eq!(replies.len(), 1);
+        assert!(replies[0].0 >= SimTime::ZERO + settle, "replied at {:?}", replies[0].0);
     }
 }

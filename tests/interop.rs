@@ -10,11 +10,13 @@
 //!   driven by a manual clock so staleness is as controllable as virtual
 //!   time.
 //!
-//! Each scenario then asserts the reply frames are **byte-identical** and
-//! that the decoded, protocol-visible outcome (sequence echo, server set,
-//! ordering) matches. Reports claim their own IP inside the payload, so a
-//! loopback datagram can carry the exact bytes a simulated 10.0.9.x server
-//! would send — both sysdbs end up keyed identically.
+//! Each scenario then asserts the reply frames are **byte-identical**, that
+//! the request-path telemetry counters agree (both backends drive the one
+//! `WizardEngine`, which also writes their traces) and that the decoded,
+//! protocol-visible outcome (sequence echo, server set, ordering) matches.
+//! Reports claim their own IP inside the payload, so a loopback datagram
+//! can carry the exact bytes a simulated 10.0.9.x server would send — both
+//! sysdbs end up keyed identically.
 
 use std::cell::RefCell;
 use std::io;
@@ -28,6 +30,7 @@ use smartsock_monitor::{SysMonConfig, SystemMonitor};
 use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
 use smartsock_proto::{Endpoint, Ip, RequestOption, ServerStatusReport, UserRequest, WizardReply};
 use smartsock_sim::{Scheduler, SimDuration, SimTime};
+use smartsock_telemetry::trace::Trace;
 use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig};
 
 const WIZ_IP: Ip = Ip::new(10, 0, 0, 1);
@@ -52,6 +55,24 @@ fn request_bytes(seq: u32, server_num: u16, detail: &str) -> Vec<u8> {
     req.encode().freeze().to_vec()
 }
 
+/// The counters a request leaves behind, in either backend's trace.
+const REQUEST_PATH_COUNTERS: [&str; 6] = [
+    "wizard-requests",
+    "wizard-replies",
+    "wizard-reply-servers",
+    "wizard-rows-evaluated",
+    "wizard-shards-scanned",
+    "wizard-shards-pruned",
+];
+
+/// What one backend made of a scenario: the raw reply datagram and the
+/// [`REQUEST_PATH_COUNTERS`] values. Scenarios compare the two whole.
+#[derive(Debug, PartialEq)]
+struct Answer {
+    reply: Vec<u8>,
+    counters: Vec<u64>,
+}
+
 fn server_ips(reply: &WizardReply) -> Vec<Ip> {
     reply.servers.iter().map(|e| e.ip).collect()
 }
@@ -60,7 +81,7 @@ fn server_ips(reply: &WizardReply) -> Vec<Ip> {
 /// monitor's real ingest path, the request frame is sent after
 /// `request_at_secs` of virtual time, and the raw reply datagram bytes are
 /// captured at the client's UDP binding.
-fn sim_reply(reports: &[Vec<u8>], request_at_secs: u64, request: &[u8]) -> Vec<u8> {
+fn sim_reply(reports: &[Vec<u8>], request_at_secs: u64, request: &[u8]) -> Answer {
     let mut b = NetworkBuilder::new(11);
     let w = b.host("wizard", WIZ_IP, HostParams::testbed());
     let c = b.host("client", CLIENT_IP, HostParams::testbed());
@@ -88,21 +109,23 @@ fn sim_reply(reports: &[Vec<u8>], request_at_secs: u64, request: &[u8]) -> Vec<u
     net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(request.to_vec()), None);
     s.run_until(s.now() + SimDuration::from_secs(2));
 
-    let bytes = got.borrow_mut().take().expect("sim wizard replied");
-    bytes
+    let reply = got.borrow_mut().take().expect("sim wizard replied");
+    let counters = REQUEST_PATH_COUNTERS.iter().map(|name| s.telemetry.counter(name)).collect();
+    Answer { reply, counters }
 }
 
 /// Run the live backend: the same report bytes arrive over real UDP, the
 /// manual clock advances `advance_secs` (the live analogue of virtual
 /// time passing), and the same request frame is sent — optionally through
 /// a fault shim — from a plain UDP socket that retries on timeout.
-/// Returns the raw reply bytes plus how many datagrams the shim dropped.
+/// Returns the answer (counters read from the daemon's shutdown trace) plus
+/// how many datagrams the shim dropped.
 fn live_reply(
     reports: &[Vec<u8>],
     advance_secs: u64,
     request: &[u8],
     shim_policy: Option<ShimPolicy>,
-) -> (Vec<u8>, u64) {
+) -> (Answer, u64) {
     let (clock, hand) = Clock::manual();
     let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
 
@@ -141,8 +164,12 @@ fn live_reply(
     }
     let dropped = shim.as_ref().map_or(0, FaultShim::dropped);
     drop(shim);
-    wiz.shutdown().unwrap();
-    (reply.expect("live wizard replied"), dropped)
+    let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
+    let counters = REQUEST_PATH_COUNTERS
+        .iter()
+        .map(|name| trace.counters.get(*name).copied().unwrap_or(0))
+        .collect();
+    (Answer { reply: reply.expect("live wizard replied"), counters }, dropped)
 }
 
 // ---------------------------------------------------------------------
@@ -159,9 +186,9 @@ fn basic_selection_reply_frames_are_byte_identical() {
 
     let sim = sim_reply(&reports, 1, &request);
     let (live, _) = live_reply(&reports, 0, &request, None);
-    assert_eq!(sim, live, "reply frames differ between backends");
+    assert_eq!(sim, live, "reply frames or request counters differ between backends");
 
-    let reply = WizardReply::decode(&live).unwrap();
+    let reply = WizardReply::decode(&live.reply).unwrap();
     assert_eq!(reply.seq, 0xA1A1_0001, "sequence echo");
     assert_eq!(
         server_ips(&reply),
@@ -188,9 +215,9 @@ fn deny_and_prefer_lists_filter_and_order_identically() {
 
     let sim = sim_reply(&reports, 1, &request);
     let (live, _) = live_reply(&reports, 0, &request, None);
-    assert_eq!(sim, live, "reply frames differ between backends");
+    assert_eq!(sim, live, "reply frames or request counters differ between backends");
 
-    let reply = WizardReply::decode(&live).unwrap();
+    let reply = WizardReply::decode(&live.reply).unwrap();
     assert_eq!(
         server_ips(&reply),
         vec![Ip::new(10, 0, 9, 3), Ip::new(10, 0, 9, 1)],
@@ -212,14 +239,14 @@ fn server_num_cap_and_short_replies_are_identical() {
     let sim = sim_reply(&reports, 1, &truncating);
     let (live, _) = live_reply(&reports, 0, &truncating, None);
     assert_eq!(sim, live, "truncated reply frames differ");
-    assert_eq!(WizardReply::decode(&live).unwrap().servers.len(), 3);
+    assert_eq!(WizardReply::decode(&live.reply).unwrap().servers.len(), 3);
 
     // Past the pool: a short reply carrying every qualified server.
     let short = request_bytes(0xA1A1_0004, 60, "");
     let sim = sim_reply(&reports, 1, &short);
     let (live, _) = live_reply(&reports, 0, &short, None);
     assert_eq!(sim, live, "short reply frames differ");
-    let reply = WizardReply::decode(&live).unwrap();
+    let reply = WizardReply::decode(&live.reply).unwrap();
     assert_eq!(
         server_ips(&reply),
         (1..=4).map(|i| Ip::new(10, 0, 9, i)).collect::<Vec<_>>(),
@@ -240,7 +267,7 @@ fn stale_reports_expire_identically_under_both_clocks() {
     let (live, _) = live_reply(&reports, 10, &request, None);
     assert_eq!(sim, live, "stale-expiry reply frames differ");
 
-    let reply = WizardReply::decode(&live).unwrap();
+    let reply = WizardReply::decode(&live.reply).unwrap();
     assert_eq!(reply.seq, 0xA1A1_0005, "empty reply still echoes the sequence");
     assert!(reply.servers.is_empty(), "the 10 s old report is past the 6 s window");
 }
@@ -267,7 +294,7 @@ fn retry_after_drop_converges_to_the_loss_free_reply() {
     assert_eq!(dropped, 1, "the shim ate exactly the first request frame");
     assert_eq!(sim, live, "post-retry reply frame differs from the loss-free sim reply");
 
-    let reply = WizardReply::decode(&live).unwrap();
+    let reply = WizardReply::decode(&live.reply).unwrap();
     assert_eq!(server_ips(&reply), vec![Ip::new(10, 0, 9, 1), Ip::new(10, 0, 9, 3)]);
 }
 
@@ -290,6 +317,6 @@ fn report_frames_round_trip_identically_through_both_ingest_paths() {
     let sim = sim_reply(std::slice::from_ref(&bytes), 1, &request);
     let (live, _) = live_reply(&[bytes], 0, &request, None);
     assert_eq!(sim, live);
-    let reply = WizardReply::decode(&live).unwrap();
+    let reply = WizardReply::decode(&live.reply).unwrap();
     assert_eq!(server_ips(&reply), vec![Ip::new(10, 0, 9, 7)]);
 }

@@ -135,7 +135,7 @@ fn client_retries_recover_lost_requests() {
     use smartsock::client::{RequestSpec, SmartClient};
     use smartsock_monitor::db::shared_dbs as dbs;
     use smartsock_proto::ServerStatusReport;
-    use smartsock_wizard::{Wizard, WizardConfig};
+    use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig};
 
     // 20% fragment loss per hop: each request/reply pair survives with
     // p ≈ 0.41, so with 8 retries a response is near-certain.
@@ -149,7 +149,10 @@ fn client_retries_recover_lost_requests() {
         sysdb,
         netdb,
         secdb,
-        WizardConfig { stale_max_age: None, ..Default::default() },
+        WizardConfig {
+            policy: SelectPolicy { stale_max_age: None, ..Default::default() },
+            ..Default::default()
+        },
     );
     wiz.start(&mut s);
     net.bind_stream(Endpoint::new(net.ip_of(a), ports::SERVICE), |_s, _m| {});
