@@ -225,9 +225,15 @@ fn serve(
         // Opportunistic stale sweep: every inbound datagram advances the
         // expiry horizon, so dead servers stop being offered without a
         // timer thread. (`select` independently skips stale records, so
-        // sweep cadence affects bookkeeping, not matching.)
+        // sweep cadence affects bookkeeping, not matching.) Affordable per
+        // datagram because the sweep walks only shards that changed or can
+        // hold a stale row: one comparison per /24, plus the rows of the
+        // shard the previous report overwrote.
         engine.sweep(SimTime(now));
         engine.record(&mut tel);
+        // Whatever this datagram turns out to be — a stats poll, a wake-up,
+        // a sender we cannot answer — `live_servers()` sees the sweep.
+        shared.records.store(engine.live_servers() as u64, Ordering::SeqCst);
         // Sonar-style self-report: every so often the daemon describes
         // itself in its own trace, same schema a probe would send about it.
         if last_heartbeat.is_none_or(|at| now.saturating_sub(at) >= HEARTBEAT_INTERVAL_NS) {
@@ -255,6 +261,9 @@ fn serve(
         engine.record(&mut tel);
         // The side channel callers poll while the daemon runs; everything
         // else about the datagram is in the trace the engine just wrote.
+        // Row count first: a caller that waited for `reports_ingested()`
+        // then reads a `live_servers()` that includes that report.
+        shared.records.store(engine.live_servers() as u64, Ordering::SeqCst);
         match outcome {
             Ok(Ingest::Report(_)) => {
                 shared.reports.fetch_add(1, Ordering::SeqCst);
@@ -264,7 +273,6 @@ fn serve(
             }
             _ => {}
         }
-        shared.records.store(engine.live_servers() as u64, Ordering::SeqCst);
     }
     // Flush a streaming sink's buffer and write its summary tail before
     // snapshotting the trace for the caller.

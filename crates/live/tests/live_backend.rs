@@ -246,6 +246,67 @@ fn manual_clock_expires_stale_reports() {
 }
 
 #[test]
+fn a_stats_poll_alone_shows_the_sweep_in_live_servers() {
+    let (clock, hand) = Clock::manual();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    for last in 1..=3 {
+        send_live_report(wiz.addr(), &report("gone", last, 0.9)).unwrap();
+    }
+    wait_for_reports(&wiz, 3);
+    assert_eq!(wiz.live_servers(), 3);
+
+    // Silence past the window, then nothing but a monitoring poll: the
+    // sweep it triggers must show in the side channel, not only in the DB.
+    hand.advance_secs(7);
+    query_stats(wiz.addr(), 1, Duration::from_millis(500), 3).unwrap();
+    assert_eq!(wiz.live_servers(), 0, "evicted rows still counted as live");
+    let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
+    assert_eq!(trace.events.iter().filter(|e| e.name == "status-db-expired").count(), 3);
+}
+
+#[test]
+fn a_silent_subnet_expires_beside_one_that_keeps_reporting() {
+    let (clock, hand) = Clock::manual();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let mut talker = report("talker", 1, 0.9);
+    talker.ip = Ip::new(192, 168, 10, 1);
+    // Subnet 192.168.9.0/24 reports once; 192.168.10.0/24 every 2 s.
+    send_live_report(wiz.addr(), &report("silent1", 1, 0.9)).unwrap();
+    send_live_report(wiz.addr(), &report("silent2", 2, 0.9)).unwrap();
+    for (round, secs) in [0, 2, 4, 6].into_iter().enumerate() {
+        hand.set_ns(secs * 1_000_000_000);
+        send_live_report(wiz.addr(), &talker).unwrap();
+        wait_for_reports(&wiz, 3 + round as u64);
+    }
+    // Aged exactly the 6 s window: kept.
+    assert_eq!(wiz.live_servers(), 3);
+
+    // The next datagram at t = 7 s — the request itself — sweeps first:
+    // the untouched shard is due and goes, the busy one stays.
+    hand.set_ns(7_000_000_000);
+    let reply = live_request(wiz.addr(), &req(7, 10, ""), Duration::from_millis(500), 3).unwrap();
+    let offered: Vec<Ip> = reply.servers.iter().map(|e| e.ip).collect();
+    assert_eq!(offered, [talker.ip]);
+    assert_eq!(wiz.live_servers(), 1);
+
+    let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
+    let swept: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "status-db-shard-swept")
+        .map(|e| (e.attrs["subnet"].as_str(), e.attrs["evicted"].as_str()))
+        .collect();
+    assert_eq!(swept, [("192.168.9.0/24", "2")]);
+    let expired: Vec<_> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "status-db-expired")
+        .map(|e| e.attrs["server"].as_str())
+        .collect();
+    assert_eq!(expired, ["192.168.9.1", "192.168.9.2"]);
+}
+
+#[test]
 fn garbage_datagrams_count_as_bad_requests_and_open_no_match_span() {
     let wiz = LiveWizard::spawn().unwrap();
     let sock = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();

@@ -19,11 +19,23 @@
 //! Each shard additionally maintains a conservative [`ShardSummary`]:
 //! row count, the newest `recorded_at`, and per-variable min/max ranges
 //! over the report-derived server variables. Summaries are **widened** on
-//! upsert (cheap, always a superset of the true ranges) and recomputed
-//! **exactly** during `expire` (which walks every row anyway). The
-//! wizard's match loop consults summaries to skip whole subnets that
-//! cannot satisfy a requirement; conservatism makes that pruning
-//! behaviorally invisible.
+//! upsert (cheap, always a superset of the true ranges) and left
+//! **exact** by every `expire`. The wizard's match loop consults
+//! summaries to skip whole subnets that cannot satisfy a requirement;
+//! conservatism makes that pruning behaviorally invisible.
+//!
+//! ## Which shards a sweep visits
+//!
+//! `expire` delivers what a walk over every row would — the same
+//! evictions, every summary exact afterwards — but walks only shards
+//! where that takes work. A *new* row widens an exact summary exactly;
+//! only an *overwrite* can leave a departed value behind as an extreme,
+//! so that marks a shard dirty. And nothing can be evicted before a
+//! shard's oldest row (a lower bound is kept) passes `max_age`. A shard
+//! neither dirty nor due is skipped: its rows all stay and its summary
+//! already is what a recompute would write (up to the sign of a zero,
+//! which no reader of a range can see). The live daemon sweeps on every
+//! datagram: O(shards) comparisons, plus one shard's rows after a report.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -50,61 +62,42 @@ pub fn subnet_of(ip: Ip) -> SubnetKey {
     [a, b, c]
 }
 
-/// The report-derived server variables a shard summary tracks ranges for:
-/// Appendix B.1 minus `host_security_level` (which comes from `secdb`,
-/// not the status report). The wizard asserts this list agrees with its
-/// `ServerVars` bindings.
-pub const REPORT_VARS: [&str; 21] = [
-    "host_system_load1",
-    "host_system_load5",
-    "host_system_load15",
-    "host_cpu_user",
-    "host_cpu_nice",
-    "host_cpu_system",
-    "host_cpu_idle",
-    "host_cpu_free",
-    "host_cpu_bogomips",
-    "host_memory_total",
-    "host_memory_used",
-    "host_memory_free",
-    "host_memory_buffers",
-    "host_memory_cached",
-    "host_disk_allreq",
-    "host_disk_rreq",
-    "host_disk_rblocks",
-    "host_disk_wreq",
-    "host_disk_wblocks",
-    "host_network_rbytesps",
-    "host_network_tbytesps",
+/// A server variable's name and how to read it off a status report.
+pub type ReportVar = (&'static str, fn(&ServerStatusReport) -> f64);
+
+/// The report-derived server variables: Appendix B.1 minus
+/// `host_security_level` (which comes from `secdb`). The one place these
+/// names are bound — shard summaries keep a range per entry and the
+/// wizard's `ServerVars` resolves them through [`report_var`] — so interval
+/// pruning and row evaluation cannot see different numbers.
+pub const REPORT_VARS: [ReportVar; 21] = [
+    ("host_system_load1", |r| r.load1),
+    ("host_system_load5", |r| r.load5),
+    ("host_system_load15", |r| r.load15),
+    ("host_cpu_user", |r| r.cpu_user),
+    ("host_cpu_nice", |r| r.cpu_nice),
+    ("host_cpu_system", |r| r.cpu_system),
+    ("host_cpu_idle", |r| r.cpu_idle),
+    ("host_cpu_free", |r| r.cpu_free()),
+    ("host_cpu_bogomips", |r| r.bogomips),
+    ("host_memory_total", |r| r.mem_total as f64),
+    ("host_memory_used", |r| r.mem_used as f64),
+    ("host_memory_free", |r| r.mem_free as f64),
+    ("host_memory_buffers", |r| r.mem_buffers as f64),
+    ("host_memory_cached", |r| r.mem_cached as f64),
+    ("host_disk_allreq", |r| r.disk_allreq as f64),
+    ("host_disk_rreq", |r| r.disk_rreq as f64),
+    ("host_disk_rblocks", |r| r.disk_rblocks as f64),
+    ("host_disk_wreq", |r| r.disk_wreq as f64),
+    ("host_disk_wblocks", |r| r.disk_wblocks as f64),
+    ("host_network_rbytesps", |r| r.net_rbytes_ps),
+    ("host_network_tbytesps", |r| r.net_tbytes_ps),
 ];
 
-/// Value of one [`REPORT_VARS`] entry for a report (same bindings as the
-/// wizard's `ServerVars`).
+/// The named [`REPORT_VARS`] entry's value; `None` for any other name.
+#[inline]
 pub fn report_var(r: &ServerStatusReport, name: &str) -> Option<f64> {
-    Some(match name {
-        "host_system_load1" => r.load1,
-        "host_system_load5" => r.load5,
-        "host_system_load15" => r.load15,
-        "host_cpu_user" => r.cpu_user,
-        "host_cpu_nice" => r.cpu_nice,
-        "host_cpu_system" => r.cpu_system,
-        "host_cpu_idle" => r.cpu_idle,
-        "host_cpu_free" => r.cpu_free(),
-        "host_cpu_bogomips" => r.bogomips,
-        "host_memory_total" => r.mem_total as f64,
-        "host_memory_used" => r.mem_used as f64,
-        "host_memory_free" => r.mem_free as f64,
-        "host_memory_buffers" => r.mem_buffers as f64,
-        "host_memory_cached" => r.mem_cached as f64,
-        "host_disk_allreq" => r.disk_allreq as f64,
-        "host_disk_rreq" => r.disk_rreq as f64,
-        "host_disk_rblocks" => r.disk_rblocks as f64,
-        "host_disk_wreq" => r.disk_wreq as f64,
-        "host_disk_wblocks" => r.disk_wblocks as f64,
-        "host_network_rbytesps" => r.net_rbytes_ps,
-        "host_network_tbytesps" => r.net_tbytes_ps,
-        _ => return None,
-    })
+    REPORT_VARS.iter().find(|(n, _)| *n == name).map(|(_, get)| get(r))
 }
 
 /// Per-variable min/max over a shard's rows, indexed parallel to
@@ -127,9 +120,9 @@ impl Default for VarRanges {
 impl VarRanges {
     /// Widen every range to cover `report`'s values.
     fn widen(&mut self, report: &ServerStatusReport) {
-        let bounds = self.lo.iter_mut().zip(self.hi.iter_mut());
-        for ((lo, hi), name) in bounds.zip(REPORT_VARS) {
-            let v = report_var(report, name).unwrap_or(f64::NAN);
+        // `map`, not a loop over the table: the extractors inline (3x).
+        let values = REPORT_VARS.map(|(_, get)| get(report));
+        for ((lo, hi), v) in self.lo.iter_mut().zip(self.hi.iter_mut()).zip(values) {
             if v < *lo {
                 *lo = v;
             }
@@ -142,7 +135,7 @@ impl VarRanges {
     /// `[lo, hi]` for a named variable, or `None` when the name is not a
     /// report variable or the shard is empty.
     pub fn range_of(&self, name: &str) -> Option<(f64, f64)> {
-        let i = REPORT_VARS.iter().position(|n| *n == name)?;
+        let i = REPORT_VARS.iter().position(|(n, _)| *n == name)?;
         let (lo, hi) = (*self.lo.get(i)?, *self.hi.get(i)?);
         if lo > hi {
             return None;
@@ -169,6 +162,12 @@ pub struct ShardSummary {
 pub struct Shard {
     rows: BTreeMap<Ip, TimedReport>,
     summary: ShardSummary,
+    /// No row is older than this (exact after a sweep walked the shard),
+    /// so a sweep before `oldest + max_age` cannot evict here.
+    oldest_recorded_at: SimTime,
+    /// A row was overwritten since the summary was last recomputed, so a
+    /// range may still cover the value that left.
+    dirty: bool,
 }
 
 impl Shard {
@@ -189,16 +188,24 @@ impl Shard {
         self.rows.is_empty()
     }
 
-    /// Recompute the summary exactly from the current rows.
-    fn recompute_summary(&mut self) {
-        let mut s = ShardSummary { count: self.rows.len(), ..Default::default() };
-        for t in self.rows.values() {
-            if t.recorded_at > s.newest_recorded_at {
-                s.newest_recorded_at = t.recorded_at;
+    /// One pass over the rows: drop those older than `max_age` (returned
+    /// in address order) and rebuild the summary exactly from the rest.
+    fn sweep(&mut self, now: SimTime, max_age: SimDuration) -> Vec<Ip> {
+        let mut evicted = Vec::new();
+        let (mut summary, mut oldest) = (ShardSummary::default(), SimTime(u64::MAX));
+        self.rows.retain(|&ip, t| {
+            if now.since(t.recorded_at) > max_age {
+                evicted.push(ip);
+                return false;
             }
-            s.ranges.widen(&t.report);
-        }
-        self.summary = s;
+            summary.newest_recorded_at = summary.newest_recorded_at.max(t.recorded_at);
+            oldest = oldest.min(t.recorded_at);
+            summary.ranges.widen(&t.report);
+            true
+        });
+        summary.count = self.rows.len();
+        (self.summary, self.oldest_recorded_at, self.dirty) = (summary, oldest, false);
+        evicted
     }
 }
 
@@ -213,8 +220,9 @@ pub struct SysDb {
 impl SysDb {
     /// Insert or update one server's record (§3.2.2: update if the address
     /// exists, insert otherwise). The shard summary is widened, not
-    /// recomputed: an overwrite can leave stale extremes behind until the
-    /// next `expire`, which only ever makes pruning *less* aggressive.
+    /// recomputed: an overwrite can leave stale extremes behind (and marks
+    /// the shard dirty) until the next `expire` — pruning only gets *less*
+    /// aggressive.
     pub fn upsert(&mut self, report: ServerStatusReport, now: SimTime) {
         let shard = self.shards.entry(subnet_of(report.ip)).or_default();
         let ip = report.ip;
@@ -222,9 +230,14 @@ impl SysDb {
         if now > shard.summary.newest_recorded_at {
             shard.summary.newest_recorded_at = now;
         }
+        if shard.rows.is_empty() || now < shard.oldest_recorded_at {
+            shard.oldest_recorded_at = now;
+        }
         if shard.rows.insert(ip, TimedReport { report, recorded_at: now }).is_none() {
             shard.summary.count += 1;
             self.total += 1;
+        } else {
+            shard.dirty = true;
         }
     }
 
@@ -249,31 +262,30 @@ impl SysDb {
     /// sweep's count — `wizard-stale-evictions` keeps its meaning — which
     /// is pinned by `per_shard_evictions_sum_to_the_flat_count`.
     ///
-    /// Touched shards get their summaries recomputed exactly (the sweep
-    /// walks every row anyway), re-tightening the widen-only drift from
-    /// upserts; emptied shards are dropped.
+    /// Every summary is exact afterwards, re-tightening the widen-only
+    /// drift from overwrites, and emptied shards are dropped. Only dirty
+    /// or due shards are walked (module docs); the rest cost a comparison.
     pub fn expire_by_shard(
         &mut self,
         now: SimTime,
         max_age: SimDuration,
     ) -> Vec<(SubnetKey, Vec<Ip>)> {
         let mut by_shard = Vec::new();
+        let mut emptied = false;
         for (key, shard) in &mut self.shards {
-            let mut evicted = Vec::new();
-            shard.rows.retain(|&ip, r| {
-                let keep = now.since(r.recorded_at) <= max_age;
-                if !keep {
-                    evicted.push(ip);
-                }
-                keep
-            });
-            shard.recompute_summary();
+            if !shard.dirty && now.since(shard.oldest_recorded_at) <= max_age {
+                continue;
+            }
+            let evicted = shard.sweep(now, max_age);
+            emptied |= shard.rows.is_empty();
             if !evicted.is_empty() {
                 self.total -= evicted.len();
                 by_shard.push((*key, evicted));
             }
         }
-        self.shards.retain(|_, s| !s.rows.is_empty());
+        if emptied {
+            self.shards.retain(|_, s| !s.rows.is_empty());
+        }
         by_shard
     }
 
@@ -496,40 +508,147 @@ mod tests {
             }
         }
 
-        /// The sharded sweep is an exact regrouping of the flat one: the
-        /// per-shard evictions sum to the old global count, every address
-        /// lands in the shard its /24 prefix names, and the sharded /
-        /// flat walks agree record for record. Pins the ISSUE 10 bugfix:
-        /// `wizard-stale-evictions` must not change meaning.
+        /// The sharded sweep is an exact regrouping of the flat one, call
+        /// after call: against [`FlatModel`] — one flat map, every summary
+        /// rebuilt from scratch on every expire, the walk `expire_by_shard`
+        /// used to do — any sequence of upserts (new and known addresses,
+        /// equal, later and earlier timestamps), sweeps and `replace_all`
+        /// yields the same evictions, grouped under the shard each /24
+        /// prefix names, the same summaries and the same sizes. Pins that
+        /// skipping clean, not-due shards is invisible, and the ISSUE 10
+        /// bugfix: `wizard-stale-evictions` must not change meaning.
         #[test]
         fn per_shard_evictions_sum_to_the_flat_count(
-            ages in proptest::collection::vec(0u64..30, 0..40),
-            max_age in 1u64..25,
+            ops in proptest::collection::vec(
+                (0u8..10, 0u8..5, 0u8..6, 0u8..8, 0u64..4, 0u64..9),
+                0..60,
+            ),
         ) {
-            let now = SimTime::from_secs(40);
-            let mut flat = SysDb::default();
-            let mut sharded = SysDb::default();
-            for (i, &age) in ages.iter().enumerate() {
-                // Spread addresses over several /24s.
-                let ip = Ip::new(10, (i % 3) as u8, (i % 5) as u8, (i % 250) as u8 + 1);
-                flat.upsert(report(ip, 0.0), SimTime::from_secs(40 - age));
-                sharded.upsert(report(ip, 0.0), SimTime::from_secs(40 - age));
+            let mut db = SysDb::default();
+            let mut model = FlatModel::default();
+            let mut now = SimTime::from_secs(3);
+            for (kind, subnet, host, load, dt, age) in ops {
+                let row = |subnet: u8, host: u8| {
+                    let mut r = report(Ip::new(10, 0, subnet, host + 1), f64::from(load));
+                    r.cpu_idle = 1.0 / (f64::from(host) + 1.0);
+                    r
+                };
+                match kind {
+                    0..=5 => {
+                        // Mostly the present; `age` reaches back the way the
+                        // receiver's rebuilt timestamps do.
+                        let at = if kind == 5 { SimTime(now.0 - age * 300_000_000) } else { now };
+                        db.upsert(row(subnet, host), at);
+                        model.upsert(row(subnet, host), at);
+                    }
+                    6..=8 => {
+                        now += SimDuration::from_secs(dt);
+                        let max_age = SimDuration::from_secs(age);
+                        let by_shard = db.expire_by_shard(now, max_age);
+                        let flat_evicted = model.expire(now, max_age);
+                        let flattened: Vec<Ip> =
+                            by_shard.iter().flat_map(|(_, ips)| ips.iter().copied()).collect();
+                        proptest::prop_assert_eq!(&flattened, &flat_evicted);
+                        for (key, ips) in &by_shard {
+                            proptest::prop_assert!(!ips.is_empty());
+                            for ip in ips {
+                                proptest::prop_assert_eq!(subnet_of(*ip), *key);
+                            }
+                        }
+                    }
+                    _ => {
+                        let rows: Vec<_> =
+                            (0..host).flat_map(|h| [row(subnet, h), row(subnet + 1, h)]).collect();
+                        db.replace_all(rows.clone(), now);
+                        model.replace_all(rows, now);
+                    }
+                }
+                let summaries: BTreeMap<SubnetKey, ShardSummary> =
+                    db.iter_shards().map(|(k, s)| (*k, s.summary().clone())).collect();
+                proptest::prop_assert_eq!(&summaries, &model.summaries);
+                proptest::prop_assert_eq!(db.len(), model.rows.len());
+                proptest::prop_assert_eq!(db.shard_count(), model.summaries.len());
+                proptest::prop_assert!(db.iter().eq(model.rows.iter()));
             }
-            let max_age = SimDuration::from_secs(max_age);
-            let flat_evicted = flat.expire(now, max_age);
-            let by_shard = sharded.expire_by_shard(now, max_age);
-            let total: usize = by_shard.iter().map(|(_, ips)| ips.len()).sum();
-            proptest::prop_assert_eq!(total, flat_evicted.len());
-            let flattened: Vec<Ip> =
-                by_shard.iter().flat_map(|(_, ips)| ips.iter().copied()).collect();
-            proptest::prop_assert_eq!(&flattened, &flat_evicted);
-            for (key, ips) in &by_shard {
-                for ip in ips {
-                    proptest::prop_assert_eq!(subnet_of(*ip), *key);
+        }
+    }
+
+    /// Reference for the property test above: the status database as one
+    /// flat map whose sweep walks every row and rebuilds every shard
+    /// summary from nothing.
+    #[derive(Default)]
+    struct FlatModel {
+        rows: BTreeMap<Ip, TimedReport>,
+        summaries: BTreeMap<SubnetKey, ShardSummary>,
+    }
+
+    impl FlatModel {
+        fn upsert(&mut self, report: ServerStatusReport, now: SimTime) {
+            let s = self.summaries.entry(subnet_of(report.ip)).or_default();
+            s.newest_recorded_at = s.newest_recorded_at.max(now);
+            s.ranges.widen(&report);
+            if self.rows.insert(report.ip, TimedReport { report, recorded_at: now }).is_none() {
+                s.count += 1;
+            }
+        }
+
+        fn expire(&mut self, now: SimTime, max_age: SimDuration) -> Vec<Ip> {
+            let mut evicted = Vec::new();
+            // Survivors go back into an empty model one by one, which is
+            // what "recomputed from scratch" means.
+            for (ip, t) in std::mem::take(self).rows {
+                if now.since(t.recorded_at) <= max_age {
+                    self.upsert(t.report, t.recorded_at);
+                } else {
+                    evicted.push(ip);
                 }
             }
-            proptest::prop_assert_eq!(sharded.len(), flat.len());
+            evicted
         }
+
+        fn replace_all(&mut self, reports: Vec<ServerStatusReport>, now: SimTime) {
+            *self = FlatModel::default();
+            for r in reports {
+                self.upsert(r, now);
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_with_nothing_dirty_and_nothing_due_walks_no_shard() {
+        let secs = SimTime::from_secs;
+        let max_age = SimDuration::from_secs(6);
+        let mut db = SysDb::default();
+        for subnet in 0..3 {
+            db.upsert(report(Ip::new(10, 0, subnet, 1), 1.0), secs(2));
+            db.upsert(report(Ip::new(10, 0, subnet, 2), 2.0), secs(3));
+        }
+        // New rows leave a shard clean; only the overwrite marks one.
+        db.upsert(report(Ip::new(10, 0, 0, 2), 0.5), secs(4));
+        let dirty: Vec<bool> = db.shards.values().map(|s| s.dirty).collect();
+        assert_eq!(dirty, [true, false, false]);
+        assert!(db.expire(secs(4), max_age).is_empty());
+        assert!(db.shards.values().all(|s| !s.dirty && s.oldest_recorded_at == secs(2)));
+        assert_eq!(
+            db.shards[&[10, 0, 0]].summary.ranges.range_of("host_system_load1"),
+            Some((0.5, 1.0))
+        );
+
+        // Lower every bound by 1 ns: still a lower bound, but any walk
+        // would put the exact value back.
+        let marked = SimTime(secs(2).0 - 1);
+        for shard in db.shards.values_mut() {
+            shard.oldest_recorded_at = marked;
+        }
+        db.upsert(report(Ip::new(10, 0, 1, 9), 3.0), secs(5));
+        assert!(db.expire(secs(6), max_age).is_empty());
+        assert!(db.shards.values().all(|s| !s.dirty && s.oldest_recorded_at == marked));
+
+        // Due by the bound: walked (exact bound restored) though the rows,
+        // aged exactly `max_age`, all stay.
+        assert!(db.expire(secs(8), max_age).is_empty());
+        assert!(db.shards.values().all(|s| s.oldest_recorded_at == secs(2)));
+        assert_eq!(db.len(), 7);
     }
 
     #[test]
@@ -602,8 +721,8 @@ mod tests {
     #[test]
     fn report_vars_resolve_for_every_listed_name() {
         let r = report(Ip::new(10, 0, 0, 1), 0.5);
-        for name in REPORT_VARS {
-            assert!(report_var(&r, name).is_some(), "unresolved report var {name}");
+        for (name, get) in REPORT_VARS {
+            assert_eq!(report_var(&r, name), Some(get(&r)), "unresolved report var {name}");
         }
         assert_eq!(report_var(&r, "host_security_level"), None);
         assert_eq!(report_var(&r, "monitor_network_bw"), None);

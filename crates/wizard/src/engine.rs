@@ -524,6 +524,10 @@ impl WizardEngine {
     /// no fresh outcome report arrives for the host) and evict records
     /// older than the staleness window so dead servers stop being offered.
     /// Returns exactly which addresses went dark.
+    ///
+    /// Cost per call: the health poll, one comparison per shard, and a row
+    /// walk only of shards a report overwrote since the last sweep or whose
+    /// oldest row is past the window — cheap enough per datagram (live).
     pub fn sweep(&mut self, now: SimTime) -> Vec<Ip> {
         let transitions = self.health.poll(now);
         let by_shard = match self.policy.stale_max_age {

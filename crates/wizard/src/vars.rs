@@ -3,6 +3,7 @@
 //! network metrics onto one candidate's records.
 
 use smartsock_lang::VarProvider;
+use smartsock_monitor::db::report_var;
 use smartsock_proto::{NetPathRecord, ServerStatusReport};
 
 /// One candidate server's variables, as the requirement language sees them.
@@ -26,28 +27,11 @@ const LOCAL_DELAY_MS: f64 = 0.1;
 impl VarProvider for ServerVars<'_> {
     fn lookup(&self, name: &str) -> Option<f64> {
         let r = self.report;
+        // What the report itself carries: the shard summaries' table.
+        if let Some(v) = report_var(r, name) {
+            return Some(v);
+        }
         Some(match name {
-            "host_system_load1" => r.load1,
-            "host_system_load5" => r.load5,
-            "host_system_load15" => r.load15,
-            "host_cpu_user" => r.cpu_user,
-            "host_cpu_nice" => r.cpu_nice,
-            "host_cpu_system" => r.cpu_system,
-            "host_cpu_idle" => r.cpu_idle,
-            "host_cpu_free" => r.cpu_free(),
-            "host_cpu_bogomips" => r.bogomips,
-            "host_memory_total" => r.mem_total as f64,
-            "host_memory_used" => r.mem_used as f64,
-            "host_memory_free" => r.mem_free as f64,
-            "host_memory_buffers" => r.mem_buffers as f64,
-            "host_memory_cached" => r.mem_cached as f64,
-            "host_disk_allreq" => r.disk_allreq as f64,
-            "host_disk_rreq" => r.disk_rreq as f64,
-            "host_disk_rblocks" => r.disk_rblocks as f64,
-            "host_disk_wreq" => r.disk_wreq as f64,
-            "host_disk_wblocks" => r.disk_wblocks as f64,
-            "host_network_rbytesps" => r.net_rbytes_ps,
-            "host_network_tbytesps" => r.net_tbytes_ps,
             "host_security_level" => f64::from(self.security_level?),
             _ if name.starts_with("host_service_") => {
                 let class = name.strip_prefix("host_service_")?;
@@ -135,12 +119,21 @@ mod tests {
     }
 
     #[test]
-    fn shard_rollup_vars_agree_with_per_server_lookup() {
-        // The monitor's shard summaries (`report_var` over REPORT_VARS)
-        // must bind exactly the values this provider serves, or interval
-        // pruning would reason about different numbers than row
-        // evaluation sees. Every tracked name, same value, bit for bit.
-        use smartsock_monitor::db::{report_var, REPORT_VARS};
+    fn the_report_variable_table_is_appendix_b1_bound_field_by_field() {
+        use smartsock_monitor::db::REPORT_VARS;
+        // Names: the language's Appendix B.1 list, in its order, minus the
+        // one no status report carries (`host_service_*` and `monitor_*`
+        // are separate lists there, and stay bound above).
+        let from_lang: Vec<&str> = smartsock_lang::SERVER_VARS
+            .into_iter()
+            .filter(|n| *n != "host_security_level")
+            .collect();
+        let names: Vec<&str> = REPORT_VARS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, from_lang);
+
+        // Bindings: 21 distinct values, so a swapped extractor shows; the
+        // provider serves each name bit for bit what the shard summaries
+        // widen with.
         let mut r = ServerStatusReport::empty("h", Ip::new(10, 0, 0, 1));
         r.load1 = 0.51;
         r.load5 = 0.42;
@@ -162,13 +155,33 @@ mod tests {
         r.disk_wblocks = 1011;
         r.net_rbytes_ps = 1213.0;
         r.net_tbytes_ps = 1415.0;
+        let want = [
+            0.51,
+            0.42,
+            0.33,
+            0.21,
+            0.01,
+            0.08,
+            0.70,
+            r.cpu_free(),
+            3394.76,
+            (256u64 << 20) as f64,
+            (100u64 << 20) as f64,
+            (156u64 << 20) as f64,
+            (9u64 << 20) as f64,
+            (31u64 << 20) as f64,
+            123.0,
+            45.0,
+            678.0,
+            9.0,
+            1011.0,
+            1213.0,
+            1415.0,
+        ];
         let v = view(&r);
-        for name in REPORT_VARS {
-            assert_eq!(
-                report_var(&r, name),
-                v.lookup(name),
-                "rollup and provider disagree on {name}"
-            );
+        for ((name, get), want) in REPORT_VARS.iter().zip(want) {
+            assert_eq!(get(&r), want, "{name} reads the wrong field");
+            assert_eq!(v.lookup(name), Some(want), "provider disagrees on {name}");
         }
     }
 
