@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Live-backend end-to-end smoke: run the real `smartsockd` daemon over
 # loopback UDP, feed it a synthetic probe report and two procfs-fixture
-# reports, issue a request, then stop it gracefully and check the stats
-# and the exported telemetry trace. Single source of truth for CI
+# reports, issue a request and a hostile one, then stop it gracefully and
+# check the stats and the exported telemetry trace. Single source of truth for CI
 # (ci.yml `live-smoke` job, under a hard timeout) and for local runs:
 #
 #   ./ci/live_smoke.sh
@@ -60,13 +60,22 @@ echo "$stats" | grep -q "sysmon-reports"
 echo "$stats" | grep -q "wizard-replies"
 "$bin" stats --wizard "$addr" --json | grep -q '"counts":'
 
+echo "== hostile datagram: a 1500-deep requirement is refused, the daemon lives =="
+# Debug build, 2 MB daemon stack: any recursive walk over a tree this deep
+# aborts the process, so the parser must refuse to build it.
+deep="$(head -c 1500 /dev/zero | tr '\0' '(')1$(head -c 1500 /dev/zero | tr '\0' ')') > 0"
+out="$("$bin" request --wizard "$addr" --servers 2 --req "$deep" --json)"
+echo "$out" | grep -q '"servers":\[\]'
+"$bin" request --wizard "$addr" --servers 2 --req 'host_cpu_free > 0.9' --json \
+  | grep -q '192.168.3.10:1200'
+
 echo "== graceful stop & daemon stats =="
 echo >&3
 exec 3>&-
 wait "$wizpid"
 rm -f "$fifo"
 grep "ingested 3 reports" "$wizlog"
-grep "served 1 requests" "$wizlog"
+grep "served 3 requests" "$wizlog"
 
 echo "== live trace is readable by the telemetry CLI =="
 sout="$(cargo run -q -p smartsock-telemetry -- summary "$trace")"

@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use crate::program::Program;
+use crate::vars::ServerVar;
+
 /// Binary operators, split by whether they set the `logic` flag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinOp {
@@ -60,6 +63,19 @@ impl fmt::Display for BinOp {
     }
 }
 
+/// What a name refers to, decided once by the parser. "Temps shadow
+/// server variables shadow constants" is static: a server variable cannot
+/// be assigned, so no temp can carry its name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Binding {
+    /// A `user_*_hostN` list variable — an error in any numeric position.
+    UserHost,
+    Server(ServerVar),
+    /// Any other name: a temp slot, numbered by first appearance. Until
+    /// assigned it reads as the constant of that name, or is UNDEF.
+    Temp(u16),
+}
+
 /// An expression node.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
@@ -69,12 +85,12 @@ pub enum Expr {
     /// evaluation error (the thesis's grammar accepts it but assigns no
     /// value).
     NetAddr(String),
-    /// A variable reference — temp, server-side, user-side or constant;
-    /// resolution happens at evaluation time exactly as in `hoc`.
-    Var(String),
+    /// A variable reference — temp, server-side, user-side or constant,
+    /// as its binding says.
+    Var(String, Binding),
     /// `VAR = expr` — defines/overwrites a temp variable; an expression in
     /// its own right (Fig 4.2 lists `asgn` as an `expr` production).
-    Assign(String, Box<Expr>),
+    Assign(String, Binding, Box<Expr>),
     /// `BLTIN '(' expr ')'` — one-argument math builtins of Appendix B.4.
     Call(String, Box<Expr>),
     /// Unary minus (`%prec UNARYMINUS`).
@@ -103,8 +119,8 @@ impl fmt::Display for Expr {
         match self {
             Expr::Number(n) => write!(f, "{n}"),
             Expr::NetAddr(a) => write!(f, "{a}"),
-            Expr::Var(v) => write!(f, "{v}"),
-            Expr::Assign(v, e) => write!(f, "{v} = {e}"),
+            Expr::Var(v, _) => write!(f, "{v}"),
+            Expr::Assign(v, _, e) => write!(f, "{v} = {e}"),
             Expr::Call(name, arg) => write!(f, "{name}({arg})"),
             Expr::Neg(e) => write!(f, "-{e}"),
             Expr::Binary(op, a, b) => write!(f, "{a} {op} {b}"),
@@ -138,19 +154,21 @@ impl fmt::Display for Stmt {
     }
 }
 
-/// A compiled requirement: the statement list plus its source text (kept
-/// for diagnostics and for forwarding in the wire format).
+/// A compiled requirement: the statement list, its source text (kept for
+/// diagnostics and for forwarding in the wire format) and the program the
+/// statements were lowered to, which is what [`crate::Evaluator`] runs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Requirement {
     pub stmts: Vec<Stmt>,
     pub source: String,
+    pub(crate) program: Program,
 }
 
 impl Requirement {
     /// An empty requirement qualifies every live server (the paper's
     /// "Random" baseline sends `null` requirements).
     pub fn empty() -> Requirement {
-        Requirement { stmts: Vec::new(), source: String::new() }
+        Requirement { stmts: Vec::new(), source: String::new(), program: Program::default() }
     }
 
     /// Render back to requirement text. For any compiled requirement,
@@ -177,29 +195,25 @@ impl Requirement {
 mod tests {
     use super::*;
 
+    fn var(name: &str, slot: u16) -> Box<Expr> {
+        Box::new(Expr::Var(name.into(), Binding::Temp(slot)))
+    }
+
     #[test]
     fn logic_flag_follows_top_operator() {
         // (a+b) <= b  — logical.
         let e = Expr::Binary(
             BinOp::Le,
-            Box::new(Expr::Paren(Box::new(Expr::Binary(
-                BinOp::Add,
-                Box::new(Expr::Var("a".into())),
-                Box::new(Expr::Var("b".into())),
-            )))),
-            Box::new(Expr::Var("b".into())),
+            Box::new(Expr::Paren(Box::new(Expr::Binary(BinOp::Add, var("a", 0), var("b", 1))))),
+            var("b", 1),
         );
         assert!(e.is_logical());
 
         // a + (b<c) — not logical (paper's own example).
         let e = Expr::Binary(
             BinOp::Add,
-            Box::new(Expr::Var("a".into())),
-            Box::new(Expr::Paren(Box::new(Expr::Binary(
-                BinOp::Lt,
-                Box::new(Expr::Var("b".into())),
-                Box::new(Expr::Var("c".into())),
-            )))),
+            var("a", 0),
+            Box::new(Expr::Paren(Box::new(Expr::Binary(BinOp::Lt, var("b", 1), var("c", 2))))),
         );
         assert!(!e.is_logical());
     }
@@ -216,7 +230,10 @@ mod tests {
     fn display_roundtrips_reasonably() {
         let e = Expr::Binary(
             BinOp::Gt,
-            Box::new(Expr::Var("host_cpu_free".into())),
+            Box::new(Expr::Var(
+                "host_cpu_free".into(),
+                Binding::Server(ServerVar::from_name("host_cpu_free").unwrap()),
+            )),
             Box::new(Expr::Number(0.9)),
         );
         assert_eq!(e.to_string(), "host_cpu_free > 0.9");

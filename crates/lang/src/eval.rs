@@ -13,11 +13,20 @@
 //!   the server — the paper's `execerror` aborts matching for that server,
 //!   and an uninitialised temp in a logical statement "will be considered
 //!   as a false statement".
+//!
+//! What runs is the requirement's postfix program (`program.rs`, which
+//! says how Fig 4.2's orderings survive the lowering), not its tree: one
+//! loop over the ops, a value stack and a temp-slot array in the frame
+//! (the heap only for a requirement too large for them, or to report an
+//! error), every name resolved when the requirement was compiled. There
+//! is no other evaluator outside the test module, whose tree walk is the
+//! oracle this one is property-tested against.
 
 use std::collections::BTreeMap;
 
-use crate::ast::{BinOp, Expr, Requirement, Stmt};
-use crate::vars::{builtin_fn, constant, is_server_var, is_user_host_var, user_host_polarity};
+use crate::ast::{Requirement, Stmt};
+use crate::program::{apply, Op, Program};
+use crate::vars::{user_host_polarity, ServerVar, BUILTINS};
 
 /// Supplies the values of server-side variables for one candidate server.
 ///
@@ -25,7 +34,7 @@ use crate::vars::{builtin_fn, constant, is_server_var, is_user_host_var, user_ho
 /// [`MapVars`].
 pub trait VarProvider {
     /// Value of a server-side variable, or `None` if unknown/unsupported.
-    fn lookup(&self, name: &str) -> Option<f64>;
+    fn lookup(&self, var: ServerVar) -> Option<f64>;
 }
 
 /// Simple `VarProvider` backed by a map — for tests and the harness.
@@ -46,8 +55,8 @@ impl MapVars {
 }
 
 impl VarProvider for MapVars {
-    fn lookup(&self, name: &str) -> Option<f64> {
-        self.vars.get(name).copied()
+    fn lookup(&self, var: ServerVar) -> Option<f64> {
+        self.vars.get(var.name()).copied()
     }
 }
 
@@ -133,124 +142,126 @@ pub struct Decision {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Evaluator;
 
+/// Value-stack and temp slots kept in `evaluate`'s frame; the paper's longest
+/// statement lowers to 7 ops, and its requirements use one temp.
+const FRAME_STACK: usize = 16;
+const FRAME_TEMPS: usize = 8;
+
 impl Evaluator {
-    /// Run `req` against one server's variables.
-    pub fn evaluate(req: &Requirement, provider: &dyn VarProvider) -> Decision {
-        let mut temps: BTreeMap<String, f64> = BTreeMap::new();
-        let mut decision = Decision {
+    /// Run `req` against one server's variables: the interpreter loop.
+    #[inline]
+    pub fn evaluate<P: VarProvider + ?Sized>(req: &Requirement, provider: &P) -> Decision {
+        let prog = &req.program;
+        let mut d = Decision {
             qualified: true,
             statements_true: 0,
             statements_total: 0,
             errors: Vec::new(),
         };
-        for stmt in &req.stmts {
-            let expr = match stmt {
-                Stmt::HostAssign { .. } => continue, // request-level, not per-server
-                Stmt::Expr(e) => e,
-            };
-            let logical = expr.is_logical();
-            if logical {
-                decision.statements_total += 1;
-            }
-            match eval_expr(expr, provider, &mut temps) {
-                Ok(v) => {
-                    if logical {
-                        // server_ok *= $2
-                        if v != 0.0 {
-                            decision.statements_true += 1;
-                        } else {
-                            decision.qualified = false;
-                        }
-                    }
-                }
+        let (mut stack, mut temps) = ([0.0; FRAME_STACK], [None; FRAME_TEMPS]);
+        let (mut big_stack, mut big_temps) = (Vec::new(), Vec::new());
+        let temps = slots(&mut temps, &mut big_temps, prog.temps.len(), None);
+        for (slot, (_, shadowed)) in temps.iter_mut().zip(&prog.temps) {
+            *slot = *shadowed;
+        }
+        let mut start = 0;
+        for &(end, logical) in &prog.stmts {
+            let ops = prog.ops.get(start..end).unwrap_or_default();
+            start = end;
+            // A statement never stacks more values than it has ops.
+            let stack = slots(&mut stack, &mut big_stack, ops.len(), 0.0);
+            d.statements_total += usize::from(logical);
+            match exec(ops, prog, provider, stack, temps) {
+                Ok(_) if !logical => {}
+                // server_ok *= $2
+                Ok(v) if v != 0.0 => d.statements_true += 1,
+                Ok(_) => d.qualified = false,
+                // execerror: the statement yields no value; a logical
+                // statement is "considered a false statement", and any
+                // error leaves the server unqualified.
                 Err(e) => {
-                    // execerror: the statement yields no value; a logical
-                    // statement is "considered a false statement", and any
-                    // error leaves the server unqualified.
-                    decision.errors.push(e);
-                    decision.qualified = false;
+                    d.errors.push(e);
+                    d.qualified = false;
                 }
             }
         }
-        decision
+        d
     }
 }
 
-fn eval_expr(
-    expr: &Expr,
-    provider: &dyn VarProvider,
-    temps: &mut BTreeMap<String, f64>,
-) -> Result<f64, EvalError> {
-    match expr {
-        Expr::Number(n) => Ok(*n),
-        Expr::NetAddr(a) => Err(EvalError::NetAddrInExpr(a.clone())),
-        Expr::Paren(inner) => eval_expr(inner, provider, temps),
-        Expr::Neg(inner) => Ok(-eval_expr(inner, provider, temps)?),
-        Expr::Var(name) => {
-            if is_user_host_var(name) {
-                return Err(EvalError::UserHostVarInExpr(name.clone()));
-            }
-            // Resolution order: temp vars shadow server vars shadow
-            // constants; a name known nowhere is UNDEF.
-            if let Some(v) = temps.get(name) {
-                return Ok(*v);
-            }
-            if let Some(v) = provider.lookup(name) {
-                return Ok(v);
-            }
-            if let Some(v) = constant(name) {
-                return Ok(v);
-            }
-            Err(EvalError::Undefined(name.clone()))
-        }
-        Expr::Assign(name, rhs) => {
-            if is_server_var(name) {
-                return Err(EvalError::AssignToServerVar(name.clone()));
-            }
-            if is_user_host_var(name) {
-                return Err(EvalError::UserHostVarInExpr(name.clone()));
-            }
-            let v = eval_expr(rhs, provider, temps)?;
-            temps.insert(name.clone(), v);
-            Ok(v)
-        }
-        Expr::Call(name, arg) => {
-            let f = builtin_fn(name).ok_or_else(|| EvalError::UnknownFunction(name.clone()))?;
-            Ok(f(eval_expr(arg, provider, temps)?))
-        }
-        Expr::Binary(op, lhs, rhs) => {
-            let a = eval_expr(lhs, provider, temps)?;
-            let b = eval_expr(rhs, provider, temps)?;
-            let bool_to_f = |v: bool| if v { 1.0 } else { 0.0 };
-            Ok(match op {
-                BinOp::Or => bool_to_f(a != 0.0 || b != 0.0),
-                BinOp::And => bool_to_f(a != 0.0 && b != 0.0),
-                BinOp::Eq => bool_to_f(a == b),
-                BinOp::Ne => bool_to_f(a != b),
-                BinOp::Lt => bool_to_f(a < b),
-                // Fig 4.2 spells these as disjunctions: ($1<$3)||($1==$3).
-                BinOp::Le => bool_to_f(a <= b),
-                BinOp::Gt => bool_to_f(a > b),
-                BinOp::Ge => bool_to_f(a >= b),
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => {
-                    if b == 0.0 {
-                        return Err(EvalError::DivisionByZero);
-                    }
-                    a / b
-                }
-                BinOp::Pow => a.powf(b),
-            })
-        }
+/// `n` slots of `fill`: the frame's if it has that many, else the heap's.
+fn slots<'a, T: Copy>(frame: &'a mut [T], heap: &'a mut Vec<T>, n: usize, fill: T) -> &'a mut [T] {
+    if n > frame.len() {
+        heap.resize(n, fill);
+        return heap;
     }
+    frame.get_mut(..n).unwrap_or_default()
+}
+
+/// One statement: its value, or the first error in evaluation order.
+/// Temp assignments made before an error stay made.
+#[inline]
+fn exec<P: VarProvider + ?Sized>(
+    ops: &[Op],
+    prog: &Program,
+    provider: &P,
+    stack: &mut [f64],
+    temps: &mut [Option<f64>],
+) -> Result<f64, EvalError> {
+    let server = |var: ServerVar| {
+        provider.lookup(var).ok_or_else(|| EvalError::Undefined(var.name().to_owned()))
+    };
+    // `stack[..sp]` is live. The caller sized the stack for these ops, so
+    // the `get`s cannot miss; they are there instead of a panic.
+    let mut sp = 0usize;
+    let pop = |stack: &[f64], sp: &mut usize| {
+        *sp = sp.saturating_sub(1);
+        stack.get(*sp).copied().unwrap_or_default()
+    };
+    for op in ops {
+        let value = match op {
+            Op::Num(n) => *n,
+            Op::Server(var) => server(*var)?,
+            Op::ServerBin(var, op, c) => apply(*op, server(*var)?, *c)?,
+            Op::Temp(slot) => {
+                temps.get(usize::from(*slot)).copied().flatten().ok_or_else(|| {
+                    let name = prog.temps.get(usize::from(*slot)).map(|(n, _)| n.clone());
+                    EvalError::Undefined(name.unwrap_or_default())
+                })?
+            }
+            Op::Store(slot) => {
+                let v = pop(stack, &mut sp);
+                if let Some(t) = temps.get_mut(usize::from(*slot)) {
+                    *t = Some(v);
+                }
+                v
+            }
+            Op::Neg => -pop(stack, &mut sp),
+            Op::Call(i) => {
+                let x = pop(stack, &mut sp);
+                BUILTINS.get(*i).map_or(x, |(_, f)| f(x))
+            }
+            Op::Bin(op) => {
+                let b = pop(stack, &mut sp);
+                apply(*op, pop(stack, &mut sp), b)?
+            }
+            Op::Fail(e) => return Err((**e).clone()),
+        };
+        if let Some(top) = stack.get_mut(sp) {
+            *top = value;
+        }
+        sp += 1;
+    }
+    Ok(pop(stack, &mut sp))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile;
+    use crate::ast::{BinOp, Expr};
+    use crate::vars::{builtin_fn, constant, is_server_var, is_user_host_var};
+    use crate::{compile, may_qualify, MapRanges};
+    use proptest::prelude::*;
 
     fn vars() -> MapVars {
         MapVars::new()
@@ -366,6 +377,14 @@ mod tests {
     }
 
     #[test]
+    fn names_that_only_resemble_server_variables_stay_assignable_temps() {
+        let src = "host_service_quantum = 1\nhost_service_quantum > 0\nhost_gpu_count > 0\n";
+        let d = check(src, &vars());
+        assert_eq!((d.statements_true, d.statements_total), (1, 2));
+        assert_eq!(d.errors, vec![EvalError::Undefined("host_gpu_count".into())]);
+    }
+
+    #[test]
     fn netaddr_in_numeric_position_is_an_error() {
         let v = vars();
         let d = check("x = 137.132.90.182 + 1\n", &v);
@@ -411,5 +430,249 @@ mod tests {
         assert!(check("1 >= 1\n", &v).qualified);
         assert!(check("0.999 <= 1\n", &v).qualified);
         assert!(!check("1.001 <= 1\n", &v).qualified);
+    }
+
+    // ---- program ≡ tree walk -----------------------------------------
+    //
+    // The tree-walking evaluator the program replaced, kept as the oracle:
+    // it classifies every name by string when it meets it and spells the
+    // operators itself, sharing neither the parser's bindings nor `apply`.
+
+    fn reference_evaluate(req: &Requirement, provider: &MapVars) -> Decision {
+        let mut temps: BTreeMap<String, f64> = BTreeMap::new();
+        let mut decision =
+            Decision { qualified: true, statements_true: 0, statements_total: 0, errors: vec![] };
+        for stmt in &req.stmts {
+            let Stmt::Expr(expr) = stmt else { continue };
+            let logical = expr.is_logical();
+            if logical {
+                decision.statements_total += 1;
+            }
+            match reference_eval(expr, provider, &mut temps) {
+                Ok(v) if logical && v != 0.0 => decision.statements_true += 1,
+                Ok(_) if logical => decision.qualified = false,
+                Ok(_) => {}
+                Err(e) => {
+                    decision.errors.push(e);
+                    decision.qualified = false;
+                }
+            }
+        }
+        decision
+    }
+
+    fn reference_eval(
+        expr: &Expr,
+        provider: &MapVars,
+        temps: &mut BTreeMap<String, f64>,
+    ) -> Result<f64, EvalError> {
+        match expr {
+            Expr::Number(n) => Ok(*n),
+            Expr::NetAddr(a) => Err(EvalError::NetAddrInExpr(a.clone())),
+            Expr::Paren(inner) => reference_eval(inner, provider, temps),
+            Expr::Neg(inner) => Ok(-reference_eval(inner, provider, temps)?),
+            Expr::Var(name, _) => {
+                if is_user_host_var(name) {
+                    return Err(EvalError::UserHostVarInExpr(name.clone()));
+                }
+                // Temp vars shadow server vars shadow constants; a name
+                // known nowhere is UNDEF.
+                if let Some(v) = temps.get(name) {
+                    return Ok(*v);
+                }
+                if let Some(v) = provider.vars.get(name).filter(|_| is_server_var(name)) {
+                    return Ok(*v);
+                }
+                constant(name).ok_or_else(|| EvalError::Undefined(name.clone()))
+            }
+            Expr::Assign(name, _, rhs) => {
+                if is_server_var(name) {
+                    return Err(EvalError::AssignToServerVar(name.clone()));
+                }
+                if is_user_host_var(name) {
+                    return Err(EvalError::UserHostVarInExpr(name.clone()));
+                }
+                let v = reference_eval(rhs, provider, temps)?;
+                temps.insert(name.clone(), v);
+                Ok(v)
+            }
+            Expr::Call(name, arg) => {
+                let f = builtin_fn(name).ok_or_else(|| EvalError::UnknownFunction(name.clone()))?;
+                Ok(f(reference_eval(arg, provider, temps)?))
+            }
+            Expr::Binary(op, lhs, rhs) => {
+                let a = reference_eval(lhs, provider, temps)?;
+                let b = reference_eval(rhs, provider, temps)?;
+                let bool_to_f = |v: bool| if v { 1.0 } else { 0.0 };
+                Ok(match op {
+                    BinOp::Or => bool_to_f(a != 0.0 || b != 0.0),
+                    BinOp::And => bool_to_f(a != 0.0 && b != 0.0),
+                    BinOp::Eq => bool_to_f(a == b),
+                    BinOp::Ne => bool_to_f(a != b),
+                    BinOp::Lt => bool_to_f(a < b),
+                    BinOp::Le => bool_to_f(a <= b),
+                    BinOp::Gt => bool_to_f(a > b),
+                    BinOp::Ge => bool_to_f(a >= b),
+                    BinOp::Add => a + b,
+                    BinOp::Sub => a - b,
+                    BinOp::Mul => a * b,
+                    BinOp::Div => {
+                        if b == 0.0 {
+                            return Err(EvalError::DivisionByZero);
+                        }
+                        a / b
+                    }
+                    BinOp::Pow => a.powf(b),
+                })
+            }
+        }
+    }
+
+    /// The program and the oracle agree on everything a `Decision` holds,
+    /// and the interval analysis never rules out a host that qualifies.
+    fn assert_program_matches_the_tree_walk(src: &str, vars: &MapVars) {
+        let req = compile(src).unwrap_or_else(|e| panic!("{src:?} must compile: {e}"));
+        let want = reference_evaluate(&req, vars);
+        assert_eq!(Evaluator::evaluate(&req, vars), want, "on {src:?} with {:?}", vars.vars);
+        let mut points = MapRanges::new();
+        for (name, v) in &vars.vars {
+            points = points.with(name, *v, *v);
+        }
+        assert!(may_qualify(&req, &points) || !want.qualified, "wrong prune of {src:?}");
+    }
+
+    const OPERATORS: [&str; 13] =
+        ["+", "-", "*", "/", "^", "<", "<=", ">", ">=", "==", "!=", "&&", "||"];
+
+    /// A random expression: nested arithmetic and logic over literals
+    /// (zero among them), defined and undefined server variables, temps,
+    /// named constants, divisions by a literal and by a computed zero and
+    /// — rarely, since an error hides the rest of its statement — a
+    /// user-host variable and a network address, with assignments to all
+    /// of those and known and unknown calls.
+    fn arb_expr(depth: u32) -> BoxedStrategy<String> {
+        let leaf = prop_oneof![
+            30 => (0u32..4).prop_map(|n| n.to_string()),
+            6 => Just("0.5".to_owned()),
+            10 => Just("host_cpu_free".to_owned()),
+            10 => Just("host_system_load1".to_owned()),
+            4 => Just("monitor_network_bw".to_owned()),
+            12 => Just("t".to_owned()),
+            6 => Just("u".to_owned()),
+            6 => Just("PI".to_owned()),
+            2 => (0u32..3, 0u32..2).prop_map(|(a, b)| format!("{a}/{b}")),
+            1 => Just("t/(u-u)".to_owned()),
+            1 => Just("user_denied_host1".to_owned()),
+            1 => Just("10.0.0.1".to_owned()),
+        ];
+        if depth == 0 {
+            return leaf.boxed();
+        }
+        let sub = arb_expr(depth - 1);
+        let target = prop_oneof![
+            6 => Just("t"), 4 => Just("u"), 4 => Just("PI"),
+            1 => Just("host_cpu_free"), 1 => Just("user_denied_host1"),
+        ];
+        let function = prop_oneof![6 => Just("sqrt"), 6 => Just("abs"), 1 => Just("frob")];
+        prop_oneof![
+            4 => leaf,
+            8 => (sub.clone(), 0..OPERATORS.len(), sub.clone())
+                .prop_map(|(a, op, b)| format!("{a} {} {b}", OPERATORS[op])),
+            2 => sub.clone().prop_map(|a| format!("({a})")),
+            1 => sub.clone().prop_map(|a| format!("-{a}")),
+            2 => (target, sub.clone()).prop_map(|(v, a)| format!("({v} = {a})")),
+            1 => (function, sub).prop_map(|(f, a)| format!("{f}({a})")),
+        ]
+        .boxed()
+    }
+
+    /// Values for three server variables, each left undefined one time in
+    /// seven.
+    fn arb_provider() -> impl Strategy<Value = MapVars> {
+        let value = || prop_oneof![1 => Just(None), 2 => Just(Some(0.0)), 2 => Just(Some(0.5)), 2 => Just(Some(2.0))];
+        (value(), value(), value()).prop_map(|(cpu, load, bw)| {
+            let names = ["host_cpu_free", "host_system_load1", "monitor_network_bw"];
+            let mut vars = MapVars::new();
+            for (name, v) in names.into_iter().zip([cpu, load, bw]) {
+                if let Some(v) = v {
+                    vars = vars.with(name, v);
+                }
+            }
+            vars
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn the_program_is_the_tree_walk_on_generated_requirements(
+            stmts in proptest::collection::vec((arb_expr(3), 0usize..8, arb_expr(1)), 4..12),
+            vars in proptest::collection::vec(arb_provider(), 4),
+            temps_start_assigned in 0u32..4,
+        ) {
+            // Half the statements assign a temp, half compare two
+            // expressions, so that values — not only errors — decide.
+            let mut src = String::from(if temps_start_assigned > 0 { "t = 1\nu = 2\n" } else { "" });
+            for (expr, kind, other) in stmts {
+                src.push_str(&match kind {
+                    0 | 1 => format!("t = {expr}\n"),
+                    2 | 3 => format!("u = {expr}\n"),
+                    k => format!("{expr} {} {other}\n", OPERATORS[k + 1]),
+                });
+            }
+            for v in &vars {
+                assert_program_matches_the_tree_walk(&src, v);
+            }
+        }
+    }
+
+    #[test]
+    fn the_program_is_the_tree_walk_on_the_orderings_of_fig_4_2() {
+        let cases = [
+            // A side effect placed before a failing operand still happens.
+            "(x = 1) + 1/0\nx > 0\n",
+            "(x = 1) + 10.0.0.1\nx > 0\n",
+            // The pre-descent checks: the operand is never evaluated.
+            "frob(x = 1) > 0\nx > 0\n",
+            "frob(1/0)\n",
+            "host_cpu_free = (x = 1)\nx > 0\n",
+            "(user_denied_host1 = 1/0) > 0\n",
+            // The first error in evaluation order is the one reported.
+            "nope + 1/0\n1/0 + nope\n",
+            // Division by zero survives folding, literal or computed.
+            "1/0 > 0\n2*(3/(1-1)) > 0\nx = 2\ny = 2\nx/(y-y) > 0\n",
+            // Temps shadow constants, before and after assignment.
+            "PI > 3\nPI = 1\nPI > 3\nPI == 1\n",
+            "t > 0\nt = 5\nt > 0\n",
+            // Folded subtrees, with and without a server variable beside them.
+            "host_cpu_free * (2 + 3*4 - -1) >= sqrt(16)/2^3\n",
+            "-(2^2) == -4 && log10(100) == 2 && 7 - 2 - 1 == 4\n",
+            "5*1024*1024 < host_memory_free\nhost_memory_free > 5*1024*1024\n",
+            "host_cpu_free / 0 > 1\nhost_cpu_free && 1\n",
+        ];
+        let vars = [
+            MapVars::new(),
+            MapVars::new().with("host_cpu_free", 0.5).with("host_memory_free", 8e6),
+            MapVars::new().with("host_cpu_free", 0.0),
+        ];
+        for src in cases {
+            for v in &vars {
+                assert_program_matches_the_tree_walk(src, v);
+            }
+        }
+    }
+
+    #[test]
+    fn an_outsized_requirement_runs_off_the_heap_with_the_same_answer() {
+        // More temps and a deeper stack than the frame-local arrays hold.
+        let mut src = String::new();
+        for i in 0..=FRAME_TEMPS {
+            src.push_str(&format!("v{i} = {i}\n"));
+        }
+        src.push_str(&format!("v0 + {}v1{} == {}\n", "(v1 + ".repeat(20), ")".repeat(20), 21));
+        let req = compile(&src).unwrap();
+        let longest = req.program.ops.len() - req.program.stmts[FRAME_TEMPS].0;
+        assert!(req.program.temps.len() > FRAME_TEMPS && longest > FRAME_STACK);
+        assert_program_matches_the_tree_walk(&src, &MapVars::new());
+        assert!(Evaluator::evaluate(&req, &MapVars::new()).qualified);
     }
 }

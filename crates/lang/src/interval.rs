@@ -27,8 +27,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::ast::{BinOp, Expr, Requirement, Stmt};
-use crate::vars::{builtin_fn, constant, is_server_var, is_user_host_var};
+use crate::ast::{BinOp, Binding, Expr, Requirement, Stmt};
+use crate::vars::{builtin_fn, constant};
 
 /// Supplies per-variable value ranges for a *population* of hosts (one
 /// status-database shard, in the wizard).
@@ -120,7 +120,8 @@ fn bool_ival(definitely: bool, impossible: bool) -> IVal {
 /// may then skip the whole population without changing which servers the
 /// flat per-host scan would have selected.
 pub fn may_qualify(req: &Requirement, ranges: &dyn RangeProvider) -> bool {
-    let mut temps: BTreeMap<String, IVal> = BTreeMap::new();
+    // One abstract value per temp slot; `None` until assigned.
+    let mut temps = vec![None; req.program.temps.len()];
     for stmt in &req.stmts {
         let expr = match stmt {
             Stmt::HostAssign { .. } => continue, // request-level, not per-server
@@ -139,7 +140,7 @@ pub fn may_qualify(req: &Requirement, ranges: &dyn RangeProvider) -> bool {
     true
 }
 
-fn ival(expr: &Expr, ranges: &dyn RangeProvider, temps: &mut BTreeMap<String, IVal>) -> IVal {
+fn ival(expr: &Expr, ranges: &dyn RangeProvider, temps: &mut [Option<IVal>]) -> IVal {
     match expr {
         Expr::Number(n) => IVal::point(*n),
         Expr::NetAddr(_) => IVal::Fail,
@@ -148,35 +149,29 @@ fn ival(expr: &Expr, ranges: &dyn RangeProvider, temps: &mut BTreeMap<String, IV
             IVal::Num(lo, hi) => IVal::num(-hi, -lo),
             other => other,
         },
-        Expr::Var(name) => {
-            if is_user_host_var(name) {
-                return IVal::Fail;
+        // The concrete evaluator's bindings. A name with no value here is
+        // `Any`, not `Fail`: the range provider may simply not track it
+        // (e.g. security/monitor variables) even though per-host lookup
+        // resolves it.
+        Expr::Var(name, binding) => match *binding {
+            Binding::UserHost => IVal::Fail,
+            Binding::Server(_) => {
+                ranges.range(name).map_or(IVal::Any, |(lo, hi)| IVal::num(lo, hi))
             }
-            // Same resolution order as the concrete evaluator: temps
-            // shadow provider ranges shadow constants. A name known
-            // nowhere is `Any`, not `Fail`: the range provider may simply
-            // not track it (e.g. security/monitor variables) even though
-            // per-host lookup resolves it.
-            if let Some(v) = temps.get(name) {
-                return *v;
+            Binding::Temp(slot) => {
+                let assigned = temps.get(usize::from(slot)).copied().flatten();
+                assigned.or_else(|| constant(name).map(IVal::point)).unwrap_or(IVal::Any)
             }
-            if let Some((lo, hi)) = ranges.range(name) {
-                return IVal::num(lo, hi);
-            }
-            if let Some(v) = constant(name) {
-                return IVal::point(v);
-            }
-            IVal::Any
-        }
-        Expr::Assign(name, rhs) => {
-            if is_server_var(name) || is_user_host_var(name) {
-                return IVal::Fail;
-            }
+        },
+        Expr::Assign(_, binding, rhs) => {
+            let Binding::Temp(slot) = *binding else { return IVal::Fail };
             let v = ival(rhs, ranges, temps);
             if v == IVal::Fail {
                 return IVal::Fail;
             }
-            temps.insert(name.clone(), v);
+            if let Some(t) = temps.get_mut(usize::from(slot)) {
+                *t = Some(v);
+            }
             v
         }
         Expr::Call(name, arg) => {

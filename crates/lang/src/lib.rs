@@ -34,6 +34,12 @@
 //!   the whitelist/blacklist instead of the numeric environment, and accept
 //!   IPs, dotted domain names, or bare host names on the right-hand side.
 //!
+//! [`compile`] resolves every name once and lowers the statements to a flat
+//! postfix program (`hoc` too generates code for a stack machine);
+//! [`Evaluator::evaluate`] runs that program per candidate server, and is
+//! the only evaluator there is. Nesting is bounded at parse time, so no
+//! requirement can overflow the stack of whoever compiles or runs it.
+//!
 //! # Deviations from the thesis (documented in DESIGN.md)
 //!
 //! * Host names may contain `-` (the paper's own experiments blacklist
@@ -51,16 +57,17 @@ pub mod eval;
 pub mod interval;
 pub mod lexer;
 pub mod parser;
+mod program;
 pub mod token;
 pub mod vars;
 
-pub use ast::{BinOp, Expr, Requirement, Stmt};
+pub use ast::{BinOp, Binding, Expr, Requirement, Stmt};
 pub use eval::{Decision, EvalError, Evaluator, HostLists, MapVars, VarProvider};
 pub use interval::{may_qualify, MapRanges, RangeProvider};
 pub use lexer::{LexError, Lexer};
 pub use parser::{parse, ParseError};
 pub use token::Token;
-pub use vars::{builtin_fn, is_server_var, is_user_host_var, SERVER_VARS, USER_VARS};
+pub use vars::{builtin_fn, is_server_var, is_user_host_var, ServerVar, SERVER_VARS, USER_VARS};
 
 /// Any error arising while compiling a requirement.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,8 +102,8 @@ impl From<ParseError> for CompileError {
 /// Compile a requirement text into its executable form.
 ///
 /// This is the entry point the wizard calls once per user request; the
-/// compiled [`Requirement`] is then evaluated against every candidate
-/// server.
+/// compiled [`Requirement`] — tree, name bindings and lowered program — is
+/// then evaluated against every candidate server.
 ///
 /// # Example
 ///
@@ -148,5 +155,22 @@ user_preferred_host1 = sagit.ddns.comp.nus.edu.sg
     fn compile_reports_lex_and_parse_errors_distinctly() {
         assert!(matches!(compile("a ~ b"), Err(CompileError::Lex(_))));
         assert!(matches!(compile("a + * b"), Err(CompileError::Parse(_))));
+    }
+
+    #[test]
+    fn recompiling_the_rendered_text_gives_the_same_requirement_program_included() {
+        let texts = [
+            "host_system_load1 < 1\nhost_memory_used <= 250*1024*1024\nuser_denied_host1 = telesto\n",
+            "x = y = 2\n(PI = x) + frob(1) > -x ^ 2 ^ y\n((host_cpu_free)) / (1 - 1) != 10.0.0.1\n",
+            "limit = log10(100) * 0.5\nhost_system_load5 < limit && user_denied_host2 > 0\n",
+        ];
+        for text in texts {
+            let req = compile(text).unwrap();
+            // Same tree, same bindings, same program; only `source`, which
+            // keeps the original spacing, may differ on the first round.
+            let back = compile(&req.to_text()).unwrap();
+            assert_eq!((&back.stmts, &back.program), (&req.stmts, &req.program), "{text:?}");
+            assert_eq!(compile(&back.to_text()).unwrap(), back, "{text:?}");
+        }
     }
 }

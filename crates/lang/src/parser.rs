@@ -21,10 +21,22 @@
 //! [`Stmt::HostAssign`] with a host designator (IP, domain name or bare
 //! host name) on the right-hand side; everything else is an expression
 //! statement.
+//!
+//! The parser also resolves every name to its [`Binding`], once, and bounds
+//! the nesting of the tree ([`MAX_NEST`]), so that nothing that recurses
+//! over an `Expr` — lowering, interval analysis, `Display`, `Drop` — can
+//! be made to overflow the daemon's stack.
 
-use crate::ast::{BinOp, Expr, Requirement, Stmt};
+use crate::ast::{BinOp, Binding, Expr, Requirement, Stmt};
+use crate::program::Program;
 use crate::token::Token;
-use crate::vars::is_user_host_var;
+use crate::vars::{constant, is_user_host_var, ServerVar};
+
+/// How many levels — of the parser's own recursion, plus one per link of
+/// an operator chain on the way — a requirement may nest before it is
+/// refused; the tree built is at most twice this deep. The paper's
+/// requirements nest ≤ 3.
+const MAX_NEST: usize = 64;
 
 /// A syntax error with the offending token (if any) and a message.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +57,7 @@ impl std::error::Error for ParseError {}
 /// Parse a token stream (as produced by [`crate::Lexer::tokenize`]) into a
 /// [`Requirement`].
 pub fn parse(tokens: &[Token]) -> Result<Requirement, ParseError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0, temps: Vec::new() };
     let mut stmts = Vec::new();
     while !p.at_end() {
         if p.eat(&Token::Newline) {
@@ -53,8 +65,8 @@ pub fn parse(tokens: &[Token]) -> Result<Requirement, ParseError> {
         }
         stmts.push(p.statement()?);
     }
-    let source = render_source(tokens);
-    Ok(Requirement { stmts, source })
+    let program = Program::lower(&stmts, p.temps);
+    Ok(Requirement { stmts, source: render_source(tokens), program })
 }
 
 fn render_source(tokens: &[Token]) -> String {
@@ -75,6 +87,11 @@ fn render_source(tokens: &[Token]) -> String {
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Nesting at the current position, counted against [`MAX_NEST`].
+    depth: usize,
+    /// Temp names met so far, each with the constant it shadows; a name's
+    /// position is its slot.
+    temps: Vec<(String, Option<f64>)>,
 }
 
 impl<'a> Parser<'a> {
@@ -109,6 +126,30 @@ impl<'a> Parser<'a> {
 
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError { at: self.pos, message: message.into() }
+    }
+
+    /// One level further into the tree, or the error that bounds it.
+    fn deepen(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NEST {
+            return Err(self.err(format!("expression nested deeper than {MAX_NEST} levels")));
+        }
+        Ok(())
+    }
+
+    fn bind(&mut self, name: &str) -> Result<Binding, ParseError> {
+        if is_user_host_var(name) {
+            return Ok(Binding::UserHost);
+        }
+        if let Some(var) = ServerVar::from_name(name) {
+            return Ok(Binding::Server(var));
+        }
+        let known = self.temps.iter().position(|(t, _)| t == name);
+        let slot = known.unwrap_or_else(|| {
+            self.temps.push((name.to_owned(), constant(name)));
+            self.temps.len() - 1
+        });
+        u16::try_from(slot).map(Binding::Temp).map_err(|_| self.err("too many variables"))
     }
 
     fn expect_newline(&mut self) -> Result<(), ParseError> {
@@ -176,6 +217,8 @@ impl<'a> Parser<'a> {
     }
 
     fn expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let outer = self.depth;
+        self.deepen()?;
         let mut lhs = self.unary()?;
         while let Some(tok) = self.peek() {
             let Some((op, prec, right)) = Self::binop_of(tok) else { break };
@@ -183,10 +226,12 @@ impl<'a> Parser<'a> {
                 break;
             }
             self.bump();
+            self.deepen()?; // every link of a chain deepens the tree
             let next_min = if right { prec } else { prec + 1 };
             let rhs = self.expr(next_min)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -218,10 +263,12 @@ impl<'a> Parser<'a> {
                 if self.peek() == Some(&Token::Assign) {
                     // Nested assignment expression (hoc allows it).
                     self.bump();
+                    let binding = self.bind(&name)?;
                     let rhs = self.expr(0)?;
-                    return Ok(Expr::Assign(name, Box::new(rhs)));
+                    return Ok(Expr::Assign(name, binding, Box::new(rhs)));
                 }
-                Ok(Expr::Var(name))
+                let binding = self.bind(&name)?;
+                Ok(Expr::Var(name, binding))
             }
             Some(Token::LParen) => {
                 let inner = self.expr(0)?;
@@ -319,12 +366,12 @@ mod tests {
     #[test]
     fn assignment_statement_and_nested_assignment() {
         let e = one_expr("x = 3 + 4");
-        assert!(matches!(e, Expr::Assign(ref n, _) if n == "x"));
+        assert!(matches!(e, Expr::Assign(ref n, Binding::Temp(0), _) if n == "x"));
         assert!(!e.is_logical());
 
         let e = one_expr("x = y = 2");
         match e {
-            Expr::Assign(_, rhs) => assert!(matches!(*rhs, Expr::Assign(_, _))),
+            Expr::Assign(_, _, rhs) => assert!(matches!(*rhs, Expr::Assign(_, _, _))),
             other => panic!("bad parse: {other:?}"),
         }
     }
@@ -365,7 +412,7 @@ mod tests {
     #[test]
     fn ordinary_var_assignment_is_not_a_host_assign() {
         let r = req("threshold = 42");
-        assert!(matches!(r.stmts[0], Stmt::Expr(Expr::Assign(_, _))));
+        assert!(matches!(r.stmts[0], Stmt::Expr(Expr::Assign(_, _, _))));
     }
 
     #[test]
@@ -393,5 +440,44 @@ mod tests {
     fn empty_and_comment_only_inputs_parse_to_empty() {
         assert_eq!(req("").stmts.len(), 0);
         assert_eq!(req("# just a comment\n\n#another\n").stmts.len(), 0);
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_every_recursion_source() {
+        fn parses(s: &str) -> bool {
+            parse(&Lexer::new(s).tokenize().unwrap()).is_ok()
+        }
+        // Every way the grammar recurses, at the deepest the bound admits
+        // and one level past it. The statement itself is level one; the
+        // last link of a left-associative chain also counts its right
+        // operand, and a right-associative link is a level of its own plus
+        // the recursion into its right operand.
+        type Shape = fn(usize) -> String;
+        let shapes: [(&str, usize, Shape); 6] = [
+            ("parentheses", MAX_NEST - 1, |k| format!("{}1{}", "(".repeat(k), ")".repeat(k))),
+            ("unary minus", MAX_NEST - 1, |k| format!("{}1", "-".repeat(k))),
+            ("nested assignment", MAX_NEST - 1, |k| format!("{}1", "a = ".repeat(k))),
+            ("call arguments", MAX_NEST - 1, |k| format!("{}1{}", "abs(".repeat(k), ")".repeat(k))),
+            ("left-associative chain", MAX_NEST - 2, |k| format!("1{}", " + 1".repeat(k))),
+            ("power chain", (MAX_NEST - 1) / 2, |k| format!("2{}", " ^ 2".repeat(k))),
+        ];
+        for (what, deepest, shape) in shapes {
+            assert!(parses(&shape(deepest)), "{what}: {deepest} levels must parse");
+            assert!(!parses(&shape(deepest + 1)), "{what}: {} levels must not", deepest + 1);
+        }
+    }
+
+    #[test]
+    fn a_datagram_sized_nest_is_a_parse_error_not_a_stack_overflow() {
+        // The two requests that aborted the daemon: each fits one datagram.
+        let parens = format!("{}1{} > 0", "(".repeat(2040), ")".repeat(2040));
+        let chain = format!("1{} > 0", "+1".repeat(2039));
+        for src in [parens, chain] {
+            let err = parse(&Lexer::new(&src).tokenize().unwrap()).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{}", err.message);
+        }
+        // Nesting does not accumulate across statements or operands.
+        let wide = format!("{}\n", "((1)) + ((1)) > (0)".to_owned()).repeat(200);
+        assert_eq!(req(&wide).stmts.len(), 200);
     }
 }

@@ -60,10 +60,38 @@ pub const USER_VARS: [&str; 10] = [
     "user_denied_host5",
 ];
 
+/// `SERVER_VARS ++ SERVICE_VARS ++ MONITOR_VARS`: every server-side name.
+fn server_side() -> impl Iterator<Item = &'static str> {
+    SERVER_VARS.iter().chain(&SERVICE_VARS).chain(&MONITOR_VARS).copied()
+}
+
+/// A server-side variable resolved at compile time to its index in
+/// `server_side()`, which is what a [`crate::VarProvider`] is asked for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ServerVar(u8);
+
+impl ServerVar {
+    pub fn from_name(name: &str) -> Option<ServerVar> {
+        let i = server_side().position(|n| n == name)?;
+        u8::try_from(i).ok().map(ServerVar)
+    }
+
+    pub fn name(self) -> &'static str {
+        server_side().nth(self.index()).unwrap_or_default()
+    }
+
+    /// Position in the binding order; below 21 it is also the variable's
+    /// position in the status report's Appendix B.1 table.
+    #[inline]
+    pub fn index(self) -> usize {
+        usize::from(self.0)
+    }
+}
+
 /// True if `name` is one of the server-side (or monitor) variables whose
 /// value the wizard supplies from status reports.
 pub fn is_server_var(name: &str) -> bool {
-    SERVER_VARS.contains(&name) || MONITOR_VARS.contains(&name) || SERVICE_VARS.contains(&name)
+    ServerVar::from_name(name).is_some()
 }
 
 /// True if `name` is a user-side host-list variable; assignments to these
@@ -93,22 +121,27 @@ pub fn constant(name: &str) -> Option<f64> {
     })
 }
 
-/// One-argument math builtins (Appendix B.4, following `hoc`).
+pub type Builtin = fn(f64) -> f64;
+
+/// One-argument math builtins (Appendix B.4, following `hoc`); a compiled
+/// program refers to an entry by position.
 ///
 /// `log` is the natural logarithm; `int` truncates toward zero.
-pub fn builtin_fn(name: &str) -> Option<fn(f64) -> f64> {
-    Some(match name {
-        "sin" => f64::sin,
-        "cos" => f64::cos,
-        "atan" => f64::atan,
-        "exp" => f64::exp,
-        "log" => f64::ln,
-        "log10" => f64::log10,
-        "sqrt" => f64::sqrt,
-        "abs" => f64::abs,
-        "int" => f64::trunc,
-        _ => return None,
-    })
+pub(crate) const BUILTINS: [(&str, Builtin); 9] = [
+    ("sin", f64::sin),
+    ("cos", f64::cos),
+    ("atan", f64::atan),
+    ("exp", f64::exp),
+    ("log", f64::ln),
+    ("log10", f64::log10),
+    ("sqrt", f64::sqrt),
+    ("abs", f64::abs),
+    ("int", f64::trunc),
+];
+
+/// The builtin called `name`, if there is one.
+pub fn builtin_fn(name: &str) -> Option<Builtin> {
+    BUILTINS.iter().find(|(n, _)| *n == name).map(|(_, f)| *f)
 }
 
 #[cfg(test)]
@@ -143,6 +176,21 @@ mod tests {
         for v in SERVICE_VARS {
             assert!(is_server_var(v));
             assert!(!is_user_host_var(v));
+        }
+    }
+
+    #[test]
+    fn server_var_bindings_round_trip_in_binding_order() {
+        let all: Vec<&str> =
+            SERVER_VARS.iter().chain(&SERVICE_VARS).chain(&MONITOR_VARS).copied().collect();
+        assert_eq!(all.len(), 28);
+        for (i, name) in all.into_iter().enumerate() {
+            let var = ServerVar::from_name(name).expect(name);
+            assert_eq!((var.index(), var.name()), (i, name));
+        }
+        let others = ["PI", "host_service_quantum", "host_gpu_count", "monitor_network", ""];
+        for name in USER_VARS.into_iter().chain(others) {
+            assert_eq!(ServerVar::from_name(name), None, "{name:?} is not server-side");
         }
     }
 

@@ -322,6 +322,36 @@ fn garbage_datagrams_count_as_bad_requests_and_open_no_match_span() {
 }
 
 #[test]
+fn a_maximally_nested_requirement_gets_an_empty_reply_and_the_daemon_lives() {
+    // One datagram, 2040 parentheses deep: parsing, evaluating, printing
+    // or even dropping that tree recursively used to overflow the daemon
+    // thread's stack and abort the process. It is now refused at compile
+    // time like any other uncompilable requirement.
+    let wiz = LiveWizard::spawn().unwrap();
+    send_live_report(wiz.addr(), &report("idle1", 1, 0.97)).unwrap();
+    wait_for_reports(&wiz, 1);
+    let nested = format!("{}1{} > 0\n", "(".repeat(2040), ")".repeat(2040));
+    let chain = format!("1{} > 0\n", "+1".repeat(2039));
+    for (seq, hostile) in [(1, nested), (2, chain)] {
+        assert!(hostile.len() <= 4096, "fits one request datagram");
+        let reply = live_request(wiz.addr(), &req(seq, 1, &hostile), Duration::from_millis(500), 3)
+            .unwrap();
+        assert!(reply.servers.is_empty());
+    }
+    // The daemon is still there, and still selects.
+    let reply = live_request(
+        wiz.addr(),
+        &req(3, 1, "host_cpu_free > 0.9\n"),
+        Duration::from_millis(500),
+        3,
+    )
+    .unwrap();
+    assert_eq!(reply.servers.len(), 1);
+    let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
+    assert_eq!(trace.counters.get("wizard-requests"), Some(&3));
+}
+
+#[test]
 fn timeout_hands_the_socket_back_in_the_requested_phase() {
     // A dead address: bind then drop to find an unused port.
     let dead = {

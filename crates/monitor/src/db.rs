@@ -94,10 +94,12 @@ pub const REPORT_VARS: [ReportVar; 21] = [
     ("host_network_tbytesps", |r| r.net_tbytes_ps),
 ];
 
-/// The named [`REPORT_VARS`] entry's value; `None` for any other name.
+/// The value of the [`REPORT_VARS`] entry at `index` — which, the table
+/// being in Appendix B.1 order, is the language's own index for that
+/// server variable; `None` past the table.
 #[inline]
-pub fn report_var(r: &ServerStatusReport, name: &str) -> Option<f64> {
-    REPORT_VARS.iter().find(|(n, _)| *n == name).map(|(_, get)| get(r))
+pub fn report_var(r: &ServerStatusReport, index: usize) -> Option<f64> {
+    REPORT_VARS.get(index).map(|(_, get)| get(r))
 }
 
 /// Per-variable min/max over a shard's rows, indexed parallel to
@@ -390,6 +392,7 @@ impl SecDb {
         self.records.insert(rec.ip, rec);
     }
 
+    #[inline]
     pub fn level_of(&self, ip: Ip) -> Option<i32> {
         self.records.get(&ip).map(|r| r.level)
     }
@@ -721,11 +724,13 @@ mod tests {
     #[test]
     fn report_vars_resolve_for_every_listed_name() {
         let r = report(Ip::new(10, 0, 0, 1), 0.5);
-        for (name, get) in REPORT_VARS {
-            assert_eq!(report_var(&r, name), Some(get(&r)), "unresolved report var {name}");
+        for (i, (name, get)) in REPORT_VARS.into_iter().enumerate() {
+            assert_eq!(report_var(&r, i), Some(get(&r)), "unresolved report var {name}");
         }
-        assert_eq!(report_var(&r, "host_security_level"), None);
-        assert_eq!(report_var(&r, "monitor_network_bw"), None);
+        // `host_security_level` and `monitor_network_bw`, by the
+        // language's index: not the report's to answer.
+        assert_eq!(report_var(&r, 21), None);
+        assert_eq!(report_var(&r, 26), None);
     }
 
     #[test]

@@ -153,6 +153,7 @@ impl HealthTable {
 
     /// The decayed score at `now`: relaxes toward 1.0 with the configured
     /// half-life, so old sins are forgiven even without fresh evidence.
+    #[inline]
     pub fn score(&self, ip: Ip, now: SimTime) -> f64 {
         match self.hosts.get(&ip) {
             Some(h) => relax(h.score, h.updated_at, now, self.cfg.half_life),
@@ -164,6 +165,7 @@ impl HealthTable {
     /// transitions (quarantine expiry → probation, probation window end →
     /// healthy) *without* mutating. Selection uses this so a read path
     /// never changes state behind the telemetry's back.
+    #[inline]
     pub fn effective_state(&self, ip: Ip, now: SimTime) -> StateKind {
         match self.hosts.get(&ip) {
             None => StateKind::Healthy,
@@ -172,6 +174,7 @@ impl HealthTable {
     }
 
     /// Whether selection may offer this server at `now`.
+    #[inline]
     pub fn selectable(&self, ip: Ip, now: SimTime) -> bool {
         self.effective_state(ip, now) != StateKind::Quarantined
     }

@@ -52,6 +52,7 @@ impl SimTime {
     /// Elapsed duration since `earlier`. Saturates at zero rather than
     /// panicking, because measurement code frequently races a probe reply
     /// against its own send timestamp.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }

@@ -16,9 +16,12 @@
 //! so replies and telemetry agree between them by construction — the
 //! interop conformance suite pins it.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use smartsock_lang::{compile, may_qualify, Evaluator, HostLists, RangeProvider, VarProvider};
+use smartsock_lang::{
+    compile, may_qualify, Evaluator, HostLists, RangeProvider, ServerVar, VarProvider,
+};
 use smartsock_monitor::db::{shared_dbs, SubnetKey, TimedReport, VarRanges};
 use smartsock_monitor::health::{HealthTable, StateKind, Transition};
 use smartsock_monitor::ingest::{ingest_ascii, IngestError};
@@ -79,7 +82,8 @@ pub struct SelectStats {
 struct CompiledRequest {
     requirement: smartsock_lang::Requirement,
     lists: HostLists,
-    rank: Option<(String, bool)>,
+    /// The `#!rank` directive, its variable resolved once per request.
+    rank: Option<(ServerVar, bool)>,
 }
 
 impl CompiledRequest {
@@ -99,13 +103,16 @@ impl CompiledRequest {
     }
 }
 
+#[derive(Clone, Debug, PartialEq)]
 struct Candidate {
     ip: Ip,
     preferred_rank: Option<usize>,
     /// Health score × freshness tier, quantized to ‰ so float noise
     /// cannot perturb the sort (higher is better).
     score_bucket: i64,
-    rank_value: f64,
+    /// The `#!rank` variable's value, negated when larger is better, so
+    /// that smaller always sorts first; 0 without a directive.
+    rank_key: f64,
 }
 
 /// Evaluate one status row against the compiled request; `Some` when the
@@ -147,12 +154,18 @@ fn consider_row(
         net_record: net_rec,
         same_group,
     };
-    let decision = Evaluator::evaluate(&creq.requirement, &sv);
-    if !decision.qualified {
+    if !Evaluator::evaluate(&creq.requirement, &sv).qualified {
         return None;
     }
     let preferred_rank = creq.lists.preferred.iter().position(|p| designates(p, report));
-    let rank_value = creq.rank.as_ref().and_then(|(var, _)| sv.lookup(var)).unwrap_or(0.0);
+    let rank_key = creq.rank.map_or(0.0, |(var, descending)| {
+        let value = sv.lookup(var).unwrap_or(0.0);
+        if descending {
+            -value
+        } else {
+            value
+        }
+    });
     // Staleness-aware discount: a row half-way to expiry is worth
     // less than one recorded this tick. Tiers (rather than a
     // continuous factor) keep steady-state testbeds — where every
@@ -174,41 +187,44 @@ fn consider_row(
         _ => 1.0,
     };
     let score_bucket = (view.health.score(ip, now) * freshness_tier * 1000.0).round() as i64;
-    Some(Candidate { ip, preferred_rank, score_bucket, rank_value })
+    Some(Candidate { ip, preferred_rank, score_bucket, rank_key })
 }
 
 /// Ordering: preferred first (by preference index), then healthier
 /// and fresher servers (score bucket, descending), then the rank
-/// directive, then address order for determinism.
-fn order_and_cap(
-    mut qualified: Vec<Candidate>,
-    rank: &Option<(String, bool)>,
-    server_num: u16,
-) -> Vec<Endpoint> {
-    qualified.sort_by(|a, b| {
-        let pa = a.preferred_rank.map_or(usize::MAX, |i| i);
-        let pb = b.preferred_rank.map_or(usize::MAX, |i| i);
-        pa.cmp(&pb)
-            .then_with(|| b.score_bucket.cmp(&a.score_bucket))
-            .then_with(|| match rank {
-                Some((_, descending)) => {
-                    let ord = a
-                        .rank_value
-                        .partial_cmp(&b.rank_value)
-                        .unwrap_or(std::cmp::Ordering::Equal);
-                    if *descending {
-                        ord.reverse()
-                    } else {
-                        ord
-                    }
-                }
-                None => std::cmp::Ordering::Equal,
-            })
-            .then_with(|| a.ip.cmp(&b.ip))
-    });
-    let cap = usize::from(server_num).min(MAX_SERVERS_PER_REPLY);
-    qualified.truncate(cap);
-    qualified.into_iter().map(|c| Endpoint::new(c.ip, ports::SERVICE)).collect()
+/// directive, then address order — the tie-break that makes the order
+/// total, so "the best k" is one list however it is computed.
+fn best_first(a: &Candidate, b: &Candidate) -> Ordering {
+    let preferred = |c: &Candidate| c.preferred_rank.unwrap_or(usize::MAX);
+    preferred(a)
+        .cmp(&preferred(b))
+        .then_with(|| b.score_bucket.cmp(&a.score_bucket))
+        .then_with(|| a.rank_key.partial_cmp(&b.rank_key).unwrap_or(Ordering::Equal))
+        .then_with(|| a.ip.cmp(&b.ip))
+}
+
+/// Offer `c` to `kept`, the best `cap` candidates so far, best first. What
+/// is kept is exactly the head of the full sort, without holding — or
+/// sorting — the tail no reply can carry.
+fn offer(kept: &mut Vec<Candidate>, cap: usize, c: Candidate) {
+    if kept.len() >= cap {
+        // Full: dropped on arrival unless it beats the last place.
+        match kept.last() {
+            Some(last) if best_first(&c, last).is_lt() => kept.pop(),
+            _ => return,
+        };
+    }
+    let at = kept.partition_point(|k| best_first(k, &c).is_lt());
+    kept.insert(at, c);
+}
+
+/// How many servers a reply to a request for `server_num` may carry.
+fn reply_cap(server_num: u16) -> usize {
+    usize::from(server_num).min(MAX_SERVERS_PER_REPLY)
+}
+
+fn endpoints(chosen: Vec<Candidate>) -> Vec<Endpoint> {
+    chosen.into_iter().map(|c| Endpoint::new(c.ip, ports::SERVICE)).collect()
 }
 
 /// Adapts a shard's [`VarRanges`] rollup to the interval analyser. Names
@@ -230,9 +246,12 @@ impl RangeProvider for ShardRanges<'_> {
 /// Since the fleet scale-out the scan is *prune-then-descend*: each /24
 /// shard's summary is checked first, and a shard is skipped wholesale
 /// when every row in it is provably stale or provably unqualifiable
-/// (interval analysis, `smartsock_lang::may_qualify`). Pruning is
-/// behaviourally invisible — `select` returns exactly what
-/// [`select_flat`] would, property-tested below.
+/// (interval analysis, `smartsock_lang::may_qualify`). A row that
+/// qualifies is kept only while it is among the best
+/// `min(server_num, 60)` seen so far — the reply is bounded, so the
+/// selection is too. Neither is behaviourally visible: `select` returns
+/// exactly what [`select_flat`] — every row, every qualifier sorted, then
+/// cut — would, property-tested below.
 pub fn select(
     view: &SelectView<'_>,
     policy: &SelectPolicy,
@@ -257,7 +276,8 @@ pub fn select_with_stats(
     };
     let client_mon = view.group_map.get(&client_ip).copied();
 
-    let mut qualified: Vec<Candidate> = Vec::new();
+    let cap = reply_cap(req.server_num);
+    let mut best = Vec::new();
     for (_subnet, shard) in view.sysdb.iter_shards() {
         let summary = shard.summary();
         // Staleness prune: `newest_recorded_at` is never older than the
@@ -273,16 +293,17 @@ pub fn select_with_stats(
         for (&ip, timed) in shard.rows() {
             stats.rows_evaluated += 1;
             if let Some(c) = consider_row(view, policy, now, &creq, client_mon, ip, timed) {
-                qualified.push(c);
+                offer(&mut best, cap, c);
             }
         }
     }
-    (order_and_cap(qualified, &creq.rank, req.server_num), stats)
+    (endpoints(best), stats)
 }
 
-/// Reference implementation: the pre-sharding flat scan over every row.
-/// Kept (and exercised by property tests) to pin that shard pruning
-/// never changes a reply.
+/// Reference implementation: the pre-sharding flat scan over every row,
+/// every qualifier collected and sorted. Kept (and exercised by property
+/// tests) to pin that neither shard pruning nor the bounded selection
+/// ever changes a reply.
 pub fn select_flat(
     view: &SelectView<'_>,
     policy: &SelectPolicy,
@@ -294,12 +315,14 @@ pub fn select_flat(
         return Vec::new();
     };
     let client_mon = view.group_map.get(&client_ip).copied();
-    let qualified = view
+    let mut qualified: Vec<Candidate> = view
         .sysdb
         .iter()
         .filter_map(|(&ip, timed)| consider_row(view, policy, now, &creq, client_mon, ip, timed))
         .collect();
-    order_and_cap(qualified, &creq.rank, req.server_num)
+    qualified.sort_by(best_first);
+    qualified.truncate(reply_cap(req.server_num));
+    endpoints(qualified)
 }
 
 /// Does a user host designator (IP, domain or bare name) refer to this
@@ -311,13 +334,16 @@ pub(crate) fn designates(designator: &str, report: &ServerStatusReport) -> bool 
     report.host.matches(&smartsock_proto::HostName::new(designator))
 }
 
-/// Parse the `#!rank <var> [asc|desc]` directive, if present.
-pub(crate) fn parse_rank_directive(detail: &str) -> Option<(String, bool)> {
+/// Parse the `#!rank <var> [asc|desc]` directive, if present: the
+/// variable, resolved, and whether larger is better. Ranking by a name
+/// that is not a server variable would give every candidate the same
+/// value, so it is no directive.
+pub(crate) fn parse_rank_directive(detail: &str) -> Option<(ServerVar, bool)> {
     for line in detail.lines() {
         let line = line.trim();
         if let Some(rest) = line.strip_prefix("#!rank") {
             let mut it = rest.split_ascii_whitespace();
-            let var = it.next()?.to_owned();
+            let var = ServerVar::from_name(it.next()?)?;
             let descending = match it.next() {
                 Some("asc") => false,
                 Some("desc") | None => true,
@@ -1024,6 +1050,48 @@ mod tests {
             proptest::prop_assert!(stats.rows_evaluated <= e.live_servers());
             proptest::prop_assert!(stats.shards_pruned <= stats.shards_total);
             proptest::prop_assert_eq!(stats.shards_total, e.sysdb.read().shard_count());
+        }
+    }
+
+    proptest::proptest! {
+        /// The bounded selection is the head of the full sort: whatever
+        /// arrives in whatever order, `offer` ends up keeping exactly what
+        /// sorting every candidate and cutting would — ties in every key
+        /// but the address included.
+        #[test]
+        fn streaming_selection_is_the_head_of_the_full_sort(
+            keys in proptest::collection::vec((0usize..4, 0i64..3, -2i32..3, 0u64..u64::MAX), 0..200),
+            cap_idx in 0usize..6,
+        ) {
+            // Few distinct values per key (rank keys of both signs, as
+            // `asc` and `desc` produce), so most candidates differ from
+            // some other in nothing but the address; arrival order is the
+            // shuffle the last component induces.
+            let mut arrivals: Vec<(u64, Candidate)> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &(preferred, score, rank, at))| {
+                    let c = Candidate {
+                        ip: Ip::new(10, 0, (i / 250) as u8, (i % 250) as u8),
+                        preferred_rank: preferred.checked_sub(1),
+                        score_bucket: 250 * score,
+                        rank_key: f64::from(rank),
+                    };
+                    (at, c)
+                })
+                .collect();
+            arrivals.sort_by_key(|(at, _)| *at);
+            let cap = reply_cap([0, 1, 8, 60, 61, 1000][cap_idx]);
+
+            let mut best = Vec::new();
+            for (_, c) in &arrivals {
+                offer(&mut best, cap, c.clone());
+                proptest::prop_assert!(best.len() <= cap);
+            }
+            let mut all: Vec<Candidate> = arrivals.into_iter().map(|(_, c)| c).collect();
+            all.sort_by(best_first);
+            all.truncate(cap);
+            proptest::prop_assert_eq!(best, all);
         }
     }
 

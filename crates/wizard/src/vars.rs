@@ -2,7 +2,7 @@
 //! variables (Appendix B.1), `host_security_level` and the `monitor_*`
 //! network metrics onto one candidate's records.
 
-use smartsock_lang::VarProvider;
+use smartsock_lang::{ServerVar, VarProvider};
 use smartsock_monitor::db::report_var;
 use smartsock_proto::{NetPathRecord, ServerStatusReport};
 
@@ -25,12 +25,15 @@ const LOCAL_BW_MBPS: f64 = 1000.0;
 const LOCAL_DELAY_MS: f64 = 0.1;
 
 impl VarProvider for ServerVars<'_> {
-    fn lookup(&self, name: &str) -> Option<f64> {
+    #[inline]
+    fn lookup(&self, var: ServerVar) -> Option<f64> {
         let r = self.report;
-        // What the report itself carries: the shard summaries' table.
-        if let Some(v) = report_var(r, name) {
+        // What the report itself carries: the shard summaries' table,
+        // which the language's index addresses directly.
+        if let Some(v) = report_var(r, var.index()) {
             return Some(v);
         }
+        let name = var.name();
         Some(match name {
             "host_security_level" => f64::from(self.security_level?),
             _ if name.starts_with("host_service_") => {
@@ -70,6 +73,11 @@ mod tests {
         ServerVars { report, security_level: Some(4), net_record: None, same_group: true }
     }
 
+    /// Resolve `name` as the compiler does, then ask the provider.
+    fn lookup(v: &ServerVars<'_>, name: &str) -> Option<f64> {
+        v.lookup(ServerVar::from_name(name).unwrap_or_else(|| panic!("{name} is not server-side")))
+    }
+
     #[test]
     fn every_documented_server_var_resolves() {
         let mut r = ServerStatusReport::empty("h", Ip::new(10, 0, 0, 1));
@@ -77,18 +85,18 @@ mod tests {
         r.mem_free = 1 << 30;
         let v = view(&r);
         for name in smartsock_lang::SERVER_VARS {
-            assert!(v.lookup(name).is_some(), "unresolved server var {name}");
+            assert!(lookup(&v, name).is_some(), "unresolved server var {name}");
         }
-        assert_eq!(v.lookup("host_system_load1"), Some(0.5));
-        assert_eq!(v.lookup("host_memory_free"), Some((1u64 << 30) as f64));
+        assert_eq!(lookup(&v, "host_system_load1"), Some(0.5));
+        assert_eq!(lookup(&v, "host_memory_free"), Some((1u64 << 30) as f64));
     }
 
     #[test]
     fn monitor_vars_resolve_locally_and_remotely() {
         let r = ServerStatusReport::empty("h", Ip::new(10, 0, 0, 1));
         let local = view(&r);
-        assert_eq!(local.lookup("monitor_network_bw"), Some(1000.0));
-        assert_eq!(local.lookup("monitor_network_delay"), Some(0.1));
+        assert_eq!(lookup(&local, "monitor_network_bw"), Some(1000.0));
+        assert_eq!(lookup(&local, "monitor_network_delay"), Some(0.1));
 
         let remote = ServerVars {
             report: &r,
@@ -102,20 +110,24 @@ mod tests {
             }),
             same_group: false,
         };
-        assert_eq!(remote.lookup("monitor_network_bw"), Some(6.72));
-        assert_eq!(remote.lookup("monitor_network_delay"), Some(7.5));
+        assert_eq!(lookup(&remote, "monitor_network_bw"), Some(6.72));
+        assert_eq!(lookup(&remote, "monitor_network_delay"), Some(7.5));
 
         let unknown =
             ServerVars { report: &r, security_level: None, net_record: None, same_group: false };
-        assert_eq!(unknown.lookup("monitor_network_bw"), None);
-        assert_eq!(unknown.lookup("host_security_level"), None);
+        assert_eq!(lookup(&unknown, "monitor_network_bw"), None);
+        assert_eq!(lookup(&unknown, "host_security_level"), None);
     }
 
     #[test]
     fn unknown_names_return_none() {
         let r = ServerStatusReport::empty("h", Ip::new(10, 0, 0, 1));
-        assert_eq!(view(&r).lookup("host_gpu_count"), None);
-        assert_eq!(view(&r).lookup("host_service_quantum"), None);
+        // Names the provider used to refuse are now refused a binding: the
+        // compiler makes them temps, and the provider is never asked.
+        assert_eq!(ServerVar::from_name("host_gpu_count"), None);
+        assert_eq!(ServerVar::from_name("host_service_quantum"), None);
+        let req = smartsock_lang::compile("host_service_quantum = 1\nhost_service_quantum > 0\n");
+        assert!(smartsock_lang::Evaluator::evaluate(&req.unwrap(), &view(&r)).qualified);
     }
 
     #[test]
@@ -130,6 +142,12 @@ mod tests {
             .collect();
         let names: Vec<&str> = REPORT_VARS.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, from_lang);
+        // Indices: the compiler's index for a server variable addresses
+        // this table exactly when the variable is one the report carries.
+        for (i, name) in smartsock_lang::SERVER_VARS.into_iter().enumerate() {
+            assert_eq!(ServerVar::from_name(name).unwrap().index(), i);
+            assert_eq!(REPORT_VARS.get(i).map(|(n, _)| *n), (i < 21).then_some(name), "{name}");
+        }
 
         // Bindings: 21 distinct values, so a swapped extractor shows; the
         // provider serves each name bit for bit what the shard summaries
@@ -181,7 +199,7 @@ mod tests {
         let v = view(&r);
         for ((name, get), want) in REPORT_VARS.iter().zip(want) {
             assert_eq!(get(&r), want, "{name} reads the wrong field");
-            assert_eq!(v.lookup(name), Some(want), "provider disagrees on {name}");
+            assert_eq!(lookup(&v, name), Some(want), "provider disagrees on {name}");
         }
     }
 
@@ -191,7 +209,7 @@ mod tests {
         let mut r = ServerStatusReport::empty("h", Ip::new(10, 0, 0, 1));
         r.services = ServiceMask::FILE;
         let v = view(&r);
-        assert_eq!(v.lookup("host_service_file"), Some(1.0));
-        assert_eq!(v.lookup("host_service_compute"), Some(0.0));
+        assert_eq!(lookup(&v, "host_service_file"), Some(1.0));
+        assert_eq!(lookup(&v, "host_service_compute"), Some(0.0));
     }
 }

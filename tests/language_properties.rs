@@ -125,13 +125,16 @@ proptest! {
     }
 
     /// Pretty-printing a compiled requirement and recompiling yields the
-    /// same statements — Display and the parser agree on precedence.
+    /// same statements — Display and the parser agree on precedence — and,
+    /// once the text is the rendered one, the same requirement outright:
+    /// bindings and lowered program included.
     #[test]
     fn pretty_print_roundtrip(src in arb_requirement()) {
         let req = compile(&src).unwrap();
         let text = req.to_text();
         let back = compile(&text).unwrap_or_else(|e| panic!("re-parse of {text:?} failed: {e}"));
-        prop_assert_eq!(back.stmts, req.stmts);
+        prop_assert_eq!(&back.stmts, &req.stmts);
+        prop_assert_eq!(compile(&back.to_text()).unwrap(), back);
     }
 
     /// Numbers survive the lexer round trip.
