@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Live-backend end-to-end smoke: run the real `smartsockd` daemon over
 # loopback UDP, feed it a synthetic probe report and two procfs-fixture
-# reports, issue a request and a hostile one, then stop it gracefully and
-# check the stats and the exported telemetry trace. Single source of truth for CI
+# reports, issue a request, a hostile one and one nobody answers, then stop
+# it gracefully and check the stats and the exported telemetry trace. Single source of truth for CI
 # (ci.yml `live-smoke` job, under a hard timeout) and for local runs:
 #
 #   ./ci/live_smoke.sh
@@ -68,6 +68,15 @@ out="$("$bin" request --wizard "$addr" --servers 2 --req "$deep" --json)"
 echo "$out" | grep -q '"servers":\[\]'
 "$bin" request --wizard "$addr" --servers 2 --req 'host_cpu_free > 0.9' --json \
   | grep -q '192.168.3.10:1200'
+
+echo "== a request to a closed port gives up within its budget =="
+# --retries 0 is one attempt: one --timeout-ms wait, then a non-zero exit.
+# The hard cap is 2x the timeout (the bounded wait, end to end).
+if timeout 1 "$bin" request --wizard 127.0.0.1:9 --retries 0 --timeout-ms 500; then
+  echo "a request nobody answered reported success"; exit 1
+elif [ $? -eq 124 ]; then
+  echo "request --retries 0 --timeout-ms 500 was still waiting after 1 s"; exit 1
+fi
 
 echo "== graceful stop & daemon stats =="
 echo >&3

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Non-test Rust lines per crate, so the trend ROADMAP item 3 tracks (one
-# protocol core, two thin drivers, then the diet) is visible in CI output.
+# Non-test Rust lines per crate, and how they split between the paper's
+# system, the simulator it runs on and the tooling around both (ROADMAP
+# item 5), so the trends are visible in CI output.
 #
 # "Non-test" is what ships: every line of a crate's src/**/*.rs above the
 # file's first `#[cfg(test)]` (unit-test modules sit at the bottom of their
@@ -11,7 +12,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The paper's system and its simulated substrate; every other crate, and
+# the vendor shims, are tooling.
+system=" probe monitor wizard lang proto wire core live apps "
+simulator=" sim net hostsim "
+
 total=0
+system_total=0
+simulator_total=0
 printf '%-12s %8s\n' crate non-test
 for dir in crates/*/ vendor/*/; do
     [ -d "${dir}src" ] || continue
@@ -20,7 +28,11 @@ for dir in crates/*/ vendor/*/; do
         n="$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")"
         lines=$((lines + n))
     done < <(find "${dir}src" -name '*.rs' -print0)
-    printf '%-12s %8d\n' "$(basename "$dir")" "$lines"
+    name="$(basename "$dir")"
+    printf '%-12s %8d\n' "$name" "$lines"
     total=$((total + lines))
+    case "$system" in *" $name "*) system_total=$((system_total + lines)) ;; esac
+    case "$simulator" in *" $name "*) simulator_total=$((simulator_total + lines)) ;; esac
 done
-printf '%-12s %8d\n' total "$total"
+printf '%-12s %8d\n' system "$system_total" simulator "$simulator_total" \
+    tooling "$((total - system_total - simulator_total))" total "$total"

@@ -1,19 +1,12 @@
-//! The client library (paper §3.6.2).
+//! The simulated client: [`SmartClient`] drives the one client engine
+//! (`smartsock_wizard::client`, paper §3.6.2 — the protocol walkthrough
+//! lives there) on the simulator's scheduler.
 //!
-//! Protocol walkthrough, matching the thesis step by step:
-//!
-//! 1. the library takes the user's requirement (from text; the thesis
-//!    reads a requirement file) and attaches a random sequence number, the
-//!    requested server count and the option field (Table 3.5);
-//! 2. sends it to the wizard as one UDP datagram;
-//! 3. waits for the reply, matching the sequence number, checking the
-//!    returned count against the request, and applying the shortfall
-//!    policy from the option field;
-//! 4. connects to the service port of each candidate and hands the caller
-//!    the group of connected sockets.
-//!
-//! UDP is unreliable, so the client retries with a timeout — the thesis
-//! leaves recovery unspecified; we document timeouts as library policy.
+//! The engine decides everything about a request — the reply check, the
+//! retry ladder, the deadline, the hedge, outcome reports, the telemetry.
+//! What is left here is what only the simulator has: the reply port's
+//! binding, scheduler events behind the engine's timers, the seeded RNG,
+//! the simulated service connections (step 4) and the caller's callbacks.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -21,118 +14,13 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use smartsock_net::{Network, Payload, StreamMessage};
+use smartsock_net::{Network, Payload, SimTransport, StreamMessage};
 use smartsock_proto::consts::ports;
-use smartsock_proto::{
-    Endpoint, Ip, OutcomeKind, OutcomeReport, ReplyStatus, RequestOption, UserRequest, WizardReply,
-};
-use smartsock_sim::{rng as simrng, EventId, Scheduler, SimDuration, SimTime, SpanId};
+use smartsock_proto::{Endpoint, Ip, OutcomeKind};
+use smartsock_sim::{rng as simrng, EventId, Scheduler, SimTime};
+use smartsock_wizard::client::{ClientEngine, Entropy, Output, Outputs, Timer};
 
-/// Why a request failed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ClientError {
-    /// The wizard was reachable but never replied within the retry budget
-    /// — a transient condition worth backing off on.
-    Timeout { retries: u32 },
-    /// The path to the wizard was down when the request gave up — a
-    /// permanent (from the client's vantage point) condition: backing off
-    /// would only have delayed the verdict, so the client does not.
-    Unreachable { retries: u32 },
-    /// The request's total time budget ran out before any attempt
-    /// resolved.
-    DeadlineExceeded,
-    /// Wizard replied with fewer servers than requested and the option
-    /// demanded the exact count.
-    Shortfall { requested: u16, returned: u16 },
-    /// Wizard found no qualifying server at all.
-    NoServers,
-    /// Every offered server refused the service connection.
-    AllConnectionsFailed,
-}
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::Timeout { retries } => {
-                write!(f, "wizard did not reply after {retries} retries")
-            }
-            ClientError::Unreachable { retries } => {
-                write!(f, "wizard unreachable after {retries} retries")
-            }
-            ClientError::DeadlineExceeded => f.write_str("request deadline exceeded"),
-            ClientError::Shortfall { requested, returned } => {
-                write!(f, "only {returned} of {requested} servers available")
-            }
-            ClientError::NoServers => f.write_str("no server satisfies the requirement"),
-            ClientError::AllConnectionsFailed => f.write_str("no offered server accepted"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
-
-/// One request's parameters.
-#[derive(Clone, Debug)]
-pub struct RequestSpec {
-    /// The requirement text in the meta language.
-    pub requirement: String,
-    /// How many servers to ask for.
-    pub servers: u16,
-    pub option: RequestOption,
-    /// Per-attempt reply timeout.
-    pub timeout: SimDuration,
-    /// Additional attempts after the first.
-    pub retries: u32,
-    /// Hard time budget for the whole request, retries included. Every
-    /// retry's timeout is clamped to the *remaining* budget (it never
-    /// sees a fresh one); when the budget runs out the request fails with
-    /// [`ClientError::DeadlineExceeded`]. `None` (the default) keeps the
-    /// legacy unbounded behaviour.
-    pub deadline: Option<SimDuration>,
-    /// Hedge delay: if the request has not resolved this long after it
-    /// was issued, speculatively re-issue it to the wizard under a fresh
-    /// sequence number and take whichever reply lands first, cancelling
-    /// the loser. One hedge per request. `None` (the default) disables
-    /// hedging.
-    pub hedge_delay: Option<SimDuration>,
-}
-
-impl RequestSpec {
-    pub fn new(requirement: impl Into<String>, servers: u16) -> RequestSpec {
-        RequestSpec {
-            requirement: requirement.into(),
-            servers,
-            option: RequestOption::DEFAULT,
-            timeout: SimDuration::from_secs(2),
-            retries: 2,
-            deadline: None,
-            hedge_delay: None,
-        }
-    }
-
-    /// Fail unless the full server count is found.
-    pub fn exact(mut self) -> RequestSpec {
-        self.option = RequestOption::EXACT;
-        self
-    }
-
-    pub fn with_template(mut self, id: u8) -> RequestSpec {
-        self.option.template = Some(id);
-        self
-    }
-
-    /// Bound the whole request (retries included) by a time budget.
-    pub fn with_deadline(mut self, deadline: SimDuration) -> RequestSpec {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Arm one speculative re-issue after `delay` (tail-latency hedging).
-    pub fn with_hedge(mut self, delay: SimDuration) -> RequestSpec {
-        self.hedge_delay = Some(delay);
-        self
-    }
-}
+pub use smartsock_wizard::client::{ClientError, RequestSpec};
 
 /// A connected smart socket: one endpoint of the returned group.
 #[derive(Clone)]
@@ -173,58 +61,26 @@ impl std::fmt::Debug for SmartSock {
     }
 }
 
-struct Pending {
-    spec: RequestSpec,
-    attempts_left: u32,
-    /// Which attempt the armed timeout belongs to. A timeout event carries
-    /// the attempt it was scheduled for; if the stamps disagree the event
-    /// is stale (cancelled-but-fired, or racing a retransmit) and must
-    /// never consume the callback.
-    attempt: u32,
-    timeout_event: EventId,
-    /// End-to-end "client-request" span: opened when the user calls
-    /// `request`, survives retries, closed when the request resolves.
-    span: SpanId,
-    /// Absolute deadline and its armed event (primary entries only). The
-    /// event is scheduled *before* the first attempt's timeout, so at an
-    /// exactly-coinciding firing time the deadline wins the scheduler's
-    /// FIFO tie-break and the request fails with `DeadlineExceeded`.
-    deadline_at: Option<SimTime>,
-    deadline_event: Option<EventId>,
-    /// Armed hedge timer (primary, before the hedge fires).
-    hedge_timer: Option<EventId>,
-    /// Outstanding hedge's sequence number (primary, after it fires).
-    hedge_seq: Option<u32>,
-    /// Back-pointer to the primary request (hedge entries only).
-    hedge_of: Option<u32>,
-}
-
-/// Request-scoped bookkeeping that must survive retransmits (a retry
-/// replaces the `Pending` entry, but the deadline and hedge belong to the
-/// request, not the attempt).
-#[derive(Clone, Copy, Default)]
-struct Carry {
-    deadline_at: Option<SimTime>,
-    deadline_event: Option<EventId>,
-    hedge_timer: Option<EventId>,
-    hedge_seq: Option<u32>,
-}
-
-impl Carry {
-    fn of(p: &Pending) -> Carry {
-        Carry {
-            deadline_at: p.deadline_at,
-            deadline_event: p.deadline_event,
-            hedge_timer: p.hedge_timer,
-            hedge_seq: p.hedge_seq,
-        }
-    }
-}
-
 struct ClientState {
-    pending: BTreeMap<u32, Pending>,
+    engine: ClientEngine,
+    /// Result callbacks of the requests in flight, by sequence number.
+    callbacks: BTreeMap<u32, ResultCb>,
+    /// The scheduler events behind the engine's armed timers.
+    timers: BTreeMap<Timer, EventId>,
     next_port: u16,
     rng: rand::rngs::StdRng,
+}
+
+/// The engine's randomness, drawn from the client's seeded stream.
+struct Draw<'a>(&'a mut rand::rngs::StdRng);
+
+impl Entropy for Draw<'_> {
+    fn seq(&mut self) -> u32 {
+        self.0.gen()
+    }
+    fn jitter(&mut self) -> f64 {
+        self.0.gen_range(0.0..0.25)
+    }
 }
 
 /// The Smart socket client library instance for one client machine.
@@ -232,7 +88,7 @@ struct ClientState {
 pub struct SmartClient {
     net: Network,
     ip: Ip,
-    wizard: Endpoint,
+    wizard_ip: Ip,
     reply_ep: Endpoint,
     /// Feed the wizard's health table with connect outcomes (opt-in).
     report_outcomes: bool,
@@ -246,14 +102,19 @@ impl SmartClient {
     /// `seed` drives the request sequence numbers.
     pub fn new(net: Network, ip: Ip, wizard_ip: Ip, seed: u64) -> SmartClient {
         let reply_ep = Endpoint::new(ip, 47000);
+        let wizard = |port| Endpoint::new(wizard_ip, port);
+        let engine =
+            ClientEngine::new(reply_ep, wizard(ports::WIZARD), wizard(ports::WIZARD_HEALTH));
         SmartClient {
             net,
             ip,
-            wizard: Endpoint::new(wizard_ip, ports::WIZARD),
+            wizard_ip,
             reply_ep,
             report_outcomes: false,
             st: Rc::new(RefCell::new(ClientState {
-                pending: BTreeMap::new(),
+                engine,
+                callbacks: BTreeMap::new(),
+                timers: BTreeMap::new(),
                 next_port: 47100,
                 rng: simrng::derive_indexed(seed, "smart-client", u64::from(ip.0)),
             })),
@@ -278,15 +139,10 @@ impl SmartClient {
     /// calls it for connect-time outcomes when
     /// [`with_outcome_reports`](Self::with_outcome_reports) is on.
     pub fn report_outcome(&self, s: &mut Scheduler, server: Ip, outcome: OutcomeKind) {
-        s.telemetry.counter_incr("client-outcome-reports");
-        let rep = OutcomeReport { server, outcome };
-        self.net.send_udp(
-            s,
-            self.reply_ep,
-            Endpoint::new(self.wizard.ip, ports::WIZARD_HEALTH),
-            Payload::data(rep.encode().freeze()),
-            None,
-        );
+        self.drive(s, |engine, t, _| {
+            engine.report_outcome(t, server, outcome);
+            Outputs::default()
+        });
     }
 
     /// Request a group of servers; `on_result` receives the connected
@@ -297,368 +153,98 @@ impl SmartClient {
         spec: RequestSpec,
         on_result: impl FnOnce(&mut Scheduler, Result<Vec<SmartSock>, ClientError>) + 'static,
     ) {
-        self.ensure_reply_socket();
-        let seq: u32 = self.st.borrow_mut().rng.gen();
-        let span = s.telemetry.span_start("client-request", &self.ip.to_string());
-        // Arm the request-scoped timers before the first attempt so that,
-        // on an exact tie, the deadline outranks an attempt timeout in the
-        // scheduler's FIFO order.
-        let deadline_at = spec.deadline.map(|d| s.now() + d);
-        let deadline_event = spec.deadline.map(|d| {
-            let client = self.clone();
-            s.schedule_in(d, move |s| client.on_deadline(s, seq))
-        });
-        let hedge_timer = spec.hedge_delay.map(|d| {
-            let client = self.clone();
-            s.schedule_in(d, move |s| client.on_hedge_fire(s, seq))
-        });
-        let carry = Carry { deadline_at, deadline_event, hedge_timer, hedge_seq: None };
-        self.send_attempt(s, seq, spec, 0, span, carry, Box::new(on_result));
-    }
-
-    fn ensure_reply_socket(&self) {
-        // Bind (idempotently) the shared reply port; replies dispatch on
-        // the sequence number (§3.6.2 step 3).
+        // Bind (idempotently) the shared reply port; the engine dispatches
+        // replies on the sequence number (§3.6.2 step 3).
         let client = self.clone();
         self.net.bind_udp(self.reply_ep, move |s, dgram| {
-            let Ok(reply) = WizardReply::decode(&dgram.payload.data) else {
-                s.telemetry.counter_incr("client-bad-replies");
-                return;
-            };
-            client.on_reply(s, reply);
+            client.drive(s, |engine, _, _| engine.datagram(dgram.from, &dgram.payload.data));
         });
+        let seq: u32 = {
+            let mut st = self.st.borrow_mut();
+            let seq = st.rng.gen();
+            st.callbacks.insert(seq, Box::new(on_result));
+            seq
+        };
+        self.drive(s, |engine, t, _| engine.start(t, &spec, seq));
     }
 
-    /// One wizard attempt. `attempt` 0 waits the base timeout; retries
-    /// wait exponentially longer (doubling, capped at 8× base) with a
-    /// deterministic jitter drawn from the client RNG — the classic
-    /// backoff that keeps a herd of retrying clients from re-synchronizing
-    /// on a recovering wizard. Backoff is skipped entirely while the path
-    /// to the wizard is down: the loss is not congestion, so stretching
-    /// the wait only delays the verdict. A deadline clamps every attempt's
-    /// timeout to the remaining budget.
-    #[allow(clippy::too_many_arguments)]
-    fn send_attempt(
+    /// One engine call: run it over the simulated transport, write down
+    /// its telemetry, then act on what it asks for — timers become
+    /// scheduler events (in the engine's order, which FIFO tie-breaks
+    /// rely on), a resolution becomes connects and the caller's callback.
+    fn drive(
         &self,
         s: &mut Scheduler,
-        seq: u32,
-        spec: RequestSpec,
-        attempt: u32,
-        span: SpanId,
-        carry: Carry,
-        cb: ResultCb,
+        call: impl FnOnce(&mut ClientEngine, &mut SimTransport<'_>, &mut Draw<'_>) -> Outputs,
     ) {
-        let attempts_left = spec.retries.saturating_sub(attempt);
-        let req = UserRequest {
-            seq,
-            server_num: spec.servers,
-            option: spec.option,
-            detail: spec.requirement.clone(),
+        let outputs = {
+            let st = &mut *self.st.borrow_mut();
+            let outputs =
+                call(&mut st.engine, &mut SimTransport::new(s, &self.net), &mut Draw(&mut st.rng));
+            st.engine.record(&mut s.telemetry);
+            outputs
         };
-        s.telemetry.counter_incr("client-requests");
-        self.net.send_udp(
-            s,
-            self.reply_ep,
-            self.wizard,
-            Payload::data(req.encode().freeze()),
-            None,
-        );
-        let reachable = self.net.reachable(self.ip, self.wizard.ip);
-        let timeout = if attempt == 0 || !reachable {
-            spec.timeout
-        } else {
-            let factor = (1u64 << attempt.min(3)) as f64;
-            let jitter: f64 = self.st.borrow_mut().rng.gen_range(0.0..0.25);
-            let t =
-                SimDuration::from_secs_f64(spec.timeout.as_secs_f64() * factor * (1.0 + jitter));
-            let extra_ms = t.as_nanos().saturating_sub(spec.timeout.as_nanos()) / 1_000_000;
-            s.telemetry.counter_add("client-backoff-ms-total", extra_ms);
-            s.telemetry.event(
-                "client-backoff",
-                &self.ip.to_string(),
-                &[("attempt", &attempt.to_string()), ("extra-ms", &extra_ms.to_string())],
-            );
-            t
-        };
-        // Propagated time budget: a retry only ever sees what is left.
-        let timeout = match carry.deadline_at {
-            Some(at) => timeout.min(at.since(s.now())),
-            None => timeout,
-        };
-        let client = self.clone();
-        let timeout_event = s.schedule_in(timeout, move |s| client.on_timeout(s, seq, attempt));
-        self.st.borrow_mut().pending.insert(
-            seq,
-            Pending {
-                spec,
-                attempts_left,
-                attempt,
-                timeout_event,
-                span,
-                deadline_at: carry.deadline_at,
-                deadline_event: carry.deadline_event,
-                hedge_timer: carry.hedge_timer,
-                hedge_seq: carry.hedge_seq,
-                hedge_of: None,
-            },
-        );
-        // Store the callback alongside (separate map keeps Pending Send-free
-        // of the closure's type).
-        CALLBACKS.with(|c| c.borrow_mut().insert((self.ip.0, seq), cb));
-    }
-
-    /// Remove a primary request and everything attached to it: its armed
-    /// timeout, deadline and hedge timer, plus any outstanding hedge
-    /// entry (whose span is closed here). Every resolution path funnels
-    /// through this so no timer or span can leak.
-    fn take_request(&self, s: &mut Scheduler, seq: u32) -> Option<Pending> {
-        let (primary, hedge) = {
-            let mut st = self.st.borrow_mut();
-            let primary = st.pending.remove(&seq)?;
-            let hedge = primary.hedge_seq.and_then(|hs| st.pending.remove(&hs));
-            (primary, hedge)
-        };
-        s.cancel(primary.timeout_event);
-        if let Some(ev) = primary.deadline_event {
-            s.cancel(ev);
-        }
-        if let Some(ev) = primary.hedge_timer {
-            s.cancel(ev);
-        }
-        if let Some(h) = hedge {
-            s.cancel(h.timeout_event);
-            s.telemetry.span_end(h.span);
-        }
-        Some(primary)
-    }
-
-    fn on_reply(&self, s: &mut Scheduler, reply: WizardReply) {
-        // The sequence number may belong to a primary request or to its
-        // hedge: either way the *primary* entry owns the callback and the
-        // end-to-end span, and the losing twin is torn down.
-        let (primary_seq, hedge_won) = {
-            let st = self.st.borrow();
-            match st.pending.get(&reply.seq) {
-                None => {
-                    drop(st);
-                    s.telemetry.counter_incr("client-unmatched-replies");
-                    return;
+        for output in outputs.into_iter().flatten() {
+            match output {
+                Output::Arm(timer, at) => {
+                    let client = self.clone();
+                    let event = s.schedule_at(SimTime(at), move |s| client.on_timer(s, timer));
+                    self.st.borrow_mut().timers.insert(timer, event);
                 }
-                Some(p) => match p.hedge_of {
-                    Some(ps) => (ps, true),
-                    None => (reply.seq, false),
-                },
+                Output::Resolved(seq, result) => {
+                    let cb = {
+                        let mut st = self.st.borrow_mut();
+                        st.timers.retain(|timer, event| {
+                            if timer.0 == seq {
+                                s.cancel(*event);
+                            }
+                            timer.0 != seq
+                        });
+                        st.callbacks.remove(&seq)
+                    };
+                    if let Some(cb) = cb {
+                        let result = result.and_then(|servers| self.connect_all(s, &servers));
+                        cb(s, result);
+                    }
+                }
             }
-        };
-        let Some(pending) = self.take_request(s, primary_seq) else {
-            // A hedge whose primary vanished (cannot normally happen: the
-            // primary's teardown removes the hedge entry too).
-            s.telemetry.counter_incr("client-unmatched-replies");
-            return;
-        };
-        if hedge_won {
-            s.telemetry.counter_incr("client-hedges-won");
-            s.telemetry.event("client-hedge-won", &self.ip.to_string(), &[]);
         }
-        let Some(cb) = CALLBACKS.with(|c| c.borrow_mut().remove(&(self.ip.0, primary_seq))) else {
-            return;
-        };
-        let status = reply.status(pending.spec.servers);
-        let result = match status {
-            ReplyStatus::Empty => Err(ClientError::NoServers),
-            ReplyStatus::Short { requested, returned } if !pending.spec.option.accept_fewer => {
-                Err(ClientError::Shortfall { requested, returned })
-            }
-            _ => Ok(self.connect_all(s, &reply.servers)),
-        };
-        let result = match result {
-            Ok(socks) if socks.is_empty() => Err(ClientError::AllConnectionsFailed),
-            other => other,
-        };
-        s.telemetry.counter_incr("client-responses");
-        s.telemetry.span_end(pending.span);
-        cb(s, result);
+    }
+
+    fn on_timer(&self, s: &mut Scheduler, timer: Timer) {
+        self.st.borrow_mut().timers.remove(&timer);
+        let path_up = self.net.reachable(self.ip, self.wizard_ip);
+        self.drive(s, |engine, t, rnd| engine.fired(t, timer, path_up, rnd));
     }
 
     /// §3.6.2 step 4: connect to each candidate's service port. A server
     /// that stopped listening between selection and connect is skipped —
     /// the recovery behaviour Fig 1.1 motivates. With outcome reporting
     /// on, both verdicts flow back to the wizard's health table.
-    fn connect_all(&self, s: &mut Scheduler, servers: &[Endpoint]) -> Vec<SmartSock> {
+    fn connect_all(
+        &self,
+        s: &mut Scheduler,
+        servers: &[Endpoint],
+    ) -> Result<Vec<SmartSock>, ClientError> {
         let mut out = Vec::with_capacity(servers.len());
         for &remote in servers {
-            if !self.net.stream_bound(remote) {
-                if self.report_outcomes {
-                    self.report_outcome(s, remote.ip, OutcomeKind::ConnectFailed);
-                }
-                continue;
-            }
-            let port = {
+            let up = self.net.stream_bound(remote);
+            if up {
                 let mut st = self.st.borrow_mut();
-                let p = st.next_port;
+                let local = Endpoint::new(self.ip, st.next_port);
                 st.next_port = st.next_port.wrapping_add(1).max(47100);
-                p
-            };
+                out.push(SmartSock { net: self.net.clone(), local, remote });
+            }
             if self.report_outcomes {
-                self.report_outcome(s, remote.ip, OutcomeKind::Completed);
-            }
-            out.push(SmartSock {
-                net: self.net.clone(),
-                local: Endpoint::new(self.ip, port),
-                remote,
-            });
-        }
-        out
-    }
-
-    fn on_timeout(&self, s: &mut Scheduler, seq: u32, attempt: u32) {
-        {
-            // Stale-event guard: only the timeout armed for the *current*
-            // attempt of a *still-pending* request may act. A reply removed
-            // the entry (and cancelled us); a retransmit bumped the stamp.
-            let st = self.st.borrow();
-            match st.pending.get(&seq) {
-                None => return, // already answered
-                Some(p) if p.attempt != attempt => {
-                    drop(st);
-                    s.telemetry.counter_incr("client-stale-timeouts");
-                    return;
-                }
-                Some(_) => {}
+                let outcome = if up { OutcomeKind::Completed } else { OutcomeKind::ConnectFailed };
+                self.report_outcome(s, remote.ip, outcome);
             }
         }
-        let attempts_left =
-            self.st.borrow().pending.get(&seq).map(|p| p.attempts_left).unwrap_or(0);
-        if attempts_left == 0 {
-            let pending = self.take_request(s, seq).expect("invariant: presence checked above");
-            let Some(cb) = CALLBACKS.with(|c| c.borrow_mut().remove(&(self.ip.0, seq))) else {
-                return;
-            };
-            // Distinguish the transient failure (wizard silent) from the
-            // permanent one (no path to the wizard at all).
-            let err = if self.net.reachable(self.ip, self.wizard.ip) {
-                s.telemetry.counter_incr("client-timeouts");
-                ClientError::Timeout { retries: pending.spec.retries }
-            } else {
-                s.telemetry.counter_incr("client-unreachable");
-                ClientError::Unreachable { retries: pending.spec.retries }
-            };
-            s.telemetry.span_end(pending.span);
-            cb(s, Err(err));
-            return;
+        if out.is_empty() {
+            return Err(ClientError::AllConnectionsFailed);
         }
-        let pending =
-            self.st.borrow_mut().pending.remove(&seq).expect("invariant: presence checked above");
-        let Some(cb) = CALLBACKS.with(|c| c.borrow_mut().remove(&(self.ip.0, seq))) else {
-            return;
-        };
-        s.telemetry.counter_incr("client-retries");
-        s.telemetry.event(
-            "client-retry",
-            &self.ip.to_string(),
-            &[("attempt", &(attempt + 1).to_string())],
-        );
-        let carry = Carry::of(&pending);
-        self.send_attempt(s, seq, pending.spec, attempt + 1, pending.span, carry, cb);
+        Ok(out)
     }
-
-    /// The request's total time budget ran out: tear everything down and
-    /// fail. Scheduled before the first attempt's timeout, so it wins
-    /// exact ties.
-    fn on_deadline(&self, s: &mut Scheduler, seq: u32) {
-        let Some(pending) = self.take_request(s, seq) else {
-            return; // resolved in the same instant, just earlier
-        };
-        let Some(cb) = CALLBACKS.with(|c| c.borrow_mut().remove(&(self.ip.0, seq))) else {
-            return;
-        };
-        s.telemetry.counter_incr("client-deadline-exceeded");
-        s.telemetry.event("client-deadline-exceeded", &self.ip.to_string(), &[]);
-        s.telemetry.span_end(pending.span);
-        cb(s, Err(ClientError::DeadlineExceeded));
-    }
-
-    /// The hedge timer fired with the primary still unresolved: re-issue
-    /// the request under a fresh sequence number. The first usable reply
-    /// (either seq) wins; `take_request` cancels the loser.
-    fn on_hedge_fire(&self, s: &mut Scheduler, primary_seq: u32) {
-        let (spec, parent_span, deadline_at) = {
-            let st = self.st.borrow();
-            match st.pending.get(&primary_seq) {
-                None => return, // already resolved — hedge not needed
-                Some(p) => (p.spec.clone(), p.span, p.deadline_at),
-            }
-        };
-        let hedge_seq: u32 = self.st.borrow_mut().rng.gen();
-        s.telemetry.counter_incr("client-hedges-fired");
-        s.telemetry.event("client-hedge-fired", &self.ip.to_string(), &[]);
-        let hspan = s.telemetry.span_child("client-hedge", &self.ip.to_string(), parent_span);
-        let req = UserRequest {
-            seq: hedge_seq,
-            server_num: spec.servers,
-            option: spec.option,
-            detail: spec.requirement.clone(),
-        };
-        self.net.send_udp(
-            s,
-            self.reply_ep,
-            self.wizard,
-            Payload::data(req.encode().freeze()),
-            None,
-        );
-        // One shot, no retries of its own; expiry is quiet (the primary's
-        // retry loop is still running). Clamped to the remaining budget.
-        let mut timeout = spec.timeout;
-        if let Some(at) = deadline_at {
-            timeout = timeout.min(at.since(s.now()));
-        }
-        let client = self.clone();
-        let timeout_event = s.schedule_in(timeout, move |s| client.on_hedge_timeout(s, hedge_seq));
-        let mut st = self.st.borrow_mut();
-        st.pending.insert(
-            hedge_seq,
-            Pending {
-                spec,
-                attempts_left: 0,
-                attempt: 0,
-                timeout_event,
-                span: hspan,
-                deadline_at: None,
-                deadline_event: None,
-                hedge_timer: None,
-                hedge_seq: None,
-                hedge_of: Some(primary_seq),
-            },
-        );
-        if let Some(p) = st.pending.get_mut(&primary_seq) {
-            p.hedge_timer = None;
-            p.hedge_seq = Some(hedge_seq);
-        }
-    }
-
-    /// A hedge that never got an answer: remove it quietly (no retries —
-    /// the primary's own retry loop is still in charge).
-    fn on_hedge_timeout(&self, s: &mut Scheduler, hedge_seq: u32) {
-        let hedge = {
-            let mut st = self.st.borrow_mut();
-            let Some(h) = st.pending.remove(&hedge_seq) else {
-                return; // the race was decided — winner tore us down
-            };
-            if let Some(primary) = h.hedge_of.and_then(|ps| st.pending.get_mut(&ps)) {
-                primary.hedge_seq = None;
-            }
-            h
-        };
-        s.telemetry.counter_incr("client-hedge-timeouts");
-        s.telemetry.span_end(hedge.span);
-    }
-}
-
-thread_local! {
-    /// Result callbacks keyed by (client ip, seq). Thread-local because the
-    /// simulation is single-threaded; keeping boxed `FnOnce`s out of
-    /// `ClientState` lets `SmartClient` stay `Clone` + borrow-friendly.
-    static CALLBACKS: RefCell<BTreeMap<(u32, u32), ResultCb>> = RefCell::new(BTreeMap::new());
 }
 
 #[cfg(test)]
@@ -666,8 +252,8 @@ mod tests {
     use super::*;
     use smartsock_monitor::db::shared_dbs;
     use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
-    use smartsock_proto::ServerStatusReport;
-    use smartsock_sim::SimTime;
+    use smartsock_proto::{ServerStatusReport, UserRequest, WizardReply};
+    use smartsock_sim::{SimDuration, SimTime};
     use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig};
 
     struct Rig {
@@ -958,6 +544,35 @@ mod tests {
         let health = engine.health();
         assert_eq!(health.score(Ip::new(10, 0, 0, 3), s.now()), 1.0);
         assert!(health.score(Ip::new(10, 0, 0, 4), s.now()) < 1.0);
+    }
+
+    #[test]
+    fn a_reply_from_a_third_party_does_not_resolve_the_request() {
+        // Regression: the reply handler used to ignore the sender, so any
+        // host that echoed the sequence number resolved the request.
+        let mut rig = rig(false);
+        let mut s = std::mem::take(&mut rig.s);
+        // A wizard that hears the request and says nothing, while srv1
+        // answers it — right frame, right sequence number, wrong sender.
+        let net = rig.net.clone();
+        rig.net.bind_udp(Endpoint::new(Ip::new(10, 0, 0, 1), ports::WIZARD), move |s, d| {
+            let seq = UserRequest::decode(&d.payload.data).unwrap().seq;
+            let stranger = Ip::new(10, 0, 0, 3);
+            let reply = WizardReply { seq, servers: vec![Endpoint::new(stranger, ports::SERVICE)] };
+            let from = Endpoint::new(stranger, ports::WIZARD);
+            net.send_udp(s, from, d.from, Payload::data(reply.encode().freeze()), None);
+        });
+        let got = Rc::new(RefCell::new(None));
+        let g = Rc::clone(&got);
+        let spec = RequestSpec { retries: 0, ..RequestSpec::new("", 1) };
+        rig.client.request(&mut s, spec, move |_s, r| *g.borrow_mut() = Some(r));
+        s.run();
+        assert_eq!(
+            got.borrow_mut().take().unwrap().unwrap_err(),
+            ClientError::Timeout { retries: 0 }
+        );
+        assert_eq!(s.telemetry.counter("client-unmatched-replies"), 1);
+        assert_eq!(s.telemetry.counter("client-responses"), 0);
     }
 
     #[test]

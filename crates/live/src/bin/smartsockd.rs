@@ -9,7 +9,7 @@
 //!     the `telemetry` query binary); with --stream-trace, stream records
 //!     to PATH as they happen (tail with `telemetry tail --follow`).
 //!
-//! smartsockd stats --wizard 127.0.0.1:1120 [--timeout-ms N] [--json]
+//! smartsockd stats --wizard 127.0.0.1:1120 [--timeout-ms N] [--retries N] [--json]
 //!     Query a running daemon for its live telemetry snapshot: rollup
 //!     counters per host/subnet, histogram quantiles, dropped-record
 //!     count — without stopping the daemon.
@@ -26,7 +26,8 @@
 //! smartsockd request --wizard 127.0.0.1:1120 --servers 2 [--req REQ | --file PATH] \
 //!                    [--timeout-ms N] [--retries N] [--json]
 //!     Issue a user request; prints the selected endpoints one per line,
-//!     or a single JSON object with --json.
+//!     or a single JSON object with --json. Here and in `stats`, --retries
+//!     counts retransmissions after the first send (default 2).
 //! ```
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

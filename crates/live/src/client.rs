@@ -1,171 +1,291 @@
 //! The live client: the §3.6.2 request loop over a real UDP socket,
 //! shaped by the compile-time protocol state machine.
 //!
-//! [`LiveSock`] wraps [`RequestFlow`] — the same typestate the simulated
-//! client API uses — around an OS socket. Sequence violations (asking
-//! before registering, reading servers before a reply) are compile
-//! errors, not runtime surprises; the proofs live as `compile_fail`
-//! doctests on `smartsock_proto::typestate`.
+//! [`LiveSock`] drives the one client engine
+//! (`smartsock_wizard::client`, which the simulated `SmartClient` drives
+//! too) from a blocking socket. Every decision — which reply ends the
+//! wait and how, when to retransmit, back off, hedge or give up — is the
+//! engine's; left here are the socket, the clock its timers are read
+//! against (each wait blocks for exactly `earliest timer − now`) and the
+//! phase types, which make sequence violations compile errors:
+//!
+//! ```compile_fail
+//! let sock = smartsock_live::LiveSock::bind("127.0.0.1:1120".parse().unwrap()).unwrap();
+//! // Cannot await a reply before a request is in flight: `await_reply`
+//! // is not defined on `LiveSock<Registered>`.
+//! let _ = sock.await_reply(std::time::Duration::from_millis(100), 0);
+//! ```
+//!
+//! ```compile_fail
+//! let sock = smartsock_live::LiveSock::bind("127.0.0.1:1120".parse().unwrap()).unwrap();
+//! let waiting = sock.request_spec(smartsock_wizard::RequestSpec::new("", 1)).unwrap();
+//! // Cannot read servers before a reply arrived: `servers` is not
+//! // defined on `LiveSock<Requested>`.
+//! let _ = waiting.servers();
+//! ```
+//!
+//! ```compile_fail
+//! let sock = smartsock_live::LiveSock::bind("127.0.0.1:1120".parse().unwrap()).unwrap();
+//! let a = sock.request_spec(smartsock_wizard::RequestSpec::new("", 1));
+//! // Transitions consume the socket: requesting twice is use-after-move.
+//! let b = sock.request_spec(smartsock_wizard::RequestSpec::new("", 1));
+//! ```
 
-use std::io;
+use std::io::{self, ErrorKind::TimedOut, ErrorKind::WouldBlock};
+use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
 use smartsock_proto::typestate::{Connected, Registered, Requested};
 use smartsock_proto::{
-    Endpoint, FlowError, ReplyStatus, RequestFlow, ServerStatusReport, StatsReply, StatsRequest,
-    UserRequest, WizardReply,
+    Endpoint, Ip, OutcomeKind, ServerStatusReport, StatsReply, StatsRequest, UserRequest,
+    WizardReply,
+};
+use smartsock_sim::rng::splitmix64;
+use smartsock_sim::SimDuration;
+use smartsock_telemetry::Telemetry;
+use smartsock_wizard::client::{
+    ClientEngine, ClientError, Entropy, Output, Outputs, RequestSpec, Timer, TimerKind,
 };
 
-use crate::transport::{endpoint_of, sockaddr_of};
+use crate::clock::Clock;
+use crate::transport::{endpoint_of, sockaddr_of, UdpTransport};
 
 /// Why a request did not reach the connected phase.
 #[derive(Debug)]
 pub enum RequestError {
     /// Socket-level failure.
     Io(io::Error),
-    /// Every attempt timed out without a usable reply.
-    TimedOut { attempts: u32 },
-    /// The wizard answered, but the reply rejects the request (empty, or
-    /// short with `accept_fewer` unset).
-    Rejected(FlowError),
+    /// The request ran its course without a usable server list.
+    Failed(ClientError),
 }
 
 impl std::fmt::Display for RequestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RequestError::Io(e) => write!(f, "socket error: {e}"),
-            RequestError::TimedOut { attempts } => {
-                write!(f, "wizard did not reply within {attempts} attempts")
-            }
-            RequestError::Rejected(e) => write!(f, "wizard rejected the request: {e}"),
+            RequestError::Failed(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for RequestError {}
 
+/// The engine's randomness on this backend: a SplitMix64 stream seeded
+/// from the bound port (no OS entropy: a hedge's sequence number need
+/// only differ from its request's, jitter only between clients).
+struct Mix(u64);
+
+impl Entropy for Mix {
+    fn seq(&mut self) -> u32 {
+        self.0 = splitmix64(self.0);
+        (self.0 >> 32) as u32
+    }
+    fn jitter(&mut self) -> f64 {
+        f64::from(self.seq()) / 2f64.powi(32) * 0.25
+    }
+}
+
+/// What every phase carries: the socket and what drives the engine on it.
+struct Core {
+    sock: UdpSocket,
+    clock: Clock,
+    engine: ClientEngine,
+    rnd: Mix,
+    /// When each armed engine timer is due — a request has at most three
+    /// at once: deadline, hedge (delay, then attempt), attempt.
+    timers: [Option<(Timer, u64)>; 3],
+    tel: Option<Telemetry>,
+}
+
+fn slot(kind: TimerKind) -> usize {
+    match kind {
+        TimerKind::Deadline => 0,
+        TimerKind::Hedge | TimerKind::HedgeAttempt => 1,
+        TimerKind::Attempt(_) => 2,
+    }
+}
+
+impl Core {
+    /// One engine call: run it over the socket, write down its telemetry
+    /// if wanted, keep the timer table, and say whether it resolved the
+    /// request. A send the OS refused is the caller's error, as it was.
+    fn drive(
+        &mut self,
+        call: impl FnOnce(&mut ClientEngine, &mut UdpTransport<'_>, &mut Mix) -> Outputs,
+    ) -> io::Result<Option<Result<Vec<Endpoint>, ClientError>>> {
+        let mut t = UdpTransport::new(&self.sock, &self.clock);
+        let outputs = call(&mut self.engine, &mut t, &mut self.rnd);
+        let refused = t.refused.take();
+        if let Some(tel) = &mut self.tel {
+            tel.set_now(self.clock.now_ns());
+            self.engine.record(tel);
+        }
+        let mut resolved = None;
+        for output in outputs.into_iter().flatten() {
+            match output {
+                Output::Arm(timer, at) => self.timers[slot(timer.1)] = Some((timer, at)),
+                Output::Resolved(_, result) => {
+                    self.timers = [None; 3];
+                    resolved = Some(result);
+                }
+            }
+        }
+        refused.map_or(Ok(resolved), Err)
+    }
+}
+
+/// Block in `recv_from` until a datagram arrives or `clock` reaches
+/// `until_ns`, whichever is first — one `set_read_timeout` of exactly the
+/// time left, so datagrams that do not end the wait cannot extend it.
+fn recv_until(
+    sock: &UdpSocket,
+    clock: &Clock,
+    until_ns: u64,
+    buf: &mut [u8],
+) -> io::Result<Option<(usize, SocketAddr)>> {
+    let left = until_ns.saturating_sub(clock.now_ns());
+    if left == 0 {
+        return Ok(None);
+    }
+    sock.set_read_timeout(Some(Duration::from_nanos(left)))?;
+    match sock.recv_from(buf) {
+        Ok(got) => Ok(Some(got)),
+        Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 /// A client socket whose protocol phase is a type parameter; see the
 /// module docs. Construct with [`LiveSock::bind`].
 pub struct LiveSock<S> {
-    sock: UdpSocket,
-    wizard: SocketAddr,
-    flow: RequestFlow<S>,
+    core: Core,
+    /// The request as issued: a wait that failed can be tried again.
+    spec: RequestSpec,
+    seq: u32,
+    servers: Vec<Endpoint>,
+    phase: PhantomData<S>,
+}
+
+impl<S> LiveSock<S> {
+    fn into_phase<P>(self, servers: Vec<Endpoint>) -> LiveSock<P> {
+        LiveSock { core: self.core, spec: self.spec, seq: self.seq, servers, phase: PhantomData }
+    }
+
+    /// Where this socket's `client-*` telemetry goes — the names the
+    /// simulated client emits, written by the same engine — once set.
+    pub fn telemetry(&mut self) -> &mut Option<Telemetry> {
+        &mut self.core.tel
+    }
 }
 
 impl LiveSock<Registered> {
     /// Bind an ephemeral loopback port, registered toward `wizard`.
     pub fn bind(wizard: SocketAddr) -> io::Result<LiveSock<Registered>> {
         let sock = UdpSocket::bind("127.0.0.1:0")?;
-        let local = endpoint_of(sock.local_addr()?)
-            .ok_or_else(|| io::Error::other("live client requires an IPv4 bind address"))?;
-        Ok(LiveSock { sock, wizard, flow: RequestFlow::new().register(local) })
+        let unsupported = || io::Error::other("live client requires IPv4 addresses");
+        let local = endpoint_of(sock.local_addr()?).ok_or_else(unsupported)?;
+        let wizard = endpoint_of(wizard).ok_or_else(unsupported)?;
+        // One socket, one daemon port: outcome reports go where requests go.
+        let engine = ClientEngine::new(local, wizard, wizard);
+        let rnd = Mix(u64::from(local.port));
+        let core = Core { sock, clock: Clock::wall(), engine, rnd, timers: [None; 3], tel: None };
+        let spec = RequestSpec::new("", 0);
+        Ok(LiveSock { core, spec, seq: 0, servers: Vec::new(), phase: PhantomData })
     }
 
-    /// The bound local endpoint.
-    pub fn local(&self) -> Endpoint {
-        self.flow.local()
-    }
-
-    /// Encode and send the request once, entering the awaiting phase.
+    /// Send `req` once under its own sequence number, entering the
+    /// awaiting phase; [`LiveSock::await_reply`] supplies the timeout and
+    /// the retry budget.
     pub fn request(self, req: UserRequest) -> io::Result<LiveSock<Requested>> {
-        let flow = self.flow.request(req);
-        self.sock.send_to(flow.wire(), self.wizard)?;
-        Ok(LiveSock { sock: self.sock, wizard: self.wizard, flow })
+        let spec = RequestSpec::new(req.detail, req.server_num);
+        self.issue(RequestSpec { option: req.option, ..spec }, req.seq)
+    }
+
+    /// Issue a request from the parameters both backends share — deadline
+    /// and hedge included — under a sequence number drawn here.
+    pub fn request_spec(mut self, spec: RequestSpec) -> io::Result<LiveSock<Requested>> {
+        let seq = self.core.rnd.seq();
+        self.issue(spec, seq)
+    }
+
+    fn issue(mut self, spec: RequestSpec, seq: u32) -> io::Result<LiveSock<Requested>> {
+        self.core.drive(|engine, t, _| engine.start(t, &spec, seq))?;
+        Ok(LiveSock { spec, seq, ..self.into_phase(Vec::new()) })
     }
 }
 
 impl LiveSock<Requested> {
-    /// The in-flight request's sequence tag.
-    pub fn seq(&self) -> u32 {
-        self.flow.seq()
-    }
-
-    /// Retransmit the identical request datagram (same sequence number).
-    pub fn resend(&self) -> io::Result<()> {
-        self.sock.send_to(self.flow.wire(), self.wizard)?;
-        Ok(())
-    }
-
-    /// Wait for the wizard's reply, retransmitting on timeout — §3.6.2
-    /// step 3. `retries` is the number of *re*transmissions after the
-    /// initial send, so the loop runs `retries + 1` attempts. On failure
-    /// the socket comes back in the awaiting phase so the caller can keep
-    /// trying or give up.
+    /// [`LiveSock::wait`] under this per-attempt `timeout` and this many
+    /// `retries` (retransmissions after the first send).
     #[allow(clippy::result_large_err)] // the Err arm intentionally returns the socket itself
     pub fn await_reply(
         mut self,
         timeout: Duration,
         retries: u32,
     ) -> Result<LiveSock<Connected>, (LiveSock<Requested>, RequestError)> {
-        let attempts = retries.saturating_add(1);
-        if let Err(e) = self.sock.set_read_timeout(Some(timeout.max(Duration::from_millis(1)))) {
-            return Err((self, RequestError::Io(e)));
-        }
+        let timeout = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
+        (self.spec.timeout, self.spec.retries) = (SimDuration::from_nanos(timeout), retries);
+        self.wait()
+    }
+
+    /// Wait for the request to resolve — §3.6.2 step 3, retransmissions,
+    /// deadline and hedge as the engine runs them; the current attempt's
+    /// wait starts now. On failure the socket comes back in the awaiting
+    /// phase; waiting on it again issues the same request (same sequence
+    /// number) afresh.
+    #[allow(clippy::result_large_err)] // the Err arm intentionally returns the socket itself
+    pub fn wait(mut self) -> Result<LiveSock<Connected>, (LiveSock<Requested>, RequestError)> {
         let mut buf = [0u8; 4096];
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                if let Err(e) = self.resend() {
-                    return Err((self, RequestError::Io(e)));
-                }
+        // In flight: not sent again, only timed from here. Else: afresh.
+        let mut step = self.core.drive(|engine, t, _| engine.start(t, &self.spec, self.seq));
+        loop {
+            match step {
+                Err(e) => return Err((self, RequestError::Io(e))),
+                Ok(Some(Err(e))) => return Err((self, RequestError::Failed(e))),
+                Ok(Some(Ok(servers))) => return Ok(self.into_phase(servers)),
+                Ok(None) => {}
             }
-            // Drain datagrams until this attempt's timer runs out; stray
-            // traffic (stale sequence numbers, undecodable noise) never
-            // ends the wait early.
-            loop {
-                let n = match self.sock.recv_from(&mut buf) {
-                    Ok((n, _)) => n,
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::TimedOut =>
-                    {
-                        break;
+            let armed = self.core.timers.iter().flatten().copied();
+            let (timer, at) = armed
+                .min_by_key(|&(_, at)| at)
+                .expect("invariant: an unresolved request has its attempt timer armed");
+            step = match recv_until(&self.core.sock, &self.core.clock, at, &mut buf) {
+                Err(e) => Err(e),
+                Ok(Some((n, from))) => match (endpoint_of(from), buf.get(..n)) {
+                    (Some(from), Some(payload)) => {
+                        self.core.drive(|engine, _, _| engine.datagram(from, payload))
                     }
-                    Err(e) => return Err((self, RequestError::Io(e))),
-                };
-                let Some(datagram) = buf.get(..n) else { continue };
-                match self.flow.accept(datagram) {
-                    Ok(flow) => {
-                        return Ok(LiveSock { sock: self.sock, wizard: self.wizard, flow });
-                    }
-                    Err((flow, err)) => {
-                        self.flow = flow;
-                        match err {
-                            // A definitive answer: retransmitting cannot
-                            // improve it. Hand the verdict back.
-                            FlowError::Empty | FlowError::Short { .. } => {
-                                return Err((self, RequestError::Rejected(err)));
-                            }
-                            // Noise; keep listening within this attempt.
-                            FlowError::Undecodable(_) | FlowError::SeqMismatch { .. } => {}
-                        }
-                    }
+                    _ => Ok(None),
+                },
+                Ok(None) => {
+                    self.core.timers[slot(timer.1)] = None;
+                    self.core.drive(|engine, t, rnd| engine.fired(t, timer, true, rnd))
                 }
-            }
+            };
         }
-        Err((self, RequestError::TimedOut { attempts }))
     }
 }
 
 impl LiveSock<Connected> {
     /// The selected service endpoints, best match first.
     pub fn servers(&self) -> &[Endpoint] {
-        self.flow.servers()
+        &self.servers
     }
 
-    /// The best-ranked server.
-    pub fn primary(&self) -> Option<Endpoint> {
-        self.flow.primary()
-    }
-
-    /// Full or short, as classified against the original request.
-    pub fn status(&self) -> ReplyStatus {
-        self.flow.status()
+    /// Tell the wizard how `server` worked out (DESIGN.md §11): one
+    /// datagram, fire-and-forget.
+    pub fn report_outcome(&mut self, server: Ip, outcome: OutcomeKind) -> io::Result<()> {
+        let sent = self.core.drive(|engine, t, _| {
+            engine.report_outcome(t, server, outcome);
+            Outputs::default()
+        });
+        sent.map(drop)
     }
 
     /// Surrender the socket for the raw reply.
     pub fn into_reply(self) -> WizardReply {
-        self.flow.into_reply()
+        WizardReply { seq: self.seq, servers: self.servers }
     }
 }
 
@@ -178,32 +298,28 @@ pub fn send_live_report(wizard: SocketAddr, report: &ServerStatusReport) -> io::
 
 /// One-shot convenience over [`LiveSock`]: request, await, return the
 /// reply. An *empty* reply is returned as a reply (the CLI reports it to
-/// the operator); timeouts and short-reply rejections become errors.
+/// the operator); every other failure becomes an error.
 pub fn live_request(
     wizard: SocketAddr,
     req: &UserRequest,
     timeout: Duration,
     retries: u32,
 ) -> io::Result<WizardReply> {
-    let seq = req.seq;
-    let sock = LiveSock::bind(wizard)?.request(req.clone())?;
-    match sock.await_reply(timeout, retries) {
+    match LiveSock::bind(wizard)?.request(req.clone())?.await_reply(timeout, retries) {
         Ok(connected) => Ok(connected.into_reply()),
-        Err((_, RequestError::Rejected(FlowError::Empty))) => {
-            Ok(WizardReply { seq, servers: Vec::new() })
+        Err((_, RequestError::Failed(ClientError::NoServers))) => {
+            Ok(WizardReply { seq: req.seq, servers: Vec::new() })
         }
         Err((_, RequestError::Io(e))) => Err(e),
-        Err((_, RequestError::TimedOut { .. })) => {
-            Err(io::Error::new(io::ErrorKind::TimedOut, "wizard did not reply"))
-        }
-        Err((_, e @ RequestError::Rejected(_))) => Err(io::Error::other(e.to_string())),
+        Err((_, e)) => Err(io::Error::other(e.to_string())),
     }
 }
 
 /// Ask a running daemon for its current telemetry snapshot (the `SSQ1` /
 /// `SSA1` exchange behind `smartsockd stats`). One datagram each way per
-/// attempt; stray datagrams and replies to other queries are skipped by
-/// the echoed `seq`.
+/// attempt, `retries` retransmissions after the first; stray datagrams and
+/// replies to other queries are skipped by the echoed `seq` without
+/// extending the attempt.
 pub fn query_stats(
     daemon: SocketAddr,
     seq: u32,
@@ -211,36 +327,24 @@ pub fn query_stats(
     retries: u32,
 ) -> io::Result<StatsReply> {
     let sock = UdpSocket::bind("127.0.0.1:0")?;
-    sock.set_read_timeout(Some(timeout))?;
+    let clock = Clock::wall();
+    let timeout = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
     let wire = StatsRequest { seq }.encode();
     let mut buf = [0u8; 65536];
-    for _ in 0..retries.max(1) {
+    for _ in 0..=retries {
         sock.send_to(&wire, daemon)?;
-        loop {
-            match sock.recv_from(&mut buf) {
-                Ok((n, from)) => {
-                    if from != daemon {
-                        continue;
-                    }
-                    let Some(payload) = buf.get(..n) else { continue };
-                    match StatsReply::decode(payload) {
-                        Ok(reply) if reply.seq == seq => return Ok(reply),
-                        // Someone else's reply, or damage: keep listening
-                        // until this attempt's timeout.
-                        Ok(_) | Err(_) => continue,
-                    }
+        let until = clock.now_ns().saturating_add(timeout);
+        while let Some((n, from)) = recv_until(&sock, &clock, until, &mut buf)? {
+            let reply = buf.get(..n).filter(|_| from == daemon).map(StatsReply::decode);
+            // Anything but the daemon's answer to this query is noise.
+            if let Some(Ok(reply)) = reply {
+                if reply.seq == seq {
+                    return Ok(reply);
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    break;
-                }
-                Err(e) => return Err(e),
             }
         }
     }
-    Err(io::Error::new(io::ErrorKind::TimedOut, "daemon did not answer the stats query"))
+    Err(io::Error::new(TimedOut, "daemon did not answer the stats query"))
 }
 
 /// Open the data-plane TCP connection to a selected server. Exposed for

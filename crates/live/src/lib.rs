@@ -6,7 +6,7 @@
 //! Everything protocol-shaped — wire formats, the monitor+wizard demux
 //! and matching core, probe counter differentiation, the client state
 //! machine — lives in backend-agnostic crates (`smartsock-proto`,
-//! `smartsock-wizard::engine`, `smartsock-probe::engine`) behind the
+//! `smartsock-wizard::{engine, client}`, `smartsock-probe::engine`) behind the
 //! [`Transport`](smartsock_proto::Transport) seam. The simulator drives
 //! those engines from a virtual-time scheduler; this crate drives the
 //! *same* engines from OS threads over real UDP on localhost:
@@ -17,8 +17,8 @@
 //!   names the simulated daemons emit;
 //! * [`LiveProbe`] — the server probe, sampling a real `/proc` (or a
 //!   fixture root) through the same parsers and differentiation engine;
-//! * [`LiveSock`] — the §3.6.2 client, typestate-shaped so protocol
-//!   misuse is a compile error on this backend exactly as in the sim;
+//! * [`LiveSock`] — the §3.6.2 client: the engine the simulated client
+//!   drives, typestate-shaped so protocol misuse is a compile error;
 //! * [`FaultShim`] — a deterministic datagram-loss relay, the live twin
 //!   of `smartsock-faults`' loss injection, for retry testing;
 //! * [`Clock`] — wall or manual time, so time-dependent scenarios run

@@ -11,7 +11,7 @@
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Deterministic loss budgets, counted per direction from shim start.
@@ -30,13 +30,20 @@ impl ShimPolicy {
     }
 }
 
+/// What the relay thread and its [`FaultShim`] handle both see.
+#[derive(Default)]
+struct Shared {
+    stop: AtomicBool,
+    forwarded: AtomicU64,
+    dropped: AtomicU64,
+    requests: Mutex<Vec<Vec<u8>>>,
+}
+
 /// A relay for one client at a time: datagrams from anyone but the wizard
 /// are forwarded to the wizard, and the sender becomes the reply target.
 pub struct FaultShim {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    forwarded: Arc<AtomicU64>,
-    dropped: Arc<AtomicU64>,
+    shared: Arc<Shared>,
     handle: Option<JoinHandle<io::Result<()>>>,
 }
 
@@ -45,13 +52,10 @@ impl FaultShim {
     pub fn spawn(wizard: SocketAddr, policy: ShimPolicy) -> io::Result<FaultShim> {
         let sock = UdpSocket::bind("127.0.0.1:0")?;
         let addr = sock.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let forwarded = Arc::new(AtomicU64::new(0));
-        let dropped = Arc::new(AtomicU64::new(0));
-        let (stop2, fwd2, drop2) =
-            (Arc::clone(&stop), Arc::clone(&forwarded), Arc::clone(&dropped));
-        let handle = std::thread::spawn(move || relay(sock, wizard, policy, stop2, fwd2, drop2));
-        Ok(FaultShim { addr, stop, forwarded, dropped, handle: Some(handle) })
+        let shared = Arc::new(Shared::default());
+        let theirs = Arc::clone(&shared);
+        let handle = std::thread::spawn(move || relay(sock, wizard, policy, &theirs));
+        Ok(FaultShim { addr, shared, handle: Some(handle) })
     }
 
     /// The address clients should treat as the wizard.
@@ -61,17 +65,23 @@ impl FaultShim {
 
     /// Datagrams passed through, both directions.
     pub fn forwarded(&self) -> u64 {
-        self.forwarded.load(Ordering::SeqCst)
+        self.shared.forwarded.load(Ordering::SeqCst)
     }
 
     /// Datagrams eaten by the loss budgets.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::SeqCst)
+        self.shared.dropped.load(Ordering::SeqCst)
+    }
+
+    /// Every client→wizard datagram seen so far, dropped ones included, in
+    /// arrival order — what the client put on the wire.
+    pub fn requests(&self) -> Vec<Vec<u8>> {
+        self.shared.requests.lock().expect("shim thread panicked holding the frame log").clone()
     }
 
     /// Stop the relay promptly.
     pub fn shutdown(mut self) -> io::Result<()> {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
         wake(self.addr);
         match self.handle.take() {
             Some(h) => h.join().map_err(|_| io::Error::other("shim thread panicked"))?,
@@ -82,7 +92,7 @@ impl FaultShim {
 
 impl Drop for FaultShim {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
             wake(self.addr);
             let _ = h.join();
@@ -100,9 +110,7 @@ fn relay(
     sock: UdpSocket,
     wizard: SocketAddr,
     policy: ShimPolicy,
-    stop: Arc<AtomicBool>,
-    forwarded: Arc<AtomicU64>,
-    dropped: Arc<AtomicU64>,
+    shared: &Shared,
 ) -> io::Result<()> {
     let mut buf = [0u8; 4096];
     let mut client: Option<SocketAddr> = None;
@@ -112,13 +120,13 @@ fn relay(
         let (n, from) = match sock.recv_from(&mut buf) {
             Ok(x) => x,
             Err(e) => {
-                if stop.load(Ordering::SeqCst) {
+                if shared.stop.load(Ordering::SeqCst) {
                     return Ok(());
                 }
                 return Err(e);
             }
         };
-        if stop.load(Ordering::SeqCst) {
+        if shared.stop.load(Ordering::SeqCst) {
             return Ok(());
         }
         let Some(payload) = buf.get(..n) else { continue };
@@ -128,22 +136,26 @@ fn relay(
         if from == wizard {
             if replies_to_drop > 0 {
                 replies_to_drop -= 1;
-                dropped.fetch_add(1, Ordering::SeqCst);
+                shared.dropped.fetch_add(1, Ordering::SeqCst);
                 continue;
             }
             if let Some(client) = client {
+                // Counted before it is sent: whoever has the datagram in
+                // hand already finds it in `forwarded()`.
+                shared.forwarded.fetch_add(1, Ordering::SeqCst);
                 sock.send_to(payload, client)?;
-                forwarded.fetch_add(1, Ordering::SeqCst);
             }
         } else {
             client = Some(from);
+            let log = shared.requests.lock();
+            log.expect("a reader panicked holding the frame log").push(payload.to_vec());
             if requests_to_drop > 0 {
                 requests_to_drop -= 1;
-                dropped.fetch_add(1, Ordering::SeqCst);
+                shared.dropped.fetch_add(1, Ordering::SeqCst);
                 continue;
             }
+            shared.forwarded.fetch_add(1, Ordering::SeqCst);
             sock.send_to(payload, wizard)?;
-            forwarded.fetch_add(1, Ordering::SeqCst);
         }
     }
 }

@@ -34,11 +34,13 @@ pub fn sockaddr_of(ep: Endpoint) -> SocketAddr {
 pub struct UdpTransport<'a> {
     sock: &'a UdpSocket,
     clock: &'a Clock,
+    /// The OS error behind a failed send (engines see a `TransportError`).
+    pub refused: Option<std::io::Error>,
 }
 
 impl<'a> UdpTransport<'a> {
     pub fn new(sock: &'a UdpSocket, clock: &'a Clock) -> UdpTransport<'a> {
-        UdpTransport { sock, clock }
+        UdpTransport { sock, clock, refused: None }
     }
 }
 
@@ -58,7 +60,11 @@ impl Transport for UdpTransport<'_> {
         // format never carries.
         match self.sock.send_to(payload, sockaddr_of(to)) {
             Ok(_) => Ok(()),
-            Err(e) => Err(TransportError(format!("udp send to {to}: {e}"))),
+            Err(e) => {
+                let refused = TransportError(format!("udp send to {to}: {e}"));
+                self.refused = Some(e);
+                Err(refused)
+            }
         }
     }
 }

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use smartsock_proto::{StatsCount, StatsHist, StatsReply, StatsRequest};
+use smartsock_proto::{OutcomeReport, StatsCount, StatsHist, StatsReply, StatsRequest};
 use smartsock_sim::SimTime;
 use smartsock_telemetry::{AccumSink, RollupSink, Sink, StreamSink, TeeSink, Telemetry};
 use smartsock_wizard::{Ingest, SelectPolicy, WizardEngine};
@@ -254,6 +254,13 @@ fn serve(
                 let reply = stats_snapshot(&tel, q.seq, now);
                 let _ = sock.send_to(&reply.encode(), from);
             }
+            continue;
+        }
+        // The simulated wizard has a health port (1122); this one socket
+        // tells an outcome report by its shape (7 bytes; a request has ≥ 8).
+        if payload.len() < 8 && OutcomeReport::decode(payload).is_ok() {
+            engine.handle_outcome(SimTime(now), payload);
+            engine.record(&mut tel);
             continue;
         }
         let Some(from_ep) = endpoint_of(from) else { continue };

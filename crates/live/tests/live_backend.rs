@@ -11,9 +11,11 @@ use smartsock_live::{
     RequestError, ShimPolicy,
 };
 use smartsock_probe::ProbeIdentity;
-use smartsock_proto::{Ip, ReplyStatus, RequestOption, ServerStatusReport, UserRequest};
+use smartsock_proto::{
+    Endpoint, Ip, ReplyStatus, RequestOption, ServerStatusReport, UserRequest, WizardReply,
+};
 use smartsock_telemetry::trace::Trace;
-use smartsock_wizard::SelectPolicy;
+use smartsock_wizard::{ClientError, SelectPolicy};
 
 fn report(name: &str, last_octet: u8, cpu_idle: f64) -> ServerStatusReport {
     let mut r = ServerStatusReport::empty(name, Ip::new(192, 168, 9, last_octet));
@@ -55,10 +57,9 @@ fn typestate_client_roundtrip_selects_qualified_servers() {
         Err((_, e)) => panic!("request failed: {e}"),
     };
     assert_eq!(connected.servers().len(), 2);
-    assert!(connected.primary().is_some());
-    assert_eq!(connected.status(), ReplyStatus::Short { requested: 5, returned: 2 });
     let reply = connected.into_reply();
     assert_eq!(reply.seq, 0xabcd);
+    assert_eq!(reply.status(5), ReplyStatus::Short { requested: 5, returned: 2 });
 
     let stats = wiz.shutdown().unwrap();
     assert_eq!(stats.served, 1);
@@ -353,19 +354,102 @@ fn a_maximally_nested_requirement_gets_an_empty_reply_and_the_daemon_lives() {
 
 #[test]
 fn timeout_hands_the_socket_back_in_the_requested_phase() {
-    // A dead address: bind then drop to find an unused port.
-    let dead = {
-        let s = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
-        s.local_addr().unwrap()
-    };
-    let sock = LiveSock::bind(dead).unwrap();
+    let silent = silent_port();
+    let sock = LiveSock::bind(silent.local_addr().unwrap()).unwrap();
     let waiting = sock.request(req(5, 1, "")).unwrap();
-    match waiting.await_reply(Duration::from_millis(20), 1) {
-        Ok(_) => panic!("no wizard is listening; the request cannot connect"),
-        Err((sock, RequestError::TimedOut { attempts })) => {
-            assert_eq!(attempts, 2);
-            assert_eq!(sock.seq(), 5, "socket comes back still awaiting the same request");
+    let waiting = match waiting.await_reply(Duration::from_millis(20), 1) {
+        Ok(_) => panic!("nobody is answering; the request cannot connect"),
+        Err((sock, RequestError::Failed(e))) => {
+            assert_eq!(e, ClientError::Timeout { retries: 1 });
+            sock
         }
         Err((_, e)) => panic!("expected a timeout, got {e}"),
+    };
+    // Still awaiting the same request: waiting again issues it afresh.
+    assert!(waiting.await_reply(Duration::from_millis(20), 0).is_err());
+    let frames = datagrams_received(&silent);
+    assert_eq!(frames.len(), 3);
+    assert!(frames.iter().all(|frame| *frame == req(5, 1, "").encode().to_vec()));
+}
+
+/// A bound socket nobody reads from until the test counts what arrived.
+fn silent_port() -> std::net::UdpSocket {
+    let sock = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    sock.set_nonblocking(true).unwrap();
+    sock
+}
+
+fn datagrams_received(sock: &std::net::UdpSocket) -> Vec<Vec<u8>> {
+    let mut buf = [0u8; 4096];
+    std::iter::from_fn(|| sock.recv_from(&mut buf).ok().map(|(n, _)| buf[..n].to_vec())).collect()
+}
+
+#[test]
+fn stray_datagrams_cannot_extend_a_wait() {
+    // Regression: every `recv_from` used to get a fresh full timeout, so
+    // noise arriving more often than the timeout kept an attempt alive
+    // for as long as the noise lasted.
+    let timeout = Duration::from_millis(60);
+    let wizard = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    let sock = LiveSock::bind(wizard.local_addr().unwrap()).unwrap();
+    let waiting = sock.request(req(6, 1, "")).unwrap();
+    let (_, target) = wizard.recv_from(&mut [0u8; 64]).unwrap();
+    let noise = std::thread::spawn(move || {
+        let sender = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        for _ in 0..50 {
+            sender.send_to(b"noise", target).unwrap();
+            std::thread::sleep(timeout / 3);
+        }
+    });
+    let clock = Clock::wall();
+    let outcome = waiting.await_reply(timeout, 0);
+    let waited = Duration::from_nanos(clock.now_ns());
+    noise.join().unwrap();
+    match outcome {
+        Err((_, RequestError::Failed(e))) => assert_eq!(e, ClientError::Timeout { retries: 0 }),
+        Ok(_) => panic!("nobody answered"),
+        Err((_, e)) => panic!("expected a timeout, got {e}"),
     }
+    assert!(waited < 4 * timeout, "a 60 ms wait under noise took {waited:?}");
+}
+
+#[test]
+fn retries_means_retransmissions_after_the_first_send_in_both_commands() {
+    // Regression: `smartsockd request --retries 2` sent three datagrams,
+    // `smartsockd stats --retries 2` two.
+    let silent = silent_port();
+    let addr = silent.local_addr().unwrap();
+    let timeout = Duration::from_millis(20);
+    for retries in [0, 2] {
+        assert!(live_request(addr, &req(8, 1, ""), timeout, retries).is_err());
+        assert_eq!(datagrams_received(&silent).len(), retries as usize + 1, "request, {retries}");
+        assert!(query_stats(addr, 8, timeout, retries).is_err());
+        assert_eq!(datagrams_received(&silent).len(), retries as usize + 1, "stats, {retries}");
+    }
+}
+
+#[test]
+fn only_the_wizard_asked_can_answer() {
+    // Regression: the reply's sender used to be discarded, so anyone who
+    // echoed the sequence number resolved the request.
+    let wizard = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    let stranger = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    let sock = LiveSock::bind(wizard.local_addr().unwrap()).unwrap();
+    let offer = |last| {
+        let servers = vec![Endpoint::new(Ip::new(192, 168, 9, last), 1200)];
+        WizardReply { seq: 9, servers }.encode()
+    };
+
+    let waiting = sock.request(req(9, 1, "")).unwrap();
+    let (_, client) = wizard.recv_from(&mut [0u8; 64]).unwrap();
+    stranger.send_to(&offer(66), client).unwrap();
+    let waiting = match waiting.await_reply(Duration::from_millis(50), 0) {
+        Err((sock, RequestError::Failed(ClientError::Timeout { .. }))) => sock,
+        Ok(c) => panic!("a third party resolved the request: {:?}", c.servers()),
+        Err((_, e)) => panic!("expected a timeout, got {e}"),
+    };
+    // The same frame shape from the wizard itself does resolve it.
+    wizard.send_to(&offer(1), client).unwrap();
+    let connected = waiting.await_reply(Duration::from_millis(500), 0).map_err(|(_, e)| e).unwrap();
+    assert_eq!(connected.servers()[0].ip, Ip::new(192, 168, 9, 1));
 }

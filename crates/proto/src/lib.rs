@@ -45,7 +45,6 @@ pub use services::ServiceMask;
 pub use stats::{StatsCount, StatsHist, StatsReply, StatsRequest};
 pub use status::ServerStatusReport;
 pub use transport::{Transport, TransportError};
-pub use typestate::{FlowError, RequestFlow};
 
 /// Errors produced when parsing any of the protocol formats.
 #[derive(Debug, Clone, PartialEq, Eq)]

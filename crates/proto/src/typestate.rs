@@ -1,4 +1,4 @@
-//! Typestate request flow: protocol sequence errors are compile errors.
+//! The client protocol's phases, as types.
 //!
 //! "Session Types for the Transport Layer" motivates encoding a socket's
 //! protocol phase in its *type* so that out-of-order operations cannot be
@@ -6,296 +6,19 @@
 //! strict phase order:
 //!
 //! ```text
-//! Unbound ──register──▶ Registered ──request──▶ Requested ──accept──▶ Connected
+//! bind ──▶ Registered ──request──▶ Requested ──reply──▶ Connected
 //! ```
 //!
-//! [`RequestFlow<S>`] is that state machine with one zero-sized (or
-//! data-carrying) type per phase. Every transition consumes `self`, so a
-//! phase can never be replayed, skipped, or used after it has advanced —
-//! on **both** backends, because the flow is pure protocol logic: it
-//! encodes and decodes wire bytes but never touches a socket. The sim
-//! client and the live client each own the I/O around it.
-//!
-//! Misuse does not compile:
-//!
-//! ```compile_fail
-//! use smartsock_proto::typestate::RequestFlow;
-//! use smartsock_proto::{RequestOption, UserRequest};
-//!
-//! let req = UserRequest {
-//!     seq: 1, server_num: 1, option: RequestOption::DEFAULT, detail: String::new(),
-//! };
-//! // Cannot request before registering: `request` is not defined on
-//! // `RequestFlow<Unbound>`.
-//! let flow = RequestFlow::new().request(req);
-//! ```
-//!
-//! ```compile_fail
-//! use smartsock_proto::typestate::RequestFlow;
-//! use smartsock_proto::{Endpoint, Ip};
-//!
-//! let local = Endpoint::new(Ip::new(127, 0, 0, 1), 40000);
-//! let flow = RequestFlow::new().register(local);
-//! // Cannot accept a reply before a request is in flight: `accept` is
-//! // not defined on `RequestFlow<Registered>`.
-//! let _ = flow.accept(b"....");
-//! ```
-//!
-//! ```compile_fail
-//! use smartsock_proto::typestate::RequestFlow;
-//! use smartsock_proto::{Endpoint, Ip};
-//!
-//! let local = Endpoint::new(Ip::new(127, 0, 0, 1), 40000);
-//! let flow = RequestFlow::new();
-//! let a = flow.register(local);
-//! // Transitions consume the flow: registering twice is use-after-move.
-//! let b = flow.register(local);
-//! ```
+//! These are the markers only. The socket that carries them, every
+//! transition consuming it, is `smartsock_live::LiveSock<S>` (its docs
+//! hold the `compile_fail` proofs); which reply ends `Requested`, and how,
+//! is the client engine's business (`smartsock_wizard::client`).
 
-use crate::addr::Endpoint;
-use crate::request::{ReplyStatus, UserRequest, WizardReply};
-use crate::ProtoError;
+/// A local endpoint is bound; ready to issue a request.
+pub struct Registered;
 
-/// Phase 0: no local endpoint yet.
-#[derive(Debug)]
-pub struct Unbound(());
+/// A request is in flight.
+pub struct Requested;
 
-/// Phase 1: a local endpoint is registered; ready to issue a request.
-#[derive(Debug)]
-pub struct Registered {
-    local: Endpoint,
-}
-
-/// Phase 2: a request is encoded and in flight. Retains the exact wire
-/// bytes so a timeout can retransmit *the same* datagram (same seq).
-#[derive(Debug)]
-pub struct Requested {
-    local: Endpoint,
-    req: UserRequest,
-    wire: Vec<u8>,
-}
-
-/// Phase 3: a matching reply with a usable server list arrived.
-#[derive(Debug)]
-pub struct Connected {
-    local: Endpoint,
-    reply: WizardReply,
-    status: ReplyStatus,
-}
-
-/// Why a candidate reply datagram did not advance the flow. The flow is
-/// handed back alongside the error so the caller can keep waiting or
-/// retransmit — rejection never loses the in-flight request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FlowError {
-    /// The datagram is not a decodable wizard reply.
-    Undecodable(ProtoError),
-    /// A decodable reply for some *other* request (stale or crossed).
-    SeqMismatch { expected: u32, got: u32 },
-    /// The wizard found no qualifying server.
-    Empty,
-    /// Fewer servers than requested, and the request demanded all of them
-    /// (`RequestOption::accept_fewer == false`).
-    Short { requested: u16, returned: u16 },
-}
-
-impl std::fmt::Display for FlowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlowError::Undecodable(e) => write!(f, "undecodable reply: {e}"),
-            FlowError::SeqMismatch { expected, got } => {
-                write!(f, "reply seq {got:#x} does not match request seq {expected:#x}")
-            }
-            FlowError::Empty => write!(f, "no server satisfies the requirement"),
-            FlowError::Short { requested, returned } => {
-                write!(f, "only {returned} of {requested} servers found (exact match required)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlowError {}
-
-/// The client request flow at phase `S`. See the module docs.
-#[derive(Debug)]
-pub struct RequestFlow<S> {
-    state: S,
-}
-
-impl RequestFlow<Unbound> {
-    /// A fresh flow. The only constructor: every flow starts unbound.
-    pub fn new() -> RequestFlow<Unbound> {
-        RequestFlow { state: Unbound(()) }
-    }
-
-    /// Register the local endpoint the reply should come back to.
-    pub fn register(self, local: Endpoint) -> RequestFlow<Registered> {
-        RequestFlow { state: Registered { local } }
-    }
-}
-
-impl Default for RequestFlow<Unbound> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RequestFlow<Registered> {
-    pub fn local(&self) -> Endpoint {
-        self.state.local
-    }
-
-    /// Encode `req` and advance to [`Requested`]. The caller sends
-    /// [`RequestFlow::wire`] through its transport (and may resend it).
-    pub fn request(self, req: UserRequest) -> RequestFlow<Requested> {
-        let wire = req.encode().to_vec();
-        RequestFlow { state: Requested { local: self.state.local, req, wire } }
-    }
-}
-
-impl RequestFlow<Requested> {
-    pub fn local(&self) -> Endpoint {
-        self.state.local
-    }
-
-    /// The encoded request datagram — stable across retransmits, so the
-    /// wizard sees one sequence number however many times it is sent.
-    pub fn wire(&self) -> &[u8] {
-        &self.state.wire
-    }
-
-    /// The in-flight request's sequence tag.
-    pub fn seq(&self) -> u32 {
-        self.state.req.seq
-    }
-
-    /// Offer a received datagram as the reply. Advances to [`Connected`]
-    /// when it decodes, matches the sequence number, and satisfies the
-    /// request's shortfall option; otherwise hands the flow back with the
-    /// reason so the caller can keep its retry loop (§3.6.2 step 3).
-    #[allow(clippy::result_large_err)] // the Err arm intentionally returns the flow itself
-    pub fn accept(
-        self,
-        datagram: &[u8],
-    ) -> Result<RequestFlow<Connected>, (RequestFlow<Requested>, FlowError)> {
-        let reply = match WizardReply::decode(datagram) {
-            Ok(r) => r,
-            Err(e) => return Err((self, FlowError::Undecodable(e))),
-        };
-        if reply.seq != self.state.req.seq {
-            let err = FlowError::SeqMismatch { expected: self.state.req.seq, got: reply.seq };
-            return Err((self, err));
-        }
-        let status = reply.status(self.state.req.server_num);
-        match status {
-            ReplyStatus::Empty => Err((self, FlowError::Empty)),
-            ReplyStatus::Short { requested, returned } if !self.state.req.option.accept_fewer => {
-                Err((self, FlowError::Short { requested, returned }))
-            }
-            _ => Ok(RequestFlow { state: Connected { local: self.state.local, reply, status } }),
-        }
-    }
-}
-
-impl RequestFlow<Connected> {
-    pub fn local(&self) -> Endpoint {
-        self.state.local
-    }
-
-    /// The selected service endpoints, best match first.
-    pub fn servers(&self) -> &[Endpoint] {
-        &self.state.reply.servers
-    }
-
-    /// The best-ranked server (always present: empty replies never reach
-    /// the connected phase).
-    pub fn primary(&self) -> Option<Endpoint> {
-        self.state.reply.servers.first().copied()
-    }
-
-    /// Full or short, as classified against the original request.
-    pub fn status(&self) -> ReplyStatus {
-        self.state.status
-    }
-
-    /// Surrender the flow for the raw reply.
-    pub fn into_reply(self) -> WizardReply {
-        self.state.reply
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::addr::Ip;
-    use crate::request::RequestOption;
-
-    fn local() -> Endpoint {
-        Endpoint::new(Ip::new(127, 0, 0, 1), 41000)
-    }
-
-    fn req(seq: u32, n: u16, accept_fewer: bool) -> UserRequest {
-        UserRequest {
-            seq,
-            server_num: n,
-            option: RequestOption { accept_fewer, template: None },
-            detail: "host_cpu_free > 0.5\n".to_owned(),
-        }
-    }
-
-    fn reply_wire(seq: u32, n: usize) -> Vec<u8> {
-        let servers =
-            (0..n).map(|i| Endpoint::new(Ip::new(10, 0, 1, (i + 1) as u8), 1200)).collect();
-        WizardReply { seq, servers }.encode().to_vec()
-    }
-
-    #[test]
-    fn happy_path_reaches_connected() {
-        let flow = RequestFlow::new().register(local()).request(req(7, 2, true));
-        assert_eq!(flow.seq(), 7);
-        assert_eq!(flow.wire(), req(7, 2, true).encode().to_vec());
-        let done = flow.accept(&reply_wire(7, 2)).unwrap();
-        assert_eq!(done.servers().len(), 2);
-        assert_eq!(done.status(), ReplyStatus::Full);
-        assert_eq!(done.primary().unwrap().ip, Ip::new(10, 0, 1, 1));
-        assert_eq!(done.local(), local());
-        assert_eq!(done.into_reply().seq, 7);
-    }
-
-    #[test]
-    fn seq_mismatch_hands_the_flow_back_for_retry() {
-        let flow = RequestFlow::new().register(local()).request(req(7, 1, true));
-        let (flow, err) = flow.accept(&reply_wire(8, 1)).unwrap_err();
-        assert_eq!(err, FlowError::SeqMismatch { expected: 7, got: 8 });
-        // The returned flow still carries the original wire bytes.
-        let done = flow.accept(&reply_wire(7, 1)).unwrap();
-        assert_eq!(done.servers().len(), 1);
-    }
-
-    #[test]
-    fn undecodable_datagrams_do_not_consume_the_request() {
-        let flow = RequestFlow::new().register(local()).request(req(9, 1, true));
-        let (flow, err) = flow.accept(b"garbage").unwrap_err();
-        assert!(matches!(err, FlowError::Undecodable(_)));
-        assert!(flow.accept(&reply_wire(9, 1)).is_ok());
-    }
-
-    #[test]
-    fn empty_replies_never_connect() {
-        let flow = RequestFlow::new().register(local()).request(req(3, 2, true));
-        let (_flow, err) = flow.accept(&reply_wire(3, 0)).unwrap_err();
-        assert_eq!(err, FlowError::Empty);
-    }
-
-    #[test]
-    fn shortfall_respects_the_accept_fewer_option() {
-        // Strict request: a short reply is an error.
-        let flow = RequestFlow::new().register(local()).request(req(4, 3, false));
-        let (_f, err) = flow.accept(&reply_wire(4, 2)).unwrap_err();
-        assert_eq!(err, FlowError::Short { requested: 3, returned: 2 });
-        // Permissive request: a short reply connects with Short status.
-        let flow = RequestFlow::new().register(local()).request(req(5, 3, true));
-        let done = flow.accept(&reply_wire(5, 2)).unwrap();
-        assert_eq!(done.status(), ReplyStatus::Short { requested: 3, returned: 2 });
-    }
-}
+/// A matching reply with a usable server list arrived.
+pub struct Connected;

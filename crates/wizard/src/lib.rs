@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
+pub mod client;
 pub mod engine;
 pub mod templates;
 pub mod vars;
@@ -43,6 +44,7 @@ use smartsock_proto::{Endpoint, Ip, UserRequest};
 use smartsock_sim::{Scheduler, SimDuration};
 use smartsock_wire::Receiver;
 
+pub use client::{ClientEngine, ClientError, RequestSpec};
 pub use engine::{
     select, select_flat, select_with_stats, Ingest, SelectPolicy, SelectStats, SelectView,
     WizardEngine,

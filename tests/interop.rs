@@ -17,6 +17,13 @@
 //! Reports claim their own IP inside the payload, so a loopback datagram
 //! can carry the exact bytes a simulated 10.0.9.x server would send — both
 //! sysdbs end up keyed identically.
+//!
+//! The client side is held to the same standard (scenarios 7–10): one
+//! [`ClientScript`] — requests, what the wire drops, which servers refuse
+//! the connect — is run by the simulated `SmartClient` and by the live
+//! `LiveSock`, both drivers of the one `ClientEngine`, and the frames they
+//! put on the wire, what each request resolved to and the `client-*`
+//! counters they leave behind must agree.
 
 use std::cell::RefCell;
 use std::io;
@@ -24,12 +31,16 @@ use std::net::UdpSocket;
 use std::rc::Rc;
 use std::time::Duration;
 
-use smartsock_live::{Clock, FaultShim, LiveWizard, ShimPolicy};
+use smartsock::client::{ClientError, RequestSpec, SmartClient};
+use smartsock_live::{Clock, FaultShim, LiveSock, LiveWizard, RequestError, ShimPolicy};
 use smartsock_monitor::db::shared_dbs;
 use smartsock_monitor::{SysMonConfig, SystemMonitor};
 use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
-use smartsock_proto::{Endpoint, Ip, RequestOption, ServerStatusReport, UserRequest, WizardReply};
-use smartsock_sim::{Scheduler, SimDuration, SimTime};
+use smartsock_proto::consts::ports;
+use smartsock_proto::{
+    Endpoint, Ip, OutcomeKind, RequestOption, ServerStatusReport, UserRequest, WizardReply,
+};
+use smartsock_sim::{Scheduler, SimDuration, SimTime, Telemetry};
 use smartsock_telemetry::trace::Trace;
 use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig};
 
@@ -319,4 +330,334 @@ fn report_frames_round_trip_identically_through_both_ingest_paths() {
     assert_eq!(sim, live);
     let reply = WizardReply::decode(&live.reply).unwrap();
     assert_eq!(server_ips(&reply), vec![Ip::new(10, 0, 9, 7)]);
+}
+
+// ---------------------------------------------------------------------
+// The client side: one script, both drivers of the one `ClientEngine`.
+// ---------------------------------------------------------------------
+
+const SHIM_IP: Ip = Ip::new(10, 0, 0, 3);
+
+/// What a client-side scenario does, backend-neutral.
+struct ClientScript {
+    reports: Vec<Vec<u8>>,
+    /// Issued one after the other, each once the previous one resolved.
+    requests: Vec<RequestSpec>,
+    /// What the wire between client and wizard eats.
+    wire: ShimPolicy,
+    /// Servers whose service port refuses the connect.
+    dead: Vec<Ip>,
+    /// Whether connect verdicts flow back to the wizard.
+    report_outcomes: bool,
+}
+
+/// Counters both backends must agree on. `client-backoff-ms-total` is
+/// left out: how far a retry is stretched is the one thing the drivers'
+/// different randomness may change.
+const CLIENT_PATH_COUNTERS: [&str; 14] = [
+    "client-requests",
+    "client-responses",
+    "client-retries",
+    "client-timeouts",
+    "client-unreachable",
+    "client-deadline-exceeded",
+    "client-hedges-fired",
+    "client-hedges-won",
+    "client-hedge-timeouts",
+    "client-unmatched-replies",
+    "client-bad-replies",
+    "client-outcome-reports",
+    "wizard-reply-servers",
+    "health-quarantines",
+];
+
+/// What one backend made of a [`ClientScript`].
+#[derive(Debug, PartialEq)]
+struct ClientAnswer {
+    /// Every datagram the client sent toward the wizard, in order, made
+    /// comparable by [`canonical_frames`]: each request frame's sequence
+    /// number replaced by its rank of first appearance (the drivers draw
+    /// them from different streams).
+    frames: Vec<Vec<u8>>,
+    /// Per request: the servers connected to, or why there are none.
+    results: Vec<Result<Vec<Endpoint>, ClientError>>,
+    counters: Vec<u64>,
+}
+
+fn canonical_frames(frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    // Request frames are at least 8 bytes; outcome reports are 7 and
+    // carry no sequence number.
+    let is_request = |frame: &Vec<u8>| frame.len() >= 8;
+    let mut seen: Vec<[u8; 4]> = Vec::new();
+    let mut frames: Vec<Vec<u8>> = frames
+        .into_iter()
+        .map(|mut frame| {
+            let request = is_request(&frame);
+            if let Some(seq) = frame.first_chunk_mut::<4>().filter(|_| request) {
+                let known = seen.iter().position(|s| s == seq);
+                let rank = known.unwrap_or_else(|| {
+                    seen.push(*seq);
+                    seen.len() - 1
+                });
+                *seq = (rank as u32).to_le_bytes();
+            }
+            frame
+        })
+        .collect();
+    // One resolution's outcome reports leave in one instant, and the
+    // simulated LAN's jitter may reorder such a burst: compare it as a set.
+    for burst in frames.chunk_by_mut(|a, b| !is_request(a) && !is_request(b)) {
+        burst.sort();
+    }
+    frames
+}
+
+/// The simulated backend: `SmartClient` talks to a relay host that logs
+/// and drops like the live `FaultShim`, in front of the real wizard.
+fn sim_client(script: &ClientScript) -> ClientAnswer {
+    let servers: Vec<Ip> = (1..=3).map(|i| Ip::new(10, 0, 9, i)).collect();
+    let mut b = NetworkBuilder::new(11);
+    let sw = b.router("sw", Ip::new(10, 0, 0, 254));
+    let named = [("wizard", WIZ_IP), ("client", CLIENT_IP), ("shim", SHIM_IP)];
+    let hosts = named.into_iter().chain(servers.iter().map(|&ip| ("server", ip)));
+    for (i, (name, ip)) in hosts.enumerate() {
+        let node = b.host(&format!("{name}{i}"), ip, HostParams::testbed());
+        b.duplex(node, sw, LinkParams::lan_100mbps());
+    }
+    let net = b.build();
+    for ip in servers.iter().filter(|ip| !script.dead.contains(ip)) {
+        net.bind_stream(Endpoint::new(*ip, ports::SERVICE), |_s, _m| {});
+    }
+
+    let (sysdb, netdb, secdb) = shared_dbs();
+    let mut s = Scheduler::new();
+    let sysmon = SystemMonitor::new(WIZ_IP, sysdb.clone(), SysMonConfig::default());
+    sysmon.start(&mut s, &net);
+    let wiz = Wizard::new(WIZ_IP, net.clone(), sysdb, netdb, secdb, WizardConfig::default());
+    wiz.start(&mut s);
+
+    // The relay: both wizard ports, the same budgets as `FaultShim`.
+    let frames = Rc::new(RefCell::new(Vec::new()));
+    let budget = Rc::new(RefCell::new(script.wire));
+    let client_ep = Rc::new(RefCell::new(None));
+    for port in [ports::WIZARD, ports::WIZARD_HEALTH] {
+        let (net2, frames, budget, client_ep) =
+            (net.clone(), Rc::clone(&frames), Rc::clone(&budget), Rc::clone(&client_ep));
+        let here = Endpoint::new(SHIM_IP, port);
+        net.bind_udp(here, move |s, d| {
+            let mut budget = budget.borrow_mut();
+            let (to, left) = if d.from.ip == WIZ_IP {
+                (*client_ep.borrow(), &mut budget.drop_replies)
+            } else {
+                *client_ep.borrow_mut() = Some(d.from);
+                frames.borrow_mut().push(d.payload.data.to_vec());
+                (Some(Endpoint::new(WIZ_IP, port)), &mut budget.drop_requests)
+            };
+            if *left > 0 {
+                *left -= 1;
+            } else if let Some(to) = to {
+                net2.send_udp(s, here, to, d.payload, None);
+            }
+        });
+    }
+
+    let reporter = Endpoint::new(CLIENT_IP, 50001);
+    for r in &script.reports {
+        net.send_udp(&mut s, reporter, sysmon.endpoint(), Payload::data(r.clone()), None);
+    }
+    s.run_until(SimTime::from_secs(1));
+
+    let mut client = SmartClient::new(net.clone(), CLIENT_IP, SHIM_IP, 7);
+    if script.report_outcomes {
+        client = client.with_outcome_reports();
+    }
+    let mut results = Vec::new();
+    for spec in &script.requests {
+        let got = Rc::new(RefCell::new(None));
+        let g = Rc::clone(&got);
+        client.request(&mut s, spec.clone(), move |_s, r| *g.borrow_mut() = Some(r));
+        s.run_until(s.now() + SimDuration::from_secs(1));
+        let result = got.borrow_mut().take().expect("sim request resolved within a second");
+        results.push(result.map(|socks| socks.iter().map(|sock| sock.remote).collect()));
+    }
+    let counters = CLIENT_PATH_COUNTERS.iter().map(|name| s.telemetry.counter(name)).collect();
+    let frames = canonical_frames(frames.take());
+    ClientAnswer { frames, results, counters }
+}
+
+/// The live backend: `LiveSock` through a `FaultShim` to a `LiveWizard`.
+fn live_client(script: &ClientScript) -> ClientAnswer {
+    let (clock, _hand) = Clock::manual();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+    for r in &script.reports {
+        sender.send_to(r, wiz.addr()).unwrap();
+    }
+    for _ in 0..400 {
+        if wiz.reports_ingested() >= script.reports.len() as u64 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let shim = FaultShim::spawn(wiz.addr(), script.wire).unwrap();
+
+    let mut results = Vec::new();
+    let mut counters = vec![0u64; CLIENT_PATH_COUNTERS.len()];
+    for spec in &script.requests {
+        let mut sock = LiveSock::bind(shim.addr()).unwrap();
+        *sock.telemetry() = Some(Telemetry::new());
+        let (result, tel) = match sock.request_spec(spec.clone()).unwrap().wait() {
+            Ok(mut connected) => {
+                let offered = connected.servers().to_vec();
+                let refuses = |ep: &Endpoint| script.dead.contains(&ep.ip);
+                for ep in offered.iter().filter(|_| script.report_outcomes) {
+                    let outcome = if refuses(ep) {
+                        OutcomeKind::ConnectFailed
+                    } else {
+                        OutcomeKind::Completed
+                    };
+                    connected.report_outcome(ep.ip, outcome).unwrap();
+                }
+                let up = offered.into_iter().filter(|ep| !refuses(ep)).collect();
+                (Ok(up), connected.telemetry().take())
+            }
+            Err((mut sock, RequestError::Failed(e))) => (Err(e), sock.telemetry().take()),
+            Err((_, e)) => panic!("live request failed outside the protocol: {e}"),
+        };
+        results.push(result);
+        let tel = tel.expect("the socket was traced");
+        for (sum, name) in counters.iter_mut().zip(CLIENT_PATH_COUNTERS) {
+            *sum += tel.counter(name);
+        }
+    }
+    // The shim logs in arrival order: once a marker sent after the last
+    // request resolved is in the log, so is everything the clients sent.
+    // (The daemon skips it as an undecodable stats query.)
+    let marker = b"SSQ1 end of script";
+    sender.send_to(marker, shim.addr()).unwrap();
+    let mut frames = shim.requests();
+    for _ in 0..400 {
+        if frames.last().is_some_and(|frame| frame == marker) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        frames = shim.requests();
+    }
+    assert_eq!(frames.pop().as_deref(), Some(&marker[..]), "the shim never saw the marker");
+    let frames = canonical_frames(frames);
+    drop(shim);
+    let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
+    for (sum, name) in counters.iter_mut().zip(CLIENT_PATH_COUNTERS) {
+        *sum += trace.counters.get(name).copied().unwrap_or(0);
+    }
+    ClientAnswer { frames, results, counters }
+}
+
+fn three_idle_servers() -> Vec<Vec<u8>> {
+    (1..=3).map(|i| report_bytes(&format!("pool{i}"), i, 0.95)).collect()
+}
+
+fn spec_ms(servers: u16, timeout_ms: u64) -> RequestSpec {
+    RequestSpec {
+        timeout: SimDuration::from_millis(timeout_ms),
+        ..RequestSpec::new("host_cpu_free > 0.9\n", servers)
+    }
+}
+
+fn pool(last_octets: &[u8]) -> Vec<Endpoint> {
+    last_octets.iter().map(|&i| Endpoint::new(Ip::new(10, 0, 9, i), ports::SERVICE)).collect()
+}
+
+fn counter(answer: &ClientAnswer, name: &str) -> u64 {
+    let at = CLIENT_PATH_COUNTERS.iter().position(|n| *n == name).expect("a compared counter");
+    answer.counters[at]
+}
+
+// ---------------------------------------------------------------------
+// Scenario 7: the first request frame is lost; the retry — the same frame,
+// the same sequence number — recovers.
+// ---------------------------------------------------------------------
+#[test]
+fn a_dropped_request_is_retried_identically_by_both_clients() {
+    let script = ClientScript {
+        reports: three_idle_servers(),
+        requests: vec![spec_ms(2, 100)],
+        wire: ShimPolicy { drop_requests: 1, drop_replies: 0 },
+        dead: Vec::new(),
+        report_outcomes: false,
+    };
+    let (sim, live) = (sim_client(&script), live_client(&script));
+    assert_eq!(sim, live, "frames, resolution or client counters differ between backends");
+    assert_eq!(live.frames.len(), 2);
+    assert_eq!(live.frames[0], live.frames[1], "the retransmission is the identical frame");
+    assert_eq!(live.results, [Ok(pool(&[1, 2]))]);
+    assert_eq!(counter(&live, "client-retries"), 1);
+}
+
+// ---------------------------------------------------------------------
+// Scenario 8: a silent wizard and a deadline shorter than the retry
+// ladder — both clients stop at the deadline, mid-ladder.
+// ---------------------------------------------------------------------
+#[test]
+fn a_deadline_shorter_than_the_ladder_ends_both_clients_identically() {
+    let script = ClientScript {
+        reports: Vec::new(),
+        requests: vec![spec_ms(1, 50).with_deadline(SimDuration::from_millis(80))],
+        wire: ShimPolicy { drop_requests: u32::MAX, drop_replies: 0 },
+        dead: Vec::new(),
+        report_outcomes: false,
+    };
+    let (sim, live) = (sim_client(&script), live_client(&script));
+    assert_eq!(sim, live, "frames, resolution or client counters differ between backends");
+    assert_eq!(live.results, [Err(ClientError::DeadlineExceeded)]);
+    assert_eq!(live.frames.len(), 2, "one retry fit inside the budget");
+    assert_eq!(counter(&live, "client-deadline-exceeded"), 1);
+    assert_eq!(counter(&live, "client-timeouts"), 0);
+}
+
+// ---------------------------------------------------------------------
+// Scenario 9: the reply to the primary is lost; the hedge goes out under a
+// fresh sequence number and wins.
+// ---------------------------------------------------------------------
+#[test]
+fn a_hedge_rescues_a_lost_reply_identically_in_both_clients() {
+    let script = ClientScript {
+        reports: three_idle_servers(),
+        requests: vec![spec_ms(3, 400).with_hedge(SimDuration::from_millis(40))],
+        wire: ShimPolicy { drop_requests: 0, drop_replies: 1 },
+        dead: Vec::new(),
+        report_outcomes: false,
+    };
+    let (sim, live) = (sim_client(&script), live_client(&script));
+    assert_eq!(sim, live, "frames, resolution or client counters differ between backends");
+    assert_eq!(live.frames.len(), 2);
+    assert_ne!(live.frames[0][..4], live.frames[1][..4], "the hedge has its own sequence number");
+    assert_eq!(live.frames[0][4..], live.frames[1][4..], "and is otherwise the same request");
+    assert_eq!(live.results, [Ok(pool(&[1, 2, 3]))]);
+    assert_eq!(counter(&live, "client-hedges-won"), 1);
+    assert_eq!(counter(&live, "client-retries"), 0);
+}
+
+// ---------------------------------------------------------------------
+// Scenario 10: the self-healing loop, end to end on both backends — a
+// server that refuses connects is reported, quarantined after the second
+// failure, and missing from the third reply.
+// ---------------------------------------------------------------------
+#[test]
+fn connect_failures_reported_by_either_client_quarantine_the_server() {
+    let flaky = Ip::new(10, 0, 9, 2);
+    let script = ClientScript {
+        reports: three_idle_servers(),
+        requests: vec![spec_ms(3, 200); 3],
+        wire: ShimPolicy::transparent(),
+        dead: vec![flaky],
+        report_outcomes: true,
+    };
+    let (sim, live) = (sim_client(&script), live_client(&script));
+    assert_eq!(sim, live, "frames, resolution or client counters differ between backends");
+    assert_eq!(live.results, vec![Ok(pool(&[1, 3])); 3], "the refusing server is skipped");
+    assert_eq!(counter(&live, "health-quarantines"), 1);
+    // Three servers offered twice, then the quarantined one is left out.
+    assert_eq!(counter(&live, "wizard-reply-servers"), 3 + 3 + 2);
+    assert_eq!(counter(&live, "client-outcome-reports"), 3 + 3 + 2);
 }
