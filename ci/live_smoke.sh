@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Live-backend end-to-end smoke: run the real `smartsockd` daemon over
 # loopback UDP, feed it a synthetic probe report and two procfs-fixture
-# reports, issue a request, a hostile one and one nobody answers, then stop
-# it gracefully and check the stats and the exported telemetry trace. Single source of truth for CI
+# reports, issue a request, overwrite a row and ask again, a hostile request
+# and one nobody answers, then stop it gracefully and check the stats and
+# the exported telemetry trace. Single source of truth for CI
 # (ci.yml `live-smoke` job, under a hard timeout) and for local runs:
 #
 #   ./ci/live_smoke.sh
@@ -60,6 +61,24 @@ echo "$stats" | grep -q "sysmon-reports"
 echo "$stats" | grep -q "wizard-replies"
 "$bin" stats --wizard "$addr" --json | grep -q '"counts":'
 
+echo "== an overwritten /24 is tightened by the request that reads it =="
+# A second /24 turns up idle, then reports itself busy: the overwrite only
+# widens the shard's summary ([0.10, 0.96]); the next request must make it
+# exact again and prune the whole /24 on it.
+"$bin" probe --wizard "$addr" --host dione --ip 192.168.4.10 --cpu-free 0.96 \
+  | grep "byte report"
+"$bin" probe --wizard "$addr" --host dione --ip 192.168.4.10 --cpu-free 0.10 \
+  | grep "byte report"
+out="$("$bin" request --wizard "$addr" --servers 5 --req 'host_cpu_free > 0.9' --json)"
+echo "$out"
+echo "$out" | grep -q '192.168.3.10:1200'
+if echo "$out" | grep -q '192.168.4.10'; then
+  echo "a host that reported itself busy was offered"; exit 1
+fi
+pruned="$("$bin" stats --wizard "$addr" | awk '$2 == "wizard-shards-pruned" {print $3}')"
+echo "wizard-shards-pruned $pruned"
+[ "${pruned:-0}" -ge 1 ] || { echo "the overwritten /24 was not pruned"; exit 1; }
+
 echo "== hostile datagram: a 1500-deep requirement is refused, the daemon lives =="
 # Debug build, 2 MB daemon stack: any recursive walk over a tree this deep
 # aborts the process, so the parser must refuse to build it.
@@ -83,8 +102,8 @@ echo >&3
 exec 3>&-
 wait "$wizpid"
 rm -f "$fifo"
-grep "ingested 3 reports" "$wizlog"
-grep "served 3 requests" "$wizlog"
+grep "ingested 5 reports" "$wizlog"
+grep "served 4 requests" "$wizlog"
 
 echo "== live trace is readable by the telemetry CLI =="
 sout="$(cargo run -q -p smartsock-telemetry -- summary "$trace")"

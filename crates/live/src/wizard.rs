@@ -226,9 +226,10 @@ fn serve(
         // expiry horizon, so dead servers stop being offered without a
         // timer thread. (`select` independently skips stale records, so
         // sweep cadence affects bookkeeping, not matching.) Affordable per
-        // datagram because the sweep walks only shards that changed or can
-        // hold a stale row: one comparison per /24, plus the rows of the
-        // shard the previous report overwrote.
+        // datagram because the sweep only evicts: one comparison for the
+        // health table and one per /24, a walk only of what is due. What
+        // the reports overwrote is the next request's to tighten, inside
+        // `handle`.
         engine.sweep(SimTime(now));
         engine.record(&mut tel);
         // Whatever this datagram turns out to be — a stats poll, a wake-up,

@@ -41,6 +41,16 @@ fn wait_for_reports(wiz: &LiveWizard, n: u64) {
     panic!("wizard never ingested {n} reports (got {})", wiz.reports_ingested());
 }
 
+/// Every `status-db-shard-swept` event of a trace: (subnet, rows evicted).
+fn shard_sweeps(trace: &Trace) -> Vec<(&str, &str)> {
+    trace
+        .events
+        .iter()
+        .filter(|e| e.name == "status-db-shard-swept")
+        .map(|e| (e.attrs["subnet"].as_str(), e.attrs["evicted"].as_str()))
+        .collect()
+}
+
 #[test]
 fn typestate_client_roundtrip_selects_qualified_servers() {
     let wiz = LiveWizard::spawn().unwrap();
@@ -291,13 +301,7 @@ fn a_silent_subnet_expires_beside_one_that_keeps_reporting() {
     assert_eq!(wiz.live_servers(), 1);
 
     let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
-    let swept: Vec<_> = trace
-        .events
-        .iter()
-        .filter(|e| e.name == "status-db-shard-swept")
-        .map(|e| (e.attrs["subnet"].as_str(), e.attrs["evicted"].as_str()))
-        .collect();
-    assert_eq!(swept, [("192.168.9.0/24", "2")]);
+    assert_eq!(shard_sweeps(&trace), [("192.168.9.0/24", "2")]);
     let expired: Vec<_> = trace
         .events
         .iter()
@@ -305,6 +309,77 @@ fn a_silent_subnet_expires_beside_one_that_keeps_reporting() {
         .map(|e| e.attrs["server"].as_str())
         .collect();
     assert_eq!(expired, ["192.168.9.1", "192.168.9.2"]);
+}
+
+/// Twenty hosts of `192.168.<subnet>.0/24` report `cpu_idle`, and the
+/// daemon is waited for, so a burst never outruns the socket buffer.
+fn subnet_reports(wiz: &LiveWizard, subnet: u8, cpu_idle: f64) {
+    let before = wiz.reports_ingested();
+    for last in 1..=20 {
+        let mut r = report("h", last, cpu_idle);
+        r.ip = Ip::new(192, 168, subnet, last);
+        send_live_report(wiz.addr(), &r).unwrap();
+    }
+    wait_for_reports(wiz, before + 20);
+}
+
+#[test]
+fn a_request_after_a_thousand_overwrites_prunes_like_a_freshly_filled_daemon() {
+    // What one request evaluates, read off the daemon's own trace.
+    let ask = |wiz: LiveWizard| {
+        let ask = req(1, 60, "host_cpu_free > 0.9\n");
+        let reply = live_request(wiz.addr(), &ask, Duration::from_millis(500), 3).unwrap();
+        let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
+        let count = |name: &str| trace.counters.get(name).copied();
+        (reply.servers, count("wizard-shards-pruned"), count("wizard-rows-evaluated"))
+    };
+    let spawn =
+        || LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), Clock::manual().0);
+
+    // Both /24s idle, then subnet 9 reports itself busy fifty times over:
+    // every one of the 1000 reports overwrites a row, and none of them is
+    // followed by a walk of its shard.
+    let worn = spawn().unwrap();
+    subnet_reports(&worn, 9, 0.95);
+    subnet_reports(&worn, 10, 0.95);
+    for round in 0..50 {
+        subnet_reports(&worn, 9, 0.10 + f64::from(round % 5) / 100.0);
+    }
+    assert_eq!(worn.reports_ingested(), 1040);
+    let fresh = spawn().unwrap();
+    subnet_reports(&fresh, 9, 0.14);
+    subnet_reports(&fresh, 10, 0.95);
+
+    // The request tightens what the reports overwrote: the busy /24 is
+    // pruned on its summary, exactly as in a daemon that never held the
+    // idle values.
+    let worn = ask(worn);
+    assert_eq!((worn.1, worn.2), (Some(1), Some(20)));
+    assert_eq!(worn, ask(fresh));
+}
+
+#[test]
+fn reports_alone_evict_a_silent_subnet_with_no_request_arriving() {
+    let (clock, hand) = Clock::manual();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    subnet_reports(&wiz, 9, 0.95);
+    subnet_reports(&wiz, 10, 0.95);
+    // Subnet 10 falls silent; subnet 9 keeps overwriting its rows. Nothing
+    // reads the summaries — eviction is the sweep's, on the next datagram
+    // past the window, whoever sent it.
+    for secs in [2, 4, 6] {
+        hand.set_ns(secs * 1_000_000_000);
+        subnet_reports(&wiz, 9, 0.5);
+        assert_eq!(wiz.live_servers(), 40, "t = {secs} s: aged at most the 6 s window");
+    }
+    hand.set_ns(7_000_000_000);
+    subnet_reports(&wiz, 9, 0.5);
+    assert_eq!(wiz.live_servers(), 20);
+
+    let stats = wiz.shutdown().unwrap();
+    assert_eq!((stats.reports, stats.served), (120, 0));
+    let trace = Trace::parse(&stats.trace_jsonl);
+    assert_eq!(shard_sweeps(&trace), [("192.168.10.0/24", "20")]);
 }
 
 #[test]

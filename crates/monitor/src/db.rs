@@ -19,23 +19,28 @@
 //! Each shard additionally maintains a conservative [`ShardSummary`]:
 //! row count, the newest `recorded_at`, and per-variable min/max ranges
 //! over the report-derived server variables. Summaries are **widened** on
-//! upsert (cheap, always a superset of the true ranges) and left
-//! **exact** by every `expire`. The wizard's match loop consults
-//! summaries to skip whole subnets that cannot satisfy a requirement;
-//! conservatism makes that pruning behaviorally invisible.
+//! upsert (cheap, always a superset of the true ranges) and made **exact**
+//! again by `tighten`, which the wizard calls before it reads them. The
+//! match loop consults summaries to skip whole subnets that cannot satisfy
+//! a requirement; conservatism makes that pruning behaviorally invisible.
 //!
-//! ## Which shards a sweep visits
+//! ## What a sweep does and what a request does
 //!
-//! `expire` delivers what a walk over every row would — the same
-//! evictions, every summary exact afterwards — but walks only shards
-//! where that takes work. A *new* row widens an exact summary exactly;
-//! only an *overwrite* can leave a departed value behind as an extreme,
-//! so that marks a shard dirty. And nothing can be evicted before a
-//! shard's oldest row (a lower bound is kept) passes `max_age`. A shard
-//! neither dirty nor due is skipped: its rows all stay and its summary
-//! already is what a recompute would write (up to the sign of a zero,
-//! which no reader of a range can see). The live daemon sweeps on every
-//! datagram: O(shards) comparisons, plus one shard's rows after a report.
+//! Writers and the one reader each pay for their own work. A *new* row
+//! widens an exact summary exactly; only an *overwrite* can leave a
+//! departed value behind as an extreme, so that marks a shard dirty — and
+//! nothing more: a report costs its upsert, whatever the report before it
+//! was. The sweep (`expire`) only *evicts*. Nothing can be evicted before
+//! a shard's oldest row (a lower bound is kept) passes `max_age`, so a
+//! shard not yet due costs one comparison and is otherwise left alone,
+//! dirty or not; a due shard is walked once, which drops its stale rows
+//! and, being the same pass, leaves its summary exact. The request
+//! (`tighten`, called by the wizard just before it lends out the view)
+//! walks the shards still dirty, so pruning always reads exact summaries
+//! (up to the sign of a zero, which no reader of a range can see) —
+//! however many reports arrived since the last request, each dirty shard
+//! is walked once. The live daemon sweeps on every datagram: O(shards)
+//! comparisons.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -153,7 +158,7 @@ pub struct ShardSummary {
     /// Exact row count.
     pub count: usize,
     /// At least as new as the newest row's `recorded_at` — exact after
-    /// every `expire`, never older than the truth in between.
+    /// every `tighten`, never older than the truth in between.
     pub newest_recorded_at: SimTime,
     /// Superset ranges over [`REPORT_VARS`].
     pub ranges: VarRanges,
@@ -164,11 +169,11 @@ pub struct ShardSummary {
 pub struct Shard {
     rows: BTreeMap<Ip, TimedReport>,
     summary: ShardSummary,
-    /// No row is older than this (exact after a sweep walked the shard),
-    /// so a sweep before `oldest + max_age` cannot evict here.
+    /// No row is older than this (exact after a walk of the shard), so a
+    /// sweep before `oldest + max_age` cannot evict here.
     oldest_recorded_at: SimTime,
     /// A row was overwritten since the summary was last recomputed, so a
-    /// range may still cover the value that left.
+    /// range may still cover the value that left — until `tighten`.
     dirty: bool,
 }
 
@@ -190,13 +195,13 @@ impl Shard {
         self.rows.is_empty()
     }
 
-    /// One pass over the rows: drop those older than `max_age` (returned
-    /// in address order) and rebuild the summary exactly from the rest.
-    fn sweep(&mut self, now: SimTime, max_age: SimDuration) -> Vec<Ip> {
+    /// One pass over the rows: drop the `stale` ones (returned in address
+    /// order) and rebuild the summary exactly from the rest.
+    fn sweep(&mut self, stale: impl Fn(&TimedReport) -> bool) -> Vec<Ip> {
         let mut evicted = Vec::new();
         let (mut summary, mut oldest) = (ShardSummary::default(), SimTime(u64::MAX));
         self.rows.retain(|&ip, t| {
-            if now.since(t.recorded_at) > max_age {
+            if stale(t) {
                 evicted.push(ip);
                 return false;
             }
@@ -223,8 +228,8 @@ impl SysDb {
     /// Insert or update one server's record (§3.2.2: update if the address
     /// exists, insert otherwise). The shard summary is widened, not
     /// recomputed: an overwrite can leave stale extremes behind (and marks
-    /// the shard dirty) until the next `expire` — pruning only gets *less*
-    /// aggressive.
+    /// the shard dirty) until the next [`SysDb::tighten`] — a reader that
+    /// skipped it would only prune *less*.
     pub fn upsert(&mut self, report: ServerStatusReport, now: SimTime) {
         let shard = self.shards.entry(subnet_of(report.ip)).or_default();
         let ip = report.ip;
@@ -254,6 +259,9 @@ impl SysDb {
     /// probe whose report lands on the very tick of its third missed
     /// interval still counts as alive; the sweep one interval later evicts
     /// it. Pinned by `expiry_keeps_a_record_aged_exactly_max_age`.
+    ///
+    /// Eviction only: summaries stay supersets, exact again after
+    /// [`SysDb::tighten`] (module docs).
     pub fn expire(&mut self, now: SimTime, max_age: SimDuration) -> Vec<Ip> {
         self.expire_by_shard(now, max_age).into_iter().flat_map(|(_, ips)| ips).collect()
     }
@@ -264,9 +272,9 @@ impl SysDb {
     /// sweep's count — `wizard-stale-evictions` keeps its meaning — which
     /// is pinned by `per_shard_evictions_sum_to_the_flat_count`.
     ///
-    /// Every summary is exact afterwards, re-tightening the widen-only
-    /// drift from overwrites, and emptied shards are dropped. Only dirty
-    /// or due shards are walked (module docs); the rest cost a comparison.
+    /// Emptied shards are dropped. Only due shards — the oldest row may
+    /// be past `max_age` — are walked; the rest cost a comparison, and an
+    /// overwrite makes no sweep walk anything (module docs).
     pub fn expire_by_shard(
         &mut self,
         now: SimTime,
@@ -275,10 +283,10 @@ impl SysDb {
         let mut by_shard = Vec::new();
         let mut emptied = false;
         for (key, shard) in &mut self.shards {
-            if !shard.dirty && now.since(shard.oldest_recorded_at) <= max_age {
+            if now.since(shard.oldest_recorded_at) <= max_age {
                 continue;
             }
-            let evicted = shard.sweep(now, max_age);
+            let evicted = shard.sweep(|t| now.since(t.recorded_at) > max_age);
             emptied |= shard.rows.is_empty();
             if !evicted.is_empty() {
                 self.total -= evicted.len();
@@ -289,6 +297,15 @@ impl SysDb {
             self.shards.retain(|_, s| !s.rows.is_empty());
         }
         by_shard
+    }
+
+    /// Make every summary exact: re-walk the shards a report overwrote
+    /// since their last walk. What a reader of summaries calls first; rows
+    /// and counts are untouched.
+    pub fn tighten(&mut self) {
+        for shard in self.shards.values_mut().filter(|s| s.dirty) {
+            shard.sweep(|_| false);
+        }
     }
 
     pub fn get(&self, ip: Ip) -> Option<&TimedReport> {
@@ -511,19 +528,21 @@ mod tests {
             }
         }
 
-        /// The sharded sweep is an exact regrouping of the flat one, call
-        /// after call: against [`FlatModel`] — one flat map, every summary
-        /// rebuilt from scratch on every expire, the walk `expire_by_shard`
-        /// used to do — any sequence of upserts (new and known addresses,
-        /// equal, later and earlier timestamps), sweeps and `replace_all`
-        /// yields the same evictions, grouped under the shard each /24
-        /// prefix names, the same summaries and the same sizes. Pins that
-        /// skipping clean, not-due shards is invisible, and the ISSUE 10
-        /// bugfix: `wizard-stale-evictions` must not change meaning.
+        /// The `SysDb` contract, call after call, against [`FlatModel`] —
+        /// one flat map of rows whose exact summaries are rebuilt from
+        /// nothing whenever asked. Over any sequence of upserts (new and
+        /// known addresses, equal, later and earlier timestamps), sweeps,
+        /// `tighten`s and `replace_all`s: the sharded sweep is an exact
+        /// regrouping of the flat one (the same evictions, grouped under
+        /// the shard each /24 prefix names — the ISSUE 10 bugfix:
+        /// `wizard-stale-evictions` must not change meaning), sizes and
+        /// rows agree, every summary *covers* the exact one at all times,
+        /// and after every `tighten` it *is* the exact one (up to the sign
+        /// of a zero, which `==` on floats already ignores).
         #[test]
         fn per_shard_evictions_sum_to_the_flat_count(
             ops in proptest::collection::vec(
-                (0u8..10, 0u8..5, 0u8..6, 0u8..8, 0u64..4, 0u64..9),
+                (0u8..12, 0u8..5, 0u8..6, 0u8..8, 0u64..4, 0u64..9),
                 0..60,
             ),
         ) {
@@ -559,6 +578,7 @@ mod tests {
                             }
                         }
                     }
+                    9..=10 => db.tighten(),
                     _ => {
                         let rows: Vec<_> =
                             (0..host).flat_map(|h| [row(subnet, h), row(subnet + 1, h)]).collect();
@@ -566,54 +586,68 @@ mod tests {
                         model.replace_all(rows, now);
                     }
                 }
-                let summaries: BTreeMap<SubnetKey, ShardSummary> =
-                    db.iter_shards().map(|(k, s)| (*k, s.summary().clone())).collect();
-                proptest::prop_assert_eq!(&summaries, &model.summaries);
+                let exact = model.summaries();
                 proptest::prop_assert_eq!(db.len(), model.rows.len());
-                proptest::prop_assert_eq!(db.shard_count(), model.summaries.len());
+                proptest::prop_assert_eq!(db.shard_count(), exact.len());
                 proptest::prop_assert!(db.iter().eq(model.rows.iter()));
+                for ((key, shard), (exact_key, exact)) in db.iter_shards().zip(&exact) {
+                    proptest::prop_assert_eq!(key, exact_key);
+                    let got = shard.summary();
+                    if matches!(kind, 9..=10) {
+                        proptest::prop_assert_eq!(got, exact);
+                    }
+                    proptest::prop_assert_eq!(got.count, exact.count);
+                    proptest::prop_assert!(got.newest_recorded_at >= exact.newest_recorded_at);
+                    let (got, exact) = (&got.ranges, &exact.ranges);
+                    proptest::prop_assert!(got.lo.iter().zip(&exact.lo).all(|(g, e)| g <= e));
+                    proptest::prop_assert!(got.hi.iter().zip(&exact.hi).all(|(g, e)| g >= e));
+                }
             }
         }
     }
 
     /// Reference for the property test above: the status database as one
-    /// flat map whose sweep walks every row and rebuilds every shard
-    /// summary from nothing.
+    /// flat map of rows. Its sweep visits every row; its summaries are
+    /// rebuilt from nothing on every call — the walk-everything body
+    /// `SysDb` used to have.
     #[derive(Default)]
     struct FlatModel {
         rows: BTreeMap<Ip, TimedReport>,
-        summaries: BTreeMap<SubnetKey, ShardSummary>,
     }
 
     impl FlatModel {
         fn upsert(&mut self, report: ServerStatusReport, now: SimTime) {
-            let s = self.summaries.entry(subnet_of(report.ip)).or_default();
-            s.newest_recorded_at = s.newest_recorded_at.max(now);
-            s.ranges.widen(&report);
-            if self.rows.insert(report.ip, TimedReport { report, recorded_at: now }).is_none() {
-                s.count += 1;
-            }
+            self.rows.insert(report.ip, TimedReport { report, recorded_at: now });
         }
 
         fn expire(&mut self, now: SimTime, max_age: SimDuration) -> Vec<Ip> {
             let mut evicted = Vec::new();
-            // Survivors go back into an empty model one by one, which is
-            // what "recomputed from scratch" means.
-            for (ip, t) in std::mem::take(self).rows {
-                if now.since(t.recorded_at) <= max_age {
-                    self.upsert(t.report, t.recorded_at);
-                } else {
+            self.rows.retain(|&ip, t| {
+                let keep = now.since(t.recorded_at) <= max_age;
+                if !keep {
                     evicted.push(ip);
                 }
-            }
+                keep
+            });
             evicted
         }
 
         fn replace_all(&mut self, reports: Vec<ServerStatusReport>, now: SimTime) {
-            *self = FlatModel::default();
+            self.rows.clear();
             for r in reports {
                 self.upsert(r, now);
             }
+        }
+
+        fn summaries(&self) -> BTreeMap<SubnetKey, ShardSummary> {
+            let mut exact: BTreeMap<SubnetKey, ShardSummary> = BTreeMap::new();
+            for (&ip, t) in &self.rows {
+                let s = exact.entry(subnet_of(ip)).or_default();
+                s.count += 1;
+                s.newest_recorded_at = s.newest_recorded_at.max(t.recorded_at);
+                s.ranges.widen(&t.report);
+            }
+            exact
         }
     }
 
@@ -621,6 +655,8 @@ mod tests {
     fn a_sweep_with_nothing_dirty_and_nothing_due_walks_no_shard() {
         let secs = SimTime::from_secs;
         let max_age = SimDuration::from_secs(6);
+        let load1 =
+            |db: &SysDb| db.shards[&[10, 0, 0]].summary.ranges.range_of("host_system_load1");
         let mut db = SysDb::default();
         for subnet in 0..3 {
             db.upsert(report(Ip::new(10, 0, subnet, 1), 1.0), secs(2));
@@ -628,14 +664,8 @@ mod tests {
         }
         // New rows leave a shard clean; only the overwrite marks one.
         db.upsert(report(Ip::new(10, 0, 0, 2), 0.5), secs(4));
-        let dirty: Vec<bool> = db.shards.values().map(|s| s.dirty).collect();
-        assert_eq!(dirty, [true, false, false]);
-        assert!(db.expire(secs(4), max_age).is_empty());
-        assert!(db.shards.values().all(|s| !s.dirty && s.oldest_recorded_at == secs(2)));
-        assert_eq!(
-            db.shards[&[10, 0, 0]].summary.ranges.range_of("host_system_load1"),
-            Some((0.5, 1.0))
-        );
+        let dirty = |db: &SysDb| db.shards.values().map(|s| s.dirty).collect::<Vec<_>>();
+        assert_eq!(dirty(&db), [true, false, false]);
 
         // Lower every bound by 1 ns: still a lower bound, but any walk
         // would put the exact value back.
@@ -643,12 +673,23 @@ mod tests {
         for shard in db.shards.values_mut() {
             shard.oldest_recorded_at = marked;
         }
-        db.upsert(report(Ip::new(10, 0, 1, 9), 3.0), secs(5));
-        assert!(db.expire(secs(6), max_age).is_empty());
-        assert!(db.shards.values().all(|s| !s.dirty && s.oldest_recorded_at == marked));
+        // An overwrite alone makes no sweep walk the shard: nothing is due,
+        // so the mark, the dirty bit and the widened range all stay.
+        assert!(db.expire(secs(4), max_age).is_empty());
+        assert_eq!(dirty(&db), [true, false, false]);
+        assert!(db.shards.values().all(|s| s.oldest_recorded_at == marked));
+        assert_eq!(load1(&db), Some((0.5, 2.0)));
+
+        // `tighten` walks the dirty shard, and only it.
+        db.tighten();
+        assert_eq!(dirty(&db), [false, false, false]);
+        assert_eq!(load1(&db), Some((0.5, 1.0)));
+        let oldest: Vec<SimTime> = db.shards.values().map(|s| s.oldest_recorded_at).collect();
+        assert_eq!(oldest, [secs(2), marked, marked]);
 
         // Due by the bound: walked (exact bound restored) though the rows,
         // aged exactly `max_age`, all stay.
+        db.upsert(report(Ip::new(10, 0, 1, 9), 3.0), secs(5));
         assert!(db.expire(secs(8), max_age).is_empty());
         assert!(db.shards.values().all(|s| s.oldest_recorded_at == secs(2)));
         assert_eq!(db.len(), 7);
@@ -686,27 +727,40 @@ mod tests {
 
     #[test]
     fn shard_summaries_cover_rows_and_tighten_on_expire() {
+        let load1 = |db: &SysDb| {
+            let (_, shard) = db.iter_shards().next().unwrap();
+            assert_eq!(shard.summary().count, 2);
+            shard.summary().ranges.range_of("host_system_load1")
+        };
         let mut db = SysDb::default();
         let a = Ip::new(10, 0, 0, 1);
         let b = Ip::new(10, 0, 0, 2);
         db.upsert(report(a, 5.0), SimTime::from_secs(1));
         db.upsert(report(b, 1.0), SimTime::from_secs(2));
         let (_, shard) = db.iter_shards().next().unwrap();
-        assert_eq!(shard.summary().count, 2);
         assert_eq!(shard.summary().newest_recorded_at, SimTime::from_secs(2));
-        assert_eq!(shard.summary().ranges.range_of("host_system_load1"), Some((1.0, 5.0)));
+        assert_eq!(load1(&db), Some((1.0, 5.0)));
 
         // Overwrite the hot row with a calmer report: widen-only leaves
-        // the old maximum in place (conservative superset)…
+        // the old maximum in place (conservative superset), and a sweep
+        // that has nothing to evict leaves it there too…
         db.upsert(report(a, 2.0), SimTime::from_secs(3));
-        let (_, shard) = db.iter_shards().next().unwrap();
-        assert_eq!(shard.summary().ranges.range_of("host_system_load1"), Some((1.0, 5.0)));
-
-        // …and the sweep recomputes the exact range.
+        assert_eq!(load1(&db), Some((1.0, 5.0)));
         db.expire(SimTime::from_secs(3), SimDuration::from_secs(60));
-        let (_, shard) = db.iter_shards().next().unwrap();
-        assert_eq!(shard.summary().ranges.range_of("host_system_load1"), Some((1.0, 2.0)));
-        assert_eq!(shard.summary().count, 2);
+        assert_eq!(load1(&db), Some((1.0, 5.0)));
+
+        // …until `tighten` recomputes the exact range, rows untouched.
+        db.tighten();
+        assert_eq!(load1(&db), Some((1.0, 2.0)));
+        assert_eq!(db.get(a).unwrap().recorded_at, SimTime::from_secs(3));
+
+        // A sweep that does walk the shard (due by b's first report at
+        // t = 2, though nothing turns out stale) is the same pass: the
+        // summary it leaves is exact without a `tighten`.
+        db.upsert(report(b, 1.5), SimTime::from_secs(4));
+        assert_eq!(load1(&db), Some((1.0, 2.0)));
+        assert!(db.expire(SimTime::from_secs(64), SimDuration::from_secs(61)).is_empty());
+        assert_eq!(load1(&db), Some((1.5, 2.0)));
     }
 
     #[test]

@@ -109,6 +109,14 @@ impl State {
             State::Probation { .. } => StateKind::Probation,
         }
     }
+
+    /// When the clock alone next changes this state, if it ever does.
+    fn due(self) -> Option<SimTime> {
+        match self {
+            State::Quarantined { until } | State::Probation { until, .. } => Some(until),
+            State::Healthy | State::Suspect => None,
+        }
+    }
 }
 
 /// One observed state-machine transition, for telemetry.
@@ -135,11 +143,14 @@ struct HostHealth {
 pub struct HealthTable {
     cfg: HealthConfig,
     hosts: BTreeMap<Ip, HostHealth>,
+    /// No quarantine or probation ends before this (`None`: none is
+    /// running), so a `poll` before it has nothing to materialize.
+    next_due: Option<SimTime>,
 }
 
 impl HealthTable {
     pub fn new(cfg: HealthConfig) -> HealthTable {
-        HealthTable { cfg, hosts: BTreeMap::new() }
+        HealthTable { cfg, hosts: BTreeMap::new(), next_due: None }
     }
 
     /// Number of servers with recorded history.
@@ -181,16 +192,23 @@ impl HealthTable {
 
     /// Materialize every pending time-based transition up to `now`.
     /// Returns them in address order; the caller (the wizard's sweep)
-    /// turns them into telemetry events.
+    /// turns them into telemetry events. The table is walked only once
+    /// `now` reaches the earliest deadline in it — the live daemon polls on
+    /// every datagram, and entries are never removed.
     pub fn poll(&mut self, now: SimTime) -> Vec<Transition> {
+        if self.next_due.is_none_or(|due| now < due) {
+            return Vec::new();
+        }
         let window = self.cfg.probation_window;
         let mut out = Vec::new();
+        self.next_due = None;
         for (&ip, h) in self.hosts.iter_mut() {
             let resolved = resolve(h.state, now, window);
             if resolved.kind() != h.state.kind() {
                 out.push(Transition { ip, from: h.state.kind(), to: resolved.kind() });
             }
             h.state = resolved;
+            self.next_due = earlier(self.next_due, resolved.due());
         }
         out
     }
@@ -260,6 +278,7 @@ impl HealthTable {
         if h.state.kind() != before.kind() {
             transitions.push(Transition { ip, from: before.kind(), to: h.state.kind() });
         }
+        self.next_due = earlier(self.next_due, h.state.due());
         transitions
     }
 
@@ -271,6 +290,11 @@ impl HealthTable {
             .filter(|&ip| self.effective_state(ip, now) == StateKind::Quarantined)
             .collect()
     }
+}
+
+/// The earlier of two optional deadlines (`None`: no deadline).
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    a.into_iter().chain(b).min()
 }
 
 /// Relaxation toward 1.0: `1 - (1 - score) * 0.5^(Δt / half_life)`.
@@ -386,6 +410,104 @@ mod tests {
         let tr = table.record(ip(), OutcomeKind::Completed, t(12));
         assert!(tr.iter().any(|x| x.to == StateKind::Healthy));
         assert_eq!(table.effective_state(ip(), t(12)), StateKind::Healthy);
+    }
+
+    /// The reference: `poll` without the `next_due` bound — every host,
+    /// every call.
+    fn poll_walking_everything(table: &mut HealthTable, now: SimTime) -> Vec<Transition> {
+        let mut out = Vec::new();
+        for (&ip, h) in table.hosts.iter_mut() {
+            let resolved = resolve(h.state, now, table.cfg.probation_window);
+            if resolved.kind() != h.state.kind() {
+                out.push(Transition { ip, from: h.state.kind(), to: resolved.kind() });
+            }
+            h.state = resolved;
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Returning before the walk is invisible: over any interleaving
+        /// of outcomes, polls and clock steps (sub-second to longer than
+        /// the capped quarantine), a table polled through `next_due` and
+        /// one that walks every host on every poll report the same
+        /// transitions in the same order and hold the same state — clocks
+        /// included — for every host after every step.
+        #[test]
+        fn a_poll_bounded_by_next_due_is_the_walk_over_every_host(
+            steps in proptest::collection::vec((0u8..5, 0u8..6, 0u8..3, 0u64..8), 0..120),
+        ) {
+            let (mut bounded, mut walked) = (HealthTable::default(), HealthTable::default());
+            let mut now = t(1);
+            for (kind, host, outcome, dt) in steps {
+                // Mostly whole seconds, so deadlines are hit exactly too.
+                now += match dt {
+                    0 => SimDuration::ZERO,
+                    1 => SimDuration::from_millis(300),
+                    7 => SimDuration::from_secs(70),
+                    _ => SimDuration::from_secs(dt),
+                };
+                if kind < 2 {
+                    proptest::prop_assert_eq!(
+                        bounded.poll(now),
+                        poll_walking_everything(&mut walked, now)
+                    );
+                } else {
+                    let ip = Ip::new(10, 0, 0, host);
+                    let outcome = [
+                        OutcomeKind::Timeout,
+                        OutcomeKind::Completed,
+                        OutcomeKind::ConnectFailed,
+                    ][usize::from(outcome)];
+                    proptest::prop_assert_eq!(
+                        bounded.record(ip, outcome, now),
+                        walked.record(ip, outcome, now)
+                    );
+                }
+                proptest::prop_assert_eq!(bounded.hosts.len(), walked.hosts.len());
+                for ((ip, b), w) in bounded.hosts.iter().zip(walked.hosts.values()) {
+                    proptest::prop_assert_eq!(b.state, w.state, "{} at {:?}", ip, now);
+                    proptest::prop_assert_eq!(
+                        bounded.effective_state(*ip, now),
+                        walked.effective_state(*ip, now)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_poll_with_nothing_due_visits_no_host() {
+        let mut table = HealthTable::default();
+        // No outcome ever reported, or only healthy and suspect hosts:
+        // nothing is timed, so there is no deadline to reach.
+        assert_eq!(table.next_due, None);
+        table.record(Ip::new(10, 0, 0, 1), OutcomeKind::Completed, t(1));
+        table.record(Ip::new(10, 0, 0, 2), OutcomeKind::Timeout, t(1));
+        assert_eq!(table.next_due, None);
+        table.record(ip(), OutcomeKind::Timeout, t(1));
+        table.record(ip(), OutcomeKind::Timeout, t(2)); // quarantined until t=10
+        assert_eq!(table.next_due, Some(t(10)));
+
+        // Plant a state any walk would resolve (its quarantine ran out at
+        // t=3), behind the bound's back: a poll before t=10 returns without
+        // looking, so it stays.
+        let planted = State::Quarantined { until: t(3) };
+        table.hosts.get_mut(&Ip::new(10, 0, 0, 1)).unwrap().state = planted;
+        assert!(table.poll(t(9)).is_empty());
+        assert_eq!(table.hosts[&Ip::new(10, 0, 0, 1)].state, planted);
+
+        // At the deadline the table is walked — both hosts move — and the
+        // bound becomes the earliest deadline left: the planted host's
+        // probation ends at t=13, the other's at t=20.
+        let tr = table.poll(t(10));
+        assert_eq!(tr.iter().map(|x| x.ip).collect::<Vec<_>>(), [Ip::new(10, 0, 0, 1), ip()]);
+        assert!(tr.iter().all(|x| x.to == StateKind::Probation));
+        assert_eq!(table.next_due, Some(t(13)));
+        assert_eq!(table.poll(t(13)).len(), 1);
+        assert_eq!(table.next_due, Some(t(20)));
+        assert_eq!(table.poll(t(20)).len(), 1);
+        assert_eq!(table.next_due, None, "nothing timed is left");
     }
 
     #[test]

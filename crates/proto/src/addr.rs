@@ -129,7 +129,9 @@ pub struct HostName(String);
 
 impl HostName {
     pub fn new(name: impl Into<String>) -> HostName {
-        HostName(name.into().to_ascii_lowercase())
+        let mut name = name.into();
+        name.make_ascii_lowercase(); // in place: one allocation per name
+        HostName(name)
     }
 
     pub fn as_str(&self) -> &str {

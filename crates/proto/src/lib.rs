@@ -75,3 +75,12 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+/// The next token of a positional text line, or the [`ProtoError::BadField`]
+/// naming the field the line stopped before — built only when it is returned.
+pub(crate) fn take_field<'a>(
+    it: &mut impl Iterator<Item = &'a str>,
+    field: &'static str,
+) -> Result<&'a str, ProtoError> {
+    it.next().ok_or_else(|| ProtoError::BadField { field, text: "<missing>".into() })
+}

@@ -11,7 +11,7 @@
 use bytes::{Buf, BufMut};
 
 use crate::addr::{HostName, Ip};
-use crate::ProtoError;
+use crate::{take_field, ProtoError};
 
 /// One server's clearance level, as read from the security log.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -30,14 +30,9 @@ impl SecurityRecord {
     /// `#`-comments and blank lines skipped by the caller.
     pub fn parse_log_line(line: &str) -> Result<Self, ProtoError> {
         let mut it = line.split_ascii_whitespace();
-        let host =
-            it.next().ok_or(ProtoError::BadField { field: "host", text: "<missing>".into() })?;
-        let ip: Ip = it
-            .next()
-            .ok_or(ProtoError::BadField { field: "ip", text: "<missing>".into() })?
-            .parse()?;
-        let level =
-            it.next().ok_or(ProtoError::BadField { field: "level", text: "<missing>".into() })?;
+        let host = take_field(&mut it, "host")?;
+        let ip: Ip = take_field(&mut it, "ip")?.parse()?;
+        let level = take_field(&mut it, "level")?;
         let level: i32 = level
             .parse()
             .map_err(|_| ProtoError::BadField { field: "level", text: level.into() })?;

@@ -18,7 +18,7 @@ use bytes::{Buf, BufMut};
 use crate::addr::{HostName, Ip};
 use crate::consts::sizes::BINARY_STATUS_RECORD_BYTES;
 use crate::services::ServiceMask;
-use crate::ProtoError;
+use crate::{take_field as take, ProtoError};
 
 /// One server's resource snapshot, the unit record of the system-status
 /// database (`sysdb` in Fig 3.10).
@@ -178,18 +178,14 @@ impl ServerStatusReport {
         )
     }
 
-    /// Parse the positional ASCII line.
+    /// Parse the positional ASCII line. A well-formed line allocates the
+    /// two strings its row keeps (host and interface name) and nothing
+    /// else: error values are built only on the path that returns them.
     pub fn parse_ascii(text: &str) -> Result<Self, ProtoError> {
         let mut it = text.split_ascii_whitespace();
         let magic = it.next().unwrap_or("");
         if magic != Self::ASCII_MAGIC {
             return Err(ProtoError::Malformed(format!("bad magic {magic:?}")));
-        }
-        fn take<'a>(
-            it: &mut impl Iterator<Item = &'a str>,
-            field: &'static str,
-        ) -> Result<&'a str, ProtoError> {
-            it.next().ok_or(ProtoError::BadField { field, text: "<missing>".into() })
         }
         // `"NaN".parse::<f64>()` is `Ok`, and a NaN row is invisible to
         // the shard range summaries the wizard prunes by: finite only.
@@ -197,7 +193,7 @@ impl ServerStatusReport {
             s.parse()
                 .ok()
                 .filter(|v: &f64| v.is_finite())
-                .ok_or(ProtoError::BadField { field, text: s.into() })
+                .ok_or_else(|| ProtoError::BadField { field, text: s.into() })
         }
         fn u64_of(s: &str, field: &'static str) -> Result<u64, ProtoError> {
             s.parse().map_err(|_| ProtoError::BadField { field, text: s.into() })
@@ -224,7 +220,8 @@ impl ServerStatusReport {
         r.disk_rblocks = u64_of(take(&mut it, "disk_rblocks")?, "disk_rblocks")?;
         r.disk_wreq = u64_of(take(&mut it, "disk_wreq")?, "disk_wreq")?;
         r.disk_wblocks = u64_of(take(&mut it, "disk_wblocks")?, "disk_wblocks")?;
-        r.iface = take(&mut it, "iface")?.to_owned();
+        r.iface.clear(); // `empty()`'s "eth0": its buffer is reused
+        r.iface.push_str(take(&mut it, "iface")?);
         r.net_rbytes_ps = f64_of(take(&mut it, "net_rbytes_ps")?, "net_rbytes_ps")?;
         r.net_rpackets_ps = f64_of(take(&mut it, "net_rpackets_ps")?, "net_rpackets_ps")?;
         r.net_tbytes_ps = f64_of(take(&mut it, "net_tbytes_ps")?, "net_tbytes_ps")?;

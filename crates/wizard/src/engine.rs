@@ -519,6 +519,8 @@ impl WizardEngine {
             self.last = Done::BadRequest;
             return Ok(Ingest::BadRequest);
         };
+        // Reports only widen shard summaries; the one reader makes them exact.
+        self.sysdb.write().tighten();
         let (servers, stats) =
             self.with_view(|view, policy| select_with_stats(view, policy, now, &req, from.ip));
         // Invariant accounting: select() must never hand out a quarantined
@@ -551,9 +553,10 @@ impl WizardEngine {
     /// older than the staleness window so dead servers stop being offered.
     /// Returns exactly which addresses went dark.
     ///
-    /// Cost per call: the health poll, one comparison per shard, and a row
-    /// walk only of shards a report overwrote since the last sweep or whose
-    /// oldest row is past the window — cheap enough per datagram (live).
+    /// Cost per call: one comparison for the health table, one per shard,
+    /// and a walk only of what is due — a host whose quarantine or
+    /// probation ran out, a shard whose oldest row is past the window —
+    /// cheap enough per datagram (live), whatever the datagrams before were.
     pub fn sweep(&mut self, now: SimTime) -> Vec<Ip> {
         let transitions = self.health.poll(now);
         let by_shard = match self.policy.stale_max_age {
@@ -1163,6 +1166,42 @@ mod tests {
         assert_eq!(stats.shards_pruned, 1, "the all-stale /24 is skipped wholesale");
         assert_eq!(stats.rows_evaluated, 1);
         assert_eq!(flat, got);
+    }
+
+    #[test]
+    fn a_request_after_overwrites_prunes_without_a_sweep() {
+        let mut e = engine();
+        let mut t = NullTransport { now: 0, sent: Vec::new() };
+        let probe = Endpoint::new(Ip::new(10, 0, 0, 3), 40000);
+        let client = Endpoint::new(CLIENT_IP, 40001);
+        let mut send = |e: &mut WizardEngine, subnet: u8, last: u8, idle: f64| {
+            let mut r = ServerStatusReport::empty("h", Ip::new(10, 4, subnet, last));
+            r.cpu_idle = idle;
+            let got = e.handle(&mut t, probe, r.encode_ascii().as_bytes());
+            assert_eq!(got, Ok(Ingest::Report(r.ip)));
+        };
+        // Two idle /24s; then every row of the first reports itself busy.
+        for (subnet, rows) in [(0, 30), (1, 20)] {
+            for last in 1..=rows {
+                send(&mut e, subnet, last, 0.95);
+            }
+        }
+        for last in 1..=30 {
+            send(&mut e, 0, last, 0.10);
+        }
+        // No sweep since: the overwritten shard's summary still covers the
+        // 0.95s that left, and would be descended into for nothing.
+        let widened = e.sysdb.read().iter_shards().next().unwrap().1.summary().ranges.clone();
+        assert_eq!(widened.range_of("host_cpu_free"), Some((0.10, 0.95)));
+
+        let req = user_request("host_cpu_free > 0.9\n", 60);
+        let got = e.handle(&mut t, client, &req.encode()).unwrap();
+        let Ingest::Replied { reply, .. } = got else { panic!("expected a reply, got {got:?}") };
+        let Done::Matched { stats, .. } = e.last else { panic!("a request was matched") };
+        assert_eq!(stats, SelectStats { shards_total: 2, shards_pruned: 1, rows_evaluated: 20 });
+        let flat = e.with_view(|v, p| select_flat(v, p, SimTime::ZERO, &req, CLIENT_IP));
+        assert_eq!(reply.servers, flat);
+        assert_eq!(reply.servers.len(), 20);
     }
 
     #[test]

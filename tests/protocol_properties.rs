@@ -3,10 +3,11 @@
 use bytes::BytesMut;
 use proptest::prelude::*;
 
+use smartsock_hostsim::TopologySpec;
 use smartsock_net::packet::{fragment_sizes, udp_wire_size};
 use smartsock_proto::{
-    Endpoint, Frame, Ip, NetPathRecord, RequestOption, SecurityRecord, ServerStatusReport,
-    UserRequest, WizardReply,
+    Endpoint, Frame, Ip, NetPathRecord, ProtoError, RequestOption, SecurityRecord,
+    ServerStatusReport, UserRequest, WizardReply,
 };
 
 fn arb_ip() -> impl Strategy<Value = Ip> {
@@ -175,4 +176,115 @@ proptest! {
         let e = Endpoint::new(ip, port);
         prop_assert_eq!(e.to_string().parse::<Endpoint>().unwrap(), e);
     }
+}
+
+// ---- the two positional text parsers, pinned field by field ----------------
+
+fn bad_field(field: &'static str, text: &str) -> ProtoError {
+    ProtoError::BadField { field, text: text.to_owned() }
+}
+
+/// What `ServerStatusReport::parse_ascii` must keep doing however cheaply
+/// it does it: name the field a cut line stopped before, quote the text of
+/// a float it refuses, refuse a 28th token, lower-case the host — and
+/// stay the inverse of `encode_ascii` on every line the fleet generator
+/// emits.
+#[test]
+fn status_line_parser_contract() {
+    /// Every token after the magic, in line order; `true`: a float field.
+    const FIELDS: [(&str, bool); 26] = [
+        ("host", false),
+        ("ip", false),
+        ("load1", true),
+        ("load5", true),
+        ("load15", true),
+        ("cpu_user", true),
+        ("cpu_nice", true),
+        ("cpu_system", true),
+        ("cpu_idle", true),
+        ("bogomips", true),
+        ("mem_total", false),
+        ("mem_used", false),
+        ("mem_free", false),
+        ("mem_buffers", false),
+        ("mem_cached", false),
+        ("disk_allreq", false),
+        ("disk_rreq", false),
+        ("disk_rblocks", false),
+        ("disk_wreq", false),
+        ("disk_wblocks", false),
+        ("iface", false),
+        ("net_rbytes_ps", true),
+        ("net_rpackets_ps", true),
+        ("net_tbytes_ps", true),
+        ("net_tpackets_ps", true),
+        ("services", false),
+    ];
+    let line = "SSR1 Pandora-X 192.168.4.2 0.12 0.34 0.56 0.020 0.000 0.010 0.970 3591.37 \
+                268435456 121085952 141127680 18284544 82911232 1234 100 800 50 400 \
+                eth0 1024.0 10.0 204800.5 120.0 3";
+    let tokens: Vec<&str> = line.split_ascii_whitespace().collect();
+    assert_eq!(tokens.len(), 1 + FIELDS.len());
+    let parse = |tokens: &[&str]| ServerStatusReport::parse_ascii(&tokens.join(" "));
+
+    let whole = parse(&tokens).unwrap();
+    assert_eq!(whole.host.as_str(), "pandora-x", "an upper-case host is stored lower-cased");
+    assert_eq!(whole.iface, "eth0");
+    assert_eq!(whole.encode_ascii(), tokens.join(" ").replace("Pandora-X", "pandora-x"));
+
+    for (i, &(field, is_float)) in FIELDS.iter().enumerate() {
+        // Cut just before token `i + 1`: that field is the one missing —
+        // except the service mask, which old probes do not send.
+        let cut = parse(&tokens[..=i]);
+        if field == "services" {
+            assert_eq!(cut.map(|r| r.services.0), Ok(0));
+        } else {
+            assert_eq!(cut, Err(bad_field(field, "<missing>")), "cut before {field}");
+        }
+        if is_float {
+            for text in ["NaN", "nan", "inf", "-inf", "+infinity", "1e999"] {
+                let mut bad = tokens.clone();
+                bad[i + 1] = text;
+                assert_eq!(parse(&bad), Err(bad_field(field, text)), "{field} = {text}");
+            }
+        }
+    }
+    let mut extra = tokens.clone();
+    extra.push("99");
+    assert_eq!(parse(&extra), Err(ProtoError::Malformed("trailing fields".into())));
+
+    let mut lines = 0;
+    for topology in ["testbed11", "fleet1k", "fleet10k"] {
+        for seed in [7, 424_242, 20_050_614] {
+            for host in TopologySpec::named(topology).unwrap().expand(seed).hosts {
+                let line = host.status_report().encode_ascii();
+                let back = ServerStatusReport::parse_ascii(&line).unwrap();
+                assert_eq!(back.encode_ascii(), line);
+                lines += 1;
+            }
+        }
+    }
+    assert_eq!(lines, 3 * (11 + 1_000 + 10_000));
+}
+
+/// The same pins for the sibling parser, `SecurityRecord::parse_log_line`.
+#[test]
+fn security_log_line_parser_contract() {
+    let tokens = ["Helene", "192.168.3.1", "-5"];
+    let parse = |tokens: &[&str]| SecurityRecord::parse_log_line(&tokens.join(" "));
+
+    let whole = parse(&tokens).unwrap();
+    assert_eq!(whole.host.as_str(), "helene", "an upper-case host is stored lower-cased");
+    assert_eq!((whole.ip, whole.level), (Ip::new(192, 168, 3, 1), -5));
+    assert_eq!(whole.to_log_line(), "helene 192.168.3.1 -5");
+
+    for (i, field) in ["host", "ip", "level"].into_iter().enumerate() {
+        assert_eq!(parse(&tokens[..i]), Err(bad_field(field, "<missing>")), "cut before {field}");
+    }
+    assert_eq!(parse(&["helene", "192.168.3", "5"]), Err(bad_field("ip", "192.168.3")));
+    assert_eq!(parse(&["helene", "192.168.3.1", "high"]), Err(bad_field("level", "high")));
+    assert_eq!(
+        parse(&["helene", "192.168.3.1", "5", "extra"]),
+        Err(ProtoError::Malformed("trailing fields in security log line".into()))
+    );
 }
