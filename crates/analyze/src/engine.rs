@@ -294,7 +294,7 @@ pub fn run_check(root: &Path) -> io::Result<Report> {
     run_analysis(root).map(|a| a.report)
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -7,24 +7,21 @@
 //! This crate is the mechanical check for those invariants: a small hand
 //! rolled Rust lexer (no external dependencies) feeding a **two-phase
 //! analysis**. Phase 1 extracts a workspace model from the lexed sources
-//! (frame tags and their encode/decode sites, codec op sequences, lock
-//! names and guard-overlap pairs, wall-clock and endianness call sites,
-//! span usage — see [`model`]). Phase 2 runs per-file token rules plus
+//! (codec op sequences, lock names and guard-overlap pairs, endianness
+//! call sites — see [`model`]). Phase 2 runs per-file token rules plus
 //! cross-file rules over that model. Run as
-//! `cargo run -p smartsock-analyze -- check` and wired into CI; `model
-//! --json` dumps the extracted model, `allows` audits every suppression.
+//! `cargo run -p smartsock-analyze -- check` and wired into CI; `model`
+//! dumps the extracted model, `allows` audits every suppression.
 //!
 //! Rules (stable IDs; see `rules::RULES`):
 //!
 //! | ID | enforced where | invariant |
 //! |----|----------------|-----------|
-//! | SS-DET-001 | everywhere | no `std::time::{Instant,SystemTime}` |
+//! | SS-DET-001 | everywhere (`thread::sleep`: non-test) | no `std::time::{Instant,SystemTime}`, no `std::thread::sleep` |
 //! | SS-DET-002 | everywhere | no `HashMap`/`HashSet` |
 //! | SS-DET-003 | everywhere | no `thread_rng`/OS entropy |
-//! | SS-DET-004 | everywhere (non-test) | no blocking wall-clock calls (`thread::sleep`, `Instant::now`, `SystemTime::now`) |
 //! | SS-PANIC-001 | probe, monitor, wizard, wire, core (non-test) | no `unwrap()`, undocumented `expect()`, or indexing panics |
 //! | SS-CAST-001 | proto, wire (non-test) | no narrowing `as` casts |
-//! | SS-PROTO-001 | workspace-wide | every frame tag has an encoder site and a `from_u32` decoder arm, and the arm literal equals the declared discriminant |
 //! | SS-PROTO-002 | proto, wire (non-test) | `encode*`/`decode*` pairs read and write the same collapsed field-width sequence |
 //! | SS-PROTO-003 | proto, wire (non-test) | no big- or native-endian byte calls; the wire layout is pinned little-endian |
 //! | SS-LOCK-001 | workspace-wide (non-test) | no double-lock under a live guard; no cross-file lock-order inversion |

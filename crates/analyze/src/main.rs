@@ -31,8 +31,8 @@ USAGE:
 COMMANDS:
     check    walk crates/*/{src,tests}, src/, tests/, examples/ and run all
              per-file and cross-file rules
-    model    dump the phase-1 workspace model (frame tags, codec pairs, lock
-             pairs, wall-clock/endian sites, span usage) as JSON
+    model    dump the phase-1 workspace model (codec pairs, lock names and
+             pairs, scheduler calls under a guard, endian sites), Debug form
     allows   audit every `// analyze: allow(…)` suppression: location, rules,
              justification, and whether it still suppresses anything
     rules    list rule IDs and what they enforce
@@ -121,7 +121,7 @@ fn main() -> ExitCode {
             };
             match run_analysis(&root) {
                 Ok(a) => {
-                    println!("{}", a.model.to_json());
+                    println!("{:#?}", a.model);
                     ExitCode::SUCCESS
                 }
                 Err(e) => {

@@ -19,13 +19,11 @@ pub struct Finding {
 pub const SS_DET_001: &str = "SS-DET-001";
 pub const SS_DET_002: &str = "SS-DET-002";
 pub const SS_DET_003: &str = "SS-DET-003";
-pub const SS_DET_004: &str = "SS-DET-004";
 pub const SS_PANIC_001: &str = "SS-PANIC-001";
 pub const SS_CAST_001: &str = "SS-CAST-001";
 pub const SS_OBS_001: &str = "SS-OBS-001";
 pub const SS_OBS_002: &str = "SS-OBS-002";
 pub const SS_OBS_003: &str = "SS-OBS-003";
-pub const SS_PROTO_001: &str = "SS-PROTO-001";
 pub const SS_PROTO_002: &str = "SS-PROTO-002";
 pub const SS_PROTO_003: &str = "SS-PROTO-003";
 pub const SS_LOCK_001: &str = "SS-LOCK-001";
@@ -43,8 +41,9 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: SS_DET_001,
-        summary: "no std::time::Instant/SystemTime wall-clock reads in sim-facing code; \
-                  use simulation time",
+        summary: "no std::time::Instant/SystemTime wall-clock reads in sim-facing code, and \
+                  no std::thread::sleep in its non-test code; use simulation time and \
+                  advance it through the scheduler",
     },
     RuleInfo {
         id: SS_DET_002,
@@ -87,18 +86,6 @@ pub const RULES: &[RuleInfo] = &[
                   (crates/telemetry/src/names.rs); summaries, rollups and the live \
                   stats frame query by name, so an ad-hoc name is a series nobody \
                   ever reads",
-    },
-    RuleInfo {
-        id: SS_DET_004,
-        summary: "no blocking wall-clock calls (std::thread::sleep, Instant::now, \
-                  SystemTime::now) in non-test sim-backend code; advance virtual time \
-                  through the scheduler",
-    },
-    RuleInfo {
-        id: SS_PROTO_001,
-        summary: "every frame tag (RecordType variant) must have an encoder construction \
-                  site and a from_u32 decoder arm, and the arm's literal must equal the \
-                  declared discriminant",
     },
     RuleInfo {
         id: SS_PROTO_002,
@@ -275,7 +262,8 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Finding> {
 
     for (i, t) in toks.iter().enumerate() {
         if t.kind == TokKind::Ident {
-            // SS-DET-001 — wall-clock reads.
+            // SS-DET-001 — wall-clock reads, and blocking on real time
+            // (tests may sleep).
             if t.text == "Instant" || t.text == "SystemTime" {
                 out.push(ctx.finding(
                     t.line,
@@ -286,6 +274,23 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Finding> {
                         t.text
                     ),
                 ));
+            }
+            let text_at = |k: usize| toks.get(k).map(|t| t.text.as_str());
+            if t.text == "sleep"
+                && i >= 3
+                && [text_at(i - 3), text_at(i - 2), text_at(i - 1), text_at(i + 1)]
+                    == [Some("thread"), Some(":"), Some(":"), Some("(")]
+                && !ctx.in_test_code(i)
+            {
+                out.push(
+                    ctx.finding(
+                        t.line,
+                        SS_DET_001,
+                        "`thread::sleep` blocks on real time; sim-backend code must advance \
+                         virtual time through the scheduler (`schedule_in`/`run_until`)"
+                            .to_owned(),
+                    ),
+                );
             }
             // SS-DET-002 — iteration-order-nondeterministic containers.
             if t.text == "HashMap" || t.text == "HashSet" {
@@ -513,51 +518,6 @@ pub fn check_model(model: &WorkspaceModel) -> Vec<Finding> {
         message,
     };
 
-    // SS-PROTO-001 — every frame tag has an encoder and a decoder arm, and
-    // the arm literal matches the declared discriminant.
-    for tag in &model.frame_tags {
-        if tag.encoders.is_empty() {
-            out.push(finding(
-                &tag.decl,
-                SS_PROTO_001,
-                format!(
-                    "frame tag `{}` has no encoder: no `rtype: {}::{}` construction site \
-                     exists, so this tag can never be put on the wire",
-                    tag.name,
-                    crate::model::FRAME_TAG_ENUM,
-                    tag.name
-                ),
-            ));
-        }
-        if tag.decoders.is_empty() {
-            out.push(finding(
-                &tag.decl,
-                SS_PROTO_001,
-                format!(
-                    "frame tag `{}` has no decoder arm in `{}`; frames of this type are \
-                     rejected as unknown on receive",
-                    tag.name,
-                    crate::model::FRAME_TAG_DECODER
-                ),
-            ));
-        }
-        for (site, lit) in &tag.decoders {
-            if let (Some(decl), Some(arm)) = (tag.discriminant, *lit) {
-                if decl != arm {
-                    out.push(finding(
-                        site,
-                        SS_PROTO_001,
-                        format!(
-                            "decoder arm matches {} but `{}` is declared as {}; \
-                             encode and decode disagree on the wire tag",
-                            arm, tag.name, decl
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
     // SS-PROTO-002 — encode/decode collapsed op sequences must agree.
     for pair in &model.codec_pairs {
         if pair.encode.ops.is_empty() || pair.decode.ops.is_empty() {
@@ -645,22 +605,6 @@ pub fn check_model(model: &WorkspaceModel) -> Vec<Finding> {
         ));
     }
 
-    // SS-DET-004 — blocking wall-clock calls in non-test code.
-    for w in &model.wallclock {
-        if w.in_test {
-            continue;
-        }
-        out.push(finding(
-            &w.site,
-            SS_DET_004,
-            format!(
-                "`{}` blocks on real time; sim-backend code must advance virtual time \
-                 through the scheduler (`schedule_in`/`run_until`)",
-                w.call
-            ),
-        ));
-    }
-
     out
 }
 
@@ -702,6 +646,15 @@ mod tests {
     fn det_rules_fire_even_in_test_files() {
         let f = run("suite", true, "let s: HashSet<u8> = HashSet::new();");
         assert_eq!(rules_of(&f), [SS_DET_002, SS_DET_002]);
+    }
+
+    #[test]
+    fn sleep_is_a_wall_clock_finding_outside_tests_only() {
+        let src = "fn f() { std::thread::sleep(d); }\n\
+                   #[cfg(test)] mod t { fn h() { std::thread::sleep(d); } }";
+        assert_eq!(rules_of(&run("net", false, src)), [SS_DET_001]);
+        assert!(run("net", true, src).is_empty(), "test files may sleep");
+        assert!(run("net", false, "fn f(s: &S) { s.sleep(d); sleep(d); }").is_empty());
     }
 
     #[test]

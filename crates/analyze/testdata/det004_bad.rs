@@ -1,5 +1,5 @@
-// SS-DET-004 violating side: blocking waits in sim-backend code stall the
-// whole event loop and never advance virtual time (lines 4 and 9).
+// SS-DET-001 (`thread::sleep`) violating side: blocking waits in sim-backend
+// code stall the event loop and never advance virtual time (lines 4 and 9).
 pub fn wait_for_probe() {
     std::thread::sleep(POLL_INTERVAL);
 }

@@ -1,5 +1,5 @@
-// SS-DET-004 clean side: virtual time advances through the scheduler, and
-// wall-clock blocking is confined to test code.
+// SS-DET-001 (`thread::sleep`) clean side: virtual time advances through the
+// scheduler, and wall-clock blocking is confined to test code.
 pub fn advance(sched: &mut Scheduler) {
     sched.schedule_in(250, wake);
     sched.run_until(1_000);

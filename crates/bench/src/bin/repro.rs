@@ -56,6 +56,9 @@ fn main() {
     let sweep: Option<Vec<u64>> = take_value(&mut args, "--seeds")
         .map(|v| matrix::parse_seed_range(&v).unwrap_or_else(|e| fail(&e)));
     let trace_out = take_value(&mut args, "--trace-out");
+    if as_json && sweep.is_some() {
+        fail("--json is not supported in --seeds matrix mode");
+    }
 
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("{USAGE}");
@@ -100,15 +103,12 @@ fn main() {
     // Wall-clock here measures the harness (printed to stderr only, so
     // stdout stays byte-identical across --jobs); nothing inside any
     // simulation can observe it.
-    // analyze: allow(SS-DET-001, SS-DET-004): harness wall report on stderr, never read by sim code
+    // analyze: allow(SS-DET-001): harness wall report on stderr, never read by sim code
     let t0 = std::time::Instant::now();
 
     let seeds: Vec<u64> = sweep.clone().unwrap_or_else(|| vec![seed]);
     let results = run_cells(cells_for(&ids, &seeds), jobs);
     let exit = if sweep.is_some() {
-        if as_json {
-            fail("--json is not supported in --seeds matrix mode");
-        }
         let outcome = matrix::render_matrix(&ids, &seeds, &results);
         print!("{}", outcome.text);
         i32::from(outcome.violations > 0)

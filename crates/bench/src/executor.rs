@@ -1,4 +1,4 @@
-//! Work-stealing parallel executor for (experiment, seed) cells.
+//! Parallel executor for (experiment, seed) cells.
 //!
 //! The catalog's experiments are pure `fn(u64) -> Report` functions, each
 //! building its own schedulers internally — per-seed-deterministic `Sim`
@@ -11,12 +11,12 @@
 //! Design notes:
 //!
 //! * **Scoped std threads, zero deps.** `std::thread::scope` lets workers
-//!   borrow the shared queues and result slots without `Arc` or channels.
-//! * **Work stealing.** Cells are dealt round-robin into one FIFO deque
-//!   per worker; a worker drains its own deque from the front and, when
-//!   empty, steals from the *back* of its peers' deques. Experiment costs
-//!   vary by two orders of magnitude (`fig5.2` vs `table3.2`), so static
-//!   sharding alone would leave workers idle behind one hot shard.
+//!   borrow the cell list and the cursor without `Arc` or channels.
+//! * **One cursor.** A free worker takes the next unclaimed cell from a
+//!   shared atomic index. Experiment costs vary by two orders of magnitude
+//!   (`fig5.2` vs `table3.2`), so static sharding would leave workers idle
+//!   behind one hot shard; self-scheduling does not, and a few dozen cells
+//!   need nothing cleverer.
 //! * **Cell isolation.** Each cell runs under [`crate::profiled::profile_call`],
 //!   whose collector is a thread-local: concurrent cells cannot observe
 //!   each other's schedulers or telemetry. Only `Send` data (the report,
@@ -28,12 +28,11 @@
 //!   `profile_call` reinstalls it at the top of every run.
 //! * **Determinism.** Nothing in the simulation can observe wall-clock
 //!   concurrency: virtual time lives inside each cell's own schedulers.
-//!   Thread interleaving only changes *when* a result slot is filled,
+//!   Thread interleaving only changes *which worker* fills a result slot,
 //!   never its contents or the merged order.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::profiled::{profile_call, RunProfile};
 use crate::report::Report;
@@ -81,61 +80,30 @@ pub fn run_cells(cells: Vec<Cell>, jobs: usize) -> Vec<CellResult> {
         return cells.into_iter().map(run_one).collect();
     }
 
-    // Round-robin deal into per-worker FIFO deques.
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for i in 0..n {
-        queues[i % workers]
-            .lock()
-            .expect("queue lock poisoned: a worker panicked outside catch_unwind")
-            .push_back(i);
-    }
-    let slots: Vec<Mutex<Option<CellResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
+    // Relaxed: the cursor publishes no data, it only hands each index out
+    // once; results travel back through `join`.
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<CellResult>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let cells = &cells;
-            scope.spawn(move || {
-                while let Some(i) = next_cell(w, queues) {
-                    let result = run_one(cells[i]);
-                    *slots[i]
-                        .lock()
-                        .expect("slot lock poisoned: a worker panicked outside catch_unwind") =
-                        Some(result);
-                }
-            });
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&cell) = cells.get(i) else { break done };
+                done.push((i, run_one(cell)));
+            }
+        };
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        for h in handles {
+            for (i, r) in h.join().expect("a worker panicked outside catch_unwind") {
+                slots[i] = Some(r);
+            }
         }
     });
-
     slots
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot lock poisoned: a worker panicked outside catch_unwind")
-                .expect("invariant: queues drained, so every slot was filled")
-        })
+        .map(|s| s.expect("invariant: the cursor handed out every index exactly once"))
         .collect()
-}
-
-/// Pop the next cell index for worker `w`: own queue first (front, FIFO),
-/// then steal from peers' backs. `None` once every queue is empty — cells
-/// never spawn new cells, so an empty sweep is a stable termination state.
-fn next_cell(w: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
-    fn lock(q: &Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-        q.lock().expect("queue lock poisoned: a worker panicked outside catch_unwind")
-    }
-    if let Some(i) = lock(&queues[w]).pop_front() {
-        return Some(i);
-    }
-    for off in 1..queues.len() {
-        let victim = (w + off) % queues.len();
-        if let Some(i) = lock(&queues[victim]).pop_back() {
-            return Some(i);
-        }
-    }
-    None
 }
 
 /// Run one cell under the profiler with panic isolation.

@@ -27,7 +27,7 @@ pub mod report;
 pub mod shapes;
 
 pub use executor::{run_cells, Cell, CellResult};
-pub use profiled::{profile_call, profile_call_with_sink, profile_run, RunProfile};
+pub use profiled::{profile_call, profile_run, RunProfile};
 pub use report::Report;
 
 /// Default experiment seed (any value works; EXPERIMENTS.md uses this one).

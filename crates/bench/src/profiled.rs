@@ -1,9 +1,9 @@
 //! Profiling collector around repro experiments.
 //!
-//! `smartsock-profile` needs two kinds of cost data per experiment: what
-//! the *simulation* spent (virtual time, dispatched events, queue depth,
-//! telemetry volume — all deterministic) and what the *host* spent running
-//! it (wall-clock — inherently noisy, reported but gated separately).
+//! `smartsock-profile` needs per experiment what the *simulation* spent:
+//! virtual time, dispatched events, queue depth, telemetry volume — all
+//! pure functions of the seed. What the *host* spent running it is
+//! wall-clock, and `benchmark/` measures that (`sim.run_ms.*`), with spread.
 //!
 //! The experiments are pure `fn(u64) -> Report` functions that build their
 //! own `Scheduler`s internally, so the collector cannot be passed down.
@@ -18,12 +18,11 @@ use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
 use smartsock_sim::Scheduler;
-use smartsock_telemetry::Sink;
 
 use crate::report::Report;
 
-/// Raw cost data captured while one experiment ran. Everything except
-/// `wall_ns` is a pure function of the seed.
+/// Raw cost data captured while one experiment ran: a pure function of
+/// the seed.
 #[derive(Clone, Debug, Default)]
 pub struct RunProfile {
     pub experiment_id: String,
@@ -42,20 +41,10 @@ pub struct RunProfile {
     pub schedulers: u64,
     /// Exported JSONL trace of each scheduler, in creation order.
     pub traces: Vec<String>,
-    /// Host wall-clock for the whole experiment, nanoseconds.
-    pub wall_ns: u64,
 }
-
-/// A factory handing each profiled scheduler its telemetry sink.
-type SinkFactory = Box<dyn Fn() -> Box<dyn Sink>>;
 
 thread_local! {
     static COLLECTOR: RefCell<Option<RunProfile>> = const { RefCell::new(None) };
-    /// When set, every scheduler built through [`sim`] gets a sink from
-    /// this factory instead of the default accumulator — how a profiled
-    /// run streams or rolls up its telemetry without the experiment
-    /// functions (pure `fn(u64) -> Report`) knowing anything about it.
-    static SINK_FACTORY: RefCell<Option<SinkFactory>> = const { RefCell::new(None) };
 }
 
 /// A scheduler that reports its final cost figures to the active
@@ -65,15 +54,9 @@ pub struct Sim {
 }
 
 /// Construct a scheduler for an experiment. Re-exported as `rig::sim()`;
-/// this is the only way experiment code should build one. Consults the
-/// active sink factory (if a `profile_call_with_sink` run installed one)
-/// so the caller chooses where telemetry records flow.
+/// this is the only way experiment code should build one.
 pub fn sim() -> Sim {
-    let inner = SINK_FACTORY.with(|f| match f.borrow().as_ref() {
-        Some(make) => Scheduler::with_sink(make()),
-        None => Scheduler::new(),
-    });
-    Sim { inner }
+    Sim { inner: Scheduler::new() }
 }
 
 impl Deref for Sim {
@@ -103,10 +86,6 @@ impl Drop for Sim {
             p.sim_events += cost.events_processed;
             p.sim_time_ns += cost.sim_time_ns;
             p.peak_pending = p.peak_pending.max(cost.peak_pending);
-            // A streaming sink holds residual lines until finished; flush
-            // them (plus its summary tail) before the in-memory export. A
-            // no-op for the default accumulator.
-            self.inner.telemetry.finish();
             let trace = self.inner.telemetry.export_jsonl();
             p.records += trace.lines().count() as u64;
             p.traces.push(trace);
@@ -130,43 +109,14 @@ pub fn profile_run(id: &str, seed: u64) -> Option<(Report, RunProfile)> {
 /// Installing it overwrites any stale collector a panicking previous cell
 /// on this thread may have left behind.
 pub fn profile_call(id: &str, f: crate::Experiment, seed: u64) -> (Report, RunProfile) {
-    SINK_FACTORY.with(|s| *s.borrow_mut() = None);
-    profile_call_inner(id, f, seed)
-}
-
-/// Like [`profile_call`], but every scheduler the experiment builds gets
-/// its telemetry sink from `make_sink` — e.g. a `StreamSink` over a
-/// shared buffer so the trace leaves the process as it is recorded, or a
-/// `RollupSink` when only aggregates matter. The factory stays installed
-/// only for the duration of this call.
-pub fn profile_call_with_sink(
-    id: &str,
-    f: crate::Experiment,
-    seed: u64,
-    make_sink: impl Fn() -> Box<dyn Sink> + 'static,
-) -> (Report, RunProfile) {
-    SINK_FACTORY.with(|s| *s.borrow_mut() = Some(Box::new(make_sink)));
-    let out = profile_call_inner(id, f, seed);
-    SINK_FACTORY.with(|s| *s.borrow_mut() = None);
-    out
-}
-
-fn profile_call_inner(id: &str, f: crate::Experiment, seed: u64) -> (Report, RunProfile) {
     COLLECTOR.with(|c| {
         *c.borrow_mut() =
             Some(RunProfile { experiment_id: id.to_owned(), seed, ..RunProfile::default() });
     });
-    // This wall-clock read measures the host's cost of running the
-    // simulation for BENCH_profile.json; nothing inside the simulation
-    // observes it, so determinism of the runs is unaffected.
-    // analyze: allow(SS-DET-001, SS-DET-004): host-side wall cost metric, never read by sim code
-    let t0 = std::time::Instant::now();
     let report = f(seed);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let mut p = COLLECTOR
+    let p = COLLECTOR
         .with(|c| c.borrow_mut().take())
         .expect("invariant: collector installed at the top of profile_call");
-    p.wall_ns = wall_ns;
     (report, p)
 }
 
@@ -194,36 +144,12 @@ mod tests {
         assert!(a.peak_pending > 0);
         assert!(a.records > 0);
         assert!(!a.traces.is_empty());
-        // Same seed, same simulation: identical everywhere but wall time.
+        // Same seed, same simulation: identical everywhere.
         assert_eq!(a.sim_events, b.sim_events);
         assert_eq!(a.sim_time_ns, b.sim_time_ns);
         assert_eq!(a.peak_pending, b.peak_pending);
         assert_eq!(a.records, b.records);
         assert_eq!(a.traces, b.traces);
-    }
-
-    #[test]
-    fn stream_sink_profile_is_byte_identical_to_the_accumulated_traces() {
-        use smartsock_telemetry::{SharedBuf, StreamSink};
-        let (_, accum) = profile_run("fig3.3", 7).expect("fig3.3 is in the catalog");
-        let (_, f) = crate::catalog().into_iter().find(|(eid, _)| *eid == "fig3.3").unwrap();
-        let buf = SharedBuf::new();
-        let writer = buf.clone();
-        let (_, streamed) = profile_call_with_sink("fig3.3", f, 7, move || {
-            Box::new(StreamSink::new(Box::new(writer.clone()), 64))
-        });
-        // Identical cost figures, and the bytes streamed out (each
-        // scheduler's records plus its summary tail, in creation order)
-        // equal the accumulated per-scheduler exports exactly.
-        assert_eq!(streamed.sim_events, accum.sim_events);
-        assert_eq!(streamed.schedulers, accum.schedulers);
-        let streamed_bytes = String::from_utf8(buf.contents()).unwrap();
-        assert_eq!(streamed_bytes, accum.traces.concat());
-        // The factory is uninstalled afterwards: a plain sim accumulates.
-        let mut s = sim();
-        let span = s.telemetry.span_start("sim-event-dispatch", "sim");
-        s.telemetry.span_end(span);
-        assert_eq!(s.telemetry.records().len(), 2);
     }
 
     #[test]

@@ -2,18 +2,16 @@
 //! threshold diff that gates CI.
 //!
 //! Per experiment the file records
-//! `{experiment_id, sim_events, sim_time_ms, wall_ms,
+//! `{experiment_id, sim_events, sim_time_ms,
 //!   spans: {name: {calls, self_ms, total_ms}}, trace_sha}`
 //! plus the seed and the queue/allocation proxies. Millisecond fields are
 //! printed with exactly six decimals so they round-trip to integer
-//! nanoseconds; everything except `wall_ms` is a pure function of the
-//! seed.
+//! nanoseconds; the whole document is a pure function of the seed, so two
+//! runs compare with `cmp`. Wall time is `benchmark/`'s to measure
+//! (`sim.run_ms.*`); a `wall_ms` key in an older document is ignored.
 //!
-//! Diff policy: the *deterministic* metrics — dispatched events and
-//! per-span self-time — gate against `Thresholds::pct`. Wall-clock is
-//! always reported but only gated when `gate_wall` is set (with its own,
-//! looser threshold), because the committed baseline and the CI runner
-//! are different machines.
+//! Diff policy: dispatched events and per-span self-time gate against
+//! `Thresholds::pct`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -33,7 +31,6 @@ pub struct ExperimentProfile {
     pub seed: u64,
     pub sim_events: u64,
     pub sim_time_ns: u64,
-    pub wall_ns: u64,
     pub peak_pending: u64,
     pub records: u64,
     pub schedulers: u64,
@@ -57,7 +54,6 @@ impl ExperimentProfile {
             seed: p.seed,
             sim_events: p.sim_events,
             sim_time_ns: p.sim_time_ns,
-            wall_ns: p.wall_ns,
             peak_pending: p.peak_pending as u64,
             records: p.records,
             schedulers: p.schedulers,
@@ -85,12 +81,11 @@ pub fn render_profiles(profiles: &[ExperimentProfile]) -> String {
         let _ = write!(
             s,
             "{{\"experiment_id\":\"{}\",\"seed\":{},\"sim_events\":{},\"sim_time_ms\":{},\
-             \"wall_ms\":{},\"peak_pending\":{},\"records\":{},\"schedulers\":{},\"spans\":{{",
+             \"peak_pending\":{},\"records\":{},\"schedulers\":{},\"spans\":{{",
             json::escape(&p.experiment_id),
             p.seed,
             p.sim_events,
             ms(p.sim_time_ns),
-            ms(p.wall_ns),
             p.peak_pending,
             p.records,
             p.schedulers,
@@ -164,7 +159,6 @@ pub fn parse_profiles(src: &str) -> Result<Vec<ExperimentProfile>, String> {
             seed: u64_field(v, "seed", &what)?,
             sim_events: u64_field(v, "sim_events", &what)?,
             sim_time_ns: ms_field(v, "sim_time_ms", &what)?,
-            wall_ns: ms_field(v, "wall_ms", &what)?,
             peak_pending: u64_field(v, "peak_pending", &what)?,
             records: u64_field(v, "records", &what)?,
             schedulers: u64_field(v, "schedulers", &what)?,
@@ -179,21 +173,16 @@ pub fn parse_profiles(src: &str) -> Result<Vec<ExperimentProfile>, String> {
     Ok(out)
 }
 
-/// Diff thresholds. Percentages are relative changes (new vs old).
+/// Diff threshold: the relative change (new vs old, percent) of sim
+/// events or span self-time beyond which an experiment gates.
 #[derive(Clone, Copy, Debug)]
 pub struct Thresholds {
-    /// Gate for deterministic metrics (sim events, span self-time).
     pub pct: f64,
-    /// Gate wall-clock too (off by default: CI hardware differs from the
-    /// machine that produced the committed baseline).
-    pub gate_wall: bool,
-    /// Wall-clock gate, used only when `gate_wall` is set.
-    pub wall_pct: f64,
 }
 
 impl Default for Thresholds {
     fn default() -> Thresholds {
-        Thresholds { pct: 5.0, gate_wall: false, wall_pct: 25.0 }
+        Thresholds { pct: 5.0 }
     }
 }
 
@@ -304,9 +293,6 @@ pub fn diff(old: &[ExperimentProfile], new: &[ExperimentProfile], th: &Threshold
                 }
             }
         }
-        if th.gate_wall {
-            t.gate("wall_ms", o.wall_ns, n.wall_ns, th.wall_pct);
-        }
         if t.notes.is_empty() && o.trace_sha != n.trace_sha {
             t.notes
                 .push("trace bytes changed (sha) with all gated metrics within thresholds".into());
@@ -366,7 +352,6 @@ mod tests {
             seed: 1,
             sim_events,
             sim_time_ns: 5_000_000,
-            wall_ns: 42_000_000,
             peak_pending: 7,
             records: 100,
             schedulers: 1,
@@ -430,14 +415,15 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_gates_only_on_request() {
-        let old = vec![profile("fig3.3", 1000, 1_000_000)];
-        let mut slow = profile("fig3.3", 1000, 1_000_000);
-        slow.wall_ns = old[0].wall_ns * 3;
-        let lax = diff(&old, std::slice::from_ref(&slow), &Thresholds::default());
-        assert!(!lax.has_regression());
-        let strict = Thresholds { gate_wall: true, ..Thresholds::default() };
-        assert!(diff(&old, &[slow], &strict).has_regression());
+    fn a_document_that_still_carries_wall_ms_parses_and_is_never_written_back() {
+        let ps = vec![profile("fig3.3", 1000, 2_500_000)];
+        let doc = render_profiles(&ps);
+        assert!(!doc.contains("wall"), "{doc}");
+        let old = doc.replace("\"peak_pending\"", "\"wall_ms\":42.000000,\"peak_pending\"");
+        assert!(old.contains("\"wall_ms\":42.000000,"));
+        let back = parse_profiles(&old).expect("a version-1 document with wall_ms still parses");
+        assert_eq!(back, ps);
+        assert_eq!(render_profiles(&back), doc);
     }
 
     #[test]

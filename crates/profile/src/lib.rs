@@ -7,11 +7,10 @@
 //!   ("flamegraph collapsed") text, and a hot-path top-N report. Same
 //!   seed, same bytes.
 //! - [`baseline`] wraps `smartsock_bench::profile_run` captures into the
-//!   canonical `BENCH_profile.json` schema and diffs two such files with
-//!   configurable thresholds, classifying each experiment as
-//!   improved/regressed/neutral. Deterministic metrics (event counts,
-//!   span self-times) gate CI; wall-clock is reported but only gated on
-//!   request, because baseline and CI hardware differ.
+//!   canonical `BENCH_profile.json` schema — a pure function of the seed,
+//!   no wall clock in it — and diffs two such files against a threshold,
+//!   classifying each experiment as improved/regressed/neutral on its
+//!   event count and span self-times.
 //!
 //! The `profile` binary exposes both: `report` / `flame` over a trace
 //! JSONL file, `bench` to regenerate `BENCH_profile.json`, and `diff` to

@@ -3,12 +3,11 @@
 //! ```text
 //! profile report [--top N] <trace.jsonl>   hot-path table by self-time
 //! profile flame <trace.jsonl>              flamegraph collapsed stacks
-//! profile bench [--seed N] [--jobs N] [--zero-wall] [--out PATH] (all | id ...)
+//! profile bench [--seed N] [--jobs N] [--out PATH] (all | id ...)
 //!                                          run repro experiments under the
 //!                                          profiler (sharded across --jobs
 //!                                          workers), write BENCH_profile.json
-//! profile diff [--threshold-pct P] [--gate-wall] [--wall-threshold-pct P]
-//!              [--only PREFIX]
+//! profile diff [--threshold-pct P] [--only PREFIX]
 //!              <old.json> <new.json>       classify vs baseline; exit 1 on
 //!                                          regression
 //! ```
@@ -28,7 +27,7 @@ use std::process::ExitCode;
 use smartsock_profile::{baseline, fold};
 use smartsock_telemetry::trace::Trace;
 
-const USAGE: &str = "usage:\n  profile report [--top N] <trace.jsonl>\n  profile flame <trace.jsonl>\n  profile bench [--seed N] [--jobs N] [--zero-wall] [--out PATH] (all | experiment-id ...)\n  profile diff [--threshold-pct P] [--gate-wall] [--wall-threshold-pct P] [--only PREFIX] <old.json> <new.json>\n";
+const USAGE: &str = "usage:\n  profile report [--top N] <trace.jsonl>\n  profile flame <trace.jsonl>\n  profile bench [--seed N] [--jobs N] [--out PATH] (all | experiment-id ...)\n  profile diff [--threshold-pct P] [--only PREFIX] <old.json> <new.json>\n";
 
 /// The CI gating subset: the two cheapest catalog experiments that drive
 /// full scheduler runs (fig1.4 never builds one), plus the fleet family
@@ -63,7 +62,6 @@ fn cmd_bench(args: &[&str]) -> Result<String, String> {
     let mut seed = smartsock_bench::DEFAULT_SEED;
     let mut out_path: Option<String> = None;
     let mut jobs: usize = 1;
-    let mut zero_wall = false;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -79,7 +77,6 @@ fn cmd_bench(args: &[&str]) -> Result<String, String> {
                     _ => return Err(format!("bad --jobs value (want an integer >= 1): {v}")),
                 };
             }
-            "--zero-wall" => zero_wall = true,
             "--out" => out_path = Some(it.next().ok_or("--out needs a path")?.to_string()),
             id => ids.push(id.to_owned()),
         }
@@ -111,19 +108,12 @@ fn cmd_bench(args: &[&str]) -> Result<String, String> {
             .as_ref()
             .map_err(|panic| format!("{} @ seed {}: PANIC: {panic}", r.id, r.seed))?;
         eprintln!(
-            "profile: {}: {} sim events, {} trace(s), wall {} ms",
+            "profile: {}: {} sim events, {} trace(s)",
             r.id,
             run.sim_events,
-            run.traces.len(),
-            fold::ms(run.wall_ns)
+            run.traces.len()
         );
-        let mut p = baseline::ExperimentProfile::from_run(run);
-        if zero_wall {
-            // For byte-comparing documents across runs/--jobs widths:
-            // wall-clock is the one nondeterministic field in the schema.
-            p.wall_ns = 0;
-        }
-        profiles.push(p);
+        profiles.push(baseline::ExperimentProfile::from_run(run));
     }
     let doc = baseline::render_profiles(&profiles);
     match out_path {
@@ -147,11 +137,6 @@ fn cmd_diff(args: &[&str]) -> Result<(String, bool), String> {
                 let v = it.next().ok_or("--threshold-pct needs a value")?;
                 th.pct = v.parse().map_err(|_| format!("not a percentage: {v}"))?;
             }
-            "--wall-threshold-pct" => {
-                let v = it.next().ok_or("--wall-threshold-pct needs a value")?;
-                th.wall_pct = v.parse().map_err(|_| format!("not a percentage: {v}"))?;
-            }
-            "--gate-wall" => th.gate_wall = true,
             "--only" => only = Some(it.next().ok_or("--only needs an id prefix")?.to_string()),
             p => paths.push(p),
         }

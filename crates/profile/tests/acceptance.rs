@@ -37,11 +37,21 @@ fn same_seed_runs_produce_byte_identical_report_flame_and_baseline() {
     assert_eq!(fold::render_flame(&fa), fold::render_flame(&fb));
     assert_eq!(pa.trace_sha, pb.trace_sha);
 
-    // Everything but wall time matches in the baseline entry too.
-    let (mut a, mut b) = (pa, pb);
-    a.wall_ns = 0;
-    b.wall_ns = 0;
-    assert_eq!(a, b);
+    assert_eq!(pa, pb, "the baseline entry is a pure function of the seed");
+}
+
+#[test]
+fn cli_bench_run_twice_with_no_flag_writes_byte_identical_documents() {
+    let run = |jobs: &str| {
+        let args = ["bench", "--jobs", jobs, "fig3.3", "table5.2"];
+        let out = bin().args(args).output().expect("run profile bench");
+        assert!(out.status.success(), "bench failed: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let doc = run("1");
+    assert_eq!(doc, run("1"), "BENCH_profile.json must compare with cmp");
+    assert_eq!(doc, run("8"), "and must not depend on --jobs");
+    assert!(!String::from_utf8_lossy(&doc).contains("wall"));
 }
 
 #[test]

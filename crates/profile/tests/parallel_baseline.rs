@@ -1,8 +1,7 @@
 //! Property: the `BENCH_profile.json` baseline document is a pure
 //! function of the (experiment, seed) grid — capturing the shards on 8
-//! workers must yield the same bytes as capturing them serially, once the
-//! single nondeterministic field (wall-clock) is zeroed, exactly what
-//! `profile bench --zero-wall --jobs N` does.
+//! workers must yield the same bytes as capturing them serially, exactly
+//! what `profile bench --jobs N` writes.
 
 use smartsock_bench::executor::cells_for;
 use smartsock_bench::{catalog, run_cells, CellResult, DEFAULT_SEED};
@@ -13,9 +12,7 @@ fn baseline_doc(results: &[CellResult]) -> String {
         .iter()
         .map(|r| {
             let (_, run) = r.outcome.as_ref().expect("catalog experiments must not panic");
-            let mut p = baseline::ExperimentProfile::from_run(run);
-            p.wall_ns = 0;
-            p
+            baseline::ExperimentProfile::from_run(run)
         })
         .collect();
     baseline::render_profiles(&profiles)

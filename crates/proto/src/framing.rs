@@ -39,14 +39,14 @@ impl From<RecordType> for u32 {
 }
 
 impl RecordType {
+    /// A wire tag decodes to the variant whose declared discriminant it
+    /// is: there is no literal here to disagree with the declaration.
     pub fn from_u32(v: u32) -> Result<Self, ProtoError> {
-        match v {
-            1 => Ok(RecordType::System),
-            2 => Ok(RecordType::Network),
-            3 => Ok(RecordType::Security),
-            4 => Ok(RecordType::SystemAged),
-            other => Err(ProtoError::UnknownType(other)),
-        }
+        use RecordType::{Network, Security, System, SystemAged};
+        [System, Network, Security, SystemAged]
+            .into_iter()
+            .find(|t| u32::from(*t) == v)
+            .ok_or(ProtoError::UnknownType(v))
     }
 }
 
@@ -219,6 +219,30 @@ mod tests {
         r.load1 = f64::from(i) / 10.0;
         r.mem_total = 1 << 28;
         r
+    }
+
+    #[test]
+    fn every_record_type_decodes_from_its_own_discriminant() {
+        // Exhaustive: a new variant does not compile until it joins this
+        // walk, and then fails the round trip until `from_u32` lists it.
+        fn next(t: RecordType) -> Option<RecordType> {
+            match t {
+                RecordType::System => Some(RecordType::Network),
+                RecordType::Network => Some(RecordType::Security),
+                RecordType::Security => Some(RecordType::SystemAged),
+                RecordType::SystemAged => None,
+            }
+        }
+        let mut walk = Some(RecordType::System);
+        let mut seen = 0;
+        while let Some(t) = walk {
+            assert_eq!(RecordType::from_u32(u32::from(t)), Ok(t));
+            seen += 1;
+            walk = next(t);
+        }
+        assert_eq!(seen, 4);
+        assert_eq!(RecordType::from_u32(0), Err(ProtoError::UnknownType(0)));
+        assert_eq!(RecordType::from_u32(5), Err(ProtoError::UnknownType(5)));
     }
 
     #[test]

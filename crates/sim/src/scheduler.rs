@@ -135,16 +135,6 @@ impl Scheduler {
         }
     }
 
-    /// A scheduler whose telemetry records flow into `sink` instead of the
-    /// default in-memory accumulator — e.g. a `StreamSink` so a long repro
-    /// run emits its trace incrementally, or a `RollupSink` when only
-    /// aggregates are wanted.
-    pub fn with_sink(sink: Box<dyn smartsock_telemetry::Sink>) -> Self {
-        let mut s = Self::new();
-        s.telemetry.set_sink(sink);
-        s
-    }
-
     /// Advance the virtual clock to `at` and mirror it into the telemetry
     /// sink, so records carry the dispatch timestamp.
     fn advance_clock(&mut self, at: SimTime) {

@@ -86,49 +86,6 @@ impl Histogram {
         self.count
     }
 
-    /// The non-empty buckets as `(index, count)` pairs, ascending. The
-    /// sparse form exported on `hist` lines when bucket export is on —
-    /// what lets a merge recombine cross-shard quantiles.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets.iter().copied().enumerate().filter(|&(_, n)| n > 0)
-    }
-
-    /// Rebuild a histogram from exported parts: sparse `(index, count)`
-    /// buckets plus the summary fields. Returns `None` when the parts are
-    /// inconsistent (bucket counts not summing to `count`, an index out
-    /// of range, `min > max`, or an empty histogram) — a malformed line
-    /// must not masquerade as data.
-    pub fn from_parts<I>(buckets: I, count: u64, sum: u64, min: u64, max: u64) -> Option<Histogram>
-    where
-        I: IntoIterator<Item = (usize, u64)>,
-    {
-        if count == 0 || min > max {
-            return None;
-        }
-        let mut h = Histogram { buckets: [0; BUCKETS], count, sum, min, max };
-        let mut total = 0u64;
-        for (i, n) in buckets {
-            if i >= BUCKETS {
-                return None;
-            }
-            h.buckets[i] = h.buckets[i].checked_add(n)?;
-            total = total.checked_add(n)?;
-        }
-        (total == count).then_some(h)
-    }
-
-    /// Fold another histogram into this one (bucket-wise sum, combined
-    /// bounds). The merge that per-shard summaries alone cannot express.
-    pub fn absorb(&mut self, other: &Histogram) {
-        for (i, n) in other.nonzero_buckets() {
-            self.buckets[i] += n;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     pub fn sum(&self) -> u64 {
         self.sum
     }

@@ -7,10 +7,17 @@
 //! token text: simulated timestamps are `u64` nanoseconds and must not be
 //! round-tripped through `f64`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-/// Escape a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON document. A string with
+/// nothing to escape (every registered name, every ordinary host) is
+/// handed back borrowed.
+pub fn escape(s: &str) -> Cow<'_, str> {
+    let needs = |c: char| matches!(c, '"' | '\\') || (c as u32) < 0x20;
+    if !s.contains(needs) {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -23,7 +30,7 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 /// A parsed JSON value. Numbers are kept as their raw source text so

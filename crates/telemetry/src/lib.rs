@@ -115,10 +115,6 @@ pub struct Telemetry {
     /// Sink drops already folded into the `telemetry-dropped` counter
     /// (interior mutability: the fold happens inside `&self` exports).
     dropped_counted: Cell<u64>,
-    /// When set, `hist` summary lines carry the raw 65-bucket counts, so
-    /// downstream merges can recombine quantiles bucket-wise. Off by
-    /// default: the default export bytes are fingerprinted.
-    export_buckets: bool,
 }
 
 impl Default for Telemetry {
@@ -144,7 +140,6 @@ impl Telemetry {
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
             dropped_counted: Cell::new(0),
-            export_buckets: false,
         }
     }
 
@@ -167,13 +162,6 @@ impl Telemetry {
     /// Records dropped by the sink's backpressure policy so far.
     pub fn dropped(&self) -> u64 {
         self.sink.dropped()
-    }
-
-    /// Include raw histogram bucket counts in exported `hist` lines (see
-    /// [`merge`]: cross-shard quantiles need them). Off by default to
-    /// keep the fingerprinted export format byte-stable.
-    pub fn set_export_buckets(&mut self, on: bool) {
-        self.export_buckets = on;
     }
 
     /// Sync the virtual clock. The scheduler calls this before dispatching
@@ -427,38 +415,15 @@ impl Telemetry {
             );
         }
         for (name, value) in self.counters.borrow().iter() {
-            let _ = writeln!(
-                out,
-                "{{\"t\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                json::escape(name),
-            );
+            sink::write_scalar(&mut out, "counter", name, value);
         }
         for (name, value) in &self.gauges {
-            let _ = writeln!(
-                out,
-                "{{\"t\":\"gauge\",\"name\":\"{}\",\"value\":{value}}}",
-                json::escape(name),
-            );
+            sink::write_scalar(&mut out, "gauge", name, value);
         }
         for (name, h) in &self.hists {
             if let Some(s) = h.summary() {
-                let _ = write!(
-                    out,
-                    "{{\"t\":\"hist\",\"name\":\"{name}\",\"count\":{},\"sum\":{},\
-                     \"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}",
-                    s.count, s.sum, s.min, s.max, s.p50, s.p95, s.p99,
-                );
-                if self.export_buckets {
-                    out.push_str(",\"buckets\":[");
-                    for (i, (idx, n)) in h.nonzero_buckets().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "[{idx},{n}]");
-                    }
-                    out.push(']');
-                }
-                out.push_str("}\n");
+                let quantiles = Some((s.p50, s.p95, s.p99));
+                sink::write_hist(&mut out, name, (s.count, s.sum, s.min, s.max), quantiles);
             }
         }
         out

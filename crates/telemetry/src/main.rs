@@ -288,7 +288,7 @@ fn cmd_tail(out: &mut impl Write, args: &[&str]) -> Result<(), CmdError> {
     }
     loop {
         // CLI pacing between file-size polls; nothing simulated runs here.
-        // analyze: allow(SS-DET-004): follow-mode poll interval of an offline CLI, not sim code
+        // analyze: allow(SS-DET-001): follow-mode poll interval of an offline CLI, not sim code
         std::thread::sleep(std::time::Duration::from_millis(200));
         let len = f
             .metadata()

@@ -23,32 +23,28 @@
 //! * **counters** sum (they are monotone totals);
 //! * **gauges** are last-write-wins in shard order, matching the in-process
 //!   semantics of a gauge;
-//! * **histograms** sum `count`/`sum` and combine `min`/`max`. When every
-//!   contributing shard exported its raw bucket counts
-//!   ([`crate::Telemetry::set_export_buckets`]), the 65 log2 buckets are
-//!   summed bucket-wise and `p50`/`p95`/`p99` are recomputed from the
-//!   combined histogram — cross-shard quantiles with full fidelity (the
-//!   merged buckets are re-emitted so merges nest). Without buckets the
-//!   quantiles are *omitted* for names spanning more than one shard:
-//!   quantiles of a distribution cannot be recovered from per-shard
-//!   summaries, and a wrong number is worse than a missing field (the
-//!   parser treats them as optional).
+//! * **histograms** sum `count`/`sum` and combine `min`/`max`; a name
+//!   only one shard reported keeps that shard's `p50`/`p95`/`p99`
+//!   verbatim, and the quantiles are *omitted* for names spanning more
+//!   than one shard: quantiles of a distribution cannot be recovered from
+//!   per-shard summaries, and a wrong number is worse than a missing
+//!   field (the parser treats them as optional).
 //!
 //! The output is a pure function of the input sequence, so two runs that
 //! produce the same shards in the same order merge to byte-identical
 //! documents regardless of how many worker threads raced to produce them.
 //! Malformed or unknown lines are dropped (counted per the returned
-//! [`Merged::dropped`]), keeping the artifact schema-clean.
+//! [`Merged::dropped`]), keeping the artifact schema-clean; every line is
+//! re-rendered by the writers in [`crate::sink`] that wrote it.
 //!
 //! [`merge_jsonl`] wraps a [`Merger`] over an in-memory buffer for callers
 //! that want the whole document as a `String`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
 
-use crate::hist::Histogram;
 use crate::json::{self, Value};
+use crate::sink;
 
 /// Result of an in-memory merge: the combined document plus drop
 /// accounting.
@@ -68,11 +64,8 @@ struct HistAcc {
     min: u64,
     max: u64,
     /// Quantiles of the single shard that defined this name, kept only
-    /// while exactly one shard has contributed (the bucketless fallback).
+    /// while exactly one shard has contributed.
     quantiles: Option<(u64, u64, u64)>,
-    /// Dense 65-bucket sum, alive only while *every* contributing shard
-    /// carried bucket counts.
-    buckets: Option<Vec<u64>>,
     shards: u32,
 }
 
@@ -139,68 +132,17 @@ impl<W: io::Write> Merger<W> {
     /// Write the merged summary lines and flush. Returns the total number
     /// of dropped lines.
     pub fn finish(mut self) -> io::Result<usize> {
+        let mut tail = String::new();
         for (name, value) in &self.counters {
-            writeln!(
-                self.out,
-                "{{\"t\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                json::escape(name)
-            )?;
+            sink::write_scalar(&mut tail, "counter", name, value);
         }
         for (name, raw) in &self.gauges {
-            writeln!(
-                self.out,
-                "{{\"t\":\"gauge\",\"name\":\"{}\",\"value\":{raw}}}",
-                json::escape(name)
-            )?;
+            sink::write_scalar(&mut tail, "gauge", name, raw);
         }
         for (name, h) in &self.hists {
-            let mut line = String::new();
-            let _ = write!(
-                line,
-                "{{\"t\":\"hist\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{}",
-                json::escape(name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-            );
-            // Bucket-wise path: every shard carried buckets, so the
-            // combined histogram is exact and its quantiles are real.
-            let combined = h.buckets.as_ref().and_then(|b| {
-                Histogram::from_parts(
-                    b.iter().copied().enumerate().filter(|&(_, n)| n > 0),
-                    h.count,
-                    h.sum,
-                    h.min,
-                    h.max,
-                )
-            });
-            if let Some(combined) = combined.as_ref().and_then(Histogram::summary) {
-                let _ = write!(
-                    line,
-                    ",\"p50\":{},\"p95\":{},\"p99\":{}",
-                    combined.p50, combined.p95, combined.p99
-                );
-                line.push_str(",\"buckets\":[");
-                if let Some(b) = &h.buckets {
-                    let mut first = true;
-                    for (i, n) in b.iter().copied().enumerate().filter(|&(_, n)| n > 0) {
-                        if !first {
-                            line.push(',');
-                        }
-                        first = false;
-                        let _ = write!(line, "[{i},{n}]");
-                    }
-                }
-                line.push(']');
-            } else if let (1, Some((p50, p95, p99))) = (h.shards, h.quantiles) {
-                // Bucketless fallback: a single shard's own quantiles
-                // still hold verbatim.
-                let _ = write!(line, ",\"p50\":{p50},\"p95\":{p95},\"p99\":{p99}");
-            }
-            line.push_str("}\n");
-            self.out.write_all(line.as_bytes())?;
+            sink::write_hist(&mut tail, name, (h.count, h.sum, h.min, h.max), h.quantiles);
         }
+        self.out.write_all(tail.as_bytes())?;
         self.out.flush()?;
         Ok(self.dropped)
     }
@@ -209,123 +151,65 @@ impl<W: io::Write> Merger<W> {
     /// into a summary accumulator; `Some(Some(s))` = a record line,
     /// re-rendered with the rewritten `seq`/`id`, ready to write.
     fn fold_line(&mut self, v: &Value, max_id: &mut u64) -> Option<Option<String>> {
-        let esc = |key: &str| v.get(key).and_then(Value::as_str).map(json::escape);
+        let text = |key: &str| v.get(key).and_then(Value::as_str);
+        let num = |key: &str| v.get(key).and_then(Value::as_u64);
+        let mut span_id = || {
+            let id = num("id")?;
+            *max_id = (*max_id).max(id);
+            Some(id + self.id_base)
+        };
         let mut out = String::new();
-        match v.get("t")?.as_str()? {
+        match text("t")? {
             "span-start" => {
-                let id = v.get("id")?.as_u64()?;
-                *max_id = (*max_id).max(id);
-                let parent = match v.get("parent").and_then(Value::as_u64) {
-                    Some(p) => (p + self.id_base).to_string(),
-                    None => "null".to_owned(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{{\"t\":\"span-start\",\"seq\":{},\"ns\":{},\"id\":{},\
-                     \"parent\":{parent},\"name\":\"{}\",\"host\":\"{}\"}}",
-                    self.seq,
-                    v.get("ns")?.as_u64()?,
-                    id + self.id_base,
-                    esc("name")?,
-                    esc("host")?,
-                );
-                self.seq += 1;
+                let parent = num("parent").map(|p| p + self.id_base);
+                let (id, ns, name, host) = (span_id()?, num("ns")?, text("name")?, text("host")?);
+                sink::write_span_start(&mut out, self.seq, ns, id, parent, name, host);
             }
             "span-end" => {
-                let id = v.get("id")?.as_u64()?;
-                *max_id = (*max_id).max(id);
-                let _ = writeln!(
-                    out,
-                    "{{\"t\":\"span-end\",\"seq\":{},\"ns\":{},\"id\":{},\
-                     \"name\":\"{}\",\"host\":\"{}\",\"dur_ns\":{}}}",
-                    self.seq,
-                    v.get("ns")?.as_u64()?,
-                    id + self.id_base,
-                    esc("name")?,
-                    esc("host")?,
-                    v.get("dur_ns")?.as_u64()?,
-                );
-                self.seq += 1;
+                let (id, ns, name, host) = (span_id()?, num("ns")?, text("name")?, text("host")?);
+                sink::write_span_end(&mut out, self.seq, ns, id, name, host, num("dur_ns")?);
             }
             "event" => {
-                let mut attrs = String::new();
-                if let Some(Value::Obj(m)) = v.get("attrs") {
-                    for (i, (k, val)) in m.iter().enumerate() {
-                        if i > 0 {
-                            attrs.push(',');
-                        }
-                        let _ = write!(
-                            attrs,
-                            "\"{}\":\"{}\"",
-                            json::escape(k),
-                            json::escape(val.as_str().unwrap_or_default()),
-                        );
-                    }
-                }
-                let _ = writeln!(
-                    out,
-                    "{{\"t\":\"event\",\"seq\":{},\"ns\":{},\"name\":\"{}\",\
-                     \"host\":\"{}\",\"attrs\":{{{attrs}}}}}",
+                let attrs = match v.get("attrs") {
+                    Some(Value::Obj(m)) => Some(m),
+                    _ => None,
+                };
+                let attrs = attrs
+                    .into_iter()
+                    .flatten()
+                    .map(|(k, val)| (k.as_str(), val.as_str().unwrap_or_default()));
+                sink::write_event(
+                    &mut out,
                     self.seq,
-                    v.get("ns")?.as_u64()?,
-                    esc("name")?,
-                    esc("host")?,
+                    num("ns")?,
+                    text("name")?,
+                    text("host")?,
+                    attrs,
                 );
-                self.seq += 1;
             }
             "counter" => {
-                let name = v.get("name")?.as_str()?.to_owned();
-                *self.counters.entry(name).or_insert(0) += v.get("value")?.as_u64()?;
+                *self.counters.entry(text("name")?.to_owned()).or_insert(0) += num("value")?;
                 return Some(None);
             }
             "gauge" => {
                 // Keep the raw number text (gauges are i64; re-parsing through
                 // a float could perturb it). Later shards overwrite: gauges are
                 // last-write-wins in process, so they are in the merge too.
-                let name = v.get("name")?.as_str()?.to_owned();
-                let raw = match v.get("value")? {
-                    Value::Num(s) => s.clone(),
-                    _ => return None,
-                };
-                self.gauges.insert(name, raw);
+                let Value::Num(raw) = v.get("value")? else { return None };
+                self.gauges.insert(text("name")?.to_owned(), raw.clone());
                 return Some(None);
             }
             "hist" => {
-                let name = v.get("name")?.as_str()?.to_owned();
-                let count = v.get("count")?.as_u64()?;
-                let sum = v.get("sum")?.as_u64()?;
-                let min = v.get("min")?.as_u64()?;
-                let max = v.get("max")?.as_u64()?;
-                let q = match (
-                    v.get("p50").and_then(Value::as_u64),
-                    v.get("p95").and_then(Value::as_u64),
-                    v.get("p99").and_then(Value::as_u64),
-                ) {
-                    (Some(a), Some(b), Some(c)) => Some((a, b, c)),
+                let (count, sum, min, max) = (num("count")?, num("sum")?, num("min")?, num("max")?);
+                let q = match (num("p50"), num("p95"), num("p99")) {
+                    (Some(p50), Some(p95), Some(p99)) => Some((p50, p95, p99)),
                     _ => None,
                 };
-                let buckets = parse_buckets(v);
-                let h = self.hists.entry(name).or_default();
+                let h = self.hists.entry(text("name")?.to_owned()).or_default();
                 if h.shards == 0 {
-                    h.min = min;
-                    h.max = max;
-                    h.quantiles = q;
-                    h.buckets = buckets;
+                    (h.min, h.max, h.quantiles) = (min, max, q);
                 } else {
-                    h.min = h.min.min(min);
-                    h.max = h.max.max(max);
-                    h.quantiles = None;
-                    h.buckets = match (h.buckets.take(), buckets) {
-                        (Some(mut acc), Some(b)) => {
-                            for (slot, n) in acc.iter_mut().zip(b) {
-                                *slot += n;
-                            }
-                            Some(acc)
-                        }
-                        // One bucketless shard poisons the name: a partial
-                        // bucket sum would fake exactness.
-                        _ => None,
-                    };
+                    (h.min, h.max, h.quantiles) = (h.min.min(min), h.max.max(max), None);
                 }
                 h.count += count;
                 h.sum += sum;
@@ -338,25 +222,9 @@ impl<W: io::Write> Merger<W> {
             "sink" => return Some(None),
             _ => return None,
         }
+        self.seq += 1;
         Some(Some(out))
     }
-}
-
-/// The optional `"buckets":[[index,count],...]` field as a dense 65-slot
-/// vector. `None` when absent or malformed.
-fn parse_buckets(v: &Value) -> Option<Vec<u64>> {
-    let Value::Arr(pairs) = v.get("buckets")? else { return None };
-    let mut dense = vec![0u64; 65];
-    for pair in pairs {
-        let Value::Arr(kv) = pair else { return None };
-        let (i, n) = match kv.as_slice() {
-            [i, n] => (i.as_u64()?, n.as_u64()?),
-            _ => return None,
-        };
-        let slot = dense.get_mut(usize::try_from(i).ok()?)?;
-        *slot = slot.checked_add(n)?;
-    }
-    Some(dense)
 }
 
 /// Merge per-shard JSONL exports into one in-memory document. Shards are
@@ -483,58 +351,12 @@ mod tests {
             .find(|l| l.contains("\"t\":\"hist\""))
             .expect("merged hist line present");
         assert!(hist_line.contains("\"count\":4"));
-        assert!(
-            !hist_line.contains("p50"),
-            "cross-shard quantiles are unrecoverable without buckets"
-        );
-    }
-
-    #[test]
-    fn bucketed_shards_merge_quantiles_bucket_wise() {
-        // Two shards with disjoint latency populations. The merged
-        // quantiles must reflect the combined distribution — exactly what
-        // an in-process histogram over all four samples reports.
-        let mut a = Telemetry::new();
-        a.set_export_buckets(true);
-        a.observe_ns("client-request", 100);
-        a.observe_ns("client-request", 120);
-        let mut b = Telemetry::new();
-        b.set_export_buckets(true);
-        b.observe_ns("client-request", 5_000);
-        b.observe_ns("client-request", 6_000);
-        let (ja, jb) = (a.export_jsonl(), b.export_jsonl());
-        let m = merge_jsonl([("a", ja.as_str()), ("b", jb.as_str())]);
-        let hist_line = m.jsonl.lines().find(|l| l.contains("\"t\":\"hist\"")).expect("hist line");
-
-        let mut combined = crate::hist::Histogram::new();
-        for v in [100, 120, 5_000, 6_000] {
-            combined.record(v);
-        }
-        let s = combined.summary().unwrap();
-        assert!(hist_line.contains(&format!("\"count\":{}", s.count)), "{hist_line}");
-        assert!(hist_line.contains(&format!("\"p50\":{}", s.p50)), "{hist_line}");
-        assert!(hist_line.contains(&format!("\"p95\":{}", s.p95)), "{hist_line}");
-        assert!(hist_line.contains(&format!("\"p99\":{}", s.p99)), "{hist_line}");
-        // Merged buckets are re-emitted so a merge-of-merges still works.
-        assert!(hist_line.contains("\"buckets\":["), "{hist_line}");
-        let remerged = merge_jsonl([("m", m.jsonl.as_str()), ("b2", jb.as_str())]);
-        let line2 = remerged.jsonl.lines().find(|l| l.contains("\"t\":\"hist\"")).unwrap();
-        assert!(line2.contains("\"count\":6") && line2.contains("\"p50\":"), "{line2}");
-    }
-
-    #[test]
-    fn one_bucketless_shard_poisons_merged_quantiles() {
-        let mut a = Telemetry::new();
-        a.set_export_buckets(true);
-        a.observe_ns("client-request", 100);
-        let mut b = Telemetry::new();
-        b.observe_ns("client-request", 9_000);
-        let (ja, jb) = (a.export_jsonl(), b.export_jsonl());
-        let m = merge_jsonl([("a", ja.as_str()), ("b", jb.as_str())]);
-        let hist_line = m.jsonl.lines().find(|l| l.contains("\"t\":\"hist\"")).unwrap();
-        assert!(hist_line.contains("\"count\":2"));
-        assert!(!hist_line.contains("p50"), "partial buckets must not fake exact quantiles");
-        assert!(!hist_line.contains("buckets"), "{hist_line}");
+        assert!(!hist_line.contains("p50"), "cross-shard quantiles are unrecoverable");
+        // A `buckets` field on an input line is ignored, not an error.
+        let bucketed = a.replace("}\n", ",\"buckets\":[[7,1],[8,1]]}\n");
+        assert!(bucketed.contains("buckets"));
+        assert_eq!(merge_jsonl([("a", bucketed.as_str())]), single);
+        assert_eq!(merge_jsonl([("a", bucketed.as_str()), ("b", a.as_str())]), multi);
     }
 
     #[test]

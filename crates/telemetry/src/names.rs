@@ -217,22 +217,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "wizard-stats-requests",
 ];
 
-/// Whether `name` is a registered span name.
-pub fn is_registered(name: &str) -> bool {
-    SPAN_NAMES.binary_search(&name).is_ok()
-}
-
-/// Whether `name` is a registered event name.
-pub fn is_registered_event(name: &str) -> bool {
-    EVENT_NAMES.binary_search(&name).is_ok()
-}
-
-/// Whether `name` is a registered counter name (base name, without any
-/// `/label` dimension).
-pub fn is_registered_counter(name: &str) -> bool {
-    COUNTER_NAMES.binary_search(&name).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,19 +244,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn lookup_hits_and_misses() {
-        assert!(is_registered("client-request"));
-        assert!(is_registered("wizard-match"));
-        assert!(!is_registered("client-Request"));
-        assert!(!is_registered("made-up-span"));
-        assert!(is_registered_event("fault-injected"));
-        assert!(is_registered_event("daemon-heartbeat"));
-        assert!(!is_registered_event("made-up-event"));
-        assert!(is_registered_counter("telemetry-dropped"));
-        assert!(is_registered_counter("wizard-stats-requests"));
-        assert!(!is_registered_counter("probe-report-bytes/helene"), "labels are not base names");
     }
 }

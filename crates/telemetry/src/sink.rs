@@ -48,43 +48,106 @@ use crate::{json, Record};
 pub fn write_record_line(out: &mut String, seq: u64, r: &Record) {
     match r {
         Record::SpanStart { at_ns, id, parent, name, host } => {
-            let parent = match parent {
-                Some(p) => p.to_string(),
-                None => "null".to_owned(),
-            };
-            let _ = writeln!(
-                out,
-                "{{\"t\":\"span-start\",\"seq\":{seq},\"ns\":{at_ns},\"id\":{id},\
-                 \"parent\":{parent},\"name\":\"{name}\",\"host\":\"{}\"}}",
-                json::escape(host),
-            );
+            write_span_start(out, seq, *at_ns, *id, *parent, name, host);
         }
         Record::SpanEnd { at_ns, id, name, host, dur_ns } => {
-            let _ = writeln!(
-                out,
-                "{{\"t\":\"span-end\",\"seq\":{seq},\"ns\":{at_ns},\"id\":{id},\
-                 \"name\":\"{name}\",\"host\":\"{}\",\"dur_ns\":{dur_ns}}}",
-                json::escape(host),
-            );
+            write_span_end(out, seq, *at_ns, *id, name, host, *dur_ns);
         }
         Record::Event(e) => {
-            let mut attrs = String::new();
-            for (i, (k, v)) in e.attrs.iter().enumerate() {
-                if i > 0 {
-                    attrs.push(',');
-                }
-                let _ = write!(attrs, "\"{k}\":\"{}\"", json::escape(v));
-            }
-            let _ = writeln!(
-                out,
-                "{{\"t\":\"event\",\"seq\":{seq},\"ns\":{},\"name\":\"{}\",\
-                 \"host\":\"{}\",\"attrs\":{{{attrs}}}}}",
-                e.at_ns,
-                e.name,
-                json::escape(&e.host),
-            );
+            let attrs = e.attrs.iter().map(|(k, v)| (*k, v.as_str()));
+            write_event(out, seq, e.at_ns, e.name, &e.host, attrs);
         }
     }
+}
+
+// The trace schema, one writer per line kind. The in-process export
+// (above, and `Telemetry::summary_tail`) and the shard merger
+// (`merge::Merger`) both write through these, so a line kind is spelled
+// once. Strings are escaped here; `json::escape` borrows when there is
+// nothing to escape, which is every registered name.
+
+pub fn write_span_start(
+    out: &mut String,
+    seq: u64,
+    ns: u64,
+    id: u64,
+    parent: Option<u64>,
+    name: &str,
+    host: &str,
+) {
+    let _ = write!(out, "{{\"t\":\"span-start\",\"seq\":{seq},\"ns\":{ns},\"id\":{id},\"parent\":");
+    match parent {
+        Some(p) => {
+            let _ = write!(out, "{p}");
+        }
+        None => out.push_str("null"),
+    }
+    let _ =
+        writeln!(out, ",\"name\":\"{}\",\"host\":\"{}\"}}", json::escape(name), json::escape(host));
+}
+
+pub fn write_span_end(
+    out: &mut String,
+    seq: u64,
+    ns: u64,
+    id: u64,
+    name: &str,
+    host: &str,
+    dur_ns: u64,
+) {
+    let _ = writeln!(
+        out,
+        "{{\"t\":\"span-end\",\"seq\":{seq},\"ns\":{ns},\"id\":{id},\
+         \"name\":\"{}\",\"host\":\"{}\",\"dur_ns\":{dur_ns}}}",
+        json::escape(name),
+        json::escape(host),
+    );
+}
+
+pub fn write_event<'a>(
+    out: &mut String,
+    seq: u64,
+    ns: u64,
+    name: &str,
+    host: &str,
+    attrs: impl Iterator<Item = (&'a str, &'a str)>,
+) {
+    let _ = write!(
+        out,
+        "{{\"t\":\"event\",\"seq\":{seq},\"ns\":{ns},\"name\":\"{}\",\"host\":\"{}\",\"attrs\":{{",
+        json::escape(name),
+        json::escape(host),
+    );
+    for (i, (k, v)) in attrs.enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{}\":\"{}\"", json::escape(k), json::escape(v));
+    }
+    out.push_str("}}\n");
+}
+
+/// A `counter` or `gauge` summary line (`kind` is that tag).
+pub fn write_scalar(out: &mut String, kind: &str, name: &str, value: impl std::fmt::Display) {
+    let _ =
+        writeln!(out, "{{\"t\":\"{kind}\",\"name\":\"{}\",\"value\":{value}}}", json::escape(name));
+}
+
+/// A `hist` summary line; `quantiles` is `(p50, p95, p99)` where known.
+pub fn write_hist(
+    out: &mut String,
+    name: &str,
+    (count, sum, min, max): (u64, u64, u64, u64),
+    quantiles: Option<(u64, u64, u64)>,
+) {
+    let _ = write!(
+        out,
+        "{{\"t\":\"hist\",\"name\":\"{}\",\"count\":{count},\"sum\":{sum},\
+         \"min\":{min},\"max\":{max}",
+        json::escape(name),
+    );
+    if let Some((p50, p95, p99)) = quantiles {
+        let _ = write!(out, ",\"p50\":{p50},\"p95\":{p95},\"p99\":{p99}");
+    }
+    out.push_str("}\n");
 }
 
 /// A destination for trace records. `Telemetry` owns exactly one sink
@@ -484,6 +547,81 @@ mod tests {
         t.set_now(900);
         t.span_end(s);
         t.counter_add("sysmon-reports", 2);
+    }
+
+    #[test]
+    fn each_line_kind_has_one_writer_and_its_bytes_are_pinned() {
+        let host = "he\"le\\ne";
+        let ev = |attrs: Vec<(&'static str, String)>| {
+            Record::Event(crate::EventRecord {
+                at_ns: 9,
+                name: "fault-injected",
+                host: host.into(),
+                attrs,
+            })
+        };
+        let record = |seq, r: Record| {
+            let mut s = String::new();
+            write_record_line(&mut s, seq, &r);
+            s
+        };
+        let with = |f: &dyn Fn(&mut String)| {
+            let mut s = String::new();
+            f(&mut s);
+            s
+        };
+        let start = |parent| Record::SpanStart {
+            at_ns: 5,
+            id: 2,
+            parent,
+            name: "wizard-match",
+            host: host.into(),
+        };
+        let end =
+            Record::SpanEnd { at_ns: 8, id: 2, name: "wizard-match", host: host.into(), dur_ns: 3 };
+        let two = vec![("kind", "link-down".to_owned()), ("why", "a\nb".to_owned())];
+        let cases = [
+            (
+                record(0, start(None)),
+                r#"{"t":"span-start","seq":0,"ns":5,"id":2,"parent":null,"name":"wizard-match","host":"he\"le\\ne"}"#,
+            ),
+            (
+                record(1, start(Some(1))),
+                r#"{"t":"span-start","seq":1,"ns":5,"id":2,"parent":1,"name":"wizard-match","host":"he\"le\\ne"}"#,
+            ),
+            (
+                record(2, end),
+                r#"{"t":"span-end","seq":2,"ns":8,"id":2,"name":"wizard-match","host":"he\"le\\ne","dur_ns":3}"#,
+            ),
+            (
+                record(3, ev(vec![])),
+                r#"{"t":"event","seq":3,"ns":9,"name":"fault-injected","host":"he\"le\\ne","attrs":{}}"#,
+            ),
+            (
+                record(4, ev(two)),
+                r#"{"t":"event","seq":4,"ns":9,"name":"fault-injected","host":"he\"le\\ne","attrs":{"kind":"link-down","why":"a\nb"}}"#,
+            ),
+            (
+                with(&|s| write_scalar(s, "counter", "probe-report-bytes/helene", 48u64)),
+                r#"{"t":"counter","name":"probe-report-bytes/helene","value":48}"#,
+            ),
+            (
+                with(&|s| write_scalar(s, "gauge", "net-link-backlog-ns/l0", -42i64)),
+                r#"{"t":"gauge","name":"net-link-backlog-ns/l0","value":-42}"#,
+            ),
+            (
+                with(&|s| write_hist(s, "wizard-match", (2, 300, 100, 200), Some((100, 200, 200)))),
+                r#"{"t":"hist","name":"wizard-match","count":2,"sum":300,"min":100,"max":200,"p50":100,"p95":200,"p99":200}"#,
+            ),
+            (
+                with(&|s| write_hist(s, "wizard-match", (4, 600, 100, 200), None)),
+                r#"{"t":"hist","name":"wizard-match","count":4,"sum":600,"min":100,"max":200}"#,
+            ),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, format!("{want}\n"));
+            assert!(json::parse(want).is_some(), "invalid JSON line: {want}");
+        }
     }
 
     #[test]
