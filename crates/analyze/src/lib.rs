@@ -7,9 +7,8 @@
 //! This crate is the mechanical check for those invariants: a small hand
 //! rolled Rust lexer (no external dependencies) feeding a **two-phase
 //! analysis**. Phase 1 extracts a workspace model from the lexed sources
-//! (codec op sequences, lock names and guard-overlap pairs, endianness
-//! call sites — see [`model`]). Phase 2 runs per-file token rules plus
-//! cross-file rules over that model. Run as
+//! (codec op sequences and endianness call sites — see [`model`]). Phase 2
+//! runs per-file token rules plus cross-file rules over that model. Run as
 //! `cargo run -p smartsock-analyze -- check` and wired into CI; `model`
 //! dumps the extracted model, `allows` audits every suppression.
 //!
@@ -24,8 +23,6 @@
 //! | SS-CAST-001 | proto, wire (non-test) | no narrowing `as` casts |
 //! | SS-PROTO-002 | proto, wire (non-test) | `encode*`/`decode*` pairs read and write the same collapsed field-width sequence |
 //! | SS-PROTO-003 | proto, wire (non-test) | no big- or native-endian byte calls; the wire layout is pinned little-endian |
-//! | SS-LOCK-001 | workspace-wide (non-test) | no double-lock under a live guard; no cross-file lock-order inversion |
-//! | SS-LOCK-002 | workspace-wide (non-test) | no scheduler call while a lock guard is live |
 //! | SS-OBS-001 | everywhere except telemetry | telemetry names are kebab-case `&'static str` literals |
 //! | SS-OBS-002 | everywhere except telemetry (non-test) | `span_start`/`span_child` names appear in `SPAN_NAMES` (crates/telemetry/src/names.rs) |
 //! | SS-OBS-003 | everywhere except telemetry (non-test) | `event` names appear in `EVENT_NAMES`, `counter_add`/`counter_incr`/`counter_add_labeled` names in `COUNTER_NAMES` (crates/telemetry/src/names.rs) |

@@ -31,8 +31,8 @@ USAGE:
 COMMANDS:
     check    walk crates/*/{src,tests}, src/, tests/, examples/ and run all
              per-file and cross-file rules
-    model    dump the phase-1 workspace model (codec pairs, lock names and
-             pairs, scheduler calls under a guard, endian sites), Debug form
+    model    dump the phase-1 workspace model (codec pairs and endian
+             sites), Debug form
     allows   audit every `// analyze: allow(…)` suppression: location, rules,
              justification, and whether it still suppresses anything
     rules    list rule IDs and what they enforce

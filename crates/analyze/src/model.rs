@@ -9,23 +9,10 @@
 //!   sequence*: every `put_*`/`get_*`/slice call mapped to a width symbol
 //!   (`u8`, `u32`, `f64`, `bytes`, …) with consecutive repeats collapsed, so
 //!   a loop that writes N records compares equal to an unrolled reader.
-//! * **Lock discipline** — a cross-file registry of lock names (bindings and
-//!   fields whose declared type mentions `Mutex`/`RwLock` or an alias of
-//!   one), every acquisition site, every ordered *pair* (lock B acquired
-//!   while a guard on lock A is lexically live), and every scheduler call
-//!   made while a guard is live.
 //! * **Endianness call sites** — big- or native-endian byte calls, each
 //!   tagged with crate and test-ness so phase 2 can scope them.
-//!
-//! The guard tracking is deliberately *lexical*, not flow-sensitive: a
-//! `let`-bound guard lives until its enclosing block closes (or an explicit
-//! `drop(guard)`), a temporary guard lives until the end of the current
-//! statement segment (`;`, `,`, `{`, `}`). Guards returned from helper
-//! functions and match-scrutinee temporaries are out of scope — the point
-//! is to catch ordering regressions in the executor and the `Shared*Db`
-//! handles mechanically, not to re-prove the borrow checker.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::lexer::{Lexed, Tok, TokKind};
 
@@ -75,24 +62,6 @@ pub struct CodecPair {
     pub decode: CodecFn,
 }
 
-/// Lock B acquired at `site` while a guard on lock A (`held`, taken at
-/// `held_line`) is lexically live. `held == acquired` is a double-lock.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LockPair {
-    pub held: String,
-    pub held_line: u32,
-    pub acquired: String,
-    pub site: Site,
-}
-
-/// A scheduler call made while a guard is live.
-#[derive(Debug, Clone)]
-pub struct SchedUnderGuard {
-    pub method: String,
-    pub guard: String,
-    pub site: Site,
-}
-
 /// A big- or native-endian byte-order call site.
 #[derive(Debug, Clone)]
 pub struct EndianSite {
@@ -106,39 +75,19 @@ pub struct EndianSite {
 #[derive(Debug, Default)]
 pub struct WorkspaceModel {
     pub codec_pairs: Vec<CodecPair>,
-    /// Bindings/fields whose declared type mentions a lock.
-    pub lock_names: BTreeSet<String>,
-    /// Every acquisition site of a registered lock (non-test).
-    pub lock_acquisitions: Vec<(String, Site)>,
-    pub lock_pairs: Vec<LockPair>,
-    pub sched_under_guard: Vec<SchedUnderGuard>,
     pub big_endian: Vec<EndianSite>,
 }
-
-/// Scheduler entry points that must never be called under a lock guard:
-/// they can re-enter monitor/wizard callbacks that take the same locks.
-pub const SCHED_METHODS: &[&str] = &["schedule_in", "schedule_at", "run_until"];
 
 /// Extract the full model from a set of lexed files.
 pub fn extract(units: &[SourceUnit<'_>]) -> WorkspaceModel {
     let mut model = WorkspaceModel::default();
     extract_codec_pairs(units, &mut model);
-    extract_locks(units, &mut model);
     extract_call_sites(units, &mut model);
     model
 }
 
 fn site(unit: &SourceUnit<'_>, line: u32) -> Site {
     Site { file: unit.rel.to_owned(), line }
-}
-
-/// `toks[i..]` matches `texts` exactly (by token text).
-fn toks_match(toks: &[Tok], i: usize, texts: &[&str]) -> bool {
-    texts.len() <= toks.len() - i.min(toks.len())
-        && texts
-            .iter()
-            .enumerate()
-            .all(|(k, t)| toks.get(i + k).map(|x| x.text == *t) == Some(true))
 }
 
 /// Index just past the matching close bracket for the opener at `open`.
@@ -349,255 +298,6 @@ fn extract_codec_pairs(units: &[SourceUnit<'_>], model: &mut WorkspaceModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Lock discipline (SS-LOCK-001/002)
-// ---------------------------------------------------------------------------
-
-/// Identifiers that acquire a guard when called with no arguments.
-const ACQUIRERS: &[&str] = &["lock", "read", "write"];
-
-/// The receiver component nearest the acquiring call: `self.sysdb.read()` →
-/// `sysdb`, `queues[i % n].lock()` → `queues`, `rig.sysdb().write()` →
-/// `sysdb`.
-fn receiver_of(toks: &[Tok], before_dot: usize) -> Option<String> {
-    let mut j = before_dot;
-    loop {
-        let t = toks.get(j)?;
-        match t.text.as_str() {
-            "]" => {
-                // Walk back over the index group to the token before `[`.
-                let mut depth = 0i32;
-                while j > 0 {
-                    match toks[j].text.as_str() {
-                        "]" => depth += 1,
-                        "[" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j -= 1;
-                }
-                j = j.checked_sub(1)?;
-            }
-            ")" => {
-                // Accessor call: walk back over the argument group.
-                let mut depth = 0i32;
-                while j > 0 {
-                    match toks[j].text.as_str() {
-                        ")" => depth += 1,
-                        "(" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j -= 1;
-                }
-                j = j.checked_sub(1)?;
-            }
-            _ if t.kind == TokKind::Ident || t.kind == TokKind::Number => {
-                return Some(t.text.clone());
-            }
-            _ => return None,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct LiveGuard {
-    /// Binding name for `let` guards (empty for temporaries).
-    binding: String,
-    recv: String,
-    line: u32,
-    /// Brace depth at declaration; killed when the block closes.
-    depth: u32,
-    /// Temporaries die at the next statement boundary.
-    temp: bool,
-}
-
-fn extract_locks(units: &[SourceUnit<'_>], model: &mut WorkspaceModel) {
-    // Pass A: type aliases whose right-hand side mentions a lock.
-    let mut lockish: BTreeSet<String> = ["Mutex", "RwLock"].iter().map(|s| s.to_string()).collect();
-    for unit in units {
-        let toks = &unit.lexed.toks;
-        for i in 0..toks.len() {
-            if toks[i].text != "type" || toks[i].kind != TokKind::Ident {
-                continue;
-            }
-            let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else { continue };
-            if !toks_match(toks, i + 2, &["="]) {
-                continue;
-            }
-            let rhs_is_lock = toks[i + 3..]
-                .iter()
-                .take_while(|t| t.text != ";")
-                .any(|t| t.kind == TokKind::Ident && lockish.contains(&t.text));
-            if rhs_is_lock {
-                lockish.insert(name.text.clone());
-            }
-        }
-    }
-
-    // Pass B: declarations `name: …Lockish…` register `name` as a lock.
-    for unit in units {
-        let toks = &unit.lexed.toks;
-        for i in 0..toks.len() {
-            if toks[i].kind != TokKind::Ident
-                || is_keywordish(&toks[i].text)
-                || !toks_match(toks, i + 1, &[":"])
-                || toks.get(i + 2).map(|t| t.text == ":").unwrap_or(false)
-            {
-                continue;
-            }
-            let mut angle = 0i32;
-            for t in toks[i + 2..].iter().take(40) {
-                match t.text.as_str() {
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    ";" | "=" | "{" | ")" => break,
-                    "," if angle <= 0 => break,
-                    _ => {
-                        if t.kind == TokKind::Ident && lockish.contains(&t.text) {
-                            model.lock_names.insert(toks[i].text.clone());
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if model.lock_names.is_empty() {
-        return;
-    }
-
-    // Pass C: lexical guard tracking over non-test code.
-    for unit in units {
-        if unit.file_is_test {
-            continue;
-        }
-        let toks = &unit.lexed.toks;
-        let mut depth = 0u32;
-        let mut guards: Vec<LiveGuard> = Vec::new();
-        // The binding of the current `let` statement, if any.
-        let mut stmt_let: Option<String> = None;
-
-        let mut i = 0usize;
-        while i < toks.len() {
-            if unit.in_test_code(i) {
-                i += 1;
-                continue;
-            }
-            let t = &toks[i];
-            match t.text.as_str() {
-                "{" => {
-                    depth += 1;
-                    guards.retain(|g| !g.temp);
-                    stmt_let = None;
-                }
-                "}" => {
-                    guards.retain(|g| !g.temp && g.depth < depth);
-                    depth = depth.saturating_sub(1);
-                    stmt_let = None;
-                }
-                ";" | "," => {
-                    guards.retain(|g| !g.temp);
-                    stmt_let = None;
-                }
-                "let" if t.kind == TokKind::Ident => {
-                    let mut j = i + 1;
-                    if toks.get(j).map(|t| t.text == "mut").unwrap_or(false) {
-                        j += 1;
-                    }
-                    stmt_let =
-                        toks.get(j).filter(|t| t.kind == TokKind::Ident).map(|t| t.text.clone());
-                }
-                "drop" if t.kind == TokKind::Ident && toks_match(toks, i + 1, &["("]) => {
-                    if let Some(arg) = toks.get(i + 2).filter(|t| t.kind == TokKind::Ident) {
-                        if toks.get(i + 3).map(|t| t.text == ")").unwrap_or(false) {
-                            guards.retain(|g| g.binding != arg.text);
-                        }
-                    }
-                }
-                _ => {}
-            }
-
-            // Scheduler call while any guard is live.
-            if t.kind == TokKind::Ident
-                && SCHED_METHODS.contains(&t.text.as_str())
-                && i > 0
-                && toks[i - 1].text == "."
-                && toks.get(i + 1).map(|t| t.text == "(").unwrap_or(false)
-            {
-                if let Some(g) = guards.first() {
-                    model.sched_under_guard.push(SchedUnderGuard {
-                        method: t.text.clone(),
-                        guard: g.recv.clone(),
-                        site: site(unit, t.line),
-                    });
-                }
-            }
-
-            // Acquisition: `recv.lock()` / `.read()` / `.write()` with no args.
-            if t.kind == TokKind::Ident
-                && ACQUIRERS.contains(&t.text.as_str())
-                && i > 0
-                && toks[i - 1].text == "."
-                && toks_match(toks, i + 1, &["(", ")"])
-            {
-                if let Some(recv) =
-                    receiver_of(toks, i - 2).filter(|r| model.lock_names.contains(r))
-                {
-                    let acq_site = site(unit, t.line);
-                    for g in &guards {
-                        model.lock_pairs.push(LockPair {
-                            held: g.recv.clone(),
-                            held_line: g.line,
-                            acquired: recv.clone(),
-                            site: acq_site.clone(),
-                        });
-                    }
-                    model.lock_acquisitions.push((recv.clone(), acq_site));
-                    // Bound iff the statement is `let g = …;` and nothing but
-                    // `.expect(…)`/`.unwrap()` follows before the `;`.
-                    let mut j = i + 3;
-                    loop {
-                        if toks_match(toks, j, &[".", "expect", "("]) {
-                            j = skip_balanced(toks, j + 2, "(", ")");
-                        } else if toks_match(toks, j, &[".", "unwrap", "(", ")"]) {
-                            j += 4;
-                        } else {
-                            break;
-                        }
-                    }
-                    let bound =
-                        stmt_let.is_some() && toks.get(j).map(|t| t.text == ";").unwrap_or(false);
-                    guards.push(LiveGuard {
-                        binding: if bound {
-                            stmt_let.clone().unwrap_or_default()
-                        } else {
-                            String::new()
-                        },
-                        recv,
-                        line: t.line,
-                        depth,
-                        temp: !bound,
-                    });
-                }
-            }
-            i += 1;
-        }
-    }
-}
-
-fn is_keywordish(s: &str) -> bool {
-    matches!(s, "if" | "else" | "match" | "return" | "break" | "continue" | "loop" | "while")
-}
-
-// ---------------------------------------------------------------------------
 // Endianness call sites
 // ---------------------------------------------------------------------------
 
@@ -688,42 +388,6 @@ mod tests {
         assert_eq!(p.owner, "R");
         assert_eq!(p.encode.ops, ["u32", "u16"]);
         assert_eq!(p.decode.ops, ["u32", "u16"]);
-    }
-
-    #[test]
-    fn lock_registry_and_pairs_track_lexical_guards() {
-        let src = "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
-                   impl S {\n\
-                   fn two(&self) { let g = self.a.lock(); self.b.lock(); }\n\
-                   fn dropped(&self) { let g = self.a.lock(); drop(g); self.b.lock(); }\n\
-                   fn scoped(&self) { { let g = self.a.lock(); } self.b.lock(); }\n\
-                   }";
-        let (m, _) = model_of("bench", src);
-        assert!(m.lock_names.contains("a") && m.lock_names.contains("b"));
-        assert_eq!(m.lock_pairs.len(), 1, "{:?}", m.lock_pairs);
-        assert_eq!((m.lock_pairs[0].held.as_str(), m.lock_pairs[0].acquired.as_str()), ("a", "b"));
-        assert_eq!(m.lock_acquisitions.len(), 6);
-    }
-
-    #[test]
-    fn temp_guards_die_at_statement_boundaries() {
-        let src = "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
-                   impl S { fn f(&self) { self.a.lock().push(1); self.b.lock().push(2); } }";
-        let (m, _) = model_of("bench", src);
-        assert!(m.lock_pairs.is_empty(), "{:?}", m.lock_pairs);
-    }
-
-    #[test]
-    fn sched_calls_under_guard_are_recorded() {
-        let src = "struct S { q: Mutex<u8> }\n\
-                   impl S { fn f(&self, s: &mut Scheduler) { let g = self.q.lock(); \
-                   s.schedule_in(1, cb); } \n\
-                   fn ok(&self, s: &mut Scheduler) { let g = self.q.lock(); drop(g); \
-                   s.schedule_in(1, cb); } }";
-        let (m, _) = model_of("bench", src);
-        assert_eq!(m.sched_under_guard.len(), 1);
-        assert_eq!(m.sched_under_guard[0].guard, "q");
-        assert_eq!(m.sched_under_guard[0].method, "schedule_in");
     }
 
     #[test]

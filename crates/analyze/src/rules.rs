@@ -26,8 +26,6 @@ pub const SS_OBS_002: &str = "SS-OBS-002";
 pub const SS_OBS_003: &str = "SS-OBS-003";
 pub const SS_PROTO_002: &str = "SS-PROTO-002";
 pub const SS_PROTO_003: &str = "SS-PROTO-003";
-pub const SS_LOCK_001: &str = "SS-LOCK-001";
-pub const SS_LOCK_002: &str = "SS-LOCK-002";
 /// Meta-rule: an `// analyze: allow(…)` with no justification text, or one
 /// that no longer suppresses anything.
 pub const SS_ALLOW_001: &str = "SS-ALLOW-001";
@@ -96,17 +94,6 @@ pub const RULES: &[RuleInfo] = &[
         id: SS_PROTO_003,
         summary: "no big- or native-endian byte calls in proto/wire non-test code; the \
                   wire layout is pinned little-endian (use the _le variants)",
-    },
-    RuleInfo {
-        id: SS_LOCK_001,
-        summary: "no lock reacquired while its own guard is live (double-lock), and no \
-                  two locks acquired in opposite orders anywhere in the workspace \
-                  (lexical lock-order check)",
-    },
-    RuleInfo {
-        id: SS_LOCK_002,
-        summary: "no scheduler call (schedule_in, schedule_at, run_until) while a lock \
-                  guard is lexically live; scheduled callbacks may take the same locks",
     },
     RuleInfo {
         id: SS_ALLOW_001,
@@ -508,8 +495,6 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Finding> {
 
 /// Phase 2: cross-file rules over the extracted workspace model.
 pub fn check_model(model: &WorkspaceModel) -> Vec<Finding> {
-    use std::collections::BTreeSet;
-
     let mut out = Vec::new();
     let finding = |site: &crate::model::Site, rule: &'static str, message: String| Finding {
         file: site.file.clone(),
@@ -553,54 +538,6 @@ pub fn check_model(model: &WorkspaceModel) -> Vec<Finding> {
                 "`{}` is big/native-endian; the wire layout is pinned little-endian \
                  (paper §3.5.1) — use the `_le` variant",
                 e.call
-            ),
-        ));
-    }
-
-    // SS-LOCK-001 — double-locks and cross-file order inversions.
-    let mut seen: BTreeSet<(String, u32, String, String)> = BTreeSet::new();
-    let order: BTreeSet<(&str, &str)> = model
-        .lock_pairs
-        .iter()
-        .filter(|p| p.held != p.acquired)
-        .map(|p| (p.held.as_str(), p.acquired.as_str()))
-        .collect();
-    for p in &model.lock_pairs {
-        if !seen.insert((p.site.file.clone(), p.site.line, p.held.clone(), p.acquired.clone())) {
-            continue;
-        }
-        if p.held == p.acquired {
-            out.push(finding(
-                &p.site,
-                SS_LOCK_001,
-                format!(
-                    "lock `{}` acquired again while its own guard (taken at line {}) is \
-                     still live; self-deadlock on non-reentrant locks",
-                    p.held, p.held_line
-                ),
-            ));
-        } else if order.contains(&(p.acquired.as_str(), p.held.as_str())) {
-            out.push(finding(
-                &p.site,
-                SS_LOCK_001,
-                format!(
-                    "lock-order inversion: `{}` acquired while `{}` is held, but the \
-                     opposite order also occurs in the workspace; pick one global order",
-                    p.acquired, p.held
-                ),
-            ));
-        }
-    }
-
-    // SS-LOCK-002 — scheduler entry under a live guard.
-    for c in &model.sched_under_guard {
-        out.push(finding(
-            &c.site,
-            SS_LOCK_002,
-            format!(
-                "`.{}(…)` called while the guard on `{}` is live; scheduled callbacks \
-                 may take the same lock — release the guard first",
-                c.method, c.guard
             ),
         ));
     }

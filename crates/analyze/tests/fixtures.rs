@@ -204,73 +204,6 @@ fn proto003_flags_big_and_native_endian_calls_in_codec_crates_only() {
 }
 
 #[test]
-fn lock001_clean_fixture_accepts_ordered_dropped_and_scoped_guards() {
-    let (hits, suppressed) = run("net", include_str!("../testdata/lock001_clean.rs"));
-    assert!(hits.is_empty(), "{hits:?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn lock001_flags_double_lock_and_both_sides_of_an_inversion() {
-    let (hits, suppressed) = run("net", include_str!("../testdata/lock001_bad.rs"));
-    assert_eq!(
-        hits,
-        [
-            ("SS-LOCK-001".to_owned(), 12), // sys retaken under its own guard
-            ("SS-LOCK-001".to_owned(), 18), // sys→net, inverted below
-            ("SS-LOCK-001".to_owned(), 24), // net→sys, inverted above
-        ],
-        "{hits:?}"
-    );
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn lock001_sees_inversions_across_files() {
-    let decl = "pub struct Dbs { sys: Mutex<u8>, net: Mutex<u8> }\n\
-                pub fn forward(d: &Dbs) { let s = d.sys.lock(); let n = d.net.lock(); b(s, n); }";
-    let rev = "pub fn backward(d: &Dbs) { let n = d.net.lock(); let s = d.sys.lock(); b(n, s); }";
-    // Alone, each order is internally consistent.
-    let one = [FileInput { rel: "a/fwd.rs", krate: "core", is_test: false, src: decl }];
-    assert_eq!(analyze_files(&one, &registry()).report.total(), 0);
-    // Together they disagree, and each file's acquisition site is flagged.
-    let both = [
-        FileInput { rel: "a/fwd.rs", krate: "core", is_test: false, src: decl },
-        FileInput { rel: "b/rev.rs", krate: "wizard", is_test: false, src: rev },
-    ];
-    let a = analyze_files(&both, &registry());
-    let hits: Vec<(&str, &str)> =
-        a.report.findings.iter().map(|f| (f.rule, f.file.as_str())).collect();
-    assert_eq!(
-        hits,
-        [("SS-LOCK-001", "a/fwd.rs"), ("SS-LOCK-001", "b/rev.rs")],
-        "{:?}",
-        a.report.findings
-    );
-}
-
-#[test]
-fn lock002_clean_fixture_accepts_dropped_and_scoped_guards() {
-    let (hits, suppressed) = run("net", include_str!("../testdata/lock002_clean.rs"));
-    assert!(hits.is_empty(), "{hits:?}");
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
-fn lock002_flags_scheduler_calls_under_a_live_guard() {
-    let (hits, suppressed) = run("net", include_str!("../testdata/lock002_bad.rs"));
-    assert_eq!(
-        hits,
-        [
-            ("SS-LOCK-002".to_owned(), 11), // schedule_in under the q guard
-            ("SS-LOCK-002".to_owned(), 16), // run_until under the q guard
-        ],
-        "{hits:?}"
-    );
-    assert_eq!(suppressed, 0);
-}
-
-#[test]
 fn det004_clean_fixture_accepts_scheduler_time_and_test_sleeps() {
     let (hits, suppressed) = run("net", include_str!("../testdata/det004_clean.rs"));
     assert!(hits.is_empty(), "{hits:?}");
@@ -307,7 +240,7 @@ fn human_and_json_renderings_agree_on_the_finding_count() {
             rel: "testdata/a.rs",
             krate: "net",
             is_test: false,
-            src: include_str!("../testdata/lock001_bad.rs"),
+            src: include_str!("../testdata/det002.rs"),
         },
         FileInput {
             rel: "testdata/b.rs",

@@ -14,7 +14,7 @@
 //! (`profile diff --only fleet.`), so a regression in fleet-scale match
 //! cost fails the `fleet` job.
 //!
-//! Status reports are upserted straight into the wizard's `sysdb` (no
+//! Status reports are upserted straight into the wizard engine's `sysdb` (no
 //! 10k simulated probe daemons — ingest cost is the `ablation.scaling`
 //! family's concern); each upsert emits a `fleet-report-ingested` event
 //! whose host field is the server's *IP string*, so `telemetry rollup`
@@ -24,7 +24,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use smartsock_hostsim::TopologySpec;
-use smartsock_monitor::db::shared_dbs;
 use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
 use smartsock_proto::{Endpoint, Ip, NetPathRecord, RequestOption, UserRequest, WizardReply};
 use smartsock_sim::{SimDuration, SimTime};
@@ -84,15 +83,7 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
     b.duplex(w, c, LinkParams::lan_100mbps());
     let net = b.build();
 
-    let (sysdb, netdb, secdb) = shared_dbs();
-    let wiz = Wizard::new(
-        WIZARD_IP,
-        net.clone(),
-        sysdb.clone(),
-        netdb.clone(),
-        secdb,
-        WizardConfig::default(),
-    );
+    let wiz = Wizard::new(WIZARD_IP, net.clone(), WizardConfig::default());
     // Group map: every fleet host belongs to its subnet's monitor, the
     // client to the harness-side monitor; `monitor_*` variables then
     // resolve through `netdb` exactly as in the testbed experiments.
@@ -101,7 +92,7 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
     }
     wiz.map_group(CLIENT_IP, CLIENT_MON);
     for sn in &fleet.subnets {
-        netdb.write().upsert(NetPathRecord {
+        wiz.engine_mut().dbs_mut().net.upsert(NetPathRecord {
             from_monitor: CLIENT_MON,
             to_monitor: sn.monitor,
             delay_ms: sn.link.delay_ms(),
@@ -128,14 +119,14 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
         for sn in 0..fleet.subnets.len() {
             let fleet = Rc::clone(&fleet);
             let by_subnet = Rc::clone(&by_subnet);
-            let sysdb = sysdb.clone();
+            let wiz = wiz.clone();
             s.schedule_in(SimDuration::from_secs(at), move |s| {
                 let now = s.now();
                 let label = fleet.subnets[sn].label.as_str();
-                let mut db = sysdb.write();
+                let mut engine = wiz.engine_mut();
                 for &hi in &by_subnet[sn] {
                     let h = &fleet.hosts[hi];
-                    db.upsert(h.status_report(), now);
+                    engine.dbs_mut().sys.upsert(h.status_report(), now);
                     s.telemetry.event(
                         "fleet-report-ingested",
                         &h.ip.to_string(),
@@ -181,15 +172,13 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
         option: RequestOption::DEFAULT,
         detail: REQUIREMENT.to_owned(),
     };
-    let (pruned_reply, stats) = wiz.engine().with_view(|view, policy| {
-        let now = s.now();
-        let flat = select_flat(view, policy, now, &final_req, CLIENT_IP);
-        let (pruned, stats) = select_with_stats(view, policy, now, &final_req, CLIENT_IP);
-        assert_eq!(pruned, flat, "{id}: shard pruning changed the reply");
-        (pruned, stats)
-    });
+    let engine = wiz.engine();
+    let (view, policy, now) = (engine.view(), engine.policy(), s.now());
+    let flat = select_flat(&view, policy, now, &final_req, CLIENT_IP);
+    let (pruned_reply, stats) = select_with_stats(&view, policy, now, &final_req, CLIENT_IP);
+    assert_eq!(pruned_reply, flat, "{id}: shard pruning changed the reply");
 
-    let live = sysdb.read().len();
+    let live = engine.live_servers();
     let replies = reply_servers.borrow();
     let eval = s.telemetry.histogram("wizard-requirement-eval");
     let eval_mean_us = eval

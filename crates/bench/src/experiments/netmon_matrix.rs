@@ -4,7 +4,6 @@
 //! probing loops run for a while, every monitor holds a record per
 //! neighbour — the exact table of §3.3.3.
 
-use smartsock_monitor::db::shared_dbs;
 use smartsock_monitor::{NetMonConfig, NetworkMonitor};
 use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
 use smartsock_proto::Ip;
@@ -33,8 +32,7 @@ pub fn table3_4(seed: u64) -> Report {
     let mut s = rig::sim();
     let mut monitors = Vec::new();
     for &ip in &mons {
-        let (_, netdb, _) = shared_dbs();
-        let m = NetworkMonitor::new(ip, net.clone(), netdb, NetMonConfig::default());
+        let m = NetworkMonitor::new(ip, net.clone(), Default::default(), NetMonConfig::default());
         for &peer in &mons {
             m.add_peer(peer);
         }
@@ -51,7 +49,7 @@ pub fn table3_4(seed: u64) -> Report {
             if peer == mons[g] {
                 continue;
             }
-            let cell = match m.db().read().get(mons[g], peer) {
+            let cell = match m.dbs().borrow().net.get(mons[g], peer) {
                 Some(rec) => {
                     r.figure(&format!("m{}to{}_bw", g + 1, pg + 1), rec.bw_mbps);
                     r.figure(&format!("m{}to{}_delay", g + 1, pg + 1), rec.delay_ms);

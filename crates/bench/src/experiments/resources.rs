@@ -49,10 +49,11 @@ pub fn table5_2(seed: u64) -> Report {
     let wiz_bytes = wiz_msgs * 150; // ~150 B requests/replies in the sample run
 
     // Memory: live data-structure footprints.
-    let sys_records = tb.sysdb.read().len() as u64;
+    let sys_records = tb.dbs.borrow().sys.len() as u64;
     let mem_monitor = sys_records * BINARY_STATUS_RECORD_BYTES as u64;
-    let mem_receiver = tb.wiz_sys.read().len() as u64 * BINARY_STATUS_RECORD_BYTES as u64
-        + tb.wiz_net.read().len() as u64 * 32;
+    let wiz = tb.wizard.engine();
+    let mem_receiver = wiz.dbs().sys.len() as u64 * BINARY_STATUS_RECORD_BYTES as u64
+        + wiz.dbs().net.len() as u64 * 32;
     let mem_wizard = mem_receiver; // wizard reads the receiver's copies
 
     let mut r = Report::new("table5.2", "System resource used with 11 probes running");

@@ -6,7 +6,6 @@
 //! B2, C1 and D1 (all of A is too far; C2 is blacklisted; the rest fail
 //! the resource requirements).
 
-use smartsock_monitor::db::shared_dbs;
 use smartsock_proto::{Ip, NetPathRecord, RequestOption, ServerStatusReport, UserRequest};
 use smartsock_sim::SimTime;
 use smartsock_wizard::{select, SelectPolicy, WizardEngine};
@@ -15,13 +14,9 @@ use crate::report::Report;
 
 /// Pure matching — no network, no randomness, so the seed is unused.
 pub fn fig1_4(_seed: u64) -> Report {
-    let (sysdb, netdb, secdb) = shared_dbs();
-    let mut wizard = WizardEngine::with_dbs(
+    let mut wizard = WizardEngine::new(
         Ip::new(10, 0, 0, 1),
         SelectPolicy { stale_max_age: None, ..Default::default() },
-        sysdb.clone(),
-        netdb.clone(),
-        secdb,
     );
 
     let client_ip = Ip::new(10, 0, 0, 2);
@@ -36,7 +31,7 @@ pub fn fig1_4(_seed: u64) -> Report {
     let mut listed = Vec::new();
     for (label, subnet, delay) in nets {
         let mon_ip = Ip::new(10, 0, subnet, 100);
-        netdb.write().upsert(NetPathRecord {
+        wizard.dbs_mut().net.upsert(NetPathRecord {
             from_monitor: client_mon,
             to_monitor: mon_ip,
             delay_ms: delay,
@@ -55,7 +50,7 @@ pub fn fig1_4(_seed: u64) -> Report {
             let qualified = matches!((label, i), ("B", 2) | ("C", 1) | ("C", 2) | ("D", 1));
             rep.mem_free = if qualified { mb(200) } else { mb(40) };
             rep.cpu_idle = if qualified { 0.97 } else { 0.75 };
-            sysdb.write().upsert(rep, SimTime::ZERO);
+            wizard.dbs_mut().sys.upsert(rep, SimTime::ZERO);
             if matches!((label, i), ("B", 2) | ("C", 1) | ("D", 1)) {
                 expected.push(ip);
             }
@@ -75,7 +70,7 @@ user_denied_host1 = 10.0.3.2
         option: RequestOption::DEFAULT,
         detail: requirement.to_owned(),
     };
-    let got = wizard.with_view(|view, policy| select(view, policy, SimTime::ZERO, &req, client_ip));
+    let got = select(&wizard.view(), wizard.policy(), SimTime::ZERO, &req, client_ip);
 
     let mut r = Report::new("fig1.4", "Worked example: 3 servers from networks A–D");
     r.row("requirement: mem_free >= 100MB, cpu_free > 0.9, delay < 20ms, deny hacker (C2)");

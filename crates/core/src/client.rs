@@ -250,7 +250,6 @@ impl SmartClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartsock_monitor::db::shared_dbs;
     use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
     use smartsock_proto::{ServerStatusReport, UserRequest, WizardReply};
     use smartsock_sim::{SimDuration, SimTime};
@@ -260,7 +259,6 @@ mod tests {
         s: Scheduler,
         net: Network,
         client: SmartClient,
-        sysdb: smartsock_monitor::SharedSysDb,
         wizard: Option<Wizard>,
     }
 
@@ -275,15 +273,11 @@ mod tests {
             b.duplex(n, r, LinkParams::lan_100mbps());
         }
         let net = b.build();
-        let (sysdb, netdb, secdb) = shared_dbs();
         let mut s = Scheduler::new();
         let wizard = with_wizard.then(|| {
             let wiz = Wizard::new(
                 Ip::new(10, 0, 0, 1),
                 net.clone(),
-                sysdb.clone(),
-                netdb,
-                secdb,
                 WizardConfig {
                     policy: SelectPolicy { stale_max_age: None, ..Default::default() },
                     ..Default::default()
@@ -297,14 +291,15 @@ mod tests {
             net.bind_stream(Endpoint::new(ip, ports::SERVICE), |_s, _m| {});
         }
         let client = SmartClient::new(net.clone(), Ip::new(10, 0, 0, 2), Ip::new(10, 0, 0, 1), 42);
-        Rig { s, net, client, sysdb, wizard }
+        Rig { s, net, client, wizard }
     }
 
     fn seed_servers(rig: &Rig) {
+        let mut wizard = rig.wizard.as_ref().expect("a rig with a wizard").engine_mut();
         for (name, ip) in [("srv1", Ip::new(10, 0, 0, 3)), ("srv2", Ip::new(10, 0, 0, 4))] {
             let mut r = ServerStatusReport::empty(name, ip);
             r.cpu_idle = 0.99;
-            rig.sysdb.write().upsert(r, SimTime::ZERO);
+            wizard.dbs_mut().sys.upsert(r, SimTime::ZERO);
         }
     }
 

@@ -11,8 +11,9 @@
 //!   machine* (`dalmatian` by default — the Table 5.2 resource figures
 //!   were measured there);
 //! * one network monitor per declared server group (§3.3.3), all writing
-//!   the shared `netdb` on the monitor machine;
-//! * receiver + wizard on the *wizard machine*;
+//!   the one `netdb` of the monitor machine;
+//! * the wizard, whose receiver port fills its tables, on the *wizard
+//!   machine*;
 //! * centralized push or distributed pull between them (§3.5.1).
 //!
 //! Deviation noted in DESIGN.md: the thesis deploys one transmitter per
@@ -20,20 +21,20 @@
 //! monitor machine with one transmitter, which preserves every observable
 //! the experiments use while keeping the wiring orthogonal.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use smartsock_hostsim::{machine_specs, Host, MachineSpec};
-use smartsock_monitor::db::shared_dbs;
 use smartsock_monitor::{
-    NetMonConfig, NetworkMonitor, SecurityMonitor, SharedNetDb, SharedSecDb, SharedSysDb,
-    SysMonConfig, SystemMonitor,
+    NetMonConfig, NetworkMonitor, SecurityMonitor, StatusDbs, SysMonConfig, SystemMonitor,
 };
 use smartsock_net::{HostParams, LinkParams, Network, NetworkBuilder};
 use smartsock_probe::{ProbeConfig, ServerProbe};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{Endpoint, Ip};
 use smartsock_sim::{Scheduler, SimDuration};
-use smartsock_wire::{Mode, Receiver, Transmitter};
+use smartsock_wire::{Mode, Transmitter};
 use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig, WizardMode};
 
 use crate::client::SmartClient;
@@ -173,12 +174,15 @@ impl TestbedBuilder {
         let mut monitor_ips = vec![monitor_ip];
         for (mon_host, members) in &self.groups {
             let mon = ip_of(mon_host);
-            monitor_ips.push(mon);
+            // Once per machine, whatever the order groups were declared in:
+            // two monitors on one machine would probe at once (§3.3.3).
+            if !monitor_ips.contains(&mon) {
+                monitor_ips.push(mon);
+            }
             for member in members {
                 group_of.insert(ip_of(member), mon);
             }
         }
-        monitor_ips.dedup();
         for m in &self.machines {
             group_of.entry(m.ip).or_insert(monitor_ip);
         }
@@ -187,7 +191,8 @@ impl TestbedBuilder {
         //
         // Default layout: one monitor machine holds all three databases.
         // `multi_monitor()`: one full monitor stack per group (Fig 3.8),
-        // probes reporting to their group's machine.
+        // probes reporting to their group's machine. A stack's daemons
+        // share its machine's one `StatusDbs`.
         let mode = if self.distributed { Mode::Distributed } else { Mode::Centralized };
         let mon_cfg = SysMonConfig {
             probe_interval: self.probe_interval,
@@ -201,18 +206,19 @@ impl TestbedBuilder {
         let mut secmon = None;
         let mut primary_dbs = None;
         for &stack_ip in &stack_ips {
-            let (sysdb, netdb, secdb) = shared_dbs();
-            let sysmon = SystemMonitor::new(stack_ip, sysdb.clone(), mon_cfg.clone());
+            let dbs: Rc<RefCell<StatusDbs>> = Rc::default();
+            let sysmon = SystemMonitor::new(stack_ip, Rc::clone(&dbs), mon_cfg.clone());
             sysmon.start(s, &net);
             sysmons.push(sysmon);
-            let sm = SecurityMonitor::new(secdb.clone(), self.security_log.clone());
+            let sm = SecurityMonitor::new(Rc::clone(&dbs), self.security_log.clone());
             sm.start(s).expect("invariant: the built-in security log template parses");
             if secmon.is_none() {
                 secmon = Some(sm);
             }
             if self.multi_monitor {
                 // Each group's network monitor writes its own netdb.
-                let nm = NetworkMonitor::new(stack_ip, net.clone(), netdb.clone(), self.netmon_cfg);
+                let nm =
+                    NetworkMonitor::new(stack_ip, net.clone(), Rc::clone(&dbs), self.netmon_cfg);
                 for &peer in &monitor_ips {
                     nm.add_peer(peer);
                 }
@@ -222,7 +228,7 @@ impl TestbedBuilder {
                 // Single monitor machine: all group netmons share one netdb.
                 for &mon_ip in &monitor_ips {
                     let nm =
-                        NetworkMonitor::new(mon_ip, net.clone(), netdb.clone(), self.netmon_cfg);
+                        NetworkMonitor::new(mon_ip, net.clone(), Rc::clone(&dbs), self.netmon_cfg);
                     for &peer in &monitor_ips {
                         nm.add_peer(peer);
                     }
@@ -230,24 +236,15 @@ impl TestbedBuilder {
                     netmons.push(nm);
                 }
             }
-            let tx = Transmitter::new(
-                stack_ip,
-                net.clone(),
-                mode,
-                wizard_ip,
-                sysdb.clone(),
-                netdb.clone(),
-                secdb.clone(),
-            )
-            .with_interval(self.probe_interval);
+            let tx = Transmitter::new(stack_ip, net.clone(), mode, wizard_ip, Rc::clone(&dbs))
+                .with_interval(self.probe_interval);
             tx.start(s);
             transmitters.push(tx);
             if primary_dbs.is_none() {
-                primary_dbs = Some((sysdb, netdb, secdb));
+                primary_dbs = Some(dbs);
             }
         }
-        let (sysdb, netdb, secdb) =
-            primary_dbs.expect("invariant: stack_ips always holds the monitor machine");
+        let dbs = primary_dbs.expect("invariant: stack_ips always holds the monitor machine");
         let sysmon =
             sysmons.first().expect("invariant: one stack per stack_ip, never empty").clone();
         let transmitter =
@@ -280,17 +277,7 @@ impl TestbedBuilder {
             probes.push(probe);
         }
 
-        // ---- receiver / wizard ----
-        let (wiz_sys, wiz_net, wiz_sec) = shared_dbs();
-        let receiver = Receiver::new(
-            wizard_ip,
-            net.clone(),
-            wiz_sys.clone(),
-            wiz_net.clone(),
-            wiz_sec.clone(),
-        );
-        receiver.start(s);
-
+        // ---- wizard (its receiver port included) ----
         let wizard_mode = if self.distributed {
             WizardMode::Distributed {
                 transmitters: stack_ips.clone(),
@@ -302,9 +289,6 @@ impl TestbedBuilder {
         let wizard = Wizard::new(
             wizard_ip,
             net.clone(),
-            wiz_sys.clone(),
-            wiz_net.clone(),
-            wiz_sec.clone(),
             WizardConfig {
                 mode: wizard_mode,
                 policy: SelectPolicy {
@@ -312,8 +296,7 @@ impl TestbedBuilder {
                     age_discount: self.wizard_age_discount,
                 },
             },
-        )
-        .with_receiver(receiver.clone());
+        );
         for (&host_ip, &mon_ip) in &group_of {
             wizard.map_group(host_ip, mon_ip);
         }
@@ -331,14 +314,8 @@ impl TestbedBuilder {
             netmons,
             transmitter,
             transmitters,
-            receiver,
             wizard,
-            sysdb,
-            netdb,
-            secdb,
-            wiz_sys,
-            wiz_net,
-            wiz_sec,
+            dbs,
             monitor_ip,
             wizard_ip,
         }
@@ -362,16 +339,11 @@ pub struct Testbed {
     pub transmitter: Transmitter,
     /// Every transmitter (one per group in multi-monitor mode).
     pub transmitters: Vec<Transmitter>,
-    pub receiver: Receiver,
+    /// The wizard; its engine holds the wizard machine's copies of the
+    /// databases (`wizard.engine().dbs()`).
     pub wizard: Wizard,
-    /// Monitor-machine databases.
-    pub sysdb: SharedSysDb,
-    pub netdb: SharedNetDb,
-    pub secdb: SharedSecDb,
-    /// Wizard-machine copies.
-    pub wiz_sys: SharedSysDb,
-    pub wiz_net: SharedNetDb,
-    pub wiz_sec: SharedSecDb,
+    /// The (primary) monitor machine's databases.
+    pub dbs: Rc<RefCell<StatusDbs>>,
     pub monitor_ip: Ip,
     pub wizard_ip: Ip,
 }
@@ -423,7 +395,8 @@ impl Testbed {
 
     /// A fault injector with every moving part of this deployment
     /// pre-registered: all hosts, their probes, every system monitor and
-    /// the wizard. Chaos sampling derives from the testbed seed.
+    /// the wizard (whose restart re-binds its receiver port). Chaos
+    /// sampling derives from the testbed seed.
     pub fn fault_injector(&self) -> smartsock_faults::FaultInjector {
         let inj = smartsock_faults::FaultInjector::new(self.net.clone(), self.seed);
         for host in self.hosts.values() {
@@ -438,14 +411,8 @@ impl Testbed {
             }
         }
         inj.register_wizard(self.wizard.clone());
-        // The wire components' socket bindings die with their machine:
-        // re-install the receiver's frame sink (and any distributed-mode
-        // transmitter listener) when the hosting machine reboots, or the
-        // wizard's database copies would stay stale forever afterwards.
-        let rx = self.receiver.clone();
-        if let Some(host) = self.host_of_ip(rx.endpoint().ip) {
-            inj.on_reboot(&host, move |s| rx.start(s));
-        }
+        // A transmitter's socket bindings die with its machine: re-install
+        // any distributed-mode pull listener when the machine reboots.
         for tx in &self.transmitters {
             let tx = tx.clone();
             if let Some(host) = self.host_of_ip(tx.endpoint().ip) {
@@ -484,7 +451,7 @@ mod tests {
         s.run_until(SimTime::from_secs(10));
         assert_eq!(tb.sysmon.live_servers(), 11);
         // The wizard machine's copy catches up via the transmitter.
-        assert_eq!(tb.wiz_sys.read().len(), 11);
+        assert_eq!(tb.wizard.engine().dbs().sys.len(), 11);
     }
 
     #[test]
@@ -549,13 +516,27 @@ mod tests {
         s.run_until(SimTime::from_secs(20));
         // The group monitors probed each other: netdb has cross-group
         // records involving mimas and dione monitors.
-        let snap = tb.netdb.read().snapshot();
+        let snap = tb.dbs.borrow().net.snapshot();
         let mimas = tb.ip("mimas");
         let dione = tb.ip("dione");
         assert!(
             snap.iter().any(|r| r.from_monitor == mimas && r.to_monitor == dione),
             "mimas→dione path measured: {snap:?}"
         );
+    }
+
+    #[test]
+    fn a_monitor_machine_declared_twice_runs_one_monitor_stack() {
+        // `dalmatian` is the default monitor machine; declared again after
+        // another group it is still one machine, with one network monitor
+        // (§3.3.3: no two probes at once) and, multi-monitor, one stack.
+        let builder =
+            || Testbed::builder(29).group("mimas", &["mimas"]).group("dalmatian", &["dione"]);
+        let tb = builder().start(&mut Scheduler::new());
+        assert_eq!(tb.netmons.len(), 2);
+        let tb = builder().multi_monitor().start(&mut Scheduler::new());
+        assert_eq!(tb.sysmons.len(), 2);
+        assert_eq!(tb.netmons.len(), 2);
     }
 
     #[test]

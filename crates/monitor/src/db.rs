@@ -1,10 +1,13 @@
 //! The three status databases (`sysdb`, `netdb`, `secdb` of Fig 3.10).
 //!
 //! In the thesis these are System-V shared-memory segments guarded by
-//! semaphores (Table 4.3), written by the monitors and read by the
-//! transmitter (or, on the wizard machine, written by the receiver and
-//! read by the wizard). Here each database is an `Arc<RwLock<...>>`: the
-//! same concurrent-reader/exclusive-writer discipline without the UB.
+//! semaphores (Table 4.3), because separate daemon *processes* share them:
+//! the monitors write and the transmitter reads them, or, on the wizard
+//! machine, the receiver writes and the wizard reads. Here one machine's
+//! three tables are one [`StatusDbs`] value with one owner — the wizard
+//! engine on the wizard machine, the co-hosted daemons of a simulated
+//! monitor machine together — so nothing needs a lock: a reader sees every
+//! write that happened before it.
 //!
 //! ## Sharding (DESIGN.md §15)
 //!
@@ -43,9 +46,6 @@
 //! comparisons.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use smartsock_proto::{Ip, NetPathRecord, SecurityRecord, ServerStatusReport};
 use smartsock_sim::{SimDuration, SimTime};
@@ -434,18 +434,13 @@ impl SecDb {
     }
 }
 
-/// Shared handles — the "shared memory segments".
-pub type SharedSysDb = Arc<RwLock<SysDb>>;
-pub type SharedNetDb = Arc<RwLock<NetDb>>;
-pub type SharedSecDb = Arc<RwLock<SecDb>>;
-
-/// Allocate an empty set of shared databases (one "machine"'s segments).
-pub fn shared_dbs() -> (SharedSysDb, SharedNetDb, SharedSecDb) {
-    (
-        Arc::new(RwLock::new(SysDb::default())),
-        Arc::new(RwLock::new(NetDb::default())),
-        Arc::new(RwLock::new(SecDb::default())),
-    )
+/// One machine's three databases — the "shared memory segments" of
+/// Table 4.3, owned in one place.
+#[derive(Clone, Debug, Default)]
+pub struct StatusDbs {
+    pub sys: SysDb,
+    pub net: NetDb,
+    pub sec: SecDb,
 }
 
 #[cfg(test)]
@@ -828,15 +823,5 @@ mod tests {
         db.upsert(SecurityRecord { host: "helene".into(), ip, level: 4 });
         assert_eq!(db.level_of(ip), Some(4));
         assert_eq!(db.level_of(Ip::new(1, 1, 1, 1)), None);
-    }
-
-    #[test]
-    fn shared_dbs_are_independently_lockable() {
-        let (sys, net, sec) = shared_dbs();
-        let _s = sys.write();
-        let _n = net.read();
-        let _e = sec.read();
-        assert!(_n.is_empty());
-        assert!(_e.is_empty());
     }
 }

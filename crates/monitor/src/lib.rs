@@ -13,13 +13,14 @@
 //!   records `(delay, bandwidth)` pairs per neighbouring group in `netdb`
 //!   (Table 3.4).
 //! * [`SecurityMonitor`] — §3.4's deliberately open security component:
-//!   reads host clearance levels from a dummy security log into `secdb`; a
-//!   third-party agent (Cisco NAC et al.) could feed the same records.
+//!   reads host clearance levels from a dummy security log into `secdb`.
 //!
 //! The databases stand in for the paper's System-V shared-memory segments
-//! (Tables 4.2/4.3); `parking_lot::RwLock` provides the semaphore
-//! discipline. The transmitter (crate `smartsock-wire`) snapshots them for
-//! shipping to the wizard machine.
+//! (Tables 4.2/4.3). A simulated monitor machine's daemons share one
+//! [`StatusDbs`] through an `Rc<RefCell<_>>` — the simulator's idiom for
+//! co-hosted state, one thread, so no semaphore discipline is needed — and
+//! the transmitter (crate `smartsock-wire`) snapshots it for shipping to
+//! the wizard machine.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
@@ -35,8 +36,8 @@ pub mod secmon;
 pub mod sysmon;
 
 pub use db::{
-    report_var, subnet_of, NetDb, SecDb, Shard, ShardSummary, SharedNetDb, SharedSecDb,
-    SharedSysDb, SubnetKey, SysDb, TimedReport, VarRanges, REPORT_VARS,
+    report_var, subnet_of, NetDb, SecDb, Shard, ShardSummary, StatusDbs, SubnetKey, SysDb,
+    TimedReport, VarRanges, REPORT_VARS,
 };
 pub use estimator::{bandwidth_mbps_from_pair, BwEstimate, ProbePairSpec};
 pub use health::{HealthConfig, HealthTable, StateKind, Transition};

@@ -15,7 +15,7 @@ use smartsock_proto::consts::{ports, timing};
 use smartsock_proto::{Endpoint, Ip, NetPathRecord};
 use smartsock_sim::{Scheduler, SimDuration, SpanId};
 
-use crate::db::SharedNetDb;
+use crate::db::StatusDbs;
 use crate::estimator::{reduce_round, ProbePairSpec};
 
 /// Network monitor configuration.
@@ -53,7 +53,8 @@ struct MonState {
 pub struct NetworkMonitor {
     ip: Ip,
     net: Network,
-    db: SharedNetDb,
+    /// The monitor machine's databases; this daemon writes `net`.
+    dbs: Rc<RefCell<StatusDbs>>,
     cfg: NetMonConfig,
     st: Rc<RefCell<MonState>>,
 }
@@ -75,11 +76,16 @@ struct RoundCtx {
 }
 
 impl NetworkMonitor {
-    pub fn new(ip: Ip, net: Network, db: SharedNetDb, cfg: NetMonConfig) -> NetworkMonitor {
+    pub fn new(
+        ip: Ip,
+        net: Network,
+        dbs: Rc<RefCell<StatusDbs>>,
+        cfg: NetMonConfig,
+    ) -> NetworkMonitor {
         NetworkMonitor {
             ip,
             net,
-            db,
+            dbs,
             cfg,
             st: Rc::new(RefCell::new(MonState {
                 peers: Vec::new(),
@@ -93,9 +99,10 @@ impl NetworkMonitor {
         self.ip
     }
 
-    /// The `netdb` this monitor writes (shared with the transmitter).
-    pub fn db(&self) -> &SharedNetDb {
-        &self.db
+    /// The databases whose `net` this monitor writes (shared with the
+    /// transmitter).
+    pub fn dbs(&self) -> &Rc<RefCell<StatusDbs>> {
+        &self.dbs
     }
 
     /// Inform this monitor about a neighbouring group's monitor.
@@ -270,7 +277,7 @@ impl NetworkMonitor {
             timestamp_ns: s.now().0,
         });
         if let Some(rec) = record {
-            self.db.write().upsert(rec);
+            self.dbs.borrow_mut().net.upsert(rec);
             s.telemetry.counter_incr("netmon-rounds-ok");
             s.telemetry.event(
                 "netmon-estimate-converged",
@@ -298,7 +305,6 @@ type DoneCb = Box<dyn FnOnce(&mut Scheduler, Option<NetPathRecord>)>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::shared_dbs;
     use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
     use smartsock_sim::SimTime;
 
@@ -314,20 +320,9 @@ mod tests {
         if let Some(cap) = cap_mbps {
             net.set_access_rate(m2, Some(cap * 1e6));
         }
-        let (_, netdb1, _) = shared_dbs();
-        let (_, netdb2, _) = shared_dbs();
-        let a = NetworkMonitor::new(
-            Ip::new(192, 168, 1, 1),
-            net.clone(),
-            netdb1,
-            NetMonConfig::default(),
-        );
-        let bmon = NetworkMonitor::new(
-            Ip::new(192, 168, 2, 1),
-            net.clone(),
-            netdb2,
-            NetMonConfig::default(),
-        );
+        let monitor =
+            |ip| NetworkMonitor::new(ip, net.clone(), Rc::default(), NetMonConfig::default());
+        let (a, bmon) = (monitor(Ip::new(192, 168, 1, 1)), monitor(Ip::new(192, 168, 2, 1)));
         a.add_peer(bmon.ip());
         bmon.add_peer(a.ip());
         (Scheduler::new(), net, a, bmon)
@@ -377,10 +372,10 @@ mod tests {
         b.start(&mut s);
         s.run_until(SimTime::from_secs(30));
         assert!(a.rounds_completed() >= 5, "completed {}", a.rounds_completed());
-        assert!(a.db.read().get(a.ip(), b.ip()).is_some());
-        assert!(b.db.read().get(b.ip(), a.ip()).is_some());
+        assert!(a.dbs.borrow().net.get(a.ip(), b.ip()).is_some());
+        assert!(b.dbs.borrow().net.get(b.ip(), a.ip()).is_some());
         // Each monitor keeps its own view; records are directional.
-        assert!(a.db.read().get(b.ip(), a.ip()).is_none());
+        assert!(a.dbs.borrow().net.get(b.ip(), a.ip()).is_none());
     }
 
     #[test]

@@ -2,36 +2,33 @@
 //!
 //! Deliberately a thin, pluggable component: "the security monitor reads
 //! the security records from a dummy security log". The log format is one
-//! `<host> <ip> <level>` line per server; a third-party agent (the paper
-//! discusses Cisco NAC trust agents and nmap/registry scanners) would feed
-//! the same records through [`SecurityMonitor::ingest`].
+//! `<host> <ip> <level>` line per server.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use smartsock_proto::{ProtoError, SecurityRecord};
 use smartsock_sim::{Scheduler, SimDuration};
 
-use crate::db::SharedSecDb;
+use crate::db::StatusDbs;
 
 /// The security monitor daemon.
 #[derive(Clone)]
 pub struct SecurityMonitor {
-    db: SharedSecDb,
+    /// The monitor machine's databases; this daemon writes `sec`.
+    dbs: Rc<RefCell<StatusDbs>>,
     log_text: String,
     rescan_interval: SimDuration,
 }
 
 impl SecurityMonitor {
     /// Create a monitor over a dummy security log (§3.4.1).
-    pub fn new(db: SharedSecDb, log_text: impl Into<String>) -> SecurityMonitor {
+    pub fn new(dbs: Rc<RefCell<StatusDbs>>, log_text: impl Into<String>) -> SecurityMonitor {
         SecurityMonitor {
-            db,
+            dbs,
             log_text: log_text.into(),
             rescan_interval: SimDuration::from_secs(30),
         }
-    }
-
-    pub fn with_rescan_interval(mut self, interval: SimDuration) -> SecurityMonitor {
-        self.rescan_interval = interval;
-        self
     }
 
     /// Parse the log and load `secdb`, then keep rescanning periodically
@@ -53,58 +50,36 @@ impl SecurityMonitor {
 
     fn scan(&self) -> Result<(), ProtoError> {
         let records = SecurityRecord::parse_log(&self.log_text)?;
-        let mut db = self.db.write();
+        let mut dbs = self.dbs.borrow_mut();
         for r in records {
-            db.upsert(r);
+            dbs.sec.upsert(r);
         }
         Ok(())
-    }
-
-    /// Feed records from an external security agent (Cisco-NAC-style
-    /// integration point the paper leaves open).
-    pub fn ingest(&self, records: impl IntoIterator<Item = SecurityRecord>) {
-        let mut db = self.db.write();
-        for r in records {
-            db.upsert(r);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::shared_dbs;
     use smartsock_proto::Ip;
 
     #[test]
     fn log_is_loaded_into_secdb_on_start() {
-        let (_, _, secdb) = shared_dbs();
+        let dbs: Rc<RefCell<StatusDbs>> = Rc::default();
         let log = "# dummy security log\nhelene 192.168.3.10 5\nmimas 192.168.1.11 2\n";
-        let mon = SecurityMonitor::new(secdb.clone(), log);
+        let mon = SecurityMonitor::new(Rc::clone(&dbs), log);
         let mut s = Scheduler::new();
         mon.start(&mut s).unwrap();
-        assert_eq!(secdb.read().level_of(Ip::new(192, 168, 3, 10)), Some(5));
-        assert_eq!(secdb.read().level_of(Ip::new(192, 168, 1, 11)), Some(2));
-        assert_eq!(secdb.read().len(), 2);
+        let dbs = dbs.borrow();
+        assert_eq!(dbs.sec.level_of(Ip::new(192, 168, 3, 10)), Some(5));
+        assert_eq!(dbs.sec.level_of(Ip::new(192, 168, 1, 11)), Some(2));
+        assert_eq!(dbs.sec.len(), 2);
     }
 
     #[test]
     fn malformed_logs_error_at_start() {
-        let (_, _, secdb) = shared_dbs();
-        let mon = SecurityMonitor::new(secdb, "helene not-an-ip 5\n");
+        let mon = SecurityMonitor::new(Rc::default(), "helene not-an-ip 5\n");
         let mut s = Scheduler::new();
         assert!(mon.start(&mut s).is_err());
-    }
-
-    #[test]
-    fn external_agent_records_are_ingested() {
-        let (_, _, secdb) = shared_dbs();
-        let mon = SecurityMonitor::new(secdb.clone(), "");
-        mon.ingest([SecurityRecord {
-            host: "titan-x".into(),
-            ip: Ip::new(192, 168, 5, 10),
-            level: -1,
-        }]);
-        assert_eq!(secdb.read().level_of(Ip::new(192, 168, 5, 10)), Some(-1));
     }
 }

@@ -1,11 +1,15 @@
 //! The system status monitor (paper §3.2.2).
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
 use smartsock_net::Network;
 use smartsock_proto::consts::{ports, timing};
 use smartsock_proto::{Endpoint, Ip};
 use smartsock_sim::{Scheduler, SimDuration};
 
-use crate::db::SharedSysDb;
+use crate::db::StatusDbs;
+use crate::ingest::ingest_ascii;
 
 /// System monitor configuration.
 #[derive(Clone, Debug)]
@@ -30,17 +34,18 @@ impl Default for SysMonConfig {
 #[derive(Clone)]
 pub struct SystemMonitor {
     ip: Ip,
-    db: SharedSysDb,
+    /// The monitor machine's databases; this daemon writes `sys`.
+    dbs: Rc<RefCell<StatusDbs>>,
     cfg: SysMonConfig,
     /// Restart generation for the sweep loop (same epoch scheme as the
     /// probe daemon): a stopped monitor's pending sweep fires into a dead
     /// epoch and dies quietly instead of double-scheduling.
-    epoch: std::rc::Rc<std::cell::Cell<u64>>,
+    epoch: Rc<Cell<u64>>,
 }
 
 impl SystemMonitor {
-    pub fn new(ip: Ip, db: SharedSysDb, cfg: SysMonConfig) -> SystemMonitor {
-        SystemMonitor { ip, db, cfg, epoch: std::rc::Rc::new(std::cell::Cell::new(0)) }
+    pub fn new(ip: Ip, dbs: Rc<RefCell<StatusDbs>>, cfg: SysMonConfig) -> SystemMonitor {
+        SystemMonitor { ip, dbs, cfg, epoch: Rc::new(Cell::new(0)) }
     }
 
     /// The endpoint probes report to.
@@ -54,7 +59,7 @@ impl SystemMonitor {
         net.bind_udp(self.endpoint(), move |s, dgram| {
             // The decode-and-upsert itself is the backend-shared ingest
             // path (crate::ingest) — the live daemon runs the same code.
-            match crate::ingest::ingest_ascii(&mut mon.db.write(), &dgram.payload.data, s.now()) {
+            match ingest_ascii(&mut mon.dbs.borrow_mut().sys, &dgram.payload.data, s.now()) {
                 Ok(_ip) => {
                     s.telemetry.counter_incr("sysmon-reports");
                     s.telemetry.counter_add("sysmon-bytes", dgram.payload.len());
@@ -95,7 +100,7 @@ impl SystemMonitor {
 
     fn sweep_once(&self, s: &mut Scheduler) {
         let max_age = self.cfg.probe_interval.saturating_mul(u64::from(timing::FAILURE_INTERVALS));
-        let dropped = self.db.write().expire(s.now(), max_age);
+        let dropped = self.dbs.borrow_mut().sys.expire(s.now(), max_age);
         if !dropped.is_empty() {
             s.telemetry.counter_add("sysmon-expired", dropped.len() as u64);
             for ip in &dropped {
@@ -110,14 +115,13 @@ impl SystemMonitor {
 
     /// Number of live server records.
     pub fn live_servers(&self) -> usize {
-        self.db.read().len()
+        self.dbs.borrow().sys.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::shared_dbs;
     use smartsock_hostsim::{CpuModel, Host, HostConfig};
     use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
     use smartsock_probe::{ProbeConfig, ServerProbe};
@@ -137,8 +141,8 @@ mod tests {
             hosts.push(Host::new(HostConfig::new(&name, ip, CpuModel::P4_1700, 256)));
         }
         let net = b.build();
-        let (sysdb, _, _) = shared_dbs();
-        let mon = SystemMonitor::new(Ip::new(192, 168, 1, 1), sysdb, SysMonConfig::default());
+        let mon =
+            SystemMonitor::new(Ip::new(192, 168, 1, 1), Rc::default(), SysMonConfig::default());
         let mut s = Scheduler::new();
         mon.start(&mut s, &net);
         for h in &hosts {
@@ -195,7 +199,7 @@ mod tests {
         let (mut s, _net, hosts, mon) = rig(1);
         hosts[0].spawn_workload(&mut s, &smartsock_hostsim::Workload::super_pi(25)).unwrap();
         s.run_until(SimTime::from_secs(200));
-        let snap = mon.db.read().snapshot();
+        let snap = mon.dbs.borrow().sys.snapshot();
         assert_eq!(snap.len(), 1);
         assert!(snap[0].load1 > 0.8, "latest report shows the hog: {}", snap[0].load1);
     }

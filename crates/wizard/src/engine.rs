@@ -5,12 +5,15 @@
 //! outcome report → health transitions, sweep → health poll + per-shard
 //! expiry — together with the state it does it to (health table, group
 //! map, templates, [`SelectPolicy`]) and the telemetry it owes for it
-//! ([`WizardEngine::record`]). The three status databases are reached
-//! through the shared handles the monitors and the receiver write.
+//! ([`WizardEngine::record`]). The engine owns the wizard machine's three
+//! status databases: reports reach `sysdb` through its own demux, and
+//! receiver snapshots through [`WizardEngine::dbs_mut`] — so a request sees
+//! every write delivered before it, by construction.
 //!
 //! The backends are thin drivers over it (DESIGN.md §13): the simulated
-//! daemon ([`crate::Wizard`]) adds port bindings, the sweep timer and
-//! distributed mode's pull-then-settle delay; the live daemon
+//! daemon ([`crate::Wizard`]) adds port bindings (the receiver port among
+//! them), the sweep timer and distributed mode's pull-then-settle delay;
+//! the live daemon
 //! (`smartsock-live`) adds a socket, a clock and its stats side channel.
 //! Both reach the engine through the [`smartsock_proto::Transport`] seam,
 //! so replies and telemetry agree between them by construction — the
@@ -22,10 +25,10 @@ use std::collections::BTreeMap;
 use smartsock_lang::{
     compile, may_qualify, Evaluator, HostLists, RangeProvider, ServerVar, VarProvider,
 };
-use smartsock_monitor::db::{shared_dbs, SubnetKey, TimedReport, VarRanges};
+use smartsock_monitor::db::{SubnetKey, TimedReport, VarRanges};
 use smartsock_monitor::health::{HealthTable, StateKind, Transition};
 use smartsock_monitor::ingest::{ingest_ascii, IngestError};
-use smartsock_monitor::{NetDb, SecDb, SharedNetDb, SharedSecDb, SharedSysDb, SysDb};
+use smartsock_monitor::{NetDb, SecDb, StatusDbs, SysDb};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{
     Endpoint, Ip, OutcomeReport, ServerStatusReport, Transport, TransportError, UserRequest,
@@ -52,7 +55,7 @@ impl Default for SelectPolicy {
 }
 
 /// Borrowed views of everything [`select`] consults, lent by
-/// [`WizardEngine::with_view`].
+/// [`WizardEngine::view`].
 pub struct SelectView<'a> {
     pub sysdb: &'a SysDb,
     pub netdb: &'a NetDb,
@@ -409,9 +412,7 @@ pub struct WizardEngine {
     ip: Ip,
     /// `ip` rendered once: the host label of every record.
     host: String,
-    sysdb: SharedSysDb,
-    netdb: SharedNetDb,
-    secdb: SharedSecDb,
+    dbs: StatusDbs,
     /// Server health scores fed by client outcome reports (DESIGN.md §11).
     health: HealthTable,
     /// host ip → its group's network-monitor ip (for `monitor_*` vars).
@@ -422,27 +423,12 @@ pub struct WizardEngine {
 }
 
 impl WizardEngine {
-    /// An engine over freshly allocated status databases.
+    /// An engine over empty status databases.
     pub fn new(ip: Ip, policy: SelectPolicy) -> WizardEngine {
-        let (sysdb, netdb, secdb) = shared_dbs();
-        Self::with_dbs(ip, policy, sysdb, netdb, secdb)
-    }
-
-    /// An engine over databases that other daemons (system monitor,
-    /// receiver) write through their own handles.
-    pub fn with_dbs(
-        ip: Ip,
-        policy: SelectPolicy,
-        sysdb: SharedSysDb,
-        netdb: SharedNetDb,
-        secdb: SharedSecDb,
-    ) -> WizardEngine {
         WizardEngine {
             ip,
             host: ip.to_string(),
-            sysdb,
-            netdb,
-            secdb,
+            dbs: StatusDbs::default(),
             health: HealthTable::default(),
             group_map: BTreeMap::new(),
             templates: crate::templates::defaults(),
@@ -469,7 +455,7 @@ impl WizardEngine {
 
     /// Number of live server records.
     pub fn live_servers(&self) -> usize {
-        self.sysdb.read().len()
+        self.dbs.sys.len()
     }
 
     pub fn policy(&self) -> &SelectPolicy {
@@ -481,21 +467,27 @@ impl WizardEngine {
         &self.health
     }
 
-    /// Lend the [`SelectView`] (and policy) every match runs against. Lock
-    /// order sysdb → netdb → secdb, as at every other site.
-    pub fn with_view<R>(&self, f: impl FnOnce(&SelectView<'_>, &SelectPolicy) -> R) -> R {
-        let sysdb = self.sysdb.read();
-        let netdb = self.netdb.read();
-        let secdb = self.secdb.read();
-        let view = SelectView {
-            sysdb: &sysdb,
-            netdb: &netdb,
-            secdb: &secdb,
+    /// The status databases, for harnesses that read them.
+    pub fn dbs(&self) -> &StatusDbs {
+        &self.dbs
+    }
+
+    /// The status databases, for the receiver and for harnesses that fill
+    /// them directly.
+    pub fn dbs_mut(&mut self) -> &mut StatusDbs {
+        &mut self.dbs
+    }
+
+    /// The [`SelectView`] every match runs against (beside [`Self::policy`]).
+    pub fn view(&self) -> SelectView<'_> {
+        SelectView {
+            sysdb: &self.dbs.sys,
+            netdb: &self.dbs.net,
+            secdb: &self.dbs.sec,
             health: &self.health,
             group_map: &self.group_map,
             templates: &self.templates,
-        };
-        f(&view, &self.policy)
+        }
     }
 
     /// Demux and handle one datagram, replying through the transport when
@@ -510,7 +502,7 @@ impl WizardEngine {
     ) -> Result<Ingest, TransportError> {
         let now = SimTime(t.now_ns());
         if payload.starts_with(ServerStatusReport::ASCII_MAGIC.as_bytes()) {
-            let got = ingest_ascii(&mut self.sysdb.write(), payload, now);
+            let got = ingest_ascii(&mut self.dbs.sys, payload, now);
             self.last =
                 if got.is_ok() { Done::Report { bytes: payload.len() } } else { Done::BadReport };
             return Ok(got.map_or_else(Ingest::BadReport, Ingest::Report));
@@ -520,9 +512,8 @@ impl WizardEngine {
             return Ok(Ingest::BadRequest);
         };
         // Reports only widen shard summaries; the one reader makes them exact.
-        self.sysdb.write().tighten();
-        let (servers, stats) =
-            self.with_view(|view, policy| select_with_stats(view, policy, now, &req, from.ip));
+        self.dbs.sys.tighten();
+        let (servers, stats) = select_with_stats(&self.view(), &self.policy, now, &req, from.ip);
         // Invariant accounting: select() must never hand out a quarantined
         // server. The count exists so the hostile.* shapes can assert it
         // stays at zero rather than trusting the exclusion by inspection.
@@ -560,7 +551,7 @@ impl WizardEngine {
     pub fn sweep(&mut self, now: SimTime) -> Vec<Ip> {
         let transitions = self.health.poll(now);
         let by_shard = match self.policy.stale_max_age {
-            Some(age) => self.sysdb.write().expire_by_shard(now, age),
+            Some(age) => self.dbs.sys.expire_by_shard(now, age),
             None => Vec::new(),
         };
         let evicted = by_shard.iter().flat_map(|(_, ips)| ips).copied().collect();
@@ -809,8 +800,8 @@ mod tests {
 
     const CLIENT_IP: Ip = Ip::new(10, 0, 0, 2);
 
-    fn upsert(e: &WizardEngine, r: ServerStatusReport, at: SimTime) {
-        e.sysdb.write().upsert(r, at);
+    fn upsert(e: &mut WizardEngine, r: ServerStatusReport, at: SimTime) {
+        e.dbs.sys.upsert(r, at);
     }
 
     fn ips(servers: &[Endpoint]) -> Vec<Ip> {
@@ -819,15 +810,15 @@ mod tests {
 
     impl WizardEngine {
         fn select(&self, now: SimTime, req: &UserRequest, client_ip: Ip) -> Vec<Endpoint> {
-            self.with_view(|view, policy| select(view, policy, now, req, client_ip))
+            select(&self.view(), &self.policy, now, req, client_ip)
         }
     }
 
     #[test]
     fn denied_hosts_are_excluded_even_when_qualified() {
-        let e = engine();
-        upsert(&e, report("titan-x", 1, 0.95), SimTime::ZERO);
-        upsert(&e, report("dione", 2, 0.95), SimTime::ZERO);
+        let mut e = engine();
+        upsert(&mut e, report("titan-x", 1, 0.95), SimTime::ZERO);
+        upsert(&mut e, report("dione", 2, 0.95), SimTime::ZERO);
         for (designator, survivor) in [("titan-x", 2), ("10.0.1.2", 1)] {
             let req = user_request(
                 &format!("host_cpu_free > 0.5\nuser_denied_host1 = {designator}\n"),
@@ -841,9 +832,9 @@ mod tests {
 
     #[test]
     fn preferred_hosts_come_first() {
-        let e = engine();
+        let mut e = engine();
         for (name, last) in [("alpha", 1u8), ("beta", 2), ("gamma", 3)] {
-            upsert(&e, report(name, last, 0.95), SimTime::ZERO);
+            upsert(&mut e, report(name, last, 0.95), SimTime::ZERO);
         }
         let req = user_request("host_cpu_free > 0.5\nuser_preferred_host1 = gamma\n", 3);
         let got = e.select(SimTime::ZERO, &req, CLIENT_IP);
@@ -853,9 +844,9 @@ mod tests {
 
     #[test]
     fn empty_requirement_returns_everything_up_to_the_cap() {
-        let e = engine();
+        let mut e = engine();
         for i in 0..70u8 {
-            upsert(&e, report(&format!("s{i}"), i, 0.95), SimTime::ZERO);
+            upsert(&mut e, report(&format!("s{i}"), i, 0.95), SimTime::ZERO);
         }
         let got = e.select(SimTime::ZERO, &user_request("", 100), CLIENT_IP);
         assert_eq!(got.len(), MAX_SERVERS_PER_REPLY);
@@ -868,8 +859,8 @@ mod tests {
         let mut e = WizardEngine::new(Ip::new(10, 0, 0, 1), never_stale);
         let good = Ip::new(10, 0, 1, 1);
         let flaky = Ip::new(10, 0, 1, 2);
-        upsert(&e, report("good", 1, 0.95), SimTime::ZERO);
-        upsert(&e, report("flaky", 2, 0.95), SimTime::ZERO);
+        upsert(&mut e, report("good", 1, 0.95), SimTime::ZERO);
+        upsert(&mut e, report("flaky", 2, 0.95), SimTime::ZERO);
         for at in [1, 2] {
             let rep = OutcomeReport { server: flaky, outcome: OutcomeKind::Timeout };
             e.handle_outcome(SimTime::from_secs(at), &rep.encode());
@@ -893,9 +884,9 @@ mod tests {
         // order rules.
         for (age_discount, expected) in [(true, vec![fresh, stale]), (false, vec![stale, fresh])] {
             let policy = SelectPolicy { age_discount, ..Default::default() };
-            let e = WizardEngine::new(Ip::new(10, 0, 0, 1), policy);
-            upsert(&e, report("stale", 1, 0.95), SimTime::from_secs(6));
-            upsert(&e, report("fresh", 2, 0.95), SimTime::from_secs(10));
+            let mut e = WizardEngine::new(Ip::new(10, 0, 0, 1), policy);
+            upsert(&mut e, report("stale", 1, 0.95), SimTime::from_secs(6));
+            upsert(&mut e, report("fresh", 2, 0.95), SimTime::from_secs(10));
             let got = e.select(SimTime::from_secs(10), &user_request("", 5), CLIENT_IP);
             assert_eq!(ips(&got), expected, "age_discount = {age_discount}");
         }
@@ -903,10 +894,10 @@ mod tests {
 
     #[test]
     fn security_levels_flow_from_secdb() {
-        let e = engine();
+        let mut e = engine();
         for (name, last, level) in [("secure", 1u8, 5), ("sketchy", 2, 1)] {
-            upsert(&e, report(name, last, 0.95), SimTime::ZERO);
-            e.secdb.write().upsert(SecurityRecord {
+            upsert(&mut e, report(name, last, 0.95), SimTime::ZERO);
+            e.dbs.sec.upsert(SecurityRecord {
                 host: name.into(),
                 ip: Ip::new(10, 0, 1, last),
                 level,
@@ -924,11 +915,11 @@ mod tests {
         let mon_client = Ip::new(10, 0, 0, 100);
         e.map_group(CLIENT_IP, mon_client);
         for (name, ip, bw_mbps) in [("fast", fast, 6.72), ("slow", slow, 1.33)] {
-            upsert(&e, ServerStatusReport::empty(name, ip), SimTime::ZERO);
+            upsert(&mut e, ServerStatusReport::empty(name, ip), SimTime::ZERO);
             let [a, b, c, _] = ip.octets();
             let to_monitor = Ip::new(a, b, c, 100);
             e.map_group(ip, to_monitor);
-            e.netdb.write().upsert(NetPathRecord {
+            e.dbs.net.upsert(NetPathRecord {
                 from_monitor: mon_client,
                 to_monitor,
                 delay_ms: 0.5,
@@ -943,11 +934,11 @@ mod tests {
 
     #[test]
     fn rank_directive_orders_by_server_variable() {
-        let e = engine();
+        let mut e = engine();
         for (name, last, mem_mb) in [("small", 1u8, 64u64), ("big", 2, 400), ("mid", 3, 128)] {
             let mut r = report(name, last, 0.95);
             r.mem_free = mem_mb << 20;
-            upsert(&e, r, SimTime::ZERO);
+            upsert(&mut e, r, SimTime::ZERO);
         }
         // "3 servers with largest memory" — the §6 wish, via the rank
         // directive extension.
@@ -959,8 +950,8 @@ mod tests {
     #[test]
     fn templates_prepend_requirements() {
         let mut e = engine();
-        upsert(&e, report("weak", 1, 0.2), SimTime::ZERO);
-        upsert(&e, report("strong", 2, 0.95), SimTime::ZERO);
+        upsert(&mut e, report("weak", 1, 0.2), SimTime::ZERO);
+        upsert(&mut e, report("strong", 2, 0.95), SimTime::ZERO);
         e.add_template(9, "host_cpu_free > 0.9");
         let req = UserRequest {
             option: RequestOption { accept_fewer: true, template: Some(9) },
@@ -971,8 +962,8 @@ mod tests {
 
     #[test]
     fn uncompilable_requirements_yield_empty_replies() {
-        let e = engine();
-        upsert(&e, report("x", 1, 0.95), SimTime::ZERO);
+        let mut e = engine();
+        upsert(&mut e, report("x", 1, 0.95), SimTime::ZERO);
         assert!(e.select(SimTime::ZERO, &user_request("+++ ~~~", 5), CLIENT_IP).is_empty());
     }
 
@@ -991,11 +982,9 @@ mod tests {
         now: SimTime,
         req: &UserRequest,
     ) -> (Vec<Endpoint>, Vec<Endpoint>, SelectStats) {
-        let client = Ip::new(10, 0, 0, 254);
-        e.with_view(|view, policy| {
-            let (pruned, stats) = select_with_stats(view, policy, now, req, client);
-            (select_flat(view, policy, now, req, client), pruned, stats)
-        })
+        let (view, policy, client) = (e.view(), e.policy(), Ip::new(10, 0, 0, 254));
+        let (pruned, stats) = select_with_stats(&view, policy, now, req, client);
+        (select_flat(&view, policy, now, req, client), pruned, stats)
     }
 
     fn user_request(detail: &str, n: u16) -> UserRequest {
@@ -1036,7 +1025,7 @@ mod tests {
             req_idx in 0usize..10,
             server_num in 1u16..20,
         ) {
-            let e = engine();
+            let mut e = engine();
             for &(subnet, last, age, idle, load, mem_mb) in &hosts {
                 let ip = Ip::new(10, 0, subnet, last);
                 let mut r = ServerStatusReport::empty(format!("h{subnet}-{last}").as_str(), ip);
@@ -1044,7 +1033,7 @@ mod tests {
                 r.load1 = load;
                 r.mem_free = mem_mb << 20;
                 r.bogomips = if subnet % 2 == 0 { 4771.02 } else { 1730.15 };
-                upsert(&e, r, SimTime::from_secs(age));
+                upsert(&mut e, r, SimTime::from_secs(age));
             }
             let req = user_request(REQUIREMENTS[req_idx], server_num);
 
@@ -1052,7 +1041,7 @@ mod tests {
             proptest::prop_assert_eq!(&pruned, &flat);
             proptest::prop_assert!(stats.rows_evaluated <= e.live_servers());
             proptest::prop_assert!(stats.shards_pruned <= stats.shards_total);
-            proptest::prop_assert_eq!(stats.shards_total, e.sysdb.read().shard_count());
+            proptest::prop_assert_eq!(stats.shards_total, e.dbs.sys.shard_count());
         }
     }
 
@@ -1126,7 +1115,7 @@ mod tests {
 
     #[test]
     fn impossible_requirements_prune_every_shard() {
-        let e = engine();
+        let mut e = engine();
         for subnet in 0..4u8 {
             for last in 1..=20u8 {
                 let mut r = ServerStatusReport::empty(
@@ -1135,7 +1124,7 @@ mod tests {
                 );
                 r.cpu_idle = 0.2; // cpu_free 0.2 everywhere
                 r.mem_free = 64 << 20;
-                upsert(&e, r, SimTime::ZERO);
+                upsert(&mut e, r, SimTime::ZERO);
             }
         }
         let (flat, got, stats) =
@@ -1149,17 +1138,17 @@ mod tests {
 
     #[test]
     fn all_stale_shards_are_pruned_without_row_visits() {
-        let e = engine(); // 6 s window
+        let mut e = engine(); // 6 s window
         for last in 1..=10u8 {
             let mut r =
                 ServerStatusReport::empty(format!("old{last}").as_str(), Ip::new(10, 2, 0, last));
             r.cpu_idle = 0.95;
-            upsert(&e, r, SimTime::ZERO); // all stale at t = 12 s
+            upsert(&mut e, r, SimTime::ZERO); // all stale at t = 12 s
         }
         let mut fresh = ServerStatusReport::empty("fresh", Ip::new(10, 2, 1, 1));
         fresh.cpu_idle = 0.95;
         fresh.mem_free = 200 << 20;
-        upsert(&e, fresh, SimTime::from_secs(11));
+        upsert(&mut e, fresh, SimTime::from_secs(11));
 
         let (flat, got, stats) = both_scans(&e, SimTime::from_secs(12), &user_request("", 60));
         assert_eq!(ips(&got), vec![Ip::new(10, 2, 1, 1)]);
@@ -1191,7 +1180,7 @@ mod tests {
         }
         // No sweep since: the overwritten shard's summary still covers the
         // 0.95s that left, and would be descended into for nothing.
-        let widened = e.sysdb.read().iter_shards().next().unwrap().1.summary().ranges.clone();
+        let widened = e.dbs.sys.iter_shards().next().unwrap().1.summary().ranges.clone();
         assert_eq!(widened.range_of("host_cpu_free"), Some((0.10, 0.95)));
 
         let req = user_request("host_cpu_free > 0.9\n", 60);
@@ -1199,22 +1188,18 @@ mod tests {
         let Ingest::Replied { reply, .. } = got else { panic!("expected a reply, got {got:?}") };
         let Done::Matched { stats, .. } = e.last else { panic!("a request was matched") };
         assert_eq!(stats, SelectStats { shards_total: 2, shards_pruned: 1, rows_evaluated: 20 });
-        let flat = e.with_view(|v, p| select_flat(v, p, SimTime::ZERO, &req, CLIENT_IP));
+        let flat = select_flat(&e.view(), e.policy(), SimTime::ZERO, &req, CLIENT_IP);
         assert_eq!(reply.servers, flat);
         assert_eq!(reply.servers.len(), 20);
     }
 
     #[test]
     fn untracked_variables_never_prune() {
-        let e = engine();
+        let mut e = engine();
         let mut r = ServerStatusReport::empty("sec", Ip::new(10, 3, 0, 1));
         r.cpu_idle = 0.5;
-        upsert(&e, r, SimTime::ZERO);
-        e.secdb.write().upsert(SecurityRecord {
-            host: "sec".into(),
-            ip: Ip::new(10, 3, 0, 1),
-            level: 5,
-        });
+        upsert(&mut e, r, SimTime::ZERO);
+        e.dbs.sec.upsert(SecurityRecord { host: "sec".into(), ip: Ip::new(10, 3, 0, 1), level: 5 });
         // Security levels are not in the shard rollup; the shard must be
         // descended into and the row must qualify via secdb.
         let (_, got, stats) =

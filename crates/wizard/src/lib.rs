@@ -9,7 +9,8 @@
 //!
 //! 1. refreshes its view of the status databases — immediately available
 //!    in centralized mode, pulled from the transmitters in distributed
-//!    mode (§3.6.1 step 2; the simulated [`Wizard`] driver's job);
+//!    mode (§3.6.1 step 2; the simulated [`Wizard`] driver's job, whose
+//!    receiver port merges every snapshot into the engine's own tables);
 //! 2. compiles the request detail with `smartsock-lang` (lexical +
 //!    syntactical analysis, §3.6.1 step 3);
 //! 3. evaluates every live server record against the requirement, skipping
@@ -34,15 +35,13 @@ pub mod engine;
 pub mod templates;
 pub mod vars;
 
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::rc::Rc;
 
-use smartsock_monitor::{SharedNetDb, SharedSecDb, SharedSysDb};
 use smartsock_net::{Network, SimTransport, UdpDatagram};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{Endpoint, Ip, UserRequest};
 use smartsock_sim::{Scheduler, SimDuration};
-use smartsock_wire::Receiver;
 
 pub use client::{ClientEngine, ClientError, RequestSpec};
 pub use engine::{
@@ -71,52 +70,41 @@ pub struct WizardConfig {
     pub policy: SelectPolicy,
 }
 
-/// The simulated wizard daemon: a [`WizardEngine`] bound to ports 1120 and
-/// 1122 of a simulated [`Network`]. It owns only what the simulator adds —
-/// the bindings, the sweep timer with its restart epoch, and distributed
-/// mode's pull-then-settle delay; every datagram and every sweep tick is
-/// one engine call.
+/// The simulated wizard machine: a [`WizardEngine`] bound to ports 1120
+/// and 1122 of a simulated [`Network`], and to the receiver port 1121,
+/// whose snapshots land in the engine's own tables. It owns only what the
+/// simulator adds — the bindings, the sweep timer with its restart epoch,
+/// and distributed mode's pull-then-settle delay; every datagram, snapshot
+/// and sweep tick is one call on the engine.
 #[derive(Clone)]
 pub struct Wizard {
     net: Network,
     engine: Rc<RefCell<WizardEngine>>,
     mode: WizardMode,
-    /// Receiver co-located with the wizard (needed for distributed pulls).
-    receiver: Option<Receiver>,
     /// Restart generation for the stale sweep (same epoch scheme as the
     /// probe daemon): a stopped wizard's pending sweep dies quietly.
     epoch: Rc<Cell<u64>>,
 }
 
 impl Wizard {
-    pub fn new(
-        ip: Ip,
-        net: Network,
-        sysdb: SharedSysDb,
-        netdb: SharedNetDb,
-        secdb: SharedSecDb,
-        cfg: WizardConfig,
-    ) -> Wizard {
-        let engine = WizardEngine::with_dbs(ip, cfg.policy, sysdb, netdb, secdb);
+    pub fn new(ip: Ip, net: Network, cfg: WizardConfig) -> Wizard {
         Wizard {
             net,
-            engine: Rc::new(RefCell::new(engine)),
+            engine: Rc::new(RefCell::new(WizardEngine::new(ip, cfg.policy))),
             mode: cfg.mode,
-            receiver: None,
             epoch: Rc::new(Cell::new(0)),
         }
     }
 
-    /// Attach the co-located receiver (distributed mode pulls through it).
-    pub fn with_receiver(mut self, rx: Receiver) -> Wizard {
-        self.receiver = Some(rx);
-        self
-    }
-
     /// The engine behind the ports, for harnesses and experiments (health
-    /// scores, the lent [`SelectView`]).
+    /// scores, the status tables, the lent [`SelectView`]).
     pub fn engine(&self) -> Ref<'_, WizardEngine> {
         self.engine.borrow()
+    }
+
+    /// The engine, mutably — for harnesses that fill its tables directly.
+    pub fn engine_mut(&self) -> RefMut<'_, WizardEngine> {
+        self.engine.borrow_mut()
     }
 
     /// Register which network monitor serves a host's group.
@@ -139,7 +127,7 @@ impl Wizard {
         Endpoint::new(self.endpoint().ip, ports::WIZARD_HEALTH)
     }
 
-    /// Bind both sockets and start the stale sweep (skipped when
+    /// Bind the three sockets and start the stale sweep (skipped when
     /// `stale_max_age` is disabled).
     pub fn start(&self, s: &mut Scheduler) {
         let wiz = self.clone();
@@ -150,6 +138,12 @@ impl Wizard {
             engine.handle_outcome(s.now(), &dgram.payload.data);
             engine.record(&mut s.telemetry);
         });
+        let wiz = self.clone();
+        let receiver = Endpoint::new(self.endpoint().ip, ports::RECEIVER);
+        self.net.bind_stream(receiver, move |s, msg| {
+            let mut engine = wiz.engine.borrow_mut();
+            smartsock_wire::receive(engine.dbs_mut(), s.now(), &msg.payload.data, &mut s.telemetry);
+        });
         if let Some(age) = self.engine.borrow().policy().stale_max_age {
             let interval = SimDuration::from_nanos((age.as_nanos() / 2).max(1));
             let wiz = self.clone();
@@ -158,16 +152,18 @@ impl Wizard {
         }
     }
 
-    /// Kill the daemon: unbind the request socket and halt the sweep.
+    /// Kill the daemon: unbind the request sockets and halt the sweep.
     /// In-flight requests get no answer — clients rely on their own
-    /// retry/backoff loop.
+    /// retry/backoff loop. The receiver port stays bound, so the tables
+    /// keep taking snapshots until the machine itself goes down.
     pub fn stop(&self) {
         self.epoch.set(self.epoch.get() + 1);
         self.net.unbind_udp(self.endpoint());
         self.net.unbind_udp(self.health_endpoint());
     }
 
-    /// Restart a stopped wizard: rebind and resume sweeping.
+    /// Restart a stopped wizard (or a rebooted machine's): rebind and
+    /// resume sweeping.
     pub fn restart(&self, s: &mut Scheduler) {
         self.epoch.set(self.epoch.get() + 1);
         s.telemetry.counter_incr("wizard-restarts");
@@ -196,9 +192,7 @@ impl Wizard {
             WizardMode::Distributed { transmitters, settle }
                 if UserRequest::decode(&dgram.payload.data).is_ok() =>
             {
-                if let Some(rx) = &self.receiver {
-                    rx.request_update(s, transmitters);
-                }
+                smartsock_wire::request_update(&self.net, s, self.endpoint().ip, transmitters);
                 let wiz = self.clone();
                 s.schedule_in(*settle, move |s| wiz.serve(s, &dgram));
             }
@@ -220,24 +214,23 @@ mod tests {
     //! Only what the simulated driver adds is tested here; matching,
     //! ordering and ingest are tested once, on the engine.
     use super::*;
-    use smartsock_monitor::db::shared_dbs;
-    use smartsock_monitor::StateKind;
+    use smartsock_monitor::{StateKind, StatusDbs};
     use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
     use smartsock_proto::{
         OutcomeKind, OutcomeReport, RequestOption, ServerStatusReport, WizardReply,
     };
     use smartsock_sim::SimTime;
+    use smartsock_wire::{Mode, Transmitter};
 
     const WIZ_IP: Ip = Ip::new(10, 0, 0, 1);
     const CLIENT: Endpoint = Endpoint::new(Ip::new(10, 0, 0, 2), 50001);
 
-    /// A started wizard on a two-host LAN, its sysdb handle, and the
-    /// replies the client endpoint has received so far.
+    /// A started wizard on a two-host LAN and the replies the client
+    /// endpoint has received so far.
     struct Rig {
         s: Scheduler,
         net: Network,
         wiz: Wizard,
-        sysdb: SharedSysDb,
         replies: Rc<RefCell<Vec<(SimTime, WizardReply)>>>,
     }
 
@@ -247,8 +240,7 @@ mod tests {
         let c = b.host("client", CLIENT.ip, HostParams::testbed());
         b.duplex(w, c, LinkParams::lan_100mbps());
         let net = b.build();
-        let (sysdb, netdb, secdb) = shared_dbs();
-        let wiz = Wizard::new(WIZ_IP, net.clone(), sysdb.clone(), netdb, secdb, cfg);
+        let wiz = Wizard::new(WIZ_IP, net.clone(), cfg);
         let mut s = Scheduler::new();
         wiz.start(&mut s);
         let replies = Rc::new(RefCell::new(Vec::new()));
@@ -256,7 +248,7 @@ mod tests {
         net.bind_udp(CLIENT, move |s, d| {
             got.borrow_mut().push((s.now(), WizardReply::decode(&d.payload.data).unwrap()));
         });
-        Rig { s, net, wiz, sysdb, replies }
+        Rig { s, net, wiz, replies }
     }
 
     fn no_sweep() -> WizardConfig {
@@ -287,12 +279,30 @@ mod tests {
         fn send(&mut self, to: Endpoint, bytes: Vec<u8>) {
             self.net.send_udp(&mut self.s, CLIENT, to, Payload::data(bytes), None);
         }
+
+        fn upsert(&self, r: ServerStatusReport) {
+            self.wiz.engine_mut().dbs_mut().sys.upsert(r, SimTime::ZERO);
+        }
+
+        fn wizard_rows(&self) -> usize {
+            self.wiz.engine().dbs().sys.len()
+        }
+
+        /// A transmitter on the client's machine whose `sysdb` holds one
+        /// row, `SHIPPED`, ready to push to the wizard's receiver port.
+        fn transmitter(&self) -> Transmitter {
+            let dbs: Rc<RefCell<StatusDbs>> = Rc::default();
+            dbs.borrow_mut().sys.upsert(report("shipped", SHIPPED), SimTime::ZERO);
+            Transmitter::new(CLIENT.ip, self.net.clone(), Mode::Centralized, WIZ_IP, dbs)
+        }
     }
+
+    const SHIPPED: Ip = Ip::new(10, 0, 3, 3);
 
     #[test]
     fn end_to_end_over_udp() {
         let mut r = rig(no_sweep());
-        r.sysdb.write().upsert(report("srv", Ip::new(10, 0, 0, 9)), SimTime::ZERO);
+        r.upsert(report("srv", Ip::new(10, 0, 0, 9)));
         r.send(r.wiz.endpoint(), request_bytes("host_cpu_free > 0.5\n"));
         r.s.run();
         let replies = r.replies.borrow();
@@ -343,16 +353,13 @@ mod tests {
         // Five records across three /24 subnets, all recorded at t = 0 so
         // the 6 s window expires every one of them on the first sweep.
         for (subnet, last) in [(1u8, 1u8), (1, 2), (2, 1), (2, 2), (3, 1)] {
-            r.sysdb.write().upsert(
-                report(&format!("s{subnet}{last}"), Ip::new(10, 0, subnet, last)),
-                SimTime::ZERO,
-            );
+            r.upsert(report(&format!("s{subnet}{last}"), Ip::new(10, 0, subnet, last)));
         }
         r.s.run_until(SimTime::from_secs(10));
 
         let tel = &r.s.telemetry;
         assert_eq!(tel.counter("wizard-stale-evictions"), 5);
-        assert_eq!(r.sysdb.read().len(), 0);
+        assert_eq!(r.wizard_rows(), 0);
         let per_shard: u64 = tel
             .events_named("status-db-shard-swept")
             .map(|e| e.attr("evicted").unwrap().parse::<u64>().unwrap())
@@ -366,11 +373,11 @@ mod tests {
     fn a_stopped_wizard_neither_answers_nor_sweeps_until_restarted() {
         let mut r = rig(WizardConfig::default());
         r.wiz.stop();
-        r.sysdb.write().upsert(report("old", Ip::new(10, 0, 1, 1)), SimTime::ZERO);
+        r.upsert(report("old", Ip::new(10, 0, 1, 1)));
         r.send(r.wiz.endpoint(), request_bytes(""));
         r.s.run_until(SimTime::from_secs(10));
         assert!(r.replies.borrow().is_empty(), "no socket, no answer");
-        assert_eq!(r.sysdb.read().len(), 1, "the pending sweep died with the old epoch");
+        assert_eq!(r.wizard_rows(), 1, "the pending sweep died with the old epoch");
 
         r.wiz.restart(&mut r.s);
         r.send(r.wiz.endpoint(), request_bytes(""));
@@ -384,7 +391,7 @@ mod tests {
     fn distributed_mode_answers_after_the_settle_delay_and_never_pulls_for_garbage() {
         let settle = SimDuration::from_millis(200);
         let mut r = rig(WizardConfig {
-            mode: WizardMode::Distributed { transmitters: Vec::new(), settle },
+            mode: WizardMode::Distributed { transmitters: vec![CLIENT.ip], settle },
             ..no_sweep()
         });
         r.send(r.wiz.endpoint(), b"xy".to_vec());
@@ -392,9 +399,94 @@ mod tests {
         r.s.run_until(SimTime::ZERO + SimDuration::from_millis(100));
         assert_eq!(r.s.telemetry.counter("wizard-bad-requests"), 1, "garbage is judged on arrival");
         assert_eq!(r.s.telemetry.counter("wizard-requests"), 0, "the request is still settling");
+        assert_eq!(r.s.telemetry.counter("receiver-pull-requests"), 1, "one pull, for the request");
         r.s.run();
         let replies = r.replies.borrow();
         assert_eq!(replies.len(), 1);
         assert!(replies[0].0 >= SimTime::ZERO + settle, "replied at {:?}", replies[0].0);
+    }
+
+    // ---- the receiver port: snapshots land in the engine's tables ----
+
+    /// A request that arrives in the same instant as a snapshot, after it,
+    /// is matched against it: the receiver writes the tables the request
+    /// reads, with nothing in between to go stale. The client sits on the
+    /// wizard's own machine, so the request's transit is the loopback
+    /// constant and can be aimed at the instant the snapshot lands.
+    #[test]
+    fn a_request_sees_a_snapshot_delivered_before_it_in_the_same_instant() {
+        const LOCAL: Endpoint = Endpoint::new(WIZ_IP, 50001);
+        let request = request_bytes("host_cpu_free > 0.5\n");
+        // The instant the snapshot lands, and the loopback transit of the
+        // request (to a port of the test's own), each on a fresh rig.
+        let mut r = rig(no_sweep());
+        r.transmitter().push_snapshot(&mut r.s);
+        while r.wizard_rows() == 0 && r.s.step() {}
+        let landed = r.s.now();
+        let mut r = rig(no_sweep());
+        let probe = Endpoint::new(WIZ_IP, 50002);
+        let arrived = Rc::new(Cell::new(SimTime::ZERO));
+        let at = Rc::clone(&arrived);
+        r.net.bind_udp(probe, move |s, _| at.set(s.now()));
+        r.net.send_udp(&mut r.s, LOCAL, probe, Payload::data(request.clone()), None);
+        r.s.run();
+        let transit = arrived.get().since(SimTime::ZERO);
+
+        let mut r = rig(no_sweep());
+        let replies = Rc::new(RefCell::new(Vec::new()));
+        let got = Rc::clone(&replies);
+        r.net.bind_udp(LOCAL, move |_, d| {
+            got.borrow_mut().push(WizardReply::decode(&d.payload.data).unwrap());
+        });
+        r.transmitter().push_snapshot(&mut r.s);
+        let (net, to) = (r.net.clone(), r.wiz.endpoint());
+        r.s.schedule_at(SimTime(landed.0 - transit.as_nanos()), move |s| {
+            net.send_udp(s, LOCAL, to, Payload::data(request), None);
+        });
+        let (mut snapshot_at, mut request_at) = (None, None);
+        while r.s.step() {
+            if snapshot_at.is_none() && r.wizard_rows() == 1 {
+                snapshot_at = Some(r.s.now());
+            }
+            if request_at.is_none() && r.s.telemetry.counter("wizard-requests") == 1 {
+                request_at = Some(r.s.now());
+                assert!(snapshot_at.is_some(), "the snapshot was handled first");
+            }
+        }
+        assert_eq!(snapshot_at, Some(landed));
+        assert_eq!(request_at, Some(landed), "one instant");
+        let servers: Vec<Ip> = replies.borrow()[0].servers.iter().map(|ep| ep.ip).collect();
+        assert_eq!(servers, [SHIPPED]);
+    }
+
+    #[test]
+    fn a_stopped_wizard_keeps_taking_snapshots() {
+        let mut r = rig(no_sweep());
+        r.wiz.stop();
+        r.transmitter().push_snapshot(&mut r.s);
+        r.s.run();
+        assert_eq!(r.s.telemetry.counter("receiver-frames"), 3, "the receiver port stayed bound");
+        r.wiz.restart(&mut r.s);
+        assert!(r.wiz.engine().dbs().sys.get(SHIPPED).is_some());
+    }
+
+    /// The host crash and reboot `smartsock_faults::FaultInjector` performs
+    /// on the wizard's machine: the crash wipes every binding, and the
+    /// restart that follows the reboot binds the receiver port again.
+    #[test]
+    fn snapshots_land_again_after_the_wizard_machine_reboots() {
+        let mut r = rig(no_sweep());
+        let node = r.net.node_by_ip(WIZ_IP).unwrap();
+        r.wiz.stop();
+        r.net.crash_node(&mut r.s, node);
+        r.net.revive_node(&mut r.s, node);
+        r.transmitter().push_snapshot(&mut r.s);
+        r.s.run();
+        assert_eq!(r.wizard_rows(), 0, "nothing listens on a rebooted machine");
+
+        r.wiz.restart(&mut r.s);
+        r.transmitter().push_snapshot(&mut r.s);
+        r.s.run();
+        assert!(r.wiz.engine().dbs().sys.get(SHIPPED).is_some());
     }
 }

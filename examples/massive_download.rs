@@ -41,7 +41,7 @@ fn main() {
     // stream method and ship the records to the wizard.
     s.run_until(SimTime::from_secs(40));
     println!("network monitor records at the wizard:");
-    for rec in tb.wiz_net.read().snapshot() {
+    for rec in tb.wizard.engine().dbs().net.snapshot() {
         println!(
             "  {} -> {}: delay {:.2} ms, bandwidth {:.2} Mbps",
             rec.from_monitor, rec.to_monitor, rec.delay_ms, rec.bw_mbps

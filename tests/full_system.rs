@@ -114,7 +114,7 @@ fn distributed_mode_serves_requests_after_pulling() {
         tb.net.bind_stream(Endpoint::new(host.ip(), ports::SERVICE), |_s, _m| {});
     }
     s.run_until(SimTime::from_secs(8));
-    assert!(tb.wiz_sys.read().is_empty(), "no data shipped before the first pull");
+    assert!(tb.wizard.engine().dbs().sys.is_empty(), "no data shipped before the first pull");
     let names = request_names(&mut s, &tb, "host_cpu_free > 0.5\n", 4).unwrap();
     assert_eq!(names.len(), 4);
     assert!(s.telemetry.counter("transmitter-pulls") >= 1);
@@ -244,7 +244,7 @@ fn multi_monitor_layout_mirrors_fig_3_8() {
     // The default stack holds only the ungrouped machines (11 - 7 = 4).
     assert_eq!(tb.sysmon.live_servers(), 4);
     // The receiver merged every group: the wizard sees all 11.
-    assert_eq!(tb.wiz_sys.read().len(), 11);
+    assert_eq!(tb.wizard.engine().dbs().sys.len(), 11);
 
     // Selection across groups still works end to end.
     let names = request_names(&mut s, &tb, "host_cpu_bogomips > 4000\n", 5).unwrap();
@@ -265,7 +265,7 @@ fn multi_monitor_distributed_pulls_every_group() {
         tb.net.bind_stream(Endpoint::new(host.ip(), ports::SERVICE), |_s, _m| {});
     }
     s.run_until(SimTime::from_secs(8));
-    assert!(tb.wiz_sys.read().is_empty(), "nothing shipped before a pull");
+    assert!(tb.wizard.engine().dbs().sys.is_empty(), "nothing shipped before a pull");
     let names = request_names(&mut s, &tb, "", 60).unwrap();
     assert_eq!(names.len(), 11, "one request pulls all groups: {names:?}");
     assert_eq!(s.telemetry.counter("transmitter-pulls"), 2, "both transmitters pulled");

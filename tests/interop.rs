@@ -4,16 +4,18 @@
 //! `ServerStatusReport` lines and binary `UserRequest` frames — to both
 //! backends:
 //!
-//! * **sim**: a `SystemMonitor` + `Wizard` pair on a simulated LAN,
-//!   datagrams travelling through the deterministic network model;
+//! * **sim**: a `Wizard` on a simulated LAN, reports and requests alike
+//!   sent to its request port, datagrams travelling through the
+//!   deterministic network model;
 //! * **live**: a `LiveWizard` daemon thread over real UDP on 127.0.0.1,
 //!   driven by a manual clock so staleness is as controllable as virtual
 //!   time.
 //!
-//! Each scenario then asserts the reply frames are **byte-identical**, that
-//! the request-path telemetry counters agree (both backends drive the one
-//! `WizardEngine`, which also writes their traces) and that the decoded,
-//! protocol-visible outcome (sequence echo, server set, ordering) matches.
+//! Both backends ingest and answer through the one `WizardEngine`'s demux,
+//! which also writes their traces. Each scenario then asserts the reply
+//! frames are **byte-identical**, that the engine's ingest and request
+//! counters agree, and that the decoded, protocol-visible outcome
+//! (sequence echo, server set, ordering) matches.
 //! Reports claim their own IP inside the payload, so a loopback datagram
 //! can carry the exact bytes a simulated 10.0.9.x server would send — both
 //! sysdbs end up keyed identically.
@@ -33,8 +35,6 @@ use std::time::Duration;
 
 use smartsock::client::{ClientError, RequestSpec, SmartClient};
 use smartsock_live::{Clock, FaultShim, LiveSock, LiveWizard, RequestError, ShimPolicy};
-use smartsock_monitor::db::shared_dbs;
-use smartsock_monitor::{SysMonConfig, SystemMonitor};
 use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{
@@ -66,8 +66,12 @@ fn request_bytes(seq: u32, server_num: u16, detail: &str) -> Vec<u8> {
     req.encode().freeze().to_vec()
 }
 
-/// The counters a request leaves behind, in either backend's trace.
-const REQUEST_PATH_COUNTERS: [&str; 6] = [
+/// The counters the engine's ingest and request paths leave behind, in
+/// either backend's trace.
+const ENGINE_COUNTERS: [&str; 9] = [
+    "sysmon-reports",
+    "sysmon-bad-reports",
+    "sysmon-bytes",
     "wizard-requests",
     "wizard-replies",
     "wizard-reply-servers",
@@ -77,7 +81,7 @@ const REQUEST_PATH_COUNTERS: [&str; 6] = [
 ];
 
 /// What one backend made of a scenario: the raw reply datagram and the
-/// [`REQUEST_PATH_COUNTERS`] values. Scenarios compare the two whole.
+/// [`ENGINE_COUNTERS`] values. Scenarios compare the two whole.
 #[derive(Debug, PartialEq)]
 struct Answer {
     reply: Vec<u8>,
@@ -88,8 +92,8 @@ fn server_ips(reply: &WizardReply) -> Vec<Ip> {
     reply.servers.iter().map(|e| e.ip).collect()
 }
 
-/// Run the simulated backend: reports arrive at t=0 through the system
-/// monitor's real ingest path, the request frame is sent after
+/// Run the simulated backend: reports arrive at t=0 through the wizard
+/// engine's ingest path, the request frame is sent after
 /// `request_at_secs` of virtual time, and the raw reply datagram bytes are
 /// captured at the client's UDP binding.
 fn sim_reply(reports: &[Vec<u8>], request_at_secs: u64, request: &[u8]) -> Answer {
@@ -99,11 +103,8 @@ fn sim_reply(reports: &[Vec<u8>], request_at_secs: u64, request: &[u8]) -> Answe
     b.duplex(w, c, LinkParams::lan_100mbps());
     let net = b.build();
 
-    let (sysdb, netdb, secdb) = shared_dbs();
     let mut s = Scheduler::new();
-    let sysmon = SystemMonitor::new(WIZ_IP, sysdb.clone(), SysMonConfig::default());
-    sysmon.start(&mut s, &net);
-    let wiz = Wizard::new(WIZ_IP, net.clone(), sysdb, netdb, secdb, WizardConfig::default());
+    let wiz = Wizard::new(WIZ_IP, net.clone(), WizardConfig::default());
     wiz.start(&mut s);
 
     let client_ep = Endpoint::new(CLIENT_IP, 50001);
@@ -114,14 +115,14 @@ fn sim_reply(reports: &[Vec<u8>], request_at_secs: u64, request: &[u8]) -> Answe
     });
 
     for r in reports {
-        net.send_udp(&mut s, client_ep, sysmon.endpoint(), Payload::data(r.clone()), None);
+        net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(r.clone()), None);
     }
     s.run_until(SimTime::from_secs(request_at_secs));
     net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(request.to_vec()), None);
     s.run_until(s.now() + SimDuration::from_secs(2));
 
     let reply = got.borrow_mut().take().expect("sim wizard replied");
-    let counters = REQUEST_PATH_COUNTERS.iter().map(|name| s.telemetry.counter(name)).collect();
+    let counters = ENGINE_COUNTERS.iter().map(|name| s.telemetry.counter(name)).collect();
     Answer { reply, counters }
 }
 
@@ -176,7 +177,7 @@ fn live_reply(
     let dropped = shim.as_ref().map_or(0, FaultShim::dropped);
     drop(shim);
     let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
-    let counters = REQUEST_PATH_COUNTERS
+    let counters = ENGINE_COUNTERS
         .iter()
         .map(|name| trace.counters.get(*name).copied().unwrap_or(0))
         .collect();
@@ -429,11 +430,8 @@ fn sim_client(script: &ClientScript) -> ClientAnswer {
         net.bind_stream(Endpoint::new(*ip, ports::SERVICE), |_s, _m| {});
     }
 
-    let (sysdb, netdb, secdb) = shared_dbs();
     let mut s = Scheduler::new();
-    let sysmon = SystemMonitor::new(WIZ_IP, sysdb.clone(), SysMonConfig::default());
-    sysmon.start(&mut s, &net);
-    let wiz = Wizard::new(WIZ_IP, net.clone(), sysdb, netdb, secdb, WizardConfig::default());
+    let wiz = Wizard::new(WIZ_IP, net.clone(), WizardConfig::default());
     wiz.start(&mut s);
 
     // The relay: both wizard ports, the same budgets as `FaultShim`.
@@ -463,7 +461,7 @@ fn sim_client(script: &ClientScript) -> ClientAnswer {
 
     let reporter = Endpoint::new(CLIENT_IP, 50001);
     for r in &script.reports {
-        net.send_udp(&mut s, reporter, sysmon.endpoint(), Payload::data(r.clone()), None);
+        net.send_udp(&mut s, reporter, wiz.endpoint(), Payload::data(r.clone()), None);
     }
     s.run_until(SimTime::from_secs(1));
 

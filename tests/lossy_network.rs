@@ -5,7 +5,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use smartsock_monitor::db::shared_dbs;
 use smartsock_monitor::{NetMonConfig, NetworkMonitor, SysMonConfig, SystemMonitor};
 use smartsock_net::{HostParams, LinkParams, Network, NetworkBuilder, Payload};
 use smartsock_probe::{ProbeConfig, ServerProbe};
@@ -94,9 +93,8 @@ fn fragmented_datagrams_are_more_exposed_to_loss() {
 fn system_monitor_keeps_fresh_state_despite_report_loss() {
     let (net, a, c) = lossy_pair(7, 0.05);
     let mut s = Scheduler::new();
-    let (sysdb, _, _) = shared_dbs();
     let mon_ip = net.ip_of(c);
-    let mon = SystemMonitor::new(mon_ip, sysdb, SysMonConfig::default());
+    let mon = SystemMonitor::new(mon_ip, Default::default(), SysMonConfig::default());
     mon.start(&mut s, &net);
     let host = smartsock_hostsim::Host::new(smartsock_hostsim::HostConfig::new(
         "alpha",
@@ -117,15 +115,15 @@ fn system_monitor_keeps_fresh_state_despite_report_loss() {
 fn network_monitor_rounds_survive_echo_loss() {
     let (net, a, c) = lossy_pair(9, 0.05);
     let mut s = Scheduler::new();
-    let (_, netdb, _) = shared_dbs();
-    let mon = NetworkMonitor::new(net.ip_of(a), net.clone(), netdb, NetMonConfig::default());
+    let mon =
+        NetworkMonitor::new(net.ip_of(a), net.clone(), Default::default(), NetMonConfig::default());
     mon.add_peer(net.ip_of(c));
     mon.start(&mut s);
     s.run_until(SimTime::from_secs(120));
     // Rounds with lost echoes finalize via the guard; enough survive to
     // keep a record in the database.
     assert!(mon.rounds_completed() >= 10, "completed {}", mon.rounds_completed());
-    let rec = mon.db().read().get(net.ip_of(a), net.ip_of(c)).copied();
+    let rec = mon.dbs().borrow().net.get(net.ip_of(a), net.ip_of(c)).copied();
     let rec = rec.expect("record survives loss");
     assert!(rec.bw_mbps > 50.0, "estimate {:.1} Mbps", rec.bw_mbps);
 }
@@ -133,7 +131,6 @@ fn network_monitor_rounds_survive_echo_loss() {
 #[test]
 fn client_retries_recover_lost_requests() {
     use smartsock::client::{RequestSpec, SmartClient};
-    use smartsock_monitor::db::shared_dbs as dbs;
     use smartsock_proto::ServerStatusReport;
     use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig};
 
@@ -141,19 +138,16 @@ fn client_retries_recover_lost_requests() {
     // p ≈ 0.41, so with 8 retries a response is near-certain.
     let (net, a, c) = lossy_pair(11, 0.2);
     let mut s = Scheduler::new();
-    let (sysdb, netdb, secdb) = dbs();
-    sysdb.write().upsert(ServerStatusReport::empty("srv", net.ip_of(a)), SimTime::ZERO);
     let wiz = Wizard::new(
         net.ip_of(c),
         net.clone(),
-        sysdb,
-        netdb,
-        secdb,
         WizardConfig {
             policy: SelectPolicy { stale_max_age: None, ..Default::default() },
             ..Default::default()
         },
     );
+    let srv = ServerStatusReport::empty("srv", net.ip_of(a));
+    wiz.engine_mut().dbs_mut().sys.upsert(srv, SimTime::ZERO);
     wiz.start(&mut s);
     net.bind_stream(Endpoint::new(net.ip_of(a), ports::SERVICE), |_s, _m| {});
 
