@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Live-backend end-to-end smoke: run the real `smartsockd` daemon over
 # loopback UDP, feed it a synthetic probe report and two procfs-fixture
-# reports, issue a request, overwrite a row and ask again, a hostile request
+# reports, issue a request, overwrite a row and ask again, ask with a
+# requirement mixing a test with other statements, a hostile request
 # and one nobody answers, then stop it gracefully and check the stats and
 # the exported telemetry trace. Single source of truth for CI
 # (ci.yml `live-smoke` job, under a hard timeout) and for local runs:
@@ -79,6 +80,24 @@ pruned="$("$bin" stats --wizard "$addr" | awk '$2 == "wizard-shards-pruned" {pri
 echo "wizard-shards-pruned $pruned"
 [ "${pruned:-0}" -ge 1 ] || { echo "the overwritten /24 was not pruned"; exit 1; }
 
+echo "== a test, a statement that is not one and a denied host, in one requirement =="
+# `host_cpu_free > 0.965` is a test: the daemon screens every row with it.
+# `x < 5` is not one, so the program still runs on the rows that pass, and
+# titan is denied by name. The reply is exactly what these reports imply
+# (helene at 0.96, mimas and dione fail the test), in address order.
+for h in "rhea 192.168.5.10 0.97 0.5" "tethys 192.168.5.11 0.98 6" \
+  "titan 192.168.5.12 0.99 0.2" "iapetus 192.168.5.13 0.50 0.1" \
+  "phoebe 192.168.5.14 0.975 1"; do
+  read -r host ip cpu load <<<"$h"
+  "$bin" probe --wizard "$addr" --host "$host" --ip "$ip" --cpu-free "$cpu" --load1 "$load" \
+    | grep "byte report"
+done
+req="$(printf 'host_cpu_free > 0.965\nx = host_system_load1 + 1\nx < 5\nuser_denied_host1 = titan')"
+out="$("$bin" request --wizard "$addr" --servers 10 --req "$req" --json)"
+echo "$out"
+echo "$out" | grep -q '"servers":\["192.168.5.10:1200","192.168.5.14:1200"\]' \
+  || { echo "the reply is not exactly rhea and phoebe"; exit 1; }
+
 echo "== hostile datagram: a 1500-deep requirement is refused, the daemon lives =="
 # Debug build, 2 MB daemon stack: any recursive walk over a tree this deep
 # aborts the process, so the parser must refuse to build it.
@@ -102,8 +121,8 @@ echo >&3
 exec 3>&-
 wait "$wizpid"
 rm -f "$fifo"
-grep "ingested 5 reports" "$wizlog"
-grep "served 4 requests" "$wizlog"
+grep "ingested 10 reports" "$wizlog"
+grep "served 5 requests" "$wizlog"
 
 echo "== live trace is readable by the telemetry CLI =="
 sout="$(cargo run -q -p smartsock-telemetry -- summary "$trace")"

@@ -189,6 +189,16 @@ impl Requirement {
     pub fn logical_count(&self) -> usize {
         self.stmts.iter().filter(|s| matches!(s, Stmt::Expr(e) if e.is_logical())).count()
     }
+
+    /// The tests — `server_var CMP constant` statements — in order (`program.rs`).
+    pub fn tests(&self) -> &[(ServerVar, BinOp, f64)] {
+        &self.program.tests
+    }
+
+    /// True when every expression statement is a test.
+    pub fn tests_only(&self) -> bool {
+        self.program.tests.len() == self.program.stmts.len()
+    }
 }
 
 #[cfg(test)]

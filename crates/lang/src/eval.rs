@@ -259,8 +259,11 @@ fn exec<P: VarProvider + ?Sized>(
 mod tests {
     use super::*;
     use crate::ast::{BinOp, Expr};
-    use crate::vars::{builtin_fn, constant, is_server_var, is_user_host_var};
-    use crate::{compile, may_qualify, MapRanges};
+    use crate::vars::{
+        builtin_fn, constant, is_server_var, is_user_host_var, MONITOR_VARS, SERVER_VARS,
+        SERVICE_VARS,
+    };
+    use crate::{compile, holds, may_qualify, MapRanges};
     use proptest::prelude::*;
 
     fn vars() -> MapVars {
@@ -602,25 +605,117 @@ mod tests {
         })
     }
 
+    /// One statement line: half assign a temp, half compare two
+    /// expressions, so that values — not only errors — decide.
+    fn arb_statement() -> impl Strategy<Value = String> {
+        (arb_expr(3), 0usize..8, arb_expr(1)).prop_map(|(expr, kind, other)| match kind {
+            0 | 1 => format!("t = {expr}\n"),
+            2 | 3 => format!("u = {expr}\n"),
+            k => format!("{expr} {} {other}\n", OPERATORS[k + 1]),
+        })
+    }
+
     proptest! {
         #[test]
         fn the_program_is_the_tree_walk_on_generated_requirements(
-            stmts in proptest::collection::vec((arb_expr(3), 0usize..8, arb_expr(1)), 4..12),
+            stmts in proptest::collection::vec(arb_statement(), 4..12),
             vars in proptest::collection::vec(arb_provider(), 4),
             temps_start_assigned in 0u32..4,
         ) {
-            // Half the statements assign a temp, half compare two
-            // expressions, so that values — not only errors — decide.
             let mut src = String::from(if temps_start_assigned > 0 { "t = 1\nu = 2\n" } else { "" });
-            for (expr, kind, other) in stmts {
-                src.push_str(&match kind {
-                    0 | 1 => format!("t = {expr}\n"),
-                    2 | 3 => format!("u = {expr}\n"),
-                    k => format!("{expr} {} {other}\n", OPERATORS[k + 1]),
-                });
-            }
+            src.extend(stmts);
             for v in &vars {
                 assert_program_matches_the_tree_walk(&src, v);
+            }
+        }
+    }
+
+    // ---- the tests of a requirement ----------------------------------
+
+    #[test]
+    fn the_papers_requirements_have_the_tests_they_read_as() {
+        let var = |name| ServerVar::from_name(name).unwrap();
+        // §3.6.2's sample, as the live workloads send it: eight statements.
+        let paper = compile(
+            "host_system_load1 < 1\nhost_memory_used <= 250*1024*1024\nhost_cpu_free >= 0.9\n\
+             host_network_tbytesps < 1024*1024\nlimit = log10(100) * 0.5\n\
+             host_system_load5 < limit\nuser_denied_host1 = 137.132.90.182\n\
+             user_preferred_host1 = sagit.ddns.comp.nus.edu.sg\n",
+        )
+        .unwrap();
+        let want = [
+            (var("host_system_load1"), BinOp::Lt, 1.0),
+            (var("host_memory_used"), BinOp::Le, 250.0 * 1024.0 * 1024.0),
+            (var("host_cpu_free"), BinOp::Ge, 0.9),
+            (var("host_network_tbytesps"), BinOp::Lt, 1024.0 * 1024.0),
+        ];
+        assert_eq!(paper.tests(), want);
+        assert!(!paper.tests_only(), "the temp and the test against it are not tests");
+        // The fleet workloads' requirement (Tables 5.3–5.6's shape).
+        let fleet = compile("host_cpu_free > 0.9300\nhost_memory_free > 5*1024*1024\n").unwrap();
+        let want = [
+            (var("host_cpu_free"), BinOp::Gt, 0.93),
+            (var("host_memory_free"), BinOp::Gt, 5.0 * 1024.0 * 1024.0),
+        ];
+        assert_eq!(fleet.tests(), want);
+        assert!(fleet.tests_only());
+        assert!(Requirement::empty().tests_only() && compile("").unwrap().tests_only());
+    }
+
+    /// `server_var OP rhs`, with every operator — logical or not — and
+    /// right-hand sides that fold to a literal, and one that does not.
+    fn arb_test_statement() -> impl Strategy<Value = String> {
+        let var = prop_oneof![
+            Just("host_cpu_free"),
+            Just("host_system_load1"),
+            Just("monitor_network_bw")
+        ];
+        let rhs =
+            prop_oneof![Just("0"), Just("0.5"), Just("2"), Just("1/2"), Just("-(1)"), Just("1/0")];
+        (var, 0..OPERATORS.len(), rhs, 0u32..4).prop_map(|(v, op, rhs, paren)| {
+            let stmt = format!("{v} {} {rhs}", OPERATORS[op]);
+            if paren == 0 {
+                format!("({stmt})\n")
+            } else {
+                format!("{stmt}\n")
+            }
+        })
+    }
+
+    /// Every server-side variable defined: the three the generators read
+    /// at 0, 0.5 or 2, every other one at 1.
+    fn arb_defined() -> impl Strategy<Value = MapVars> {
+        let value = || prop_oneof![Just(0.0), Just(0.5), Just(2.0)];
+        (value(), value(), value()).prop_map(|(cpu, load, bw)| {
+            let all = SERVER_VARS.iter().chain(&SERVICE_VARS).chain(&MONITOR_VARS);
+            all.fold(MapVars::new(), |vars, name| vars.with(name, 1.0))
+                .with("host_cpu_free", cpu)
+                .with("host_system_load1", load)
+                .with("monitor_network_bw", bw)
+        })
+    }
+
+    proptest! {
+        /// What lets the wizard screen rows with the tests: on a server
+        /// that defines every variable, a failing test disqualifies, and a
+        /// requirement of tests only qualifies exactly when all hold.
+        #[test]
+        fn a_failing_test_disqualifies_and_tests_alone_decide(
+            stmts in proptest::collection::vec(
+                prop_oneof![2 => arb_test_statement(), 1 => arb_statement()],
+                1..6,
+            ),
+            vars in arb_defined(),
+        ) {
+            let src: String = stmts.concat();
+            let req = compile(&src).unwrap_or_else(|e| panic!("{src:?} must compile: {e}"));
+            let all_hold = req.tests().iter().all(|&(var, op, c)| {
+                holds(op, vars.lookup(var).expect("every variable is defined"), c)
+            });
+            let d = Evaluator::evaluate(&req, &vars);
+            prop_assert!(all_hold || !d.qualified, "{src:?}: a test failed, yet {d:?}");
+            if req.tests_only() {
+                prop_assert_eq!(d.qualified, all_hold, "{:?}: tests only", src);
             }
         }
     }

@@ -66,6 +66,7 @@ pub use eval::{Decision, EvalError, Evaluator, HostLists, MapVars, VarProvider};
 pub use interval::{may_qualify, MapRanges, RangeProvider};
 pub use lexer::{LexError, Lexer};
 pub use parser::{parse, ParseError};
+pub use program::holds;
 pub use token::Token;
 pub use vars::{builtin_fn, is_server_var, is_user_host_var, ServerVar, SERVER_VARS, USER_VARS};
 

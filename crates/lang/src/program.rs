@@ -14,6 +14,13 @@
 //! * literal-only subtrees are folded by the interpreter's own operations
 //!   ([`apply`], the builtins) in the same order, so bit-identically; a
 //!   division by zero is left for run time, where it is an error.
+//!
+//! It also records the *tests*: statements whose whole code is one
+//! `ServerBin(var, op, c)` with a logical `op`, which [`apply`] cannot fail
+//! on. Where `var` is defined a test is 1 or 0 ([`holds`]): a failing one
+//! leaves the server unqualified (`server_ok *= 0`) whatever the other
+//! statements do, and tests alone qualify it exactly when all hold. A `var`
+//! that may be undefined (security, service, monitor) is an error instead.
 
 use crate::ast::{BinOp, Binding, Expr, Stmt};
 use crate::eval::EvalError;
@@ -51,6 +58,8 @@ pub(crate) struct Program {
     /// Per temp slot: the name (for `Undefined`) and its initial value —
     /// the named constant it shadows, if any.
     pub temps: Vec<(String, Option<f64>)>,
+    /// The tests among the expression statements, in order.
+    pub tests: Vec<(ServerVar, BinOp, f64)>,
 }
 
 /// The value of `a OP b` — the one spelling of the language's binary
@@ -77,15 +86,25 @@ pub(crate) fn apply(op: BinOp, a: f64, b: f64) -> Result<f64, EvalError> {
     })
 }
 
+/// Whether `a OP b` is true: the verdict of a test whose variable reads `a`.
+#[inline]
+pub fn holds(op: BinOp, a: f64, b: f64) -> bool {
+    apply(op, a, b).is_ok_and(|v| v != 0.0)
+}
+
 impl Program {
     /// Lower the expression statements of a parsed requirement. `temps` is
     /// the parser's slot table: what each `Binding::Temp` stands for.
     pub(crate) fn lower(stmts: &[Stmt], temps: Vec<(String, Option<f64>)>) -> Program {
         let ops = Vec::with_capacity(2 * stmts.len());
-        let mut p = Program { ops, stmts: Vec::with_capacity(stmts.len()), temps };
+        let mut p = Program { ops, stmts: Vec::with_capacity(stmts.len()), temps, tests: vec![] };
         for stmt in stmts {
             let Stmt::Expr(e) = stmt else { continue }; // host lists are request-level
+            let start = p.ops.len();
             p.expr(e);
+            if let Some(&[Op::ServerBin(var, op, c)]) = p.ops.get(start..) {
+                p.tests.extend(op.is_logical().then_some((var, op, c)));
+            }
             p.stmts.push((p.ops.len(), e.is_logical()));
         }
         p

@@ -23,16 +23,16 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use smartsock_lang::{
-    compile, may_qualify, Evaluator, HostLists, RangeProvider, ServerVar, VarProvider,
+    compile, holds, may_qualify, BinOp, Evaluator, HostLists, RangeProvider, ServerVar, VarProvider,
 };
-use smartsock_monitor::db::{SubnetKey, TimedReport, VarRanges};
+use smartsock_monitor::db::{ReportVar, SubnetKey, TimedReport, VarRanges, REPORT_VARS};
 use smartsock_monitor::health::{HealthTable, StateKind, Transition};
 use smartsock_monitor::ingest::{ingest_ascii, IngestError};
 use smartsock_monitor::{NetDb, SecDb, StatusDbs, SysDb};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{
-    Endpoint, Ip, OutcomeReport, ServerStatusReport, Transport, TransportError, UserRequest,
-    WizardReply, MAX_SERVERS_PER_REPLY,
+    addr::NetAddr, Endpoint, Ip, OutcomeReport, ServerStatusReport, Transport, TransportError,
+    UserRequest, WizardReply, MAX_SERVERS_PER_REPLY,
 };
 use smartsock_sim::{SimDuration, SimTime, Telemetry};
 
@@ -77,16 +77,22 @@ pub struct SelectStats {
     pub shards_total: usize,
     /// Shards skipped wholesale — summary proved no row could qualify.
     pub shards_pruned: usize,
-    /// Rows that went through full requirement evaluation.
+    /// Rows of the shards not pruned, screened out or not.
     pub rows_evaluated: usize,
 }
 
 /// The per-request compiled state shared by every row evaluation.
 struct CompiledRequest {
     requirement: smartsock_lang::Requirement,
-    lists: HostLists,
+    /// The host lists, resolved once per request (every designator parses).
+    preferred: Vec<NetAddr>,
+    denied: Vec<NetAddr>,
     /// The `#!rank` directive, its variable resolved once per request.
     rank: Option<(ServerVar, bool)>,
+    /// The tests on report variables (every row defines them), as `ServerVars` reads them.
+    screen: Vec<(ReportVar, BinOp, f64)>,
+    /// The screen is the whole requirement (never set for the flat oracle).
+    screen_decides: bool,
 }
 
 impl CompiledRequest {
@@ -100,9 +106,17 @@ impl CompiledRequest {
             None => req.detail.clone(),
         };
         let requirement = compile(&detail).ok()?; // uncompilable ⇒ empty reply
-        let lists = HostLists::from_requirement(&requirement);
+        let HostLists { preferred, denied } = HostLists::from_requirement(&requirement);
+        let resolve = |hosts: Vec<String>| hosts.iter().filter_map(|h| h.parse().ok()).collect();
+        let (preferred, denied) = (resolve(preferred), resolve(denied));
         let rank = parse_rank_directive(&detail);
-        Some(CompiledRequest { requirement, lists, rank })
+        let tests = requirement.tests();
+        let screen: Vec<_> = tests
+            .iter()
+            .filter_map(|&(var, op, c)| REPORT_VARS.get(var.index()).map(|&row| (row, op, c)))
+            .collect();
+        let screen_decides = requirement.tests_only() && screen.len() == tests.len();
+        Some(CompiledRequest { requirement, preferred, denied, rank, screen, screen_decides })
     }
 }
 
@@ -119,8 +133,8 @@ struct Candidate {
 }
 
 /// Evaluate one status row against the compiled request; `Some` when the
-/// server qualifies. Shared by the sharded walk and the flat reference
-/// scan so the two can only differ in *which* rows they visit.
+/// server qualifies. Shared by the sharded walk and the flat reference scan,
+/// which differ only in *which* rows they visit and whether a screen decided them.
 fn consider_row(
     view: &SelectView<'_>,
     policy: &SelectPolicy,
@@ -142,7 +156,7 @@ fn consider_row(
         return None;
     }
     let report = &timed.report;
-    if creq.lists.denied.iter().any(|d| designates(d, report)) {
+    if creq.denied.iter().any(|d| designates(d, report)) {
         return None;
     }
     let server_mon = view.group_map.get(&ip).copied();
@@ -157,10 +171,10 @@ fn consider_row(
         net_record: net_rec,
         same_group,
     };
-    if !Evaluator::evaluate(&creq.requirement, &sv).qualified {
+    if !creq.screen_decides && !Evaluator::evaluate(&creq.requirement, &sv).qualified {
         return None;
     }
-    let preferred_rank = creq.lists.preferred.iter().position(|p| designates(p, report));
+    let preferred_rank = creq.preferred.iter().position(|p| designates(p, report));
     let rank_key = creq.rank.map_or(0.0, |(var, descending)| {
         let value = sv.lookup(var).unwrap_or(0.0);
         if descending {
@@ -252,9 +266,9 @@ impl RangeProvider for ShardRanges<'_> {
 /// (interval analysis, `smartsock_lang::may_qualify`). A row that
 /// qualifies is kept only while it is among the best
 /// `min(server_num, 60)` seen so far — the reply is bounded, so the
-/// selection is too. Neither is behaviourally visible: `select` returns
-/// exactly what [`select_flat`] — every row, every qualifier sorted, then
-/// cut — would, property-tested below.
+/// selection is too. None of it, the tests' screen of each row included,
+/// is behaviourally visible: `select` returns exactly what [`select_flat`]
+/// — every row, every qualifier sorted, then cut — would, property-tested below.
 pub fn select(
     view: &SelectView<'_>,
     policy: &SelectPolicy,
@@ -265,7 +279,10 @@ pub fn select(
     select_with_stats(view, policy, now, req, client_ip).0
 }
 
-/// [`select`], plus counters describing how much work pruning saved.
+/// [`select`], plus counters describing how much work pruning saved. Every
+/// row of a descended shard counts in `rows_evaluated`; it pays one `holds`
+/// per screened test, then — if all hold — `consider_row`, minus the program
+/// when the tests are the whole requirement.
 pub fn select_with_stats(
     view: &SelectView<'_>,
     policy: &SelectPolicy,
@@ -278,6 +295,8 @@ pub fn select_with_stats(
         return (Vec::new(), stats);
     };
     let client_mon = view.group_map.get(&client_ip).copied();
+    let passes =
+        |r: &ServerStatusReport| creq.screen.iter().all(|&((_, f), op, c)| holds(op, f(r), c));
 
     let cap = reply_cap(req.server_num);
     let mut best = Vec::new();
@@ -293,8 +312,8 @@ pub fn select_with_stats(
             stats.shards_pruned += 1;
             continue;
         }
-        for (&ip, timed) in shard.rows() {
-            stats.rows_evaluated += 1;
+        stats.rows_evaluated += shard.len();
+        for (&ip, timed) in shard.rows().filter(|(_, t)| passes(&t.report)) {
             if let Some(c) = consider_row(view, policy, now, &creq, client_mon, ip, timed) {
                 offer(&mut best, cap, c);
             }
@@ -314,9 +333,10 @@ pub fn select_flat(
     req: &UserRequest,
     client_ip: Ip,
 ) -> Vec<Endpoint> {
-    let Some(creq) = CompiledRequest::from_request(view, req) else {
+    let Some(mut creq) = CompiledRequest::from_request(view, req) else {
         return Vec::new();
     };
+    creq.screen_decides = false; // nothing is screened here: every row runs the program
     let client_mon = view.group_map.get(&client_ip).copied();
     let mut qualified: Vec<Candidate> = view
         .sysdb
@@ -330,11 +350,11 @@ pub fn select_flat(
 
 /// Does a user host designator (IP, domain or bare name) refer to this
 /// server's report?
-pub(crate) fn designates(designator: &str, report: &ServerStatusReport) -> bool {
-    if let Ok(ip) = designator.parse::<Ip>() {
-        return ip == report.ip;
+fn designates(designator: &NetAddr, report: &ServerStatusReport) -> bool {
+    match designator {
+        NetAddr::Ip(ip) => *ip == report.ip,
+        NetAddr::Name(name) => report.host.matches(name),
     }
-    report.host.matches(&smartsock_proto::HostName::new(designator))
 }
 
 /// Parse the `#!rank <var> [asc|desc]` directive, if present: the
@@ -819,7 +839,10 @@ mod tests {
         let mut e = engine();
         upsert(&mut e, report("titan-x", 1, 0.95), SimTime::ZERO);
         upsert(&mut e, report("dione", 2, 0.95), SimTime::ZERO);
-        for (designator, survivor) in [("titan-x", 2), ("10.0.1.2", 1)] {
+        // The last designator is resolved once, lower-cased, and still
+        // names the row by its short name.
+        let designators = [("titan-x", 2), ("10.0.1.2", 1), ("TITAN-X.COMP.NUS.EDU.SG", 2)];
+        for (designator, survivor) in designators {
             let req = user_request(
                 &format!("host_cpu_free > 0.5\nuser_denied_host1 = {designator}\n"),
                 5,
@@ -998,7 +1021,10 @@ mod tests {
 
     /// The requirement shapes the equivalence property samples from:
     /// empty, conjunctive, disjunctive, temp-var, untracked-variable,
-    /// rank-directive, error-raising, tautological.
+    /// rank-directive, error-raising, tautological — and every edge of the
+    /// screen: a test before and after an error, a screened test beside an
+    /// unscreened one, `==`/`!=`, a lone `ServerBin` that is no test, and
+    /// tests beside host lists (`{denied}`/`{preferred}` name fleet rows).
     const REQUIREMENTS: &[&str] = &[
         "",
         "host_cpu_free > 0.9\n",
@@ -1010,7 +1036,21 @@ mod tests {
         "#!rank host_memory_free desc\nhost_cpu_free > 0.5\n",
         "100 > 0\n",
         "x = 1 / 0\n",
+        "host_cpu_free >= 0.5\nx = 1 / 0\n",
+        "x = 1 / 0\nhost_cpu_free > 0.5\n",
+        "host_cpu_free > 0.5\nhost_security_level >= 3\n",
+        "host_cpu_free == 0.5\n",
+        "host_cpu_free != 0.5\n",
+        "host_cpu_free * 2\n",
+        "host_cpu_free > 0.5\nuser_denied_host1 = {denied}\nuser_preferred_host1 = {preferred}\n",
     ];
+
+    /// A row's idle share: uniform, or on a tenth, so that the `==`, `!=`
+    /// and `>=` shapes meet their constant and `host_cpu_free * 2` meets 0.
+    fn cpu_idle() -> impl proptest::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![0.0f64..1.0, (0u8..=10).prop_map(|t| f64::from(t) / 10.0)]
+    }
 
     proptest::proptest! {
         /// The tentpole invariant: prune-then-descend returns exactly what
@@ -1019,23 +1059,32 @@ mod tests {
         #[test]
         fn pruned_selection_is_identical_to_the_flat_scan(
             hosts in proptest::collection::vec(
-                (0u8..6, 1u8..250, 0u64..12, 0.0f64..1.0, 0.0f64..4.0, 1u64..512),
+                (0u8..6, 1u8..250, 0u64..12, cpu_idle(), 0.0f64..4.0, (1u64..512, 0u8..8)),
                 1..60
             ),
-            req_idx in 0usize..10,
+            req_idx in 0usize..REQUIREMENTS.len(),
             server_num in 1u16..20,
         ) {
             let mut e = engine();
-            for &(subnet, last, age, idle, load, mem_mb) in &hosts {
+            for &(subnet, last, age, idle, load, (mem_mb, level)) in &hosts {
                 let ip = Ip::new(10, 0, subnet, last);
-                let mut r = ServerStatusReport::empty(format!("h{subnet}-{last}").as_str(), ip);
+                let name = format!("h{subnet}-{last}");
+                let mut r = ServerStatusReport::empty(name.as_str(), ip);
                 r.cpu_idle = idle;
                 r.load1 = load;
                 r.mem_free = mem_mb << 20;
                 r.bogomips = if subnet % 2 == 0 { 4771.02 } else { 1730.15 };
                 upsert(&mut e, r, SimTime::from_secs(age));
+                if level < 6 {
+                    let host = name.as_str().into();
+                    e.dbs.sec.upsert(SecurityRecord { host, ip, level: level.into() });
+                }
             }
-            let req = user_request(REQUIREMENTS[req_idx], server_num);
+            let (first, mid) = (hosts[0], hosts[hosts.len() / 2]);
+            let detail = REQUIREMENTS[req_idx]
+                .replace("{denied}", &format!("10.0.{}.{}", first.0, first.1))
+                .replace("{preferred}", &format!("H{}-{}", mid.0, mid.1));
+            let req = user_request(&detail, server_num);
 
             let (flat, pruned, stats) = both_scans(&e, SimTime::from_secs(12), &req);
             proptest::prop_assert_eq!(&pruned, &flat);
@@ -1155,6 +1204,29 @@ mod tests {
         assert_eq!(stats.shards_pruned, 1, "the all-stale /24 is skipped wholesale");
         assert_eq!(stats.rows_evaluated, 1);
         assert_eq!(flat, got);
+    }
+
+    #[test]
+    fn rows_the_screen_turns_away_still_count_as_evaluated() {
+        let mut e = engine();
+        let mut put = |subnet: u8, last: u8, idle: f64| {
+            let mut r = ServerStatusReport::empty("h", Ip::new(10, 5, subnet, last));
+            r.cpu_idle = idle;
+            upsert(&mut e, r, SimTime::ZERO);
+        };
+        for last in 1..=8 {
+            put(0, last, 0.2); // a busy /24: pruned on its summary
+        }
+        for (last, idle) in [(1, 0.95), (2, 0.5), (3, 0.97), (4, 0.1), (5, 0.91)] {
+            put(1, last, idle); // both sides of the threshold
+        }
+        let (flat, got, stats) =
+            both_scans(&e, SimTime::ZERO, &user_request("host_cpu_free > 0.9\n", 60));
+        // Every row of the /24 the prune left, not only the ones that passed.
+        assert_eq!(stats, SelectStats { shards_total: 2, shards_pruned: 1, rows_evaluated: 5 });
+        let passing = [1, 3, 5].map(|last| Ip::new(10, 5, 1, last));
+        assert_eq!(ips(&got), passing);
+        assert_eq!(got, flat);
     }
 
     #[test]
