@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Fleet-scale smoke check: expand the generated 1k-host topology, run the
 # fleet.1k experiment with a trace export, then assert the scale actually
-# happened — a thousand live status rows, busy subnets pruned, per-subnet
-# rollup scopes in the telemetry, and wizard-match spans in the summary.
+# happened — a thousand live status rows, busy subnets pruned, the walk
+# stopped once the reply settled, per-subnet rollup scopes in the
+# telemetry, and wizard-match spans in the summary.
 # Single source of truth for CI (ci.yml `fleet` job) and for local runs:
 #
 #   ./ci/fleet_smoke.sh
@@ -25,6 +26,8 @@ echo "$out" | grep -Eq "live server records +\| +1000"
 # Half the fleet lives in busy/legacy subnets whose rollup ranges fail
 # the cpu_free requirement: pruning must have skipped shards.
 echo "$out" | grep -E "shards pruned" | grep -Evq "\| +0/"
+# Eight top-scored rows fill the 8-server reply: the walk stops there.
+echo "$out" | grep -Eq "rows evaluated +\| +8$"
 
 echo "== rollup smoke check (per-subnet scopes) =="
 rout="$(cargo run --release -q -p smartsock-telemetry -- rollup "$trace")"

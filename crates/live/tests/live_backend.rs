@@ -359,6 +359,25 @@ fn a_request_after_a_thousand_overwrites_prunes_like_a_freshly_filled_daemon() {
 }
 
 #[test]
+fn a_settled_reply_stops_the_daemons_scan() {
+    let wiz =
+        LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), Clock::manual().0).unwrap();
+    for subnet in [9, 10, 11] {
+        subnet_reports(&wiz, subnet, 0.95);
+    }
+    let ask = req(1, 5, "host_cpu_free > 0.9\n");
+    let reply = live_request(wiz.addr(), &ask, Duration::from_millis(500), 3).unwrap();
+    let first: Vec<Ip> = (1..=5).map(|last| Ip::new(192, 168, 9, last)).collect();
+    assert_eq!(reply.servers.iter().map(|e| e.ip).collect::<Vec<_>>(), first);
+    // Five idle rows fill the reply and no later row can beat them: the
+    // daemon visits those five and never descends into the other /24s.
+    let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
+    assert_eq!(trace.counters.get("wizard-rows-evaluated"), Some(&5));
+    assert_eq!(trace.counters.get("wizard-shards-pruned"), Some(&2));
+    assert_eq!(trace.counters.get("wizard-shards-scanned"), Some(&1));
+}
+
+#[test]
 fn reports_alone_evict_a_silent_subnet_with_no_request_arriving() {
     let (clock, hand) = Clock::manual();
     let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();

@@ -35,7 +35,9 @@ pub struct HealthConfig {
     /// Half-life of the score's relaxation toward 1.0 (forgiveness) and of
     /// the history weight in updates.
     pub half_life: SimDuration,
-    /// Gain of one observation: `score += gain * (sample - score)`.
+    /// Gain of one observation: `score += gain * (sample - score)`. Must lie
+    /// in `[0, 1]`, which keeps every score in `[0, 1]`: the wizard's
+    /// selection stops its row walk early on the strength of that bound.
     pub gain: f64,
     /// Below this (after a failure) a healthy server becomes suspect.
     pub suspect_threshold: f64,
@@ -432,7 +434,8 @@ mod tests {
         /// the capped quarantine), a table polled through `next_due` and
         /// one that walks every host on every poll report the same
         /// transitions in the same order and hold the same state — clocks
-        /// included — for every host after every step.
+        /// included — for every host after every step. Every score stays in
+        /// `[0, 1]` throughout: the bound the selection's early stop relies on.
         #[test]
         fn a_poll_bounded_by_next_due_is_the_walk_over_every_host(
             steps in proptest::collection::vec((0u8..5, 0u8..6, 0u8..3, 0u64..8), 0..120),
@@ -471,6 +474,8 @@ mod tests {
                         bounded.effective_state(*ip, now),
                         walked.effective_state(*ip, now)
                     );
+                    let score = bounded.score(*ip, now);
+                    proptest::prop_assert!((0.0..=1.0).contains(&score), "{} at {:?}", score, now);
                 }
             }
         }

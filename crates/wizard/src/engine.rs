@@ -75,9 +75,11 @@ pub struct SelectView<'a> {
 pub struct SelectStats {
     /// Shards in the status database when the request arrived.
     pub shards_total: usize,
-    /// Shards skipped wholesale — summary proved no row could qualify.
+    /// Shards skipped wholesale: their summary proved no row could
+    /// qualify, or the reply had settled before the walk reached them.
     pub shards_pruned: usize,
-    /// Rows of the shards not pruned, screened out or not.
+    /// Rows visited, screened out or not: those of the shards descended
+    /// into, up to the one after which the reply settled.
     pub rows_evaluated: usize,
 }
 
@@ -266,9 +268,10 @@ impl RangeProvider for ShardRanges<'_> {
 /// (interval analysis, `smartsock_lang::may_qualify`). A row that
 /// qualifies is kept only while it is among the best
 /// `min(server_num, 60)` seen so far — the reply is bounded, so the
-/// selection is too. None of it, the tests' screen of each row included,
-/// is behaviourally visible: `select` returns exactly what [`select_flat`]
-/// — every row, every qualifier sorted, then cut — would, property-tested below.
+/// selection is too — and the walk stops once no row left can enter them.
+/// None of it, the tests' screen of each row included, is behaviourally
+/// visible: `select` returns exactly what [`select_flat`] — every row,
+/// every qualifier sorted, then cut — would, property-tested below.
 pub fn select(
     view: &SelectView<'_>,
     policy: &SelectPolicy,
@@ -280,9 +283,14 @@ pub fn select(
 }
 
 /// [`select`], plus counters describing how much work pruning saved. Every
-/// row of a descended shard counts in `rows_evaluated`; it pays one `holds`
-/// per screened test, then — if all hold — `consider_row`, minus the program
-/// when the tests are the whole requirement.
+/// row visited counts in `rows_evaluated`; it pays one `holds` per screened
+/// test, then — if all hold — `consider_row`, minus the program when the
+/// tests are the whole requirement. Rows arrive in address order, so a row
+/// not yet visited is at best a candidate with preferred index 0 (if any),
+/// bucket 1000 (health score and freshness tier are at most 1), rank key −∞
+/// (under `#!rank`) and a larger address. Once the kept list is full and its
+/// last place sorts ahead of that, the reply is settled — exactly, by
+/// [`best_first`] — and the walk stops; shards not reached count as pruned.
 pub fn select_with_stats(
     view: &SelectView<'_>,
     policy: &SelectPolicy,
@@ -298,9 +306,13 @@ pub fn select_with_stats(
     let passes =
         |r: &ServerStatusReport| creq.screen.iter().all(|&((_, f), op, c)| holds(op, f(r), c));
 
+    let preferred_rank = (!creq.preferred.is_empty()).then_some(0);
+    let rank_key = if creq.rank.is_some() { f64::NEG_INFINITY } else { 0.0 };
+    let bound = |ip| Candidate { ip, preferred_rank, score_bucket: 1000, rank_key };
     let cap = reply_cap(req.server_num);
     let mut best = Vec::new();
-    for (_subnet, shard) in view.sysdb.iter_shards() {
+    let mut descended = 0;
+    'shards: for (_subnet, shard) in view.sysdb.iter_shards() {
         let summary = shard.summary();
         // Staleness prune: `newest_recorded_at` is never older than the
         // newest row, so when even it exceeds the window every row does.
@@ -309,23 +321,28 @@ pub fn select_with_stats(
             None => false,
         };
         if all_stale || !may_qualify(&creq.requirement, &ShardRanges(&summary.ranges)) {
-            stats.shards_pruned += 1;
             continue;
         }
-        stats.rows_evaluated += shard.len();
-        for (&ip, timed) in shard.rows().filter(|(_, t)| passes(&t.report)) {
+        descended += 1;
+        let visited = shard.rows().inspect(|_| stats.rows_evaluated += 1);
+        for (&ip, timed) in visited.filter(|(_, t)| passes(&t.report)) {
             if let Some(c) = consider_row(view, policy, now, &creq, client_mon, ip, timed) {
                 offer(&mut best, cap, c);
             }
+            // Settled: no row still to come (a larger address) can beat the last place.
+            if best.len() == cap && best.last().is_some_and(|l| best_first(l, &bound(ip)).is_le()) {
+                break 'shards;
+            }
         }
     }
+    stats.shards_pruned = stats.shards_total - descended;
     (endpoints(best), stats)
 }
 
 /// Reference implementation: the pre-sharding flat scan over every row,
 /// every qualifier collected and sorted. Kept (and exercised by property
-/// tests) to pin that neither shard pruning nor the bounded selection
-/// ever changes a reply.
+/// tests) to pin that neither shard pruning, the bounded selection nor the
+/// settled stop ever changes a reply.
 pub fn select_flat(
     view: &SelectView<'_>,
     policy: &SelectPolicy,
@@ -1052,21 +1069,50 @@ mod tests {
         prop_oneof![0.0f64..1.0, (0u8..=10).prop_map(|t| f64::from(t) / 10.0)]
     }
 
+    /// When a row was recorded, in seconds, for a request at t = 12 s:
+    /// anywhere up to stale, or — as often — in the freshest tier, so that
+    /// full score buckets, the ones the walk may stop on, are common.
+    fn recorded_at() -> impl proptest::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        prop_oneof![0u64..12, 9u64..13]
+    }
+
+    /// Outcome histories, one per generator draw below 4 (the other half
+    /// report nothing): a completed assignment, one timeout (suspect), two
+    /// old failures (on probation at t = 12 s) and two recent ones
+    /// (quarantined) — so the last kept place sometimes has a score bucket
+    /// below 1000.
+    const OUTCOMES: &[&[(u64, OutcomeKind)]] = &[
+        &[(11, OutcomeKind::Completed)],
+        &[(11, OutcomeKind::Timeout)],
+        &[(1, OutcomeKind::Timeout), (2, OutcomeKind::ConnectFailed)],
+        &[(10, OutcomeKind::Timeout), (11, OutcomeKind::Timeout)],
+    ];
+
     proptest::proptest! {
-        /// The tentpole invariant: prune-then-descend returns exactly what
-        /// the flat per-row scan returns, for random fleets and every
-        /// requirement shape, at every staleness mix.
+        /// The tentpole invariant: prune-then-descend, stopped once the
+        /// reply settles, returns exactly what the flat per-row scan
+        /// returns, for random fleets and every requirement shape, at every
+        /// staleness and health mix.
         #[test]
         fn pruned_selection_is_identical_to_the_flat_scan(
             hosts in proptest::collection::vec(
-                (0u8..6, 1u8..250, 0u64..12, cpu_idle(), 0.0f64..4.0, (1u64..512, 0u8..8)),
+                (
+                    0u8..6,
+                    1u8..250,
+                    recorded_at(),
+                    cpu_idle(),
+                    0.0f64..4.0,
+                    (1u64..512, 0u8..8, 0usize..8),
+                ),
                 1..60
             ),
             req_idx in 0usize..REQUIREMENTS.len(),
-            server_num in 1u16..20,
+            // Half the draws small, so the kept list often fills early.
+            server_num in proptest::prop_oneof![1u16..20, 1u16..5],
         ) {
             let mut e = engine();
-            for &(subnet, last, age, idle, load, (mem_mb, level)) in &hosts {
+            for &(subnet, last, age, idle, load, (mem_mb, level, history)) in &hosts {
                 let ip = Ip::new(10, 0, subnet, last);
                 let name = format!("h{subnet}-{last}");
                 let mut r = ServerStatusReport::empty(name.as_str(), ip);
@@ -1079,11 +1125,16 @@ mod tests {
                     let host = name.as_str().into();
                     e.dbs.sec.upsert(SecurityRecord { host, ip, level: level.into() });
                 }
+                for &(at, outcome) in OUTCOMES.get(history).copied().unwrap_or_default() {
+                    e.health.record(ip, outcome, SimTime::from_secs(at));
+                }
             }
-            let (first, mid) = (hosts[0], hosts[hosts.len() / 2]);
+            // The preferred host is the one the walk reaches last.
+            let first = hosts[0];
+            let last = hosts.iter().max_by_key(|h| (h.0, h.1)).unwrap();
             let detail = REQUIREMENTS[req_idx]
                 .replace("{denied}", &format!("10.0.{}.{}", first.0, first.1))
-                .replace("{preferred}", &format!("H{}-{}", mid.0, mid.1));
+                .replace("{preferred}", &format!("H{}-{}", last.0, last.1));
             let req = user_request(&detail, server_num);
 
             let (flat, pruned, stats) = both_scans(&e, SimTime::from_secs(12), &req);
@@ -1226,6 +1277,56 @@ mod tests {
         assert_eq!(stats, SelectStats { shards_total: 2, shards_pruned: 1, rows_evaluated: 5 });
         let passing = [1, 3, 5].map(|last| Ip::new(10, 5, 1, last));
         assert_eq!(ips(&got), passing);
+        assert_eq!(got, flat);
+    }
+
+    /// Five idle rows in each of `10.6.<subnet>.0/24`, recorded at t = 0.
+    fn idle_subnets(e: &mut WizardEngine, subnets: std::ops::Range<u8>) {
+        for subnet in subnets {
+            for last in 1..=5 {
+                let mut r = ServerStatusReport::empty("h", Ip::new(10, 6, subnet, last));
+                r.cpu_idle = 0.95;
+                upsert(e, r, SimTime::ZERO);
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_reply_of_top_scored_rows_stops_the_scan() {
+        let mut e = engine();
+        idle_subnets(&mut e, 0..3);
+        // The first two rows fill the reply with full score buckets; every
+        // later row could only tie them and lose on its address.
+        let (flat, got, stats) =
+            both_scans(&e, SimTime::ZERO, &user_request("host_cpu_free > 0.9\n", 2));
+        assert_eq!(stats, SelectStats { shards_total: 3, shards_pruned: 2, rows_evaluated: 2 });
+        assert_eq!(ips(&got), [1, 2].map(|last| Ip::new(10, 6, 0, last)));
+        assert_eq!(got, flat);
+    }
+
+    #[test]
+    fn a_probation_row_in_last_place_keeps_the_scan_going() {
+        let never_stale = SelectPolicy { stale_max_age: None, ..Default::default() };
+        let mut e = WizardEngine::new(Ip::new(10, 0, 0, 1), never_stale);
+        idle_subnets(&mut e, 0..3);
+        // 10.6.0.2 .. .5 are quarantined at t = 2 until t = 10, then on
+        // probation: selectable, with a score bucket below 1000.
+        for last in 2..=5 {
+            for at in [1, 2] {
+                e.health.record(
+                    Ip::new(10, 6, 0, last),
+                    OutcomeKind::Timeout,
+                    SimTime::from_secs(at),
+                );
+            }
+        }
+        let now = SimTime::from_secs(11);
+        assert_eq!(e.health.effective_state(Ip::new(10, 6, 0, 2), now), StateKind::Probation);
+        // The first /24 fills the reply, but its last place is on probation,
+        // so the walk goes on until a healthy row takes that place.
+        let (flat, got, stats) = both_scans(&e, now, &user_request("host_cpu_free > 0.9\n", 2));
+        assert_eq!(stats, SelectStats { shards_total: 3, shards_pruned: 1, rows_evaluated: 6 });
+        assert_eq!(ips(&got), [Ip::new(10, 6, 0, 1), Ip::new(10, 6, 1, 1)]);
         assert_eq!(got, flat);
     }
 
