@@ -2,10 +2,10 @@
 # Live-backend end-to-end smoke: run the real `smartsockd` daemon over
 # loopback UDP, feed it a synthetic probe report and two procfs-fixture
 # reports, issue a request, overwrite a row and ask again, ask with a
-# requirement mixing a test with other statements, a hostile request
-# and one nobody answers, then stop it gracefully and check the stats and
-# the exported telemetry trace. Single source of truth for CI
-# (ci.yml `live-smoke` job, under a hard timeout) and for local runs:
+# requirement mixing a test with other statements, a hostile request, one
+# longer than 4 KiB and one nobody answers, then stop it gracefully and
+# check the stats and the exported telemetry trace. Single source of truth
+# for CI (ci.yml `live-smoke` job, under a hard timeout) and for local runs:
 #
 #   ./ci/live_smoke.sh
 #
@@ -17,12 +17,13 @@ cd "$(dirname "$0")/.."
 trace=target/live_smoke_trace.jsonl
 wizlog=target/live_smoke_wizard.txt
 fifo=target/live_smoke.stdin
+longreq=target/live_smoke_long_requirement.txt
 
 cargo build -q -p smartsock-live --bin smartsockd
 bin=target/debug/smartsockd
 
 echo "== start the wizard daemon (ephemeral loopback port) =="
-rm -f "$fifo" "$wizlog" "$trace"
+rm -f "$fifo" "$wizlog" "$trace" "$longreq"
 mkfifo "$fifo"
 "$bin" wizard --bind 127.0.0.1:0 --trace "$trace" <"$fifo" >"$wizlog" &
 wizpid=$!
@@ -60,7 +61,8 @@ echo "$stats"
 echo "$stats" | grep -q "snapshot at"
 echo "$stats" | grep -q "sysmon-reports"
 echo "$stats" | grep -q "wizard-replies"
-"$bin" stats --wizard "$addr" --json | grep -q '"counts":'
+# --json prints the daemon's summary lines verbatim: the trace's own schema.
+"$bin" stats --wizard "$addr" --json | grep -q '^{"t":"hist","name":"wizard-match",'
 
 echo "== an overwritten /24 is tightened by the request that reads it =="
 # A second /24 turns up idle, then reports itself busy: the overwrite only
@@ -76,7 +78,7 @@ echo "$out" | grep -q '192.168.3.10:1200'
 if echo "$out" | grep -q '192.168.4.10'; then
   echo "a host that reported itself busy was offered"; exit 1
 fi
-pruned="$("$bin" stats --wizard "$addr" | awk '$2 == "wizard-shards-pruned" {print $3}')"
+pruned="$("$bin" stats --wizard "$addr" | awk '$1 == "counter" && $2 == "wizard-shards-pruned" {print $3}')"
 echo "wizard-shards-pruned $pruned"
 [ "${pruned:-0}" -ge 1 ] || { echo "the overwritten /24 was not pruned"; exit 1; }
 
@@ -107,6 +109,19 @@ echo "$out" | grep -q '"servers":\[\]'
 "$bin" request --wizard "$addr" --servers 2 --req 'host_cpu_free > 0.9' --json \
   | grep -q '192.168.3.10:1200'
 
+echo "== a requirement longer than 4 KiB is read to its last statement =="
+# Every statement passes every host but the last, which no host passes; the
+# first 4096 bytes of the datagram end right before it.
+{
+  printf '#%s\n' "$(head -c 286 /dev/zero | tr '\0' x)"
+  for _ in $(seq 1 200); do echo 'host_cpu_free >= 0'; done
+  echo 'host_cpu_free > 2'
+} >"$longreq"
+[ "$(wc -c <"$longreq")" -gt 4096 ] || { echo "the requirement is not over 4 KiB"; exit 1; }
+out="$("$bin" request --wizard "$addr" --servers 2 --file "$longreq" --json)"
+echo "$out"
+echo "$out" | grep -q '"servers":\[\]' || { echo "a host was offered"; exit 1; }
+
 echo "== a request to a closed port gives up within its budget =="
 # --retries 0 is one attempt: one --timeout-ms wait, then a non-zero exit.
 # The hard cap is 2x the timeout (the bounded wait, end to end).
@@ -122,7 +137,7 @@ exec 3>&-
 wait "$wizpid"
 rm -f "$fifo"
 grep "ingested 10 reports" "$wizlog"
-grep "served 5 requests" "$wizlog"
+grep "served 6 requests" "$wizlog"
 
 echo "== live trace is readable by the telemetry CLI =="
 sout="$(cargo run -q -p smartsock-telemetry -- summary "$trace")"

@@ -10,9 +10,10 @@
 //!     to PATH as they happen (tail with `telemetry tail --follow`).
 //!
 //! smartsockd stats --wizard 127.0.0.1:1120 [--timeout-ms N] [--retries N] [--json]
-//!     Query a running daemon for its live telemetry snapshot: rollup
-//!     counters per host/subnet, histogram quantiles, dropped-record
-//!     count — without stopping the daemon.
+//!     Query a running daemon for its live telemetry snapshot without
+//!     stopping it: the counter, gauge and histogram summary lines its
+//!     trace will end with, as they stand. Printed as a table, or with
+//!     --json verbatim, one JSON object per line.
 //!
 //! smartsockd probe --wizard 127.0.0.1:1120 --host helene --ip 192.168.3.10 \
 //!                  [--proc-root /proc] [--iface eth0] \
@@ -40,6 +41,7 @@ use std::time::Duration;
 use smartsock_live::{live_request, query_stats, send_live_report, Clock, LiveProbe, LiveWizard};
 use smartsock_probe::ProbeIdentity;
 use smartsock_proto::{Ip, RequestOption, ServerStatusReport, ServiceMask, UserRequest};
+use smartsock_telemetry::json::{self, Value};
 use smartsock_wizard::SelectPolicy;
 
 fn main() -> ExitCode {
@@ -157,56 +159,34 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let retries: u32 = flags.get_parsed("retries", 2u32)?;
     let seq = std::process::id() ^ 0x57a7_0000;
     let reply = query_stats(wizard, seq, timeout, retries).map_err(|e| e.to_string())?;
+    if reply.truncated {
+        eprintln!("warning: lines past one datagram were cut");
+    }
     if flags.has("json") {
-        let mut counts = String::new();
-        for (i, c) in reply.counts.iter().enumerate() {
-            if i > 0 {
-                counts.push(',');
-            }
-            counts.push_str(&format!(
-                "{{\"scope\":\"{}\",\"name\":\"{}\",\"value\":{}}}",
-                c.scope, c.name, c.value
-            ));
-        }
-        let mut hists = String::new();
-        for (i, h) in reply.hists.iter().enumerate() {
-            if i > 0 {
-                hists.push(',');
-            }
-            hists.push_str(&format!(
-                "{{\"scope\":\"{}\",\"name\":\"{}\",\"count\":{},\
-                 \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-                h.scope, h.name, h.count, h.p50_ns, h.p95_ns, h.p99_ns
-            ));
-        }
-        println!(
-            "{{\"now_ns\":{},\"records\":{},\"dropped\":{},\"truncated\":{},\
-             \"counts\":[{counts}],\"hists\":[{hists}]}}",
-            reply.now_ns, reply.records, reply.dropped, reply.truncated
-        );
+        print!("{}", reply.lines);
         return Ok(());
     }
-    println!(
-        "snapshot at {} ns: {} records, {} dropped",
-        reply.now_ns, reply.records, reply.dropped
-    );
-    if reply.truncated {
-        println!("(rows truncated to fit one datagram)");
-    }
-    println!("{:<28} {:<32} {:>12}", "scope", "name", "value");
-    for c in &reply.counts {
-        println!("{:<28} {:<32} {:>12}", c.scope, c.name, c.value);
-    }
-    if !reply.hists.is_empty() {
-        println!(
-            "{:<28} {:<32} {:>8} {:>12} {:>12} {:>12}",
-            "scope", "name", "count", "p50-ns", "p95-ns", "p99-ns"
-        );
-        for h in &reply.hists {
-            println!(
-                "{:<28} {:<32} {:>8} {:>12} {:>12} {:>12}",
-                h.scope, h.name, h.count, h.p50_ns, h.p95_ns, h.p99_ns
-            );
+    println!("snapshot at {} ns", reply.now_ns);
+    println!("{:<8} {:<40} {:>12}", "kind", "name", "value");
+    for line in reply.lines.lines() {
+        let Some(v) = json::parse(line) else { continue };
+        let field = |key: &str| match v.get(key) {
+            Some(Value::Num(n)) => n.clone(),
+            Some(Value::Str(s)) => s.clone(),
+            _ => "-".to_owned(),
+        };
+        let kind = field("t");
+        match kind.as_str() {
+            "hist" => println!(
+                "{kind:<8} {:<40} {:>12} p50 {} p95 {} p99 {} ns",
+                field("name"),
+                field("count"),
+                field("p50"),
+                field("p95"),
+                field("p99")
+            ),
+            "sink" => println!("{kind:<8} {:<40} {:>12} dropped", field("kind"), field("dropped")),
+            _ => println!("{kind:<8} {:<40} {:>12}", field("name"), field("value")),
         }
     }
     Ok(())

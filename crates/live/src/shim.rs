@@ -14,6 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
+use crate::wizard::MAX_DATAGRAM;
+
 /// Deterministic loss budgets, counted per direction from shim start.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShimPolicy {
@@ -112,7 +114,7 @@ fn relay(
     policy: ShimPolicy,
     shared: &Shared,
 ) -> io::Result<()> {
-    let mut buf = [0u8; 4096];
+    let mut buf = vec![0u8; MAX_DATAGRAM];
     let mut client: Option<SocketAddr> = None;
     let mut requests_to_drop = policy.drop_requests;
     let mut replies_to_drop = policy.drop_replies;

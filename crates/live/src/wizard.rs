@@ -4,13 +4,15 @@
 //! simulated daemon also drives — and the [`Telemetry`] the engine
 //! records into, so `telemetry summary` reads a live trace exactly like a
 //! simulated one. What is left here is what only a real daemon has: the
-//! socket, the clock, the heartbeat and the stats side channel.
+//! socket, the clock, the heartbeat and the stats side channel, whose
+//! reply is the summary lines the trace will end with, as they stand.
 //!
 //! The receive loop blocks in `recv_from` with **no read timeout**: a
 //! stopped daemon is woken by one empty datagram to its own port (the
 //! classic self-pipe trick, in UDP), so shutdown is prompt and the idle
 //! daemon costs zero CPU.
 
+use std::fs::File;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::Path;
@@ -18,9 +20,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use smartsock_proto::{OutcomeReport, StatsCount, StatsHist, StatsReply, StatsRequest};
+use smartsock_proto::{OutcomeReport, StatsReply, StatsRequest};
 use smartsock_sim::SimTime;
-use smartsock_telemetry::{AccumSink, RollupSink, Sink, StreamSink, TeeSink, Telemetry};
+use smartsock_telemetry::{AccumSink, Sink, StreamSink, Telemetry};
 use smartsock_wizard::{Ingest, SelectPolicy, WizardEngine};
 
 use crate::clock::Clock;
@@ -36,6 +38,11 @@ const HEARTBEAT_INTERVAL_NS: u64 = 5_000_000_000;
 
 /// Line-buffer capacity of the streaming trace sink (bytes).
 const STREAM_CAP: usize = 4096;
+
+/// Receive buffer size: 64 KiB holds the largest UDP payload, so no
+/// datagram is cut. A request's requirement is the rest of its datagram;
+/// a cut one would be answered as if it ended at the cut.
+pub(crate) const MAX_DATAGRAM: usize = 65_536;
 
 /// What a stopped daemon hands back.
 #[derive(Clone, Debug)]
@@ -56,11 +63,6 @@ pub struct WizardStats {
     pub trace_jsonl: String,
 }
 
-/// Deferred sink construction: built on the daemon thread because sinks
-/// (telemetry is single-threaded by design) are not `Send`, while the
-/// pieces a factory captures — a `File`, a policy — are.
-type SinkFactory = Box<dyn FnOnce() -> Box<dyn Sink> + Send>;
-
 /// A monitor+wizard daemon on a background thread.
 pub struct LiveWizard {
     addr: SocketAddr,
@@ -79,50 +81,32 @@ impl LiveWizard {
     /// clock. A [`Clock::manual`] here lets tests replay time-dependent
     /// scenarios deterministically.
     ///
-    /// The default sink tees an accumulator (the full trace returned by
-    /// [`LiveWizard::shutdown`]) with a rollup, so a running daemon can
-    /// answer `smartsockd stats` snapshots at any time.
+    /// The trace accumulates in memory and is returned by
+    /// [`LiveWizard::shutdown`].
     pub fn spawn_with(addr: &str, policy: SelectPolicy, clock: Clock) -> io::Result<LiveWizard> {
-        Self::spawn_sink(
-            addr,
-            policy,
-            clock,
-            Box::new(|| {
-                Box::new(TeeSink::new(Box::new(AccumSink::new()), Box::new(RollupSink::new())))
-            }),
-        )
+        Self::spawn_sink(addr, policy, clock, None)
     }
 
     /// Like [`LiveWizard::spawn_with`], but stream the trace to `trace`
     /// incrementally instead of accumulating it: records hit the file as
     /// they happen (backpressure policy: a failed write drops records and
-    /// counts them, never blocking the serve loop). The rollup side stays,
-    /// so live stats queries still work.
+    /// counts them, never blocking the serve loop). Live stats queries
+    /// read the summary lines, which stay in memory either way.
     pub fn spawn_streaming(
         addr: &str,
         policy: SelectPolicy,
         clock: Clock,
         trace: &Path,
     ) -> io::Result<LiveWizard> {
-        let file = std::fs::File::create(trace)?;
-        Self::spawn_sink(
-            addr,
-            policy,
-            clock,
-            Box::new(move || {
-                Box::new(TeeSink::new(
-                    Box::new(StreamSink::new(Box::new(file), STREAM_CAP)),
-                    Box::new(RollupSink::new()),
-                ))
-            }),
-        )
+        // Created here, so a bad path fails the caller, not the daemon.
+        Self::spawn_sink(addr, policy, clock, Some(File::create(trace)?))
     }
 
     fn spawn_sink(
         addr: &str,
         policy: SelectPolicy,
         clock: Clock,
-        make_sink: SinkFactory,
+        trace: Option<File>,
     ) -> io::Result<LiveWizard> {
         let sock = UdpSocket::bind(addr)?;
         let addr = sock.local_addr()?;
@@ -132,7 +116,7 @@ impl LiveWizard {
         let engine = WizardEngine::new(ip, policy);
         let shared = Shared::default();
         let theirs = shared.clone();
-        let handle = std::thread::spawn(move || serve(sock, engine, clock, theirs, make_sink));
+        let handle = std::thread::spawn(move || serve(sock, engine, clock, theirs, trace));
         Ok(LiveWizard { addr, shared, handle: Some(handle) })
     }
 
@@ -199,13 +183,18 @@ fn serve(
     mut engine: WizardEngine,
     clock: Clock,
     shared: Shared,
-    make_sink: SinkFactory,
+    trace: Option<File>,
 ) -> io::Result<WizardStats> {
     // Telemetry is single-owner by design (the sim hangs it on the
     // scheduler); here the daemon thread owns it and exports at shutdown.
-    let mut tel = Telemetry::with_sink(make_sink());
+    // Sinks are not `Send`, so it is built here, on the thread.
+    let sink: Box<dyn Sink> = match trace {
+        Some(file) => Box::new(StreamSink::new(Box::new(file), STREAM_CAP)),
+        None => Box::new(AccumSink::new()),
+    };
+    let mut tel = Telemetry::with_sink(sink);
     let host = engine.endpoint().ip.to_string();
-    let mut buf = [0u8; 4096];
+    let mut buf = vec![0u8; MAX_DATAGRAM];
     let mut last_heartbeat: Option<u64> = None;
     loop {
         let (n, from) = match sock.recv_from(&mut buf) {
@@ -248,11 +237,13 @@ fn serve(
         }
         // `smartsockd stats` snapshot query: answered out-of-band, before
         // the engine ever sees the payload, so a monitoring poller cannot
-        // perturb protocol handling.
+        // perturb protocol handling. The reply is the trace's own summary
+        // lines, this poll already counted in them.
         if payload.starts_with(StatsRequest::ASCII_MAGIC.as_bytes()) {
             tel.counter_incr("wizard-stats-requests");
             if let Ok(q) = StatsRequest::decode(payload) {
-                let reply = stats_snapshot(&tel, q.seq, now);
+                let lines = tel.summary_tail();
+                let reply = StatsReply { seq: q.seq, now_ns: now, truncated: false, lines };
                 let _ = sock.send_to(&reply.encode(), from);
             }
             continue;
@@ -313,42 +304,4 @@ fn heartbeat(tel: &mut Telemetry, host: &str, shared: &Shared) {
             i64::try_from(s.mem.total).unwrap_or(i64::MAX),
         );
     }
-}
-
-/// Build the `smartsockd stats` reply: process-wide counters under the
-/// `daemon` scope, then the rollup's per-host/per-subnet counters and
-/// histogram summaries. Sorted-map iteration keeps row order stable, so
-/// truncation (if the frame would overflow a datagram) cuts the tail
-/// deterministically.
-fn stats_snapshot(tel: &Telemetry, seq: u32, now_ns: u64) -> StatsReply {
-    let mut counts = Vec::new();
-    {
-        let counters = tel.shared_counters();
-        for (name, value) in counters.borrow().iter() {
-            counts.push(StatsCount {
-                scope: "daemon".to_owned(),
-                name: name.clone(),
-                value: *value,
-            });
-        }
-    }
-    let mut hists = Vec::new();
-    let mut records = 0;
-    if let Some(r) = tel.rollup() {
-        records = r.records();
-        for (scope, name, value) in r.counts() {
-            counts.push(StatsCount { scope: scope.to_owned(), name: name.to_owned(), value });
-        }
-        for (scope, name, s) in r.hists() {
-            hists.push(StatsHist {
-                scope: scope.to_owned(),
-                name: name.to_owned(),
-                count: s.count,
-                p50_ns: s.p50,
-                p95_ns: s.p95,
-                p99_ns: s.p99,
-            });
-        }
-    }
-    StatsReply { seq, now_ns, records, dropped: tel.dropped(), truncated: false, counts, hists }
 }

@@ -108,6 +108,17 @@ fn live_trace_carries_simulator_telemetry_names() {
     }
 }
 
+/// The summary lines a trace ends with: every line but its records.
+fn summary_lines(trace: &str) -> String {
+    let record = |l: &str| l.starts_with(r#"{"t":"span-"#) || l.starts_with(r#"{"t":"event""#);
+    trace.lines().filter(|l| !record(l)).map(|l| format!("{l}\n")).collect()
+}
+
+/// Whether any of `lines` starts with `prefix`.
+fn has_line(lines: &str, prefix: &str) -> bool {
+    lines.lines().any(|l| l.starts_with(prefix))
+}
+
 #[test]
 fn stats_query_snapshots_a_running_daemon() {
     let wiz = LiveWizard::spawn().unwrap();
@@ -116,35 +127,52 @@ fn stats_query_snapshots_a_running_daemon() {
     let _ = live_request(wiz.addr(), &req(9, 1, ""), Duration::from_millis(500), 3).unwrap();
 
     let snap = query_stats(wiz.addr(), 0x51a7, Duration::from_millis(500), 3).unwrap();
-    assert_eq!(snap.dropped, 0);
-    let count = |scope: &str, name: &str| {
-        snap.counts
-            .iter()
-            .find(|c| c.scope == scope && c.name == name)
-            .map(|c| c.value)
-            .unwrap_or_else(|| panic!("snapshot missing {scope}/{name}: {:?}", snap.counts))
-    };
-    assert_eq!(count("daemon", "sysmon-reports"), 1);
-    assert_eq!(count("daemon", "wizard-replies"), 1);
-    // The daemon's rollup scopes its own spans by its bind host.
-    assert_eq!(count("host/127.0.0.1", "wizard-match"), 1);
+    assert!(!snap.truncated);
+    let counters = Trace::parse(&snap.lines).counters;
+    assert_eq!(counters.get("sysmon-reports"), Some(&1), "{}", snap.lines);
+    assert_eq!(counters.get("wizard-replies"), Some(&1), "{}", snap.lines);
     assert!(
-        snap.hists.iter().any(|h| h.name == "wizard-match" && h.count >= 1),
-        "rollup histogram rows missing: {:?}",
-        snap.hists
+        has_line(&snap.lines, r#"{"t":"hist","name":"wizard-match","count":1,"#),
+        "match histogram missing:\n{}",
+        snap.lines
     );
-    // The query itself is counted — visible in the *next* snapshot.
+    // The query itself is counted, in its own snapshot and every later one.
+    assert!(counters["wizard-stats-requests"] >= 1);
     let again = query_stats(wiz.addr(), 0x51a8, Duration::from_millis(500), 3).unwrap();
-    assert!(
-        again.counts.iter().any(|c| c.name == "wizard-stats-requests" && c.value >= 1),
-        "stats requests not counted: {:?}",
-        again.counts
-    );
+    assert!(Trace::parse(&again.lines).counters["wizard-stats-requests"] >= 2);
 
     // Heartbeat: the first inbound datagram carries the daemon's first
     // self-report, so the shutdown trace records it.
     let trace = wiz.shutdown().unwrap().trace_jsonl;
     assert!(trace.contains("daemon-heartbeat"), "no heartbeat in trace:\n{trace}");
+}
+
+#[test]
+fn a_stats_reply_is_the_summary_its_trace_ends_with() {
+    let wiz =
+        LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), Clock::manual().0).unwrap();
+    subnet_reports(&wiz, 9, 0.95);
+    let ask = req(1, 5, "host_cpu_free > 0.9\n");
+    let reply = live_request(wiz.addr(), &ask, Duration::from_millis(500), 3).unwrap();
+    assert_eq!(reply.servers.len(), 5);
+    // One send per poll: a retransmitted one would reach the daemon after
+    // the snapshot was taken.
+    let poll = |seq| query_stats(wiz.addr(), seq, Duration::from_secs(5), 0).unwrap();
+    let first = poll(1);
+    let second = poll(2);
+    assert_ne!(first.lines, second.lines, "a poll counts itself");
+    assert!(!second.truncated);
+    for prefix in [
+        r#"{"t":"hist","name":"wizard-match","#,
+        r#"{"t":"counter","name":"wizard-stats-requests","value":2}"#,
+        r#"{"t":"gauge","name":"daemon-"#,
+    ] {
+        assert!(has_line(&second.lines, prefix), "no {prefix} line in:\n{}", second.lines);
+    }
+    // Nothing reaches the daemon after the second poll but the shutdown
+    // wake-up, which records nothing: the trace ends with the same bytes.
+    let trace = wiz.shutdown().unwrap().trace_jsonl;
+    assert_eq!(second.lines, summary_lines(&trace));
 }
 
 #[test]
@@ -157,9 +185,9 @@ fn streaming_wizard_writes_the_trace_incrementally() {
             .unwrap();
     send_live_report(wiz.addr(), &report("idle1", 1, 0.97)).unwrap();
     wait_for_reports(&wiz, 1);
-    // Live stats still work in stream mode (the rollup side of the tee).
+    // Live stats still work in stream mode: the summary stays in memory.
     let snap = query_stats(wiz.addr(), 0x51a9, Duration::from_millis(500), 3).unwrap();
-    assert!(snap.counts.iter().any(|c| c.name == "sysmon-reports"));
+    assert_eq!(Trace::parse(&snap.lines).counters.get("sysmon-reports"), Some(&1));
     let stats = wiz.shutdown().unwrap();
     assert_eq!(stats.dropped, 0);
     let streamed = std::fs::read_to_string(&path).unwrap();
@@ -428,7 +456,6 @@ fn a_maximally_nested_requirement_gets_an_empty_reply_and_the_daemon_lives() {
     let nested = format!("{}1{} > 0\n", "(".repeat(2040), ")".repeat(2040));
     let chain = format!("1{} > 0\n", "+1".repeat(2039));
     for (seq, hostile) in [(1, nested), (2, chain)] {
-        assert!(hostile.len() <= 4096, "fits one request datagram");
         let reply = live_request(wiz.addr(), &req(seq, 1, &hostile), Duration::from_millis(500), 3)
             .unwrap();
         assert!(reply.servers.is_empty());
@@ -444,6 +471,28 @@ fn a_maximally_nested_requirement_gets_an_empty_reply_and_the_daemon_lives() {
     assert_eq!(reply.servers.len(), 1);
     let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
     assert_eq!(trace.counters.get("wizard-requests"), Some(&3));
+}
+
+#[test]
+fn a_requirement_longer_than_4_kib_is_read_to_its_end() {
+    // Regression: the daemon and the shim received into 4 KiB. A request's
+    // requirement is the rest of its datagram, so a longer one was cut
+    // silently — here right after a statement, which left a requirement
+    // every host passes, and the daemon offered a host.
+    let wiz = LiveWizard::spawn().unwrap();
+    send_live_report(wiz.addr(), &report("idle1", 1, 0.97)).unwrap();
+    wait_for_reports(&wiz, 1);
+    let long =
+        format!("#{}\n{}host_cpu_free > 2\n", "x".repeat(286), "host_cpu_free >= 0\n".repeat(200));
+    let wire = req(1, 1, &long).encode();
+    assert!(wire.len() > 4096 && wire[4095] == b'\n', "the first 4 KiB end on a statement");
+    let shim = FaultShim::spawn(wiz.addr(), ShimPolicy::transparent()).unwrap();
+    for (seq, to) in [(1, wiz.addr()), (2, shim.addr())] {
+        let reply = live_request(to, &req(seq, 1, &long), Duration::from_millis(500), 3).unwrap();
+        assert!(reply.servers.is_empty(), "the last statement disqualifies every host: {reply:?}");
+    }
+    shim.shutdown().unwrap();
+    assert_eq!(wiz.shutdown().unwrap().served, 2);
 }
 
 #[test]

@@ -42,7 +42,7 @@ pub use outcome::{OutcomeKind, OutcomeReport};
 pub use request::{ReplyStatus, RequestOption, UserRequest, WizardReply, MAX_SERVERS_PER_REPLY};
 pub use security::SecurityRecord;
 pub use services::ServiceMask;
-pub use stats::{StatsCount, StatsHist, StatsReply, StatsRequest};
+pub use stats::{StatsReply, StatsRequest};
 pub use status::ServerStatusReport;
 pub use transport::{Transport, TransportError};
 

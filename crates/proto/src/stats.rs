@@ -1,26 +1,22 @@
 //! Live daemon stats query: `smartsockd stats` on the wire.
 //!
-//! A running daemon (wizard today; any component that keeps a telemetry
-//! [`Rollup`](../../smartsock_telemetry/sink/struct.Rollup.html) tomorrow)
-//! answers an out-of-band snapshot query over the same UDP socket it
-//! serves on. The exchange is one datagram each way:
+//! A running daemon answers an out-of-band snapshot query over the same
+//! UDP socket it serves on. The exchange is one datagram each way:
 //!
 //! ```text
 //! request:  "SSQ1" | seq:u32
-//! reply:    "SSA1" | seq:u32 | now_ns:u64 | records:u64 | dropped:u64
-//!           | truncated:u8 | count_rows:u16 | rows...
-//!           | hist_rows:u16 | rows...
-//! count row: scope_len:u16 | scope | name_len:u16 | name | value:u64
-//! hist row:  scope_len:u16 | scope | name_len:u16 | name
-//!            | count:u64 | p50:u64 | p95:u64 | p99:u64
+//! reply:    "SSA1" | seq:u32 | now_ns:u64 | truncated:u8 | lines
 //! ```
 //!
-//! All integers little-endian, matching every other smartsock frame. The
-//! reply must fit one UDP datagram, so the encoder stops adding rows once
-//! [`StatsReply::SOFT_LIMIT`] bytes are reached and sets `truncated` —
-//! the receiver sees a complete, decodable frame either way and knows
-//! whether rows were cut. Requests are matched to replies by the echoed
-//! client-chosen `seq`, same as the wizard request path.
+//! All integers little-endian, matching every other smartsock frame.
+//! `lines` are the daemon's telemetry summary lines — the `sink` trailer
+//! when records were dropped, then the `counter`, `gauge` and `hist`
+//! lines — exactly as its trace ends with them, so a snapshot needs no
+//! schema of its own: whatever reads a trace reads a snapshot. The reply
+//! must fit one UDP datagram, so the encoder keeps the whole lines that
+//! fit in [`StatsReply::SOFT_LIMIT`] bytes and sets `truncated` when it
+//! cut any. Requests are matched to replies by the echoed client-chosen
+//! `seq`, same as the wizard request path.
 
 use bytes::{Buf, BufMut, BytesMut};
 
@@ -62,25 +58,6 @@ impl StatsRequest {
     }
 }
 
-/// One `(scope, name, value)` counter row of a snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatsCount {
-    pub scope: String,
-    pub name: String,
-    pub value: u64,
-}
-
-/// One `(scope, name)` histogram summary row of a snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StatsHist {
-    pub scope: String,
-    pub name: String,
-    pub count: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-}
-
 /// The daemon's snapshot reply.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsReply {
@@ -88,103 +65,45 @@ pub struct StatsReply {
     pub seq: u32,
     /// The daemon's clock when the snapshot was taken.
     pub now_ns: u64,
-    /// Total records folded into the daemon's rollup so far.
-    pub records: u64,
-    /// Records dropped by the daemon's sink backpressure policy.
-    pub dropped: u64,
-    /// Whether rows were cut to honor the datagram size cap.
+    /// Whether lines were cut to honor the datagram size cap.
     pub truncated: bool,
-    pub counts: Vec<StatsCount>,
-    pub hists: Vec<StatsHist>,
+    /// The daemon's summary lines, each ending in `\n`.
+    pub lines: String,
 }
 
 impl StatsReply {
     /// First bytes of every stats reply.
     pub const ASCII_MAGIC: &'static str = "SSA1";
 
-    /// Encoded-size ceiling: the encoder stops adding rows (and flags
-    /// `truncated`) once the frame would pass this, keeping the reply a
-    /// single safe UDP datagram well under one MTU-and-a-bit.
+    /// Encoded-size ceiling: the encoder keeps only the lines that fit
+    /// (and flags `truncated`), keeping the reply a single safe UDP
+    /// datagram well under one MTU-and-a-bit.
     pub const SOFT_LIMIT: usize = 4000;
 
-    fn put_str(out: &mut BytesMut, s: &str) {
-        let len =
-            u16::try_from(s.len().min(u16::MAX as usize)).expect("invariant: clamped to u16::MAX");
-        out.put_u16_le(len);
-        out.put_slice(&s.as_bytes()[..len as usize]);
-    }
+    /// Magic, `seq`, `now_ns` and the truncated flag.
+    const HEADER: usize = 17;
 
-    fn get_str(buf: &mut &[u8]) -> Result<String, ProtoError> {
-        if buf.remaining() < 2 {
-            return Err(ProtoError::Truncated { expected: 2, got: buf.remaining() });
-        }
-        let len = buf.get_u16_le() as usize;
-        if buf.remaining() < len {
-            return Err(ProtoError::Truncated { expected: len, got: buf.remaining() });
-        }
-        let s = std::str::from_utf8(&buf[..len])
-            .map_err(|_| ProtoError::Malformed("stats string is not UTF-8".into()))?
-            .to_owned();
-        buf.advance(len);
-        Ok(s)
-    }
-
-    /// Encode, cutting rows (counts first fill, then hists) at the
-    /// [`Self::SOFT_LIMIT`] and setting the truncated flag if anything
-    /// was dropped. Row order is preserved, so senders should pass rows
-    /// most-important-first (sorted maps already give a stable order).
+    /// Encode, cutting after the last whole line that keeps the frame
+    /// within [`Self::SOFT_LIMIT`] and setting the truncated flag if
+    /// anything was cut. Lines keep their order, so the cut drops the
+    /// tail.
     pub fn encode(&self) -> BytesMut {
-        let mut out = BytesMut::with_capacity(64);
+        let lines = self.lines.as_bytes();
+        let window = &lines[..lines.len().min(Self::SOFT_LIMIT - Self::HEADER)];
+        let kept = window.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let mut out = BytesMut::with_capacity(Self::HEADER + kept);
         out.put_slice(Self::ASCII_MAGIC.as_bytes());
         out.put_u32_le(self.seq);
         out.put_u64_le(self.now_ns);
-        out.put_u64_le(self.records);
-        out.put_u64_le(self.dropped);
-        let truncated_at = out.len();
-        out.put_u8(0); // patched below
-        let mut truncated = self.truncated;
-
-        let counts_at = out.len();
-        out.put_u16_le(0); // patched below
-        let mut count_rows = 0u16;
-        for c in &self.counts {
-            let need = 2 + c.scope.len() + 2 + c.name.len() + 8;
-            if out.len() + need > Self::SOFT_LIMIT || count_rows == u16::MAX {
-                truncated = true;
-                break;
-            }
-            Self::put_str(&mut out, &c.scope);
-            Self::put_str(&mut out, &c.name);
-            out.put_u64_le(c.value);
-            count_rows += 1;
-        }
-        out[counts_at..counts_at + 2].copy_from_slice(&count_rows.to_le_bytes());
-
-        let hists_at = out.len();
-        out.put_u16_le(0); // patched below
-        let mut hist_rows = 0u16;
-        for h in &self.hists {
-            let need = 2 + h.scope.len() + 2 + h.name.len() + 32;
-            if out.len() + need > Self::SOFT_LIMIT || hist_rows == u16::MAX {
-                truncated = true;
-                break;
-            }
-            Self::put_str(&mut out, &h.scope);
-            Self::put_str(&mut out, &h.name);
-            out.put_u64_le(h.count);
-            out.put_u64_le(h.p50_ns);
-            out.put_u64_le(h.p95_ns);
-            out.put_u64_le(h.p99_ns);
-            hist_rows += 1;
-        }
-        out[hists_at..hists_at + 2].copy_from_slice(&hist_rows.to_le_bytes());
-        out[truncated_at] = u8::from(truncated);
+        out.put_u8(u8::from(self.truncated || kept < lines.len()));
+        out.put_slice(&lines[..kept]);
         out
     }
 
+    // analyze: allow(SS-PROTO-002): the lines are the unconsumed remainder, read via from_utf8 rather than a Buf op — both sides agree on [bytes, u32, u64, u8, bytes]
     pub fn decode(mut buf: &[u8]) -> Result<Self, ProtoError> {
-        if buf.remaining() < 35 {
-            return Err(ProtoError::Truncated { expected: 35, got: buf.remaining() });
+        if buf.remaining() < Self::HEADER {
+            return Err(ProtoError::Truncated { expected: Self::HEADER, got: buf.remaining() });
         }
         let mut magic = [0u8; 4];
         buf.copy_to_slice(&mut magic);
@@ -193,8 +112,6 @@ impl StatsReply {
         }
         let seq = buf.get_u32_le();
         let now_ns = buf.get_u64_le();
-        let records = buf.get_u64_le();
-        let dropped = buf.get_u64_le();
         let truncated = match buf.get_u8() {
             0 => false,
             1 => true,
@@ -202,43 +119,12 @@ impl StatsReply {
                 return Err(ProtoError::Malformed(format!("bad truncated flag {other}")));
             }
         };
-        if buf.remaining() < 2 {
-            return Err(ProtoError::Truncated { expected: 2, got: buf.remaining() });
+        let lines = std::str::from_utf8(buf)
+            .map_err(|_| ProtoError::Malformed("stats lines are not UTF-8".into()))?;
+        if !lines.is_empty() && !lines.ends_with('\n') {
+            return Err(ProtoError::Malformed("trailing bytes after the last stats line".into()));
         }
-        let count_rows = buf.get_u16_le();
-        let mut counts = Vec::with_capacity(count_rows as usize);
-        for _ in 0..count_rows {
-            let scope = Self::get_str(&mut buf)?;
-            let name = Self::get_str(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(ProtoError::Truncated { expected: 8, got: buf.remaining() });
-            }
-            counts.push(StatsCount { scope, name, value: buf.get_u64_le() });
-        }
-        if buf.remaining() < 2 {
-            return Err(ProtoError::Truncated { expected: 2, got: buf.remaining() });
-        }
-        let hist_rows = buf.get_u16_le();
-        let mut hists = Vec::with_capacity(hist_rows as usize);
-        for _ in 0..hist_rows {
-            let scope = Self::get_str(&mut buf)?;
-            let name = Self::get_str(&mut buf)?;
-            if buf.remaining() < 32 {
-                return Err(ProtoError::Truncated { expected: 32, got: buf.remaining() });
-            }
-            hists.push(StatsHist {
-                scope,
-                name,
-                count: buf.get_u64_le(),
-                p50_ns: buf.get_u64_le(),
-                p95_ns: buf.get_u64_le(),
-                p99_ns: buf.get_u64_le(),
-            });
-        }
-        if buf.has_remaining() {
-            return Err(ProtoError::Malformed("trailing bytes after stats reply".into()));
-        }
-        Ok(StatsReply { seq, now_ns, records, dropped, truncated, counts, hists })
+        Ok(StatsReply { seq, now_ns, truncated, lines: lines.to_owned() })
     }
 }
 
@@ -250,29 +136,14 @@ mod tests {
         StatsReply {
             seq: 0xfeed_f00d,
             now_ns: 123_456_789,
-            records: 42,
-            dropped: 0,
             truncated: false,
-            counts: vec![
-                StatsCount {
-                    scope: "daemon".to_owned(),
-                    name: "wizard-requests".to_owned(),
-                    value: 17,
-                },
-                StatsCount {
-                    scope: "host/10.0.1.5".to_owned(),
-                    name: "wizard-match".to_owned(),
-                    value: 17,
-                },
-            ],
-            hists: vec![StatsHist {
-                scope: "host/10.0.1.5".to_owned(),
-                name: "wizard-match".to_owned(),
-                count: 17,
-                p50_ns: 1_000,
-                p95_ns: 9_000,
-                p99_ns: 12_000,
-            }],
+            lines: concat!(
+                "{\"t\":\"counter\",\"name\":\"wizard-requests\",\"value\":17}\n",
+                "{\"t\":\"gauge\",\"name\":\"daemon-load1-centi/10.0.1.5\",\"value\":12}\n",
+                "{\"t\":\"hist\",\"name\":\"wizard-match\",\"count\":17,\"sum\":9000,",
+                "\"min\":100,\"max\":1000,\"p50\":500,\"p95\":900,\"p99\":1000}\n",
+            )
+            .to_owned(),
         }
     }
 
@@ -296,6 +167,7 @@ mod tests {
         let reply = sample_reply();
         let wire = reply.encode();
         assert!(wire.starts_with(StatsReply::ASCII_MAGIC.as_bytes()));
+        assert_eq!(&wire[StatsReply::HEADER..], reply.lines.as_bytes(), "lines travel verbatim");
         assert_eq!(StatsReply::decode(&wire).unwrap(), reply);
     }
 
@@ -308,39 +180,42 @@ mod tests {
     #[test]
     fn reply_decode_rejects_damage() {
         let wire = sample_reply().encode();
-        assert!(StatsReply::decode(&wire[..20]).is_err());
+        assert!(StatsReply::decode(&wire[..StatsReply::HEADER - 1]).is_err());
         let mut bad = wire.clone();
         bad[0] = b'X';
         assert!(StatsReply::decode(&bad).is_err());
+        let mut flag = wire.clone();
+        flag[StatsReply::HEADER - 1] = 2;
+        assert!(StatsReply::decode(&flag).is_err());
+        // Bytes after the last newline are a partial line: never sent.
         let mut trailing = wire.clone();
-        trailing.put_u8(7);
+        trailing.put_u8(b'{');
         assert!(StatsReply::decode(&trailing).is_err());
-        // A lying row count must not read past the end.
-        let mut lying = sample_reply();
-        lying.counts.clear();
-        lying.hists.clear();
-        let mut wire = lying.encode();
-        let n = wire.len();
-        wire[n - 4..n - 2].copy_from_slice(&9u16.to_le_bytes());
-        assert!(StatsReply::decode(&wire).is_err());
+        let mut not_utf8 = wire.clone();
+        not_utf8.put_slice(&[0xff, b'\n']);
+        assert!(StatsReply::decode(&not_utf8).is_err());
     }
 
     #[test]
-    fn encode_caps_the_frame_and_flags_truncation() {
+    fn encode_cuts_after_the_last_whole_line_and_flags_truncation() {
+        let line = |i: u32| format!("{{\"t\":\"counter\",\"name\":\"net-udp-datagrams/{i}\"}}\n");
         let mut reply = StatsReply { seq: 2, ..StatsReply::default() };
         for i in 0..500 {
-            reply.counts.push(StatsCount {
-                scope: format!("host/10.0.{}.{}", i / 250, i % 250),
-                name: "net-udp-datagrams".to_owned(),
-                value: i,
-            });
+            reply.lines.push_str(&line(i));
         }
         let wire = reply.encode();
         assert!(wire.len() <= StatsReply::SOFT_LIMIT, "frame over cap: {}", wire.len());
         let back = StatsReply::decode(&wire).unwrap();
-        assert!(back.truncated, "cut rows must be flagged");
-        assert!(!back.counts.is_empty() && back.counts.len() < 500);
-        // Row order preserved: the first rows survive the cut.
-        assert_eq!(back.counts[0], reply.counts[0]);
+        assert!(back.truncated, "cut lines must be flagged");
+        // A prefix of whole lines, and the next one would not have fit.
+        let kept = back.lines.lines().count();
+        assert!(kept > 0 && kept < 500);
+        assert!(reply.lines.starts_with(&back.lines));
+        let next = line(u32::try_from(kept).unwrap());
+        assert!(wire.len() + next.len() > StatsReply::SOFT_LIMIT);
+        // A partial last line is cut too, and says so.
+        let partial = StatsReply { lines: format!("{}{{\"t\"", line(0)), ..StatsReply::default() };
+        let back = StatsReply::decode(&partial.encode()).unwrap();
+        assert_eq!((back.lines, back.truncated), (line(0), true));
     }
 }

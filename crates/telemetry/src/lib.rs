@@ -54,15 +54,9 @@ pub mod trace;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use hist::Histogram;
 pub use sink::{AccumSink, Rollup, RollupSink, SharedBuf, Sink, StreamSink, TeeSink};
-
-/// The counter store. Held behind a shared handle so embedders that need a
-/// second view of the same counters (historically the `sim::Metrics`
-/// facade, now removed) can observe without copying.
-pub type SharedCounters = Rc<RefCell<BTreeMap<String, u64>>>;
 
 /// Identifier of an open (or finished) span.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -109,7 +103,9 @@ pub struct Telemetry {
     next_seq: u64,
     sink: Box<dyn Sink>,
     open: BTreeMap<u64, OpenSpan>,
-    counters: SharedCounters,
+    /// Behind a `RefCell` because the summary tail folds the sink's drop
+    /// total in from `&self`.
+    counters: RefCell<BTreeMap<String, u64>>,
     gauges: BTreeMap<String, i64>,
     hists: BTreeMap<&'static str, Histogram>,
     /// Sink drops already folded into the `telemetry-dropped` counter
@@ -136,7 +132,7 @@ impl Telemetry {
             next_seq: 0,
             sink,
             open: BTreeMap::new(),
-            counters: Rc::new(RefCell::new(BTreeMap::new())),
+            counters: RefCell::new(BTreeMap::new()),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
             dropped_counted: Cell::new(0),
@@ -173,12 +169,6 @@ impl Telemetry {
     /// Current virtual time as raw nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.now_ns
-    }
-
-    /// Handle to the counter store, for embedders that must observe the
-    /// same counters through a second view.
-    pub fn shared_counters(&self) -> SharedCounters {
-        Rc::clone(&self.counters)
     }
 
     // ---- counters -------------------------------------------------------
@@ -398,8 +388,9 @@ impl Telemetry {
     /// `{"t":"sink",...}` trailer (only when records were dropped, so an
     /// untruncated trace keeps its historical bytes), then `counter`,
     /// `gauge` and `hist` lines sorted by name. Folds the sink's drop
-    /// total into the `telemetry-dropped` counter first.
-    fn summary_tail(&self) -> String {
+    /// total into the `telemetry-dropped` counter first. A live daemon
+    /// answers `smartsockd stats` with these lines as they stand.
+    pub fn summary_tail(&self) -> String {
         let dropped = self.sink.dropped();
         if dropped > self.dropped_counted.get() {
             let delta = dropped - self.dropped_counted.get();
@@ -502,16 +493,6 @@ mod tests {
         assert!(a.contains("\"t\":\"span-end\""));
         assert!(a.contains("\"t\":\"hist\""));
         assert!(a.contains("net-link-backlog-ns/l0"));
-    }
-
-    #[test]
-    fn shared_counter_store_is_one_view() {
-        let mut t = Telemetry::new();
-        let shared = t.shared_counters();
-        shared.borrow_mut().insert("legacy.counter".to_owned(), 7);
-        t.counter_add("telemetry-counter", 1);
-        assert_eq!(t.counter("legacy.counter"), 7);
-        assert_eq!(shared.borrow().get("telemetry-counter"), Some(&1));
     }
 
     #[test]

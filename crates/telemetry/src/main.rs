@@ -318,8 +318,7 @@ fn cmd_tail(out: &mut impl Write, args: &[&str]) -> Result<(), CmdError> {
 }
 
 /// `rollup [--json] <trace.jsonl>`: fold the trace's records into
-/// per-host / per-subnet aggregates — the offline twin of the live
-/// `smartsockd stats` snapshot.
+/// per-host / per-subnet aggregates.
 fn cmd_rollup(out: &mut impl Write, path: &str, as_json: bool) -> Result<(), CmdError> {
     let tr = load(path)?;
     let mut rollup = Rollup::default();

@@ -18,11 +18,10 @@
 //!   `{"t":"sink",...}` trailer) and the scheduler never waits.
 //! * [`RollupSink`] — folds records into per-host / per-subnet
 //!   counter+histogram aggregates ([`Rollup`]) instead of per-record
-//!   rows: bounded memory regardless of run length, the pre-work for
-//!   fleet-scale deployments and the payload of the live `smartsockd
-//!   stats` query.
+//!   rows: bounded memory regardless of run length. The `telemetry
+//!   rollup` CLI folds finished traces through the same [`Rollup`].
 //! * [`TeeSink`] — duplicates records into two sinks, e.g. accumulate a
-//!   full trace *and* keep a live rollup queryable while the daemon runs.
+//!   full trace *and* fold a rollup of it.
 //!
 //! ## The byte-identity invariant
 //!
@@ -437,9 +436,8 @@ impl Sink for RollupSink {
     }
 }
 
-/// Duplicate every record into two sinks — e.g. `Tee(Accum, Rollup)` in
-/// the live wizard: the full trace survives for `--trace`, the rollup
-/// answers `smartsockd stats` while the daemon runs.
+/// Duplicate every record into two sinks — e.g. `Tee(Accum, Rollup)`: the
+/// full trace survives for export and the rollup folds it as it goes.
 pub struct TeeSink {
     a: Box<dyn Sink>,
     b: Box<dyn Sink>,

@@ -55,6 +55,7 @@ proptest! {
         let mut t = Telemetry::new();
         let mut now = 0u64;
         let mut open: Vec<SpanId> = Vec::new();
+        let mut want_counters: BTreeMap<String, u64> = BTreeMap::new();
         for (op, a, b) in ops {
             match op {
                 0 => {
@@ -88,8 +89,15 @@ proptest! {
                         attrs.iter().map(|(k, v)| (*k, v.as_str())).collect();
                     t.event(pick(NAMES, a), &wild_string(b), &borrowed);
                 }
-                4 => t.counter_add(pick(NAMES, a), b % 10_000),
-                5 => t.counter_add_labeled(pick(NAMES, a), &wild_string(b), b % 100),
+                4 => {
+                    t.counter_add(pick(NAMES, a), b % 10_000);
+                    *want_counters.entry(pick(NAMES, a).to_owned()).or_default() += b % 10_000;
+                }
+                5 => {
+                    t.counter_add_labeled(pick(NAMES, a), &wild_string(b), b % 100);
+                    let key = format!("{}/{}", pick(NAMES, a), wild_string(b));
+                    *want_counters.entry(key).or_default() += b % 100;
+                }
                 _ => {
                     t.gauge_set(pick(NAMES, a), &wild_string(b), (b % 1000) as i64 - 500);
                     t.observe_ns(pick(NAMES, a), b % 1_000_000_000);
@@ -149,8 +157,6 @@ proptest! {
             prop_assert_eq!(&got.attrs, &want_attrs);
         }
 
-        let want_counters: BTreeMap<String, u64> =
-            t.shared_counters().borrow().iter().map(|(k, v)| (k.clone(), *v)).collect();
         prop_assert_eq!(&tr.counters, &want_counters);
     }
 
