@@ -3,9 +3,9 @@
 //! The thesis evaluates eleven machines; these experiments expand the
 //! generated topologies of `smartsock-hostsim` to 100/1k/10k hosts and
 //! measure what the wizard's sharded, prune-then-descend status database
-//! buys: modeled match cost (`wizard-requirement-eval`), shard prune
-//! ratio, and simulator throughput (events per simulated second — a
-//! deterministic figure, unlike wall-clock).
+//! buys: rows evaluated per request, shard prune ratio, and simulator
+//! throughput (events per simulated second — a deterministic figure,
+//! unlike wall-clock).
 //!
 //! Every run also cross-checks the tentpole invariant in situ: the final
 //! request is answered twice, once through the pruned shard walk and once
@@ -180,11 +180,6 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
 
     let live = engine.live_servers();
     let replies = reply_servers.borrow();
-    let eval = s.telemetry.histogram("wizard-requirement-eval");
-    let eval_mean_us = eval
-        .as_ref()
-        .map(|h| if h.count == 0 { 0.0 } else { h.sum as f64 / h.count as f64 / 1e3 })
-        .unwrap_or(0.0);
     let prune_ratio = if stats.shards_total == 0 {
         0.0
     } else {
@@ -201,11 +196,6 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
         format!("{}/{}", stats.shards_pruned, stats.shards_total)
     ));
     r.row(format!("{:<22} | {:>10}", "rows evaluated", stats.rows_evaluated));
-    r.row(format!(
-        "{:<22} | {:>10}",
-        "match eval mean (us)",
-        colf(eval_mean_us, 1, 10).trim_start()
-    ));
     r.row(format!("{:<22} | {:>10}", "replies", replies.len()));
     r.row(format!(
         "{:<22} | {:>10}",
@@ -220,7 +210,6 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
     r.figure("shards_pruned", stats.shards_pruned as f64);
     r.figure("prune_ratio", prune_ratio);
     r.figure("rows_evaluated", stats.rows_evaluated as f64);
-    r.figure("eval_mean_us", eval_mean_us);
     r.figure("replies", replies.len() as f64);
     r.figure("reply_servers", pruned_reply.len() as f64);
     r.figure("prune_mismatch", 0.0); // asserted above; 0 by construction

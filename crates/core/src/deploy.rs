@@ -8,12 +8,11 @@
 //!   switch and the `dalmatian` gateway's segment;
 //! * a server probe on every machine;
 //! * system + security monitors and the transmitter on the *monitor
-//!   machine* (`dalmatian` by default — the Table 5.2 resource figures
-//!   were measured there);
+//!   machine*, [`MONITOR_MACHINE`] — the Table 5.2 resource figures were
+//!   measured there;
 //! * one network monitor per declared server group (§3.3.3), all writing
 //!   the one `netdb` of the monitor machine;
-//! * the wizard, whose receiver port fills its tables, on the *wizard
-//!   machine*;
+//! * the wizard, whose receiver port fills its tables, on the same machine;
 //! * centralized push or distributed pull between them (§3.5.1).
 //!
 //! Deviation noted in DESIGN.md: the thesis deploys one transmitter per
@@ -39,12 +38,13 @@ use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig, WizardMode};
 
 use crate::client::SmartClient;
 
+/// The machine that runs the monitors, the transmitter and the wizard.
+const MONITOR_MACHINE: &str = "dalmatian";
+
 /// Builds a [`Testbed`].
 pub struct TestbedBuilder {
     seed: u64,
     machines: Vec<MachineSpec>,
-    monitor_machine: String,
-    wizard_machine: String,
     probe_interval: SimDuration,
     distributed: bool,
     /// (monitor-host, members) per server group; hosts outside any group
@@ -62,8 +62,6 @@ impl TestbedBuilder {
         TestbedBuilder {
             seed,
             machines: machine_specs(),
-            monitor_machine: "dalmatian".to_owned(),
-            wizard_machine: "dalmatian".to_owned(),
             probe_interval: SimDuration::from_secs(2),
             distributed: false,
             groups: Vec::new(),
@@ -100,16 +98,6 @@ impl TestbedBuilder {
 
     pub fn probe_interval(mut self, interval: SimDuration) -> TestbedBuilder {
         self.probe_interval = interval;
-        self
-    }
-
-    pub fn monitor_on(mut self, host: &str) -> TestbedBuilder {
-        self.monitor_machine = host.to_owned();
-        self
-    }
-
-    pub fn wizard_on(mut self, host: &str) -> TestbedBuilder {
-        self.wizard_machine = host.to_owned();
         self
     }
 
@@ -166,8 +154,8 @@ impl TestbedBuilder {
                 .unwrap_or_else(|| panic!("unknown machine {name:?}"))
                 .ip
         };
-        let monitor_ip = ip_of(&self.monitor_machine);
-        let wizard_ip = ip_of(&self.wizard_machine);
+        let monitor_ip = ip_of(MONITOR_MACHINE);
+        let wizard_ip = monitor_ip;
 
         // ---- group layout ----
         let mut group_of: BTreeMap<Ip, Ip> = BTreeMap::new();

@@ -282,11 +282,6 @@ impl ReliableServerHandle {
     pub fn endpoint(&self) -> Endpoint {
         self.ep
     }
-
-    /// Next sequence number the server expects (diagnostics).
-    pub fn expected_seq(&self) -> u64 {
-        self.st.borrow().expected
-    }
 }
 
 #[cfg(test)]

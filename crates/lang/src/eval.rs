@@ -14,19 +14,19 @@
 //!   and an uninitialised temp in a logical statement "will be considered
 //!   as a false statement".
 //!
-//! What runs is the requirement's postfix program (`program.rs`, which
-//! says how Fig 4.2's orderings survive the lowering), not its tree: one
-//! loop over the ops, a value stack and a temp-slot array in the frame
-//! (the heap only for a requirement too large for them, or to report an
-//! error), every name resolved when the requirement was compiled. There
-//! is no other evaluator outside the test module, whose tree walk is the
-//! oracle this one is property-tested against.
+//! What runs is the postfix program the parser emitted (`parser.rs` says
+//! how Fig 4.2's orderings survive in it): one loop over the ops, a value
+//! stack and a temp-slot array in the frame (the heap only for a
+//! requirement too large for them, or to report an error), every name
+//! resolved when the requirement was compiled. There is no other
+//! evaluator outside the test module, whose reference interpreter —
+//! evaluating as it parses the tokens, sharing only the lexer and the
+//! variable tables — is the oracle this one is property-tested against.
 
 use std::collections::BTreeMap;
 
-use crate::ast::{Requirement, Stmt};
-use crate::program::{apply, Op, Program};
-use crate::vars::{user_host_polarity, ServerVar, BUILTINS};
+use crate::program::{apply, Op, Program, Requirement};
+use crate::vars::{ServerVar, BUILTINS};
 
 /// Supplies the values of server-side variables for one candidate server.
 ///
@@ -60,9 +60,9 @@ impl VarProvider for MapVars {
     }
 }
 
-/// The preferred/denied host lists extracted from a requirement
-/// (`store_uparams` in Fig 4.2). Order follows statement order; the wizard
-/// gives earlier preferred hosts priority.
+/// The preferred/denied host lists of a requirement (`store_uparams` in
+/// Fig 4.2), collected by the parser. Order follows statement order; the
+/// wizard gives earlier preferred hosts priority.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HostLists {
     pub preferred: Vec<String>,
@@ -70,19 +70,9 @@ pub struct HostLists {
 }
 
 impl HostLists {
-    /// Collect host-list assignments from a compiled requirement.
+    /// The host lists of a compiled requirement.
     pub fn from_requirement(req: &Requirement) -> HostLists {
-        let mut lists = HostLists::default();
-        for stmt in &req.stmts {
-            if let Stmt::HostAssign { param, host } = stmt {
-                match user_host_polarity(param) {
-                    Some(true) => lists.preferred.push(host.clone()),
-                    Some(false) => lists.denied.push(host.clone()),
-                    None => {}
-                }
-            }
-        }
-        lists
+        req.hosts.clone()
     }
 }
 
@@ -142,10 +132,11 @@ pub struct Decision {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Evaluator;
 
-/// Value-stack and temp slots kept in `evaluate`'s frame; the paper's longest
-/// statement lowers to 7 ops, and its requirements use one temp.
-const FRAME_STACK: usize = 16;
-const FRAME_TEMPS: usize = 8;
+/// Value-stack and temp slots kept in `evaluate`'s (and `may_qualify`'s)
+/// frame; the paper's longest statement compiles to 7 ops, and its
+/// requirements use one temp.
+pub(crate) const FRAME_STACK: usize = 16;
+pub(crate) const FRAME_TEMPS: usize = 8;
 
 impl Evaluator {
     /// Run `req` against one server's variables: the interpreter loop.
@@ -164,10 +155,7 @@ impl Evaluator {
         for (slot, (_, shadowed)) in temps.iter_mut().zip(&prog.temps) {
             *slot = *shadowed;
         }
-        let mut start = 0;
-        for &(end, logical) in &prog.stmts {
-            let ops = prog.ops.get(start..end).unwrap_or_default();
-            start = end;
+        for (ops, logical) in prog.statements() {
             // A statement never stacks more values than it has ops.
             let stack = slots(&mut stack, &mut big_stack, ops.len(), 0.0);
             d.statements_total += usize::from(logical);
@@ -190,7 +178,12 @@ impl Evaluator {
 }
 
 /// `n` slots of `fill`: the frame's if it has that many, else the heap's.
-fn slots<'a, T: Copy>(frame: &'a mut [T], heap: &'a mut Vec<T>, n: usize, fill: T) -> &'a mut [T] {
+pub(crate) fn slots<'a, T: Copy>(
+    frame: &'a mut [T],
+    heap: &'a mut Vec<T>,
+    n: usize,
+    fill: T,
+) -> &'a mut [T] {
     if n > frame.len() {
         heap.resize(n, fill);
         return heap;
@@ -258,12 +251,8 @@ fn exec<P: VarProvider + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{BinOp, Expr};
-    use crate::vars::{
-        builtin_fn, constant, is_server_var, is_user_host_var, MONITOR_VARS, SERVER_VARS,
-        SERVICE_VARS,
-    };
-    use crate::{compile, holds, may_qualify, MapRanges};
+    use crate::vars::{MONITOR_VARS, SERVER_VARS, SERVICE_VARS};
+    use crate::{compile, holds, may_qualify, BinOp, MapRanges};
     use proptest::prelude::*;
 
     fn vars() -> MapVars {
@@ -435,107 +424,204 @@ mod tests {
         assert!(!check("1.001 <= 1\n", &v).qualified);
     }
 
-    // ---- program ≡ tree walk -----------------------------------------
+    // ---- program ≡ reference interpreter --------------------------------
     //
-    // The tree-walking evaluator the program replaced, kept as the oracle:
-    // it classifies every name by string when it meets it and spells the
-    // operators itself, sharing neither the parser's bindings nor `apply`.
+    // The oracle evaluates while it parses the token stream, as a `hoc`
+    // without code generation would: it classifies every name by string
+    // when it meets it and spells the precedence and the operators itself.
+    // It shares only the lexer and the variable tables with the crate —
+    // nothing of the parser or the program, not even `apply`.
 
-    fn reference_evaluate(req: &Requirement, provider: &MapVars) -> Decision {
-        let mut temps: BTreeMap<String, f64> = BTreeMap::new();
-        let mut decision =
-            Decision { qualified: true, statements_true: 0, statements_total: 0, errors: vec![] };
-        for stmt in &req.stmts {
-            let Stmt::Expr(expr) = stmt else { continue };
-            let logical = expr.is_logical();
-            if logical {
-                decision.statements_total += 1;
-            }
-            match reference_eval(expr, provider, &mut temps) {
-                Ok(v) if logical && v != 0.0 => decision.statements_true += 1,
-                Ok(_) if logical => decision.qualified = false,
-                Ok(_) => {}
-                Err(e) => {
-                    decision.errors.push(e);
-                    decision.qualified = false;
+    mod reference {
+        use std::collections::BTreeMap;
+
+        use super::super::{Decision, EvalError, MapVars};
+        use crate::lexer::Lexer;
+        use crate::token::Token;
+        use crate::vars::{builtin_fn, constant, is_server_var, is_user_host_var};
+
+        type Value = Result<f64, EvalError>;
+
+        /// Run `src`, which compiles, against one server.
+        pub fn evaluate(src: &str, vars: &MapVars) -> Decision {
+            let tokens = Lexer::new(src).tokenize().expect("the source lexes");
+            let mut r = Reference { tokens: &tokens, pos: 0, vars, temps: BTreeMap::new() };
+            let mut d = Decision {
+                qualified: true,
+                statements_true: 0,
+                statements_total: 0,
+                errors: vec![],
+            };
+            while r.pos < tokens.len() {
+                if r.eat(&Token::Newline) {
+                    continue;
                 }
+                if let (Some(Token::Ident(name)), Some(Token::Assign)) = (r.peek(0), r.peek(1)) {
+                    if is_user_host_var(name) {
+                        r.pos += 3; // a host-list line: request-level, never run
+                        continue;
+                    }
+                }
+                let (value, logical) = r.expr(0, true);
+                d.statements_total += usize::from(logical);
+                match value {
+                    Ok(v) if logical && v != 0.0 => d.statements_true += 1,
+                    Ok(_) if logical => d.qualified = false,
+                    Ok(_) => {}
+                    Err(e) => {
+                        d.errors.push(e);
+                        d.qualified = false;
+                    }
+                }
+            }
+            d
+        }
+
+        struct Reference<'a> {
+            tokens: &'a [Token],
+            pos: usize,
+            vars: &'a MapVars,
+            temps: BTreeMap<String, f64>,
+        }
+
+        impl Reference<'_> {
+            fn peek(&self, k: usize) -> Option<&Token> {
+                self.tokens.get(self.pos + k)
+            }
+
+            fn eat(&mut self, tok: &Token) -> bool {
+                let hit = self.peek(0) == Some(tok);
+                self.pos += usize::from(hit);
+                hit
+            }
+
+            fn next(&mut self) -> Token {
+                self.pos += 1;
+                self.tokens[self.pos - 1].clone()
+            }
+
+            /// One expression binding at least as tightly as `min`: its
+            /// value and its logic flag. Only a `live` expression runs; one
+            /// after an error, or under a check that fails before
+            /// descending, is parsed and nothing else.
+            fn expr(&mut self, min: u8, live: bool) -> (Value, bool) {
+                let (mut value, mut logical) = if self.eat(&Token::Minus) {
+                    (self.expr(8, live).0.map(|x| -x), false)
+                } else {
+                    self.primary(live)
+                };
+                while let Some((power, right)) = self.peek(0).and_then(binding_power) {
+                    if power < min {
+                        break;
+                    }
+                    let op = self.next();
+                    let next = if right { power } else { power + 1 };
+                    let (rhs, _) = self.expr(next, live && value.is_ok());
+                    value = value.and_then(|a| rhs.and_then(|b| binary(&op, a, b)));
+                    logical = power <= 4;
+                }
+                (value, logical)
+            }
+
+            fn primary(&mut self, live: bool) -> (Value, bool) {
+                let value = match self.next() {
+                    Token::Number(n) => Ok(n),
+                    Token::NetAddr(a) => Err(EvalError::NetAddrInExpr(a)),
+                    Token::LParen => {
+                        let inner = self.expr(0, live);
+                        self.pos += 1; // ')'
+                        return inner;
+                    }
+                    Token::Ident(name) if self.eat(&Token::LParen) => {
+                        let f = builtin_fn(&name);
+                        let (arg, _) = self.expr(0, live && f.is_some());
+                        self.pos += 1; // ')'
+                        f.ok_or(EvalError::UnknownFunction(name)).and_then(|f| arg.map(f))
+                    }
+                    Token::Ident(name) if self.eat(&Token::Assign) => {
+                        let refused = if is_server_var(&name) {
+                            Some(EvalError::AssignToServerVar(name.clone()))
+                        } else if is_user_host_var(&name) {
+                            Some(EvalError::UserHostVarInExpr(name.clone()))
+                        } else {
+                            None
+                        };
+                        let (value, _) = self.expr(0, live && refused.is_none());
+                        match (refused, value) {
+                            (Some(e), _) => Err(e),
+                            (None, Ok(v)) if live => {
+                                self.temps.insert(name, v);
+                                Ok(v)
+                            }
+                            (None, value) => value,
+                        }
+                    }
+                    Token::Ident(name) => self.read(&name),
+                    other => panic!("{other} starts no expression of a compiled requirement"),
+                };
+                (value, false)
+            }
+
+            /// Temps shadow server variables shadow constants; a name known
+            /// nowhere is UNDEF.
+            fn read(&self, name: &str) -> Value {
+                if is_user_host_var(name) {
+                    return Err(EvalError::UserHostVarInExpr(name.to_owned()));
+                }
+                if let Some(v) = self.temps.get(name) {
+                    return Ok(*v);
+                }
+                let server = self.vars.vars.get(name).filter(|_| is_server_var(name));
+                server
+                    .copied()
+                    .or_else(|| constant(name))
+                    .ok_or_else(|| EvalError::Undefined(name.to_owned()))
             }
         }
-        decision
-    }
 
-    fn reference_eval(
-        expr: &Expr,
-        provider: &MapVars,
-        temps: &mut BTreeMap<String, f64>,
-    ) -> Result<f64, EvalError> {
-        match expr {
-            Expr::Number(n) => Ok(*n),
-            Expr::NetAddr(a) => Err(EvalError::NetAddrInExpr(a.clone())),
-            Expr::Paren(inner) => reference_eval(inner, provider, temps),
-            Expr::Neg(inner) => Ok(-reference_eval(inner, provider, temps)?),
-            Expr::Var(name, _) => {
-                if is_user_host_var(name) {
-                    return Err(EvalError::UserHostVarInExpr(name.clone()));
-                }
-                // Temp vars shadow server vars shadow constants; a name
-                // known nowhere is UNDEF.
-                if let Some(v) = temps.get(name) {
-                    return Ok(*v);
-                }
-                if let Some(v) = provider.vars.get(name).filter(|_| is_server_var(name)) {
-                    return Ok(*v);
-                }
-                constant(name).ok_or_else(|| EvalError::Undefined(name.clone()))
-            }
-            Expr::Assign(name, _, rhs) => {
-                if is_server_var(name) {
-                    return Err(EvalError::AssignToServerVar(name.clone()));
-                }
-                if is_user_host_var(name) {
-                    return Err(EvalError::UserHostVarInExpr(name.clone()));
-                }
-                let v = reference_eval(rhs, provider, temps)?;
-                temps.insert(name.clone(), v);
-                Ok(v)
-            }
-            Expr::Call(name, arg) => {
-                let f = builtin_fn(name).ok_or_else(|| EvalError::UnknownFunction(name.clone()))?;
-                Ok(f(reference_eval(arg, provider, temps)?))
-            }
-            Expr::Binary(op, lhs, rhs) => {
-                let a = reference_eval(lhs, provider, temps)?;
-                let b = reference_eval(rhs, provider, temps)?;
-                let bool_to_f = |v: bool| if v { 1.0 } else { 0.0 };
-                Ok(match op {
-                    BinOp::Or => bool_to_f(a != 0.0 || b != 0.0),
-                    BinOp::And => bool_to_f(a != 0.0 && b != 0.0),
-                    BinOp::Eq => bool_to_f(a == b),
-                    BinOp::Ne => bool_to_f(a != b),
-                    BinOp::Lt => bool_to_f(a < b),
-                    BinOp::Le => bool_to_f(a <= b),
-                    BinOp::Gt => bool_to_f(a > b),
-                    BinOp::Ge => bool_to_f(a >= b),
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => {
-                        if b == 0.0 {
-                            return Err(EvalError::DivisionByZero);
-                        }
-                        a / b
-                    }
-                    BinOp::Pow => a.powf(b),
-                })
-            }
+        /// `hoc`'s precedence: (binding power, right associative). The
+        /// logical operators are the ones at power 4 and below.
+        fn binding_power(tok: &Token) -> Option<(u8, bool)> {
+            Some(match tok {
+                Token::Or => (1, false),
+                Token::And => (2, false),
+                Token::EqEq | Token::Ne => (3, false),
+                Token::Lt | Token::Le | Token::Gt | Token::Ge => (4, false),
+                Token::Plus | Token::Minus => (5, false),
+                Token::Star | Token::Slash => (6, false),
+                Token::Caret => (8, true),
+                _ => return None,
+            })
+        }
+
+        fn binary(op: &Token, a: f64, b: f64) -> Value {
+            let truth = |v: bool| if v { 1.0 } else { 0.0 };
+            Ok(match op {
+                Token::Or => truth(a != 0.0 || b != 0.0),
+                Token::And => truth(a != 0.0 && b != 0.0),
+                Token::EqEq => truth(a == b),
+                Token::Ne => truth(a != b),
+                Token::Lt => truth(a < b),
+                // Fig 4.2's spelling: ($1<$3)||($1==$3).
+                Token::Le => return binary(&Token::Or, truth(a < b), truth(a == b)),
+                Token::Gt => truth(a > b),
+                Token::Ge => return binary(&Token::Or, truth(a > b), truth(a == b)),
+                Token::Plus => a + b,
+                Token::Minus => a - b,
+                Token::Star => a * b,
+                Token::Slash if b == 0.0 => return Err(EvalError::DivisionByZero),
+                Token::Slash => a / b,
+                Token::Caret => a.powf(b),
+                other => unreachable!("{other} is not a binary operator"),
+            })
         }
     }
 
     /// The program and the oracle agree on everything a `Decision` holds,
     /// and the interval analysis never rules out a host that qualifies.
-    fn assert_program_matches_the_tree_walk(src: &str, vars: &MapVars) {
+    fn assert_program_matches_the_reference(src: &str, vars: &MapVars) {
         let req = compile(src).unwrap_or_else(|e| panic!("{src:?} must compile: {e}"));
-        let want = reference_evaluate(&req, vars);
+        let want = reference::evaluate(src, vars);
         assert_eq!(Evaluator::evaluate(&req, vars), want, "on {src:?} with {:?}", vars.vars);
         let mut points = MapRanges::new();
         for (name, v) in &vars.vars {
@@ -605,19 +691,22 @@ mod tests {
         })
     }
 
-    /// One statement line: half assign a temp, half compare two
-    /// expressions, so that values — not only errors — decide.
+    /// One statement line: two in five assign a temp, the rest compare two
+    /// expressions — one in three of those inside parentheses, which keep
+    /// the comparison's logic flag — so that values, not only errors,
+    /// decide.
     fn arb_statement() -> impl Strategy<Value = String> {
-        (arb_expr(3), 0usize..8, arb_expr(1)).prop_map(|(expr, kind, other)| match kind {
+        (arb_expr(3), 0usize..10, arb_expr(1)).prop_map(|(expr, kind, other)| match kind {
             0 | 1 => format!("t = {expr}\n"),
             2 | 3 => format!("u = {expr}\n"),
-            k => format!("{expr} {} {other}\n", OPERATORS[k + 1]),
+            4..=7 => format!("{expr} {} {other}\n", OPERATORS[kind + 1]),
+            k => format!("({expr} {} {other})\n", OPERATORS[k - 3]),
         })
     }
 
     proptest! {
         #[test]
-        fn the_program_is_the_tree_walk_on_generated_requirements(
+        fn the_program_is_the_reference_on_generated_requirements(
             stmts in proptest::collection::vec(arb_statement(), 4..12),
             vars in proptest::collection::vec(arb_provider(), 4),
             temps_start_assigned in 0u32..4,
@@ -625,7 +714,7 @@ mod tests {
             let mut src = String::from(if temps_start_assigned > 0 { "t = 1\nu = 2\n" } else { "" });
             src.extend(stmts);
             for v in &vars {
-                assert_program_matches_the_tree_walk(&src, v);
+                assert_program_matches_the_reference(&src, v);
             }
         }
     }
@@ -721,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn the_program_is_the_tree_walk_on_the_orderings_of_fig_4_2() {
+    fn the_program_is_the_reference_on_the_orderings_of_fig_4_2() {
         let cases = [
             // A side effect placed before a failing operand still happens.
             "(x = 1) + 1/0\nx > 0\n",
@@ -738,7 +827,7 @@ mod tests {
             // Temps shadow constants, before and after assignment.
             "PI > 3\nPI = 1\nPI > 3\nPI == 1\n",
             "t > 0\nt = 5\nt > 0\n",
-            // Folded subtrees, with and without a server variable beside them.
+            // Folded operands, with and without a server variable beside them.
             "host_cpu_free * (2 + 3*4 - -1) >= sqrt(16)/2^3\n",
             "-(2^2) == -4 && log10(100) == 2 && 7 - 2 - 1 == 4\n",
             "5*1024*1024 < host_memory_free\nhost_memory_free > 5*1024*1024\n",
@@ -751,7 +840,7 @@ mod tests {
         ];
         for src in cases {
             for v in &vars {
-                assert_program_matches_the_tree_walk(src, v);
+                assert_program_matches_the_reference(src, v);
             }
         }
     }
@@ -767,7 +856,7 @@ mod tests {
         let req = compile(&src).unwrap();
         let longest = req.program.ops.len() - req.program.stmts[FRAME_TEMPS].0;
         assert!(req.program.temps.len() > FRAME_TEMPS && longest > FRAME_STACK);
-        assert_program_matches_the_tree_walk(&src, &MapVars::new());
+        assert_program_matches_the_reference(&src, &MapVars::new());
         assert!(Evaluator::evaluate(&req, &MapVars::new()).qualified);
     }
 }

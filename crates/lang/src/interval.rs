@@ -4,8 +4,9 @@
 //! `smartsock-monitor`), each shard carries a summary of per-variable value
 //! ranges over its rows. Before descending into a shard the wizard asks:
 //! *could any host whose variables lie inside these ranges qualify?* This
-//! module answers that question by evaluating the requirement over
-//! intervals instead of numbers.
+//! module answers that question by running the requirement's compiled
+//! program — the one [`crate::Evaluator`] runs per host — over intervals
+//! instead of numbers.
 //!
 //! The analysis is a sound over-approximation of [`crate::Evaluator`]:
 //!
@@ -22,13 +23,15 @@
 //! error (`Fail`, e.g. a network-address literal in a numeric position).
 //! Variable correlation is deliberately ignored (`x - x` spans `[-w, w]`,
 //! not `[0, 0]`), which only ever widens intervals and therefore only ever
-//! *suppresses* pruning, never causes a wrong prune. The flat-scan
-//! equivalence is property-tested in crate `smartsock-wizard`.
+//! *suppresses* pruning, never causes a wrong prune. What the parser folded
+//! to a literal — a `^` or a builtin call included — is a point here. The
+//! flat-scan equivalence is property-tested in crate `smartsock-wizard`.
 
 use std::collections::BTreeMap;
 
-use crate::ast::{BinOp, Binding, Expr, Requirement, Stmt};
-use crate::vars::{builtin_fn, constant};
+use crate::eval::{slots, FRAME_STACK, FRAME_TEMPS};
+use crate::program::{BinOp, Op, Requirement};
+use crate::vars::ServerVar;
 
 /// Supplies per-variable value ranges for a *population* of hosts (one
 /// status-database shard, in the wizard).
@@ -120,81 +123,71 @@ fn bool_ival(definitely: bool, impossible: bool) -> IVal {
 /// may then skip the whole population without changing which servers the
 /// flat per-host scan would have selected.
 pub fn may_qualify(req: &Requirement, ranges: &dyn RangeProvider) -> bool {
-    // One abstract value per temp slot; `None` until assigned.
-    let mut temps = vec![None; req.program.temps.len()];
-    for stmt in &req.stmts {
-        let expr = match stmt {
-            Stmt::HostAssign { .. } => continue, // request-level, not per-server
-            Stmt::Expr(e) => e,
+    let prog = &req.program;
+    let (mut stack, mut temps) = ([IVal::Any; FRAME_STACK], [IVal::Any; FRAME_TEMPS]);
+    let (mut big_stack, mut big_temps) = (Vec::new(), Vec::new());
+    // One abstract value per temp slot: the constant it shadows, until assigned.
+    let temps = slots(&mut temps, &mut big_temps, prog.temps.len(), IVal::Any);
+    for (slot, (_, shadowed)) in temps.iter_mut().zip(&prog.temps) {
+        *slot = shadowed.map_or(IVal::Any, IVal::point);
+    }
+    let server =
+        |var: ServerVar| ranges.range(var.name()).map_or(IVal::Any, |(lo, hi)| IVal::num(lo, hi));
+    for (ops, logical) in prog.statements() {
+        let stack = slots(&mut stack, &mut big_stack, ops.len(), IVal::Any);
+        // `stack[..sp]` is live, as in the interpreter.
+        let mut sp = 0usize;
+        let pop = |stack: &[IVal], sp: &mut usize| {
+            *sp = sp.saturating_sub(1);
+            stack.get(*sp).copied().unwrap_or(IVal::Any)
         };
-        match ival(expr, ranges, &mut temps) {
-            // The statement errors for every host: execerror disqualifies.
-            IVal::Fail => return false,
-            v => {
-                if expr.is_logical() && v.definitely_false() {
-                    return false;
+        for op in ops {
+            let value = match op {
+                Op::Num(n) => IVal::point(*n),
+                // A variable with no range here is `Any`, not `Fail`: the
+                // provider may simply not track it (e.g. security/monitor
+                // variables) even though per-host lookup resolves it.
+                Op::Server(var) => server(*var),
+                Op::ServerBin(var, op, c) => binary_ival(*op, server(*var), IVal::point(*c)),
+                Op::Temp(slot) => temps.get(usize::from(*slot)).copied().unwrap_or(IVal::Any),
+                Op::Store(slot) => {
+                    let v = pop(stack, &mut sp);
+                    if let Some(t) = temps.get_mut(usize::from(*slot)) {
+                        *t = v;
+                    }
+                    v
                 }
+                Op::Neg => match pop(stack, &mut sp) {
+                    IVal::Num(lo, hi) => IVal::num(-hi, -lo),
+                    other => other,
+                },
+                // Builtins are total over f64; no attempt at monotonicity.
+                Op::Call(_) => {
+                    pop(stack, &mut sp);
+                    IVal::Any
+                }
+                Op::Bin(op) => {
+                    let b = pop(stack, &mut sp);
+                    binary_ival(*op, pop(stack, &mut sp), b)
+                }
+                Op::Fail(_) => IVal::Fail,
+            };
+            // Concrete evaluation stops at the first error, so a definite
+            // error anywhere in a statement errors it for every host — and
+            // execerror disqualifies.
+            if value == IVal::Fail {
+                return false;
             }
+            if let Some(top) = stack.get_mut(sp) {
+                *top = value;
+            }
+            sp += 1;
+        }
+        if logical && pop(stack, &mut sp).definitely_false() {
+            return false;
         }
     }
     true
-}
-
-fn ival(expr: &Expr, ranges: &dyn RangeProvider, temps: &mut [Option<IVal>]) -> IVal {
-    match expr {
-        Expr::Number(n) => IVal::point(*n),
-        Expr::NetAddr(_) => IVal::Fail,
-        Expr::Paren(inner) => ival(inner, ranges, temps),
-        Expr::Neg(inner) => match ival(inner, ranges, temps) {
-            IVal::Num(lo, hi) => IVal::num(-hi, -lo),
-            other => other,
-        },
-        // The concrete evaluator's bindings. A name with no value here is
-        // `Any`, not `Fail`: the range provider may simply not track it
-        // (e.g. security/monitor variables) even though per-host lookup
-        // resolves it.
-        Expr::Var(name, binding) => match *binding {
-            Binding::UserHost => IVal::Fail,
-            Binding::Server(_) => {
-                ranges.range(name).map_or(IVal::Any, |(lo, hi)| IVal::num(lo, hi))
-            }
-            Binding::Temp(slot) => {
-                let assigned = temps.get(usize::from(slot)).copied().flatten();
-                assigned.or_else(|| constant(name).map(IVal::point)).unwrap_or(IVal::Any)
-            }
-        },
-        Expr::Assign(_, binding, rhs) => {
-            let Binding::Temp(slot) = *binding else { return IVal::Fail };
-            let v = ival(rhs, ranges, temps);
-            if v == IVal::Fail {
-                return IVal::Fail;
-            }
-            if let Some(t) = temps.get_mut(usize::from(slot)) {
-                *t = Some(v);
-            }
-            v
-        }
-        Expr::Call(name, arg) => {
-            if builtin_fn(name).is_none() {
-                return IVal::Fail;
-            }
-            match ival(arg, ranges, temps) {
-                IVal::Fail => IVal::Fail,
-                // Builtins are total over f64; no attempt at monotonicity.
-                _ => IVal::Any,
-            }
-        }
-        Expr::Binary(op, lhs, rhs) => {
-            let a = ival(lhs, ranges, temps);
-            let b = ival(rhs, ranges, temps);
-            // Concrete evaluation propagates the first error with `?`, so
-            // a definite error on either side is a definite error overall.
-            if a == IVal::Fail || b == IVal::Fail {
-                return IVal::Fail;
-            }
-            binary_ival(*op, a, b)
-        }
-    }
 }
 
 fn binary_ival(op: BinOp, a: IVal, b: IVal) -> IVal {
@@ -379,6 +372,16 @@ mod tests {
     }
 
     #[test]
+    fn pruning_sees_through_folded_literals() {
+        // The parser folds a literal `^` or builtin call to a point, so the
+        // analysis compares against 1, not against anything at all.
+        let r = MapRanges::new().with("host_system_load5", 1.5, 4.0);
+        assert!(!may("limit = log10(100) * 0.5\nhost_system_load5 < limit\n", &r));
+        assert!(!may("host_system_load5 < 2^0\n", &r));
+        assert!(may("host_system_load5 < 2^2\n", &r));
+    }
+
+    #[test]
     fn tautologies_and_empty_requirements_pass_everything() {
         let r = busy_shard();
         assert!(may("100 > 0\n", &r));
@@ -409,13 +412,16 @@ mod tests {
             "host_cpu_free > 0.9 && host_security_level >= 1\n",
             "log10(host_memory_free) > 5\n",
             "100 > 0\n",
+            "limit = log10(100) * 0.5\nhost_system_load5 < limit\n",
+            "host_system_load5 < 2^0\n",
         ];
         let vars = MapVars::new()
             .with("host_cpu_free", 0.95)
             .with("host_system_load1", 0.2)
             .with("host_memory_free", 2e8)
             .with("host_cpu_bogomips", 4771.02)
-            .with("host_security_level", 3.0);
+            .with("host_security_level", 3.0)
+            .with("host_system_load5", 0.5);
         let mut points = MapRanges::new();
         for (name, v) in &vars.vars {
             points = points.with(name, *v, *v);

@@ -351,16 +351,6 @@ impl SysDb {
     pub fn is_empty(&self) -> bool {
         self.total == 0
     }
-
-    /// Replace the whole database (receiver side: §3.5.2 keeps the wizard
-    /// machine's copy identical to the transmitter's).
-    pub fn replace_all(&mut self, reports: Vec<ServerStatusReport>, now: SimTime) {
-        self.shards.clear();
-        self.total = 0;
-        for r in reports {
-            self.upsert(r, now);
-        }
-    }
 }
 
 /// The network metrics database: one record per (from, to) monitor pair.
@@ -380,13 +370,6 @@ impl NetDb {
 
     pub fn snapshot(&self) -> Vec<NetPathRecord> {
         self.records.values().copied().collect()
-    }
-
-    pub fn replace_all(&mut self, recs: Vec<NetPathRecord>) {
-        self.records.clear();
-        for r in recs {
-            self.upsert(r);
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -416,13 +399,6 @@ impl SecDb {
 
     pub fn snapshot(&self) -> Vec<SecurityRecord> {
         self.records.values().cloned().collect()
-    }
-
-    pub fn replace_all(&mut self, recs: Vec<SecurityRecord>) {
-        self.records.clear();
-        for r in recs {
-            self.upsert(r);
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -526,8 +502,8 @@ mod tests {
         /// The `SysDb` contract, call after call, against [`FlatModel`] —
         /// one flat map of rows whose exact summaries are rebuilt from
         /// nothing whenever asked. Over any sequence of upserts (new and
-        /// known addresses, equal, later and earlier timestamps), sweeps,
-        /// `tighten`s and `replace_all`s: the sharded sweep is an exact
+        /// known addresses, equal, later and earlier timestamps), sweeps
+        /// and `tighten`s: the sharded sweep is an exact
         /// regrouping of the flat one (the same evictions, grouped under
         /// the shard each /24 prefix names — the ISSUE 10 bugfix:
         /// `wizard-stale-evictions` must not change meaning), sizes and
@@ -537,7 +513,7 @@ mod tests {
         #[test]
         fn per_shard_evictions_sum_to_the_flat_count(
             ops in proptest::collection::vec(
-                (0u8..12, 0u8..5, 0u8..6, 0u8..8, 0u64..4, 0u64..9),
+                (0u8..11, 0u8..5, 0u8..6, 0u8..8, 0u64..4, 0u64..9),
                 0..60,
             ),
         ) {
@@ -573,13 +549,7 @@ mod tests {
                             }
                         }
                     }
-                    9..=10 => db.tighten(),
-                    _ => {
-                        let rows: Vec<_> =
-                            (0..host).flat_map(|h| [row(subnet, h), row(subnet + 1, h)]).collect();
-                        db.replace_all(rows.clone(), now);
-                        model.replace_all(rows, now);
-                    }
+                    _ => db.tighten(),
                 }
                 let exact = model.summaries();
                 proptest::prop_assert_eq!(db.len(), model.rows.len());
@@ -625,13 +595,6 @@ mod tests {
                 keep
             });
             evicted
-        }
-
-        fn replace_all(&mut self, reports: Vec<ServerStatusReport>, now: SimTime) {
-            self.rows.clear();
-            for r in reports {
-                self.upsert(r, now);
-            }
         }
 
         fn summaries(&self) -> BTreeMap<SubnetKey, ShardSummary> {
@@ -780,15 +743,6 @@ mod tests {
         // language's index: not the report's to answer.
         assert_eq!(report_var(&r, 21), None);
         assert_eq!(report_var(&r, 26), None);
-    }
-
-    #[test]
-    fn replace_all_mirrors_the_transmitter() {
-        let mut db = SysDb::default();
-        db.upsert(report(Ip::new(10, 0, 0, 1), 0.0), SimTime::ZERO);
-        db.replace_all(vec![report(Ip::new(10, 0, 0, 7), 0.5)], SimTime::from_secs(3));
-        assert_eq!(db.len(), 1);
-        assert!(db.get(Ip::new(10, 0, 0, 7)).is_some());
     }
 
     #[test]

@@ -91,10 +91,6 @@ impl Network {
     // Topology queries
     // ------------------------------------------------------------------
 
-    pub fn node_count(&self) -> usize {
-        self.st.borrow().nodes.len()
-    }
-
     pub fn node_by_ip(&self, ip: Ip) -> Option<NodeId> {
         self.st.borrow().by_ip.get(&ip).copied()
     }
@@ -190,12 +186,6 @@ impl Network {
                 };
             }
         }
-    }
-
-    /// Current effective access rate of `node` (first outgoing link).
-    pub fn access_rate(&self, node: NodeId) -> Option<f64> {
-        let st = self.st.borrow();
-        st.links.iter().find(|l| l.from == node).map(|l| l.params.effective_rate())
     }
 
     // ------------------------------------------------------------------
@@ -536,14 +526,6 @@ impl Network {
     /// Whether `node` is currently up.
     pub fn node_up(&self, node: NodeId) -> bool {
         self.st.borrow().nodes[node].up
-    }
-
-    /// Mark a node up or down without touching its socket bindings (a
-    /// "frozen" host: bindings survive, but nothing gets through). Flows
-    /// crossing the node stall while it is down.
-    pub fn set_node_up(&self, s: &mut Scheduler, node: NodeId, up: bool) {
-        self.st.borrow_mut().nodes[node].up = up;
-        self.recompute_flows(s);
     }
 
     /// Crash a node: mark it down *and* unbind every UDP and stream

@@ -133,11 +133,6 @@ impl LinkParams {
         self
     }
 
-    pub fn with_jitter(mut self, mean: SimDuration) -> Self {
-        self.jitter_mean = mean;
-        self
-    }
-
     pub fn with_loss(mut self, loss_prob: f64) -> Self {
         assert!((0.0..=1.0).contains(&loss_prob), "loss probability out of range: {loss_prob}");
         self.loss_prob = loss_prob;

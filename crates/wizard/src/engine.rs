@@ -409,13 +409,6 @@ pub enum Ingest {
     BadRequest,
 }
 
-/// Modeled cost of evaluating one server record against a requirement:
-/// the wizard walks every record the shard-prune pass could not rule out
-/// (§3.6.1 step 3), so each match pass charges this fixed per-record price
-/// to the "wizard-requirement-eval" histogram. An observation, NOT time —
-/// matching is instantaneous in the event model.
-const EVAL_NS_PER_RECORD: u64 = 2_000;
-
 /// What the engine's most recent call did, kept until
 /// [`WizardEngine::record`] turns it into telemetry.
 #[derive(Default)]
@@ -615,10 +608,6 @@ impl WizardEngine {
             Done::Matched { stats, servers, quarantined, sent } => {
                 tel.counter_incr("wizard-requests");
                 let span = tel.span_start("wizard-match", host);
-                tel.observe_ns(
-                    "wizard-requirement-eval",
-                    stats.rows_evaluated as u64 * EVAL_NS_PER_RECORD,
-                );
                 tel.counter_add(
                     "wizard-shards-scanned",
                     (stats.shards_total - stats.shards_pruned) as u64,
