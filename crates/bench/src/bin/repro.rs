@@ -103,7 +103,11 @@ fn main() {
     // Wall-clock here measures the harness (printed to stderr only, so
     // stdout stays byte-identical across --jobs); nothing inside any
     // simulation can observe it.
-    // analyze: allow(SS-DET-001): harness wall report on stderr, never read by sim code
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "harness wall report on stderr, never read by sim code"
+    )]
     let t0 = std::time::Instant::now();
 
     let seeds: Vec<u64> = sweep.clone().unwrap_or_else(|| vec![seed]);

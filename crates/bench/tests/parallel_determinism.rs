@@ -2,10 +2,15 @@
 //! the full catalog with `--jobs 8` must produce byte-identical rendered
 //! reports AND a byte-identical merged telemetry export compared to
 //! `--jobs 1`. This is the contract that lets CI shard the catalog
-//! without a determinism caveat.
+//! without a determinism caveat. The same merged trace holds every span,
+//! event and counter name the catalog emits to `names.rs`.
+
+use std::collections::BTreeSet;
 
 use smartsock_bench::executor::cells_for;
 use smartsock_bench::{catalog, run_cells, CellResult, DEFAULT_SEED};
+use smartsock_telemetry::names::{COUNTER_NAMES, EVENT_NAMES, SPAN_NAMES};
+use smartsock_telemetry::trace::Trace;
 
 /// Render what `repro all` prints: every report in merge order.
 fn rendered_reports(results: &[CellResult]) -> String {
@@ -30,6 +35,23 @@ fn merged_trace(results: &[CellResult]) -> String {
         .jsonl
 }
 
+/// Every span, event and counter name in `trace` that the registries in
+/// `smartsock_telemetry::names` lack; a counter's `/label` is not part of
+/// its name. The registries are kebab-case (their own unit test), so an
+/// empty set also means every emitted name is.
+fn unregistered_names(trace: &Trace) -> BTreeSet<&str> {
+    let spans =
+        trace.starts.values().map(|(name, ..)| name).chain(trace.spans.iter().map(|s| &s.name));
+    let spans = spans.map(String::as_str).filter(|n| !SPAN_NAMES.contains(n));
+    let events = trace.events.iter().map(|e| e.name.as_str()).filter(|n| !EVENT_NAMES.contains(n));
+    let counters = trace
+        .counters
+        .keys()
+        .map(|n| n.split_once('/').map_or(n.as_str(), |(base, _)| base))
+        .filter(|n| !COUNTER_NAMES.contains(n));
+    spans.chain(events).chain(counters).collect()
+}
+
 #[test]
 fn full_catalog_is_byte_identical_across_jobs_1_and_8() {
     let ids = catalog();
@@ -45,6 +67,9 @@ fn full_catalog_is_byte_identical_across_jobs_1_and_8() {
     let t8 = merged_trace(&parallel);
     assert!(!t1.is_empty(), "the catalog must export telemetry traces");
     assert_eq!(t1, t8, "merged telemetry JSONL bytes must not depend on --jobs");
+    let parsed = Trace::parse(&t1);
+    let unregistered = unregistered_names(&parsed);
+    assert!(unregistered.is_empty(), "names missing from names.rs: {unregistered:?}");
 }
 
 #[test]

@@ -136,6 +136,7 @@ impl TestbedBuilder {
         let mut nodes = BTreeMap::new();
         for m in &self.machines {
             let node = b.host(m.name, m.ip, HostParams::testbed());
+            #[expect(clippy::expect_used, reason = "invariant: segments 1..=5 registered above")]
             let attach = if m.segment == 0 {
                 campus
             } else {
@@ -199,6 +200,10 @@ impl TestbedBuilder {
             sysmon.start(s, &net);
             sysmons.push(sysmon);
             let sm = SecurityMonitor::new(Rc::clone(&dbs), self.security_log.clone());
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the built-in security log template parses"
+            )]
             sm.start(s).expect("invariant: the built-in security log template parses");
             if secmon.is_none() {
                 secmon = Some(sm);
@@ -232,11 +237,15 @@ impl TestbedBuilder {
                 primary_dbs = Some(dbs);
             }
         }
+        #[expect(clippy::expect_used, reason = "invariant: `stack_ips` holds the monitor machine")]
         let dbs = primary_dbs.expect("invariant: stack_ips always holds the monitor machine");
+        #[expect(clippy::expect_used, reason = "invariant: one stack per stack_ip, never empty")]
         let sysmon =
             sysmons.first().expect("invariant: one stack per stack_ip, never empty").clone();
+        #[expect(clippy::expect_used, reason = "invariant: one stack per stack_ip, never empty")]
         let transmitter =
             transmitters.first().expect("invariant: one stack per stack_ip, never empty").clone();
+        #[expect(clippy::expect_used, reason = "invariant: set on the first stack iteration")]
         let secmon = secmon.expect("invariant: set on the first stack iteration");
 
         // ---- probes ----
@@ -245,6 +254,10 @@ impl TestbedBuilder {
             // In multi-monitor mode a probe reports to its group's stack
             // (if that machine runs one); otherwise to the monitor machine.
             let report_to = if self.multi_monitor {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: every machine ip entered in the group layout above"
+                )]
                 let g = *group_of
                     .get(&host.ip())
                     .expect("invariant: every machine ip entered in the group layout above");

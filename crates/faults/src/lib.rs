@@ -483,7 +483,6 @@ impl FaultInjector {
     }
 
     /// Everything registered as running on the host `key` / node `node`.
-    #[allow(clippy::type_complexity)]
     fn units_on(
         &self,
         key: &str,

@@ -150,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // the constants ARE the claim
+    #[expect(clippy::assertions_on_constants, reason = "the constants ARE the claim")]
     fn calibration_ordering_matches_fig_5_2() {
         // The paper's benchmark: P3-866 and P4-2.4 beat the P4 1.6–1.8 GHz
         // machines on this program.

@@ -78,23 +78,6 @@ impl Workload {
             initial_cache_bytes: 0,
         }
     }
-
-    /// A disk-thrashing workload with minimal CPU (data-intensive server).
-    pub fn disk_hog(name: &str) -> Workload {
-        Workload {
-            name: name.to_owned(),
-            cpu_work: f64::INFINITY,
-            mem_bytes: 8 << 20,
-            io: IoRates {
-                rreq_ps: 200.0,
-                rblocks_ps: 3200.0,
-                wreq_ps: 50.0,
-                wblocks_ps: 800.0,
-                cache_growth_ps: 4.0 * 1024.0 * 1024.0,
-            },
-            initial_cache_bytes: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +110,5 @@ mod tests {
     fn hog_presets_have_expected_profiles() {
         let c = Workload::cpu_hog("x", 1 << 20);
         assert_eq!(c.io, IoRates::default());
-        let d = Workload::disk_hog("y");
-        assert!(d.io.rblocks_ps > 1000.0);
     }
 }

@@ -218,7 +218,10 @@ impl LiveSock<Registered> {
 impl LiveSock<Requested> {
     /// [`LiveSock::wait`] under this per-attempt `timeout` and this many
     /// `retries` (retransmissions after the first send).
-    #[allow(clippy::result_large_err)] // the Err arm intentionally returns the socket itself
+    #[expect(
+        clippy::result_large_err,
+        reason = "the Err arm intentionally returns the socket itself"
+    )]
     pub fn await_reply(
         mut self,
         timeout: Duration,
@@ -234,7 +237,10 @@ impl LiveSock<Requested> {
     /// wait starts now. On failure the socket comes back in the awaiting
     /// phase; waiting on it again issues the same request (same sequence
     /// number) afresh.
-    #[allow(clippy::result_large_err)] // the Err arm intentionally returns the socket itself
+    #[expect(
+        clippy::result_large_err,
+        reason = "the Err arm intentionally returns the socket itself"
+    )]
     pub fn wait(mut self) -> Result<LiveSock<Connected>, (LiveSock<Requested>, RequestError)> {
         let mut buf = [0u8; 4096];
         // In flight: not sent again, only timed from here. Else: afresh.

@@ -8,15 +8,33 @@
 //! to their simulated twins instead of depending on real sleeps.
 //!
 //! The entire crate reads wall time through this module's single read
-//! point — the determinism lint (`SS-DET-001`) keeps any
-//! other site from sneaking in a second one.
+//! point — clippy's `disallowed_methods`/`disallowed_types` (`clippy.toml`)
+//! keep any other site from sneaking in a second one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-#[rustfmt::skip]
-// analyze: allow(SS-DET-001): the live backend's one wall-clock read point; every other site takes time through Clock::now_ns
-mod wall { use std::time::Instant; #[derive(Clone, Debug)] pub struct Anchor(Instant); impl Anchor { pub fn start() -> Anchor { Anchor(Instant::now()) } pub fn elapsed_ns(&self) -> u64 { u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX) } } }
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the live backend's one wall-clock read point; every other site takes time through Clock::now_ns"
+)]
+mod wall {
+    use std::time::Instant;
+
+    #[derive(Clone, Debug)]
+    pub struct Anchor(Instant);
+
+    impl Anchor {
+        pub fn start() -> Anchor {
+            Anchor(Instant::now())
+        }
+
+        pub fn elapsed_ns(&self) -> u64 {
+            u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        }
+    }
+}
 
 /// A nanosecond clock handed to every live daemon and client.
 #[derive(Clone, Debug)]

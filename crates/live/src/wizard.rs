@@ -295,7 +295,6 @@ fn heartbeat(tel: &mut Telemetry, host: &str, shared: &Shared) {
     tel.event("daemon-heartbeat", host, &[("served", &served), ("reports", &reports)]);
     if let Ok(s) = crate::probe::sample_proc(Path::new("/proc"), "lo") {
         // Loads are centi-scaled: gauges are integers by design.
-        #[allow(clippy::cast_possible_truncation)]
         tel.gauge_set("daemon-load1-centi", host, (s.load1 * 100.0) as i64);
         tel.gauge_set("daemon-mem-free-bytes", host, i64::try_from(s.mem.free).unwrap_or(i64::MAX));
         tel.gauge_set(

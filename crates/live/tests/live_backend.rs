@@ -3,6 +3,12 @@
 //! datagram loss, and manual-clock staleness — all over real UDP on
 //! 127.0.0.1.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the tests poll real daemon threads over real UDP; their waits are wall time by nature"
+)]
+
+use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -14,6 +20,7 @@ use smartsock_probe::ProbeIdentity;
 use smartsock_proto::{
     Endpoint, Ip, ReplyStatus, RequestOption, ServerStatusReport, UserRequest, WizardReply,
 };
+use smartsock_telemetry::names::{COUNTER_NAMES, EVENT_NAMES, SPAN_NAMES};
 use smartsock_telemetry::trace::Trace;
 use smartsock_wizard::{ClientError, SelectPolicy};
 
@@ -119,6 +126,23 @@ fn has_line(lines: &str, prefix: &str) -> bool {
     lines.lines().any(|l| l.starts_with(prefix))
 }
 
+/// Every span, event and counter name in `trace` that the registries in
+/// `smartsock_telemetry::names` lack; a counter's `/label` is not part of
+/// its name. The registries are kebab-case (their own unit test), so an
+/// empty set also means every emitted name is.
+fn unregistered_names(trace: &Trace) -> BTreeSet<&str> {
+    let spans =
+        trace.starts.values().map(|(name, ..)| name).chain(trace.spans.iter().map(|s| &s.name));
+    let spans = spans.map(String::as_str).filter(|n| !SPAN_NAMES.contains(n));
+    let events = trace.events.iter().map(|e| e.name.as_str()).filter(|n| !EVENT_NAMES.contains(n));
+    let counters = trace
+        .counters
+        .keys()
+        .map(|n| n.split_once('/').map_or(n.as_str(), |(base, _)| base))
+        .filter(|n| !COUNTER_NAMES.contains(n));
+    spans.chain(events).chain(counters).collect()
+}
+
 #[test]
 fn stats_query_snapshots_a_running_daemon() {
     let wiz = LiveWizard::spawn().unwrap();
@@ -173,6 +197,9 @@ fn a_stats_reply_is_the_summary_its_trace_ends_with() {
     // wake-up, which records nothing: the trace ends with the same bytes.
     let trace = wiz.shutdown().unwrap().trace_jsonl;
     assert_eq!(second.lines, summary_lines(&trace));
+    let parsed = Trace::parse(&trace);
+    let unregistered = unregistered_names(&parsed);
+    assert!(unregistered.is_empty(), "names missing from names.rs: {unregistered:?}");
 }
 
 #[test]

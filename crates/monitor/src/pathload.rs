@@ -123,6 +123,7 @@ fn next_stream(
         net.bind_udp(to, move |s, dgram| {
             // Packet index rides in the first 4 payload bytes.
             let Some(header) = dgram.payload.data.get(..4) else { return };
+            #[expect(clippy::expect_used, reason = "invariant: `get(..4)` returned a 4-byte slice")]
             let idx = u32::from_le_bytes(header.try_into().expect("invariant: slice is 4 bytes"))
                 as usize;
             if let Some(&sent) = send_times.borrow().get(idx) {

@@ -58,10 +58,6 @@ impl CrossTraffic {
         *self.active.borrow_mut() = false;
     }
 
-    pub fn is_active(&self) -> bool {
-        *self.active.borrow()
-    }
-
     fn burst(&self, s: &mut Scheduler) {
         if !*self.active.borrow() {
             return;
@@ -158,7 +154,6 @@ mod tests {
         let bursts = s.telemetry.counter("net-cross-bursts");
         // ~5 bursts per second (200 ms period) for 20 s.
         assert!((80..=120).contains(&(bursts as i64)), "bursts {bursts}");
-        assert!(!gen.is_active());
         assert_eq!(net.active_flows(), 0, "flows drained after stop");
     }
 }

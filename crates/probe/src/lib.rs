@@ -177,6 +177,10 @@ impl ServerProbe {
 
     /// One probing pass: render the /proc files, parse them back, and
     /// hand the parsed sample to the shared [`ReportEngine`].
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: each parse reads the text rendered just above, for the iface rendered"
+    )]
     fn scan(&self, now: SimTime) -> ServerStatusReport {
         let sample = self.host.sample(now);
         let uptime = now.as_secs_f64();

@@ -17,28 +17,28 @@ use crate::ProtoError;
 pub struct Ip(pub u32);
 
 impl Ip {
+    #[expect(
+        clippy::big_endian_bytes,
+        reason = "dotted-quad value ordering (the definition of an IPv4 address), not wire-frame layout: frames carry the u32 as _le"
+    )]
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Ip {
-        // analyze: allow(SS-PROTO-003): dotted-quad value ordering (the definition of an IPv4 address), not wire-frame layout — frames carry the u32 as _le
         Ip(u32::from_be_bytes([a, b, c, d]))
     }
 
     /// The loopback address `127.0.0.1`.
     pub const LOOPBACK: Ip = Ip::new(127, 0, 0, 1);
 
+    #[expect(
+        clippy::big_endian_bytes,
+        reason = "inverse of `new`: recovers display octets, not bytes on the wire"
+    )]
     pub fn octets(self) -> [u8; 4] {
-        // analyze: allow(SS-PROTO-003): inverse of `new` — recovers display octets, not bytes on the wire
         self.0.to_be_bytes()
     }
 
     /// True if this address is in `127.0.0.0/8`.
     pub fn is_loopback(self) -> bool {
         self.octets()[0] == 127
-    }
-
-    /// The /24 network prefix, used to group hosts into the paper's network
-    /// segments (Fig 5.1 places machines in 192.168.1.0/24 ... .5.0/24).
-    pub fn net24(self) -> Ip {
-        Ip(self.0 & 0xffff_ff00)
     }
 }
 
@@ -219,10 +219,9 @@ mod tests {
     }
 
     #[test]
-    fn loopback_and_net24() {
+    fn loopback_is_127_slash_8() {
         assert!(Ip::LOOPBACK.is_loopback());
         assert!(!Ip::new(192, 168, 1, 9).is_loopback());
-        assert_eq!(Ip::new(192, 168, 1, 9).net24(), Ip::new(192, 168, 1, 0));
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub enum RecordType {
 
 impl From<RecordType> for u32 {
     fn from(t: RecordType) -> u32 {
-        // analyze: allow(SS-CAST-001): lossless read of a fieldless-enum discriminant (0..=3)
         t as u32
     }
 }

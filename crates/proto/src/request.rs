@@ -103,7 +103,6 @@ impl UserRequest {
         out
     }
 
-    // analyze: allow(SS-PROTO-002): detail is the unconsumed remainder, read via from_utf8 rather than a Buf op — both sides agree on [u32, u16, u16, bytes]
     pub fn decode(mut buf: &[u8]) -> Result<Self, ProtoError> {
         if buf.remaining() < 8 {
             return Err(ProtoError::Truncated { expected: 8, got: buf.remaining() });
@@ -273,9 +272,8 @@ mod tests {
 
     #[test]
     fn sixty_servers_fit_in_one_reply() {
-        let servers: Vec<Endpoint> = (0..60)
-            .map(|i| Endpoint::new(Ip::new(10, 0, (i / 250) as u8, (i % 250) as u8), 1200))
-            .collect();
+        let servers: Vec<Endpoint> =
+            (0u8..60).map(|i| Endpoint::new(Ip::new(10, 0, 0, i), 1200)).collect();
         let reply = WizardReply { seq: 7, servers };
         let wire = reply.encode();
         // Must fit comfortably within one UDP datagram (< 64 KiB, and in

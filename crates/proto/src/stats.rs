@@ -100,7 +100,6 @@ impl StatsReply {
         out
     }
 
-    // analyze: allow(SS-PROTO-002): the lines are the unconsumed remainder, read via from_utf8 rather than a Buf op — both sides agree on [bytes, u32, u64, u8, bytes]
     pub fn decode(mut buf: &[u8]) -> Result<Self, ProtoError> {
         if buf.remaining() < Self::HEADER {
             return Err(ProtoError::Truncated { expected: Self::HEADER, got: buf.remaining() });

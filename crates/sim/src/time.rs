@@ -56,11 +56,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction producing `None` when `earlier` is later.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -216,7 +211,6 @@ mod tests {
         let b = SimTime::from_secs(2);
         assert_eq!(b.since(a), SimDuration::from_secs(1));
         assert_eq!(a.since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]

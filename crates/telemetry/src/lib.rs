@@ -18,12 +18,13 @@
 //!   via [`Telemetry::set_now`]) — never wall-clock;
 //! * all internal storage is `BTreeMap` / append-order `Vec` — never hashed
 //!   iteration;
-//! * span and event names are `&'static str` kebab-case literals (enforced
-//!   by the `SS-OBS-001` analyzer rule), so name cardinality is bounded at
-//!   compile time; per-entity dimensions go in labels/attributes. Span
-//!   names additionally come from the closed registry in [`names`]
-//!   (enforced by `SS-OBS-002`), so per-name profiles stay comparable
-//!   across versions.
+//! * span, event and counter names are `&'static str` (the recorders'
+//!   signatures), so name cardinality is bounded at compile time;
+//!   per-entity dimensions go in labels/attributes. The names come from
+//!   the closed, kebab-case registries in [`names`], so per-name profiles
+//!   stay comparable across versions: two trace tests, over the full
+//!   catalog and over a live daemon, fail on any emitted name missing
+//!   there.
 //!
 //! ## Model
 //!

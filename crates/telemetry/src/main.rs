@@ -287,8 +287,10 @@ fn cmd_tail(out: &mut impl Write, args: &[&str]) -> Result<(), CmdError> {
         return Ok(());
     }
     loop {
-        // CLI pacing between file-size polls; nothing simulated runs here.
-        // analyze: allow(SS-DET-001): follow-mode poll interval of an offline CLI, not sim code
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "follow-mode poll interval of an offline CLI; nothing simulated runs here"
+        )]
         std::thread::sleep(std::time::Duration::from_millis(200));
         let len = f
             .metadata()

@@ -11,16 +11,18 @@
 //! invariants in `smartsock-bench`), so the same drift argument applies.
 //! Registering names here keeps them stable and greppable.
 //!
-//! Analyzer rules enforce the registries: every literal passed to
-//! `span_start` / `span_child` outside this crate (and outside test code)
-//! must appear in [`SPAN_NAMES`] (`SS-OBS-002`), and every literal passed
-//! to `event` / `counter_add` / `counter_incr` / `counter_add_labeled`
-//! must appear in [`EVENT_NAMES`] / [`COUNTER_NAMES`] (`SS-OBS-003`). The
-//! analyzer reads the string literals out of this file, so adding a name
-//! is a one-line change here plus the call site.
+//! A trace check enforces the registries. Two tests,
+//! `full_catalog_is_byte_identical_across_jobs_1_and_8`
+//! (`crates/bench/tests/parallel_determinism.rs`) over the full catalog
+//! and `a_stats_reply_is_the_summary_its_trace_ends_with`
+//! (`crates/live/tests/live_backend.rs`) over a live daemon, fail on any
+//! emitted span name outside [`SPAN_NAMES`], or event or counter name (a
+//! counter's `/label` stripped) outside [`EVENT_NAMES`] /
+//! [`COUNTER_NAMES`]. Adding a name is a one-line change here plus the
+//! call site. Test code may emit ad-hoc names.
 //!
-//! Keep the lists sorted; kebab-case is enforced separately by
-//! `SS-OBS-001`.
+//! Keep the lists sorted and kebab-case; this module's own test holds
+//! both.
 
 /// Every registered span name, sorted.
 pub const SPAN_NAMES: &[&str] = &[

@@ -303,6 +303,10 @@ impl ClientEngine {
         let Some(seq) = primary.or_else(|| hedged().map(|(&seq, _)| seq)) else {
             return out;
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `seq` was found in `requests` just above"
+        )]
         let r = self.requests.remove(&seq).expect("invariant: found just above");
         let hedge_won = seq != reply.seq;
         let result = match reply.status(r.req.server_num) {

@@ -27,6 +27,11 @@
 //! put on the wire, what each request resolved to and the `client-*`
 //! counters they leave behind must agree.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the live half polls real daemon threads over real UDP; its waits are wall time by nature"
+)]
+
 use std::cell::RefCell;
 use std::io;
 use std::net::UdpSocket;

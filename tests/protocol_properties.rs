@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use smartsock_hostsim::TopologySpec;
 use smartsock_net::packet::{fragment_sizes, udp_wire_size};
 use smartsock_proto::{
-    Endpoint, Frame, Ip, NetPathRecord, ProtoError, RequestOption, SecurityRecord,
-    ServerStatusReport, UserRequest, WizardReply,
+    Endpoint, Frame, Ip, NetPathRecord, OutcomeKind, OutcomeReport, ProtoError, RequestOption,
+    SecurityRecord, ServerStatusReport, StatsReply, StatsRequest, UserRequest, WizardReply,
 };
 
 fn arb_ip() -> impl Strategy<Value = Ip> {
@@ -38,6 +38,26 @@ fn arb_report() -> impl Strategy<Value = ServerStatusReport> {
             r.timestamp_ns = mems[1];
             r
         })
+}
+
+/// Bytes in a stats reply before its lines: magic, `seq`, `now_ns` and
+/// the truncated flag.
+const STATS_HEADER: usize = 4 + 4 + 8 + 1;
+
+/// A stats body of whole lines that fits the reply's cap uncut: the lines
+/// a generator draws, kept while the frame stays within `SOFT_LIMIT`.
+fn arb_stats_lines() -> impl Strategy<Value = String> {
+    proptest::collection::vec("[ -~]{0,120}", 0..=60).prop_map(|drawn| {
+        let mut lines = String::new();
+        for line in drawn {
+            if STATS_HEADER + lines.len() + line.len() + 1 > StatsReply::SOFT_LIMIT {
+                break;
+            }
+            lines.push_str(&line);
+            lines.push('\n');
+        }
+        lines
+    })
 }
 
 proptest! {
@@ -168,6 +188,44 @@ proptest! {
         let frags_bigger = fragment_sizes(payload + 1480, mtu);
         prop_assert!(frags_bigger.len() >= frags.len());
         prop_assert!(udp_wire_size(payload) == payload + 28);
+    }
+
+    /// Stats requests round-trip for any `seq`.
+    #[test]
+    fn stats_request_roundtrip(seq in any::<u32>()) {
+        let req = StatsRequest { seq };
+        prop_assert_eq!(StatsRequest::decode(&req.encode()).unwrap(), req);
+    }
+
+    /// Stats replies round-trip every field, up to the datagram cap: a
+    /// body that fits travels whole and the truncated flag as it was set.
+    #[test]
+    fn stats_reply_roundtrip(
+        seq in any::<u32>(),
+        now_ns in any::<u64>(),
+        truncated in any::<bool>(),
+        lines in arb_stats_lines(),
+    ) {
+        let reply = StatsReply { seq, now_ns, truncated, lines };
+        let wire = reply.encode();
+        prop_assert!(wire.len() <= StatsReply::SOFT_LIMIT, "{} bytes", wire.len());
+        prop_assert_eq!(StatsReply::decode(&wire).unwrap(), reply);
+    }
+
+    /// Outcome reports round-trip for any server and every kind.
+    #[test]
+    fn outcome_report_roundtrip(
+        server in arb_ip(),
+        outcome in prop_oneof![
+            Just(OutcomeKind::Completed),
+            Just(OutcomeKind::Timeout),
+            Just(OutcomeKind::ConnectFailed),
+        ],
+    ) {
+        let rep = OutcomeReport { server, outcome };
+        let wire = rep.encode();
+        prop_assert_eq!(wire.len(), 7);
+        prop_assert_eq!(OutcomeReport::decode(&wire).unwrap(), rep);
     }
 
     /// Endpoint display/parse round-trips.
