@@ -7,7 +7,8 @@
 //! wait and how, when to retransmit, back off, hedge or give up — is the
 //! engine's; left here are the socket, the clock its timers are read
 //! against (each wait blocks for exactly `earliest timer − now`) and the
-//! phase types, which make sequence violations compile errors:
+//! phase types, which make sequence violations compile errors (a socket
+//! owed nothing outlives its `LiveSock`, kept for [`LiveSock::bind`]):
 //!
 //! ```compile_fail
 //! let sock = smartsock_live::LiveSock::bind("127.0.0.1:1120".parse().unwrap()).unwrap();
@@ -31,9 +32,11 @@
 //! let b = sock.request_spec(smartsock_wizard::RequestSpec::new("", 1));
 //! ```
 
+use std::cell::RefCell;
 use std::io::{self, ErrorKind::TimedOut, ErrorKind::WouldBlock};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
+use std::rc::Rc;
 use std::time::Duration;
 
 use smartsock_proto::typestate::{Connected, Registered, Requested};
@@ -71,9 +74,9 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-/// The engine's randomness on this backend: a SplitMix64 stream seeded
-/// from the bound port (no OS entropy: a hedge's sequence number need
-/// only differ from its request's, jitter only between clients).
+/// The engine's randomness on this backend: SplitMix64 seeded by the port
+/// at its first bind, continued across reuses (no OS entropy: a hedge's
+/// `seq` need only differ from its request's, jitter only between clients).
 struct Mix(u64);
 
 impl Entropy for Mix {
@@ -86,16 +89,41 @@ impl Entropy for Mix {
     }
 }
 
+/// How many sockets owed nothing a thread keeps, each with its `Mix`.
+const MAX_SPARES: usize = 8;
+thread_local! {
+    static SPARE: RefCell<Vec<(Rc<UdpSocket>, Endpoint, Mix)>> = const { RefCell::new(Vec::new()) };
+}
+
 /// What every phase carries: the socket and what drives the engine on it.
 struct Core {
-    sock: UdpSocket,
+    /// Shared only so that `drop` can hand it to the spares.
+    sock: Rc<UdpSocket>,
+    local: Endpoint,
     clock: Clock,
     engine: ClientEngine,
     rnd: Mix,
     /// When each armed engine timer is due — a request has at most three
     /// at once: deadline, hedge (delay, then attempt), attempt.
     timers: [Option<(Timer, u64)>; 3],
+    /// Set for good once a timer fired: a reply may then be late.
+    fired: bool,
     tel: Option<Telemetry>,
+}
+
+impl Drop for Core {
+    /// Owed nothing (no timer armed, none ever fired), the socket becomes a
+    /// spare, its `Mix` with it so that no `seq` repeats on its port.
+    fn drop(&mut self) {
+        let owed = self.fired || self.timers != [None; 3];
+        let spare = (Rc::clone(&self.sock), self.local, Mix(self.rnd.0));
+        let _ = SPARE.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if !owed && spares.len() < MAX_SPARES {
+                spares.push(spare);
+            }
+        });
+    }
 }
 
 fn slot(kind: TimerKind) -> usize {
@@ -180,16 +208,27 @@ impl<S> LiveSock<S> {
 }
 
 impl LiveSock<Registered> {
-    /// Bind an ephemeral loopback port, registered toward `wizard`.
+    /// An ephemeral loopback port, registered toward `wizard`: a spare
+    /// of this thread's if it has one, else a newly bound one.
+    ///
+    /// A socket dropped owed nothing — each request it sent resolved by a
+    /// reply, no timer (retransmission, hedge, deadline) ever fired — is a
+    /// spare; one dropped awaiting (as an I/O error leaves it) closes.
     pub fn bind(wizard: SocketAddr) -> io::Result<LiveSock<Registered>> {
-        let sock = UdpSocket::bind("127.0.0.1:0")?;
         let unsupported = || io::Error::other("live client requires IPv4 addresses");
-        let local = endpoint_of(sock.local_addr()?).ok_or_else(unsupported)?;
         let wizard = endpoint_of(wizard).ok_or_else(unsupported)?;
+        let (sock, local, rnd) = match SPARE.try_with(|s| s.borrow_mut().pop()).ok().flatten() {
+            Some(spare) => spare,
+            None => {
+                let sock = UdpSocket::bind("127.0.0.1:0")?;
+                let local = endpoint_of(sock.local_addr()?).ok_or_else(unsupported)?;
+                (Rc::new(sock), local, Mix(u64::from(local.port)))
+            }
+        };
         // One socket, one daemon port: outcome reports go where requests go.
         let engine = ClientEngine::new(local, wizard, wizard);
-        let rnd = Mix(u64::from(local.port));
-        let core = Core { sock, clock: Clock::wall(), engine, rnd, timers: [None; 3], tel: None };
+        let (clock, timers) = (Clock::wall(), [None; 3]);
+        let core = Core { sock, local, clock, engine, rnd, timers, fired: false, tel: None };
         let spec = RequestSpec::new("", 0);
         Ok(LiveSock { core, spec, seq: 0, servers: Vec::new(), phase: PhantomData })
     }
@@ -266,6 +305,7 @@ impl LiveSock<Requested> {
                 },
                 Ok(None) => {
                     self.core.timers[slot(timer.1)] = None;
+                    self.core.fired = true;
                     self.core.drive(|engine, t, rnd| engine.fired(t, timer, true, rnd))
                 }
             };

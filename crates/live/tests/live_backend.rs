@@ -17,12 +17,13 @@ use smartsock_live::{
     RequestError, ShimPolicy,
 };
 use smartsock_probe::ProbeIdentity;
+use smartsock_proto::typestate::Requested;
 use smartsock_proto::{
     Endpoint, Ip, ReplyStatus, RequestOption, ServerStatusReport, UserRequest, WizardReply,
 };
 use smartsock_telemetry::names::{COUNTER_NAMES, EVENT_NAMES, SPAN_NAMES};
 use smartsock_telemetry::trace::Trace;
-use smartsock_wizard::{ClientError, SelectPolicy};
+use smartsock_wizard::{ClientError, RequestSpec, SelectPolicy};
 
 fn report(name: &str, last_octet: u8, cpu_idle: f64) -> ServerStatusReport {
     let mut r = ServerStatusReport::empty(name, Ip::new(192, 168, 9, last_octet));
@@ -622,4 +623,120 @@ fn only_the_wizard_asked_can_answer() {
     wizard.send_to(&offer(1), client).unwrap();
     let connected = waiting.await_reply(Duration::from_millis(500), 0).map_err(|(_, e)| e).unwrap();
     assert_eq!(connected.servers()[0].ip, Ip::new(192, 168, 9, 1));
+}
+
+/// A hand-driven wizard: a bare socket the test reads and answers itself.
+fn fake_wizard() -> std::net::UdpSocket {
+    let sock = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    sock
+}
+
+/// The next request `wizard` reads, and the address it came from.
+fn next_request(wizard: &std::net::UdpSocket) -> (UserRequest, std::net::SocketAddr) {
+    let mut buf = [0u8; 4096];
+    let (n, from) = wizard.recv_from(&mut buf).unwrap();
+    (UserRequest::decode(&buf[..n]).unwrap(), from)
+}
+
+/// Reply to `seq` at `to` with the one server 192.168.9.`last`.
+fn answer(wizard: &std::net::UdpSocket, to: std::net::SocketAddr, seq: u32, last: u8) {
+    let servers = vec![Endpoint::new(Ip::new(192, 168, 9, last), 1200)];
+    wizard.send_to(&WizardReply { seq, servers }.encode(), to).unwrap();
+}
+
+fn first_server(waiting: LiveSock<Requested>, timeout: Duration, retries: u32) -> Ip {
+    let connected = waiting.await_reply(timeout, retries).map_err(|(_, e)| e).unwrap();
+    connected.servers()[0].ip
+}
+
+#[test]
+fn an_unbounded_timeout_waits_for_its_reply() {
+    // Regression: the engine armed `now + timeout`, which overflowed — a
+    // panic in debug, and in release a wait that gave up at once.
+    let wizard = fake_wizard();
+    let addr = wizard.local_addr().unwrap();
+    let (done, finished) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let waiting = LiveSock::bind(addr).unwrap().request(req(3, 1, "")).unwrap();
+        done.send(first_server(waiting, Duration::MAX, 0)).unwrap();
+    });
+    let (_, from) = next_request(&wizard);
+    let early = finished.recv_timeout(Duration::from_millis(200));
+    assert_eq!(early, Err(mpsc::RecvTimeoutError::Timeout), "still waiting after 200 ms");
+    answer(&wizard, from, 3, 1);
+    assert_eq!(finished.recv().unwrap(), Ip::new(192, 168, 9, 1));
+    client.join().unwrap();
+}
+
+#[test]
+fn clean_requests_in_a_row_leave_from_one_port() {
+    let wizard = fake_wizard();
+    let mut ports = Vec::new();
+    for seq in [1, 2] {
+        let waiting = LiveSock::bind(wizard.local_addr().unwrap()).unwrap();
+        let waiting = waiting.request(req(seq, 1, "")).unwrap();
+        let (_, from) = next_request(&wizard);
+        answer(&wizard, from, seq, 1);
+        first_server(waiting, Duration::from_millis(500), 0);
+        ports.push(from.port());
+    }
+    assert_eq!(ports[0], ports[1]);
+}
+
+#[test]
+fn a_late_reply_to_a_retransmitted_request_never_reaches_the_next() {
+    // Attempt 0 goes unanswered, attempt 1 is answered twice; the second
+    // answer is in the socket before it is dropped. Were that socket
+    // reused, the next request under the same `seq` would read it.
+    const S: u32 = 0x5eed;
+    let wizard = fake_wizard();
+    let addr = wizard.local_addr().unwrap();
+    let (dup_sent, dup_was_sent) = mpsc::channel();
+    let fake = std::thread::spawn(move || {
+        next_request(&wizard);
+        let (_, from) = next_request(&wizard);
+        answer(&wizard, from, S, 1);
+        answer(&wizard, from, S, 1);
+        dup_sent.send(()).unwrap();
+        let (_, from) = next_request(&wizard);
+        answer(&wizard, from, S, 2);
+    });
+    let first = LiveSock::bind(addr).unwrap().request(req(S, 1, "")).unwrap();
+    assert_eq!(first_server(first, Duration::from_millis(50), 1), Ip::new(192, 168, 9, 1));
+    dup_was_sent.recv().unwrap();
+    let next = LiveSock::bind(addr).unwrap().request(req(S, 1, "")).unwrap();
+    assert_eq!(first_server(next, Duration::from_millis(500), 0), Ip::new(192, 168, 9, 2));
+    fake.join().unwrap();
+}
+
+#[test]
+fn a_socket_dropped_awaiting_its_reply_is_not_reused() {
+    const S: u32 = 0xd0d0;
+    let wizard = fake_wizard();
+    let addr = wizard.local_addr().unwrap();
+    let abandoned = LiveSock::bind(addr).unwrap().request(req(S, 1, "")).unwrap();
+    let (_, from) = next_request(&wizard);
+    answer(&wizard, from, S, 1);
+    drop(abandoned);
+    let next = LiveSock::bind(addr).unwrap().request(req(S, 1, "")).unwrap();
+    let (_, from) = next_request(&wizard);
+    answer(&wizard, from, S, 2);
+    assert_eq!(first_server(next, Duration::from_millis(500), 0), Ip::new(192, 168, 9, 2));
+}
+
+#[test]
+fn each_reuse_of_a_port_draws_a_fresh_seq() {
+    let wizard = fake_wizard();
+    let mut sent = Vec::new();
+    for _ in 0..2 {
+        let sock = LiveSock::bind(wizard.local_addr().unwrap()).unwrap();
+        let waiting = sock.request_spec(RequestSpec::new("", 1)).unwrap();
+        let (request, from) = next_request(&wizard);
+        answer(&wizard, from, request.seq, 1);
+        first_server(waiting, Duration::from_millis(500), 0);
+        sent.push((from.port(), request.seq));
+    }
+    assert_eq!(sent[0].0, sent[1].0, "one port");
+    assert_ne!(sent[0].1, sent[1].1, "a seq repeated on it");
 }

@@ -260,7 +260,7 @@ impl ClientEngine {
         let mut out = Outputs::default();
         if let Some(r) = self.requests.get_mut(&seq) {
             (r.timeout, r.retries) = (spec.timeout, spec.retries);
-            let at = now + clamp(r.timeout, r.deadline_at, now);
+            let at = now.saturating_add(clamp(r.timeout, r.deadline_at, now));
             arm(&mut out, seq, TimerKind::Attempt(r.attempt), at);
             return out;
         }
@@ -275,7 +275,8 @@ impl ClientEngine {
         let req = UserRequest { seq, server_num, option, detail };
         // A send the transport refuses is a lost datagram to the ladder.
         let _ = t.send(self.local, self.wizard, &req.encode());
-        arm(&mut out, seq, TimerKind::Attempt(0), now + clamp(spec.timeout, deadline_at, now));
+        let at = now.saturating_add(clamp(spec.timeout, deadline_at, now));
+        arm(&mut out, seq, TimerKind::Attempt(0), at);
         let (timeout, retries) = (spec.timeout, spec.retries);
         let request = Request { req, timeout, retries, attempt: 0, deadline_at, hedge: None };
         self.requests.insert(seq, request);
@@ -350,7 +351,7 @@ impl ClientEngine {
                 r.req.seq = hedge_seq;
                 let _ = t.send(self.local, self.wizard, &r.req.encode());
                 r.req.seq = seq;
-                let at = now + clamp(r.timeout, r.deadline_at, now);
+                let at = now.saturating_add(clamp(r.timeout, r.deadline_at, now));
                 arm(&mut out, seq, TimerKind::HedgeAttempt, at);
                 r.hedge = Some(hedge_seq);
                 self.last = Done::HedgeFired(seq);
@@ -394,7 +395,7 @@ impl ClientEngine {
                     let extra = timeout.as_nanos().saturating_sub(r.timeout.as_nanos());
                     backoff_ms = Some(extra / 1_000_000);
                 }
-                let at = now + clamp(timeout, r.deadline_at, now);
+                let at = now.saturating_add(clamp(timeout, r.deadline_at, now));
                 arm(&mut out, seq, TimerKind::Attempt(r.attempt), at);
                 self.last = Done::Retried { attempt: r.attempt, backoff_ms };
             }
@@ -825,5 +826,21 @@ mod tests {
         // Resolved, so the same call now issues it afresh.
         assert_eq!(r.start(&hurried), [arm(Attempt(0), S + 120 * MS)]);
         assert_eq!(r.wire.sent.len(), 2);
+    }
+
+    #[test]
+    fn an_unbounded_timeout_arms_its_timers_at_the_end_of_time() {
+        // Regression: `now + wait` overflowed — a panic in debug, and in
+        // release a wait that wrapped into the past and gave up at once.
+        let end = u64::MAX;
+        let forever = RequestSpec { timeout: SimDuration::from_nanos(end), ..spec(1) };
+        let hedged = forever.with_hedge(SimDuration::from_secs(1));
+        let mut r = rig(0.1);
+        r.wire.now = S;
+        // Each site that arms `now + wait`: start, re-time, hedge, retry.
+        assert_eq!(r.start(&hedged), [arm(HedgeDelay, 2 * S), arm(Attempt(0), end)]);
+        assert_eq!(r.start(&hedged), [arm(Attempt(0), end)]);
+        assert_eq!(r.fire(2 * S, HedgeDelay, true), [arm(HedgeAttempt, end)]);
+        assert_eq!(r.fire(3 * S, Attempt(0), true), [arm(Attempt(1), end)]);
     }
 }
