@@ -13,7 +13,11 @@
 # of whose output only the last line is read.
 # Printed per workload and side: q1/median/q3 of op_p50_us and setup_s,
 # failed operations, and in how many pairs the change was the lower.
-# --record appends one JSON line per workload to BENCH_wall.json.
+# --record first reads the host's noise: a fixed single-thread awk loop
+# (≈ 75 ms on a quiet host) timed once a second for 30 s. Its p50 and p90
+# in ms are printed and written as `noise_ms` into the one JSON line per
+# workload that --record appends to BENCH_wall.json, so that records
+# taken in a slow stretch can be told apart.
 # Needs git, cargo and jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -51,10 +55,12 @@ run() {
         --trace 0 | tail -n 1)
 }
 
-# q1/median/q3 (linear interpolation, to 4 decimals) and the sum of
-# failed operations over one side's result lines.
-summary='def q($p): sort as $s | (($s | length - 1) * $p) as $h | ($h | floor) as $i
-    | $s[$i] + ($h - $i) * (($s[[$i + 1, ($s | length - 1)] | min]) - $s[$i]);
+# A quantile of an array, by linear interpolation.
+quantile='def q($p): sort as $s | (($s | length - 1) * $p) as $h | ($h | floor) as $i
+    | $s[$i] + ($h - $i) * (($s[[$i + 1, ($s | length - 1)] | min]) - $s[$i]);'
+# q1/median/q3 (to 4 decimals) and the sum of failed operations over one
+# side's result lines.
+summary="$quantile"'
   def quart: [q(0.25), q(0.5), q(0.75) | . * 1e4 | round / 1e4];
   { op_p50_us: (map(.metrics.op_p50_us.value) | quart),
     setup_s: (map(.metrics.setup_s.value) | quart),
@@ -63,6 +69,25 @@ summary='def q($p): sort as $s | (($s | length - 1) * $p) as $h | ($h | floor) a
 wins='[transpose[] | {p: .[0].metrics, c: .[1].metrics}]
   | { op_p50_us: map(select(.c.op_p50_us.value < .p.op_p50_us.value)) | length,
       setup_s: map(select(.c.setup_s.value < .p.setup_s.value)) | length }'
+
+# The noise reading: 30 timings of the fixed loop, one a second, as
+# [p50, p90] in ms to 1 decimal.
+noise() {
+    local i start end
+    for ((i = 0; i < 30; i++)); do
+        start="$EPOCHREALTIME"
+        awk 'BEGIN { for (i = 0; i < 1750000; i++) s += i; if (s < 0) print s }'
+        end="$EPOCHREALTIME"
+        awk -v a="$start" -v b="$end" 'BEGIN { print (b - a) * 1000 }'
+        sleep "$(awk -v a="$start" -v b="$end" 'BEGIN { d = 1 - (b - a); print (d > 0 ? d : 0) }')"
+    done | jq -sc "$quantile [q(0.5), q(0.9)] | map(. * 10 | round / 10)"
+}
+noise_ms=null
+if ((record)); then
+    echo "== noise reading, 30 s" >&2
+    noise_ms="$(LC_ALL=C noise)"
+    echo "noise_ms [p50, p90]: $noise_ms"
+fi
 
 nproc="$(nproc)"
 cpu="$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo)"
@@ -81,9 +106,10 @@ for workload in "${workloads[@]}"; do
     done
     line="$(jq -cn --arg workload "$workload" --arg commit "$commit" --arg parent "$parent" \
         --argjson seed "$seed" --argjson pairs "$pairs" --argjson nproc "$nproc" \
-        --arg cpu "$cpu" --slurpfile p "$scratch/parent" --slurpfile c "$scratch/change" \
+        --arg cpu "$cpu" --argjson noise_ms "$noise_ms" \
+        --slurpfile p "$scratch/parent" --slurpfile c "$scratch/change" \
         "{workload: \$workload, commit: \$commit, parent: \$parent, seed: \$seed,
-          pairs: \$pairs, nproc: \$nproc, cpu: \$cpu,
+          pairs: \$pairs, nproc: \$nproc, cpu: \$cpu, noise_ms: \$noise_ms,
           parent_side: (\$p | $summary), change: (\$c | $summary),
           change_lower: ([\$p, \$c] | $wins)}")"
     jq -r '"\(.workload) (seed \(.seed), \(.pairs) pairs; q1 / median / q3)",

@@ -83,6 +83,9 @@ pub struct SelectStats {
     pub rows_evaluated: usize,
 }
 
+/// How many compiled requests a [`WizardEngine`] keeps (DESIGN.md §13).
+const COMPILED_CAP: usize = 64;
+
 /// The per-request compiled state shared by every row evaluation.
 struct CompiledRequest {
     requirement: smartsock_lang::Requirement,
@@ -98,16 +101,18 @@ struct CompiledRequest {
 }
 
 impl CompiledRequest {
-    fn from_request(view: &SelectView<'_>, req: &UserRequest) -> Option<CompiledRequest> {
+    /// `None` when the requirement does not compile (an empty reply).
+    fn new(
+        templates: &BTreeMap<u8, String>,
+        template: Option<u8>,
+        detail: &str,
+    ) -> Option<CompiledRequest> {
         // Prepend a template when the option asks for one.
-        let detail = match req.option.template {
-            Some(id) => match view.templates.get(&id) {
-                Some(t) => format!("{t}\n{}", req.detail),
-                None => req.detail.clone(),
-            },
-            None => req.detail.clone(),
+        let detail = match template.and_then(|id| templates.get(&id)) {
+            Some(t) => format!("{t}\n{detail}"),
+            None => detail.to_owned(),
         };
-        let requirement = compile(&detail).ok()?; // uncompilable ⇒ empty reply
+        let requirement = compile(&detail).ok()?;
         let HostLists { preferred, denied } = HostLists::from_requirement(&requirement);
         let resolve = |hosts: Vec<String>| hosts.iter().filter_map(|h| h.parse().ok()).collect();
         let (preferred, denied) = (resolve(preferred), resolve(denied));
@@ -298,10 +303,29 @@ pub fn select_with_stats(
     req: &UserRequest,
     client_ip: Ip,
 ) -> (Vec<Endpoint>, SelectStats) {
+    let creq = CompiledRequest::new(view.templates, req.option.template, &req.detail);
+    select_compiled(view, policy, now, creq.as_ref(), req.server_num, client_ip)
+}
+
+/// [`select_with_stats`] past the compile, which [`WizardEngine::handle`]
+/// does once per distinct requirement.
+fn select_compiled(
+    view: &SelectView<'_>,
+    policy: &SelectPolicy,
+    now: SimTime,
+    creq: Option<&CompiledRequest>,
+    server_num: u16,
+    client_ip: Ip,
+) -> (Vec<Endpoint>, SelectStats) {
     let mut stats = SelectStats { shards_total: view.sysdb.shard_count(), ..Default::default() };
-    let Some(creq) = CompiledRequest::from_request(view, req) else {
+    let Some(creq) = creq else {
         return (Vec::new(), stats);
     };
+    let cap = reply_cap(server_num);
+    if cap == 0 {
+        // Settled before the walk: no row can enter an empty reply.
+        return (Vec::new(), SelectStats { shards_pruned: stats.shards_total, ..stats });
+    }
     let client_mon = view.group_map.get(&client_ip).copied();
     let passes =
         |r: &ServerStatusReport| creq.screen.iter().all(|&((_, f), op, c)| holds(op, f(r), c));
@@ -309,7 +333,6 @@ pub fn select_with_stats(
     let preferred_rank = (!creq.preferred.is_empty()).then_some(0);
     let rank_key = if creq.rank.is_some() { f64::NEG_INFINITY } else { 0.0 };
     let bound = |ip| Candidate { ip, preferred_rank, score_bucket: 1000, rank_key };
-    let cap = reply_cap(req.server_num);
     let mut best = Vec::new();
     let mut descended = 0;
     'shards: for (_subnet, shard) in view.sysdb.iter_shards() {
@@ -326,7 +349,7 @@ pub fn select_with_stats(
         descended += 1;
         let visited = shard.rows().inspect(|_| stats.rows_evaluated += 1);
         for (&ip, timed) in visited.filter(|(_, t)| passes(&t.report)) {
-            if let Some(c) = consider_row(view, policy, now, &creq, client_mon, ip, timed) {
+            if let Some(c) = consider_row(view, policy, now, creq, client_mon, ip, timed) {
                 offer(&mut best, cap, c);
             }
             // Settled: no row still to come (a larger address) can beat the last place.
@@ -350,7 +373,8 @@ pub fn select_flat(
     req: &UserRequest,
     client_ip: Ip,
 ) -> Vec<Endpoint> {
-    let Some(mut creq) = CompiledRequest::from_request(view, req) else {
+    let Some(mut creq) = CompiledRequest::new(view.templates, req.option.template, &req.detail)
+    else {
         return Vec::new();
     };
     creq.screen_decides = false; // nothing is screened here: every row runs the program
@@ -448,6 +472,8 @@ pub struct WizardEngine {
     /// host ip → its group's network-monitor ip (for `monitor_*` vars).
     group_map: BTreeMap<Ip, Ip>,
     templates: BTreeMap<u8, String>,
+    /// Compiled requests by what compiles them, `None` where nothing does.
+    compiled: BTreeMap<(Option<u8>, String), Option<CompiledRequest>>,
     policy: SelectPolicy,
     last: Done,
 }
@@ -462,6 +488,7 @@ impl WizardEngine {
             health: HealthTable::default(),
             group_map: BTreeMap::new(),
             templates: crate::templates::defaults(),
+            compiled: BTreeMap::new(),
             policy,
             last: Done::Nothing,
         }
@@ -476,6 +503,7 @@ impl WizardEngine {
     /// Register a requirement template usable via the request option field.
     pub fn add_template(&mut self, id: u8, text: impl Into<String>) {
         self.templates.insert(id, text.into());
+        self.compiled.clear(); // a template is part of what it compiles to
     }
 
     /// Register which network monitor serves a host's group.
@@ -537,13 +565,25 @@ impl WizardEngine {
                 if got.is_ok() { Done::Report { bytes: payload.len() } } else { Done::BadReport };
             return Ok(got.map_or_else(Ingest::BadReport, Ingest::Report));
         }
-        let Ok(req) = UserRequest::decode(payload) else {
+        let Ok(UserRequest { seq, server_num, option, detail }) = UserRequest::decode(payload)
+        else {
             self.last = Done::BadRequest;
             return Ok(Ingest::BadRequest);
         };
         // Reports only widen shard summaries; the one reader makes them exact.
         self.dbs.sys.tighten();
-        let (servers, stats) = select_with_stats(&self.view(), &self.policy, now, &req, from.ip);
+        // A client resends its requirement with every request: compile each one once.
+        let mut compiled = std::mem::take(&mut self.compiled); // lent while view() borrows self
+        let key = (option.template, detail);
+        if compiled.len() >= COMPILED_CAP && !compiled.contains_key(&key) {
+            compiled.clear();
+        }
+        let creq = compiled
+            .entry(key)
+            .or_insert_with_key(|(id, detail)| CompiledRequest::new(&self.templates, *id, detail));
+        let (servers, stats) =
+            select_compiled(&self.view(), &self.policy, now, creq.as_ref(), server_num, from.ip);
+        self.compiled = compiled;
         // Invariant accounting: select() must never hand out a quarantined
         // server. The count exists so the hostile.* shapes can assert it
         // stays at zero rather than trusting the exclusion by inspection.
@@ -551,7 +591,7 @@ impl WizardEngine {
             .iter()
             .filter(|ep| self.health.effective_state(ep.ip, now) == StateKind::Quarantined)
             .count();
-        let reply = WizardReply { seq: req.seq, servers };
+        let reply = WizardReply { seq, servers };
         let sent = t.send(self.endpoint(), from, &reply.encode());
         self.last =
             Done::Matched { stats, servers: reply.servers.len(), quarantined, sent: sent.is_ok() };
@@ -1078,6 +1118,51 @@ mod tests {
         &[(10, OutcomeKind::Timeout), (11, OutcomeKind::Timeout)],
     ];
 
+    /// One generated host: subnet, last octet, when it was recorded, idle
+    /// share, load, and (memory in MiB, security level, outcome history).
+    type Host = (u8, u8, u64, f64, f64, (u64, u8, usize));
+
+    fn hosts() -> impl proptest::Strategy<Value = Vec<Host>> {
+        let host = (
+            0u8..6,
+            1u8..250,
+            recorded_at(),
+            cpu_idle(),
+            0.0f64..4.0,
+            (1u64..512, 0u8..8, 0usize..8),
+        );
+        proptest::collection::vec(host, 1..60)
+    }
+
+    /// An engine holding `hosts`, and requirement shape `req_idx` with the
+    /// first host denied and the one the walk reaches last preferred.
+    fn fleet(hosts: &[Host], req_idx: usize) -> (WizardEngine, String) {
+        let mut e = engine();
+        for &(subnet, last, age, idle, load, (mem_mb, level, history)) in hosts {
+            let ip = Ip::new(10, 0, subnet, last);
+            let name = format!("h{subnet}-{last}");
+            let mut r = ServerStatusReport::empty(name.as_str(), ip);
+            r.cpu_idle = idle;
+            r.load1 = load;
+            r.mem_free = mem_mb << 20;
+            r.bogomips = if subnet % 2 == 0 { 4771.02 } else { 1730.15 };
+            upsert(&mut e, r, SimTime::from_secs(age));
+            if level < 6 {
+                let host = name.as_str().into();
+                e.dbs.sec.upsert(SecurityRecord { host, ip, level: level.into() });
+            }
+            for &(at, outcome) in OUTCOMES.get(history).copied().unwrap_or_default() {
+                e.health.record(ip, outcome, SimTime::from_secs(at));
+            }
+        }
+        let first = hosts[0];
+        let last = hosts.iter().max_by_key(|h| (h.0, h.1)).unwrap();
+        let detail = REQUIREMENTS[req_idx]
+            .replace("{denied}", &format!("10.0.{}.{}", first.0, first.1))
+            .replace("{preferred}", &format!("H{}-{}", last.0, last.1));
+        (e, detail)
+    }
+
     proptest::proptest! {
         /// The tentpole invariant: prune-then-descend, stopped once the
         /// reply settles, returns exactly what the flat per-row scan
@@ -1085,45 +1170,12 @@ mod tests {
         /// staleness and health mix.
         #[test]
         fn pruned_selection_is_identical_to_the_flat_scan(
-            hosts in proptest::collection::vec(
-                (
-                    0u8..6,
-                    1u8..250,
-                    recorded_at(),
-                    cpu_idle(),
-                    0.0f64..4.0,
-                    (1u64..512, 0u8..8, 0usize..8),
-                ),
-                1..60
-            ),
+            hosts in hosts(),
             req_idx in 0usize..REQUIREMENTS.len(),
             // Half the draws small, so the kept list often fills early.
-            server_num in proptest::prop_oneof![1u16..20, 1u16..5],
+            server_num in proptest::prop_oneof![0u16..20, 1u16..5],
         ) {
-            let mut e = engine();
-            for &(subnet, last, age, idle, load, (mem_mb, level, history)) in &hosts {
-                let ip = Ip::new(10, 0, subnet, last);
-                let name = format!("h{subnet}-{last}");
-                let mut r = ServerStatusReport::empty(name.as_str(), ip);
-                r.cpu_idle = idle;
-                r.load1 = load;
-                r.mem_free = mem_mb << 20;
-                r.bogomips = if subnet % 2 == 0 { 4771.02 } else { 1730.15 };
-                upsert(&mut e, r, SimTime::from_secs(age));
-                if level < 6 {
-                    let host = name.as_str().into();
-                    e.dbs.sec.upsert(SecurityRecord { host, ip, level: level.into() });
-                }
-                for &(at, outcome) in OUTCOMES.get(history).copied().unwrap_or_default() {
-                    e.health.record(ip, outcome, SimTime::from_secs(at));
-                }
-            }
-            // The preferred host is the one the walk reaches last.
-            let first = hosts[0];
-            let last = hosts.iter().max_by_key(|h| (h.0, h.1)).unwrap();
-            let detail = REQUIREMENTS[req_idx]
-                .replace("{denied}", &format!("10.0.{}.{}", first.0, first.1))
-                .replace("{preferred}", &format!("H{}-{}", last.0, last.1));
+            let (e, detail) = fleet(&hosts, req_idx);
             let req = user_request(&detail, server_num);
 
             let (flat, pruned, stats) = both_scans(&e, SimTime::from_secs(12), &req);
@@ -1131,6 +1183,26 @@ mod tests {
             proptest::prop_assert!(stats.rows_evaluated <= e.live_servers());
             proptest::prop_assert!(stats.shards_pruned <= stats.shards_total);
             proptest::prop_assert_eq!(stats.shards_total, e.dbs.sys.shard_count());
+        }
+    }
+
+    proptest::proptest! {
+        /// The compiled form the engine keeps is invisible: a request, and
+        /// the same wire bytes again a second later, are each answered as
+        /// the flat scan answers them at that time.
+        #[test]
+        fn a_repeated_request_is_answered_as_the_flat_scan_answers(
+            hosts in hosts(),
+            req_idx in 0usize..REQUIREMENTS.len(),
+            server_num in 0u16..20,
+        ) {
+            let (mut e, detail) = fleet(&hosts, req_idx);
+            let req = user_request(&detail, server_num);
+            let wire = req.encode();
+            for now in [12, 13].map(SimTime::from_secs) {
+                let flat = select_flat(&e.view(), e.policy(), now, &req, CLIENT_IP);
+                proptest::prop_assert_eq!(reply_to(&mut e, now, &wire), flat);
+            }
         }
     }
 
@@ -1353,6 +1425,101 @@ mod tests {
         let flat = select_flat(&e.view(), e.policy(), SimTime::ZERO, &req, CLIENT_IP);
         assert_eq!(reply.servers, flat);
         assert_eq!(reply.servers.len(), 20);
+    }
+
+    #[test]
+    fn a_request_for_no_servers_visits_no_row() {
+        let mut e = engine();
+        idle_subnets(&mut e, 0..3);
+        let (flat, got, stats) =
+            both_scans(&e, SimTime::ZERO, &user_request("host_cpu_free > 0.9\n", 0));
+        assert_eq!(stats, SelectStats { shards_total: 3, shards_pruned: 3, rows_evaluated: 0 });
+        assert!(got.is_empty());
+        assert_eq!(got, flat);
+    }
+
+    // ---- the compiled requests the engine keeps ----------------------
+
+    /// The servers of the engine's reply to `wire`, sent by the client at `now`.
+    fn reply_to(e: &mut WizardEngine, now: SimTime, wire: &[u8]) -> Vec<Endpoint> {
+        let mut t = NullTransport { now: now.0, sent: Vec::new() };
+        match e.handle(&mut t, Endpoint::new(CLIENT_IP, 40001), wire) {
+            Ok(Ingest::Replied { reply, .. }) => reply.servers,
+            got => panic!("expected a reply, got {got:?}"),
+        }
+    }
+
+    /// `weak` (10.0.1.1, cpu free 0.2) and `strong` (10.0.1.2, 0.95).
+    fn weak_and_strong() -> (WizardEngine, Ip, Ip) {
+        let mut e = engine();
+        upsert(&mut e, report("weak", 1, 0.2), SimTime::ZERO);
+        upsert(&mut e, report("strong", 2, 0.95), SimTime::ZERO);
+        (e, Ip::new(10, 0, 1, 1), Ip::new(10, 0, 1, 2))
+    }
+
+    fn with_template(id: Option<u8>, detail: &str) -> Vec<u8> {
+        let option = RequestOption { accept_fewer: true, template: id };
+        UserRequest { option, ..user_request(detail, 5) }.encode().to_vec()
+    }
+
+    #[test]
+    fn a_redefined_template_changes_the_reply_to_the_same_bytes() {
+        let (mut e, weak, strong) = weak_and_strong();
+        let wire = with_template(Some(9), "host_memory_free > 0\n");
+        e.add_template(9, "host_cpu_free > 0.9");
+        assert_eq!(ips(&reply_to(&mut e, SimTime::ZERO, &wire)), [strong]);
+        e.add_template(9, "host_cpu_free < 0.5");
+        assert_eq!(ips(&reply_to(&mut e, SimTime::ZERO, &wire)), [weak]);
+    }
+
+    #[test]
+    fn one_requirement_under_two_templates_gets_two_replies() {
+        let (mut e, weak, strong) = weak_and_strong();
+        e.add_template(8, "host_cpu_free < 0.5");
+        e.add_template(9, "host_cpu_free > 0.9");
+        for (id, want) in
+            [(Some(8), vec![weak]), (Some(9), vec![strong]), (None, vec![weak, strong])]
+        {
+            let wire = with_template(id, "host_memory_free > 0\n");
+            assert_eq!(ips(&reply_to(&mut e, SimTime::ZERO, &wire)), want, "template {id:?}");
+        }
+    }
+
+    #[test]
+    fn distinct_requirements_beyond_the_cap_stay_bounded_and_exact() {
+        let mut e = engine();
+        for last in 1..=20u8 {
+            upsert(
+                &mut e,
+                report(&format!("h{last}"), last, f64::from(last) / 20.0),
+                SimTime::ZERO,
+            );
+        }
+        let request =
+            |k: u32| user_request(&format!("host_cpu_free > {}\n", f64::from(k) / 1e4), 5);
+        // Each new text, then one seen before: a hit, or a miss after a clear.
+        for k in (0..10_000).flat_map(|k| [k, k / 2]) {
+            let flat = select_flat(&e.view(), e.policy(), SimTime::ZERO, &request(k), CLIENT_IP);
+            assert_eq!(reply_to(&mut e, SimTime::ZERO, &request(k).encode()), flat, "text {k}");
+            assert!(e.compiled.len() <= COMPILED_CAP);
+        }
+    }
+
+    #[test]
+    fn an_uncompilable_requirement_is_answered_alike_from_the_table() {
+        let (mut e, _, _) = weak_and_strong();
+        let wire = user_request("+++ ~~~", 5).encode();
+        let traces: Vec<String> = (0..2)
+            .map(|_| {
+                assert!(reply_to(&mut e, SimTime::ZERO, &wire).is_empty());
+                let mut tel = Telemetry::new();
+                e.record(&mut tel);
+                tel.export_jsonl()
+            })
+            .collect();
+        assert_eq!(e.compiled.len(), 1, "the failure is kept too");
+        assert!(traces[0].contains("wizard-requests"));
+        assert_eq!(traces[0], traces[1], "a hit records what the miss did");
     }
 
     #[test]
