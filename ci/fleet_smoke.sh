@@ -31,14 +31,16 @@ echo "$out" | grep -Eq "rows evaluated +\| +8$"
 
 echo "== rollup smoke check (per-subnet scopes) =="
 rout="$(cargo run --release -q -p smartsock-telemetry -- rollup "$trace")"
-subnets="$(echo "$rout" | grep -c "subnet/")"
+# Here-strings, not `echo | grep -q`: grep -q exits at its first match,
+# and under pipefail the echo's SIGPIPE on a large output fails the check.
+subnets="$(grep -c "subnet/" <<< "$rout")"
 echo "rollup subnet scopes: $subnets"
 [ "$subnets" -gt 1 ]
-echo "$rout" | grep -q "fleet-report-ingested"
+grep -q "fleet-report-ingested" <<< "$rout"
 
 echo "== summary smoke check (wizard-match spans) =="
 sout="$(cargo run --release -q -p smartsock-telemetry -- summary "$trace")"
-echo "$sout" | grep -q "wizard-match"
-! echo "$sout" | grep -q "total: 0 spans"
+grep -q "wizard-match" <<< "$sout"
+! grep -q "total: 0 spans" <<< "$sout"
 
 echo "fleet smoke: ok"

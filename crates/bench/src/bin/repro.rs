@@ -18,11 +18,10 @@
 #![deny(rust_2018_idioms)]
 
 use smartsock_bench::executor::{cells_for, run_cells};
-use smartsock_bench::json::reports_to_json;
 use smartsock_bench::{catalog, matrix, Experiment, DEFAULT_SEED};
 
-const USAGE: &str = "usage: repro [--seed N | --seeds A..B] [--jobs N] [--json] \
-                     [--trace-out PATH] (--list | all | <experiment-id>...)";
+const USAGE: &str = "usage: repro [--seed N | --seeds A..B] [--jobs N] [--trace-out PATH] \
+                     (--list | all | <experiment-id>...)";
 
 fn fail(msg: &str) -> ! {
     eprintln!("repro: {msg}");
@@ -41,7 +40,6 @@ fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let as_json = args.iter().position(|a| a == "--json").map(|p| args.remove(p)).is_some();
     let seed: u64 = match take_value(&mut args, "--seed") {
         Some(v) => v.parse().unwrap_or_else(|_| fail("bad --seed value")),
         None => DEFAULT_SEED,
@@ -56,9 +54,6 @@ fn main() {
     let sweep: Option<Vec<u64>> = take_value(&mut args, "--seeds")
         .map(|v| matrix::parse_seed_range(&v).unwrap_or_else(|e| fail(&e)));
     let trace_out = take_value(&mut args, "--trace-out");
-    if as_json && sweep.is_some() {
-        fail("--json is not supported in --seeds matrix mode");
-    }
 
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("{USAGE}");
@@ -117,22 +112,12 @@ fn main() {
         print!("{}", outcome.text);
         i32::from(outcome.violations > 0)
     } else {
-        let mut reports = Vec::new();
         let mut failures = Vec::new();
         for r in &results {
             match &r.outcome {
-                Ok((report, _)) => {
-                    if as_json {
-                        reports.push(report.clone());
-                    } else {
-                        println!("{report}");
-                    }
-                }
+                Ok((report, _)) => println!("{report}"),
                 Err(panic) => failures.push(format!("{} @ {}: PANIC: {panic}", r.id, r.seed)),
             }
-        }
-        if as_json {
-            println!("{}", reports_to_json(&reports));
         }
         for f in &failures {
             eprintln!("repro: {f}");

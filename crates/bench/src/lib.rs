@@ -20,7 +20,6 @@
 
 pub mod executor;
 pub mod experiments;
-pub mod json;
 pub mod matrix;
 pub mod profiled;
 pub mod report;

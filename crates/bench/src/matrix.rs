@@ -137,9 +137,9 @@ pub fn parse_seed_range(s: &str) -> Result<Vec<u64>, String> {
     if a > b {
         return Err(format!("empty seed range: {a} > {b}"));
     }
-    let n = b - a + 1;
-    if n > 10_000 {
-        return Err(format!("{n} seeds is past the 10000-seed sanity cap"));
+    // Compared before the + 1, which overflows on 0..u64::MAX.
+    if b - a >= 10_000 {
+        return Err(format!("{} seeds is past the 10000-seed sanity cap", u128::from(b - a) + 1));
     }
     Ok((a..=b).collect())
 }
@@ -162,6 +162,7 @@ mod tests {
         assert!(parse_seed_range("5..3").is_err());
         assert!(parse_seed_range("abc").is_err());
         assert!(parse_seed_range("1..999999999").is_err());
+        assert!(parse_seed_range("0..18446744073709551615").is_err());
     }
 
     #[test]

@@ -1,13 +1,8 @@
-//! Baseline server-selection techniques the paper compares against.
+//! The baseline server selection the paper compares against.
 //!
 //! "In the conventional socket library, users have to randomly select
 //! servers, without the help from third-party utilities" (§5.3.2) — the
-//! *Random* columns of Tables 5.3–5.9. "Traditional server selection
-//! techniques normally do the round-robin blindly, or count the number of
-//! requests/connections handled by each server, ignoring the user's
-//! requirement" (§3.3.3) — [`RoundRobinSelector`] and
-//! [`LeastConnectionsSelector`] model those (the latter mirrors the Linux
-//! Virtual Server strategies of §2.4).
+//! *Random* columns of Tables 5.3–5.9, which [`RandomSelector`] draws.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -32,64 +27,6 @@ impl RandomSelector {
         pool.shuffle(&mut self.rng);
         pool.truncate(n);
         pool
-    }
-}
-
-/// Classic blind round-robin over a static pool.
-pub struct RoundRobinSelector {
-    pool: Vec<Endpoint>,
-    cursor: usize,
-}
-
-impl RoundRobinSelector {
-    pub fn new(pool: Vec<Endpoint>) -> RoundRobinSelector {
-        RoundRobinSelector { pool, cursor: 0 }
-    }
-
-    /// Take the next `n` servers in rotation.
-    pub fn select(&mut self, n: usize) -> Vec<Endpoint> {
-        let len = self.pool.len();
-        let n = n.min(len);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            if let Some(&ep) = self.pool.get(self.cursor % len) {
-                out.push(ep);
-            }
-            self.cursor += 1;
-        }
-        out
-    }
-}
-
-/// LVS-style least-connections: pick the servers with the fewest active
-/// assignments, counting assignments it hands out itself (it has no view
-/// of real load — that blindness is the paper's point).
-pub struct LeastConnectionsSelector {
-    pool: Vec<(Endpoint, u64)>,
-}
-
-impl LeastConnectionsSelector {
-    pub fn new(pool: Vec<Endpoint>) -> LeastConnectionsSelector {
-        LeastConnectionsSelector { pool: pool.into_iter().map(|e| (e, 0)).collect() }
-    }
-
-    pub fn select(&mut self, n: usize) -> Vec<Endpoint> {
-        let n = n.min(self.pool.len());
-        // Stable sort keeps address order among equals — deterministic.
-        self.pool.sort_by_key(|&(e, c)| (c, e));
-        let mut out = Vec::with_capacity(n);
-        for slot in self.pool.iter_mut().take(n) {
-            slot.1 += 1;
-            out.push(slot.0);
-        }
-        out
-    }
-
-    /// Report a task completed on `server` (connection closed).
-    pub fn release(&mut self, server: Endpoint) {
-        if let Some(slot) = self.pool.iter_mut().find(|(e, _)| *e == server) {
-            slot.1 = slot.1.saturating_sub(1);
-        }
     }
 }
 
@@ -122,25 +59,5 @@ mod tests {
         let mut a = RandomSelector::new(pool(8), 1);
         let mut b = RandomSelector::new(pool(8), 2);
         assert_ne!(a.select(8), b.select(8));
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let mut rr = RoundRobinSelector::new(pool(3));
-        assert_eq!(rr.select(2), vec![pool(3)[0], pool(3)[1]]);
-        assert_eq!(rr.select(2), vec![pool(3)[2], pool(3)[0]]);
-        assert_eq!(rr.select(4)[0], pool(3)[1]);
-    }
-
-    #[test]
-    fn least_connections_balances_assignments() {
-        let mut lc = LeastConnectionsSelector::new(pool(3));
-        let first = lc.select(2);
-        let second = lc.select(1);
-        // The third pick must be the so-far-unused server.
-        assert!(!first.contains(&second[0]));
-        lc.release(first[0]);
-        let third = lc.select(1);
-        assert_eq!(third[0], first[0], "released server becomes least-loaded");
     }
 }

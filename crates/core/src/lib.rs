@@ -27,9 +27,8 @@
 //! * [`client`] — [`SmartClient`]: build a request, send it to the wizard,
 //!   match the reply by sequence number, connect to the returned servers
 //!   (§3.6.2), with timeout/retry and shortfall policy.
-//! * [`baseline`] — the comparison selectors of the evaluation: uniform
-//!   random (the paper's "Random" column) and round-robin (the classic
-//!   technique §3.3.3 calls out).
+//! * [`baseline`] — the evaluation's comparison selector: uniform random
+//!   (the paper's "Random" column).
 //! * [`deploy`] — [`Testbed`]: one call wires the Fig 5.1 network, the
 //!   Table 5.1 machines and every daemon of Fig 3.1, in centralized or
 //!   distributed mode.
@@ -40,13 +39,11 @@ pub mod baseline;
 pub mod client;
 pub mod deploy;
 pub mod group;
-pub mod reliable;
 
-pub use baseline::{RandomSelector, RoundRobinSelector};
+pub use baseline::RandomSelector;
 pub use client::{ClientError, RequestSpec, SmartClient, SmartSock};
 pub use deploy::{Testbed, TestbedBuilder};
 pub use group::{RepairGuard, RepairOutcome, SockGroup};
-pub use reliable::{ReliableServer, ReliableServerHandle, ReliableSock};
 
 // Re-export the system's building blocks so downstream users need only
 // this facade crate.

@@ -23,7 +23,7 @@
 //!   socket bindings), kills the host's tasks and stops its daemons; the
 //!   matching `HostReboot` revives the node, zeroes the procfs counters,
 //!   restarts the daemons and fires any registered reboot hooks (e.g.
-//!   resuming a suspended `ReliableSock`).
+//!   re-binding a service's stream endpoint).
 //!
 //! Every applied fault increments a `faults.*` metric, so two runs with
 //! the same seed can be compared byte-for-byte on the metrics table.
@@ -264,7 +264,7 @@ struct Inner {
     /// Saved cut sets of named partitions.
     partitions: BTreeMap<String, Vec<LinkId>>,
     /// Hooks fired after a host reboots (keyed by lowercase host name) —
-    /// how a `ReliableSock` learns it may resume.
+    /// how a service learns it may re-bind.
     reboot_hooks: BTreeMap<String, Vec<RebootHook>>,
     rng: StdRng,
 }
@@ -321,7 +321,7 @@ impl FaultInjector {
     }
 
     /// Run `hook` every time the named host reboots — the hook point for
-    /// re-binding services and resuming suspended reliable sockets.
+    /// re-binding services.
     pub fn on_reboot(&self, host: &str, hook: impl FnMut(&mut Scheduler) + 'static) {
         self.inner
             .borrow_mut()

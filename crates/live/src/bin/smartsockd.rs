@@ -7,7 +7,8 @@
 //!     Run the combined monitor+wizard daemon until stdin closes; with
 //!     --trace, write the telemetry JSONL trace on shutdown (readable by
 //!     the `telemetry` query binary); with --stream-trace, stream records
-//!     to PATH as they happen (tail with `telemetry tail --follow`).
+//!     to PATH as they happen (follow them with `tail -F`). Either PATH is
+//!     created before the daemon starts, so a bad path fails at once.
 //!
 //! smartsockd stats --wizard 127.0.0.1:1120 [--timeout-ms N] [--retries N] [--json]
 //!     Query a running daemon for its live telemetry snapshot without
@@ -33,6 +34,8 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
+use std::fs::File;
+use std::io::Write as _;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::mpsc;
@@ -130,6 +133,15 @@ impl Flags {
 fn cmd_wizard(flags: &Flags) -> Result<(), String> {
     let bind = flags.get("bind").unwrap_or("127.0.0.1:1120");
     let (policy, clock) = (SelectPolicy::default(), Clock::wall());
+    // Created before the daemon starts, as --stream-trace's file is, so a
+    // bad path fails here rather than after the whole run.
+    let trace = match flags.get("trace") {
+        Some(path) => Some((
+            path,
+            File::create(path).map_err(|e| format!("cannot create trace {path}: {e}"))?,
+        )),
+        None => None,
+    };
     let wiz = match flags.get("stream-trace") {
         Some(path) => LiveWizard::spawn_streaming(bind, policy, clock, std::path::Path::new(path)),
         None => LiveWizard::spawn_with(bind, policy, clock),
@@ -140,8 +152,8 @@ fn cmd_wizard(flags: &Flags) -> Result<(), String> {
     let mut line = String::new();
     let _ = std::io::stdin().read_line(&mut line);
     let stats = wiz.shutdown().map_err(|e| e.to_string())?;
-    if let Some(path) = flags.get("trace") {
-        std::fs::write(path, &stats.trace_jsonl).map_err(|e| e.to_string())?;
+    if let Some((path, mut file)) = trace {
+        file.write_all(stats.trace_jsonl.as_bytes()).map_err(|e| e.to_string())?;
         println!("trace written to {path}");
     }
     if stats.dropped > 0 {

@@ -740,3 +740,21 @@ fn each_reuse_of_a_port_draws_a_fresh_seq() {
     assert_eq!(sent[0].0, sent[1].0, "one port");
     assert_ne!(sent[0].1, sent[1].1, "a seq repeated on it");
 }
+
+#[test]
+fn an_unwritable_trace_path_fails_before_the_daemon_listens() {
+    let dir = std::env::temp_dir().join(format!("smartsock-no-such-dir-{}", std::process::id()));
+    assert!(!dir.exists());
+    let path = dir.join("t.jsonl");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_smartsockd"))
+        .args(["wizard", "--bind", "127.0.0.1:0", "--trace"])
+        .arg(&path)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(!out.status.success(), "exited 0: {stdout}");
+    assert!(stderr.contains(path.to_str().unwrap()), "the path is not named: {stderr}");
+    assert!(!stdout.contains("listening"), "the daemon ran first: {stdout}");
+}

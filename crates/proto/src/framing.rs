@@ -194,7 +194,9 @@ fn decode_counted<T, B: Buf>(
         return Err(ProtoError::Truncated { expected: 4, got: cursor.remaining() });
     }
     let count = cursor.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(count);
+    // The count is the wire's claim; every record takes at least one of
+    // the bytes that follow, so those bound what is worth reserving.
+    let mut out = Vec::with_capacity(count.min(cursor.remaining()));
     for _ in 0..count {
         out.push(decode_one(&mut cursor)?);
     }
@@ -242,6 +244,24 @@ mod tests {
         assert_eq!(seen, 4);
         assert_eq!(RecordType::from_u32(0), Err(ProtoError::UnknownType(0)));
         assert_eq!(RecordType::from_u32(5), Err(ProtoError::UnknownType(5)));
+    }
+
+    #[test]
+    fn a_huge_record_count_is_truncated_not_reserved() {
+        // 12 bytes: a 4-byte payload claiming u32::MAX records.
+        let frame = |rtype: RecordType| {
+            let mut wire = BytesMut::new();
+            wire.put_u32_le(u32::from(rtype));
+            wire.put_u32_le(4);
+            wire.put_u32_le(u32::MAX);
+            Frame::decode(&mut wire).unwrap().unwrap()
+        };
+        let truncated =
+            |r: Result<usize, ProtoError>| matches!(r, Err(ProtoError::Truncated { .. }));
+        assert!(truncated(frame(RecordType::System).decode_system().map(|v| v.len())));
+        assert!(truncated(frame(RecordType::SystemAged).decode_system_aged().map(|v| v.len())));
+        assert!(truncated(frame(RecordType::Network).decode_network().map(|v| v.len())));
+        assert!(truncated(frame(RecordType::Security).decode_security().map(|v| v.len())));
     }
 
     #[test]

@@ -258,7 +258,7 @@ mod tests {
         let raw = "a\"b\\c\nd\te\u{1}";
         let v = parse(&format!("{{\"s\":\"{}\"}}", escape(raw))).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some(raw));
-        // The exact bytes, which `repro --json` shares with the JSONL writer.
+        // The exact bytes the JSONL writer and `rollup --json` emit.
         assert_eq!(escape(raw), "a\\\"b\\\\c\\nd\\te\\u0001");
     }
 

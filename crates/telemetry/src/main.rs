@@ -1,21 +1,19 @@
 //! `telemetry` — query a smartsock JSONL trace.
 //!
 //! ```text
-//! telemetry summary [--json] <trace.jsonl>     per-span-name count/total/p50/p95/p99 + events
+//! telemetry summary <trace.jsonl>              per-span-name count/total/p50/p95/p99 + events
 //! telemetry timeline <host> <trace.jsonl>      ordered record log for one host
-//! telemetry slowest [--json] <n> <trace.jsonl> worst spans with ancestry
+//! telemetry slowest <n> <trace.jsonl>          worst spans with ancestry
 //! telemetry merge <out.jsonl> <label=trace.jsonl>...
 //!                                              merge shard exports into one
 //!                                              trace (global seq, offset ids)
-//! telemetry tail [--lines N] [--follow] <trace.jsonl>
-//!                                              last N lines; with --follow keep
-//!                                              printing as the file grows
 //! telemetry rollup [--json] <trace.jsonl>      per-host/per-subnet aggregates
 //! ```
 //!
-//! `--json` renders the same aggregates as a single machine-readable JSON
-//! document (stable field order, sorted maps) so `smartsock-profile` and
-//! scripts can consume them without scraping the human tables.
+//! `rollup --json` renders the same rows as one JSON document (stable
+//! field order, sorted rows) for scripts; `ci/telemetry_smoke.sh` reads
+//! it. A trace still being written (`smartsockd --stream-trace`) is
+//! followed with `tail -F`.
 //!
 //! Every command tolerates a closed downstream pipe (`| head` exits the
 //! reader first): writes stop and the process exits clean.
@@ -23,14 +21,14 @@
 #![deny(rust_2018_idioms)]
 
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Read as _, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 use smartsock_telemetry::json;
 use smartsock_telemetry::trace::Trace;
 use smartsock_telemetry::Rollup;
 
-const USAGE: &str = "usage:\n  telemetry summary [--json] <trace.jsonl>\n  telemetry timeline <host> <trace.jsonl>\n  telemetry slowest [--json] <n> <trace.jsonl>\n  telemetry merge <out.jsonl> <label=trace.jsonl>...\n  telemetry tail [--lines N] [--follow] <trace.jsonl>\n  telemetry rollup [--json] <trace.jsonl>\n";
+const USAGE: &str = "usage:\n  telemetry summary <trace.jsonl>\n  telemetry timeline <host> <trace.jsonl>\n  telemetry slowest <n> <trace.jsonl>\n  telemetry merge <out.jsonl> <label=trace.jsonl>...\n  telemetry rollup [--json] <trace.jsonl>\n";
 
 enum CmdError {
     /// User-facing failure: print to stderr, exit non-zero.
@@ -77,12 +75,8 @@ fn load(path: &str) -> Result<Trace, CmdError> {
     Ok(trace)
 }
 
-fn cmd_summary(out: &mut impl Write, path: &str, as_json: bool) -> Result<(), CmdError> {
+fn cmd_summary(out: &mut impl Write, path: &str) -> Result<(), CmdError> {
     let tr = load(path)?;
-    if as_json {
-        writeln!(out, "{}", summary_json(&tr))?;
-        return Ok(());
-    }
     let spans = tr.span_summary();
     writeln!(out, "spans:")?;
     writeln!(
@@ -143,13 +137,9 @@ fn cmd_timeline(out: &mut impl Write, host: &str, path: &str) -> Result<(), CmdE
     Ok(())
 }
 
-fn cmd_slowest(out: &mut impl Write, n: &str, path: &str, as_json: bool) -> Result<(), CmdError> {
+fn cmd_slowest(out: &mut impl Write, n: &str, path: &str) -> Result<(), CmdError> {
     let n: usize = n.parse().map_err(|_| CmdError::Msg(format!("telemetry: not a count: {n}")))?;
     let tr = load(path)?;
-    if as_json {
-        writeln!(out, "{}", slowest_json(&tr, n))?;
-        return Ok(());
-    }
     for (span, ancestry) in tr.slowest(n) {
         writeln!(
             out,
@@ -187,136 +177,6 @@ fn cmd_merge(out_path: &str, shard_args: &[&str]) -> Result<(), CmdError> {
         .map_err(|e| CmdError::Msg(format!("telemetry: cannot write {out_path}: {e}")))?;
     eprintln!("telemetry: merged {} shard(s) into {out_path}", shards.len());
     Ok(())
-}
-
-/// `summary --json`: one object with sorted span/event aggregates, the
-/// counter map, and the human footer's totals.
-fn summary_json(tr: &Trace) -> String {
-    let spans = tr.span_summary();
-    let events = tr.event_summary();
-    let mut s = String::from("{\"spans\":[");
-    for (i, (name, count, total, p50, p95, p99)) in spans.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"name\":\"{}\",\"count\":{count},\"total_ns\":{total},\
-             \"p50_ns\":{p50},\"p95_ns\":{p95},\"p99_ns\":{p99}}}",
-            json::escape(name),
-        );
-    }
-    s.push_str("],\"events\":[");
-    for (i, (name, count)) in events.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"name\":\"{}\",\"count\":{count}}}", json::escape(name));
-    }
-    s.push_str("],\"counters\":{");
-    for (i, (name, value)) in tr.counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\":{value}", json::escape(name));
-    }
-    let span_total: u64 = spans.iter().map(|s| s.1).sum();
-    let event_total: u64 = events.iter().map(|e| e.1).sum();
-    let (kind, dropped) = sink_meta(tr);
-    let kind = match kind {
-        Some(k) => format!("\"{}\"", json::escape(k)),
-        None => "null".to_owned(),
-    };
-    let _ = write!(
-        s,
-        "}},\"sink\":{{\"kind\":{kind},\"dropped\":{dropped},\"complete\":{}}},\
-         \"totals\":{{\"spans\":{span_total},\"span_names\":{},\"events\":{event_total},\
-         \"counters\":{}}}}}",
-        dropped == 0,
-        spans.len(),
-        tr.counters.len(),
-    );
-    s
-}
-
-/// `tail [--lines N] [--follow] <trace.jsonl>`: print the last `N`
-/// complete lines of the file, then — in follow mode — keep printing new
-/// complete lines as the stream grows, the natural companion of a
-/// `StreamSink`-written trace. A truncated/rotated file restarts from its
-/// beginning; a closed downstream pipe ends the command cleanly.
-fn cmd_tail(out: &mut impl Write, args: &[&str]) -> Result<(), CmdError> {
-    let mut lines = 10usize;
-    let mut follow = false;
-    let mut path: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--follow" => follow = true,
-            "--lines" => {
-                let n = it.next().ok_or_else(|| CmdError::Msg(USAGE.to_owned()))?;
-                lines =
-                    n.parse().map_err(|_| CmdError::Msg(format!("telemetry: not a count: {n}")))?;
-            }
-            p if path.is_none() && !p.starts_with('-') => path = Some(p),
-            _ => return Err(CmdError::Msg(USAGE.to_owned())),
-        }
-    }
-    let path = path.ok_or_else(|| CmdError::Msg(USAGE.to_owned()))?;
-    let mut f = std::fs::File::open(path)
-        .map_err(|e| CmdError::Msg(format!("telemetry: cannot read {path}: {e}")))?;
-
-    // Initial window: last `lines` complete lines. Anything after the
-    // final newline is a partial line still being written; it stays
-    // buffered in `carry` until its newline arrives.
-    let mut text = String::new();
-    f.read_to_string(&mut text)
-        .map_err(|e| CmdError::Msg(format!("telemetry: cannot read {path}: {e}")))?;
-    let mut pos = text.len() as u64;
-    let complete = match text.rfind('\n') {
-        Some(i) => &text[..=i],
-        None => "",
-    };
-    let mut carry = text[complete.len()..].to_owned();
-    let window: Vec<&str> = complete.lines().collect();
-    let skip = window.len().saturating_sub(lines);
-    for line in &window[skip..] {
-        writeln!(out, "{line}")?;
-    }
-    out.flush()?;
-    if !follow {
-        return Ok(());
-    }
-    loop {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "follow-mode poll interval of an offline CLI; nothing simulated runs here"
-        )]
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        let len = f
-            .metadata()
-            .map_err(|e| CmdError::Msg(format!("telemetry: cannot stat {path}: {e}")))?
-            .len();
-        if len < pos {
-            // Truncated or rotated underneath us: start over.
-            f.seek(SeekFrom::Start(0))
-                .map_err(|e| CmdError::Msg(format!("telemetry: cannot seek {path}: {e}")))?;
-            pos = 0;
-            carry.clear();
-        }
-        if len == pos {
-            continue;
-        }
-        let mut chunk = String::new();
-        f.read_to_string(&mut chunk)
-            .map_err(|e| CmdError::Msg(format!("telemetry: cannot read {path}: {e}")))?;
-        pos += chunk.len() as u64;
-        carry.push_str(&chunk);
-        while let Some(i) = carry.find('\n') {
-            writeln!(out, "{}", &carry[..i])?;
-            carry.drain(..=i);
-        }
-        out.flush()?;
-    }
 }
 
 /// `rollup [--json] <trace.jsonl>`: fold the trace's records into
@@ -379,29 +239,6 @@ fn rollup_json(rollup: &Rollup) -> String {
     s
 }
 
-/// `slowest --json`: an array of the worst spans, worst first.
-fn slowest_json(tr: &Trace, n: usize) -> String {
-    let mut s = String::from("[");
-    for (i, (span, ancestry)) in tr.slowest(n).iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"name\":\"{}\",\"host\":\"{}\",\"dur_ns\":{},\"start_ns\":{},\
-             \"end_ns\":{},\"ancestry\":\"{}\"}}",
-            json::escape(&span.name),
-            json::escape(&span.host),
-            span.dur_ns,
-            span.start_ns,
-            span.end_ns,
-            json::escape(ancestry),
-        );
-    }
-    s.push(']');
-    s
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let as_json = match args.iter().position(|a| a == "--json") {
@@ -414,12 +251,12 @@ fn main() -> ExitCode {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     let result = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        ["summary", path] => cmd_summary(&mut out, path, as_json),
-        ["timeline", host, path] if !as_json => cmd_timeline(&mut out, host, path),
-        ["slowest", n, path] => cmd_slowest(&mut out, n, path, as_json),
-        ["merge", out_path, ref shards @ ..] if !as_json => cmd_merge(out_path, shards),
-        ["tail", ref rest @ ..] if !as_json && !rest.is_empty() => cmd_tail(&mut out, rest),
         ["rollup", path] => cmd_rollup(&mut out, path, as_json),
+        _ if as_json => Err(CmdError::Msg(USAGE.to_owned())),
+        ["summary", path] => cmd_summary(&mut out, path),
+        ["timeline", host, path] => cmd_timeline(&mut out, host, path),
+        ["slowest", n, path] => cmd_slowest(&mut out, n, path),
+        ["merge", out_path, ref shards @ ..] => cmd_merge(out_path, shards),
         _ => Err(CmdError::Msg(USAGE.to_owned())),
     };
     let result = result.and_then(|()| out.flush().map_err(CmdError::from));
@@ -437,40 +274,6 @@ mod tests {
     use super::*;
     use smartsock_telemetry::Telemetry;
 
-    fn sample() -> Trace {
-        let mut t = Telemetry::new();
-        t.set_now(100);
-        let root = t.span_start("client-request", "alice");
-        t.set_now(150);
-        let child = t.span_child("client-connect", "alice", root);
-        t.set_now(400);
-        t.span_end(child);
-        t.set_now(900);
-        t.span_end(root);
-        t.event("fault-injected", "helene", &[("kind", "host-crash")]);
-        t.counter_add("sysmon-reports", 12);
-        Trace::parse(&t.export_jsonl())
-    }
-
-    #[test]
-    fn summary_json_is_valid_and_complete() {
-        let tr = sample();
-        let doc = summary_json(&tr);
-        let v = json::parse(&doc).expect("summary --json must emit valid JSON");
-        let spans = match v.get("spans") {
-            Some(json::Value::Arr(xs)) => xs,
-            other => panic!("spans: {other:?}"),
-        };
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].get("name").unwrap().as_str(), Some("client-connect"));
-        assert_eq!(spans[0].get("p99_ns").unwrap().as_u64(), Some(250));
-        assert_eq!(v.get("counters").unwrap().get("sysmon-reports").unwrap().as_u64(), Some(12));
-        assert_eq!(v.get("totals").unwrap().get("spans").unwrap().as_u64(), Some(2));
-        assert_eq!(v.get("totals").unwrap().get("events").unwrap().as_u64(), Some(1));
-        // Deterministic: same trace, same bytes.
-        assert_eq!(doc, summary_json(&sample()));
-    }
-
     #[test]
     fn summary_surfaces_the_reliability_counters() {
         let mut t = Telemetry::new();
@@ -480,8 +283,7 @@ mod tests {
         let path = std::env::temp_dir().join("smartsock-telemetry-reliability-test.jsonl");
         std::fs::write(&path, t.export_jsonl()).unwrap();
         let mut out = Vec::new();
-        cmd_summary(&mut out, path.to_str().unwrap(), false)
-            .unwrap_or_else(|_| panic!("summary fails"));
+        cmd_summary(&mut out, path.to_str().unwrap()).unwrap_or_else(|_| panic!("summary fails"));
         let _ = std::fs::remove_file(&path);
         let text = String::from_utf8(out).unwrap();
         let reliability = text.split("reliability:").nth(1).expect("has a reliability section");
@@ -494,25 +296,6 @@ mod tests {
                 .any(|l| l.contains("wizard-quarantined-assignments") && l.ends_with("0")),
             "zero counters must be shown, not omitted: {reliability}"
         );
-    }
-
-    #[test]
-    fn tail_prints_only_the_last_complete_lines() {
-        let path = std::env::temp_dir().join("smartsock-telemetry-tail-test.jsonl");
-        std::fs::write(&path, "one\ntwo\nthree\nfour\npartial-no-newline").unwrap();
-        let mut out = Vec::new();
-        cmd_tail(&mut out, &["--lines", "2", path.to_str().unwrap()])
-            .unwrap_or_else(|_| panic!("tail fails"));
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(String::from_utf8(out).unwrap(), "three\nfour\n");
-    }
-
-    #[test]
-    fn tail_rejects_bad_flags_and_missing_path() {
-        let mut out = Vec::new();
-        assert!(matches!(cmd_tail(&mut out, &["--lines", "x", "t.jsonl"]), Err(CmdError::Msg(_))));
-        assert!(matches!(cmd_tail(&mut out, &["--follow"]), Err(CmdError::Msg(_))));
-        assert!(matches!(cmd_tail(&mut out, &["--frobnicate", "t.jsonl"]), Err(CmdError::Msg(_))));
     }
 
     #[test]
@@ -557,24 +340,5 @@ mod tests {
             .expect("span row present");
         assert_eq!(span_row.get("count").unwrap().as_u64(), Some(1));
         assert!(span_row.get("p50_ns").unwrap().as_u64().is_some(), "span rows carry quantiles");
-    }
-
-    #[test]
-    fn slowest_json_is_valid_and_ordered() {
-        let tr = sample();
-        let doc = slowest_json(&tr, 10);
-        let v = json::parse(&doc).expect("slowest --json must emit valid JSON");
-        let rows = match v {
-            json::Value::Arr(xs) => xs,
-            other => panic!("expected array: {other:?}"),
-        };
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("name").unwrap().as_str(), Some("client-request"));
-        assert_eq!(rows[0].get("dur_ns").unwrap().as_u64(), Some(800));
-        assert_eq!(
-            rows[1].get("ancestry").unwrap().as_str(),
-            Some("client-connect <- client-request")
-        );
-        assert_eq!(slowest_json(&tr, 1).matches("{").count(), 1);
     }
 }

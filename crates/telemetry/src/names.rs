@@ -175,11 +175,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "receiver-bytes",
     "receiver-frames",
     "receiver-pull-requests",
-    "rsock-acks",
-    "rsock-retransmits",
-    "rsock-server-bad-frames",
-    "rsock-server-duplicates",
-    "rsock-transmits",
     // monitor tools.
     "secmon-bad-scans",
     // sim scheduler.

@@ -1,7 +1,7 @@
 //! Fault tolerance end to end: a server crashes mid-session; the group
 //! detects it, the wizard stops offering it (3 missed probe intervals),
-//! and the group repairs itself with a fresh qualified server — the §6
-//! future-work scenario, built from `SockGroup` + `ReliableSock`.
+//! and the group repairs itself with a fresh qualified server — the
+//! redirect half of the §6 future-work scenario, built from `SockGroup`.
 //!
 //! ```text
 //! cargo run --example failover
@@ -12,25 +12,17 @@ use std::rc::Rc;
 
 use smartsock::client::RequestSpec;
 use smartsock::group::SockGroup;
-use smartsock::net::Payload;
 use smartsock::proto::consts::ports;
 use smartsock::proto::Endpoint;
-use smartsock::reliable::{ReliableServer, ReliableSock};
 use smartsock::sim::{SimDuration, SimTime};
 use smartsock::Testbed;
 
 fn main() {
     let (mut s, tb) = Testbed::paper(404);
 
-    // Reliable echo services on every machine.
+    // A service on every machine.
     for host in tb.hosts.values() {
-        let ep = Endpoint::new(host.ip(), ports::SERVICE);
-        ReliableServer::install(&tb.net, ep, move |_s, from, payload| {
-            println!(
-                "  [server] got {:?} from {from}",
-                std::str::from_utf8(&payload.data).unwrap_or("?")
-            );
-        });
+        tb.net.bind_stream(Endpoint::new(host.ip(), ports::SERVICE), |_s, _m| {});
     }
     s.run_until(SimTime::from_secs(10));
 
@@ -56,20 +48,12 @@ fn main() {
     let members: Vec<Endpoint> = group.sockets().iter().map(|k| k.remote).collect();
     println!("group formed: {:?}", names(&members));
 
-    // Talk over a reliable socket to the first member.
-    let victim = members[0];
-    let rsock = ReliableSock::connect(&tb.net, Endpoint::new(tb.ip("sagit"), 46100), victim);
-    rsock.send(&mut s, Payload::data(&b"hello before the crash"[..]));
-    s.run_until(s.now() + SimDuration::from_secs(1));
-
     // The server crashes: daemon gone, probe silent.
+    let victim = members[0];
     let victim_name = names(&[victim]).remove(0);
     println!("\n!! {victim_name} crashes\n");
     tb.net.unbind_stream(victim);
     tb.host(&victim_name).fail();
-
-    // Messages sent now buffer/retransmit; nothing is lost.
-    rsock.send(&mut s, Payload::data(&b"sent during the outage"[..]));
     s.run_until(s.now() + SimDuration::from_secs(20)); // expiry window
     println!("group health: failed members = {:?}", names(&group.failed_members()));
 
@@ -88,19 +72,4 @@ fn main() {
     );
     assert_eq!(outcome.replaced, 1);
     assert!(!repaired.contains(&victim));
-
-    // The recovered host returns and the reliable socket's retransmission
-    // finally lands the buffered message.
-    println!("\n{victim_name} recovers; the retransmission timer drains the outbox:");
-    tb.host(&victim_name).recover();
-    let ep = victim;
-    ReliableServer::install(&tb.net, ep, move |_s, from, payload| {
-        println!(
-            "  [server] got {:?} from {from} (after recovery)",
-            std::str::from_utf8(&payload.data).unwrap_or("?")
-        );
-    });
-    s.run_until(s.now() + SimDuration::from_secs(2));
-    println!("\nunacked messages remaining: {}", rsock.unacked());
-    assert_eq!(rsock.unacked(), 0, "outage-era message acknowledged after recovery");
 }

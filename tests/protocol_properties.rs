@@ -1,13 +1,14 @@
 //! Property-based tests of the wire formats and network-model invariants.
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
 use smartsock_hostsim::TopologySpec;
 use smartsock_net::packet::{fragment_sizes, udp_wire_size};
 use smartsock_proto::{
-    Endpoint, Frame, Ip, NetPathRecord, OutcomeKind, OutcomeReport, ProtoError, RequestOption,
-    SecurityRecord, ServerStatusReport, StatsReply, StatsRequest, UserRequest, WizardReply,
+    Endpoint, Frame, Ip, NetPathRecord, OutcomeKind, OutcomeReport, ProtoError, RecordType,
+    RequestOption, SecurityRecord, ServerStatusReport, StatsReply, StatsRequest, UserRequest,
+    WizardReply,
 };
 
 fn arb_ip() -> impl Strategy<Value = Ip> {
@@ -176,6 +177,18 @@ proptest! {
         prop_assert_eq!(SecurityRecord::decode_binary(&mut buf).unwrap(), sec);
     }
 
+    /// No wire decoder panics or aborts on arbitrary bytes: each call
+    /// returns, `Ok` or `Err`. Short inputs probe the length checks;
+    /// long ones reach past the first record.
+    #[test]
+    fn every_decoder_survives_arbitrary_bytes(
+        short in proptest::collection::vec(any::<u8>(), 0..40),
+        long in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        decode_everything(&short);
+        decode_everything(&long);
+    }
+
     /// Fragmentation conserves payload bytes, never exceeds the MTU, and
     /// its fragment count is monotone in the payload size.
     #[test]
@@ -237,6 +250,35 @@ proptest! {
 }
 
 // ---- the two positional text parsers, pinned field by field ----------------
+
+/// Feed `bytes` to every wire decoder, discarding the results. They are
+/// also framed as the payload of each record type, whose leading `u32` is
+/// a record count the rest need not back, and parsed as text behind the
+/// status line's magic.
+fn decode_everything(bytes: &[u8]) {
+    let _ = UserRequest::decode(bytes);
+    let _ = WizardReply::decode(bytes);
+    let _ = OutcomeReport::decode(bytes);
+    let _ = StatsRequest::decode(bytes);
+    let _ = StatsReply::decode(bytes);
+    let _ = ServerStatusReport::decode_binary(&mut &bytes[..]);
+    let _ = NetPathRecord::decode_binary(&mut &bytes[..]);
+    let _ = SecurityRecord::decode_binary(&mut &bytes[..]);
+
+    let mut wire = BytesMut::from(bytes);
+    while let Ok(Some(_)) = Frame::decode(&mut wire) {}
+    let framed = |rtype| Frame { rtype, data: Bytes::copy_from_slice(bytes) };
+    let _ = framed(RecordType::System).decode_system();
+    let _ = framed(RecordType::SystemAged).decode_system_aged();
+    let _ = framed(RecordType::Network).decode_network();
+    let _ = framed(RecordType::Security).decode_security();
+
+    let text = String::from_utf8_lossy(bytes);
+    for line in [text.to_string(), format!("{} {text}", ServerStatusReport::ASCII_MAGIC)] {
+        let _ = ServerStatusReport::parse_ascii(&line);
+        let _ = SecurityRecord::parse_log_line(&line);
+    }
+}
 
 fn bad_field(field: &'static str, text: &str) -> ProtoError {
     ProtoError::BadField { field, text: text.to_owned() }
