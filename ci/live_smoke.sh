@@ -4,7 +4,8 @@
 # reports, issue a request, overwrite a row and ask again, ask with a
 # requirement mixing a test with other statements, a hostile request, one
 # longer than 4 KiB and one nobody answers, then stop it gracefully and
-# check the stats and the exported telemetry trace. Single source of truth
+# check the stats and the telemetry trace (streamed to its file while the
+# daemon runs, ended with the summary lines at shutdown). Single source of truth
 # for CI (ci.yml `live-smoke` job, under a hard timeout) and for local runs:
 #
 #   ./ci/live_smoke.sh
@@ -25,6 +26,7 @@ bin=target/debug/smartsockd
 echo "== start the wizard daemon (ephemeral loopback port) =="
 rm -f "$fifo" "$wizlog" "$trace" "$longreq"
 mkfifo "$fifo"
+# --trace streams records to "$trace" as they happen.
 "$bin" wizard --bind 127.0.0.1:0 --trace "$trace" <"$fifo" >"$wizlog" &
 wizpid=$!
 # Hold the FIFO's write end open; closing it (or writing a line) stops

@@ -217,23 +217,14 @@ pub fn estimators(seed: u64) -> Report {
         // pipechar.
         let pc = Rc::new(RefCell::new(None));
         let g = Rc::clone(&pc);
-        pipechar::estimate(
-            &mut s,
-            &net,
-            a,
-            c,
-            pipechar::PipecharConfig::default(),
-            move |_s, e| *g.borrow_mut() = Some(e),
-        );
+        pipechar::estimate(&mut s, &net, a, c, move |_s, e| *g.borrow_mut() = Some(e));
         s.run();
         let pc = pc.borrow_mut().take().flatten().unwrap_or(f64::NAN);
 
         // SLoPS.
         let sl = Rc::new(RefCell::new(None));
         let g = Rc::clone(&sl);
-        pathload::estimate(&mut s, &net, a, c, pathload::SlopsConfig::default(), move |_s, e| {
-            *g.borrow_mut() = Some(e)
-        });
+        pathload::estimate(&mut s, &net, a, c, move |_s, e| *g.borrow_mut() = Some(e));
         s.run();
         let sl = sl.borrow_mut().take().unwrap_or(f64::NAN);
 
@@ -243,9 +234,7 @@ pub fn estimators(seed: u64) -> Report {
         let mut s2 = rig::sim();
         let ipf = Rc::new(RefCell::new(None));
         let g = Rc::clone(&ipf);
-        iperf::estimate(&mut s2, &net2, a2, c2, iperf::IperfConfig::default(), move |_s, e| {
-            *g.borrow_mut() = Some(e)
-        });
+        iperf::estimate(&mut s2, &net2, a2, c2, move |_s, e| *g.borrow_mut() = Some(e));
         s2.run_until(SimTime::from_secs(4));
         let ipf = ipf.borrow_mut().take().flatten().unwrap_or(f64::NAN);
 

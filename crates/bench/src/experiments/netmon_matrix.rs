@@ -4,7 +4,7 @@
 //! probing loops run for a while, every monitor holds a record per
 //! neighbour — the exact table of §3.3.3.
 
-use smartsock_monitor::{NetMonConfig, NetworkMonitor};
+use smartsock_monitor::NetworkMonitor;
 use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
 use smartsock_proto::Ip;
 use smartsock_sim::{SimDuration, SimTime};
@@ -32,7 +32,8 @@ pub fn table3_4(seed: u64) -> Report {
     let mut s = rig::sim();
     let mut monitors = Vec::new();
     for &ip in &mons {
-        let m = NetworkMonitor::new(ip, net.clone(), Default::default(), NetMonConfig::default());
+        let pairs = NetworkMonitor::DEFAULT_PAIRS_PER_ROUND;
+        let m = NetworkMonitor::new(ip, net.clone(), Default::default(), pairs);
         for &peer in &mons {
             m.add_peer(peer);
         }

@@ -22,10 +22,7 @@ pub fn table5_2(seed: u64) -> Report {
         .group("sagit", &["sagit"])
         // §5.2's deployment sends ONE 1600/2900 pair every two seconds
         // ("one probe is done after every two seconds", 2.8 KBps).
-        .netmon_config(smartsock::monitor::NetMonConfig {
-            pairs_per_round: 1,
-            ..Default::default()
-        })
+        .netmon_pairs_per_round(1)
         .start(&mut s);
     // Give the wizard some request traffic like the sample run.
     let client = tb.client("sagit");

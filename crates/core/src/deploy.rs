@@ -25,9 +25,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use smartsock_hostsim::{machine_specs, Host, MachineSpec};
-use smartsock_monitor::{
-    NetMonConfig, NetworkMonitor, SecurityMonitor, StatusDbs, SysMonConfig, SystemMonitor,
-};
+use smartsock_monitor::{NetworkMonitor, SecurityMonitor, StatusDbs, SystemMonitor};
 use smartsock_net::{HostParams, LinkParams, Network, NetworkBuilder};
 use smartsock_probe::{ProbeConfig, ServerProbe};
 use smartsock_proto::consts::ports;
@@ -41,6 +39,9 @@ use crate::client::SmartClient;
 /// The machine that runs the monitors, the transmitter and the wizard.
 const MONITOR_MACHINE: &str = "dalmatian";
 
+/// Background utilisation of every testbed LAN link.
+const LINK_CROSS_LOAD: f64 = 0.02;
+
 /// Builds a [`Testbed`].
 pub struct TestbedBuilder {
     seed: u64,
@@ -51,8 +52,7 @@ pub struct TestbedBuilder {
     /// fall into the monitor machine's implicit group.
     groups: Vec<(String, Vec<String>)>,
     security_log: String,
-    netmon_cfg: NetMonConfig,
-    link_cross_load: f64,
+    netmon_pairs_per_round: usize,
     multi_monitor: bool,
     wizard_age_discount: bool,
 }
@@ -66,8 +66,7 @@ impl TestbedBuilder {
             distributed: false,
             groups: Vec::new(),
             security_log: String::new(),
-            netmon_cfg: NetMonConfig::default(),
-            link_cross_load: 0.02,
+            netmon_pairs_per_round: NetworkMonitor::DEFAULT_PAIRS_PER_ROUND,
             multi_monitor: false,
             wizard_age_discount: true,
         }
@@ -114,8 +113,9 @@ impl TestbedBuilder {
         self
     }
 
-    pub fn netmon_config(mut self, cfg: NetMonConfig) -> TestbedBuilder {
-        self.netmon_cfg = cfg;
+    /// (S1, S2) pairs each network-monitor round sends.
+    pub fn netmon_pairs_per_round(mut self, pairs: usize) -> TestbedBuilder {
+        self.netmon_pairs_per_round = pairs;
         self
     }
 
@@ -129,7 +129,7 @@ impl TestbedBuilder {
         let mut seg_router = BTreeMap::new();
         for seg in 1..=5u8 {
             let r = b.router(&format!("sw{seg}"), Ip::new(192, 168, seg, 254));
-            b.duplex(r, core, LinkParams::lan_100mbps().with_cross_load(self.link_cross_load));
+            b.duplex(r, core, LinkParams::lan_100mbps().with_cross_load(LINK_CROSS_LOAD));
             seg_router.insert(seg, r);
         }
         let mut hosts = BTreeMap::new();
@@ -142,7 +142,7 @@ impl TestbedBuilder {
             } else {
                 *seg_router.get(&m.segment).expect("invariant: segments 1..=5 registered above")
             };
-            b.duplex(node, attach, LinkParams::lan_100mbps().with_cross_load(self.link_cross_load));
+            b.duplex(node, attach, LinkParams::lan_100mbps().with_cross_load(LINK_CROSS_LOAD));
             nodes.insert(m.name.to_owned(), node);
             hosts.insert(m.name.to_owned(), Host::new(m.host_config()));
         }
@@ -183,10 +183,6 @@ impl TestbedBuilder {
         // probes reporting to their group's machine. A stack's daemons
         // share its machine's one `StatusDbs`.
         let mode = if self.distributed { Mode::Distributed } else { Mode::Centralized };
-        let mon_cfg = SysMonConfig {
-            probe_interval: self.probe_interval,
-            sweep_interval: self.probe_interval,
-        };
         let stack_ips: Vec<Ip> =
             if self.multi_monitor { monitor_ips.clone() } else { vec![monitor_ip] };
         let mut sysmons = Vec::new();
@@ -196,7 +192,7 @@ impl TestbedBuilder {
         let mut primary_dbs = None;
         for &stack_ip in &stack_ips {
             let dbs: Rc<RefCell<StatusDbs>> = Rc::default();
-            let sysmon = SystemMonitor::new(stack_ip, Rc::clone(&dbs), mon_cfg.clone());
+            let sysmon = SystemMonitor::new(stack_ip, Rc::clone(&dbs), self.probe_interval);
             sysmon.start(s, &net);
             sysmons.push(sysmon);
             let sm = SecurityMonitor::new(Rc::clone(&dbs), self.security_log.clone());
@@ -210,8 +206,8 @@ impl TestbedBuilder {
             }
             if self.multi_monitor {
                 // Each group's network monitor writes its own netdb.
-                let nm =
-                    NetworkMonitor::new(stack_ip, net.clone(), Rc::clone(&dbs), self.netmon_cfg);
+                let pairs = self.netmon_pairs_per_round;
+                let nm = NetworkMonitor::new(stack_ip, net.clone(), Rc::clone(&dbs), pairs);
                 for &peer in &monitor_ips {
                     nm.add_peer(peer);
                 }
@@ -220,8 +216,8 @@ impl TestbedBuilder {
             } else {
                 // Single monitor machine: all group netmons share one netdb.
                 for &mon_ip in &monitor_ips {
-                    let nm =
-                        NetworkMonitor::new(mon_ip, net.clone(), Rc::clone(&dbs), self.netmon_cfg);
+                    let pairs = self.netmon_pairs_per_round;
+                    let nm = NetworkMonitor::new(mon_ip, net.clone(), Rc::clone(&dbs), pairs);
                     for &peer in &monitor_ips {
                         nm.add_peer(peer);
                     }

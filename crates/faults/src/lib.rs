@@ -11,7 +11,7 @@
 //!   cuts and heals, host crashes and reboots, network partitions, daemon
 //!   kills/restarts (probe, system monitor, wizard), transient loss and
 //!   latency spikes — applied at exact simulation times;
-//! * [`FaultInjector::chaos`] mode samples faults from configured per-tick
+//! * [`FaultInjector::chaos`] mode samples faults at fixed gentle per-tick
 //!   rates using the simulation's seeded RNG
 //!   ([`smartsock_sim::rng::derive`]), so a chaos run is exactly
 //!   reproducible from its seed and two different seeds give different
@@ -173,84 +173,36 @@ impl FaultPlan {
     }
 }
 
-/// Per-tick fault rates for [`FaultInjector::chaos`]. Every probability is
-/// evaluated once per tick; a sampled fault picks its victim uniformly
-/// from the registered population and schedules its own recovery after a
-/// uniform draw from `outage`.
-#[derive(Clone, Debug)]
-pub struct ChaosConfig {
-    /// Sampling tick.
-    pub tick: SimDuration,
-    /// Stop sampling at this simulation time. Recoveries already scheduled
-    /// still run, so the system always converges back to healthy.
-    pub until: SimTime,
-    /// Per-tick probability of cutting one random host's access link.
-    pub link_down_prob: f64,
-    /// Per-tick probability of crashing one random host.
-    pub host_crash_prob: f64,
-    /// Per-tick probability of killing one random host's probe daemon.
-    pub daemon_kill_prob: f64,
-    /// Per-tick probability of a loss spike on one random access link.
-    pub loss_spike_prob: f64,
-    /// Outage duration range (uniform) before the matching recovery.
-    pub outage: (SimDuration, SimDuration),
-}
+// The gentle chaos of `FaultInjector::chaos`: every probability is
+// evaluated once per tick; a sampled fault picks its victim uniformly from
+// the registered population and schedules its own recovery after a
+// uniform draw from `CHAOS_OUTAGE`. Something breaks every few ticks and
+// nothing stays broken longer than `CHAOS_OUTAGE.1`.
 
-impl ChaosConfig {
-    /// A mild default: something breaks every few ticks, nothing stays
-    /// broken longer than `outage.1`.
-    pub fn gentle(until: SimTime) -> ChaosConfig {
-        ChaosConfig {
-            tick: SimDuration::from_secs(1),
-            until,
-            link_down_prob: 0.05,
-            host_crash_prob: 0.03,
-            daemon_kill_prob: 0.03,
-            loss_spike_prob: 0.05,
-            outage: (SimDuration::from_secs(2), SimDuration::from_secs(6)),
-        }
-    }
+/// Sampling tick.
+const CHAOS_TICK: SimDuration = SimDuration::from_secs(1);
+/// Per-tick probability of cutting one random host's access link.
+const LINK_DOWN_PROB: f64 = 0.05;
+/// Per-tick probability of crashing one random host.
+const HOST_CRASH_PROB: f64 = 0.03;
+/// Per-tick probability of killing one random host's probe daemon.
+const DAEMON_KILL_PROB: f64 = 0.03;
+/// Per-tick probability of a loss spike on one random access link.
+const LOSS_SPIKE_PROB: f64 = 0.05;
+/// Outage duration range (uniform) before the matching recovery.
+const CHAOS_OUTAGE: (SimDuration, SimDuration) =
+    (SimDuration::from_secs(2), SimDuration::from_secs(6));
 
-    /// Reject configurations that silently do nothing (zero tick, window
-    /// narrower than one tick, all rates zero) or that sample garbage
-    /// (rates outside `[0, 1]`, zero or inverted outage range). A config
-    /// that passes is guaranteed to take at least one sampling tick with a
-    /// chance of injecting something.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.tick.as_nanos() == 0 {
-            return Err("chaos tick must be positive".into());
-        }
-        if self.until.since(SimTime::ZERO) < self.tick {
-            return Err(format!(
-                "chaos window ends at {:?} before the first tick at {:?}: no fault can ever fire",
-                self.until, self.tick
-            ));
-        }
-        let rates = [
-            ("link_down_prob", self.link_down_prob),
-            ("host_crash_prob", self.host_crash_prob),
-            ("daemon_kill_prob", self.daemon_kill_prob),
-            ("loss_spike_prob", self.loss_spike_prob),
-        ];
-        for (name, p) in rates {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} = {p} is not a probability in [0, 1]"));
-            }
-        }
-        if rates.iter().all(|&(_, p)| p == 0.0) {
-            return Err("every fault rate is zero: chaos would be a silent no-op".into());
-        }
-        let (lo, hi) = self.outage;
-        if lo.as_nanos() == 0 {
-            return Err(
-                "outage lower bound must be positive (zero-length outages are no-ops)".into()
-            );
-        }
-        if lo > hi {
-            return Err(format!("outage range is inverted: {lo:?} > {hi:?}"));
-        }
-        Ok(())
+/// Reject a chaos window that ends before the first sampling tick: no
+/// fault could ever fire in it.
+fn check_chaos_window(until: SimTime) -> Result<(), String> {
+    if until.since(SimTime::ZERO) < CHAOS_TICK {
+        return Err(format!(
+            "chaos window ends at {until:?} before the first tick at {CHAOS_TICK:?}: \
+             no fault can ever fire"
+        ));
     }
+    Ok(())
 }
 
 type RebootHook = Box<dyn FnMut(&mut Scheduler)>;
@@ -618,46 +570,45 @@ impl FaultInjector {
     // ChaosRng mode
     // ------------------------------------------------------------------
 
-    /// Start sampling faults from `cfg`'s rates until `cfg.until`. Every
-    /// sampled fault schedules its own recovery, so by
-    /// `cfg.until + cfg.outage.1` the system is fault-free again.
+    /// Start sampling faults at the gentle per-tick rates until `until`.
+    /// Every sampled fault schedules its own recovery, so by
+    /// `until + CHAOS_OUTAGE.1` (6 s) the system is fault-free again.
     /// Reproducible from the injector's seed; different seeds produce
     /// different timings.
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` fails [`ChaosConfig::validate`] — a config that
+    /// Panics if `until` is before the first 1 s tick — a window that
     /// could never inject anything is a bug at the call site, not a run to
     /// quietly report clean.
-    pub fn chaos(&self, s: &mut Scheduler, cfg: ChaosConfig) {
-        if let Err(why) = cfg.validate() {
-            panic!("invalid ChaosConfig: {why}");
+    pub fn chaos(&self, s: &mut Scheduler, until: SimTime) {
+        if let Err(why) = check_chaos_window(until) {
+            panic!("invalid chaos window: {why}");
         }
         let inj = self.clone();
-        let tick = cfg.tick;
-        s.schedule_in(tick, move |s| inj.chaos_tick(s, cfg));
+        s.schedule_in(CHAOS_TICK, move |s| inj.chaos_tick(s, until));
     }
 
-    fn chaos_tick(&self, s: &mut Scheduler, cfg: ChaosConfig) {
-        if s.now() > cfg.until {
+    fn chaos_tick(&self, s: &mut Scheduler, until: SimTime) {
+        if s.now() > until {
             return;
         }
         s.telemetry.counter_incr("faults-chaos-ticks");
 
-        if self.roll(cfg.host_crash_prob) {
+        if self.roll(HOST_CRASH_PROB) {
             let up = self.pick_host(|inj, h| {
                 inj.net().node_by_name(h).is_some_and(|n| inj.net().node_up(n))
             });
             if let Some(victim) = up {
                 self.apply(s, &FaultKind::HostCrash { host: victim.clone() });
-                let recover_at = self.outage_end(s, &cfg);
+                let recover_at = self.outage_end(s);
                 let inj = self.clone();
                 s.schedule_at(recover_at, move |s| {
                     inj.apply(s, &FaultKind::HostReboot { host: victim.clone() });
                 });
             }
         }
-        if self.roll(cfg.link_down_prob) {
+        if self.roll(LINK_DOWN_PROB) {
             // Only flap access links of hosts that are up and whose link is
             // currently up — no double-cuts, no cutting under a crash.
             let flappable = self.pick_host(|inj, h| {
@@ -673,20 +624,20 @@ impl FaultInjector {
                 let node = self.resolve(&victim);
                 let peer = self.net().name_of(self.access_peer(node)).as_str().to_owned();
                 self.apply(s, &FaultKind::LinkDown { a: victim.clone(), b: peer.clone() });
-                let recover_at = self.outage_end(s, &cfg);
+                let recover_at = self.outage_end(s);
                 let inj = self.clone();
                 s.schedule_at(recover_at, move |s| {
                     inj.apply(s, &FaultKind::LinkUp { a: victim.clone(), b: peer.clone() });
                 });
             }
         }
-        if self.roll(cfg.daemon_kill_prob) {
+        if self.roll(DAEMON_KILL_PROB) {
             let running = self.pick_host(|inj, h| {
                 inj.inner.borrow().probes.get(h).is_some_and(ServerProbe::is_running)
             });
             if let Some(victim) = running {
                 self.apply(s, &FaultKind::DaemonKill { daemon: Daemon::Probe(victim.clone()) });
-                let recover_at = self.outage_end(s, &cfg);
+                let recover_at = self.outage_end(s);
                 let inj = self.clone();
                 s.schedule_at(recover_at, move |s| {
                     inj.apply(
@@ -696,13 +647,13 @@ impl FaultInjector {
                 });
             }
         }
-        if self.roll(cfg.loss_spike_prob) {
+        if self.roll(LOSS_SPIKE_PROB) {
             if let Some(victim) = self.pick_host(|inj, h| inj.net().node_by_name(h).is_some()) {
                 let node = self.resolve(&victim);
                 let peer = self.net().name_of(self.access_peer(node)).as_str().to_owned();
                 let prob = self.inner.borrow_mut().rng.gen_range(0.05..0.4);
                 self.apply(s, &FaultKind::LossSpike { a: victim.clone(), b: peer.clone(), prob });
-                let recover_at = self.outage_end(s, &cfg);
+                let recover_at = self.outage_end(s);
                 let inj = self.clone();
                 s.schedule_at(recover_at, move |s| {
                     inj.apply(s, &FaultKind::LossClear { a: victim.clone(), b: peer.clone() });
@@ -711,8 +662,7 @@ impl FaultInjector {
         }
 
         let inj = self.clone();
-        let tick = cfg.tick;
-        s.schedule_in(tick, move |s| inj.chaos_tick(s, cfg));
+        s.schedule_in(CHAOS_TICK, move |s| inj.chaos_tick(s, until));
     }
 
     // ------------------------------------------------------------------
@@ -745,7 +695,7 @@ impl FaultInjector {
     }
 
     fn roll(&self, prob: f64) -> bool {
-        prob > 0.0 && self.inner.borrow_mut().rng.gen_range(0.0..1.0) < prob
+        self.inner.borrow_mut().rng.gen_range(0.0..1.0) < prob
     }
 
     /// Deterministically pick one registered host satisfying `keep`
@@ -760,10 +710,9 @@ impl FaultInjector {
         Some(candidates[idx].clone())
     }
 
-    fn outage_end(&self, s: &Scheduler, cfg: &ChaosConfig) -> SimTime {
-        let (lo, hi) = cfg.outage;
-        let span = hi.as_nanos().saturating_sub(lo.as_nanos());
-        let extra = if span == 0 { 0 } else { self.inner.borrow_mut().rng.gen_range(0..span) };
+    fn outage_end(&self, s: &Scheduler) -> SimTime {
+        let (lo, hi) = CHAOS_OUTAGE;
+        let extra = self.inner.borrow_mut().rng.gen_range(0..hi.as_nanos() - lo.as_nanos());
         s.now() + lo + SimDuration::from_nanos(extra)
     }
 }
@@ -920,58 +869,24 @@ mod tests {
 
     #[test]
     fn chaos_config_validation_rejects_silent_no_ops() {
-        let ok = ChaosConfig::gentle(SimTime::from_secs(30));
-        assert!(ok.validate().is_ok());
-
-        let mut zero_tick = ok.clone();
-        zero_tick.tick = SimDuration::from_nanos(0);
-        assert!(zero_tick.validate().unwrap_err().contains("tick"));
-
-        let mut narrow = ok.clone();
-        narrow.until = SimTime::from_secs_f64(0.5);
-        assert!(narrow.validate().unwrap_err().contains("no fault can ever fire"));
-
-        let mut bad_prob = ok.clone();
-        bad_prob.host_crash_prob = 1.5;
-        assert!(bad_prob.validate().unwrap_err().contains("host_crash_prob"));
-
-        let mut negative = ok.clone();
-        negative.loss_spike_prob = -0.1;
-        assert!(negative.validate().unwrap_err().contains("loss_spike_prob"));
-
-        let mut all_zero = ok.clone();
-        all_zero.link_down_prob = 0.0;
-        all_zero.host_crash_prob = 0.0;
-        all_zero.daemon_kill_prob = 0.0;
-        all_zero.loss_spike_prob = 0.0;
-        assert!(all_zero.validate().unwrap_err().contains("silent no-op"));
-
-        let mut zero_outage = ok.clone();
-        zero_outage.outage.0 = SimDuration::from_nanos(0);
-        assert!(zero_outage.validate().unwrap_err().contains("lower bound"));
-
-        let mut inverted = ok;
-        inverted.outage = (SimDuration::from_secs(6), SimDuration::from_secs(2));
-        assert!(inverted.validate().unwrap_err().contains("inverted"));
+        assert!(check_chaos_window(SimTime::from_secs(30)).is_ok());
+        assert!(check_chaos_window(SimTime::from_secs(1)).is_ok());
+        let narrow = check_chaos_window(SimTime::from_secs_f64(0.5));
+        assert!(narrow.unwrap_err().contains("no fault can ever fire"));
     }
 
     #[test]
-    #[should_panic(expected = "invalid ChaosConfig")]
+    #[should_panic(expected = "invalid chaos window")]
     fn chaos_panics_on_an_invalid_config() {
         let (mut s, _net, inj) = rig(17);
-        let mut cfg = ChaosConfig::gentle(SimTime::from_secs(10));
-        cfg.link_down_prob = 0.0;
-        cfg.host_crash_prob = 0.0;
-        cfg.daemon_kill_prob = 0.0;
-        cfg.loss_spike_prob = 0.0;
-        inj.chaos(&mut s, cfg);
+        inj.chaos(&mut s, SimTime::from_secs_f64(0.5));
     }
 
     #[test]
     fn chaos_is_reproducible_from_its_seed() {
         let run = |seed: u64| -> Vec<String> {
             let (mut s, net, inj) = rig(seed);
-            inj.chaos(&mut s, ChaosConfig::gentle(SimTime::from_secs(30)));
+            inj.chaos(&mut s, SimTime::from_secs(30));
             s.run_until(SimTime::from_secs(40));
             // Every sampled fault scheduled its recovery: the rig converges.
             for name in ["h1", "h2", "h3", "h4"] {

@@ -3,11 +3,11 @@
 //! The operational surface of the live backend (`smartsock-live`):
 //!
 //! ```text
-//! smartsockd wizard --bind 127.0.0.1:1120 [--trace PATH | --stream-trace PATH]
+//! smartsockd wizard --bind 127.0.0.1:1120 [--trace PATH]
 //!     Run the combined monitor+wizard daemon until stdin closes; with
-//!     --trace, write the telemetry JSONL trace on shutdown (readable by
-//!     the `telemetry` query binary); with --stream-trace, stream records
-//!     to PATH as they happen (follow them with `tail -F`). Either PATH is
+//!     --trace, stream the telemetry JSONL trace to PATH as it happens
+//!     (follow it with `tail -F`; readable by the `telemetry` query
+//!     binary) and end it with the summary lines on shutdown. PATH is
 //!     created before the daemon starts, so a bad path fails at once.
 //!
 //! smartsockd stats --wizard 127.0.0.1:1120 [--timeout-ms N] [--retries N] [--json]
@@ -22,8 +22,11 @@
 //!                  [--cpu-free 0.95] [--mem-free-mb 200] [--load1 0.1] [--services compute,file]
 //!     Send status reports. With --proc-root the probe samples the real
 //!     procfs through the shared differentiation engine; without it the
-//!     report is synthesized from the flags. --watch repeats every SECS
-//!     (until --count reports, or forever).
+//!     report is synthesized from the flags, which must describe a
+//!     possible host: --cpu-free in [0, 1], --load1 finite and not
+//!     negative, --mem-free-mb at most the synthesized 256 MB total.
+//!     --watch repeats every SECS (until --count reports, or forever);
+//!     --count must be at least 1.
 //!
 //! smartsockd request --wizard 127.0.0.1:1120 --servers 2 [--req REQ | --file PATH] \
 //!                    [--timeout-ms N] [--retries N] [--json]
@@ -31,12 +34,15 @@
 //!     or a single JSON object with --json. Here and in `stats`, --retries
 //!     counts retransmissions after the first send (default 2).
 //! ```
+//!
+//! A flag the subcommand does not know, a token that is not a flag or its
+//! value, and `--count 0` exit 2 with the usage text.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-use std::fs::File;
-use std::io::Write as _;
 use std::net::SocketAddr;
+use std::ops::RangeInclusive;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -52,21 +58,29 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    let flags = Flags::parse(rest);
-    let result = match cmd.as_str() {
-        "wizard" => cmd_wizard(&flags),
-        "probe" => cmd_probe(&flags),
-        "request" => cmd_request(&flags),
-        "stats" => cmd_stats(&flags),
+    // Each subcommand's flags, space-separated.
+    let (run, known): (Command, &str) = match cmd.as_str() {
+        "wizard" => (cmd_wizard, "bind trace"),
+        "probe" => (
+            cmd_probe,
+            "wizard host ip proc-root iface watch count cpu-free mem-free-mb load1 bogomips \
+             services",
+        ),
+        "request" => (cmd_request, "wizard servers req file timeout-ms retries json"),
+        "stats" => (cmd_stats, "wizard timeout-ms retries json"),
         "--help" | "-h" | "help" => return usage(),
         other => {
             eprintln!("unknown command {other:?}");
             return usage();
         }
     };
-    match result {
+    match Flags::parse(rest, known).and_then(|flags| run(&flags)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
+            eprintln!("error: {e}");
+            usage()
+        }
+        Err(Failure::Run(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
@@ -76,7 +90,7 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: smartsockd <wizard|probe|request|stats> [flags]\n\
-         \n  wizard  --bind ADDR [--trace PATH | --stream-trace PATH]\
+         \n  wizard  --bind ADDR [--trace PATH]\
          \n  probe   --wizard ADDR --host NAME --ip A.B.C.D [--proc-root PATH] [--iface IF]\
          \n          [--watch SECS] [--count N]\
          \n          [--cpu-free F] [--mem-free-mb N] [--load1 F] [--services a,b]\
@@ -87,6 +101,22 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// A subcommand, run over its parsed flags.
+type Command = fn(&Flags) -> Result<(), Failure>;
+
+/// Why a subcommand stopped: a command line it cannot read (exit 2, with
+/// the usage text) or a failure while running it (exit 1).
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Run(e)
+    }
+}
+
 /// Tiny `--key value` flag parser (`--json`-style booleans take no value,
 /// listed in `UNARY`).
 struct Flags(Vec<(String, String)>);
@@ -94,20 +124,27 @@ struct Flags(Vec<(String, String)>);
 const UNARY: &[&str] = &["json"];
 
 impl Flags {
-    fn parse(args: &[String]) -> Flags {
+    /// Read `args` as flags named in `known`, refusing anything else.
+    fn parse(args: &[String], known: &str) -> Result<Flags, Failure> {
         let mut out = Vec::new();
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(k) = it.next() {
-            if let Some(name) = k.strip_prefix("--") {
-                let v = if UNARY.contains(&name) {
-                    String::new()
-                } else {
-                    it.next().cloned().unwrap_or_default()
-                };
-                out.push((name.to_owned(), v));
+            let Some(name) = k.strip_prefix("--") else {
+                return Err(Failure::Usage(format!("unexpected argument {k:?}")));
+            };
+            if !known.split_whitespace().any(|k| k == name) {
+                return Err(Failure::Usage(format!("unknown flag --{name}")));
             }
+            let v = if UNARY.contains(&name) {
+                String::new()
+            } else {
+                it.next()
+                    .cloned()
+                    .ok_or_else(|| Failure::Usage(format!("--{name} needs a value")))?
+            };
+            out.push((name.to_owned(), v));
         }
-        Flags(out)
+        Ok(Flags(out))
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -128,22 +165,26 @@ impl Flags {
             Some(v) => v.parse().map_err(|_| format!("bad --{name} value {v:?}")),
         }
     }
+
+    /// A float flag whose value must lie in `range` (so NaN never does).
+    fn get_in(&self, name: &str, default: f64, range: RangeInclusive<f64>) -> Result<f64, String> {
+        let v = self.get_parsed(name, default)?;
+        if range.contains(&v) {
+            Ok(v)
+        } else {
+            Err(format!("--{name} {v} is outside {range:?}"))
+        }
+    }
 }
 
-fn cmd_wizard(flags: &Flags) -> Result<(), String> {
+fn cmd_wizard(flags: &Flags) -> Result<(), Failure> {
     let bind = flags.get("bind").unwrap_or("127.0.0.1:1120");
     let (policy, clock) = (SelectPolicy::default(), Clock::wall());
-    // Created before the daemon starts, as --stream-trace's file is, so a
+    // `spawn_streaming` creates the file before the daemon starts, so a
     // bad path fails here rather than after the whole run.
-    let trace = match flags.get("trace") {
-        Some(path) => Some((
-            path,
-            File::create(path).map_err(|e| format!("cannot create trace {path}: {e}"))?,
-        )),
-        None => None,
-    };
-    let wiz = match flags.get("stream-trace") {
-        Some(path) => LiveWizard::spawn_streaming(bind, policy, clock, std::path::Path::new(path)),
+    let trace = flags.get("trace");
+    let wiz = match trace {
+        Some(path) => LiveWizard::spawn_streaming(bind, policy, clock, Path::new(path)),
         None => LiveWizard::spawn_with(bind, policy, clock),
     }
     .map_err(|e| e.to_string())?;
@@ -152,8 +193,7 @@ fn cmd_wizard(flags: &Flags) -> Result<(), String> {
     let mut line = String::new();
     let _ = std::io::stdin().read_line(&mut line);
     let stats = wiz.shutdown().map_err(|e| e.to_string())?;
-    if let Some((path, mut file)) = trace {
-        file.write_all(stats.trace_jsonl.as_bytes()).map_err(|e| e.to_string())?;
+    if let Some(path) = trace {
         println!("trace written to {path}");
     }
     if stats.dropped > 0 {
@@ -164,7 +204,7 @@ fn cmd_wizard(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(flags: &Flags) -> Result<(), String> {
+fn cmd_stats(flags: &Flags) -> Result<(), Failure> {
     let wizard: SocketAddr =
         flags.require("wizard")?.parse().map_err(|_| "bad --wizard address".to_owned())?;
     let timeout = Duration::from_millis(flags.get_parsed("timeout-ms", 1000u64)?);
@@ -204,6 +244,9 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// The memory total a synthesized report claims, in MB.
+const SYNTHETIC_MEM_MB: u64 = 256;
+
 fn parse_services(flags: &Flags) -> Result<ServiceMask, String> {
     let mut mask = ServiceMask::default();
     if let Some(services) = flags.get("services") {
@@ -215,13 +258,16 @@ fn parse_services(flags: &Flags) -> Result<ServiceMask, String> {
     Ok(mask)
 }
 
-fn cmd_probe(flags: &Flags) -> Result<(), String> {
+fn cmd_probe(flags: &Flags) -> Result<(), Failure> {
     let wizard: SocketAddr =
         flags.require("wizard")?.parse().map_err(|_| "bad --wizard address".to_owned())?;
     let host = flags.require("host")?;
     let ip: Ip = flags.require("ip")?.parse().map_err(|e| format!("{e}"))?;
     let watch_secs: u64 = flags.get_parsed("watch", 0u64)?;
     let count: u64 = flags.get_parsed("count", if watch_secs > 0 { u64::MAX } else { 1 })?;
+    if count == 0 {
+        return Err(Failure::Usage("--count must be at least 1".to_owned()));
+    }
     let interval = Duration::from_secs(watch_secs.max(1));
     // The pacing channel: nothing ever sends, so `recv_timeout` is an
     // interruptible sleep that needs no wall-clock reads here.
@@ -249,17 +295,25 @@ fn cmd_probe(flags: &Flags) -> Result<(), String> {
         return Ok(());
     }
 
-    // Synthetic mode: the report is whatever the flags claim.
+    // Synthetic mode: the report is whatever the flags claim, provided a
+    // host could claim it.
     let mut report = ServerStatusReport::empty(host, ip);
-    report.cpu_idle = flags.get_parsed("cpu-free", 0.95f64)?;
-    report.cpu_user = (1.0 - report.cpu_idle).max(0.0);
-    report.load1 = flags.get_parsed("load1", 0.1f64)?;
+    report.cpu_idle = flags.get_in("cpu-free", 0.95, 0.0..=1.0)?;
+    report.cpu_user = 1.0 - report.cpu_idle;
+    report.load1 = flags.get_in("load1", 0.1, 0.0..=f64::MAX)?;
     report.load5 = report.load1;
     report.load15 = report.load1;
-    report.mem_total = 256 << 20;
-    report.mem_free = flags.get_parsed("mem-free-mb", 180u64)? << 20;
+    report.mem_total = SYNTHETIC_MEM_MB << 20;
+    let mem_free_mb: u64 = flags.get_parsed("mem-free-mb", 180)?;
+    if mem_free_mb > SYNTHETIC_MEM_MB {
+        return Err(format!(
+            "--mem-free-mb {mem_free_mb} exceeds the synthesized {SYNTHETIC_MEM_MB} MB total"
+        )
+        .into());
+    }
+    report.mem_free = mem_free_mb << 20;
     report.mem_used = report.mem_total - report.mem_free;
-    report.bogomips = flags.get_parsed("bogomips", 3394.76f64)?;
+    report.bogomips = flags.get_in("bogomips", 3394.76, 0.0..=f64::MAX)?;
     report.services = parse_services(flags)?;
     let clock = Clock::wall();
     let mut sent = 0u64;
@@ -283,7 +337,7 @@ fn cmd_probe(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_request(flags: &Flags) -> Result<(), String> {
+fn cmd_request(flags: &Flags) -> Result<(), Failure> {
     let wizard: SocketAddr =
         flags.require("wizard")?.parse().map_err(|_| "bad --wizard address".to_owned())?;
     let servers: u16 = flags.get_parsed("servers", 1u16)?;
@@ -308,7 +362,7 @@ fn cmd_request(flags: &Flags) -> Result<(), String> {
     }
     if reply.servers.is_empty() {
         eprintln!("no server satisfies the requirement");
-        return Err("empty reply".to_owned());
+        return Err("empty reply".to_owned().into());
     }
     for ep in reply.servers {
         println!("{ep}");

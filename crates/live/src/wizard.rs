@@ -99,7 +99,10 @@ impl LiveWizard {
         trace: &Path,
     ) -> io::Result<LiveWizard> {
         // Created here, so a bad path fails the caller, not the daemon.
-        Self::spawn_sink(addr, policy, clock, Some(File::create(trace)?))
+        let file = File::create(trace).map_err(|e| {
+            io::Error::new(e.kind(), format!("cannot create trace {}: {e}", trace.display()))
+        })?;
+        Self::spawn_sink(addr, policy, clock, Some(file))
     }
 
     fn spawn_sink(

@@ -758,3 +758,124 @@ fn an_unwritable_trace_path_fails_before_the_daemon_listens() {
     assert!(stderr.contains(path.to_str().unwrap()), "the path is not named: {stderr}");
     assert!(!stdout.contains("listening"), "the daemon ran first: {stdout}");
 }
+
+/// Run `smartsockd` with `args` to completion.
+fn smartsockd(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_smartsockd"))
+        .args(args)
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap()
+}
+
+/// A bound socket for a probe to report to, and the datagram it got
+/// within 200 ms, if any.
+fn probe_into_port(extra: &[&str]) -> (std::process::Output, Option<Vec<u8>>) {
+    let port = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    let addr = port.local_addr().unwrap().to_string();
+    let mut args = vec!["probe", "--wizard", &addr, "--host", "helene", "--ip", "192.168.3.10"];
+    args.extend_from_slice(extra);
+    let out = smartsockd(&args);
+    port.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    let mut buf = [0u8; 4096];
+    let got = port.recv_from(&mut buf).ok().map(|(n, _)| buf[..n].to_vec());
+    (out, got)
+}
+
+#[test]
+fn a_probe_refuses_a_report_no_host_could_send() {
+    // Regression: 300 MB free of a 256 MB total panicked (debug) or sent
+    // a wrapped `mem_used` (release); NaN and a negative load were sent
+    // as they were.
+    for (flag, value) in [
+        ("--mem-free-mb", "300"),
+        ("--cpu-free", "nan"),
+        ("--cpu-free", "1.5"),
+        ("--load1", "-3"),
+        ("--load1", "inf"),
+    ] {
+        let (out, got) = probe_into_port(&[flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag} {value} exited 0");
+        assert!(stderr.contains(flag), "{flag} {value}: the flag is not named: {stderr}");
+        assert_eq!(got, None, "{flag} {value} sent a report");
+    }
+    // The edge is still a report: all memory free, none used.
+    let (out, got) = probe_into_port(&["--mem-free-mb", "256"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let got = got.expect("a report arrives");
+    let report = ServerStatusReport::parse_ascii(std::str::from_utf8(&got).unwrap()).unwrap();
+    assert_eq!((report.mem_used, report.mem_free), (0, 256 << 20));
+}
+
+/// Exit 2 with the usage text on stderr.
+fn assert_usage_error(out: &std::process::Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(stderr.contains("usage: smartsockd"), "{what}: no usage text: {stderr}");
+}
+
+#[test]
+fn an_unknown_flag_is_a_usage_error() {
+    // Regression: a misspelt --timeout-ms ran with the default 1 s timeout.
+    let out = smartsockd(&["stats", "--wizard", "127.0.0.1:9", "--timout-ms", "10"]);
+    assert_usage_error(&out, "--timout-ms");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--timout-ms"));
+}
+
+#[test]
+fn a_stray_token_is_a_usage_error() {
+    let out = smartsockd(&["request", "--wizard", "127.0.0.1:9", "stray", "--servers", "1"]);
+    assert_usage_error(&out, "stray");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("stray"));
+}
+
+#[test]
+fn a_probe_asked_for_zero_reports_sends_none() {
+    let (out, got) = probe_into_port(&["--count", "0"]);
+    assert_usage_error(&out, "--count 0");
+    assert_eq!(got, None, "--count 0 sent a report");
+}
+
+#[test]
+fn a_trace_is_written_while_the_daemon_runs() {
+    use std::io::{BufRead, Write};
+    let dir = std::env::temp_dir().join(format!("smartsock-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.jsonl");
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_smartsockd"))
+        .args(["wizard", "--bind", "127.0.0.1:0", "--trace"])
+        .arg(&path)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr: std::net::SocketAddr =
+        line.trim().rsplit(' ').next().unwrap().parse().expect("a listening line");
+
+    // One report and 100 requests: more records than the stream buffers.
+    send_live_report(addr, &report("idle1", 1, 0.97)).unwrap();
+    for seq in 0..100 {
+        live_request(addr, &req(seq, 1, ""), Duration::from_millis(500), 3).unwrap();
+    }
+    let streamed = (0..100)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            std::fs::metadata(&path).unwrap().len()
+        })
+        .find(|&len| len > 0);
+    assert!(streamed.is_some(), "nothing reached the trace while the daemon ran");
+
+    // Closing stdin stops the daemon, which ends the trace with its
+    // summary lines.
+    child.stdin.take().unwrap().write_all(b"\n").unwrap();
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut stdout, &mut rest).unwrap();
+    assert!(child.wait().unwrap().success(), "{rest}");
+    let trace = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(Trace::parse(&trace).counters.get("wizard-replies"), Some(&100));
+}

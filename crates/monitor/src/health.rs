@@ -27,50 +27,32 @@ use std::collections::BTreeMap;
 use smartsock_proto::{Ip, OutcomeKind};
 use smartsock_sim::{SimDuration, SimTime};
 
-/// Tunables for the health table. The defaults make one failure suspect a
-/// server and two consecutive failures quarantine it, with quarantine
-/// doubling on re-offence up to a cap.
-#[derive(Clone, Debug)]
-pub struct HealthConfig {
-    /// Half-life of the score's relaxation toward 1.0 (forgiveness) and of
-    /// the history weight in updates.
-    pub half_life: SimDuration,
-    /// Gain of one observation: `score += gain * (sample - score)`. Must lie
-    /// in `[0, 1]`, which keeps every score in `[0, 1]`: the wizard's
-    /// selection stops its row walk early on the strength of that bound.
-    pub gain: f64,
-    /// Below this (after a failure) a healthy server becomes suspect.
-    pub suspect_threshold: f64,
-    /// Below this a server is quarantined outright.
-    pub quarantine_threshold: f64,
-    /// This many consecutive failures quarantine regardless of score.
-    pub failure_streak: u32,
-    /// First quarantine duration; doubles on each re-offence.
-    pub quarantine_base: SimDuration,
-    /// Cap on the doubled quarantine duration.
-    pub quarantine_max: SimDuration,
-    /// How long a server stays on probation with no verdict before it is
-    /// considered healthy again.
-    pub probation_window: SimDuration,
-    /// Successes on probation that clear it early.
-    pub probation_successes: u32,
-}
+// The tunables: one failure suspects a server and two consecutive
+// failures quarantine it, with quarantine doubling on re-offence up to a
+// cap.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            half_life: SimDuration::from_secs(16),
-            gain: 0.5,
-            suspect_threshold: 0.6,
-            quarantine_threshold: 0.3,
-            failure_streak: 3,
-            quarantine_base: SimDuration::from_secs(8),
-            quarantine_max: SimDuration::from_secs(64),
-            probation_window: SimDuration::from_secs(10),
-            probation_successes: 2,
-        }
-    }
-}
+/// Half-life of the score's relaxation toward 1.0 (forgiveness) and of the
+/// history weight in updates.
+const HALF_LIFE: SimDuration = SimDuration::from_secs(16);
+/// Gain of one observation: `score += GAIN * (sample - score)`. It lies in
+/// `[0, 1]`, which keeps every score in `[0, 1]`: the wizard's selection
+/// stops its row walk early on the strength of that bound.
+const GAIN: f64 = 0.5;
+/// Below this (after a failure) a healthy server becomes suspect.
+const SUSPECT_THRESHOLD: f64 = 0.6;
+/// Below this a server is quarantined outright.
+const QUARANTINE_THRESHOLD: f64 = 0.3;
+/// This many consecutive failures quarantine regardless of score.
+const FAILURE_STREAK: u32 = 3;
+/// First quarantine duration; doubles on each re-offence.
+const QUARANTINE_BASE: SimDuration = SimDuration::from_secs(8);
+/// Cap on the doubled quarantine duration.
+const QUARANTINE_MAX: SimDuration = SimDuration::from_secs(64);
+/// How long a server stays on probation with no verdict before it is
+/// considered healthy again.
+const PROBATION_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// Successes on probation that clear it early.
+const PROBATION_SUCCESSES: u32 = 2;
 
 /// The four observable states (time parameters resolved away).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,7 +125,6 @@ struct HostHealth {
 /// reported. Unknown servers read as healthy with score 1.0.
 #[derive(Clone, Debug, Default)]
 pub struct HealthTable {
-    cfg: HealthConfig,
     hosts: BTreeMap<Ip, HostHealth>,
     /// No quarantine or probation ends before this (`None`: none is
     /// running), so a `poll` before it has nothing to materialize.
@@ -151,10 +132,6 @@ pub struct HealthTable {
 }
 
 impl HealthTable {
-    pub fn new(cfg: HealthConfig) -> HealthTable {
-        HealthTable { cfg, hosts: BTreeMap::new(), next_due: None }
-    }
-
     /// Number of servers with recorded history.
     pub fn len(&self) -> usize {
         self.hosts.len()
@@ -169,7 +146,7 @@ impl HealthTable {
     #[inline]
     pub fn score(&self, ip: Ip, now: SimTime) -> f64 {
         match self.hosts.get(&ip) {
-            Some(h) => relax(h.score, h.updated_at, now, self.cfg.half_life),
+            Some(h) => relax(h.score, h.updated_at, now),
             None => 1.0,
         }
     }
@@ -182,7 +159,7 @@ impl HealthTable {
     pub fn effective_state(&self, ip: Ip, now: SimTime) -> StateKind {
         match self.hosts.get(&ip) {
             None => StateKind::Healthy,
-            Some(h) => resolve(h.state, now, self.cfg.probation_window).kind(),
+            Some(h) => resolve(h.state, now).kind(),
         }
     }
 
@@ -201,11 +178,10 @@ impl HealthTable {
         if self.next_due.is_none_or(|due| now < due) {
             return Vec::new();
         }
-        let window = self.cfg.probation_window;
         let mut out = Vec::new();
         self.next_due = None;
         for (&ip, h) in self.hosts.iter_mut() {
-            let resolved = resolve(h.state, now, window);
+            let resolved = resolve(h.state, now);
             if resolved.kind() != h.state.kind() {
                 out.push(Transition { ip, from: h.state.kind(), to: resolved.kind() });
             }
@@ -218,16 +194,15 @@ impl HealthTable {
     /// Feed one outcome. Returns the transitions it caused (a pending
     /// time-based one first, then the observation's own, if any).
     pub fn record(&mut self, ip: Ip, outcome: OutcomeKind, now: SimTime) -> Vec<Transition> {
-        let cfg = self.cfg.clone();
         let h = self.hosts.entry(ip).or_insert_with(|| HostHealth {
             score: 1.0,
             updated_at: now,
             state: State::Healthy,
             streak: 0,
-            next_quarantine: cfg.quarantine_base,
+            next_quarantine: QUARANTINE_BASE,
         });
         let mut transitions = Vec::new();
-        let resolved = resolve(h.state, now, cfg.probation_window);
+        let resolved = resolve(h.state, now);
         if resolved.kind() != h.state.kind() {
             transitions.push(Transition { ip, from: h.state.kind(), to: resolved.kind() });
         }
@@ -236,8 +211,8 @@ impl HealthTable {
         // Score update: relax history toward 1.0, then pull toward the
         // sample with the observation gain.
         let sample = if outcome.is_failure() { 0.0 } else { 1.0 };
-        let relaxed = relax(h.score, h.updated_at, now, cfg.half_life);
-        h.score = relaxed + cfg.gain * (sample - relaxed);
+        let relaxed = relax(h.score, h.updated_at, now);
+        h.score = relaxed + GAIN * (sample - relaxed);
         h.updated_at = now;
 
         let before = h.state;
@@ -247,7 +222,7 @@ impl HealthTable {
                 let until = now + h.next_quarantine;
                 h.next_quarantine =
                     SimDuration::from_nanos(h.next_quarantine.as_nanos().saturating_mul(2))
-                        .min(cfg.quarantine_max);
+                        .min(QUARANTINE_MAX);
                 State::Quarantined { until }
             };
             h.state = match h.state {
@@ -255,10 +230,8 @@ impl HealthTable {
                 // twice as long as before.
                 State::Probation { .. } => quarantine(h),
                 State::Quarantined { until } => State::Quarantined { until },
-                _ if h.score < cfg.quarantine_threshold || h.streak >= cfg.failure_streak => {
-                    quarantine(h)
-                }
-                _ if h.score < cfg.suspect_threshold => State::Suspect,
+                _ if h.score < QUARANTINE_THRESHOLD || h.streak >= FAILURE_STREAK => quarantine(h),
+                _ if h.score < SUSPECT_THRESHOLD => State::Suspect,
                 other => other,
             };
         } else {
@@ -266,14 +239,14 @@ impl HealthTable {
             h.state = match h.state {
                 State::Probation { until, successes } => {
                     let successes = successes + 1;
-                    if successes >= cfg.probation_successes {
-                        h.next_quarantine = cfg.quarantine_base;
+                    if successes >= PROBATION_SUCCESSES {
+                        h.next_quarantine = QUARANTINE_BASE;
                         State::Healthy
                     } else {
                         State::Probation { until, successes }
                     }
                 }
-                State::Suspect if h.score >= cfg.suspect_threshold => State::Healthy,
+                State::Suspect if h.score >= SUSPECT_THRESHOLD => State::Healthy,
                 other => other,
             };
         }
@@ -299,22 +272,21 @@ fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     a.into_iter().chain(b).min()
 }
 
-/// Relaxation toward 1.0: `1 - (1 - score) * 0.5^(Δt / half_life)`.
-fn relax(score: f64, updated_at: SimTime, now: SimTime, half_life: SimDuration) -> f64 {
+/// Relaxation toward 1.0: `1 - (1 - score) * 0.5^(Δt / HALF_LIFE)`.
+fn relax(score: f64, updated_at: SimTime, now: SimTime) -> f64 {
     let dt = now.since(updated_at).as_secs_f64();
-    let hl = half_life.as_secs_f64();
-    if hl <= 0.0 || dt <= 0.0 {
+    if dt <= 0.0 {
         return score;
     }
-    1.0 - (1.0 - score) * 0.5f64.powf(dt / hl)
+    1.0 - (1.0 - score) * 0.5f64.powf(dt / HALF_LIFE.as_secs_f64())
 }
 
 /// Resolve time-based transitions: quarantine expiry opens a probation
 /// window; an uneventful probation window ends healthy.
-fn resolve(state: State, now: SimTime, probation_window: SimDuration) -> State {
+fn resolve(state: State, now: SimTime) -> State {
     match state {
         State::Quarantined { until } if now >= until => {
-            let probation_until = until + probation_window;
+            let probation_until = until + PROBATION_WINDOW;
             if now >= probation_until {
                 State::Healthy
             } else {
@@ -378,7 +350,7 @@ mod tests {
         table.record(ip(), OutcomeKind::Timeout, t(1));
         table.record(ip(), OutcomeKind::Timeout, t(2));
         assert_eq!(table.effective_state(ip(), t(3)), StateKind::Quarantined);
-        // quarantine_base = 8 s: released at t=10 into a 10 s window.
+        // QUARANTINE_BASE = 8 s: released at t=10 into a 10 s window.
         assert_eq!(table.effective_state(ip(), t(11)), StateKind::Probation);
         assert!(table.selectable(ip(), t(11)), "probation servers are selectable");
         // The window ends with no verdict: healthy again.
@@ -419,7 +391,7 @@ mod tests {
     fn poll_walking_everything(table: &mut HealthTable, now: SimTime) -> Vec<Transition> {
         let mut out = Vec::new();
         for (&ip, h) in table.hosts.iter_mut() {
-            let resolved = resolve(h.state, now, table.cfg.probation_window);
+            let resolved = resolve(h.state, now);
             if resolved.kind() != h.state.kind() {
                 out.push(Transition { ip, from: h.state.kind(), to: resolved.kind() });
             }

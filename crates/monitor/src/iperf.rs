@@ -18,28 +18,17 @@ use std::rc::Rc;
 use smartsock_net::{Network, NodeId};
 use smartsock_sim::{Scheduler, SimDuration};
 
-/// Flooding configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct IperfConfig {
-    /// How long to saturate the path. iperf's default is 10 s; we default
-    /// shorter because the simulator's flows are exactly fluid.
-    pub duration: SimDuration,
-}
-
-impl Default for IperfConfig {
-    fn default() -> Self {
-        IperfConfig { duration: SimDuration::from_secs(3) }
-    }
-}
+/// How long to saturate the path. iperf's default is 10 s; this is
+/// shorter because the simulator's flows are exactly fluid.
+const DURATION: SimDuration = SimDuration::from_secs(3);
 
 /// Flood the path from `src` to `dst` and report the achieved goodput in
-/// Mbps. The estimate callback fires after `cfg.duration`.
+/// Mbps. The estimate callback fires after [`DURATION`] (3 s).
 pub fn estimate(
     s: &mut Scheduler,
     net: &Network,
     src: NodeId,
     dst: NodeId,
-    cfg: IperfConfig,
     on_done: impl FnOnce(&mut Scheduler, Option<f64>) + 'static,
 ) {
     // Size the flood so it outlives the measurement window even on a fast
@@ -60,7 +49,7 @@ pub fn estimate(
         return;
     }
     let net2 = net.clone();
-    s.schedule_at(started + cfg.duration, move |s| {
+    s.schedule_at(started + DURATION, move |s| {
         // Progress = capacity × elapsed for the single flood flow; read it
         // back through the flow table by measuring the path's current fair
         // share (the flood is still running and owns the bottleneck).
@@ -94,9 +83,7 @@ mod tests {
             let mut s = Scheduler::new();
             let got = Rc::new(RefCell::new(None));
             let g = Rc::clone(&got);
-            estimate(&mut s, &net, a, c, IperfConfig::default(), move |_s, e| {
-                *g.borrow_mut() = Some(e)
-            });
+            estimate(&mut s, &net, a, c, move |_s, e| *g.borrow_mut() = Some(e));
             s.run_until(smartsock_sim::SimTime::from_secs(4));
             let est = got.borrow_mut().take().flatten().expect("measured");
             assert!((est - rate).abs() / rate < 0.05, "rate {rate}, est {est:.1}");
@@ -109,14 +96,7 @@ mod tests {
         // one-way stream probes see almost nothing left.
         let (net, a, c) = line(20.0);
         let mut s = Scheduler::new();
-        estimate(
-            &mut s,
-            &net,
-            a,
-            c,
-            IperfConfig { duration: SimDuration::from_secs(30) },
-            |_s, _e| {},
-        );
+        estimate(&mut s, &net, a, c, |_s, _e| {});
         s.run_until(smartsock_sim::SimTime::from_secs(1));
 
         // Probe RTT while the flood owns the link.
@@ -145,9 +125,7 @@ mod tests {
         let mut s = Scheduler::new();
         let got = Rc::new(RefCell::new(None));
         let g = Rc::clone(&got);
-        estimate(&mut s, &net, a, x, IperfConfig::default(), move |_s, e| {
-            *g.borrow_mut() = Some(e)
-        });
+        estimate(&mut s, &net, a, x, move |_s, e| *g.borrow_mut() = Some(e));
         s.run_until(smartsock_sim::SimTime::from_secs(4));
         assert_eq!(got.borrow_mut().take(), Some(None));
     }

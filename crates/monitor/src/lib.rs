@@ -40,8 +40,8 @@ pub use db::{
     TimedReport, VarRanges, REPORT_VARS,
 };
 pub use estimator::{bandwidth_mbps_from_pair, BwEstimate, ProbePairSpec};
-pub use health::{HealthConfig, HealthTable, StateKind, Transition};
+pub use health::{HealthTable, StateKind, Transition};
 pub use ingest::{ingest_ascii, IngestError};
-pub use netmon::{NetMonConfig, NetworkMonitor};
+pub use netmon::NetworkMonitor;
 pub use secmon::SecurityMonitor;
-pub use sysmon::{SysMonConfig, SystemMonitor};
+pub use sysmon::SystemMonitor;

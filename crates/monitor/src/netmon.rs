@@ -18,29 +18,12 @@ use smartsock_sim::{Scheduler, SimDuration, SpanId};
 use crate::db::StatusDbs;
 use crate::estimator::{reduce_round, ProbePairSpec};
 
-/// Network monitor configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct NetMonConfig {
-    /// Gap between successive probing rounds (§5.2: every 2 s).
-    pub interval: SimDuration,
-    /// (S1, S2) repetitions per round.
-    pub pairs_per_round: usize,
-    /// Probe sizes (default: the paper's 1600/2900).
-    pub spec: ProbePairSpec,
-    /// Abort a round if an echo does not return within this time.
-    pub echo_timeout: SimDuration,
-}
-
-impl Default for NetMonConfig {
-    fn default() -> Self {
-        NetMonConfig {
-            interval: SimDuration::from_secs(timing::NETPROBE_INTERVAL_SECS),
-            pairs_per_round: 5,
-            spec: ProbePairSpec::OPTIMAL_1500,
-            echo_timeout: SimDuration::from_secs(2),
-        }
-    }
-}
+/// Gap between successive probing rounds (§5.2: every 2 s).
+const INTERVAL: SimDuration = SimDuration::from_secs(timing::NETPROBE_INTERVAL_SECS);
+/// Probe sizes: the paper's 1600/2900.
+const SPEC: ProbePairSpec = ProbePairSpec::OPTIMAL_1500;
+/// Abort a round if an echo does not return within this time.
+const ECHO_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 struct MonState {
     peers: Vec<Ip>,
@@ -55,7 +38,8 @@ pub struct NetworkMonitor {
     net: Network,
     /// The monitor machine's databases; this daemon writes `net`.
     dbs: Rc<RefCell<StatusDbs>>,
-    cfg: NetMonConfig,
+    /// (S1, S2) repetitions per round.
+    pairs_per_round: usize,
     st: Rc<RefCell<MonState>>,
 }
 
@@ -76,17 +60,21 @@ struct RoundCtx {
 }
 
 impl NetworkMonitor {
+    /// The (S1, S2) pairs a round sends unless a deployment asks for
+    /// fewer (Table 5.2's sends one).
+    pub const DEFAULT_PAIRS_PER_ROUND: usize = 5;
+
     pub fn new(
         ip: Ip,
         net: Network,
         dbs: Rc<RefCell<StatusDbs>>,
-        cfg: NetMonConfig,
+        pairs_per_round: usize,
     ) -> NetworkMonitor {
         NetworkMonitor {
             ip,
             net,
             dbs,
-            cfg,
+            pairs_per_round,
             st: Rc::new(RefCell::new(MonState {
                 peers: Vec::new(),
                 next_peer: 0,
@@ -119,7 +107,7 @@ impl NetworkMonitor {
     /// Start the sequential probing loop.
     pub fn start(&self, s: &mut Scheduler) {
         let mon = self.clone();
-        s.schedule_in(self.cfg.interval, move |s| mon.round(s));
+        s.schedule_in(INTERVAL, move |s| mon.round(s));
     }
 
     /// Run one probing round immediately (used by the harness to measure
@@ -146,7 +134,7 @@ impl NetworkMonitor {
         let mon = self.clone();
         let guard_ctx = Rc::clone(&ctx);
         let total_guard = SimDuration::from_nanos(
-            self.cfg.echo_timeout.as_nanos() * (self.cfg.pairs_per_round as u64 * 2 + 1),
+            ECHO_TIMEOUT.as_nanos() * (self.pairs_per_round as u64 * 2 + 1),
         );
         s.schedule_in(total_guard, move |s| {
             if !guard_ctx.borrow().finished {
@@ -170,7 +158,7 @@ impl NetworkMonitor {
         match peer {
             None => {
                 let mon = self.clone();
-                s.schedule_in(self.cfg.interval, move |s| mon.round(s));
+                s.schedule_in(INTERVAL, move |s| mon.round(s));
             }
             Some(peer) => {
                 let mon = self.clone();
@@ -178,30 +166,27 @@ impl NetworkMonitor {
                     // Sequential schedule: the next round starts one
                     // interval after this one *finished*.
                     let mon2 = mon.clone();
-                    s.schedule_in(mon.cfg.interval, move |s| mon2.round(s));
+                    s.schedule_in(INTERVAL, move |s| mon2.round(s));
                 });
             }
         }
     }
 
     fn send_pair(self, s: &mut Scheduler, peer: Ip, ctx: Rc<RefCell<RoundCtx>>, pair_index: usize) {
-        if pair_index >= self.cfg.pairs_per_round {
+        if pair_index >= self.pairs_per_round {
             self.finish_round(s, peer, &ctx);
             return;
         }
         let from = Endpoint::new(self.ip, ports::MON_NET);
         let to = Endpoint::new(peer, ports::UDP_PROBE_CLOSED);
         s.telemetry.counter_incr("netmon-probes");
-        s.telemetry.counter_add(
-            "netmon-bytes",
-            u64::from(self.cfg.spec.s1_bytes + self.cfg.spec.s2_bytes),
-        );
+        s.telemetry.counter_add("netmon-bytes", u64::from(SPEC.s1_bytes + SPEC.s2_bytes));
         // Per-pair timeout: if either echo is lost, skip this pair and
         // move on rather than stalling the whole round (§3.3.1: loss is
         // rare but must not wedge the sequential schedule).
         let guard_mon = self.clone();
         let guard_ctx = Rc::clone(&ctx);
-        s.schedule_in(SimDuration::from_nanos(self.cfg.echo_timeout.as_nanos() * 2), move |s| {
+        s.schedule_in(SimDuration::from_nanos(ECHO_TIMEOUT.as_nanos() * 2), move |s| {
             let stuck = {
                 let c = guard_ctx.borrow();
                 !c.finished && c.resolved == pair_index
@@ -223,7 +208,7 @@ impl NetworkMonitor {
             s,
             from,
             to,
-            Payload::zeroes(u64::from(self.cfg.spec.s1_bytes)),
+            Payload::zeroes(u64::from(SPEC.s1_bytes)),
             Some(Box::new(move |s, echo1| {
                 {
                     let c = ctx1.borrow();
@@ -238,7 +223,7 @@ impl NetworkMonitor {
                     s,
                     from,
                     to,
-                    Payload::zeroes(u64::from(mon.cfg.spec.s2_bytes)),
+                    Payload::zeroes(u64::from(SPEC.s2_bytes)),
                     Some(Box::new(move |s, echo2| {
                         {
                             let c = ctx2.borrow();
@@ -269,7 +254,7 @@ impl NetworkMonitor {
             c.finished = true;
             (c.on_done.take(), c.span)
         };
-        let record = reduce_round(self.cfg.spec, &ctx.borrow().samples).map(|est| NetPathRecord {
+        let record = reduce_round(SPEC, &ctx.borrow().samples).map(|est| NetPathRecord {
             from_monitor: self.ip,
             to_monitor: peer,
             delay_ms: est.delay_ms,
@@ -320,8 +305,14 @@ mod tests {
         if let Some(cap) = cap_mbps {
             net.set_access_rate(m2, Some(cap * 1e6));
         }
-        let monitor =
-            |ip| NetworkMonitor::new(ip, net.clone(), Rc::default(), NetMonConfig::default());
+        let monitor = |ip| {
+            NetworkMonitor::new(
+                ip,
+                net.clone(),
+                Rc::default(),
+                NetworkMonitor::DEFAULT_PAIRS_PER_ROUND,
+            )
+        };
         let (a, bmon) = (monitor(Ip::new(192, 168, 1, 1)), monitor(Ip::new(192, 168, 2, 1)));
         a.add_peer(bmon.ip());
         bmon.add_peer(a.ip());

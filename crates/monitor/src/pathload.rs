@@ -23,37 +23,19 @@ use smartsock_net::{Network, NodeId, Payload};
 use smartsock_proto::Endpoint;
 use smartsock_sim::{Scheduler, SimDuration, SimTime};
 
-/// SLoPS configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct SlopsConfig {
-    /// Packets per stream.
-    pub stream_len: usize,
-    /// Probe payload bytes (single-fragment keeps timing clean).
-    pub probe_bytes: u32,
-    /// Binary-search iterations; the bracket halves each round.
-    pub iterations: u32,
-    /// Initial search bracket in Mbps.
-    pub min_mbps: f64,
-    pub max_mbps: f64,
-    /// Allowance before a delay trend counts as self-loading.
-    pub trend_threshold: SimDuration,
-    /// Idle gap between streams (decongestion, as pathload does).
-    pub stream_gap: SimDuration,
-}
-
-impl Default for SlopsConfig {
-    fn default() -> Self {
-        SlopsConfig {
-            stream_len: 50,
-            probe_bytes: 1200,
-            iterations: 8,
-            min_mbps: 0.5,
-            max_mbps: 120.0,
-            trend_threshold: SimDuration::from_micros(200),
-            stream_gap: SimDuration::from_millis(50),
-        }
-    }
-}
+/// Packets per stream.
+const STREAM_LEN: usize = 50;
+/// Probe payload bytes (single-fragment keeps timing clean).
+const PROBE_BYTES: u32 = 1200;
+/// Binary-search iterations; the bracket halves each round.
+const ITERATIONS: u32 = 8;
+/// Initial search bracket in Mbps.
+const MIN_MBPS: f64 = 0.5;
+const MAX_MBPS: f64 = 120.0;
+/// Allowance before a delay trend counts as self-loading.
+const TREND_THRESHOLD: SimDuration = SimDuration::from_micros(200);
+/// Idle gap between streams (decongestion, as pathload does).
+const STREAM_GAP: SimDuration = SimDuration::from_millis(50);
 
 /// Receiver port for SLoPS streams (distinct from the closed probe port —
 /// SLoPS *wants* the datagrams delivered).
@@ -73,15 +55,11 @@ pub fn estimate(
     net: &Network,
     src: NodeId,
     dst: NodeId,
-    cfg: SlopsConfig,
     on_done: impl FnOnce(&mut Scheduler, f64) + 'static,
 ) {
-    let search = Rc::new(RefCell::new(Search {
-        lo: cfg.min_mbps,
-        hi: cfg.max_mbps,
-        iterations_left: cfg.iterations,
-    }));
-    next_stream(s, net.clone(), src, dst, cfg, search, Box::new(on_done));
+    let search =
+        Rc::new(RefCell::new(Search { lo: MIN_MBPS, hi: MAX_MBPS, iterations_left: ITERATIONS }));
+    next_stream(s, net.clone(), src, dst, search, Box::new(on_done));
 }
 
 type Done = Box<dyn FnOnce(&mut Scheduler, f64)>;
@@ -91,7 +69,6 @@ fn next_stream(
     net: Network,
     src: NodeId,
     dst: NodeId,
-    cfg: SlopsConfig,
     search: Rc<RefCell<Search>>,
     on_done: Done,
 ) {
@@ -109,14 +86,14 @@ fn next_stream(
 
     let from = Endpoint::new(net.ip_of(src), 50001);
     let to = Endpoint::new(net.ip_of(dst), SLOPS_PORT);
-    let wire_bits = udp_wire_size(u64::from(cfg.probe_bytes)) as f64 * 8.0;
+    let wire_bits = udp_wire_size(u64::from(PROBE_BYTES)) as f64 * 8.0;
     let gap = SimDuration::from_secs_f64(wire_bits / (rate_mbps * 1e6));
 
     // Receiver: collect one-way delays (arrival − scheduled send time).
     let delays: Rc<RefCell<Vec<SimDuration>>> =
-        Rc::new(RefCell::new(Vec::with_capacity(cfg.stream_len)));
+        Rc::new(RefCell::new(Vec::with_capacity(STREAM_LEN)));
     let send_times: Rc<RefCell<Vec<SimTime>>> =
-        Rc::new(RefCell::new(vec![SimTime::ZERO; cfg.stream_len]));
+        Rc::new(RefCell::new(vec![SimTime::ZERO; STREAM_LEN]));
     {
         let delays = Rc::clone(&delays);
         let send_times = Rc::clone(&send_times);
@@ -133,7 +110,7 @@ fn next_stream(
     }
 
     // Sender: one periodic stream.
-    for i in 0..cfg.stream_len {
+    for i in 0..STREAM_LEN {
         let at = s.now() + SimDuration::from_nanos(gap.as_nanos() * i as u64);
         if let Some(slot) = send_times.borrow_mut().get_mut(i) {
             *slot = at;
@@ -141,13 +118,13 @@ fn next_stream(
         let net2 = net.clone();
         s.schedule_at(at, move |s| {
             let header = (i as u32).to_le_bytes().to_vec();
-            let pad = u64::from(cfg.probe_bytes).saturating_sub(4);
+            let pad = u64::from(PROBE_BYTES).saturating_sub(4);
             net2.send_udp(s, from, to, Payload::data_with_padding(header, pad), None);
         });
     }
 
     // Verdict once the stream has drained.
-    let stream_span = SimDuration::from_nanos(gap.as_nanos() * cfg.stream_len as u64);
+    let stream_span = SimDuration::from_nanos(gap.as_nanos() * STREAM_LEN as u64);
     let settle = s.now() + stream_span + SimDuration::from_millis(200);
     s.schedule_at(settle, move |s| {
         net.unbind_udp(to);
@@ -162,7 +139,7 @@ fn next_stream(
             let (_, tail_third) = ds.split_at(ds.len() - third);
             let head: f64 = head_third.iter().map(|d| d.as_secs_f64()).sum::<f64>() / third as f64;
             let tail: f64 = tail_third.iter().map(|d| d.as_secs_f64()).sum::<f64>() / third as f64;
-            tail - head > cfg.trend_threshold.as_secs_f64()
+            tail - head > TREND_THRESHOLD.as_secs_f64()
         };
         drop(ds);
         {
@@ -176,9 +153,9 @@ fn next_stream(
         }
         s.telemetry.counter_incr("slops-streams");
         let net2 = net.clone();
-        let resume = s.now() + cfg.stream_gap;
+        let resume = s.now() + STREAM_GAP;
         s.schedule_at(resume, move |s| {
-            next_stream(s, net2, src, dst, cfg, search, on_done);
+            next_stream(s, net2, src, dst, search, on_done);
         });
     });
 }
@@ -203,7 +180,7 @@ mod tests {
         let mut s = Scheduler::new();
         let got = Rc::new(RefCell::new(None));
         let g = Rc::clone(&got);
-        estimate(&mut s, net, a, c, SlopsConfig::default(), move |_s, e| *g.borrow_mut() = Some(e));
+        estimate(&mut s, net, a, c, move |_s, e| *g.borrow_mut() = Some(e));
         s.run();
         let e = got.borrow().expect("slops converges");
         e
@@ -230,9 +207,7 @@ mod tests {
         let mut s = Scheduler::new();
         let got = Rc::new(RefCell::new(None));
         let g = Rc::clone(&got);
-        estimate(&mut s, &net, a, c, SlopsConfig::default(), move |_s, e| {
-            *g.borrow_mut() = Some(e)
-        });
+        estimate(&mut s, &net, a, c, move |_s, e| *g.borrow_mut() = Some(e));
         s.run();
         assert!(got.borrow().is_some());
         assert!(s.telemetry.counter("slops-streams") >= 8, "one stream per iteration");

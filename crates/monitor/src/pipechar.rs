@@ -23,30 +23,15 @@ use smartsock_proto::consts::ports;
 use smartsock_proto::Endpoint;
 use smartsock_sim::{Scheduler, SimDuration, SimTime};
 
-/// Packet-pair configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PipecharConfig {
-    /// Probe payload bytes; kept under the MTU so each probe is one frame
-    /// (dispersion of fragmented probes measures fragment spacing instead).
-    pub probe_bytes: u32,
-    /// Number of pairs; the median dispersion is used.
-    pub pairs: usize,
-    /// Gap between successive pairs.
-    pub pair_spacing: SimDuration,
-    /// Give up on a pair whose echoes don't return within this time.
-    pub timeout: SimDuration,
-}
-
-impl Default for PipecharConfig {
-    fn default() -> Self {
-        PipecharConfig {
-            probe_bytes: 1400,
-            pairs: 9,
-            pair_spacing: SimDuration::from_millis(30),
-            timeout: SimDuration::from_secs(2),
-        }
-    }
-}
+/// Probe payload bytes; kept under the MTU so each probe is one frame
+/// (dispersion of fragmented probes measures fragment spacing instead).
+const PROBE_BYTES: u32 = 1400;
+/// Number of pairs; the median dispersion is used.
+const PAIRS: usize = 9;
+/// Gap between successive pairs.
+const PAIR_SPACING: SimDuration = SimDuration::from_millis(30);
+/// Give up on a pair whose echoes don't return within this time.
+const TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// Run the packet-pair estimate from `src` to `dst`; `on_done` receives
 /// the estimated bandwidth in Mbps, or `None` when too few echoes return.
@@ -55,18 +40,16 @@ pub fn estimate(
     net: &Network,
     src: NodeId,
     dst: NodeId,
-    cfg: PipecharConfig,
     on_done: impl FnOnce(&mut Scheduler, Option<f64>) + 'static,
 ) {
     let from = Endpoint::new(net.ip_of(src), ports::MON_NET);
     let to = Endpoint::new(net.ip_of(dst), ports::UDP_PROBE_CLOSED);
     // Echo arrival times per pair: (first, second).
     type PairTimes = (Option<SimTime>, Option<SimTime>);
-    let arrivals: Rc<RefCell<Vec<PairTimes>>> =
-        Rc::new(RefCell::new(vec![(None, None); cfg.pairs]));
+    let arrivals: Rc<RefCell<Vec<PairTimes>>> = Rc::new(RefCell::new(vec![(None, None); PAIRS]));
 
-    for pair in 0..cfg.pairs {
-        let at = s.now() + SimDuration::from_nanos(cfg.pair_spacing.as_nanos() * pair as u64);
+    for pair in 0..PAIRS {
+        let at = s.now() + SimDuration::from_nanos(PAIR_SPACING.as_nanos() * pair as u64);
         let net2 = net.clone();
         let arr = Rc::clone(&arrivals);
         s.schedule_at(at, move |s| {
@@ -77,7 +60,7 @@ pub fn estimate(
                     s,
                     from,
                     to,
-                    Payload::zeroes(u64::from(cfg.probe_bytes)),
+                    Payload::zeroes(u64::from(PROBE_BYTES)),
                     Some(Box::new(move |s, echo| {
                         let mut a = arr2.borrow_mut();
                         if let Some(times) = a.get_mut(pair) {
@@ -95,11 +78,10 @@ pub fn estimate(
     }
 
     // Reduce once everything returned (or the deadline passes).
-    let deadline = s.now()
-        + SimDuration::from_nanos(cfg.pair_spacing.as_nanos() * cfg.pairs as u64)
-        + cfg.timeout;
+    let deadline =
+        s.now() + SimDuration::from_nanos(PAIR_SPACING.as_nanos() * PAIRS as u64) + TIMEOUT;
     let arr = Rc::clone(&arrivals);
-    let wire = udp_wire_size(u64::from(cfg.probe_bytes));
+    let wire = udp_wire_size(u64::from(PROBE_BYTES));
     s.schedule_at(deadline, move |s| {
         let mut dispersions_ns: Vec<u64> = arr
             .borrow()
@@ -139,9 +121,7 @@ mod tests {
         let mut s = Scheduler::new();
         let got = Rc::new(RefCell::new(None));
         let g = Rc::clone(&got);
-        estimate(&mut s, net, a, c, PipecharConfig::default(), move |_s, e| {
-            *g.borrow_mut() = Some(e)
-        });
+        estimate(&mut s, net, a, c, move |_s, e| *g.borrow_mut() = Some(e));
         s.run();
         let e = got.borrow_mut().take().expect("estimate finishes");
         e
@@ -165,9 +145,7 @@ mod tests {
         let mut s = Scheduler::new();
         let got = Rc::new(RefCell::new(None));
         let g = Rc::clone(&got);
-        estimate(&mut s, &net, a, x, PipecharConfig::default(), move |_s, e| {
-            *g.borrow_mut() = Some(e)
-        });
+        estimate(&mut s, &net, a, x, move |_s, e| *g.borrow_mut() = Some(e));
         s.run();
         assert_eq!(got.borrow_mut().take(), Some(None));
     }

@@ -11,32 +11,15 @@ use smartsock_sim::{Scheduler, SimDuration};
 use crate::db::StatusDbs;
 use crate::ingest::ingest_ascii;
 
-/// System monitor configuration.
-#[derive(Clone, Debug)]
-pub struct SysMonConfig {
-    /// The probes' reporting interval; a server missing
-    /// [`timing::FAILURE_INTERVALS`] consecutive intervals is expired.
-    pub probe_interval: SimDuration,
-    /// How often the stale sweep runs.
-    pub sweep_interval: SimDuration,
-}
-
-impl Default for SysMonConfig {
-    fn default() -> Self {
-        SysMonConfig {
-            probe_interval: SimDuration::from_secs(timing::PROBE_INTERVAL_SECS),
-            sweep_interval: SimDuration::from_secs(timing::PROBE_INTERVAL_SECS),
-        }
-    }
-}
-
 /// The monitor daemon: listens on UDP port 1111, maintains `sysdb`.
 #[derive(Clone)]
 pub struct SystemMonitor {
     ip: Ip,
     /// The monitor machine's databases; this daemon writes `sys`.
     dbs: Rc<RefCell<StatusDbs>>,
-    cfg: SysMonConfig,
+    /// The probes' reporting interval, and the sweep's: a server missing
+    /// [`timing::FAILURE_INTERVALS`] consecutive intervals is expired.
+    probe_interval: SimDuration,
     /// Restart generation for the sweep loop (same epoch scheme as the
     /// probe daemon): a stopped monitor's pending sweep fires into a dead
     /// epoch and dies quietly instead of double-scheduling.
@@ -44,8 +27,9 @@ pub struct SystemMonitor {
 }
 
 impl SystemMonitor {
-    pub fn new(ip: Ip, dbs: Rc<RefCell<StatusDbs>>, cfg: SysMonConfig) -> SystemMonitor {
-        SystemMonitor { ip, dbs, cfg, epoch: Rc::new(Cell::new(0)) }
+    /// A monitor whose stale sweep runs once per `probe_interval`.
+    pub fn new(ip: Ip, dbs: Rc<RefCell<StatusDbs>>, probe_interval: SimDuration) -> SystemMonitor {
+        SystemMonitor { ip, dbs, probe_interval, epoch: Rc::new(Cell::new(0)) }
     }
 
     /// The endpoint probes report to.
@@ -69,7 +53,7 @@ impl SystemMonitor {
         });
         let mon = self.clone();
         let epoch = self.epoch.get();
-        s.schedule_in(self.cfg.sweep_interval, move |s| mon.sweep(s, epoch));
+        s.schedule_in(self.probe_interval, move |s| mon.sweep(s, epoch));
     }
 
     /// Kill the daemon: unbind the report socket and halt the sweep loop.
@@ -95,11 +79,11 @@ impl SystemMonitor {
         }
         self.sweep_once(s);
         let mon = self.clone();
-        s.schedule_in(self.cfg.sweep_interval, move |s| mon.sweep(s, epoch));
+        s.schedule_in(self.probe_interval, move |s| mon.sweep(s, epoch));
     }
 
     fn sweep_once(&self, s: &mut Scheduler) {
-        let max_age = self.cfg.probe_interval.saturating_mul(u64::from(timing::FAILURE_INTERVALS));
+        let max_age = self.probe_interval.saturating_mul(u64::from(timing::FAILURE_INTERVALS));
         let dropped = self.dbs.borrow_mut().sys.expire(s.now(), max_age);
         if !dropped.is_empty() {
             s.telemetry.counter_add("sysmon-expired", dropped.len() as u64);
@@ -141,8 +125,8 @@ mod tests {
             hosts.push(Host::new(HostConfig::new(&name, ip, CpuModel::P4_1700, 256)));
         }
         let net = b.build();
-        let mon =
-            SystemMonitor::new(Ip::new(192, 168, 1, 1), Rc::default(), SysMonConfig::default());
+        let interval = SimDuration::from_secs(timing::PROBE_INTERVAL_SECS);
+        let mon = SystemMonitor::new(Ip::new(192, 168, 1, 1), Rc::default(), interval);
         let mut s = Scheduler::new();
         mon.start(&mut s, &net);
         for h in &hosts {

@@ -37,7 +37,6 @@ pub mod builder;
 pub mod flow;
 pub mod packet;
 pub mod state;
-pub mod traffic;
 pub mod transport;
 pub mod types;
 
@@ -45,6 +44,5 @@ pub use builder::NetworkBuilder;
 pub use flow::FlowStats;
 pub use packet::{Payload, StreamMessage, UdpDatagram};
 pub use state::Network;
-pub use traffic::CrossTraffic;
 pub use transport::SimTransport;
 pub use types::{HostParams, LinkId, LinkParams, NodeId};

@@ -18,10 +18,6 @@
 //! A failed host's probe goes silent; after three missed intervals the
 //! system monitor expires the record (§4.1). The probe resumes reporting
 //! when the host recovers.
-//!
-//! The §6 "UDP vs TCP" future-work item is implemented as
-//! [`ProbeConfig::use_tcp`]: long reports on congested networks may switch
-//! to the reliable stream transport at the cost of connection overhead.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
@@ -46,8 +42,6 @@ pub struct ProbeConfig {
     pub interval: SimDuration,
     /// Where the system monitor listens.
     pub monitor: Endpoint,
-    /// Use the reliable stream transport instead of UDP (§6 extension).
-    pub use_tcp: bool,
 }
 
 impl ProbeConfig {
@@ -55,17 +49,11 @@ impl ProbeConfig {
         ProbeConfig {
             interval: SimDuration::from_secs(timing::PROBE_INTERVAL_SECS),
             monitor: Endpoint::new(monitor_ip, ports::MON_SYS),
-            use_tcp: false,
         }
     }
 
     pub fn with_interval(mut self, interval: SimDuration) -> ProbeConfig {
         self.interval = interval;
-        self
-    }
-
-    pub fn over_tcp(mut self) -> ProbeConfig {
-        self.use_tcp = true;
         self
     }
 }
@@ -222,11 +210,7 @@ impl ServerProbe {
         s.telemetry.counter_incr("probe-reports");
         self.host.note_tx(bytes + 28, 1);
         let payload = Payload::data(line.into_bytes());
-        if self.cfg.use_tcp {
-            self.net.send_stream(s, from, self.cfg.monitor, payload);
-        } else {
-            self.net.send_udp(s, from, self.cfg.monitor, payload, None);
-        }
+        self.net.send_udp(s, from, self.cfg.monitor, payload, None);
         self.st.borrow_mut().reports_sent += 1;
     }
 }
@@ -328,22 +312,6 @@ mod tests {
         assert!(r.encode_ascii().len() < 200);
         // 2 MB over a 2 s window ≈ 1 MB/s.
         assert!((r.net_rbytes_ps - 1_000_000.0).abs() < 50_000.0, "rate {}", r.net_rbytes_ps);
-    }
-
-    #[test]
-    fn tcp_mode_delivers_via_stream_transport() {
-        let (mut s, net, host, _got) = rig();
-        let stream_got = Rc::new(RefCell::new(0u32));
-        let sink = Rc::clone(&stream_got);
-        net.bind_stream(Endpoint::new(Ip::new(192, 168, 3, 1), ports::MON_SYS), move |_s, m| {
-            assert!(ServerStatusReport::parse_ascii(std::str::from_utf8(&m.payload.data).unwrap())
-                .is_ok());
-            *sink.borrow_mut() += 1;
-        });
-        ServerProbe::new(host, net, ProbeConfig::new(Ip::new(192, 168, 3, 1)).over_tcp())
-            .start(&mut s);
-        s.run_until(SimTime::from_secs(5));
-        assert_eq!(*stream_got.borrow(), 2);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Deployment constants fixed by the paper.
 //!
-//! Table 4.2 assigns the service ports of every daemon and Table 4.3 the
-//! System-V IPC keys for the shared-memory status databases. The simulation
-//! keeps both verbatim: ports address simulated sockets, and the IPC keys
-//! identify the in-process status databases that stand in for SysV shared
-//! memory segments.
+//! Table 4.2 assigns the service ports of every daemon; the simulation
+//! keeps them verbatim to address simulated sockets. (Table 4.3's
+//! System-V IPC keys have no counterpart: each machine's status databases
+//! are one owned value, DESIGN.md §1.)
 
 /// Ports used by monitors and wizard (paper Table 4.2).
 pub mod ports {
@@ -30,24 +29,6 @@ pub mod ports {
     /// Closed port targeted by RTT/bandwidth probes so the destination
     /// kernel answers with ICMP port-unreachable (§3.3.2).
     pub const UDP_PROBE_CLOSED: u16 = 33434;
-}
-
-/// System-V IPC keys for semaphores and shared-memory regions
-/// (paper Table 4.3). The same key addresses both the semaphore and the
-/// memory region of one record type.
-pub mod ipc_keys {
-    /// Monitor machine: system status region.
-    pub const MON_SYSTEM: u32 = 1234;
-    /// Monitor machine: network status region.
-    pub const MON_NETWORK: u32 = 1235;
-    /// Monitor machine: security status region.
-    pub const MON_SECURITY: u32 = 1236;
-    /// Wizard machine: system status region.
-    pub const WIZ_SYSTEM: u32 = 4321;
-    /// Wizard machine: network status region.
-    pub const WIZ_NETWORK: u32 = 5321;
-    /// Wizard machine: security status region.
-    pub const WIZ_SECURITY: u32 = 6321;
 }
 
 /// Timing defaults from §3.2, §4.1 and §5.2.
@@ -91,8 +72,6 @@ pub mod overhead {
     pub const UDP_HEADER: u32 = 8;
     /// ICMP header (type/code/checksum/rest).
     pub const ICMP_HEADER: u32 = 8;
-    /// Nominal TCP header without options.
-    pub const TCP_HEADER: u32 = 20;
 }
 
 #[cfg(test)]
@@ -107,16 +86,6 @@ mod tests {
         assert_eq!(ports::TRANSMITTER, 1110);
         assert_eq!(ports::RECEIVER, 1121);
         assert_eq!(ports::WIZARD, 1120);
-    }
-
-    #[test]
-    fn ipc_keys_match_table_4_3() {
-        assert_eq!(ipc_keys::MON_SYSTEM, 1234);
-        assert_eq!(ipc_keys::MON_NETWORK, 1235);
-        assert_eq!(ipc_keys::MON_SECURITY, 1236);
-        assert_eq!(ipc_keys::WIZ_SYSTEM, 4321);
-        assert_eq!(ipc_keys::WIZ_NETWORK, 5321);
-        assert_eq!(ipc_keys::WIZ_SECURITY, 6321);
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   and we pin an explicit little-endian layout;
 //! * the **user request** and **wizard reply** UDP messages (§3.6.1,
 //!   Tables 3.5 and 3.6), including the 60-server reply cap;
-//! * the **port numbers** (Table 4.2) and **System-V IPC keys** (Table 4.3)
-//!   of the deployment;
+//! * the **port numbers** (Table 4.2) of the deployment;
 //! * network-path records `(delay, bandwidth)` exchanged between network
 //!   monitors (Table 3.4) and security-level records (§3.4).
 #![forbid(unsafe_code)]

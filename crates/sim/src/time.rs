@@ -29,7 +29,7 @@ impl SimTime {
     pub const FAR_FUTURE: SimTime = SimTime(u64::MAX / 4);
 
     /// Construct from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimTime(s * NANOS_PER_SEC)
     }
 
@@ -61,19 +61,19 @@ impl SimTime {
 impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
-    pub fn from_nanos(n: u64) -> Self {
+    pub const fn from_nanos(n: u64) -> Self {
         SimDuration(n)
     }
 
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us * NANOS_PER_MICRO)
     }
 
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * NANOS_PER_MILLI)
     }
 
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * NANOS_PER_SEC)
     }
 

@@ -12,7 +12,7 @@
 //!
 //! `rollup --json` renders the same rows as one JSON document (stable
 //! field order, sorted rows) for scripts; `ci/telemetry_smoke.sh` reads
-//! it. A trace still being written (`smartsockd --stream-trace`) is
+//! it. A trace still being written (`smartsockd wizard --trace`) is
 //! followed with `tail -F`.
 //!
 //! Every command tolerates a closed downstream pipe (`| head` exits the

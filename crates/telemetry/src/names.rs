@@ -139,7 +139,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "matmul-worker-bad-msgs",
     "matmul-worker-oom",
     // net: datagram/stream/flow accounting.
-    "net-cross-bursts",
     "net-datagrams-fragmented",
     "net-flow-dropped-unroutable",
     "net-flows-completed",

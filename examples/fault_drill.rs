@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use smartsock::client::RequestSpec;
-use smartsock::faults::{ChaosConfig, FaultKind, FaultPlan};
+use smartsock::faults::{FaultKind, FaultPlan};
 use smartsock::group::SockGroup;
 use smartsock::proto::consts::ports;
 use smartsock::proto::Endpoint;
@@ -111,7 +111,7 @@ fn main() {
     // A chaos burst on top: seeded, so reruns are byte-identical.
     println!("\nchaos burst (10 s of sampled faults)...");
     let chaos_until = s.now() + SimDuration::from_secs(10);
-    inj.chaos(&mut s, ChaosConfig::gentle(chaos_until));
+    inj.chaos(&mut s, chaos_until);
     s.run_until(s.now() + SimDuration::from_secs(25));
     println!("after chaos: members {:?} (healthy: {})\n", names(&group), group.all_healthy());
 

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use smartsock::client::RequestSpec;
 use smartsock::{SockGroup, Testbed};
-use smartsock_faults::{ChaosConfig, Daemon, FaultKind, FaultPlan};
+use smartsock_faults::{Daemon, FaultKind, FaultPlan};
 use smartsock_net::Payload;
 use smartsock_proto::consts::ports;
 use smartsock_proto::Endpoint;
@@ -308,7 +308,7 @@ fn chaos_run(seed: u64) -> (Vec<u8>, String, u64) {
             move |s| net.send_stream(s, client_ep, server_ep, Payload::data(vec![i])),
         );
     }
-    inj.chaos(&mut s, ChaosConfig::gentle(SimTime::from_secs(40)));
+    inj.chaos(&mut s, SimTime::from_secs(40));
     s.run_until(SimTime::from_secs(80));
 
     let trace = s.telemetry.export_jsonl();
@@ -371,7 +371,7 @@ fn chaos_run_templated(seed: u64) -> (Vec<String>, String, u64) {
     let group = got.borrow_mut().take().expect("request completed");
 
     let inj = tb.fault_injector();
-    inj.chaos(&mut s, ChaosConfig::gentle(SimTime::from_secs(40)));
+    inj.chaos(&mut s, SimTime::from_secs(40));
     s.run_until(SimTime::from_secs(60));
 
     (member_names(&tb, &group), s.telemetry.export_jsonl(), s.events_processed())

@@ -5,12 +5,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use smartsock_monitor::{NetMonConfig, NetworkMonitor, SysMonConfig, SystemMonitor};
+use smartsock_monitor::{NetworkMonitor, SystemMonitor};
 use smartsock_net::{HostParams, LinkParams, Network, NetworkBuilder, Payload};
 use smartsock_probe::{ProbeConfig, ServerProbe};
-use smartsock_proto::consts::ports;
+use smartsock_proto::consts::{ports, timing};
 use smartsock_proto::{Endpoint, Ip};
-use smartsock_sim::{Scheduler, SimTime};
+use smartsock_sim::{Scheduler, SimDuration, SimTime};
 
 fn lossy_pair(seed: u64, loss: f64) -> (Network, usize, usize) {
     let mut b = NetworkBuilder::new(seed);
@@ -94,7 +94,8 @@ fn system_monitor_keeps_fresh_state_despite_report_loss() {
     let (net, a, c) = lossy_pair(7, 0.05);
     let mut s = Scheduler::new();
     let mon_ip = net.ip_of(c);
-    let mon = SystemMonitor::new(mon_ip, Default::default(), SysMonConfig::default());
+    let interval = SimDuration::from_secs(timing::PROBE_INTERVAL_SECS);
+    let mon = SystemMonitor::new(mon_ip, Default::default(), interval);
     mon.start(&mut s, &net);
     let host = smartsock_hostsim::Host::new(smartsock_hostsim::HostConfig::new(
         "alpha",
@@ -115,8 +116,8 @@ fn system_monitor_keeps_fresh_state_despite_report_loss() {
 fn network_monitor_rounds_survive_echo_loss() {
     let (net, a, c) = lossy_pair(9, 0.05);
     let mut s = Scheduler::new();
-    let mon =
-        NetworkMonitor::new(net.ip_of(a), net.clone(), Default::default(), NetMonConfig::default());
+    let pairs = NetworkMonitor::DEFAULT_PAIRS_PER_ROUND;
+    let mon = NetworkMonitor::new(net.ip_of(a), net.clone(), Default::default(), pairs);
     mon.add_peer(net.ip_of(c));
     mon.start(&mut s);
     s.run_until(SimTime::from_secs(120));
