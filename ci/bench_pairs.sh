@@ -7,12 +7,17 @@
 # The parent is checked out in a git worktree under .bench_build/ (kept
 # for later runs: `git worktree remove` it when done) and this checkout,
 # uncommitted edits included, is the change; each is built once, offline.
-# Each workload then runs PAIRS times on each side (default 5, seed 7),
+# Each workload then runs PAIRS times on each side (default 10, seed 7),
 # the sides alternating which goes first, every run being the contract's
 # `command` plus `--workload W --seed SEED --seconds run_seconds --trace 0`,
 # of whose output only the last line is read.
 # Printed per workload and side: q1/median/q3 of op_p50_us and setup_s,
 # failed operations, and in how many pairs the change was the lower.
+# Then, per metric, the verdict the benchmark gate applies to a claimed
+# gain: `unresolved` when the parent's q3 - q1 exceeds the metric's bound
+# (BENCHMARK.json, a share of the parent's median); else `gain` when the
+# change was the lower in at least 9 of 10 pairs and the medians differ
+# by more than the parent's q3 - q1; else `no gain`.
 # --record first reads the host's noise: a fixed single-thread awk loop
 # (≈ 75 ms on a quiet host) timed once a second for 30 s. Its p50 and p90
 # in ms are printed and written as `noise_ms` into the one JSON line per
@@ -33,7 +38,7 @@ if [ $# -lt 1 ] || [ $# -gt 3 ]; then
 fi
 parent="$(git rev-parse --short=12 "$1^{commit}")"
 seed="${2:-7}"
-pairs="${3:-5}"
+pairs="${3:-10}"
 commit="$(git describe --always --dirty --abbrev=12)"
 
 tree=".bench_build/parent-$parent"
@@ -94,6 +99,7 @@ cpu="$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo)"
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 mapfile -t workloads < <(jq -r '.workloads[].name' BENCHMARK.json)
+bounds="$(jq -c '[.end_to_end[] | {(.name): .bound}] | add' BENCHMARK.json)"
 for workload in "${workloads[@]}"; do
     : >"$scratch/parent" && : >"$scratch/change"
     for ((i = 0; i < pairs; i++)); do
@@ -112,12 +118,18 @@ for workload in "${workloads[@]}"; do
           pairs: \$pairs, nproc: \$nproc, cpu: \$cpu, noise_ms: \$noise_ms,
           parent_side: (\$p | $summary), change: (\$c | $summary),
           change_lower: ([\$p, \$c] | $wins)}")"
-    jq -r '"\(.workload) (seed \(.seed), \(.pairs) pairs; q1 / median / q3)",
+    jq -r --argjson bounds "$bounds" '
+        def verdict($m): .parent_side[$m] as [$q1, $median, $q3]
+            | if $q3 - $q1 > $bounds[$m] * $median then "unresolved"
+              elif .change_lower[$m] * 10 >= .pairs * 9 and $median - .change[$m][1] > $q3 - $q1
+              then "gain" else "no gain" end;
+        "\(.workload) (seed \(.seed), \(.pairs) pairs; q1 / median / q3)",
         (["parent", .parent_side], ["change", .change] | "  \(.[0])  op_p50_us \(
             .[1].op_p50_us | join(" / "))  setup_s \(.[1].setup_s | join(" / "))  failed \(
             .[1].failed)"),
         "  change lower in \(.change_lower.op_p50_us)/\(.pairs) pairs on op_p50_us, \(
-            .change_lower.setup_s)/\(.pairs) on setup_s"' <<<"$line"
+            .change_lower.setup_s)/\(.pairs) on setup_s",
+        "  verdict: op_p50_us \(verdict("op_p50_us")), setup_s \(verdict("setup_s"))"' <<<"$line"
     if ((record)); then
         echo "$line" >>BENCH_wall.json
     fi

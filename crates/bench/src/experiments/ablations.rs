@@ -372,86 +372,35 @@ pub fn scaling(seed: u64) -> Report {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::DEFAULT_SEED;
+    use crate::shapes::tests::hold_at_the_next_seed as hold;
 
     #[test]
     fn parallel_fetch_is_roughly_additive_and_sequential_is_not() {
-        let r = fetch_mode(DEFAULT_SEED);
-        let seq = r.get("seq_2_2");
-        let par = r.get("par_2_2");
-        // 2 × 5 Mbps: sequential ≈ one pipe (~610 KB/s), parallel ≈ two.
-        assert!(par / seq > 1.6, "parallel {par} vs sequential {seq}");
+        hold(&["ablation.fetch"]);
     }
 
     #[test]
     fn fresh_probes_avoid_the_spiked_server_and_stale_ones_do_not() {
-        let r = staleness(DEFAULT_SEED);
-        // With a 1 s interval the spike is visible almost immediately
-        // (CPU usage reacts instantly even if load1 lags).
-        assert_eq!(r.get("avoided_i1_d3"), 1.0);
-        // With a 10 s interval, a request 1 s after the spike still sees
-        // the pre-spike report.
-        assert_eq!(r.get("avoided_i10_d1"), 0.0);
-        // Everyone converges well after the spike.
-        assert_eq!(r.get("avoided_i1_d12"), 1.0);
-        assert_eq!(r.get("avoided_i2_d12"), 1.0);
+        hold(&["ablation.staleness"]);
     }
 
     #[test]
     fn all_three_estimators_agree_on_quiet_paths() {
-        let r = estimators(DEFAULT_SEED);
-        // Quiet 30 Mbps path: everyone within 30% of truth.
-        let truth = r.get("truth_30_0");
-        for tool in ["oneway", "pipechar", "slops", "iperf"] {
-            let est = r.get(&format!("{tool}_30_0"));
-            assert!((est - truth).abs() / truth < 0.3, "{tool}: {est:.1} vs truth {truth:.1}");
-        }
-        // Loaded path: pipechar measures raw capacity (~100), the other
-        // two track availability (~70) — the paper's robustness point.
-        let truth = r.get("truth_100_30");
-        let ow = r.get("oneway_100_30");
-        let sl = r.get("slops_100_30");
-        assert!((ow - truth).abs() / truth < 0.35, "one-way {ow:.1} vs {truth:.1}");
-        assert!((sl - truth).abs() / truth < 0.35, "slops {sl:.1} vs {truth:.1}");
+        hold(&["ablation.estimators"]);
     }
 
     #[test]
     fn dynamic_dispatch_wins_on_heterogeneous_sets() {
-        let r = schedule(DEFAULT_SEED);
-        // Homogeneous: near-tied (dynamic pays a bigger preload).
-        let ratio_homog = r.get("dynamic_homogeneous") / r.get("static_homogeneous");
-        assert!(ratio_homog < 1.25, "homogeneous ratio {ratio_homog:.2}");
-        // Heterogeneous: dynamic faster despite its larger (full-input)
-        // preload, which eats part of the balancing gain.
-        assert!(
-            r.get("dynamic_heterogeneous") < r.get("static_heterogeneous") * 0.95,
-            "dynamic {} vs static {}",
-            r.get("dynamic_heterogeneous"),
-            r.get("static_heterogeneous")
-        );
+        hold(&["ablation.schedule"]);
     }
 
     #[test]
     fn scaling_speedup_is_monotone_but_efficiency_decays() {
-        let r = scaling(DEFAULT_SEED);
-        assert!(r.get("time_2") < r.get("time_1"));
-        assert!(r.get("time_8") < r.get("time_4"));
-        assert!(r.get("efficiency_1") >= 0.99);
-        assert!(
-            r.get("efficiency_8") < r.get("efficiency_2"),
-            "efficiency must decay: {} vs {}",
-            r.get("efficiency_8"),
-            r.get("efficiency_2")
-        );
+        hold(&["ablation.scaling"]);
     }
 
     #[test]
     fn rule_violations_rank_by_error() {
-        let r = probe_size_rules(DEFAULT_SEED);
-        // Sub-MTU S1: catastrophic error.
-        assert!(r.get("case0_err_pct") > 40.0);
-        // Equal-fragment pairs: small error.
-        assert!(r.get("case2_err_pct") < 20.0);
+        hold(&["ablation.probesize"]);
     }
 }

@@ -71,46 +71,10 @@ pub fn fig3_7(seed: u64) -> Report {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::DEFAULT_SEED;
-
-    #[test]
-    fn sub_mtu_groups_collapse_below_speed_init() {
-        let r = table3_3(DEFAULT_SEED);
-        for i in 0..3 {
-            let avg = r.get(&format!("group{i}_avg_mbps"));
-            assert!(avg < 26.0, "group {i} should underestimate: {avg:.1} Mbps");
-        }
-    }
+    use crate::shapes::tests::hold_at_the_next_seed as hold;
 
     #[test]
     fn super_mtu_groups_track_truth_and_optimal_pair_wins() {
-        let r = table3_3(DEFAULT_SEED);
-        let truth = r.get("truth_mbps");
-        for i in 3..7 {
-            let avg = r.get(&format!("group{i}_avg_mbps"));
-            assert!(
-                (avg - truth).abs() / truth < 0.3,
-                "group {i} too far from truth: {avg:.1} vs {truth:.1}"
-            );
-        }
-        // The 1600~2900 pair (equal fragment counts) must be the most
-        // accurate of the four super-MTU groups — the paper's conclusion.
-        let best_err = (r.get("group6_avg_mbps") - truth).abs();
-        for i in 3..6 {
-            let err = (r.get(&format!("group{i}_avg_mbps")) - truth).abs();
-            assert!(
-                best_err <= err + 2.0,
-                "optimal pair should win: group6 err {best_err:.1} vs group{i} err {err:.1}"
-            );
-        }
-    }
-
-    #[test]
-    fn unequal_fragment_counts_bias_downward() {
-        // 4000~6000 (frag counts 3 vs 5) must read lower than 1600~2900
-        // (2 vs 2) — the mechanism behind probe-size rule 3.
-        let r = table3_3(DEFAULT_SEED);
-        assert!(r.get("group4_avg_mbps") < r.get("group6_avg_mbps"));
+        hold(&["table3.3", "fig3.7"]);
     }
 }

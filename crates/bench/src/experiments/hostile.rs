@@ -425,58 +425,25 @@ pub fn staleness(seed: u64) -> Report {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::DEFAULT_SEED;
+    use crate::shapes::tests::hold_at_the_next_seed as hold;
 
     #[test]
     fn hedging_cuts_the_straggler_tail() {
-        let r = straggler(DEFAULT_SEED);
-        let (hp99, up99) = (r.get("p99_hedged_ms"), r.get("p99_unhedged_ms"));
-        assert!(up99 >= 1.5 * hp99, "unhedged p99 {up99:.0} must dwarf hedged {hp99:.0}");
-        assert!(hp99 < 1500.0, "hedged p99 {hp99:.0} must beat the 2 s retry timeout");
-        assert_eq!(r.get("hedges_fired_hedged"), 5.0, "one hedge per stall window");
-        assert!(r.get("hedges_won_hedged") >= 1.0);
-        assert_eq!(r.get("hedges_fired_unhedged"), 0.0);
-        // The median is untouched either way: stalls only graze the tail.
-        assert!(r.get("p50_hedged_ms") < 100.0);
-        assert!(r.get("p50_unhedged_ms") < 100.0);
+        hold(&["hostile.straggler"]);
     }
 
     #[test]
     fn deadlines_bound_the_flash_crowd() {
-        let r = flashcrowd(DEFAULT_SEED);
-        assert_eq!(r.get("resolved"), 40.0, "every burst request must resolve");
-        // The invariant: no resolution beyond deadline + one RTT of slack.
-        assert!(
-            r.get("max_latency_ms") <= r.get("deadline_ms") + 50.0,
-            "max latency {} must stay within one RTT of the deadline",
-            r.get("max_latency_ms")
-        );
-        assert!(r.get("deadline_failures") >= 10.0, "the cut must actually bite");
-        assert!(r.get("served") >= 10.0, "pre-cut requests must be served");
-        assert_eq!(r.get("post_heal_ok"), 1.0);
+        hold(&["hostile.flashcrowd"]);
     }
 
     #[test]
     fn quarantine_absorbs_flapping_links_without_collapsing_goodput() {
-        let r = flapping(DEFAULT_SEED);
-        assert_eq!(r.get("quarantined_assignments"), 0.0, "no assignment while quarantined");
-        assert!(r.get("quarantines") >= 2.0, "both flappers must be quarantined");
-        assert_eq!(r.get("clean_quarantines"), 0.0);
-        assert_eq!(r.get("ok_clean"), 24.0);
-        assert!(
-            r.get("goodput_ratio") >= 0.6,
-            "goodput {} must stay above 60% of fault-free",
-            r.get("goodput_ratio")
-        );
-        assert_eq!(r.get("mimas_selectable_end"), 1.0, "flapper must be re-admitted");
-        assert_eq!(r.get("telesto_selectable_end"), 1.0, "flapper must be re-admitted");
+        hold(&["hostile.flapping"]);
     }
 
     #[test]
     fn freshness_discount_avoids_the_frozen_row() {
-        let r = staleness(DEFAULT_SEED);
-        assert_eq!(r.get("discount_stale_picks"), 0.0);
-        assert_eq!(r.get("legacy_stale_picks"), 3.0);
+        hold(&["hostile.staleness"]);
     }
 }

@@ -45,22 +45,10 @@ pub fn fig5_2(seed: u64) -> Report {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::DEFAULT_SEED;
+    use crate::shapes::tests::hold_at_the_next_seed as hold;
 
     #[test]
     fn fig_5_2_ordering_holds() {
-        let r = fig5_2(DEFAULT_SEED);
-        let t = |m: &str| r.get(&format!("time_{m}"));
-        // P4-2.4 machines fastest.
-        assert!(t("dalmatian") < t("sagit"));
-        assert_eq!(t("dalmatian"), t("dione"));
-        // P3-866 beats every P4 1.6–1.8.
-        for slow in ["mimas", "telesto", "helene", "phoebe", "calypso", "titan-x", "pandora-x"] {
-            assert!(t("sagit") < t(slow), "sagit should beat {slow}");
-        }
-        // Single-machine full problem lands in the couple-minutes range
-        // (two P4-2.4s finish it in ~63 s in Table 5.3).
-        assert!(t("dalmatian") > 100.0 && t("dalmatian") < 160.0, "{}", t("dalmatian"));
+        hold(&["fig5.2"]);
     }
 }

@@ -237,47 +237,25 @@ pub fn table5_6(seed: u64) -> Report {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::DEFAULT_SEED;
+    use crate::shapes::tests::hold_at_the_next_seed as hold;
 
     #[test]
     fn table_5_3_smart_wins_by_a_large_factor() {
-        let r = table5_3(DEFAULT_SEED);
-        assert_eq!(r.get("smart_count"), 2.0);
-        let imp = r.get("improvement_pct");
-        // Paper: 37.1%. Accept the same shape: a 20–55% win.
-        assert!(imp > 20.0 && imp < 55.0, "improvement {imp:.1}%");
-        // Absolute times land near the paper's.
-        assert!((r.get("smart_secs") - 63.0).abs() < 20.0, "{}", r.get("smart_secs"));
-        assert!((r.get("random_secs") - 100.0).abs() < 25.0, "{}", r.get("random_secs"));
+        hold(&["table5.3"]);
     }
 
     #[test]
     fn table_5_4_smart_wins_moderately() {
-        let r = table5_4(DEFAULT_SEED);
-        assert_eq!(r.get("smart_count"), 4.0);
-        let imp = r.get("improvement_pct");
-        // Paper: 20.2%.
-        assert!(imp > 8.0 && imp < 40.0, "improvement {imp:.1}%");
+        hold(&["table5.4"]);
     }
 
     #[test]
     fn table_5_5_gain_shrinks_with_larger_groups() {
-        let r5 = table5_5(DEFAULT_SEED);
-        let r3 = table5_3(DEFAULT_SEED);
-        assert_eq!(r5.get("smart_count"), 6.0);
-        let imp = r5.get("improvement_pct");
-        // Paper: 8.3% — small but positive, and smaller than table 5.3's.
-        assert!(imp > 0.0 && imp < 25.0, "improvement {imp:.1}%");
-        assert!(imp < r3.get("improvement_pct"));
+        hold(&["table5.5"]);
     }
 
     #[test]
     fn table_5_6_smart_avoids_the_busy_servers() {
-        let r = table5_6(DEFAULT_SEED);
-        assert_eq!(r.get("smart_count"), 4.0);
-        let imp = r.get("improvement_pct");
-        // Paper: 26.6%.
-        assert!(imp > 15.0 && imp < 60.0, "improvement {imp:.1}%");
+        hold(&["table5.6"]);
     }
 }

@@ -102,13 +102,10 @@ user_denied_host1 = 10.0.3.2
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::DEFAULT_SEED;
+    use crate::shapes::tests::hold_at_the_next_seed as hold;
 
     #[test]
     fn the_introduction_example_selects_b2_c1_d1() {
-        let r = fig1_4(DEFAULT_SEED);
-        assert_eq!(r.get("selected_count"), 3.0);
-        assert_eq!(r.get("matches_paper"), 1.0);
+        hold(&["fig1.4"]);
     }
 }

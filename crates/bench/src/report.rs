@@ -11,8 +11,9 @@ pub struct Report {
     pub title: String,
     /// Pre-rendered table body (one row per line).
     pub body: String,
-    /// Machine-readable headline figures, used by integration tests to
-    /// assert the paper's shapes without re-parsing text.
+    /// Machine-readable headline figures, which the claims table
+    /// (`shapes.rs`) checks the paper's shapes against without re-parsing
+    /// text.
     pub figures: BTreeMap<String, f64>,
 }
 

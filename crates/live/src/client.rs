@@ -33,7 +33,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::io::{self, ErrorKind::TimedOut, ErrorKind::WouldBlock};
+use std::io::{self, ErrorKind::Interrupted, ErrorKind::TimedOut, ErrorKind::WouldBlock};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
 use std::rc::Rc;
@@ -166,21 +166,27 @@ impl Core {
 /// Block in `recv_from` until a datagram arrives or `clock` reaches
 /// `until_ns`, whichever is first — one `set_read_timeout` of exactly the
 /// time left, so datagrams that do not end the wait cannot extend it.
+/// Linux fails a timed `recv_from` with `EINTR` when the process is
+/// stopped and continued (Ctrl-Z, then `fg`); the wait then resumes with
+/// the time left.
 fn recv_until(
     sock: &UdpSocket,
     clock: &Clock,
     until_ns: u64,
     buf: &mut [u8],
 ) -> io::Result<Option<(usize, SocketAddr)>> {
-    let left = until_ns.saturating_sub(clock.now_ns());
-    if left == 0 {
-        return Ok(None);
-    }
-    sock.set_read_timeout(Some(Duration::from_nanos(left)))?;
-    match sock.recv_from(buf) {
-        Ok(got) => Ok(Some(got)),
-        Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => Ok(None),
-        Err(e) => Err(e),
+    loop {
+        let left = until_ns.saturating_sub(clock.now_ns());
+        if left == 0 {
+            return Ok(None);
+        }
+        sock.set_read_timeout(Some(Duration::from_nanos(left)))?;
+        match sock.recv_from(buf) {
+            Ok(got) => return Ok(Some(got)),
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => return Ok(None),
+            Err(e) if e.kind() == Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
 }
 

@@ -879,3 +879,38 @@ fn a_trace_is_written_while_the_daemon_runs() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(Trace::parse(&trace).counters.get("wizard-replies"), Some(&100));
 }
+
+#[test]
+fn a_request_stopped_and_continued_still_waits_for_its_reply() {
+    // Regression: Linux fails a timed `recv_from` with EINTR after SIGSTOP
+    // and SIGCONT, and the client reported it ("Interrupted system call")
+    // instead of waiting out the time left — Ctrl-Z then `fg` killed it.
+    let wizard = fake_wizard();
+    let addr = wizard.local_addr().unwrap().to_string();
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_smartsockd"))
+        .args(["request", "--wizard", &addr, "--servers", "1", "--timeout-ms", "3000"])
+        .args(["--retries", "0"])
+        .stdin(std::process::Stdio::null())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let (request, from) = next_request(&wizard);
+    let signal = |sig: &str| {
+        let pid = child.id().to_string();
+        let status = std::process::Command::new("/usr/bin/kill").args([sig, &pid]).status();
+        assert!(status.unwrap().success(), "kill {sig}");
+    };
+    // Well inside its `recv_from` by now.
+    std::thread::sleep(Duration::from_millis(100));
+    signal("-STOP");
+    std::thread::sleep(Duration::from_millis(100));
+    signal("-CONT");
+    std::thread::sleep(Duration::from_millis(200));
+    answer(&wizard, from, request.seq, 1);
+    let out = child.wait_with_output().unwrap();
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "exited {:?}: {stderr}", out.status.code());
+    assert_eq!(stdout.trim(), "192.168.9.1:1200");
+}
