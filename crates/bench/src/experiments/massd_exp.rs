@@ -10,11 +10,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use smartsock::client::RequestSpec;
 use smartsock::Testbed;
 use smartsock_apps::massd::{FileServer, Massd, MassdParams};
 use smartsock_proto::Endpoint;
-use smartsock_sim::{Scheduler, SimDuration, SimTime};
+use smartsock_sim::{Scheduler, SimTime};
 
 use crate::experiments::rig;
 use crate::report::{colf, Report};
@@ -77,36 +76,6 @@ fn run_download(s: &mut Scheduler, tb: &Testbed, servers: &[Endpoint]) -> f64 {
     t
 }
 
-fn smart_pick(s: &mut Scheduler, tb: &Testbed, requirement: &str, k: usize) -> Vec<Endpoint> {
-    let client = tb.client("sagit");
-    let got = Rc::new(RefCell::new(None));
-    let g = Rc::clone(&got);
-    client.request(s, RequestSpec::new(requirement, 60), move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("smart selection succeeds"));
-    });
-    let watch = Rc::clone(&got);
-    s.run_while(s.now() + SimDuration::from_secs(5), move || watch.borrow().is_none());
-    let socks = got.borrow_mut().take().expect("wizard replied");
-    // Connected sockets are already filtered to live services (§3.6.2
-    // step 4); take the first k file servers.
-    let eps: Vec<Endpoint> = socks.iter().take(k).map(|x| x.remote).collect();
-    for sock in socks {
-        sock.close();
-    }
-    eps
-}
-
-fn names_of(tb: &Testbed, eps: &[Endpoint]) -> Vec<String> {
-    eps.iter()
-        .map(|e| {
-            tb.net
-                .node_by_ip(e.ip)
-                .map(|n| tb.net.name_of(n).as_str().to_owned())
-                .unwrap_or_else(|| e.ip.to_string())
-        })
-        .collect()
-}
-
 fn run_exp(exp: &Exp, seed: u64) -> Report {
     let mut r = Report::new(exp.id, exp.title.to_owned());
     r.row(format!(
@@ -131,13 +100,18 @@ fn run_exp(exp: &Exp, seed: u64) -> Report {
         r.figure(&format!("random{i}_kbps"), kbps);
     }
 
+    // A failed selection is a report: no server and no throughput.
     let (mut s, tb) = deployment(seed, exp.group1_mbps, exp.group2_mbps);
-    let eps = smart_pick(&mut s, &tb, exp.requirement, exp.n_servers);
-    let names = names_of(&tb, &eps);
-    let kbps = run_download(&mut s, &tb, &eps);
+    let picked = rig::smart_pick(&mut s, &tb, exp.requirement, 60);
+    let eps: Vec<Endpoint> = picked.iter().flatten().take(exp.n_servers).copied().collect();
+    let names = rig::names_of(&tb, &eps);
+    let kbps = if eps.is_empty() { f64::NAN } else { run_download(&mut s, &tb, &eps) };
     r.row(format!(
         "{:<28} | {:>14} | {:>12}",
-        format!("smart ({})", names.join(", ")),
+        match &picked {
+            Ok(_) => format!("smart ({})", names.join(", ")),
+            Err(e) => format!("smart (failed: {e})"),
+        },
         colf(kbps, 0, 14).trim_start(),
         colf(exp.paper_smart_kbps, 0, 12).trim_start()
     ));
@@ -145,7 +119,8 @@ fn run_exp(exp: &Exp, seed: u64) -> Report {
     r.figure("smart_kbps", kbps);
     r.figure("smart_count", eps.len() as f64);
     let fast_group: &[&str] = if exp.group1_mbps > exp.group2_mbps { &GROUP1 } else { &GROUP2 };
-    let all_fast = names.iter().all(|n| fast_group.iter().any(|f| f.eq_ignore_ascii_case(n)));
+    let fast = |n: &String| fast_group.iter().any(|f| f.eq_ignore_ascii_case(n));
+    let all_fast = !names.is_empty() && names.iter().all(fast);
     r.figure("smart_all_fast", if all_fast { 1.0 } else { 0.0 });
     r
 }
@@ -240,5 +215,17 @@ mod tests {
     #[test]
     fn table_5_9_ordering_matches_fig_5_6() {
         hold(&["table5.9"]);
+    }
+
+    /// At this seed every server the wizard offers refuses the connect:
+    /// the smart arm reports no server and no throughput, and the claims
+    /// reject that.
+    #[test]
+    fn a_failed_smart_selection_is_a_report_the_claims_reject() {
+        let report = super::table5_9(36);
+        assert_eq!(report.figures["smart_count"], 0.0);
+        assert!(report.figures["smart_kbps"].is_nan());
+        let violations = crate::shapes::check("table5.9", &report).expect("table5.9 has claims");
+        assert!(violations.iter().any(|v| v.contains("smart_count")), "{violations:?}");
     }
 }

@@ -10,7 +10,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use smartsock::client::RequestSpec;
 use smartsock::Testbed;
 use smartsock_apps::matmul::{MatmulMaster, MatmulParams, MatmulWorker};
 use smartsock_hostsim::Workload;
@@ -70,42 +69,6 @@ fn run_on(s: &mut Scheduler, tb: &Testbed, servers: &[Endpoint], params: MatmulP
     t
 }
 
-/// Smart arm: request through the wizard, then compute.
-fn run_smart(
-    s: &mut Scheduler,
-    tb: &Testbed,
-    requirement: String,
-    n: u16,
-    params: MatmulParams,
-) -> (Vec<String>, f64) {
-    let client = tb.client("sagit");
-    let got = Rc::new(RefCell::new(None));
-    let g = Rc::clone(&got);
-    client.request(s, RequestSpec::new(requirement, n), move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("smart selection succeeds"));
-    });
-    let watch = Rc::clone(&got);
-    s.run_while(s.now() + smartsock_sim::SimDuration::from_secs(5), move || {
-        watch.borrow().is_none()
-    });
-    let socks = got.borrow_mut().take().expect("wizard replied");
-    let endpoints: Vec<Endpoint> = socks.iter().map(|k| k.remote).collect();
-    let names: Vec<String> = endpoints
-        .iter()
-        .map(|e| {
-            tb.net
-                .node_by_ip(e.ip)
-                .map(|n| tb.net.name_of(n).as_str().to_owned())
-                .unwrap_or_else(|| e.ip.to_string())
-        })
-        .collect();
-    for sock in socks {
-        sock.close();
-    }
-    let t = run_on(s, tb, &endpoints, params);
-    (names, t)
-}
-
 fn run_exp(exp: &Exp, seed: u64) -> Report {
     let warmup = if exp.busy.is_empty() { 12 } else { 90 };
 
@@ -120,7 +83,15 @@ fn run_exp(exp: &Exp, seed: u64) -> Report {
     for (i, denial) in exp.extra_denials.iter().enumerate() {
         requirement.push_str(&format!("user_denied_host{} = {}\n", i + 1, denial));
     }
-    let (smart_names, t_smart) = run_smart(&mut s, &tb, requirement, exp.n_servers, exp.params);
+    // A failed selection is a report: no server and no time.
+    let (smart_servers, smart_count, t_smart) =
+        match rig::smart_pick(&mut s, &tb, &requirement, exp.n_servers) {
+            Ok(eps) => {
+                let names = rig::names_of(&tb, &eps).join(", ");
+                (names, eps.len(), run_on(&mut s, &tb, &eps, exp.params))
+            }
+            Err(e) => (format!("failed: {e}"), 0, f64::NAN),
+        };
 
     let improvement = (t_random - t_smart) / t_random * 100.0;
     let paper_improvement =
@@ -134,7 +105,7 @@ fn run_exp(exp: &Exp, seed: u64) -> Report {
         exp.requirement.trim().replace('\n', " && ")
     ));
     r.row(format!("random servers : {}", exp.random_set.join(", ")));
-    r.row(format!("smart servers  : {}", smart_names.join(", ")));
+    r.row(format!("smart servers  : {smart_servers}"));
     r.row(format!("{:<22} | {:>10} | {:>10}", "", "random(s)", "smart(s)"));
     r.row(format!(
         "{:<22} | {:>10} | {:>10}",
@@ -152,7 +123,7 @@ fn run_exp(exp: &Exp, seed: u64) -> Report {
     r.figure("random_secs", t_random);
     r.figure("smart_secs", t_smart);
     r.figure("improvement_pct", improvement);
-    r.figure("smart_count", smart_names.len() as f64);
+    r.figure("smart_count", smart_count as f64);
     r
 }
 

@@ -4,6 +4,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use smartsock::client::{ClientError, RequestSpec};
+use smartsock::Testbed;
 use smartsock_net::{HostParams, LinkParams, Network, NetworkBuilder, NodeId, Payload};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{Endpoint, Ip};
@@ -160,6 +162,35 @@ pub fn bw_stats_mbps(
     let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let avg = samples.iter().sum::<f64>() / samples.len() as f64;
     Some((min, max, avg))
+}
+
+/// A smart arm's selection (§3.6.2) from `sagit`: request `servers`
+/// under `requirement`, wait for the verdict and close the connections.
+/// `Ok` holds the servers that accepted the connect, best match first.
+pub fn smart_pick(
+    s: &mut Scheduler,
+    tb: &Testbed,
+    requirement: &str,
+    servers: u16,
+) -> Result<Vec<Endpoint>, ClientError> {
+    let got = Rc::new(RefCell::new(None));
+    let g = Rc::clone(&got);
+    let spec = RequestSpec::new(requirement, servers);
+    tb.client("sagit").request(s, spec, move |_s, r| *g.borrow_mut() = Some(r));
+    let watch = Rc::clone(&got);
+    s.run_while(s.now() + SimDuration::from_secs(5), move || watch.borrow().is_none());
+    let socks = got.borrow_mut().take().expect("wizard replied")?;
+    for sock in &socks {
+        sock.close();
+    }
+    Ok(socks.iter().map(|sock| sock.remote).collect())
+}
+
+/// The testbed's name for each endpoint's host (its address if unnamed).
+pub fn names_of(tb: &Testbed, eps: &[Endpoint]) -> Vec<String> {
+    let name =
+        |e: &Endpoint| tb.net.node_by_ip(e.ip).map(|n| tb.net.name_of(n).as_str().to_owned());
+    eps.iter().map(|e| name(e).unwrap_or_else(|| e.ip.to_string())).collect()
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ struct ClientState {
 struct Draw<'a>(&'a mut rand::rngs::StdRng);
 
 impl Entropy for Draw<'_> {
-    fn seq(&mut self) -> u32 {
+    fn draw(&mut self) -> u32 {
         self.0.gen()
     }
     fn jitter(&mut self) -> f64 {
@@ -102,9 +102,7 @@ impl SmartClient {
     /// `seed` drives the request sequence numbers.
     pub fn new(net: Network, ip: Ip, wizard_ip: Ip, seed: u64) -> SmartClient {
         let reply_ep = Endpoint::new(ip, 47000);
-        let wizard = |port| Endpoint::new(wizard_ip, port);
-        let engine =
-            ClientEngine::new(reply_ep, wizard(ports::WIZARD), wizard(ports::WIZARD_HEALTH));
+        let engine = ClientEngine::new(reply_ep, Endpoint::new(wizard_ip, ports::WIZARD));
         SmartClient {
             net,
             ip,
@@ -126,7 +124,7 @@ impl SmartClient {
         self.ip
     }
 
-    /// Report connect successes/failures to the wizard's health port
+    /// Report connect successes/failures to the wizard's health table
     /// automatically. Off by default so existing traces stay byte-stable.
     pub fn with_outcome_reports(mut self) -> SmartClient {
         self.report_outcomes = true;
@@ -161,7 +159,7 @@ impl SmartClient {
         });
         let seq: u32 = {
             let mut st = self.st.borrow_mut();
-            let seq = st.rng.gen();
+            let seq = Draw(&mut st.rng).seq();
             st.callbacks.insert(seq, Box::new(on_result));
             seq
         };

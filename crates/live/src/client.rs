@@ -52,7 +52,7 @@ use smartsock_wizard::client::{
 };
 
 use crate::clock::Clock;
-use crate::transport::{endpoint_of, sockaddr_of, UdpTransport};
+use crate::transport::{endpoint_of, UdpTransport};
 
 /// Why a request did not reach the connected phase.
 #[derive(Debug)]
@@ -80,12 +80,12 @@ impl std::error::Error for RequestError {}
 struct Mix(u64);
 
 impl Entropy for Mix {
-    fn seq(&mut self) -> u32 {
+    fn draw(&mut self) -> u32 {
         self.0 = splitmix64(self.0);
         (self.0 >> 32) as u32
     }
     fn jitter(&mut self) -> f64 {
-        f64::from(self.seq()) / 2f64.powi(32) * 0.25
+        f64::from(self.draw()) / 2f64.powi(32) * 0.25
     }
 }
 
@@ -231,8 +231,7 @@ impl LiveSock<Registered> {
                 (Rc::new(sock), local, Mix(u64::from(local.port)))
             }
         };
-        // One socket, one daemon port: outcome reports go where requests go.
-        let engine = ClientEngine::new(local, wizard, wizard);
+        let engine = ClientEngine::new(local, wizard);
         let (clock, timers) = (Clock::wall(), [None; 3]);
         let core = Core { sock, local, clock, engine, rnd, timers, fired: false, tel: None };
         let spec = RequestSpec::new("", 0);
@@ -397,11 +396,4 @@ pub fn query_stats(
         }
     }
     Err(io::Error::new(TimedOut, "daemon did not answer the stats query"))
-}
-
-/// Open the data-plane TCP connection to a selected server. Exposed for
-/// deployments where the service endpoints are real; the loopback test
-/// rigs report protocol-level addresses that are not dialable.
-pub fn connect_service(server: Endpoint, timeout: Duration) -> io::Result<std::net::TcpStream> {
-    std::net::TcpStream::connect_timeout(&sockaddr_of(server), timeout)
 }

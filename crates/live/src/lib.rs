@@ -37,9 +37,7 @@ pub mod shim;
 pub mod transport;
 pub mod wizard;
 
-pub use client::{
-    connect_service, live_request, query_stats, send_live_report, LiveSock, RequestError,
-};
+pub use client::{live_request, query_stats, send_live_report, LiveSock, RequestError};
 pub use clock::{Clock, ManualHandle};
 pub use probe::{sample_proc, LiveProbe};
 pub use shim::{FaultShim, ShimPolicy};

@@ -14,22 +14,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::wizard::MAX_DATAGRAM;
+use crate::wizard::{wake, MAX_DATAGRAM};
 
-/// Deterministic loss budgets, counted per direction from shim start.
+/// Deterministic loss budgets, counted per direction from shim start (the
+/// default passes everything through).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShimPolicy {
     /// Drop the first N client→wizard datagrams (requests).
     pub drop_requests: u32,
     /// Drop the first N wizard→client datagrams (replies).
     pub drop_replies: u32,
-}
-
-impl ShimPolicy {
-    /// Pass everything through.
-    pub fn transparent() -> ShimPolicy {
-        ShimPolicy::default()
-    }
 }
 
 /// What the relay thread and its [`FaultShim`] handle both see.
@@ -99,12 +93,6 @@ impl Drop for FaultShim {
             wake(self.addr);
             let _ = h.join();
         }
-    }
-}
-
-fn wake(addr: SocketAddr) {
-    if let Ok(sock) = UdpSocket::bind("127.0.0.1:0") {
-        let _ = sock.send_to(&[], addr);
     }
 }
 

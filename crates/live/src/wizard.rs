@@ -3,9 +3,10 @@
 //! One background thread owns a [`WizardEngine`] — the one wizard the
 //! simulated daemon also drives — and the [`Telemetry`] the engine
 //! records into, so `telemetry summary` reads a live trace exactly like a
-//! simulated one. What is left here is what only a real daemon has: the
-//! socket, the clock, the heartbeat and the stats side channel, whose
-//! reply is the summary lines the trace will end with, as they stand.
+//! simulated one. Every datagram goes to [`WizardEngine::datagram`], which
+//! tells what it is. What is left here is what only a real daemon has: the
+//! socket, the clock, the heartbeat and the stats reply, which is the
+//! summary lines the trace will end with, as they stand.
 //!
 //! The receive loop blocks in `recv_from` with **no read timeout**: a
 //! stopped daemon is woken by one empty datagram to its own port (the
@@ -20,10 +21,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use smartsock_proto::{OutcomeReport, StatsReply, StatsRequest};
+use smartsock_proto::StatsReply;
 use smartsock_sim::SimTime;
 use smartsock_telemetry::{AccumSink, Sink, StreamSink, Telemetry};
-use smartsock_wizard::{Ingest, SelectPolicy, WizardEngine};
+use smartsock_wizard::{Arrival, Ingest, SelectPolicy, WizardEngine};
 
 use crate::clock::Clock;
 use crate::transport::{endpoint_of, UdpTransport};
@@ -166,7 +167,7 @@ impl Drop for LiveWizard {
 
 /// Nudge a blocked `recv_from` with an empty datagram. Best-effort: if
 /// the send fails the join below still completes once any datagram lands.
-fn wake(addr: SocketAddr) {
+pub(crate) fn wake(addr: SocketAddr) {
     if let Ok(sock) = UdpSocket::bind("127.0.0.1:0") {
         let _ = sock.send_to(&[], addr);
     }
@@ -215,17 +216,13 @@ fn serve(
         let now = clock.now_ns();
         tel.set_now(now);
         // Opportunistic stale sweep: every inbound datagram advances the
-        // expiry horizon, so dead servers stop being offered without a
-        // timer thread. (`select` independently skips stale records, so
-        // sweep cadence affects bookkeeping, not matching.) Affordable per
-        // datagram because the sweep only evicts: one comparison for the
-        // health table and one per /24, a walk only of what is due. What
-        // the reports overwrote is the next request's to tighten, inside
-        // `handle`.
+        // expiry horizon, with no timer thread (`select` skips stale rows
+        // anyway). Affordable per datagram because the sweep only evicts
+        // (one comparison for the health table and one per /24, a walk only
+        // of what is due); `handle` tightens what reports overwrote.
+        // `live_servers()` sees the sweep before any reply leaves.
         engine.sweep(SimTime(now));
         engine.record(&mut tel);
-        // Whatever this datagram turns out to be — a stats poll, a wake-up,
-        // a sender we cannot answer — `live_servers()` sees the sweep.
         shared.records.store(engine.live_servers() as u64, Ordering::SeqCst);
         // Sonar-style self-report: every so often the daemon describes
         // itself in its own trace, same schema a probe would send about it.
@@ -233,44 +230,26 @@ fn serve(
             last_heartbeat = Some(now);
             heartbeat(&mut tel, &host, &shared);
         }
-        let Some(payload) = buf.get(..n) else { continue };
-        if payload.is_empty() {
-            // A wakeup nudge that raced a concurrent stop; nothing to do.
-            continue;
-        }
-        // `smartsockd stats` snapshot query: answered out-of-band, before
-        // the engine ever sees the payload, so a monitoring poller cannot
-        // perturb protocol handling. The reply is the trace's own summary
-        // lines, this poll already counted in them.
-        if payload.starts_with(StatsRequest::ASCII_MAGIC.as_bytes()) {
-            tel.counter_incr("wizard-stats-requests");
-            if let Ok(q) = StatsRequest::decode(payload) {
-                let lines = tel.summary_tail();
-                let reply = StatsReply { seq: q.seq, now_ns: now, truncated: false, lines };
-                let _ = sock.send_to(&reply.encode(), from);
-            }
-            continue;
-        }
-        // The simulated wizard has a health port (1122); this one socket
-        // tells an outcome report by its shape (7 bytes; a request has ≥ 8).
-        if payload.len() < 8 && OutcomeReport::decode(payload).is_ok() {
-            engine.handle_outcome(SimTime(now), payload);
-            engine.record(&mut tel);
-            continue;
-        }
-        let Some(from_ep) = endpoint_of(from) else { continue };
-        let outcome = engine.handle(&mut UdpTransport::new(&sock, &clock), from_ep, payload);
+        let (Some(payload), Some(from_ep)) = (buf.get(..n), endpoint_of(from)) else { continue };
+        let arrival = engine.datagram(&mut UdpTransport::new(&sock, &clock), from_ep, payload);
         engine.record(&mut tel);
         // The side channel callers poll while the daemon runs; everything
         // else about the datagram is in the trace the engine just wrote.
         // Row count first: a caller that waited for `reports_ingested()`
         // then reads a `live_servers()` that includes that report.
         shared.records.store(engine.live_servers() as u64, Ordering::SeqCst);
-        match outcome {
-            Ok(Ingest::Report(_)) => {
+        match arrival {
+            // A `smartsockd stats` poll: the reply is the trace's own
+            // summary lines, this poll already counted in them.
+            Ok(Arrival::Stats(Some(q))) => {
+                let lines = tel.summary_tail();
+                let reply = StatsReply { seq: q.seq, now_ns: now, truncated: false, lines };
+                let _ = sock.send_to(&reply.encode(), from);
+            }
+            Ok(Arrival::Handled(Ingest::Report(_))) => {
                 shared.reports.fetch_add(1, Ordering::SeqCst);
             }
-            Ok(Ingest::Replied { .. }) => {
+            Ok(Arrival::Handled(Ingest::Replied { .. })) => {
                 shared.served.fetch_add(1, Ordering::SeqCst);
             }
             _ => {}
@@ -299,11 +278,8 @@ fn heartbeat(tel: &mut Telemetry, host: &str, shared: &Shared) {
     if let Ok(s) = crate::probe::sample_proc(Path::new("/proc"), "lo") {
         // Loads are centi-scaled: gauges are integers by design.
         tel.gauge_set("daemon-load1-centi", host, (s.load1 * 100.0) as i64);
-        tel.gauge_set("daemon-mem-free-bytes", host, i64::try_from(s.mem.free).unwrap_or(i64::MAX));
-        tel.gauge_set(
-            "daemon-mem-total-bytes",
-            host,
-            i64::try_from(s.mem.total).unwrap_or(i64::MAX),
-        );
+        let bytes = |n: u64| i64::try_from(n).unwrap_or(i64::MAX);
+        tel.gauge_set("daemon-mem-free-bytes", host, bytes(s.mem.free));
+        tel.gauge_set("daemon-mem-total-bytes", host, bytes(s.mem.total));
     }
 }

@@ -514,7 +514,7 @@ fn a_requirement_longer_than_4_kib_is_read_to_its_end() {
         format!("#{}\n{}host_cpu_free > 2\n", "x".repeat(286), "host_cpu_free >= 0\n".repeat(200));
     let wire = req(1, 1, &long).encode();
     assert!(wire.len() > 4096 && wire[4095] == b'\n', "the first 4 KiB end on a statement");
-    let shim = FaultShim::spawn(wiz.addr(), ShimPolicy::transparent()).unwrap();
+    let shim = FaultShim::spawn(wiz.addr(), ShimPolicy::default()).unwrap();
     for (seq, to) in [(1, wiz.addr()), (2, shim.addr())] {
         let reply = live_request(to, &req(seq, 1, &long), Duration::from_millis(500), 3).unwrap();
         assert!(reply.servers.is_empty(), "the last statement disqualifies every host: {reply:?}");

@@ -152,8 +152,11 @@ mod tests {
         assert_eq!(mon.live_servers(), 2);
 
         hosts[0].fail();
-        // Expiry horizon: 3 × 2 s after the last report (t=4) → the sweep
-        // at t≥10 drops it.
+        // Expiry horizon: 3 × 2 s after the last report (t=4, plus transit):
+        // the sweep at t=10 keeps it, the one at t=12 drops it — so two
+        // intervals or four fail here.
+        s.run_until(SimTime::from_secs(11));
+        assert_eq!(mon.live_servers(), 2, "a failed server is listed for three intervals");
         s.run_until(SimTime::from_secs(13));
         assert_eq!(mon.live_servers(), 1, "failed server must expire");
 

@@ -17,11 +17,9 @@ pub mod ports {
     pub const TRANSMITTER: u16 = 1110;
     /// Receiver listening port on the wizard machine (TCP).
     pub const RECEIVER: u16 = 1121;
-    /// Wizard user-request service port (UDP).
+    /// Wizard port (UDP): user requests, and probe reports, client outcome
+    /// reports and `smartsockd stats` polls (DESIGN.md §13).
     pub const WIZARD: u16 = 1120;
-    /// Wizard health-feedback port (UDP): client outcome reports feeding
-    /// the health-score table (not in the thesis; DESIGN.md §11).
-    pub const WIZARD_HEALTH: u16 = 1122;
     /// Port on which computation/file servers accept application
     /// connections (the paper's "service port" of §3.6.2 step 4; not pinned
     /// by the thesis, chosen here).

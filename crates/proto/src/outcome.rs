@@ -4,7 +4,8 @@
 //! never hears how they worked out. The self-healing extension closes the
 //! loop: after a request resolves, the client library (or the application,
 //! via `SmartClient::report_outcome`) sends one small UDP datagram per
-//! server to the wizard's health port describing what happened. The wizard
+//! server to the wizard's port 1120 describing what happened (at 7 bytes it
+//! is shorter than any request, which is how the wizard tells it apart). The wizard
 //! feeds these into its health-score table (DESIGN.md §11), which drives
 //! the quarantine state machine and selection discounts.
 //!
@@ -71,6 +72,9 @@ pub struct OutcomeReport {
 }
 
 impl OutcomeReport {
+    /// The encoded length.
+    pub const LEN: usize = 7;
+
     /// Encode as a UDP payload.
     ///
     /// # Example
@@ -82,7 +86,7 @@ impl OutcomeReport {
     /// assert_eq!(OutcomeReport::decode(&rep.encode()).unwrap(), rep);
     /// ```
     pub fn encode(&self) -> BytesMut {
-        let mut out = BytesMut::with_capacity(7);
+        let mut out = BytesMut::with_capacity(Self::LEN);
         out.put_u32_le(self.server.0);
         out.put_u8(self.outcome.to_u8());
         out.put_u16_le(0); // reserved
@@ -90,8 +94,8 @@ impl OutcomeReport {
     }
 
     pub fn decode(mut buf: &[u8]) -> Result<Self, ProtoError> {
-        if buf.remaining() < 7 {
-            return Err(ProtoError::Truncated { expected: 7, got: buf.remaining() });
+        if buf.remaining() < Self::LEN {
+            return Err(ProtoError::Truncated { expected: Self::LEN, got: buf.remaining() });
         }
         let server = Ip(buf.get_u32_le());
         let kind = buf.get_u8();

@@ -194,7 +194,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "transmitter-pulls",
     "transmitter-snapshots",
     // wizard matching and reply path.
-    "wizard-bad-outcome-reports",
     "wizard-bad-requests",
     "wizard-outcome-reports",
     "wizard-quarantined-assignments",
@@ -209,7 +208,7 @@ pub const COUNTER_NAMES: &[&str] = &[
     "wizard-shards-pruned",
     "wizard-shards-scanned",
     "wizard-stale-evictions",
-    // live: `smartsockd stats` queries answered (crates/live/src/wizard.rs).
+    // `SSQ1` stats polls on the wizard's port (the live daemon answers them).
     "wizard-stats-requests",
 ];
 

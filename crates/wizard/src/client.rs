@@ -141,10 +141,20 @@ impl RequestSpec {
 /// The randomness the engine consumes, drawn from the driver's source
 /// at the moment of use (a seeded driver's draw order is the use order).
 pub trait Entropy {
-    /// A fresh request sequence number.
-    fn seq(&mut self) -> u32;
+    /// A uniform `u32`.
+    fn draw(&mut self) -> u32;
     /// Backoff jitter, uniform in `[0, 0.25)`.
     fn jitter(&mut self) -> f64;
+
+    /// A fresh request sequence number: a draw, drawn again while its
+    /// request would start with a magic of the wizard's port (`SSR1`, `SSQ1`).
+    fn seq(&mut self) -> u32 {
+        let mut seq = self.draw();
+        while crate::engine::spells_a_magic(seq) {
+            seq = self.draw();
+        }
+        seq
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -231,9 +241,8 @@ enum Done {
 /// to one wizard.
 pub struct ClientEngine {
     local: Endpoint,
+    /// Where requests and outcome reports go (DESIGN.md §11).
     wizard: Endpoint,
-    /// Where outcome reports go (DESIGN.md §11).
-    health: Endpoint,
     requests: BTreeMap<u32, Request>,
     /// Per recorded request, its end-to-end "client-request" span (opened
     /// at `start`, surviving retries, closed with the request) and the
@@ -243,9 +252,9 @@ pub struct ClientEngine {
 }
 
 impl ClientEngine {
-    pub fn new(local: Endpoint, wizard: Endpoint, health: Endpoint) -> ClientEngine {
+    pub fn new(local: Endpoint, wizard: Endpoint) -> ClientEngine {
         let (requests, spans) = Default::default();
-        ClientEngine { local, wizard, health, requests, spans, last: Done::Nothing }
+        ClientEngine { local, wizard, requests, spans, last: Done::Nothing }
     }
 
     /// Steps 1–2: tag the requirement with `seq`, send it, and arm the
@@ -407,7 +416,7 @@ impl ClientEngine {
     /// one: tell the wizard's health table how it worked out — one
     /// datagram, fire-and-forget.
     pub fn report_outcome<T: Transport>(&mut self, t: &mut T, server: Ip, outcome: OutcomeKind) {
-        let _ = t.send(self.local, self.health, &OutcomeReport { server, outcome }.encode());
+        let _ = t.send(self.local, self.wizard, &OutcomeReport { server, outcome }.encode());
         self.last = Done::OutcomeReported;
     }
 
@@ -496,7 +505,6 @@ mod tests {
 
     const LOCAL: Endpoint = Endpoint::new(Ip::new(10, 0, 0, 2), 47000);
     const WIZARD: Endpoint = Endpoint::new(Ip::new(10, 0, 0, 1), 1120);
-    const HEALTH: Endpoint = Endpoint::new(Ip::new(10, 0, 0, 1), 1122);
     const STRANGER: Endpoint = Endpoint::new(Ip::new(10, 0, 0, 66), 1120);
     /// The sequence number every test's request goes out under.
     const SEQ: u32 = 7;
@@ -532,7 +540,7 @@ mod tests {
     }
 
     impl Entropy for Dice {
-        fn seq(&mut self) -> u32 {
+        fn draw(&mut self) -> u32 {
             self.next_seq += 1;
             self.next_seq - 1
         }
@@ -550,7 +558,7 @@ mod tests {
 
     fn rig(jitter: f64) -> Rig {
         Rig {
-            engine: ClientEngine::new(LOCAL, WIZARD, HEALTH),
+            engine: ClientEngine::new(LOCAL, WIZARD),
             wire: Wire { now: 0, sent: Vec::new() },
             dice: Dice { next_seq: HEDGE_SEQ, jitter },
             tel: Telemetry::new(),
@@ -646,7 +654,8 @@ mod tests {
         let mut r = rig(0.0);
         r.start(&spec(1));
         assert_eq!(r.reply(STRANGER, SEQ, 1), [], "right sequence number, wrong sender");
-        assert_eq!(r.reply(HEALTH, SEQ, 1), [], "right host, wrong port");
+        let receiver = Endpoint::new(WIZARD.ip, 1121);
+        assert_eq!(r.reply(receiver, SEQ, 1), [], "right host, wrong port");
         assert_eq!(r.counter("client-unmatched-replies"), 2);
         assert_eq!(r.reply(WIZARD, SEQ, 1), [resolved(Ok(servers(1)))]);
     }
@@ -797,7 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn outcome_reports_go_to_the_health_port_one_frame_each() {
+    fn outcome_reports_go_to_the_wizard_port_one_frame_each() {
         let mut r = rig(0.0);
         let report = OutcomeReport { server: Ip::new(10, 0, 1, 2), outcome: OutcomeKind::Timeout };
         for _ in 0..2 {
@@ -806,7 +815,7 @@ mod tests {
         }
         assert_eq!(
             r.wire.sent,
-            [(HEALTH, report.encode().to_vec()), (HEALTH, report.encode().to_vec())]
+            [(WIZARD, report.encode().to_vec()), (WIZARD, report.encode().to_vec())]
         );
         assert_eq!(r.counter("client-outcome-reports"), 2);
     }

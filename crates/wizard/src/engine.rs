@@ -1,7 +1,8 @@
 //! The wizard engine: the one implementation of the paper's wizard.
 //!
 //! Everything the wizard *does* with a datagram or a sweep tick lives
-//! here, independent of transport — request decode → match → reply,
+//! here, independent of transport — telling apart what reaches its one
+//! port ([`WizardEngine::datagram`]), request decode → match → reply,
 //! outcome report → health transitions, sweep → health poll + per-shard
 //! expiry — together with the state it does it to (health table, group
 //! map, templates, [`SelectPolicy`]) and the telemetry it owes for it
@@ -14,7 +15,7 @@
 //! daemon ([`crate::Wizard`]) adds port bindings (the receiver port among
 //! them), the sweep timer and distributed mode's pull-then-settle delay;
 //! the live daemon
-//! (`smartsock-live`) adds a socket, a clock and its stats side channel.
+//! (`smartsock-live`) adds a socket, a clock and the stats reply.
 //! Both reach the engine through the [`smartsock_proto::Transport`] seam,
 //! so replies and telemetry agree between them by construction — the
 //! interop conformance suite pins it.
@@ -29,10 +30,10 @@ use smartsock_monitor::db::{ReportVar, SubnetKey, TimedReport, VarRanges, REPORT
 use smartsock_monitor::health::{HealthTable, StateKind, Transition};
 use smartsock_monitor::ingest::{ingest_ascii, IngestError};
 use smartsock_monitor::{NetDb, SecDb, StatusDbs, SysDb};
-use smartsock_proto::consts::ports;
+use smartsock_proto::consts::{ports, timing};
 use smartsock_proto::{
-    addr::NetAddr, Endpoint, Ip, OutcomeReport, ServerStatusReport, Transport, TransportError,
-    UserRequest, WizardReply, MAX_SERVERS_PER_REPLY,
+    addr::NetAddr, Endpoint, Ip, OutcomeReport, ServerStatusReport, StatsRequest, Transport,
+    TransportError, UserRequest, WizardReply, MAX_SERVERS_PER_REPLY,
 };
 use smartsock_sim::{SimDuration, SimTime, Telemetry};
 
@@ -50,7 +51,9 @@ pub struct SelectPolicy {
 
 impl Default for SelectPolicy {
     fn default() -> Self {
-        SelectPolicy { stale_max_age: Some(SimDuration::from_secs(6)), age_discount: true }
+        // A server is failed after this many missed reports (§4.1): 3 × 2 s.
+        let window = u64::from(timing::FAILURE_INTERVALS) * timing::PROBE_INTERVAL_SECS;
+        SelectPolicy { stale_max_age: Some(SimDuration::from_secs(window)), age_discount: true }
     }
 }
 
@@ -433,6 +436,33 @@ pub enum Ingest {
     BadRequest,
 }
 
+/// What [`WizardEngine::datagram`] made of one datagram on the wizard's port.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Arrival {
+    /// A stats poll, `None` if it does not decode: counted, the driver's to answer.
+    Stats(Option<StatsRequest>),
+    /// A client outcome report, fed to the health table.
+    Outcome,
+    /// Anything else, as [`WizardEngine::handle`] took it.
+    Handled(Ingest),
+}
+
+/// The magics that tell a stats poll and a status report from a request.
+const MAGICS: [&str; 2] = [StatsRequest::ASCII_MAGIC, ServerStatusReport::ASCII_MAGIC];
+
+/// Whether a request under `seq` starts with a magic, and so would never be
+/// answered: its first four bytes are the little-endian `seq`.
+pub(crate) fn spells_a_magic(seq: u32) -> bool {
+    MAGICS.iter().any(|magic| magic.as_bytes() == seq.to_le_bytes())
+}
+
+/// Whether [`WizardEngine::datagram`] answers these bytes as a user
+/// request: they start with no magic and decode as one.
+pub(crate) fn is_request(payload: &[u8]) -> bool {
+    !MAGICS.iter().any(|magic| payload.starts_with(magic.as_bytes()))
+        && UserRequest::decode(payload).is_ok()
+}
+
 /// What the engine's most recent call did, kept until
 /// [`WizardEngine::record`] turns it into telemetry.
 #[derive(Default)]
@@ -450,8 +480,8 @@ enum Done {
         quarantined: usize,
         sent: bool,
     },
-    /// `None`: the outcome report did not decode.
-    Outcome(Option<Vec<Transition>>),
+    Stats,
+    Outcome(Vec<Transition>),
     Swept {
         transitions: Vec<Transition>,
         by_shard: Vec<(SubnetKey, Vec<Ip>)>,
@@ -548,6 +578,31 @@ impl WizardEngine {
         }
     }
 
+    /// Handle one datagram on the wizard's port (1120 of Table 4.2), as
+    /// both drivers do. By magic and length, before any decode: anything
+    /// starting with `SSQ1` is a stats poll, exactly 7 bytes that decode as
+    /// an [`OutcomeReport`] feed the health table, and the rest goes to
+    /// [`Self::handle`].
+    pub fn datagram<T: Transport>(
+        &mut self,
+        t: &mut T,
+        from: Endpoint,
+        payload: &[u8],
+    ) -> Result<Arrival, TransportError> {
+        if payload.starts_with(StatsRequest::ASCII_MAGIC.as_bytes()) {
+            self.last = Done::Stats;
+            return Ok(Arrival::Stats(StatsRequest::decode(payload).ok()));
+        }
+        if payload.len() == OutcomeReport::LEN {
+            if let Ok(rep) = OutcomeReport::decode(payload) {
+                let now = SimTime(t.now_ns());
+                self.last = Done::Outcome(self.health.record(rep.server, rep.outcome, now));
+                return Ok(Arrival::Outcome);
+            }
+        }
+        self.handle(t, from, payload).map(Arrival::Handled)
+    }
+
     /// Demux and handle one datagram, replying through the transport when
     /// it is a user request — the single-socket monitor+wizard loop.
     /// Datagrams starting with the status-report magic (`SSR1`) are probe
@@ -599,15 +654,6 @@ impl WizardEngine {
         Ok(Ingest::Replied { reply, to: from })
     }
 
-    /// Feed one datagram from the health-feedback port (1122; not in the
-    /// thesis) into the health table.
-    pub fn handle_outcome(&mut self, now: SimTime, payload: &[u8]) {
-        let transitions = OutcomeReport::decode(payload)
-            .ok()
-            .map(|rep| self.health.record(rep.server, rep.outcome, now));
-        self.last = Done::Outcome(transitions);
-    }
-
     /// The stale sweep: materialize time-based health transitions
     /// (quarantine expiry → probation → healthy, so they show up even when
     /// no fresh outcome report arrives for the host) and evict records
@@ -629,8 +675,8 @@ impl WizardEngine {
         evicted
     }
 
-    /// Record the telemetry owed for the most recent `handle`,
-    /// `handle_outcome` or `sweep` call — the one place the wizard's
+    /// Record the telemetry owed for the most recent `datagram`, `handle`
+    /// or `sweep` call — the one place the wizard's
     /// counter, span and event names are emitted, for either backend. A
     /// sibling of those calls rather than a parameter of them because the
     /// simulator's transport and telemetry live on the same scheduler and
@@ -667,8 +713,8 @@ impl WizardEngine {
                 }
                 tel.span_end(span);
             }
-            Done::Outcome(None) => tel.counter_incr("wizard-bad-outcome-reports"),
-            Done::Outcome(Some(transitions)) => {
+            Done::Stats => tel.counter_incr("wizard-stats-requests"),
+            Done::Outcome(transitions) => {
                 tel.counter_incr("wizard-outcome-reports");
                 record_transitions(tel, host, &transitions);
             }
@@ -722,6 +768,7 @@ fn record_transitions(tel: &mut Telemetry, host: &str, transitions: &[Transition
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{ClientEngine, Entropy, Output, RequestSpec};
     use smartsock_proto::{
         NetPathRecord, OutcomeKind, RequestOption, SecurityRecord, MAX_SERVERS_PER_REPLY,
     };
@@ -862,6 +909,70 @@ mod tests {
         assert_eq!(tel.event_count("status-db-expired"), 1);
     }
 
+    #[test]
+    fn datagram_tells_polls_and_outcome_reports_from_what_handle_takes() {
+        let mut e = engine();
+        let mut t = NullTransport { now: 0, sent: Vec::new() };
+        let mut tel = Telemetry::new();
+        let client = Endpoint::new(CLIENT_IP, 40001);
+        let mut take = |e: &mut WizardEngine, bytes: &[u8]| {
+            let got = e.datagram(&mut t, client, bytes).unwrap();
+            e.record(&mut tel);
+            got
+        };
+        let poll = StatsRequest { seq: 9 };
+        assert_eq!(take(&mut e, &poll.encode()), Arrival::Stats(Some(poll)));
+        assert_eq!(take(&mut e, b"SSQ1 no poll"), Arrival::Stats(None));
+        let rep = OutcomeReport { server: Ip::new(10, 0, 1, 1), outcome: OutcomeKind::Timeout };
+        assert_eq!(take(&mut e, &rep.encode()), Arrival::Outcome);
+        let mut bad = rep.encode();
+        bad[4] = 9; // no such outcome kind: a 7-byte datagram that is no report
+        assert_eq!(take(&mut e, &bad), Arrival::Handled(Ingest::BadRequest));
+        let wire = report("idle", 1, 0.95).encode_ascii();
+        assert_eq!(take(&mut e, wire.as_bytes()), Arrival::Handled(Ingest::Report(rep.server)));
+        let req = user_request("", 1);
+        assert!(matches!(take(&mut e, &req.encode()), Arrival::Handled(Ingest::Replied { .. })));
+        assert_eq!(t.sent.len(), 1, "only the request is answered");
+        assert_eq!(tel.counter("wizard-stats-requests"), 2);
+        assert_eq!(tel.counter("wizard-outcome-reports"), 1);
+        assert_eq!(tel.counter("wizard-bad-requests"), 1);
+        assert_eq!(tel.counter("wizard-requests"), 1);
+        assert_eq!(tel.counter("sysmon-reports"), 1);
+    }
+
+    /// A request whose `seq` spells `SSR1` would be taken for a status
+    /// report, one that spells `SSQ1` for a stats poll, and neither
+    /// answered: the client library draws neither.
+    #[test]
+    fn a_drawn_seq_that_spells_a_magic_is_drawn_again() {
+        struct Scripted(Vec<u32>);
+        impl Entropy for Scripted {
+            fn draw(&mut self) -> u32 {
+                self.0.remove(0)
+            }
+            fn jitter(&mut self) -> f64 {
+                0.0
+            }
+        }
+        let client = Endpoint::new(CLIENT_IP, 47000);
+        for magic in [*b"SSR1", *b"SSQ1"] {
+            let mut e = engine();
+            e.dbs.sys.upsert(report("srv", 1, 0.95), SimTime::ZERO);
+            let mut t = NullTransport { now: 0, sent: Vec::new() };
+            let mut c = ClientEngine::new(client, e.endpoint());
+            let seq = Scripted(vec![u32::from_le_bytes(magic), 7]).seq();
+            c.start(&mut t, &RequestSpec::new("", 1), seq);
+            let (_, request) = t.sent.pop().unwrap();
+            e.datagram(&mut t, client, &request).unwrap();
+            let (_, reply) = t.sent.pop().expect("the request is answered");
+            let [Some(Output::Resolved(7, Ok(servers))), ..] = c.datagram(e.endpoint(), &reply)
+            else {
+                panic!("the reply resolves the request")
+            };
+            assert_eq!(ips(&servers), [Ip::new(10, 0, 1, 1)]);
+        }
+    }
+
     // ---- selection behaviour, through the engine ---------------------
 
     const CLIENT_IP: Ip = Ip::new(10, 0, 0, 2);
@@ -932,7 +1043,8 @@ mod tests {
         upsert(&mut e, report("flaky", 2, 0.95), SimTime::ZERO);
         for at in [1, 2] {
             let rep = OutcomeReport { server: flaky, outcome: OutcomeKind::Timeout };
-            e.handle_outcome(SimTime::from_secs(at), &rep.encode());
+            let mut t = NullTransport { now: SimTime::from_secs(at).0, sent: Vec::new() };
+            e.datagram(&mut t, Endpoint::new(CLIENT_IP, 47000), &rep.encode()).unwrap();
         }
         // While quarantined: never offered, even though its record is live.
         let got = e.select(SimTime::from_secs(3), &user_request("", 5), CLIENT_IP);

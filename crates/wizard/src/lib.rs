@@ -40,12 +40,12 @@ use std::rc::Rc;
 
 use smartsock_net::{Network, SimTransport, UdpDatagram};
 use smartsock_proto::consts::ports;
-use smartsock_proto::{Endpoint, Ip, UserRequest};
+use smartsock_proto::{Endpoint, Ip};
 use smartsock_sim::{Scheduler, SimDuration};
 
 pub use client::{ClientEngine, ClientError, RequestSpec};
 pub use engine::{
-    select, select_flat, select_with_stats, Ingest, SelectPolicy, SelectStats, SelectView,
+    select, select_flat, select_with_stats, Arrival, Ingest, SelectPolicy, SelectStats, SelectView,
     WizardEngine,
 };
 pub use vars::ServerVars;
@@ -70,12 +70,14 @@ pub struct WizardConfig {
     pub policy: SelectPolicy,
 }
 
-/// The simulated wizard machine: a [`WizardEngine`] bound to ports 1120
-/// and 1122 of a simulated [`Network`], and to the receiver port 1121,
-/// whose snapshots land in the engine's own tables. It owns only what the
-/// simulator adds — the bindings, the sweep timer with its restart epoch,
-/// and distributed mode's pull-then-settle delay; every datagram, snapshot
-/// and sweep tick is one call on the engine.
+/// The simulated wizard machine: a [`WizardEngine`] bound to port 1120 of
+/// a simulated [`Network`], and to the receiver port 1121, whose snapshots
+/// land in the engine's own tables. It owns only what the simulator adds —
+/// the bindings, the sweep timer with its restart epoch, and distributed
+/// mode's pull-then-settle delay; every datagram, snapshot and sweep tick
+/// is one call on the engine. A stats poll is counted and left unanswered:
+/// the telemetry a reply would quote is the scheduler's, shared with every
+/// simulated daemon.
 #[derive(Clone)]
 pub struct Wizard {
     net: Network,
@@ -122,22 +124,11 @@ impl Wizard {
         self.engine.borrow().endpoint()
     }
 
-    /// The health-feedback endpoint (port 1122; not in the thesis).
-    pub fn health_endpoint(&self) -> Endpoint {
-        Endpoint::new(self.endpoint().ip, ports::WIZARD_HEALTH)
-    }
-
-    /// Bind the three sockets and start the stale sweep (skipped when
+    /// Bind the two sockets and start the stale sweep (skipped when
     /// `stale_max_age` is disabled).
     pub fn start(&self, s: &mut Scheduler) {
         let wiz = self.clone();
         self.net.bind_udp(self.endpoint(), move |s, dgram| wiz.on_request_port(s, dgram));
-        let wiz = self.clone();
-        self.net.bind_udp(self.health_endpoint(), move |s, dgram| {
-            let mut engine = wiz.engine.borrow_mut();
-            engine.handle_outcome(s.now(), &dgram.payload.data);
-            engine.record(&mut s.telemetry);
-        });
         let wiz = self.clone();
         let receiver = Endpoint::new(self.endpoint().ip, ports::RECEIVER);
         self.net.bind_stream(receiver, move |s, msg| {
@@ -152,14 +143,13 @@ impl Wizard {
         }
     }
 
-    /// Kill the daemon: unbind the request sockets and halt the sweep.
+    /// Kill the daemon: unbind the request socket and halt the sweep.
     /// In-flight requests get no answer — clients rely on their own
     /// retry/backoff loop. The receiver port stays bound, so the tables
     /// keep taking snapshots until the machine itself goes down.
     pub fn stop(&self) {
         self.epoch.set(self.epoch.get() + 1);
         self.net.unbind_udp(self.endpoint());
-        self.net.unbind_udp(self.health_endpoint());
     }
 
     /// Restart a stopped wizard (or a rebooted machine's): rebind and
@@ -190,7 +180,7 @@ impl Wizard {
     fn on_request_port(&self, s: &mut Scheduler, dgram: UdpDatagram) {
         match &self.mode {
             WizardMode::Distributed { transmitters, settle }
-                if UserRequest::decode(&dgram.payload.data).is_ok() =>
+                if engine::is_request(&dgram.payload.data) =>
             {
                 smartsock_wire::request_update(&self.net, s, self.endpoint().ip, transmitters);
                 let wiz = self.clone();
@@ -204,7 +194,7 @@ impl Wizard {
         let mut engine = self.engine.borrow_mut();
         // The simulated network never fails a send: loss is silence.
         let _ =
-            engine.handle(&mut SimTransport::new(s, &self.net), dgram.from, &dgram.payload.data);
+            engine.datagram(&mut SimTransport::new(s, &self.net), dgram.from, &dgram.payload.data);
         engine.record(&mut s.telemetry);
     }
 }
@@ -217,7 +207,8 @@ mod tests {
     use smartsock_monitor::{StateKind, StatusDbs};
     use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
     use smartsock_proto::{
-        OutcomeKind, OutcomeReport, RequestOption, ServerStatusReport, WizardReply,
+        OutcomeKind, OutcomeReport, RequestOption, ServerStatusReport, StatsRequest, UserRequest,
+        WizardReply,
     };
     use smartsock_sim::SimTime;
     use smartsock_wire::{Mode, Transmitter};
@@ -332,14 +323,28 @@ mod tests {
         let srv = Ip::new(10, 0, 0, 9);
         for _ in 0..2 {
             let rep = OutcomeReport { server: srv, outcome: OutcomeKind::ConnectFailed };
-            r.send(r.wiz.health_endpoint(), rep.encode().to_vec());
+            r.send(r.wiz.endpoint(), rep.encode().to_vec());
         }
-        r.send(r.wiz.health_endpoint(), b"?".to_vec());
+        r.send(r.wiz.endpoint(), b"?".to_vec());
         r.s.run();
         assert_eq!(r.s.telemetry.counter("wizard-outcome-reports"), 2);
-        assert_eq!(r.s.telemetry.counter("wizard-bad-outcome-reports"), 1);
+        assert_eq!(r.s.telemetry.counter("wizard-bad-requests"), 1);
         assert_eq!(r.s.telemetry.counter("health-quarantines"), 1);
         assert_eq!(r.wiz.engine().health().effective_state(srv, r.s.now()), StateKind::Quarantined);
+    }
+
+    #[test]
+    fn a_stats_poll_is_counted_and_left_unanswered() {
+        let mut r = rig(no_sweep());
+        r.upsert(report("srv", Ip::new(10, 0, 0, 9)));
+        // Eight bytes that would decode as a request, were they not a poll.
+        r.send(r.wiz.endpoint(), StatsRequest { seq: 7 }.encode().to_vec());
+        r.send(r.wiz.endpoint(), b"SSQ1".to_vec());
+        r.s.run();
+        assert!(r.replies.borrow().is_empty());
+        assert_eq!(r.s.telemetry.counter("wizard-stats-requests"), 2);
+        assert_eq!(r.s.telemetry.counter("wizard-requests"), 0);
+        assert_eq!(r.s.telemetry.counter("wizard-bad-requests"), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Interop conformance suite: one protocol stack, two engines.
 //!
 //! Every scenario feeds the *same* encoded wire bytes — ASCII
-//! `ServerStatusReport` lines and binary `UserRequest` frames — to both
-//! backends:
+//! `ServerStatusReport` lines, binary `UserRequest` frames and, in scenario
+//! 11, outcome reports and stats polls — to both backends:
 //!
 //! * **sim**: a `Wizard` on a simulated LAN, reports and requests alike
 //!   sent to its request port, datagrams travelling through the
@@ -43,7 +43,8 @@ use smartsock_live::{Clock, FaultShim, LiveSock, LiveWizard, RequestError, ShimP
 use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{
-    Endpoint, Ip, OutcomeKind, RequestOption, ServerStatusReport, UserRequest, WizardReply,
+    Endpoint, Ip, OutcomeKind, OutcomeReport, RequestOption, ServerStatusReport, StatsReply,
+    StatsRequest, UserRequest, WizardReply,
 };
 use smartsock_sim::{Scheduler, SimDuration, SimTime, Telemetry};
 use smartsock_telemetry::trace::Trace;
@@ -102,6 +103,20 @@ fn server_ips(reply: &WizardReply) -> Vec<Ip> {
 /// `request_at_secs` of virtual time, and the raw reply datagram bytes are
 /// captured at the client's UDP binding.
 fn sim_reply(reports: &[Vec<u8>], request_at_secs: u64, request: &[u8]) -> Answer {
+    let (mut replies, s) = sim_run(reports, request_at_secs, request);
+    let reply = replies.pop().expect("sim wizard replied");
+    let counters = ENGINE_COUNTERS.iter().map(|name| s.telemetry.counter(name)).collect();
+    Answer { reply, counters }
+}
+
+/// [`sim_reply`]'s run: `datagrams` sent to the wizard's port at t=0, then
+/// the request. Returns every datagram the sender received, and the
+/// scheduler whose telemetry the wizard wrote.
+fn sim_run(
+    datagrams: &[Vec<u8>],
+    request_at_secs: u64,
+    request: &[u8],
+) -> (Vec<Vec<u8>>, Scheduler) {
     let mut b = NetworkBuilder::new(11);
     let w = b.host("wizard", WIZ_IP, HostParams::testbed());
     let c = b.host("client", CLIENT_IP, HostParams::testbed());
@@ -113,22 +128,17 @@ fn sim_reply(reports: &[Vec<u8>], request_at_secs: u64, request: &[u8]) -> Answe
     wiz.start(&mut s);
 
     let client_ep = Endpoint::new(CLIENT_IP, 50001);
-    let got = Rc::new(RefCell::new(None));
+    let got = Rc::new(RefCell::new(Vec::new()));
     let g = Rc::clone(&got);
-    net.bind_udp(client_ep, move |_s, d| {
-        *g.borrow_mut() = Some(d.payload.data.to_vec());
-    });
+    net.bind_udp(client_ep, move |_s, d| g.borrow_mut().push(d.payload.data.to_vec()));
 
-    for r in reports {
-        net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(r.clone()), None);
+    for d in datagrams {
+        net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(d.clone()), None);
     }
     s.run_until(SimTime::from_secs(request_at_secs));
     net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(request.to_vec()), None);
     s.run_until(s.now() + SimDuration::from_secs(2));
-
-    let reply = got.borrow_mut().take().expect("sim wizard replied");
-    let counters = ENGINE_COUNTERS.iter().map(|name| s.telemetry.counter(name)).collect();
-    Answer { reply, counters }
+    (got.take(), s)
 }
 
 /// Run the live backend: the same report bytes arrive over real UDP, the
@@ -439,30 +449,27 @@ fn sim_client(script: &ClientScript) -> ClientAnswer {
     let wiz = Wizard::new(WIZ_IP, net.clone(), WizardConfig::default());
     wiz.start(&mut s);
 
-    // The relay: both wizard ports, the same budgets as `FaultShim`.
+    // The relay: the wizard's port, the same budgets as `FaultShim`.
     let frames = Rc::new(RefCell::new(Vec::new()));
     let budget = Rc::new(RefCell::new(script.wire));
     let client_ep = Rc::new(RefCell::new(None));
-    for port in [ports::WIZARD, ports::WIZARD_HEALTH] {
-        let (net2, frames, budget, client_ep) =
-            (net.clone(), Rc::clone(&frames), Rc::clone(&budget), Rc::clone(&client_ep));
-        let here = Endpoint::new(SHIM_IP, port);
-        net.bind_udp(here, move |s, d| {
-            let mut budget = budget.borrow_mut();
-            let (to, left) = if d.from.ip == WIZ_IP {
-                (*client_ep.borrow(), &mut budget.drop_replies)
-            } else {
-                *client_ep.borrow_mut() = Some(d.from);
-                frames.borrow_mut().push(d.payload.data.to_vec());
-                (Some(Endpoint::new(WIZ_IP, port)), &mut budget.drop_requests)
-            };
-            if *left > 0 {
-                *left -= 1;
-            } else if let Some(to) = to {
-                net2.send_udp(s, here, to, d.payload, None);
-            }
-        });
-    }
+    let (net2, logged) = (net.clone(), Rc::clone(&frames));
+    let here = Endpoint::new(SHIM_IP, ports::WIZARD);
+    net.bind_udp(here, move |s, d| {
+        let mut budget = budget.borrow_mut();
+        let (to, left) = if d.from.ip == WIZ_IP {
+            (*client_ep.borrow(), &mut budget.drop_replies)
+        } else {
+            *client_ep.borrow_mut() = Some(d.from);
+            logged.borrow_mut().push(d.payload.data.to_vec());
+            (Some(Endpoint::new(WIZ_IP, ports::WIZARD)), &mut budget.drop_requests)
+        };
+        if *left > 0 {
+            *left -= 1;
+        } else if let Some(to) = to {
+            net2.send_udp(s, here, to, d.payload, None);
+        }
+    });
 
     let reporter = Endpoint::new(CLIENT_IP, 50001);
     for r in &script.reports {
@@ -652,7 +659,7 @@ fn connect_failures_reported_by_either_client_quarantine_the_server() {
     let script = ClientScript {
         reports: three_idle_servers(),
         requests: vec![spec_ms(3, 200); 3],
-        wire: ShimPolicy::transparent(),
+        wire: ShimPolicy::default(),
         dead: vec![flaky],
         report_outcomes: true,
     };
@@ -663,4 +670,66 @@ fn connect_failures_reported_by_either_client_quarantine_the_server() {
     // Three servers offered twice, then the quarantined one is left out.
     assert_eq!(counter(&live, "wizard-reply-servers"), 3 + 3 + 2);
     assert_eq!(counter(&live, "client-outcome-reports"), 3 + 3 + 2);
+}
+
+// ---------------------------------------------------------------------
+// Scenario 11: one port, one demux — outcome reports, stats polls and a
+// malformed 7-byte datagram reach port 1120 of both wizards, among the
+// reports, and each backend tells them apart as the other does.
+// ---------------------------------------------------------------------
+
+/// The counters each kind of datagram on the wizard's port moves.
+const DEMUX_COUNTERS: [&str; 7] = [
+    "sysmon-reports",
+    "wizard-requests",
+    "wizard-bad-requests",
+    "wizard-outcome-reports",
+    "wizard-stats-requests",
+    "health-quarantines",
+    "health-probations",
+];
+
+#[test]
+fn every_kind_of_datagram_on_the_wizard_port_is_told_apart_alike() {
+    let failed =
+        OutcomeReport { server: Ip::new(10, 0, 9, 2), outcome: OutcomeKind::ConnectFailed };
+    let failed = failed.encode().to_vec();
+    let mut malformed = failed.clone();
+    malformed[4] = 9; // no such outcome kind
+    let mut datagrams = three_idle_servers();
+    // The valid poll goes last: its answer tells the live sender that the
+    // daemon has handled every datagram before it.
+    let poll = StatsRequest { seq: 1 }.encode().to_vec();
+    datagrams.extend([failed.clone(), failed, malformed, b"SSQ1 no poll".to_vec(), poll]);
+    let request = request_bytes(0xA1A1_0011, 5, "");
+
+    let (sim_replies, s) = sim_run(&datagrams, 1, &request);
+    let sim_counters: Vec<u64> = DEMUX_COUNTERS.iter().map(|n| s.telemetry.counter(n)).collect();
+
+    let (clock, _hand) = Clock::manual();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+    sender.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    for d in &datagrams {
+        sender.send_to(d, wiz.addr()).unwrap();
+    }
+    let mut buf = [0u8; 65536];
+    let (n, _) = sender.recv_from(&mut buf).expect("the live daemon answers a stats poll");
+    assert_eq!(StatsReply::decode(&buf[..n]).unwrap().seq, 1);
+    sender.send_to(&request, wiz.addr()).unwrap();
+    let (n, _) = sender.recv_from(&mut buf).expect("the live daemon answers the request");
+    let live_reply = buf[..n].to_vec();
+    let trace = Trace::parse(&wiz.shutdown().unwrap().trace_jsonl);
+    let live_counters: Vec<u64> =
+        DEMUX_COUNTERS.iter().map(|n| trace.counters.get(*n).copied().unwrap_or(0)).collect();
+
+    assert_eq!(sim_replies, [live_reply], "only the request is answered, byte for byte alike");
+    assert_eq!(sim_counters, live_counters, "the backends told the datagrams apart differently");
+    assert_eq!(sim_counters, [3, 1, 1, 2, 2, 1, 0]);
+    let reply = WizardReply::decode(&sim_replies[0]).unwrap();
+    assert_eq!(
+        server_ips(&reply),
+        vec![Ip::new(10, 0, 9, 1), Ip::new(10, 0, 9, 3)],
+        "the quarantined server is not offered"
+    );
 }

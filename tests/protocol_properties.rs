@@ -7,9 +7,10 @@ use smartsock_hostsim::TopologySpec;
 use smartsock_net::packet::{fragment_sizes, udp_wire_size};
 use smartsock_proto::{
     Endpoint, Frame, Ip, NetPathRecord, OutcomeKind, OutcomeReport, ProtoError, RecordType,
-    RequestOption, SecurityRecord, ServerStatusReport, StatsReply, StatsRequest, UserRequest,
-    WizardReply,
+    RequestOption, SecurityRecord, ServerStatusReport, StatsReply, StatsRequest, Transport,
+    TransportError, UserRequest, WizardReply,
 };
+use smartsock_wizard::{SelectPolicy, WizardEngine};
 
 fn arb_ip() -> impl Strategy<Value = Ip> {
     any::<u32>().prop_map(Ip)
@@ -179,14 +180,18 @@ proptest! {
 
     /// No wire decoder panics or aborts on arbitrary bytes: each call
     /// returns, `Ok` or `Err`. Short inputs probe the length checks;
-    /// long ones reach past the first record.
+    /// long ones reach past the first record. The wizard's demux is one
+    /// more decoder, and it answers exactly the requests.
     #[test]
     fn every_decoder_survives_arbitrary_bytes(
         short in proptest::collection::vec(any::<u8>(), 0..40),
         long in proptest::collection::vec(any::<u8>(), 0..600),
+        port in arb_datagram(),
     ) {
-        decode_everything(&short);
-        decode_everything(&long);
+        for bytes in [&short, &long, &port] {
+            decode_everything(bytes);
+            the_wizard_answers_only_requests(bytes);
+        }
     }
 
     /// Fragmentation conserves payload bytes, never exceeds the MTU, and
@@ -255,6 +260,47 @@ proptest! {
 /// also framed as the payload of each record type, whose leading `u32` is
 /// a record count the rest need not back, and parsed as text behind the
 /// status line's magic.
+/// Bytes for the wizard's port: random, a magic and an ASCII tail (which
+/// would decode as a request), or of an outcome report's or a stats poll's
+/// length.
+fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
+    let bytes = |len: usize| proptest::collection::vec(any::<u8>(), len);
+    let magic = prop_oneof![Just(*b"SSR1"), Just(*b"SSQ1")];
+    let ascii = proptest::collection::vec(0u8..128, 0..40);
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..40),
+        (magic, ascii).prop_map(|(magic, rest)| [&magic[..], &rest].concat()),
+        bytes(7),
+        bytes(8),
+    ]
+}
+
+/// Records where each frame it is asked to send goes.
+struct Recorder(Vec<Endpoint>);
+
+impl Transport for Recorder {
+    fn now_ns(&self) -> u64 {
+        0
+    }
+    fn send(&mut self, _from: Endpoint, to: Endpoint, _: &[u8]) -> Result<(), TransportError> {
+        self.0.push(to);
+        Ok(())
+    }
+}
+
+/// `WizardEngine::datagram` sends one frame, to the sender, when the bytes
+/// decode as a request and start with neither magic, and none otherwise.
+fn the_wizard_answers_only_requests(bytes: &[u8]) {
+    let mut wizard = WizardEngine::new(Ip::new(10, 0, 0, 1), SelectPolicy::default());
+    let from = Endpoint::new(Ip::new(10, 0, 0, 2), 47000);
+    let mut sent = Recorder(Vec::new());
+    let _ = wizard.datagram(&mut sent, from, bytes);
+    let magics = [StatsRequest::ASCII_MAGIC, ServerStatusReport::ASCII_MAGIC];
+    let magic = magics.iter().any(|m| bytes.starts_with(m.as_bytes()));
+    let request = !magic && UserRequest::decode(bytes).is_ok();
+    assert_eq!(sent.0, if request { vec![from] } else { vec![] }, "{bytes:?}");
+}
+
 fn decode_everything(bytes: &[u8]) {
     let _ = UserRequest::decode(bytes);
     let _ = WizardReply::decode(bytes);
