@@ -4,7 +4,7 @@
 # happened — a thousand live status rows, busy subnets pruned, the walk
 # stopped once the reply settled, per-subnet rollup scopes in the
 # telemetry, and wizard-match spans in the summary.
-# Single source of truth for CI (ci.yml `fleet` job) and for local runs:
+# Single source of truth for CI (ci.yml `fleet-smoke` job) and for local runs:
 #
 #   ./ci/fleet_smoke.sh
 #

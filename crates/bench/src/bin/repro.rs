@@ -18,7 +18,7 @@
 #![deny(rust_2018_idioms)]
 
 use smartsock_bench::executor::{cells_for, run_cells};
-use smartsock_bench::{catalog, matrix, Experiment, DEFAULT_SEED};
+use smartsock_bench::{catalog, matrix, select, DEFAULT_SEED};
 
 const USAGE: &str = "usage: repro [--seed N | --seeds A..B] [--jobs N] [--trace-out PATH] \
                      (--list | all | <experiment-id>...)";
@@ -70,30 +70,8 @@ fn main() {
         return;
     }
 
-    let ids: Vec<(&'static str, Experiment)> = if args.iter().any(|a| a == "all") {
-        catalog()
-    } else {
-        let catalog = catalog();
-        args.iter()
-            .flat_map(|want| {
-                // `family.*` expands to every `family.` id, in catalog
-                // order; exact ids still match one entry.
-                if let Some(prefix) = want.strip_suffix(".*") {
-                    let dotted = format!("{prefix}.");
-                    let matched: Vec<_> =
-                        catalog.iter().filter(|(id, _)| id.starts_with(&dotted)).copied().collect();
-                    if matched.is_empty() {
-                        fail(&format!("no experiments match {want:?} (try --list)"));
-                    }
-                    matched
-                } else {
-                    vec![catalog.iter().find(|(id, _)| id == want).copied().unwrap_or_else(|| {
-                        fail(&format!("unknown experiment {want:?} (try --list)"))
-                    })]
-                }
-            })
-            .collect()
-    };
+    let wanted: Vec<&str> = args.iter().map(String::as_str).collect();
+    let ids = select(&wanted).unwrap_or_else(|e| fail(&format!("{e} (try --list)")));
 
     // Wall-clock here measures the harness (printed to stderr only, so
     // stdout stays byte-identical across --jobs); nothing inside any

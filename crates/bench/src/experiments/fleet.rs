@@ -10,9 +10,9 @@
 //! Every run also cross-checks the tentpole invariant in situ: the final
 //! request is answered twice, once through the pruned shard walk and once
 //! through the flat reference scan, and the `prune_mismatch` figure must
-//! stay 0. CI gates the family through the committed `BENCH_profile.json`
-//! (`profile diff --only fleet.`), so a regression in fleet-scale match
-//! cost fails the `fleet` job.
+//! stay 0. Match cost is held by the claims table's `rows_evaluated` and
+//! `shards_pruned` rows (`shapes.rs`), and the exact traces of fleet.11,
+//! fleet.100 and fleet.1k by their `trace_sha` in `BENCH_profile.json`.
 //!
 //! Status reports are upserted straight into the wizard engine's `sysdb` (no
 //! 10k simulated probe daemons — ingest cost is the `ablation.scaling`

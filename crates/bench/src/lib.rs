@@ -76,6 +76,42 @@ pub fn catalog() -> Vec<(&'static str, Experiment)> {
     ]
 }
 
+/// Resolve a command line's experiment selection against the catalog:
+/// `all` is the whole catalog; `family.*` is every `family.` id, in
+/// catalog order; anything else is one exact id. Each experiment appears
+/// once, where it was first named.
+pub fn select(wanted: &[&str]) -> Result<Vec<(&'static str, Experiment)>, String> {
+    let catalog = catalog();
+    if wanted.contains(&"all") {
+        return Ok(catalog);
+    }
+    let mut selected: Vec<(&'static str, Experiment)> = Vec::new();
+    for want in wanted {
+        let matched: Vec<_> = match want.strip_suffix(".*") {
+            Some(prefix) => {
+                let dotted = format!("{prefix}.");
+                let family: Vec<_> =
+                    catalog.iter().filter(|(id, _)| id.starts_with(&dotted)).copied().collect();
+                if family.is_empty() {
+                    return Err(format!("no experiments match {want:?}"));
+                }
+                family
+            }
+            None => vec![catalog
+                .iter()
+                .find(|(id, _)| id == want)
+                .copied()
+                .ok_or_else(|| format!("unknown experiment {want:?}"))?],
+        };
+        for (id, f) in matched {
+            if !selected.iter().any(|(seen, _)| *seen == id) {
+                selected.push((id, f));
+            }
+        }
+    }
+    Ok(selected)
+}
+
 /// Run one experiment by id.
 pub fn run(id: &str, seed: u64) -> Option<Report> {
     catalog().into_iter().find(|(eid, _)| *eid == id).map(|(_, f)| f(seed))
@@ -92,6 +128,37 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n);
+    }
+
+    fn selected(wanted: &[&str]) -> Result<Vec<&'static str>, String> {
+        select(wanted).map(|s| s.into_iter().map(|(id, _)| id).collect())
+    }
+
+    #[test]
+    fn select_collapses_duplicate_ids_to_their_first_occurrence() {
+        assert_eq!(selected(&["fig3.3", "table5.2", "fig3.3"]), Ok(vec!["fig3.3", "table5.2"]));
+        assert_eq!(
+            selected(&["fleet.100", "fleet.*"]),
+            Ok(vec!["fleet.100", "fleet.11", "fleet.1k", "fleet.10k"])
+        );
+        assert_eq!(selected(&["fig1.4", "all", "fig1.4"]).map(|s| s.len()), Ok(catalog().len()));
+    }
+
+    #[test]
+    fn select_expands_a_family_in_catalog_order() {
+        assert_eq!(
+            selected(&["fleet.*"]),
+            Ok(vec!["fleet.11", "fleet.100", "fleet.1k", "fleet.10k"])
+        );
+    }
+
+    #[test]
+    fn select_rejects_unknown_ids_and_empty_families() {
+        assert_eq!(
+            selected(&["fig3.3", "table9.9"]),
+            Err("unknown experiment \"table9.9\"".into())
+        );
+        assert_eq!(selected(&["nope.*"]), Err("no experiments match \"nope.*\"".into()));
     }
 
     #[test]

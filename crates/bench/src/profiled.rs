@@ -1,9 +1,9 @@
-//! Profiling collector around repro experiments.
+//! Trace collector around repro experiments.
 //!
-//! `smartsock-profile` needs per experiment what the *simulation* spent:
-//! virtual time, dispatched events, queue depth, telemetry volume — all
-//! pure functions of the seed. What the *host* spent running it is
-//! wall-clock, and `benchmark/` measures that (`sim.run_ms.*`), with spread.
+//! `smartsock-profile` fingerprints what each experiment's simulation
+//! exported — its telemetry traces, a pure function of the seed — and
+//! `benchmark/` divides wall time by the dispatched-event count
+//! (`sim.ns_per_event.*`).
 //!
 //! The experiments are pure `fn(u64) -> Report` functions that build their
 //! own `Scheduler`s internally, so the collector cannot be passed down.
@@ -21,24 +21,14 @@ use smartsock_sim::Scheduler;
 
 use crate::report::Report;
 
-/// Raw cost data captured while one experiment ran: a pure function of
-/// the seed.
+/// What one experiment's schedulers left behind: a pure function of the
+/// seed.
 #[derive(Clone, Debug, Default)]
 pub struct RunProfile {
     pub experiment_id: String,
     pub seed: u64,
     /// Events dispatched, summed over every scheduler the experiment built.
     pub sim_events: u64,
-    /// Final virtual clock, summed over schedulers, nanoseconds.
-    pub sim_time_ns: u64,
-    /// Largest event-queue high-water mark across schedulers.
-    pub peak_pending: usize,
-    /// Telemetry lines exported (spans, events, counters, gauges,
-    /// histograms) — the allocations proxy: every line is at least one
-    /// heap-backed record or map entry.
-    pub records: u64,
-    /// How many schedulers the experiment created.
-    pub schedulers: u64,
     /// Exported JSONL trace of each scheduler, in creation order.
     pub traces: Vec<String>,
 }
@@ -47,7 +37,7 @@ thread_local! {
     static COLLECTOR: RefCell<Option<RunProfile>> = const { RefCell::new(None) };
 }
 
-/// A scheduler that reports its final cost figures to the active
+/// A scheduler that reports its event count and trace to the active
 /// [`profile_run`] collector (if any) when dropped.
 pub struct Sim {
     inner: Scheduler,
@@ -77,18 +67,12 @@ impl Drop for Sim {
         COLLECTOR.with(|c| {
             let mut c = c.borrow_mut();
             let Some(p) = c.as_mut() else { return };
-            // `CostSnapshot` + the exported trace `String` are the
-            // `Send`-safe handoff surface the parallel executor moves
-            // across worker threads; nothing of the scheduler itself
-            // (queue, closures) escapes the thread that built it.
-            let cost = self.inner.cost();
-            p.schedulers += 1;
-            p.sim_events += cost.events_processed;
-            p.sim_time_ns += cost.sim_time_ns;
-            p.peak_pending = p.peak_pending.max(cost.peak_pending);
-            let trace = self.inner.telemetry.export_jsonl();
-            p.records += trace.lines().count() as u64;
-            p.traces.push(trace);
+            // A count and the exported trace `String` are what the parallel
+            // executor moves across worker threads; nothing of the
+            // scheduler itself (queue, closures) escapes the thread that
+            // built it.
+            p.sim_events += self.inner.events_processed();
+            p.traces.push(self.inner.telemetry.export_jsonl());
         });
     }
 }
@@ -138,17 +122,10 @@ mod tests {
         let (_, a) = profile_run("fig3.3", 7).expect("fig3.3 is in the catalog");
         let (_, b) = profile_run("fig3.3", 7).expect("fig3.3 is in the catalog");
         assert_eq!(a.experiment_id, "fig3.3");
-        assert!(a.schedulers >= 1);
         assert!(a.sim_events > 0);
-        assert!(a.sim_time_ns > 0);
-        assert!(a.peak_pending > 0);
-        assert!(a.records > 0);
         assert!(!a.traces.is_empty());
         // Same seed, same simulation: identical everywhere.
         assert_eq!(a.sim_events, b.sim_events);
-        assert_eq!(a.sim_time_ns, b.sim_time_ns);
-        assert_eq!(a.peak_pending, b.peak_pending);
-        assert_eq!(a.records, b.records);
         assert_eq!(a.traces, b.traces);
     }
 

@@ -20,7 +20,7 @@ fn baseline_doc(results: &[CellResult]) -> String {
 
 #[test]
 fn baseline_document_is_byte_identical_across_jobs_1_and_8() {
-    // The profile CI gate subset plus one multi-scheduler experiment.
+    // Two pinned experiments plus one multi-scheduler experiment.
     let ids: Vec<_> = catalog()
         .into_iter()
         .filter(|(id, _)| matches!(*id, "fig3.3" | "table5.2" | "table5.3"))

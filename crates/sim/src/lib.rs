@@ -30,10 +30,8 @@
 //! * [`rng`] — helpers for deriving independent, stable RNG streams from a
 //!   single experiment seed.
 //!
-//! The pre-telemetry `Metrics` counter facade is gone: `Telemetry` counters
-//! (shared through `Scheduler::telemetry`) are the single source of truth,
-//! which is what lets `smartsock-profile` attribute cost without
-//! double-counting.
+//! `Telemetry` counters (shared through `Scheduler::telemetry`) are the
+//! single source of truth for every count an experiment reports.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
@@ -41,6 +39,6 @@ pub mod rng;
 pub mod scheduler;
 pub mod time;
 
-pub use scheduler::{CostSnapshot, EventId, Scheduler};
+pub use scheduler::{EventId, Scheduler};
 pub use smartsock_telemetry::{SpanId, Telemetry};
 pub use time::{SimDuration, SimTime};

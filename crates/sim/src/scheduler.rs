@@ -19,32 +19,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
-/// Snapshot of a scheduler's cost counters, detached from the event queue.
-///
-/// The queue itself holds `Box<dyn FnOnce(&mut Scheduler)>` closures and is
-/// deliberately **not** `Send`: a simulation lives and dies on one thread.
-/// Parallel harnesses (the sharded `repro --jobs` executor) instead run one
-/// scheduler per worker thread and hand *this* snapshot — plus the exported
-/// JSONL trace, a plain `String` — back across the thread boundary. A
-/// compile-time assertion below keeps the handoff types `Send + Sync`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostSnapshot {
-    /// Events executed over the scheduler's lifetime.
-    pub events_processed: u64,
-    /// Final virtual clock, nanoseconds.
-    pub sim_time_ns: u64,
-    /// High-water mark of the event queue (including cancelled tombstones).
-    pub peak_pending: usize,
-}
-
-// The cross-thread handoff contract: cost snapshots and exported traces
-// must remain safe to move between worker threads.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<CostSnapshot>();
-    assert_send_sync::<String>();
-};
-
 type EventFn = Box<dyn FnOnce(&mut Scheduler)>;
 
 struct Entry {
@@ -103,15 +77,10 @@ pub struct Scheduler {
     /// spans and events, all keyed to virtual time. The scheduler keeps its
     /// clock in sync before dispatching each event.
     pub telemetry: Telemetry,
-    /// When set, every event dispatch is wrapped in a `sim-event-dispatch`
-    /// span. Off by default: traces stay proportional to what daemons emit,
-    /// not to the raw event count.
-    pub trace_dispatch: bool,
     /// Hard ceiling on processed events, guarding against runaway loops in
     /// experiment scripts. `None` disables the guard.
     pub event_limit: Option<u64>,
     processed: u64,
-    peak_pending: usize,
 }
 
 impl Default for Scheduler {
@@ -128,10 +97,8 @@ impl Scheduler {
             heap: BinaryHeap::new(),
             cancelled: BTreeSet::new(),
             telemetry: Telemetry::new(),
-            trace_dispatch: false,
             event_limit: Some(200_000_000),
             processed: 0,
-            peak_pending: 0,
         }
     }
 
@@ -145,13 +112,7 @@ impl Scheduler {
     /// Run one event callback with dispatch accounting.
     fn dispatch(&mut self, run: EventFn) {
         self.telemetry.counter_incr("sim-events-dispatched");
-        if self.trace_dispatch {
-            let span = self.telemetry.span_start("sim-event-dispatch", "sim");
-            run(self);
-            self.telemetry.span_end(span);
-        } else {
-            run(self);
-        }
+        run(self);
     }
 
     /// Current virtual time.
@@ -169,23 +130,6 @@ impl Scheduler {
         self.heap.len()
     }
 
-    /// High-water mark of the event queue over the scheduler's lifetime
-    /// (including cancelled tombstones). The profiler reports this as a
-    /// proxy for the simulation's working-set pressure.
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending
-    }
-
-    /// The `Send`-safe cost summary handed across worker threads by
-    /// parallel harnesses (see [`CostSnapshot`]).
-    pub fn cost(&self) -> CostSnapshot {
-        CostSnapshot {
-            events_processed: self.processed,
-            sim_time_ns: self.now.0,
-            peak_pending: self.peak_pending,
-        }
-    }
-
     /// Schedule `f` to run at absolute time `at`.
     ///
     /// Scheduling in the past is clamped to "now": the event runs at the
@@ -199,7 +143,6 @@ impl Scheduler {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Entry { at, seq, run: Box::new(f) }));
-        self.peak_pending = self.peak_pending.max(self.heap.len());
         EventId(seq)
     }
 
@@ -442,56 +385,6 @@ mod tests {
         assert_eq!(sim.telemetry.now_ns(), SimTime::from_secs(10).0);
         assert_eq!(sim.telemetry.event_count("tick-event"), 1);
         assert_eq!(sim.telemetry.counter("sim-events-dispatched"), 1);
-    }
-
-    #[test]
-    fn peak_pending_tracks_the_queue_high_water_mark() {
-        let mut sim = Scheduler::new();
-        assert_eq!(sim.peak_pending(), 0);
-        for t in 1..=5u64 {
-            sim.schedule_at(SimTime::from_secs(t), |_| {});
-        }
-        assert_eq!(sim.peak_pending(), 5);
-        sim.run();
-        // Draining the queue never lowers the high-water mark.
-        assert_eq!(sim.pending(), 0);
-        assert_eq!(sim.peak_pending(), 5);
-        // Cancelled tombstones still occupied a slot at their peak.
-        let id = sim.schedule_in(SimDuration::from_secs(1), |_| {});
-        sim.cancel(id);
-        assert_eq!(sim.peak_pending(), 5);
-    }
-
-    #[test]
-    fn dispatch_spans_are_opt_in() {
-        let mut sim = Scheduler::new();
-        sim.schedule_in(SimDuration::from_secs(1), |_| {});
-        sim.run();
-        assert!(sim.telemetry.span_durations_ns("sim-event-dispatch").is_empty());
-
-        let mut sim = Scheduler::new();
-        sim.trace_dispatch = true;
-        sim.schedule_in(SimDuration::from_secs(1), |_| {});
-        sim.schedule_in(SimDuration::from_secs(2), |_| {});
-        sim.run();
-        assert_eq!(sim.telemetry.span_durations_ns("sim-event-dispatch").len(), 2);
-    }
-
-    #[test]
-    fn cost_snapshot_mirrors_the_live_counters() {
-        let mut sim = Scheduler::new();
-        for t in 1..=3u64 {
-            sim.schedule_at(SimTime::from_secs(t), |_| {});
-        }
-        sim.run();
-        let cost = sim.cost();
-        assert_eq!(cost.events_processed, sim.events_processed());
-        assert_eq!(cost.sim_time_ns, sim.now().0);
-        assert_eq!(cost.peak_pending, sim.peak_pending());
-        // The snapshot is a value type: it can outlive the scheduler and
-        // cross threads.
-        drop(sim);
-        assert_eq!(cost.events_processed, 3);
     }
 
     #[test]

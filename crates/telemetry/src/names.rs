@@ -1,15 +1,12 @@
 //! The telemetry name registries: the closed sets of span, event, and
 //! counter names any smartsock component may emit.
 //!
-//! Profiles are keyed by span name (`smartsock-profile` folds traces into
-//! per-name self-time/total-time tables and diffs them against a committed
-//! baseline), so a renamed or ad-hoc span silently breaks the perf
-//! trajectory: the old series ends, a new one starts, and `profile diff`
-//! sees a disappearance instead of a regression. Events and counters are
-//! queried by name across traces (`telemetry summary`, `telemetry
-//! rollup`, the live `smartsockd stats` frame, and the experiment
-//! invariants in `smartsock-bench`), so the same drift argument applies.
-//! Registering names here keeps them stable and greppable.
+//! Spans, events and counters are queried by name across traces
+//! (`telemetry summary`, `telemetry rollup`, the live `smartsockd stats`
+//! frame, and the experiment invariants in `smartsock-bench`), so a
+//! renamed or ad-hoc name silently ends the series every such query reads
+//! and starts a new one. Registering names here keeps them stable and
+//! greppable.
 //!
 //! A trace check enforces the registries. Two tests,
 //! `full_catalog_is_byte_identical_across_jobs_1_and_8`
@@ -41,9 +38,6 @@ pub const SPAN_NAMES: &[&str] = &[
     // probe: one status-report tick — scan /proc, differentiate, encode,
     // send (crates/probe/src/lib.rs).
     "probe-report",
-    // sim: one event dispatch, opt-in via `Scheduler::trace_dispatch`
-    // (crates/sim/src/scheduler.rs).
-    "sim-event-dispatch",
     // wizard: matching one user request against the status databases
     // (crates/wizard/src/lib.rs).
     "wizard-match",

@@ -2,9 +2,9 @@
 //! `Telemetry::export_jsonl` → `Trace::parse` must reconstruct the records
 //! exactly — no skipped lines, no lost fields, hostile strings included.
 //!
-//! `smartsock-profile` folds *re-parsed* traces into baselines, so the
-//! hand-rolled JSON writer and parser must agree on every byte they might
-//! exchange; this suite is that contract.
+//! `telemetry summary`, `slowest` and `rollup` read *re-parsed* traces,
+//! so the hand-rolled JSON writer and parser must agree on every byte
+//! they might exchange; this suite is that contract.
 
 use std::collections::BTreeMap;
 
