@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Telemetry CLI smoke checks: run the fault drill with a trace export,
-# then assert the summary/timeline/slowest/rollup/merge views see the
-# expected spans and events. Single source of truth for CI (ci.yml `telemetry` job) and
-# for local runs:
+# then assert the summary/timeline/slowest/rollup views see the expected
+# spans and events, in the drill's trace and in a multi-shard
+# `repro --trace-out` file. Single source of truth for CI (ci.yml
+# `telemetry` job) and for local runs:
 #
 #   ./ci/telemetry_smoke.sh
 #
@@ -34,13 +35,15 @@ echo "$rout" | grep -q "records folded"
 cargo run -q -p smartsock-telemetry -- --json rollup "$trace" | grep -q '"rows":'
 
 echo "== merged-trace smoke check =="
-# The parallel runner's merged export must still parse and keep the same
-# span names visible: merge the drill trace with itself as two shards and
-# re-run the summary over the merge.
-merged=target/fault_drill_merged.jsonl
-cargo run -q -p smartsock-telemetry -- merge "$merged" shardA="$trace" shardB="$trace"
+# The parallel runner's multi-shard export (every cell's trace under its
+# shard header) must read as one trace: summarize two hostile
+# experiments' --trace-out file.
+merged=target/hostile_merged.jsonl
+cargo run -q -p smartsock-bench --bin repro -- \
+    --trace-out "$merged" hostile.flapping hostile.straggler >/dev/null
 mout="$(cargo run -q -p smartsock-telemetry -- summary "$merged")"
 echo "$mout" | grep -q "client-request"
 echo "$mout" | grep -q "fault-injected"
+echo "$mout" | grep -q "fault-recovered"
 
 echo "telemetry smoke: ok"

@@ -115,10 +115,11 @@ fn main() {
     std::process::exit(exit);
 }
 
-/// Write the merged per-cell telemetry traces: one shard per scheduler,
-/// labeled `experiment#seed/k`, in stable cell order. Streams shard by
-/// shard through the incremental [`Merger`](smartsock_telemetry::merge::Merger)
-/// over a buffered file, so the merged document never has to exist in
+/// Write the per-cell telemetry traces as one file: one shard per
+/// scheduler, labeled `experiment#seed/k`, in stable cell order, each
+/// export verbatim under its header (`trace::Trace` joins them on read).
+/// Streams shard by shard through a [`Merger`](smartsock_telemetry::merge::Merger)
+/// over a buffered file, so the whole document never has to exist in
 /// memory alongside every shard — a seed sweep's trace can be much larger
 /// than any single cell's.
 fn cell_trace_export(path: Option<&str>, results: &[smartsock_bench::CellResult]) {
@@ -135,8 +136,5 @@ fn cell_trace_export(path: Option<&str>, results: &[smartsock_bench::CellResult]
             }
         }
     }
-    let dropped = merger.finish().unwrap_or_else(|e| write_err(e));
-    if dropped > 0 {
-        eprintln!("repro: warning: merge dropped {dropped} malformed trace line(s)");
-    }
+    merger.finish().unwrap_or_else(|e| write_err(e));
 }

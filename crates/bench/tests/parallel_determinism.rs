@@ -9,6 +9,7 @@ use std::collections::BTreeSet;
 
 use smartsock_bench::executor::cells_for;
 use smartsock_bench::{catalog, run_cells, CellResult, DEFAULT_SEED};
+use smartsock_telemetry::merge::Merger;
 use smartsock_telemetry::names::{COUNTER_NAMES, EVENT_NAMES, SPAN_NAMES};
 use smartsock_telemetry::trace::Trace;
 
@@ -24,15 +25,16 @@ fn rendered_reports(results: &[CellResult]) -> String {
 
 /// Merge every cell's exported traces the way `repro --trace-out` does.
 fn merged_trace(results: &[CellResult]) -> String {
-    let mut shards: Vec<(String, String)> = Vec::new();
+    let mut buf: Vec<u8> = Vec::new();
+    let mut merger = Merger::new(&mut buf);
     for r in results {
         let (_, profile) = r.outcome.as_ref().expect("catalog experiments must not panic");
         for (k, trace) in profile.traces.iter().enumerate() {
-            shards.push((format!("{}#{}/{k}", r.id, r.seed), trace.clone()));
+            merger.push_shard(&format!("{}#{}/{k}", r.id, r.seed), trace).unwrap();
         }
     }
-    smartsock_telemetry::merge::merge_jsonl(shards.iter().map(|(l, t)| (l.as_str(), t.as_str())))
-        .jsonl
+    merger.finish().unwrap();
+    String::from_utf8(buf).unwrap()
 }
 
 /// Every span, event and counter name in `trace` that the registries in

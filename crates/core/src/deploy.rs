@@ -276,10 +276,7 @@ impl TestbedBuilder {
 
         // ---- wizard (its receiver port included) ----
         let wizard_mode = if self.distributed {
-            WizardMode::Distributed {
-                transmitters: stack_ips.clone(),
-                settle: SimDuration::from_millis(200),
-            }
+            WizardMode::Distributed { transmitters: stack_ips.clone() }
         } else {
             WizardMode::Centralized
         };

@@ -51,7 +51,6 @@ use smartsock_live::{live_request, query_stats, send_live_report, Clock, LivePro
 use smartsock_probe::ProbeIdentity;
 use smartsock_proto::{Ip, RequestOption, ServerStatusReport, ServiceMask, UserRequest};
 use smartsock_telemetry::json::{self, Value};
-use smartsock_wizard::SelectPolicy;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -179,13 +178,13 @@ impl Flags {
 
 fn cmd_wizard(flags: &Flags) -> Result<(), Failure> {
     let bind = flags.get("bind").unwrap_or("127.0.0.1:1120");
-    let (policy, clock) = (SelectPolicy::default(), Clock::wall());
+    let clock = Clock::wall();
     // `spawn_streaming` creates the file before the daemon starts, so a
     // bad path fails here rather than after the whole run.
     let trace = flags.get("trace");
     let wiz = match trace {
-        Some(path) => LiveWizard::spawn_streaming(bind, policy, clock, Path::new(path)),
-        None => LiveWizard::spawn_with(bind, policy, clock),
+        Some(path) => LiveWizard::spawn_streaming(bind, clock, Path::new(path)),
+        None => LiveWizard::spawn_with(bind, clock),
     }
     .map_err(|e| e.to_string())?;
     println!("smartsockd wizard listening on {}", wiz.addr());

@@ -72,20 +72,20 @@ pub struct LiveWizard {
 }
 
 impl LiveWizard {
-    /// Bind an ephemeral loopback port and start serving with default
-    /// policy and wall-clock time.
+    /// Bind an ephemeral loopback port and start serving with wall-clock
+    /// time.
     pub fn spawn() -> io::Result<LiveWizard> {
-        Self::spawn_with("127.0.0.1:0", SelectPolicy::default(), Clock::wall())
+        Self::spawn_with("127.0.0.1:0", Clock::wall())
     }
 
-    /// Bind `addr` and serve with an explicit staleness/ranking policy and
-    /// clock. A [`Clock::manual`] here lets tests replay time-dependent
+    /// Bind `addr` and serve with the default staleness/ranking policy on
+    /// `clock`. A [`Clock::manual`] here lets tests replay time-dependent
     /// scenarios deterministically.
     ///
     /// The trace accumulates in memory and is returned by
     /// [`LiveWizard::shutdown`].
-    pub fn spawn_with(addr: &str, policy: SelectPolicy, clock: Clock) -> io::Result<LiveWizard> {
-        Self::spawn_sink(addr, policy, clock, None)
+    pub fn spawn_with(addr: &str, clock: Clock) -> io::Result<LiveWizard> {
+        Self::spawn_sink(addr, clock, None)
     }
 
     /// Like [`LiveWizard::spawn_with`], but stream the trace to `trace`
@@ -93,31 +93,21 @@ impl LiveWizard {
     /// they happen (backpressure policy: a failed write drops records and
     /// counts them, never blocking the serve loop). Live stats queries
     /// read the summary lines, which stay in memory either way.
-    pub fn spawn_streaming(
-        addr: &str,
-        policy: SelectPolicy,
-        clock: Clock,
-        trace: &Path,
-    ) -> io::Result<LiveWizard> {
+    pub fn spawn_streaming(addr: &str, clock: Clock, trace: &Path) -> io::Result<LiveWizard> {
         // Created here, so a bad path fails the caller, not the daemon.
         let file = File::create(trace).map_err(|e| {
             io::Error::new(e.kind(), format!("cannot create trace {}: {e}", trace.display()))
         })?;
-        Self::spawn_sink(addr, policy, clock, Some(file))
+        Self::spawn_sink(addr, clock, Some(file))
     }
 
-    fn spawn_sink(
-        addr: &str,
-        policy: SelectPolicy,
-        clock: Clock,
-        trace: Option<File>,
-    ) -> io::Result<LiveWizard> {
+    fn spawn_sink(addr: &str, clock: Clock, trace: Option<File>) -> io::Result<LiveWizard> {
         let sock = UdpSocket::bind(addr)?;
         let addr = sock.local_addr()?;
         let ip = endpoint_of(addr)
             .ok_or_else(|| io::Error::other("live wizard requires an IPv4 bind address"))?
             .ip;
-        let engine = WizardEngine::new(ip, policy);
+        let engine = WizardEngine::new(ip, SelectPolicy::default());
         let shared = Shared::default();
         let theirs = shared.clone();
         let handle = std::thread::spawn(move || serve(sock, engine, clock, theirs, trace));

@@ -23,7 +23,7 @@ use smartsock_proto::{
 };
 use smartsock_telemetry::names::{COUNTER_NAMES, EVENT_NAMES, SPAN_NAMES};
 use smartsock_telemetry::trace::Trace;
-use smartsock_wizard::{ClientError, RequestSpec, SelectPolicy};
+use smartsock_wizard::{ClientError, RequestSpec};
 
 fn report(name: &str, last_octet: u8, cpu_idle: f64) -> ServerStatusReport {
     let mut r = ServerStatusReport::empty(name, Ip::new(192, 168, 9, last_octet));
@@ -174,8 +174,7 @@ fn stats_query_snapshots_a_running_daemon() {
 
 #[test]
 fn a_stats_reply_is_the_summary_its_trace_ends_with() {
-    let wiz =
-        LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), Clock::manual().0).unwrap();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", Clock::manual().0).unwrap();
     subnet_reports(&wiz, 9, 0.95);
     let ask = req(1, 5, "host_cpu_free > 0.9\n");
     let reply = live_request(wiz.addr(), &ask, Duration::from_millis(500), 3).unwrap();
@@ -208,9 +207,7 @@ fn streaming_wizard_writes_the_trace_incrementally() {
     let dir = std::env::temp_dir().join(format!("smartsock-stream-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("stream.jsonl");
-    let wiz =
-        LiveWizard::spawn_streaming("127.0.0.1:0", SelectPolicy::default(), Clock::wall(), &path)
-            .unwrap();
+    let wiz = LiveWizard::spawn_streaming("127.0.0.1:0", Clock::wall(), &path).unwrap();
     send_live_report(wiz.addr(), &report("idle1", 1, 0.97)).unwrap();
     wait_for_reports(&wiz, 1);
     // Live stats still work in stream mode: the summary stays in memory.
@@ -296,7 +293,7 @@ fn client_retries_through_dropped_datagrams() {
 #[test]
 fn manual_clock_expires_stale_reports() {
     let (clock, hand) = Clock::manual();
-    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", clock).unwrap();
     send_live_report(wiz.addr(), &report("ephemeral", 9, 0.99)).unwrap();
     wait_for_reports(&wiz, 1);
 
@@ -315,7 +312,7 @@ fn manual_clock_expires_stale_reports() {
 #[test]
 fn a_stats_poll_alone_shows_the_sweep_in_live_servers() {
     let (clock, hand) = Clock::manual();
-    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", clock).unwrap();
     for last in 1..=3 {
         send_live_report(wiz.addr(), &report("gone", last, 0.9)).unwrap();
     }
@@ -334,7 +331,7 @@ fn a_stats_poll_alone_shows_the_sweep_in_live_servers() {
 #[test]
 fn a_silent_subnet_expires_beside_one_that_keeps_reporting() {
     let (clock, hand) = Clock::manual();
-    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", clock).unwrap();
     let mut talker = report("talker", 1, 0.9);
     talker.ip = Ip::new(192, 168, 10, 1);
     // Subnet 192.168.9.0/24 reports once; 192.168.10.0/24 every 2 s.
@@ -389,8 +386,7 @@ fn a_request_after_a_thousand_overwrites_prunes_like_a_freshly_filled_daemon() {
         let count = |name: &str| trace.counters.get(name).copied();
         (reply.servers, count("wizard-shards-pruned"), count("wizard-rows-evaluated"))
     };
-    let spawn =
-        || LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), Clock::manual().0);
+    let spawn = || LiveWizard::spawn_with("127.0.0.1:0", Clock::manual().0);
 
     // Both /24s idle, then subnet 9 reports itself busy fifty times over:
     // every one of the 1000 reports overwrites a row, and none of them is
@@ -416,8 +412,7 @@ fn a_request_after_a_thousand_overwrites_prunes_like_a_freshly_filled_daemon() {
 
 #[test]
 fn a_settled_reply_stops_the_daemons_scan() {
-    let wiz =
-        LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), Clock::manual().0).unwrap();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", Clock::manual().0).unwrap();
     for subnet in [9, 10, 11] {
         subnet_reports(&wiz, subnet, 0.95);
     }
@@ -436,7 +431,7 @@ fn a_settled_reply_stops_the_daemons_scan() {
 #[test]
 fn reports_alone_evict_a_silent_subnet_with_no_request_arriving() {
     let (clock, hand) = Clock::manual();
-    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", clock).unwrap();
     subnet_reports(&wiz, 9, 0.95);
     subnet_reports(&wiz, 10, 0.95);
     // Subnet 10 falls silent; subnet 9 keeps overwriting its rows. Nothing

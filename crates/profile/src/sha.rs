@@ -1,9 +1,10 @@
 //! SHA-256, self-contained (FIPS 180-4).
 //!
 //! The `trace_sha` field of `BENCH_profile.json` fingerprints the exact
-//! telemetry bytes an experiment produced, so `profile diff` can tell
-//! "same cost figures, different behaviour" apart from a true no-op. A
-//! cryptographic hash is overkill for that job, but SHA-256 is short to
+//! telemetry bytes an experiment produced; the pin test
+//! (`tests/pin.rs`) and `ssbench`'s sha check compare it with what the
+//! tree computes, so any change in behaviour shows. A cryptographic hash
+//! is overkill for that job, but SHA-256 is short to
 //! implement, universally recognisable in review, and the workspace is
 //! offline — no digest crate to lean on.
 

@@ -77,11 +77,13 @@ pub struct Scheduler {
     /// spans and events, all keyed to virtual time. The scheduler keeps its
     /// clock in sync before dispatching each event.
     pub telemetry: Telemetry,
-    /// Hard ceiling on processed events, guarding against runaway loops in
-    /// experiment scripts. `None` disables the guard.
-    pub event_limit: Option<u64>,
     processed: u64,
 }
+
+/// Hard ceiling on processed events, guarding against runaway loops in
+/// experiment scripts: a runaway periodic task is a bug in the script, and
+/// failing loudly beats hanging.
+const EVENT_LIMIT: u64 = 200_000_000;
 
 impl Default for Scheduler {
     fn default() -> Self {
@@ -97,7 +99,6 @@ impl Scheduler {
             heap: BinaryHeap::new(),
             cancelled: BTreeSet::new(),
             telemetry: Telemetry::new(),
-            event_limit: Some(200_000_000),
             processed: 0,
         }
     }
@@ -109,8 +110,16 @@ impl Scheduler {
         self.telemetry.set_now(at.0);
     }
 
-    /// Run one event callback with dispatch accounting.
+    /// Run one event callback with dispatch accounting. Every path that
+    /// runs an event comes through here, so here is where the guard is.
+    ///
+    /// Panics past `EVENT_LIMIT` (2×10⁸) events.
     fn dispatch(&mut self, run: EventFn) {
+        self.processed += 1;
+        assert!(
+            self.processed <= EVENT_LIMIT,
+            "scheduler event limit exceeded ({EVENT_LIMIT}); runaway periodic task?"
+        );
         self.telemetry.counter_incr("sim-events-dispatched");
         run(self);
     }
@@ -169,20 +178,12 @@ impl Scheduler {
     /// Run events with timestamps `<= deadline`; afterwards `now()` equals
     /// `deadline` if the queue drained past it, or the last event time.
     ///
-    /// Panics if `event_limit` is exceeded — a runaway periodic task is a
-    /// bug in the experiment script, and failing loudly beats hanging.
+    /// Panics past `EVENT_LIMIT` (2×10⁸) events.
     pub fn run_until(&mut self, deadline: SimTime) {
         while let Some(Reverse(entry)) = self.heap.peek_mut_pop_if(deadline) {
             self.advance_clock(entry.at);
             if self.cancelled.remove(&entry.seq) {
                 continue;
-            }
-            self.processed += 1;
-            if let Some(limit) = self.event_limit {
-                assert!(
-                    self.processed <= limit,
-                    "scheduler event limit exceeded ({limit}); runaway periodic task?"
-                );
             }
             self.dispatch(entry.run);
         }
@@ -196,6 +197,8 @@ impl Scheduler {
     /// The predicate is checked before every event; use this to drive a
     /// simulation "until the answer arrives" without grinding through the
     /// unbounded periodic-daemon events that follow it.
+    ///
+    /// Panics past `EVENT_LIMIT` (2×10⁸) events.
     pub fn run_while(&mut self, deadline: SimTime, mut keep_going: impl FnMut() -> bool) {
         while keep_going() {
             match self.next_event_time() {
@@ -214,6 +217,8 @@ impl Scheduler {
 
     /// Run a single event if one is pending; returns whether one ran
     /// (cancelled tombstones are skipped transparently).
+    ///
+    /// Panics past `EVENT_LIMIT` (2×10⁸) events.
     pub fn step(&mut self) -> bool {
         loop {
             match self.heap.pop() {
@@ -223,7 +228,6 @@ impl Scheduler {
                     if self.cancelled.remove(&entry.seq) {
                         continue;
                     }
-                    self.processed += 1;
                     self.dispatch(entry.run);
                     return true;
                 }
@@ -390,12 +394,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "event limit")]
     fn event_limit_trips_on_runaway_loops() {
-        let mut sim = Scheduler::new();
-        sim.event_limit = Some(100);
+        runaway().run();
+    }
+
+    #[test]
+    #[should_panic(expected = "event limit")]
+    fn event_limit_trips_on_runaway_loops_under_run_while() {
+        runaway().run_while(SimTime::FAR_FUTURE, || true);
+    }
+
+    /// A self-rescheduling task on a scheduler 100 events short of the
+    /// limit.
+    fn runaway() -> Scheduler {
         fn forever(s: &mut Scheduler) {
             s.schedule_in(SimDuration::from_nanos(1), forever);
         }
+        let mut sim = Scheduler::new();
+        sim.processed = EVENT_LIMIT - 100;
         sim.schedule_in(SimDuration::ZERO, forever);
-        sim.run();
+        sim
     }
 }

@@ -68,11 +68,17 @@ impl Value {
     }
 }
 
-/// Parse a single JSON document. Returns `None` on any syntax error —
-/// the CLI treats a malformed line as "not a trace record" and skips it.
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// deepest document the repo writes (`BENCH_profile.json`) nests 3
+/// levels; the bound keeps a hostile line from recursing off the stack.
+const MAX_DEPTH: usize = 8;
+
+/// Parse a single JSON document. Returns `None` on any syntax error or
+/// nesting deeper than `MAX_DEPTH` — the CLI treats a malformed line
+/// as "not a trace record" and skips it.
 pub fn parse(src: &str) -> Option<Value> {
     let bytes = src.as_bytes();
-    let mut p = Parser { b: bytes, i: 0 };
+    let mut p = Parser { b: bytes, i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -86,6 +92,8 @@ pub fn parse(src: &str) -> Option<Value> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -115,14 +123,24 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Option<Value> {
         match *self.b.get(self.i)? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => self.string().map(Value::Str),
             b't' => self.lit("true").map(|()| Value::Bool(true)),
             b'f' => self.lit("false").map(|()| Value::Bool(false)),
             b'n' => self.lit("null").map(|()| Value::Null),
             _ => self.number(),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Option<Value>) -> Option<Value> {
+        if self.depth == MAX_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Option<Value> {
@@ -273,6 +291,14 @@ mod tests {
             }
             _ => panic!("expected array"),
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        assert_eq!(parse(&"[".repeat(100_000)), None);
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_some());
+        assert_eq!(parse(&deep(MAX_DEPTH + 1)), None);
     }
 
     #[test]

@@ -40,8 +40,10 @@
 //!
 //! The sink ([`Telemetry::export_jsonl`]) writes one JSON object per line:
 //! span-start/span-end/event records in global sequence order, then
-//! `counter`, `gauge`, and `hist` summary lines sorted by name. The
-//! `telemetry` binary in this crate answers queries over such traces.
+//! `counter`, `gauge`, and `hist` summary lines sorted by name.
+//! [`merge::Merger`] writes many exports into one file, each verbatim
+//! under a shard header, and [`trace::Trace`] reads either as one trace;
+//! the `telemetry` binary in this crate answers queries over it.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
@@ -414,8 +416,7 @@ impl Telemetry {
         }
         for (name, h) in &self.hists {
             if let Some(s) = h.summary() {
-                let quantiles = Some((s.p50, s.p95, s.p99));
-                sink::write_hist(&mut out, name, (s.count, s.sum, s.min, s.max), quantiles);
+                sink::write_hist(&mut out, name, &s);
             }
         }
         out

@@ -4,11 +4,12 @@
 //! telemetry summary <trace.jsonl>              per-span-name count/total/p50/p95/p99 + events
 //! telemetry timeline <host> <trace.jsonl>      ordered record log for one host
 //! telemetry slowest <n> <trace.jsonl>          worst spans with ancestry
-//! telemetry merge <out.jsonl> <label=trace.jsonl>...
-//!                                              merge shard exports into one
-//!                                              trace (global seq, offset ids)
 //! telemetry rollup [--json] <trace.jsonl>      per-host/per-subnet aggregates
 //! ```
+//!
+//! A trace may hold many exports, each under the shard header
+//! `repro --trace-out` writes; every view reads such a file as one trace
+//! (`trace::Trace` joins the shards).
 //!
 //! `rollup --json` renders the same rows as one JSON document (stable
 //! field order, sorted rows) for scripts; `ci/telemetry_smoke.sh` reads
@@ -28,7 +29,7 @@ use smartsock_telemetry::json;
 use smartsock_telemetry::trace::Trace;
 use smartsock_telemetry::Rollup;
 
-const USAGE: &str = "usage:\n  telemetry summary <trace.jsonl>\n  telemetry timeline <host> <trace.jsonl>\n  telemetry slowest <n> <trace.jsonl>\n  telemetry merge <out.jsonl> <label=trace.jsonl>...\n  telemetry rollup [--json] <trace.jsonl>\n";
+const USAGE: &str = "usage:\n  telemetry summary <trace.jsonl>\n  telemetry timeline <host> <trace.jsonl>\n  telemetry slowest <n> <trace.jsonl>\n  telemetry rollup [--json] <trace.jsonl>\n";
 
 enum CmdError {
     /// User-facing failure: print to stderr, exit non-zero.
@@ -150,35 +151,6 @@ fn cmd_slowest(out: &mut impl Write, n: &str, path: &str) -> Result<(), CmdError
     Ok(())
 }
 
-/// `merge out.jsonl label=a.jsonl label2=b.jsonl ...`: read the shard
-/// exports, merge them preserving the export invariants (one global
-/// strictly-increasing `seq`, span ids offset per shard), write the
-/// merged JSONL. Deterministic in the given shard order.
-fn cmd_merge(out_path: &str, shard_args: &[&str]) -> Result<(), CmdError> {
-    if shard_args.is_empty() {
-        return Err(CmdError::Msg(USAGE.to_owned()));
-    }
-    let mut shards: Vec<(String, String)> = Vec::new();
-    for arg in shard_args {
-        let (label, path) = arg
-            .split_once('=')
-            .ok_or_else(|| CmdError::Msg(format!("telemetry: shard {arg:?} is not label=path")))?;
-        let src = std::fs::read_to_string(path)
-            .map_err(|e| CmdError::Msg(format!("telemetry: cannot read {path}: {e}")))?;
-        shards.push((label.to_owned(), src));
-    }
-    let merged = smartsock_telemetry::merge::merge_jsonl(
-        shards.iter().map(|(l, s)| (l.as_str(), s.as_str())),
-    );
-    if merged.dropped > 0 {
-        eprintln!("telemetry: warning: merge dropped {} malformed line(s)", merged.dropped);
-    }
-    std::fs::write(out_path, merged.jsonl)
-        .map_err(|e| CmdError::Msg(format!("telemetry: cannot write {out_path}: {e}")))?;
-    eprintln!("telemetry: merged {} shard(s) into {out_path}", shards.len());
-    Ok(())
-}
-
 /// `rollup [--json] <trace.jsonl>`: fold the trace's records into
 /// per-host / per-subnet aggregates.
 fn cmd_rollup(out: &mut impl Write, path: &str, as_json: bool) -> Result<(), CmdError> {
@@ -256,7 +228,6 @@ fn main() -> ExitCode {
         ["summary", path] => cmd_summary(&mut out, path),
         ["timeline", host, path] => cmd_timeline(&mut out, host, path),
         ["slowest", n, path] => cmd_slowest(&mut out, n, path),
-        ["merge", out_path, ref shards @ ..] => cmd_merge(out_path, shards),
         _ => Err(CmdError::Msg(USAGE.to_owned())),
     };
     let result = result.and_then(|()| out.flush().map_err(CmdError::from));

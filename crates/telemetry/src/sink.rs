@@ -43,86 +43,58 @@ use crate::{json, Record};
 /// Serialize one trace record as its JSONL line (with trailing newline),
 /// exactly as `Telemetry::export_jsonl` has always written it. The
 /// accumulating export and the streaming writer both call this, so the
-/// two are byte-identical by construction.
+/// two are byte-identical by construction. Strings are escaped here;
+/// `json::escape` borrows when there is nothing to escape, which is
+/// every registered name.
 pub fn write_record_line(out: &mut String, seq: u64, r: &Record) {
     match r {
         Record::SpanStart { at_ns, id, parent, name, host } => {
-            write_span_start(out, seq, *at_ns, *id, *parent, name, host);
+            let _ = write!(
+                out,
+                "{{\"t\":\"span-start\",\"seq\":{seq},\"ns\":{at_ns},\"id\":{id},\"parent\":"
+            );
+            match parent {
+                Some(p) => {
+                    let _ = write!(out, "{p}");
+                }
+                None => out.push_str("null"),
+            }
+            let _ = writeln!(
+                out,
+                ",\"name\":\"{}\",\"host\":\"{}\"}}",
+                json::escape(name),
+                json::escape(host)
+            );
         }
         Record::SpanEnd { at_ns, id, name, host, dur_ns } => {
-            write_span_end(out, seq, *at_ns, *id, name, host, *dur_ns);
+            let _ = writeln!(
+                out,
+                "{{\"t\":\"span-end\",\"seq\":{seq},\"ns\":{at_ns},\"id\":{id},\
+                 \"name\":\"{}\",\"host\":\"{}\",\"dur_ns\":{dur_ns}}}",
+                json::escape(name),
+                json::escape(host),
+            );
         }
         Record::Event(e) => {
-            let attrs = e.attrs.iter().map(|(k, v)| (*k, v.as_str()));
-            write_event(out, seq, e.at_ns, e.name, &e.host, attrs);
+            let _ = write!(
+                out,
+                "{{\"t\":\"event\",\"seq\":{seq},\"ns\":{},\"name\":\"{}\",\"host\":\"{}\",\"attrs\":{{",
+                e.at_ns,
+                json::escape(e.name),
+                json::escape(&e.host),
+            );
+            for (i, (k, v)) in e.attrs.iter().enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                let _ = write!(out, "{sep}\"{}\":\"{}\"", json::escape(k), json::escape(v));
+            }
+            out.push_str("}}\n");
         }
     }
 }
 
-// The trace schema, one writer per line kind. The in-process export
-// (above, and `Telemetry::summary_tail`) and the shard merger
-// (`merge::Merger`) both write through these, so a line kind is spelled
-// once. Strings are escaped here; `json::escape` borrows when there is
-// nothing to escape, which is every registered name.
-
-pub fn write_span_start(
-    out: &mut String,
-    seq: u64,
-    ns: u64,
-    id: u64,
-    parent: Option<u64>,
-    name: &str,
-    host: &str,
-) {
-    let _ = write!(out, "{{\"t\":\"span-start\",\"seq\":{seq},\"ns\":{ns},\"id\":{id},\"parent\":");
-    match parent {
-        Some(p) => {
-            let _ = write!(out, "{p}");
-        }
-        None => out.push_str("null"),
-    }
-    let _ =
-        writeln!(out, ",\"name\":\"{}\",\"host\":\"{}\"}}", json::escape(name), json::escape(host));
-}
-
-pub fn write_span_end(
-    out: &mut String,
-    seq: u64,
-    ns: u64,
-    id: u64,
-    name: &str,
-    host: &str,
-    dur_ns: u64,
-) {
-    let _ = writeln!(
-        out,
-        "{{\"t\":\"span-end\",\"seq\":{seq},\"ns\":{ns},\"id\":{id},\
-         \"name\":\"{}\",\"host\":\"{}\",\"dur_ns\":{dur_ns}}}",
-        json::escape(name),
-        json::escape(host),
-    );
-}
-
-pub fn write_event<'a>(
-    out: &mut String,
-    seq: u64,
-    ns: u64,
-    name: &str,
-    host: &str,
-    attrs: impl Iterator<Item = (&'a str, &'a str)>,
-) {
-    let _ = write!(
-        out,
-        "{{\"t\":\"event\",\"seq\":{seq},\"ns\":{ns},\"name\":\"{}\",\"host\":\"{}\",\"attrs\":{{",
-        json::escape(name),
-        json::escape(host),
-    );
-    for (i, (k, v)) in attrs.enumerate() {
-        let sep = if i > 0 { "," } else { "" };
-        let _ = write!(out, "{sep}\"{}\":\"{}\"", json::escape(k), json::escape(v));
-    }
-    out.push_str("}}\n");
-}
+// The summary lines, one writer each; `Telemetry::summary_tail` writes
+// every trace's tail through them, and the live wizard's stats reply
+// reuses that tail.
 
 /// A `counter` or `gauge` summary line (`kind` is that tag).
 pub fn write_scalar(out: &mut String, kind: &str, name: &str, value: impl std::fmt::Display) {
@@ -130,23 +102,21 @@ pub fn write_scalar(out: &mut String, kind: &str, name: &str, value: impl std::f
         writeln!(out, "{{\"t\":\"{kind}\",\"name\":\"{}\",\"value\":{value}}}", json::escape(name));
 }
 
-/// A `hist` summary line; `quantiles` is `(p50, p95, p99)` where known.
-pub fn write_hist(
-    out: &mut String,
-    name: &str,
-    (count, sum, min, max): (u64, u64, u64, u64),
-    quantiles: Option<(u64, u64, u64)>,
-) {
-    let _ = write!(
+/// A `hist` summary line.
+pub fn write_hist(out: &mut String, name: &str, s: &Summary) {
+    let _ = writeln!(
         out,
-        "{{\"t\":\"hist\",\"name\":\"{}\",\"count\":{count},\"sum\":{sum},\
-         \"min\":{min},\"max\":{max}",
+        "{{\"t\":\"hist\",\"name\":\"{}\",\"count\":{},\"sum\":{},\
+         \"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
         json::escape(name),
+        s.count,
+        s.sum,
+        s.min,
+        s.max,
+        s.p50,
+        s.p95,
+        s.p99,
     );
-    if let Some((p50, p95, p99)) = quantiles {
-        let _ = write!(out, ",\"p50\":{p50},\"p95\":{p95},\"p99\":{p99}");
-    }
-    out.push_str("}\n");
 }
 
 /// A destination for trace records. `Telemetry` owns exactly one sink
@@ -608,12 +578,19 @@ mod tests {
                 r#"{"t":"gauge","name":"net-link-backlog-ns/l0","value":-42}"#,
             ),
             (
-                with(&|s| write_hist(s, "wizard-match", (2, 300, 100, 200), Some((100, 200, 200)))),
+                with(&|s| {
+                    let h = Summary {
+                        count: 2,
+                        sum: 300,
+                        min: 100,
+                        max: 200,
+                        p50: 100,
+                        p95: 200,
+                        p99: 200,
+                    };
+                    write_hist(s, "wizard-match", &h)
+                }),
                 r#"{"t":"hist","name":"wizard-match","count":2,"sum":300,"min":100,"max":200,"p50":100,"p95":200,"p99":200}"#,
-            ),
-            (
-                with(&|s| write_hist(s, "wizard-match", (4, 600, 100, 200), None)),
-                r#"{"t":"hist","name":"wizard-match","count":4,"sum":600,"min":100,"max":200}"#,
             ),
         ];
         for (got, want) in cases {

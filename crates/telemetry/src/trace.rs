@@ -2,10 +2,15 @@
 //!
 //! A trace is the JSONL document written by [`crate::Telemetry::export_jsonl`]:
 //! span-start / span-end / event lines in sequence order followed by
-//! counter / gauge / hist summary lines. The queries here re-derive span
-//! statistics from the raw span-end records (exact quantiles over the
-//! actual durations, not the bucketed in-process histogram), so the CLI is
-//! also a cross-check of the exporter.
+//! counter / gauge / hist summary lines — or many such exports, each under
+//! the `{"t":"shard",...}` header [`crate::merge::Merger`] writes. Every
+//! export numbers its spans from 1, so [`Trace::parse`] is where shards
+//! are joined: each shard's span ids and parents are shifted past the
+//! largest id of the shards before it, and counters and sink drop counts
+//! sum across shards. The queries here re-derive span statistics from the
+//! raw span-end records (exact quantiles over the actual durations, not
+//! the bucketed in-process histogram), so the CLI is also a cross-check
+//! of the exporter.
 
 use std::collections::BTreeMap;
 
@@ -41,6 +46,7 @@ pub struct Trace {
     /// (including spans never closed).
     pub starts: BTreeMap<u64, (String, String, Option<u64>, u64)>,
     pub events: Vec<EventRow>,
+    /// Counter totals, summed over shards.
     pub counters: BTreeMap<String, u64>,
     /// Lines that failed to parse (counted so the CLI can warn).
     pub skipped: usize,
@@ -48,9 +54,14 @@ pub struct Trace {
     /// wrote the trace. Only emitted when records were dropped, so its
     /// presence means the trace is incomplete.
     pub sink_kind: Option<String>,
-    /// Records dropped by the writing sink's backpressure policy (from
-    /// the sink trailer; `0` for a complete trace).
+    /// Records dropped by the writing sinks' backpressure policy (from
+    /// the sink trailers, summed over shards; `0` for a complete trace).
     pub sink_dropped: u64,
+    /// Added to the current shard's span ids and parents: the sum of the
+    /// largest span id of every shard before it.
+    id_base: u64,
+    /// The largest span id the current shard has named so far.
+    shard_max_id: u64,
 }
 
 impl Trace {
@@ -74,11 +85,22 @@ impl Trace {
         t
     }
 
+    /// A span line's id, shifted into the joined id space; `None` when
+    /// the shift overflows.
+    fn span_id(&mut self, v: &Value) -> Option<u64> {
+        let id = v.get("id")?.as_u64()?;
+        self.shard_max_id = self.shard_max_id.max(id);
+        id.checked_add(self.id_base)
+    }
+
     fn apply(&mut self, v: &Value) -> Option<()> {
         match v.get("t")?.as_str()? {
             "span-start" => {
-                let id = v.get("id")?.as_u64()?;
-                let parent = v.get("parent").and_then(Value::as_u64);
+                let id = self.span_id(v)?;
+                let parent = match v.get("parent").and_then(Value::as_u64) {
+                    Some(p) => Some(p.checked_add(self.id_base)?),
+                    None => None,
+                };
                 self.starts.insert(
                     id,
                     (
@@ -90,7 +112,7 @@ impl Trace {
                 );
             }
             "span-end" => {
-                let id = v.get("id")?.as_u64()?;
+                let id = self.span_id(v)?;
                 let end_ns = v.get("ns")?.as_u64()?;
                 let dur_ns = v.get("dur_ns")?.as_u64()?;
                 let (parent, start_ns) = match self.starts.get(&id) {
@@ -122,17 +144,20 @@ impl Trace {
                 });
             }
             "counter" => {
-                self.counters
-                    .insert(v.get("name")?.as_str()?.to_owned(), v.get("value")?.as_u64()?);
+                let value = v.get("value")?.as_u64()?;
+                let total = self.counters.entry(v.get("name")?.as_str()?.to_owned()).or_insert(0);
+                *total = total.saturating_add(value);
             }
             "sink" => {
+                let dropped = v.get("dropped")?.as_u64()?;
                 self.sink_kind = Some(v.get("kind")?.as_str()?.to_owned());
-                self.sink_dropped = v.get("dropped")?.as_u64()?;
+                self.sink_dropped = self.sink_dropped.saturating_add(dropped);
             }
-            // gauge / hist summary lines carry no extra query surface yet;
-            // shard lines are the headers [`crate::merge`] inserts between
-            // merged exports.
-            "gauge" | "hist" | "shard" => {}
+            "shard" => {
+                self.id_base = self.id_base.saturating_add(std::mem::take(&mut self.shard_max_id));
+            }
+            // gauge / hist summary lines carry no extra query surface yet.
+            "gauge" | "hist" => {}
             _ => return None,
         }
         Some(())
@@ -301,10 +326,77 @@ mod tests {
         assert_eq!(worst[1].1, "client-connect <- client-request");
     }
 
+    /// Two exports joined the way `repro --trace-out` writes them.
+    fn two_shards() -> String {
+        let mut a = Telemetry::new();
+        a.set_now(10);
+        let root = a.span_start("client-request", "sagit");
+        let child = a.span_child("probe-report", "sagit", root);
+        a.set_now(25);
+        a.span_end(child);
+        a.set_now(40);
+        a.span_end(root);
+        a.counter_add("net-udp-bytes", 100);
+        let mut b = Telemetry::new();
+        b.set_now(5);
+        let root = b.span_start("client-request", "suna");
+        let child = b.span_child("probe-report", "suna", root);
+        b.set_now(9);
+        b.span_end(child);
+        b.span_end(root);
+        b.counter_add("net-udp-bytes", 11);
+        let mut buf = Vec::new();
+        let mut m = crate::merge::Merger::new(&mut buf);
+        m.push_shard("a", &a.export_jsonl()).unwrap();
+        m.push_shard("b", &b.export_jsonl()).unwrap();
+        m.finish().unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    #[test]
+    fn span_ids_do_not_collide_and_a_child_s_parent_resolves_in_its_own_shard() {
+        let tr = Trace::parse(&two_shards());
+        assert_eq!(tr.skipped, 0);
+        let mut ids: Vec<u64> = tr.spans.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2, 3, 4], "the second shard's ids start past the first's");
+        for probe in tr.spans.iter().filter(|s| s.name == "probe-report") {
+            let parent = probe.parent.expect("child keeps a parent");
+            let (name, host, ..) = &tr.starts[&parent];
+            assert_eq!((name.as_str(), host), ("client-request", &probe.host));
+        }
+        assert_eq!(tr.slowest(1)[0].1, "client-request");
+        assert_eq!(tr.slowest(4)[3].1, "probe-report <- client-request");
+    }
+
+    #[test]
+    fn counters_sum_across_shards() {
+        let tr = Trace::parse(&two_shards());
+        assert_eq!(tr.counters.get("net-udp-bytes"), Some(&111));
+    }
+
+    #[test]
+    fn a_malformed_line_inside_a_shard_is_counted_in_skipped() {
+        let doc = two_shards().replacen("{\"t\":\"span-end\"", "{\"t\":\"span-end\",", 1);
+        let tr = Trace::parse(&doc);
+        assert_eq!(tr.skipped, 1);
+        assert_eq!(tr.spans.len(), 3);
+    }
+
     #[test]
     fn malformed_lines_are_counted_not_fatal() {
         let tr = Trace::parse("{\"t\":\"span-end\"}\nnot json\n{\"t\":\"mystery\"}\n");
         assert_eq!(tr.skipped, 3);
         assert!(tr.spans.is_empty());
+        // Sums and id shifts past u64::MAX saturate or skip, never wrap.
+        let m = u64::MAX;
+        let counter = format!("{{\"t\":\"counter\",\"name\":\"c\",\"value\":{m}}}\n");
+        let start = |id| {
+            format!("{{\"t\":\"span-start\",\"ns\":0,\"id\":{id},\"name\":\"s\",\"host\":\"h\"}}\n")
+        };
+        let shard = "{\"t\":\"shard\"}\n";
+        let tr = Trace::parse(&format!("{counter}{counter}{shard}{}{shard}{}", start(m), start(1)));
+        assert_eq!(tr.counters["c"], m);
+        assert_eq!((tr.skipped, tr.starts.len()), (1, 1));
     }
 }

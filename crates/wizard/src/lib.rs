@@ -57,9 +57,13 @@ pub enum WizardMode {
     #[default]
     Centralized,
     /// Each request first triggers a pull from the listed transmitter
-    /// machines, then matches after a settle delay.
-    Distributed { transmitters: Vec<Ip>, settle: SimDuration },
+    /// machines, then matches after a 200 ms settle delay.
+    Distributed { transmitters: Vec<Ip> },
 }
+
+/// How long a distributed-mode request waits between its pull and its
+/// match, for the transmitters' snapshots to arrive.
+const SETTLE: SimDuration = SimDuration::from_millis(200);
 
 /// Wizard configuration.
 #[derive(Clone, Debug, Default)]
@@ -179,12 +183,10 @@ impl Wizard {
     /// garbage must not fan out to every transmitter.
     fn on_request_port(&self, s: &mut Scheduler, dgram: UdpDatagram) {
         match &self.mode {
-            WizardMode::Distributed { transmitters, settle }
-                if engine::is_request(&dgram.payload.data) =>
-            {
+            WizardMode::Distributed { transmitters } if engine::is_request(&dgram.payload.data) => {
                 smartsock_wire::request_update(&self.net, s, self.endpoint().ip, transmitters);
                 let wiz = self.clone();
-                s.schedule_in(*settle, move |s| wiz.serve(s, &dgram));
+                s.schedule_in(SETTLE, move |s| wiz.serve(s, &dgram));
             }
             _ => self.serve(s, &dgram),
         }
@@ -394,9 +396,8 @@ mod tests {
 
     #[test]
     fn distributed_mode_answers_after_the_settle_delay_and_never_pulls_for_garbage() {
-        let settle = SimDuration::from_millis(200);
         let mut r = rig(WizardConfig {
-            mode: WizardMode::Distributed { transmitters: vec![CLIENT.ip], settle },
+            mode: WizardMode::Distributed { transmitters: vec![CLIENT.ip] },
             ..no_sweep()
         });
         r.send(r.wiz.endpoint(), b"xy".to_vec());
@@ -408,7 +409,7 @@ mod tests {
         r.s.run();
         let replies = r.replies.borrow();
         assert_eq!(replies.len(), 1);
-        assert!(replies[0].0 >= SimTime::ZERO + settle, "replied at {:?}", replies[0].0);
+        assert!(replies[0].0 >= SimTime::ZERO + SETTLE, "replied at {:?}", replies[0].0);
     }
 
     // ---- the receiver port: snapshots land in the engine's tables ----

@@ -48,7 +48,7 @@ use smartsock_proto::{
 };
 use smartsock_sim::{Scheduler, SimDuration, SimTime, Telemetry};
 use smartsock_telemetry::trace::Trace;
-use smartsock_wizard::{SelectPolicy, Wizard, WizardConfig};
+use smartsock_wizard::{Wizard, WizardConfig};
 
 const WIZ_IP: Ip = Ip::new(10, 0, 0, 1);
 const CLIENT_IP: Ip = Ip::new(10, 0, 0, 2);
@@ -154,7 +154,7 @@ fn live_reply(
     shim_policy: Option<ShimPolicy>,
 ) -> (Answer, u64) {
     let (clock, hand) = Clock::manual();
-    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", clock).unwrap();
 
     let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
     for r in reports {
@@ -498,7 +498,7 @@ fn sim_client(script: &ClientScript) -> ClientAnswer {
 /// The live backend: `LiveSock` through a `FaultShim` to a `LiveWizard`.
 fn live_client(script: &ClientScript) -> ClientAnswer {
     let (clock, _hand) = Clock::manual();
-    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", clock).unwrap();
     let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
     for r in &script.reports {
         sender.send_to(r, wiz.addr()).unwrap();
@@ -707,7 +707,7 @@ fn every_kind_of_datagram_on_the_wizard_port_is_told_apart_alike() {
     let sim_counters: Vec<u64> = DEMUX_COUNTERS.iter().map(|n| s.telemetry.counter(n)).collect();
 
     let (clock, _hand) = Clock::manual();
-    let wiz = LiveWizard::spawn_with("127.0.0.1:0", SelectPolicy::default(), clock).unwrap();
+    let wiz = LiveWizard::spawn_with("127.0.0.1:0", clock).unwrap();
     let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
     sender.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
     for d in &datagrams {
