@@ -67,12 +67,14 @@ pub fn straggler(seed: u64) -> Report {
         let inj = tb.fault_injector();
         let mut plan = FaultPlan::new();
         for k in 0..5u64 {
-            plan = plan.straggler(
-                "dalmatian",
-                "sw1",
+            plan = plan.window(
                 SimTime::from_secs_f64(22.1 + 5.0 * k as f64),
                 SimTime::from_secs_f64(22.7 + 5.0 * k as f64),
-                SimDuration::from_secs(4),
+                FaultKind::Latency {
+                    a: "dalmatian".into(),
+                    b: "sw1".into(),
+                    extra: SimDuration::from_secs(4),
+                },
             );
         }
         inj.schedule(&mut s, &plan);
@@ -132,12 +134,11 @@ pub fn flashcrowd(seed: u64) -> Report {
     let tb = Testbed::builder(seed).start(&mut s);
     bind_services(&tb);
     let inj = tb.fault_injector();
-    let plan = FaultPlan::new()
-        .at(
-            SimTime::from_secs_f64(15.2),
-            FaultKind::LinkDown { a: "dalmatian".into(), b: "sw1".into() },
-        )
-        .at_secs(19, FaultKind::LinkUp { a: "dalmatian".into(), b: "sw1".into() });
+    let plan = FaultPlan::new().window(
+        SimTime::from_secs_f64(15.2),
+        SimTime::from_secs(19),
+        FaultKind::Link { a: "dalmatian".into(), b: "sw1".into() },
+    );
     inj.schedule(&mut s, &plan);
     s.run_until(SimTime::from_secs(14));
     let client = tb.client("sagit");
@@ -349,10 +350,8 @@ fn staleness_run(seed: u64, discount: bool) -> (usize, Vec<Ip>) {
     let tb = b.start(&mut s);
     bind_services(&tb);
     let inj = tb.fault_injector();
-    let plan = FaultPlan::new().at(
-        SimTime::from_secs_f64(20.1),
-        FaultKind::DaemonKill { daemon: Daemon::Probe("helene".into()) },
-    );
+    let plan = FaultPlan::new()
+        .at(SimTime::from_secs_f64(20.1), FaultKind::Daemon(Daemon::Probe("helene".into())));
     inj.schedule(&mut s, &plan);
     s.run_until(SimTime::from_secs(5));
     // Load every machine except the two candidates, so only helene and

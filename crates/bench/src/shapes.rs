@@ -3,7 +3,7 @@
 //! Every claim an experiment makes about the thesis — a knee ratio above
 //! the visibility threshold, bandwidth estimators tracking the configured
 //! truth, the smart socket beating random selection, and so on — is one
-//! row of [`CLAIMS`]: the experiment id(s), the thesis table or figure, a
+//! row of `CLAIMS`: the experiment id(s), the thesis table or figure, a
 //! term over the report's figures, the bound that term meets at
 //! [`DEFAULT_SEED`](crate::DEFAULT_SEED), and what a seed sweep holds it
 //! to. This module's tests check every row's `DEFAULT_SEED` bound on each

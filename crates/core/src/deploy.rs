@@ -8,7 +8,7 @@
 //!   switch and the `dalmatian` gateway's segment;
 //! * a server probe on every machine;
 //! * system + security monitors and the transmitter on the *monitor
-//!   machine*, [`MONITOR_MACHINE`] — the Table 5.2 resource figures were
+//!   machine*, `MONITOR_MACHINE` — the Table 5.2 resource figures were
 //!   measured there;
 //! * one network monitor per declared server group (§3.3.3), all writing
 //!   the one `netdb` of the monitor machine;

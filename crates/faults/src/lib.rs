@@ -7,26 +7,30 @@
 //! to other running servers". This crate makes that story *testable* by
 //! turning faults into first-class, reproducible simulation inputs:
 //!
-//! * a [`FaultPlan`] is a declarative schedule of [`FaultKind`]s — link
-//!   cuts and heals, host crashes and reboots, network partitions, daemon
-//!   kills/restarts (probe, system monitor, wizard), transient loss and
-//!   latency spikes — applied at exact simulation times;
+//! * a [`FaultKind`] names one thing that can break — a link, a host, a
+//!   partition between two groups, a daemon, a loss spike or a latency
+//!   spike — and is either injected ([`FaultInjector::apply`]) or
+//!   recovered ([`FaultInjector::recover`]), which undoes exactly what the
+//!   injection broke;
+//! * a [`FaultPlan`] schedules those halves at exact simulation times
+//!   ([`FaultPlan::at`], [`FaultPlan::recover_at`], [`FaultPlan::window`]);
 //! * [`FaultInjector::chaos`] mode samples faults at fixed gentle per-tick
 //!   rates using the simulation's seeded RNG
-//!   ([`smartsock_sim::rng::derive`]), so a chaos run is exactly
-//!   reproducible from its seed and two different seeds give different
-//!   fault timings;
+//!   ([`smartsock_sim::rng::derive`]) and recovers each after a drawn
+//!   outage, so a chaos run is exactly reproducible from its seed and two
+//!   different seeds give different fault timings;
 //! * the [`FaultInjector`] owns name-keyed registries of every moving part
 //!   (network nodes, simulated hosts, probes, monitors, the wizard) and
-//!   knows the *composite* meaning of each fault: a `HostCrash` marks the
-//!   node down in the network (dropping datagrams, stalling flows, wiping
-//!   socket bindings), kills the host's tasks and stops its daemons; the
-//!   matching `HostReboot` revives the node, zeroes the procfs counters,
+//!   knows the *composite* meaning of each fault: injecting a `Host` marks
+//!   the node down in the network (dropping datagrams, stalling flows,
+//!   wiping socket bindings), kills the host's tasks and stops its
+//!   daemons; recovering it revives the node, zeroes the procfs counters,
 //!   restarts the daemons and fires any registered reboot hooks (e.g.
 //!   re-binding a service's stream endpoint).
 //!
-//! Every applied fault increments a `faults.*` metric, so two runs with
-//! the same seed can be compared byte-for-byte on the metrics table.
+//! Every half of a fault increments `faults-applied` and lands in the
+//! trace as a `fault-injected` or `fault-recovered` event, so two runs
+//! with the same seed can be compared byte for byte.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
@@ -44,56 +48,47 @@ use smartsock_probe::ServerProbe;
 use smartsock_sim::{rng as simrng, Scheduler, SimDuration, SimTime};
 use smartsock_wizard::Wizard;
 
-/// Which daemon a [`FaultKind::DaemonKill`]/[`FaultKind::DaemonRestart`]
-/// targets.
+/// Which daemon a [`FaultKind::Daemon`] stops and restarts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Daemon {
     /// The server probe on the named host.
     Probe(String),
-    /// The system monitor on the named host.
-    Monitor(String),
     /// The wizard.
     Wizard,
 }
 
-/// One injectable fault.
+/// One thing that can break. [`FaultInjector::apply`] injects it and
+/// [`FaultInjector::recover`] undoes it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultKind {
-    /// Cut the duplex link between two adjacent nodes.
-    LinkDown { a: String, b: String },
-    /// Restore a cut link.
-    LinkUp { a: String, b: String },
-    /// Hard-crash a host: network node down, sockets wiped, tasks killed,
-    /// daemons stopped.
-    HostCrash { host: String },
-    /// Reboot a crashed host: node revived, procfs counters zeroed,
-    /// daemons restarted, reboot hooks fired.
-    HostReboot { host: String },
-    /// Cut every link that inter-group paths use but intra-group paths do
-    /// not, isolating the two named groups from each other. The cut set is
-    /// remembered under `name` for [`FaultKind::Heal`].
+    /// The duplex link between two adjacent nodes is cut; recovery
+    /// restores it.
+    Link { a: String, b: String },
+    /// A hard host crash: network node down, sockets wiped, tasks killed,
+    /// daemons stopped. Recovery reboots it: node revived, procfs counters
+    /// zeroed, daemons restarted, reboot hooks fired.
+    Host { host: String },
+    /// Every link that inter-group paths use but intra-group paths do not
+    /// is cut, isolating the two groups from each other; recovery
+    /// restores the same links.
     Partition { name: String, side_a: Vec<String>, side_b: Vec<String> },
-    /// Restore the links cut by the named partition.
-    Heal { name: String },
-    /// Stop a daemon without touching its machine.
-    DaemonKill { daemon: Daemon },
-    /// Restart a stopped daemon.
-    DaemonRestart { daemon: Daemon },
-    /// Transient loss spike on the duplex link between two adjacent nodes.
-    LossSpike { a: String, b: String, prob: f64 },
-    /// Clear a loss spike (restores the link's base loss probability).
-    LossClear { a: String, b: String },
-    /// Transient extra latency on the duplex link between two nodes.
-    LatencySpike { a: String, b: String, extra: SimDuration },
-    /// Clear a latency spike (restores the base propagation delay).
-    LatencyClear { a: String, b: String },
+    /// A daemon stops without touching its machine; recovery restarts it.
+    Daemon(Daemon),
+    /// A transient loss spike on the duplex link between two adjacent
+    /// nodes; recovery restores the link's base loss probability.
+    Loss { a: String, b: String, prob: f64 },
+    /// Transient extra latency on the duplex link between two nodes;
+    /// recovery restores the base propagation delay.
+    Latency { a: String, b: String, extra: SimDuration },
 }
 
-/// A declarative fault schedule: `(when, what)` pairs. Insertion order is
-/// irrelevant; the scheduler orders execution by time.
+/// A declarative fault schedule: `(when, fault, recover?)` steps. Two
+/// steps at the *same* time run in insertion order (the scheduler is FIFO
+/// at equal timestamps), so overlapping same-host faults are
+/// deterministic: the last inserted decides the final state.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    events: Vec<(SimTime, FaultKind)>,
+    steps: Vec<(SimTime, FaultKind, bool)>,
 }
 
 impl FaultPlan {
@@ -101,36 +96,22 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Add a fault at an absolute simulation time.
-    pub fn at(mut self, t: SimTime, kind: FaultKind) -> FaultPlan {
-        self.events.push((t, kind));
+    /// Inject `fault` at an absolute simulation time.
+    pub fn at(mut self, t: SimTime, fault: FaultKind) -> FaultPlan {
+        self.steps.push((t, fault, false));
         self
     }
 
-    /// Add a fault at `secs` seconds of simulation time.
-    pub fn at_secs(self, secs: u64, kind: FaultKind) -> FaultPlan {
-        self.at(SimTime::from_secs(secs), kind)
+    /// Recover `fault` at an absolute simulation time.
+    pub fn recover_at(mut self, t: SimTime, fault: FaultKind) -> FaultPlan {
+        self.steps.push((t, fault, true));
+        self
     }
 
-    /// The scheduled `(when, what)` pairs, in insertion order. Two faults
-    /// at the *same* time apply in this order (the scheduler is FIFO at
-    /// equal timestamps), so overlapping same-host faults are
-    /// deterministic: last inserted wins the final state.
-    pub fn events(&self) -> &[(SimTime, FaultKind)] {
-        &self.events
+    /// Inject `fault` at `from` and recover it at `until`.
+    pub fn window(self, from: SimTime, until: SimTime, fault: FaultKind) -> FaultPlan {
+        self.at(from, fault.clone()).recover_at(until, fault)
     }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    // ------------------------------------------------------------------
-    // Hostile-workload generators
-    // ------------------------------------------------------------------
 
     /// A flapping link: cut `a<->b` every `period` starting at `from`,
     /// restore after `down_for`, until `until`. The classic grey-failure
@@ -148,28 +129,10 @@ impl FaultPlan {
         assert!(down_for < period, "flapping_link: link must come back up within each period");
         let mut t = from;
         while t < until {
-            self = self
-                .at(t, FaultKind::LinkDown { a: a.into(), b: b.into() })
-                .at(t + down_for, FaultKind::LinkUp { a: a.into(), b: b.into() });
+            self = self.window(t, t + down_for, FaultKind::Link { a: a.into(), b: b.into() });
             t += period;
         }
         self
-    }
-
-    /// A straggler server: inflate the latency of `host`'s access link to
-    /// `peer` by `extra` over `[from, until)`. The host stays up and keeps
-    /// reporting healthy status — only its data path is slow, which is
-    /// exactly the case hedged requests exist for.
-    pub fn straggler(
-        self,
-        host: &str,
-        peer: &str,
-        from: SimTime,
-        until: SimTime,
-        extra: SimDuration,
-    ) -> FaultPlan {
-        self.at(from, FaultKind::LatencySpike { a: host.into(), b: peer.into(), extra })
-            .at(until, FaultKind::LatencyClear { a: host.into(), b: peer.into() })
     }
 }
 
@@ -193,16 +156,41 @@ const LOSS_SPIKE_PROB: f64 = 0.05;
 const CHAOS_OUTAGE: (SimDuration, SimDuration) =
     (SimDuration::from_secs(2), SimDuration::from_secs(6));
 
-/// Reject a chaos window that ends before the first sampling tick: no
-/// fault could ever fire in it.
-fn check_chaos_window(until: SimTime) -> Result<(), String> {
-    if until.since(SimTime::ZERO) < CHAOS_TICK {
+/// Reject a chaos window started at `now` that ends before its first
+/// sampling tick: no fault could ever fire in it.
+fn check_chaos_window(now: SimTime, until: SimTime) -> Result<(), String> {
+    let first = now + CHAOS_TICK;
+    if until < first {
         return Err(format!(
-            "chaos window ends at {until:?} before the first tick at {CHAOS_TICK:?}: \
+            "chaos window ends at {until:?} before the first tick at {first:?}: \
              no fault can ever fire"
         ));
     }
     Ok(())
+}
+
+/// Count and trace one half of a fault: `faults-applied`, the half's own
+/// counter if it has one, and a `fault-injected`/`fault-recovered` event
+/// on `host`'s timeline with the `kind`, `target` and `extra` attributes.
+fn trace(
+    s: &mut Scheduler,
+    recover: bool,
+    host: &str,
+    kind: &'static str,
+    counter: Option<&'static str>,
+    target: &str,
+    extra: Option<(&'static str, String)>,
+) {
+    s.telemetry.counter_incr("faults-applied");
+    if let Some(counter) = counter {
+        s.telemetry.counter_incr(counter);
+    }
+    let mut attrs = vec![("kind", kind), ("target", target)];
+    if let Some((key, value)) = &extra {
+        attrs.push((*key, value.as_str()));
+    }
+    let name = if recover { "fault-recovered" } else { "fault-injected" };
+    s.telemetry.event(name, host, &attrs);
 }
 
 type RebootHook = Box<dyn FnMut(&mut Scheduler)>;
@@ -213,8 +201,6 @@ struct Inner {
     probes: BTreeMap<String, ServerProbe>,
     monitors: BTreeMap<String, SystemMonitor>,
     wizard: Option<Wizard>,
-    /// Saved cut sets of named partitions.
-    partitions: BTreeMap<String, Vec<LinkId>>,
     /// Hooks fired after a host reboots (keyed by lowercase host name) —
     /// how a service learns it may re-bind.
     reboot_hooks: BTreeMap<String, Vec<RebootHook>>,
@@ -238,7 +224,6 @@ impl FaultInjector {
                 probes: BTreeMap::new(),
                 monitors: BTreeMap::new(),
                 wizard: None,
-                partitions: BTreeMap::new(),
                 reboot_hooks: BTreeMap::new(),
                 rng: simrng::derive(seed, "smartsock-faults"),
             })),
@@ -249,8 +234,8 @@ impl FaultInjector {
     // Registration
     // ------------------------------------------------------------------
 
-    /// Register a simulated host so `HostCrash`/`HostReboot` reach its
-    /// CPU/memory state, not just its network node.
+    /// Register a simulated host so a `Host` fault reaches its CPU/memory
+    /// state, not just its network node.
     pub fn register_host(&self, host: Host) {
         let name = host.name().as_str().to_ascii_lowercase();
         self.inner.borrow_mut().hosts.insert(name, host);
@@ -261,12 +246,13 @@ impl FaultInjector {
         self.inner.borrow_mut().probes.insert(host.to_ascii_lowercase(), probe);
     }
 
-    /// Register the system monitor running on `host`.
+    /// Register the system monitor running on `host`, which a `Host` fault
+    /// on that machine stops and restarts.
     pub fn register_monitor(&self, host: &str, monitor: SystemMonitor) {
         self.inner.borrow_mut().monitors.insert(host.to_ascii_lowercase(), monitor);
     }
 
-    /// Register the wizard. A `HostCrash` of the machine whose IP the
+    /// Register the wizard. A `Host` fault on the machine whose IP the
     /// wizard is bound to takes it down too.
     pub fn register_wizard(&self, wizard: Wizard) {
         self.inner.borrow_mut().wizard = Some(wizard);
@@ -284,133 +270,135 @@ impl FaultInjector {
     }
 
     // ------------------------------------------------------------------
-    // Scripted plans
+    // Injection and recovery
     // ------------------------------------------------------------------
 
-    /// Schedule every fault of `plan` on the scheduler.
+    /// Schedule every step of `plan` on the scheduler.
     pub fn schedule(&self, s: &mut Scheduler, plan: &FaultPlan) {
-        for (t, kind) in plan.events.clone() {
+        for (t, fault, recover) in plan.steps.clone() {
             let inj = self.clone();
-            s.schedule_at(t, move |s| inj.apply(s, &kind));
+            s.schedule_at(t, move |s| inj.step(s, &fault, recover));
         }
     }
 
-    /// Apply one fault right now. Every application lands in the telemetry
-    /// trace as a `fault-injected` or `fault-recovered` event (attrs:
-    /// `kind`, `target`), so failover timelines are reconstructible from
-    /// the exported JSONL without counter archaeology.
-    pub fn apply(&self, s: &mut Scheduler, kind: &FaultKind) {
-        s.telemetry.counter_incr("faults-applied");
-        match kind {
-            FaultKind::LinkDown { a, b } => {
-                s.telemetry.counter_incr("faults-link-down");
-                let target = format!("{a}<->{b}");
-                s.telemetry.event(
-                    "fault-injected",
-                    a,
-                    &[("kind", "link-down"), ("target", &target)],
-                );
-                let (na, nb) = (self.resolve(a), self.resolve(b));
-                self.net().set_link_up_between(s, na, nb, false);
+    /// Inject `fault` right now. Each half of a fault lands in the
+    /// telemetry trace as a `fault-injected` or `fault-recovered` event
+    /// (attrs: `kind`, `target`), so failover timelines are
+    /// reconstructible from the exported JSONL without counter archaeology.
+    pub fn apply(&self, s: &mut Scheduler, fault: &FaultKind) {
+        self.step(s, fault, false);
+    }
+
+    /// Recover `fault` right now: undo what [`FaultInjector::apply`] broke.
+    pub fn recover(&self, s: &mut Scheduler, fault: &FaultKind) {
+        self.step(s, fault, true);
+    }
+
+    /// One half of a fault. Each arm names both halves' labels and the
+    /// fault's action; `recover` picks the half.
+    fn step(&self, s: &mut Scheduler, fault: &FaultKind, recover: bool) {
+        let half = |inject: &'static str, undo: &'static str| if recover { undo } else { inject };
+        let link = |a: &str, b: &str| format!("{a}<->{b}");
+        let net = self.net();
+        match fault {
+            FaultKind::Link { a, b } => {
+                let kind = half("link-down", "link-up");
+                let counter = Some(half("faults-link-down", "faults-link-up"));
+                trace(s, recover, a, kind, counter, &link(a, b), None);
+                net.set_link_up_between(s, self.resolve(a), self.resolve(b), recover);
             }
-            FaultKind::LinkUp { a, b } => {
-                s.telemetry.counter_incr("faults-link-up");
-                let target = format!("{a}<->{b}");
-                s.telemetry.event(
-                    "fault-recovered",
-                    a,
-                    &[("kind", "link-up"), ("target", &target)],
-                );
-                let (na, nb) = (self.resolve(a), self.resolve(b));
-                self.net().set_link_up_between(s, na, nb, true);
+            FaultKind::Host { host } => {
+                let kind = half("host-crash", "host-reboot");
+                let counter = Some(half("faults-host-crashes", "faults-host-reboots"));
+                trace(s, recover, host, kind, counter, host, None);
+                self.host(s, host, recover);
             }
-            FaultKind::HostCrash { host } => self.crash_host(s, host),
-            FaultKind::HostReboot { host } => self.reboot_host(s, host),
             FaultKind::Partition { name, side_a, side_b } => {
-                self.partition(s, name, side_a, side_b);
+                let kind = half("partition", "heal");
+                let counter = Some(half("faults-partitions", "faults-heals"));
+                trace(s, recover, name, kind, counter, name, None);
+                net.set_links_up(s, &self.cut(side_a, side_b), recover);
             }
-            FaultKind::Heal { name } => self.heal(s, name),
-            FaultKind::DaemonKill { daemon } => self.daemon_kill(s, daemon),
-            FaultKind::DaemonRestart { daemon } => self.daemon_restart(s, daemon),
-            FaultKind::LossSpike { a, b, prob } => {
-                s.telemetry.counter_incr("faults-loss-spikes");
-                let target = format!("{a}<->{b}");
-                let prob_text = format!("{prob:.4}");
-                s.telemetry.event(
-                    "fault-injected",
-                    a,
-                    &[("kind", "loss-spike"), ("target", &target), ("prob", &prob_text)],
-                );
-                let (na, nb) = (self.resolve(a), self.resolve(b));
-                self.net().set_link_loss_between(na, nb, Some(*prob));
+            FaultKind::Daemon(daemon) => {
+                let kind = half("daemon-kill", "daemon-restart");
+                let counter = Some(half("faults-daemon-kills", "faults-daemon-restarts"));
+                match daemon {
+                    Daemon::Probe(host) => {
+                        trace(s, recover, host, kind, counter, &format!("probe@{host}"), None);
+                        let probe =
+                            self.inner.borrow().probes.get(&host.to_ascii_lowercase()).cloned();
+                        match probe {
+                            Some(p) if recover => p.restart(s),
+                            Some(p) => p.stop(),
+                            None => {}
+                        }
+                    }
+                    Daemon::Wizard => {
+                        trace(s, recover, "wizard", kind, counter, "wizard", None);
+                        let wizard = self.inner.borrow().wizard.clone();
+                        match wizard {
+                            Some(w) if recover => w.restart(s),
+                            Some(w) => w.stop(),
+                            None => {}
+                        }
+                    }
+                }
             }
-            FaultKind::LossClear { a, b } => {
-                let target = format!("{a}<->{b}");
-                s.telemetry.event(
-                    "fault-recovered",
-                    a,
-                    &[("kind", "loss-clear"), ("target", &target)],
-                );
-                let (na, nb) = (self.resolve(a), self.resolve(b));
-                self.net().set_link_loss_between(na, nb, None);
+            // Only a spike is counted on its own and carries its size.
+            FaultKind::Loss { a, b, prob } => {
+                let kind = half("loss-spike", "loss-clear");
+                let counter = (!recover).then_some("faults-loss-spikes");
+                let size = (!recover).then(|| ("prob", format!("{prob:.4}")));
+                trace(s, recover, a, kind, counter, &link(a, b), size);
+                let loss = (!recover).then_some(*prob);
+                net.set_link_loss_between(self.resolve(a), self.resolve(b), loss);
             }
-            FaultKind::LatencySpike { a, b, extra } => {
-                s.telemetry.counter_incr("faults-latency-spikes");
-                let target = format!("{a}<->{b}");
-                let extra_ns = extra.as_nanos().to_string();
-                s.telemetry.event(
-                    "fault-injected",
-                    a,
-                    &[("kind", "latency-spike"), ("target", &target), ("extra-ns", &extra_ns)],
-                );
-                let (na, nb) = (self.resolve(a), self.resolve(b));
-                self.net().set_link_extra_delay_between(na, nb, Some(*extra));
-            }
-            FaultKind::LatencyClear { a, b } => {
-                let target = format!("{a}<->{b}");
-                s.telemetry.event(
-                    "fault-recovered",
-                    a,
-                    &[("kind", "latency-clear"), ("target", &target)],
-                );
-                let (na, nb) = (self.resolve(a), self.resolve(b));
-                self.net().set_link_extra_delay_between(na, nb, None);
+            FaultKind::Latency { a, b, extra } => {
+                let kind = half("latency-spike", "latency-clear");
+                let counter = (!recover).then_some("faults-latency-spikes");
+                let size = (!recover).then(|| ("extra-ns", extra.as_nanos().to_string()));
+                trace(s, recover, a, kind, counter, &link(a, b), size);
+                let delay = (!recover).then_some(*extra);
+                net.set_link_extra_delay_between(self.resolve(a), self.resolve(b), delay);
             }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Composite faults
-    // ------------------------------------------------------------------
-
-    fn crash_host(&self, s: &mut Scheduler, host: &str) {
-        s.telemetry.counter_incr("faults-host-crashes");
-        s.telemetry.event("fault-injected", host, &[("kind", "host-crash"), ("target", host)]);
+    /// A host crash stops the host's daemons, then the machine, then its
+    /// network node; the reboot brings them back in the opposite order and
+    /// fires the reboot hooks last, once services can re-bind.
+    fn host(&self, s: &mut Scheduler, host: &str, recover: bool) {
         let key = host.to_ascii_lowercase();
         let node = self.resolve(host);
-        let (probe, monitor, wizard, sim_host, net) = self.units_on(&key, node);
-        // Daemons die first (they stop rescheduling), then the machine.
-        if let Some(p) = probe {
-            p.stop();
+        let (probe, monitor, wizard, sim_host, net) = {
+            let inner = self.inner.borrow();
+            (
+                inner.probes.get(&key).cloned(),
+                inner.monitors.get(&key).cloned(),
+                inner
+                    .wizard
+                    .clone()
+                    .filter(|w| inner.net.node_by_ip(w.endpoint().ip) == Some(node)),
+                inner.hosts.get(&key).cloned(),
+                inner.net.clone(),
+            )
+        };
+        if !recover {
+            if let Some(p) = probe {
+                p.stop();
+            }
+            if let Some(m) = monitor {
+                m.stop(&net);
+            }
+            if let Some(w) = wizard {
+                w.stop();
+            }
+            if let Some(h) = sim_host {
+                h.crash(s);
+            }
+            net.crash_node(s, node);
+            return;
         }
-        if let Some(m) = monitor {
-            m.stop(&net);
-        }
-        if let Some(w) = wizard {
-            w.stop();
-        }
-        if let Some(h) = sim_host {
-            h.crash(s);
-        }
-        net.crash_node(s, node);
-    }
-
-    fn reboot_host(&self, s: &mut Scheduler, host: &str) {
-        s.telemetry.counter_incr("faults-host-reboots");
-        s.telemetry.event("fault-recovered", host, &[("kind", "host-reboot"), ("target", host)]);
-        let key = host.to_ascii_lowercase();
-        let node = self.resolve(host);
-        let (probe, monitor, wizard, sim_host, net) = self.units_on(&key, node);
         net.revive_node(s, node);
         if let Some(h) = sim_host {
             h.reboot(s);
@@ -424,7 +412,6 @@ impl FaultInjector {
         if let Some(w) = wizard {
             w.restart(s);
         }
-        // Hooks run last: daemons are back, services can re-bind.
         let mut hooks = self.inner.borrow_mut().reboot_hooks.remove(&key).unwrap_or_default();
         for hook in hooks.iter_mut() {
             hook(s);
@@ -434,28 +421,10 @@ impl FaultInjector {
         }
     }
 
-    /// Everything registered as running on the host `key` / node `node`.
-    fn units_on(
-        &self,
-        key: &str,
-        node: NodeId,
-    ) -> (Option<ServerProbe>, Option<SystemMonitor>, Option<Wizard>, Option<Host>, Network) {
-        let inner = self.inner.borrow();
-        (
-            inner.probes.get(key).cloned(),
-            inner.monitors.get(key).cloned(),
-            inner.wizard.clone().filter(|w| inner.net.node_by_ip(w.endpoint().ip) == Some(node)),
-            inner.hosts.get(key).cloned(),
-            inner.net.clone(),
-        )
-    }
-
-    /// Cut the two groups apart: every link used by some inter-group path
-    /// but by no intra-group path goes down, and the cut set is remembered
-    /// under `name` for [`FaultKind::Heal`].
-    fn partition(&self, s: &mut Scheduler, name: &str, side_a: &[String], side_b: &[String]) {
-        s.telemetry.counter_incr("faults-partitions");
-        s.telemetry.event("fault-injected", name, &[("kind", "partition"), ("target", name)]);
+    /// The links a partition between two groups cuts: every link used by
+    /// some inter-group path but by no intra-group path. Routing is
+    /// static, so the same sides always give the same cut.
+    fn cut(&self, side_a: &[String], side_b: &[String]) -> Vec<LinkId> {
         let a_nodes: Vec<NodeId> = side_a.iter().map(|h| self.resolve(h)).collect();
         let b_nodes: Vec<NodeId> = side_b.iter().map(|h| self.resolve(h)).collect();
         let net = self.net();
@@ -481,89 +450,7 @@ impl FaultInjector {
                 }
             }
         }
-        let cut: Vec<LinkId> = inter.difference(&intra).copied().collect();
-        net.set_links_up(s, &cut, false);
-        self.inner.borrow_mut().partitions.insert(name.to_owned(), cut);
-    }
-
-    fn heal(&self, s: &mut Scheduler, name: &str) {
-        s.telemetry.counter_incr("faults-heals");
-        s.telemetry.event("fault-recovered", name, &[("kind", "heal"), ("target", name)]);
-        let cut = self.inner.borrow_mut().partitions.remove(name);
-        if let Some(cut) = cut {
-            self.net().set_links_up(s, &cut, true);
-        }
-    }
-
-    /// `(host-for-the-timeline, target-description)` of a daemon.
-    fn daemon_label(daemon: &Daemon) -> (String, String) {
-        match daemon {
-            Daemon::Probe(host) => (host.clone(), format!("probe@{host}")),
-            Daemon::Monitor(host) => (host.clone(), format!("monitor@{host}")),
-            Daemon::Wizard => ("wizard".to_owned(), "wizard".to_owned()),
-        }
-    }
-
-    fn daemon_kill(&self, s: &mut Scheduler, daemon: &Daemon) {
-        s.telemetry.counter_incr("faults-daemon-kills");
-        let (host, target) = Self::daemon_label(daemon);
-        s.telemetry.event("fault-injected", &host, &[("kind", "daemon-kill"), ("target", &target)]);
-        match daemon {
-            Daemon::Probe(host) => {
-                let p = self.inner.borrow().probes.get(&host.to_ascii_lowercase()).cloned();
-                if let Some(p) = p {
-                    p.stop();
-                }
-            }
-            Daemon::Monitor(host) => {
-                let (m, net) = {
-                    let inner = self.inner.borrow();
-                    (inner.monitors.get(&host.to_ascii_lowercase()).cloned(), inner.net.clone())
-                };
-                if let Some(m) = m {
-                    m.stop(&net);
-                }
-            }
-            Daemon::Wizard => {
-                let w = self.inner.borrow().wizard.clone();
-                if let Some(w) = w {
-                    w.stop();
-                }
-            }
-        }
-    }
-
-    fn daemon_restart(&self, s: &mut Scheduler, daemon: &Daemon) {
-        s.telemetry.counter_incr("faults-daemon-restarts");
-        let (host, target) = Self::daemon_label(daemon);
-        s.telemetry.event(
-            "fault-recovered",
-            &host,
-            &[("kind", "daemon-restart"), ("target", &target)],
-        );
-        match daemon {
-            Daemon::Probe(host) => {
-                let p = self.inner.borrow().probes.get(&host.to_ascii_lowercase()).cloned();
-                if let Some(p) = p {
-                    p.restart(s);
-                }
-            }
-            Daemon::Monitor(host) => {
-                let (m, net) = {
-                    let inner = self.inner.borrow();
-                    (inner.monitors.get(&host.to_ascii_lowercase()).cloned(), inner.net.clone())
-                };
-                if let Some(m) = m {
-                    m.restart(s, &net);
-                }
-            }
-            Daemon::Wizard => {
-                let w = self.inner.borrow().wizard.clone();
-                if let Some(w) = w {
-                    w.restart(s);
-                }
-            }
-        }
+        inter.difference(&intra).copied().collect()
     }
 
     // ------------------------------------------------------------------
@@ -578,11 +465,11 @@ impl FaultInjector {
     ///
     /// # Panics
     ///
-    /// Panics if `until` is before the first 1 s tick — a window that
-    /// could never inject anything is a bug at the call site, not a run to
-    /// quietly report clean.
+    /// Panics if `until` is before the first tick, 1 s from now — a window
+    /// that could never inject anything is a bug at the call site, not a
+    /// run to quietly report clean.
     pub fn chaos(&self, s: &mut Scheduler, until: SimTime) {
-        if let Err(why) = check_chaos_window(until) {
+        if let Err(why) = check_chaos_window(s.now(), until) {
             panic!("invalid chaos window: {why}");
         }
         let inj = self.clone();
@@ -595,74 +482,67 @@ impl FaultInjector {
         }
         s.telemetry.counter_incr("faults-chaos-ticks");
 
-        if self.roll(HOST_CRASH_PROB) {
-            let up = self.pick_host(|inj, h| {
-                inj.net().node_by_name(h).is_some_and(|n| inj.net().node_up(n))
-            });
-            if let Some(victim) = up {
-                self.apply(s, &FaultKind::HostCrash { host: victim.clone() });
-                let recover_at = self.outage_end(s);
-                let inj = self.clone();
-                s.schedule_at(recover_at, move |s| {
-                    inj.apply(s, &FaultKind::HostReboot { host: victim.clone() });
-                });
-            }
+        let up = |inj: &FaultInjector, h: &str| {
+            let net = inj.net();
+            net.node_by_name(h).is_some_and(|n| net.node_up(n))
+        };
+        if let Some(host) = self.sample(HOST_CRASH_PROB, up) {
+            self.outage(s, FaultKind::Host { host });
         }
-        if self.roll(LINK_DOWN_PROB) {
-            // Only flap access links of hosts that are up and whose link is
-            // currently up — no double-cuts, no cutting under a crash.
-            let flappable = self.pick_host(|inj, h| {
-                let net = inj.net();
-                let Some(node) = net.node_by_name(h) else { return false };
-                net.node_up(node)
-                    && net
-                        .links_between(node, inj.access_peer(node))
-                        .iter()
-                        .all(|&l| net.link_up(l))
-            });
-            if let Some(victim) = flappable {
-                let node = self.resolve(&victim);
-                let peer = self.net().name_of(self.access_peer(node)).as_str().to_owned();
-                self.apply(s, &FaultKind::LinkDown { a: victim.clone(), b: peer.clone() });
-                let recover_at = self.outage_end(s);
-                let inj = self.clone();
-                s.schedule_at(recover_at, move |s| {
-                    inj.apply(s, &FaultKind::LinkUp { a: victim.clone(), b: peer.clone() });
-                });
-            }
+        // Only flap access links of hosts that are up and whose link is
+        // currently up — no double-cuts, no cutting under a crash.
+        let flappable = |inj: &FaultInjector, h: &str| {
+            let net = inj.net();
+            let Some(node) = net.node_by_name(h) else { return false };
+            net.node_up(node)
+                && net.links_between(node, inj.access_peer(node)).iter().all(|&l| net.link_up(l))
+        };
+        if let Some(a) = self.sample(LINK_DOWN_PROB, flappable) {
+            let b = self.access_peer_name(&a);
+            self.outage(s, FaultKind::Link { a, b });
         }
-        if self.roll(DAEMON_KILL_PROB) {
-            let running = self.pick_host(|inj, h| {
-                inj.inner.borrow().probes.get(h).is_some_and(ServerProbe::is_running)
-            });
-            if let Some(victim) = running {
-                self.apply(s, &FaultKind::DaemonKill { daemon: Daemon::Probe(victim.clone()) });
-                let recover_at = self.outage_end(s);
-                let inj = self.clone();
-                s.schedule_at(recover_at, move |s| {
-                    inj.apply(
-                        s,
-                        &FaultKind::DaemonRestart { daemon: Daemon::Probe(victim.clone()) },
-                    );
-                });
-            }
+        let running = |inj: &FaultInjector, h: &str| {
+            inj.inner.borrow().probes.get(h).is_some_and(ServerProbe::is_running)
+        };
+        if let Some(host) = self.sample(DAEMON_KILL_PROB, running) {
+            self.outage(s, FaultKind::Daemon(Daemon::Probe(host)));
         }
-        if self.roll(LOSS_SPIKE_PROB) {
-            if let Some(victim) = self.pick_host(|inj, h| inj.net().node_by_name(h).is_some()) {
-                let node = self.resolve(&victim);
-                let peer = self.net().name_of(self.access_peer(node)).as_str().to_owned();
-                let prob = self.inner.borrow_mut().rng.gen_range(0.05..0.4);
-                self.apply(s, &FaultKind::LossSpike { a: victim.clone(), b: peer.clone(), prob });
-                let recover_at = self.outage_end(s);
-                let inj = self.clone();
-                s.schedule_at(recover_at, move |s| {
-                    inj.apply(s, &FaultKind::LossClear { a: victim.clone(), b: peer.clone() });
-                });
-            }
+        let known = |inj: &FaultInjector, h: &str| inj.net().node_by_name(h).is_some();
+        if let Some(a) = self.sample(LOSS_SPIKE_PROB, known) {
+            let b = self.access_peer_name(&a);
+            let prob = self.inner.borrow_mut().rng.gen_range(0.05..0.4);
+            self.outage(s, FaultKind::Loss { a, b, prob });
         }
 
         let inj = self.clone();
         s.schedule_in(CHAOS_TICK, move |s| inj.chaos_tick(s, until));
+    }
+
+    /// With probability `prob`, deterministically pick one registered host
+    /// satisfying `keep` (uniform over the name-sorted candidate list).
+    fn sample(&self, prob: f64, keep: impl Fn(&FaultInjector, &str) -> bool) -> Option<String> {
+        if self.inner.borrow_mut().rng.gen_range(0.0..1.0) >= prob {
+            return None;
+        }
+        let names: Vec<String> = self.inner.borrow().hosts.keys().cloned().collect();
+        let candidates: Vec<String> = names.into_iter().filter(|h| keep(self, h)).collect();
+        if candidates.is_empty() {
+            return None;
+        }
+        let idx = self.inner.borrow_mut().rng.gen_range(0..candidates.len());
+        Some(candidates[idx].clone())
+    }
+
+    /// Inject `fault` now and recover it after a uniform draw from
+    /// `CHAOS_OUTAGE`.
+    fn outage(&self, s: &mut Scheduler, fault: FaultKind) {
+        self.apply(s, &fault);
+        let (lo, hi) = CHAOS_OUTAGE;
+        let extra = self.inner.borrow_mut().rng.gen_range(0..hi.as_nanos() - lo.as_nanos());
+        let inj = self.clone();
+        s.schedule_at(s.now() + lo + SimDuration::from_nanos(extra), move |s| {
+            inj.recover(s, &fault);
+        });
     }
 
     // ------------------------------------------------------------------
@@ -694,26 +574,8 @@ impl FaultInjector {
         panic!("node {node} has no path to any other host");
     }
 
-    fn roll(&self, prob: f64) -> bool {
-        self.inner.borrow_mut().rng.gen_range(0.0..1.0) < prob
-    }
-
-    /// Deterministically pick one registered host satisfying `keep`
-    /// (uniform over the name-sorted candidate list).
-    fn pick_host(&self, keep: impl Fn(&FaultInjector, &str) -> bool) -> Option<String> {
-        let names: Vec<String> = self.inner.borrow().hosts.keys().cloned().collect();
-        let candidates: Vec<String> = names.into_iter().filter(|h| keep(self, h)).collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let idx = self.inner.borrow_mut().rng.gen_range(0..candidates.len());
-        Some(candidates[idx].clone())
-    }
-
-    fn outage_end(&self, s: &Scheduler) -> SimTime {
-        let (lo, hi) = CHAOS_OUTAGE;
-        let extra = self.inner.borrow_mut().rng.gen_range(0..hi.as_nanos() - lo.as_nanos());
-        s.now() + lo + SimDuration::from_nanos(extra)
+    fn access_peer_name(&self, host: &str) -> String {
+        self.net().name_of(self.access_peer(self.resolve(host))).as_str().to_owned()
     }
 }
 
@@ -721,8 +583,11 @@ impl FaultInjector {
 mod tests {
     use super::*;
     use smartsock_hostsim::{CpuModel, HostConfig};
-    use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
-    use smartsock_proto::Ip;
+    use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
+    use smartsock_probe::ProbeConfig;
+    use smartsock_proto::{Endpoint, Ip};
+
+    const HOSTS: [&str; 4] = ["h1", "h2", "h3", "h4"];
 
     /// Two segments behind a core router: h1,h2 — sw1 — core — sw2 — h3,h4.
     fn rig(seed: u64) -> (Scheduler, Network, FaultInjector) {
@@ -733,7 +598,7 @@ mod tests {
         b.duplex(sw1, core, LinkParams::lan_100mbps());
         b.duplex(sw2, core, LinkParams::lan_100mbps());
         let mut ips = Vec::new();
-        for (i, name) in ["h1", "h2", "h3", "h4"].iter().enumerate() {
+        for (i, name) in HOSTS.iter().enumerate() {
             let seg = if i < 2 { 1 } else { 2 };
             let ip = Ip::new(10, 0, seg, 10 + i as u8);
             let n = b.host(name, ip, HostParams::testbed());
@@ -742,7 +607,7 @@ mod tests {
         }
         let net = b.build();
         let inj = FaultInjector::new(net.clone(), seed);
-        for (i, name) in ["h1", "h2", "h3", "h4"].iter().enumerate() {
+        for (i, name) in HOSTS.iter().enumerate() {
             inj.register_host(Host::new(HostConfig::new(name, ips[i], CpuModel::P3_866, 512)));
         }
         (Scheduler::new(), net, inj)
@@ -753,19 +618,23 @@ mod tests {
         net.ip_of(node)
     }
 
+    fn link(a: &str, b: &str) -> FaultKind {
+        FaultKind::Link { a: a.into(), b: b.into() }
+    }
+
     #[test]
     fn scripted_plan_cuts_and_restores_links_at_exact_times() {
         let (mut s, net, inj) = rig(3);
         let plan = FaultPlan::new()
-            .at_secs(1, FaultKind::LinkDown { a: "h1".into(), b: "sw1".into() })
-            .at_secs(3, FaultKind::LinkUp { a: "h1".into(), b: "sw1".into() });
+            .at(SimTime::from_secs(1), link("h1", "sw1"))
+            .recover_at(SimTime::from_secs(3), link("h1", "sw1"));
         inj.schedule(&mut s, &plan);
         let (h1, h3) = (ip_of(&net, "h1"), ip_of(&net, "h3"));
         assert!(net.reachable(h1, h3));
         s.run_until(SimTime::from_secs(2));
-        assert!(!net.reachable(h1, h3), "link is down between the plan's events");
+        assert!(!net.reachable(h1, h3), "link is down between the plan's steps");
         s.run_until(SimTime::from_secs(4));
-        assert!(net.reachable(h1, h3), "restored after LinkUp");
+        assert!(net.reachable(h1, h3), "restored by the recovery");
         assert_eq!(s.telemetry.counter("faults-link-down"), 1);
         assert_eq!(s.telemetry.counter("faults-link-up"), 1);
         assert_eq!(s.telemetry.counter("faults-applied"), 2);
@@ -774,21 +643,19 @@ mod tests {
     #[test]
     fn partition_cut_spares_intra_side_links_and_heal_restores() {
         let (mut s, net, inj) = rig(5);
-        inj.apply(
-            &mut s,
-            &FaultKind::Partition {
-                name: "split".into(),
-                side_a: vec!["h1".into(), "h2".into()],
-                side_b: vec!["h3".into(), "h4".into()],
-            },
-        );
+        let split = FaultKind::Partition {
+            name: "split".into(),
+            side_a: vec!["h1".into(), "h2".into()],
+            side_b: vec!["h3".into(), "h4".into()],
+        };
+        inj.apply(&mut s, &split);
         let (h1, h2, h3, h4) =
             (ip_of(&net, "h1"), ip_of(&net, "h2"), ip_of(&net, "h3"), ip_of(&net, "h4"));
         assert!(net.reachable(h1, h2), "intra-side traffic survives the cut");
         assert!(net.reachable(h3, h4), "intra-side traffic survives the cut");
         assert!(!net.reachable(h1, h3));
         assert!(!net.reachable(h4, h2));
-        inj.apply(&mut s, &FaultKind::Heal { name: "split".into() });
+        inj.recover(&mut s, &split);
         assert!(net.reachable(h1, h3));
         assert!(net.reachable(h4, h2));
         assert_eq!(s.telemetry.counter("faults-partitions"), 1);
@@ -797,21 +664,20 @@ mod tests {
 
     #[test]
     fn overlapping_same_host_faults_apply_in_insertion_order() {
-        // Two contradictory faults on the same link at the same instant:
-        // the scheduler is FIFO at equal timestamps, so the last one
-        // inserted into the plan decides the final state. Reversing the
-        // insertion order flips the outcome — insertion order is part of
-        // the deterministic contract, not an accident.
+        // Contradictory steps on the same link at the same instant: the
+        // scheduler is FIFO at equal timestamps, so the last one inserted
+        // into the plan decides the final state. Reversing the insertion
+        // order flips the outcome — insertion order is part of the
+        // deterministic contract, not an accident.
         let outcome = |down_first: bool| -> bool {
             let (mut s, net, inj) = rig(7);
-            let down = FaultKind::LinkDown { a: "h1".into(), b: "sw1".into() };
-            let up = FaultKind::LinkUp { a: "h1".into(), b: "sw1".into() };
+            let t = SimTime::from_secs(2);
             let plan = if down_first {
-                FaultPlan::new().at_secs(2, down).at_secs(2, up)
+                FaultPlan::new().at(t, link("h1", "sw1")).recover_at(t, link("h1", "sw1"))
             } else {
-                FaultPlan::new().at_secs(2, up).at_secs(2, down)
+                FaultPlan::new().recover_at(t, link("h1", "sw1")).at(t, link("h1", "sw1"))
             };
-            assert_eq!(plan.events().len(), 2);
+            assert_eq!(plan.steps.len(), 2);
             inj.schedule(&mut s, &plan);
             s.run_until(SimTime::from_secs(3));
             net.reachable(ip_of(&net, "h1"), ip_of(&net, "h3"))
@@ -831,13 +697,9 @@ mod tests {
             SimDuration::from_secs(1),
         );
         // Flaps at t=5 and t=8 (t=11 is excluded): two down/up pairs.
-        assert_eq!(plan.len(), 4);
-        let downs: Vec<SimTime> = plan
-            .events()
-            .iter()
-            .filter(|(_, k)| matches!(k, FaultKind::LinkDown { .. }))
-            .map(|&(t, _)| t)
-            .collect();
+        assert_eq!(plan.steps.len(), 4);
+        let downs: Vec<SimTime> =
+            plan.steps.iter().filter(|(_, _, recover)| !recover).map(|&(t, _, _)| t).collect();
         assert_eq!(downs, vec![SimTime::from_secs(5), SimTime::from_secs(8)]);
         let (mut s, net, inj) = rig(11);
         inj.schedule(&mut s, &plan);
@@ -851,15 +713,14 @@ mod tests {
     }
 
     #[test]
-    fn straggler_generator_inflates_then_clears_latency() {
-        let plan = FaultPlan::new().straggler(
-            "h1",
-            "sw1",
-            SimTime::from_secs(2),
-            SimTime::from_secs(6),
-            SimDuration::from_secs(1),
-        );
-        assert_eq!(plan.len(), 2);
+    fn window_injects_then_recovers_a_latency_spike() {
+        let spike = FaultKind::Latency {
+            a: "h1".into(),
+            b: "sw1".into(),
+            extra: SimDuration::from_secs(1),
+        };
+        let plan = FaultPlan::new().window(SimTime::from_secs(2), SimTime::from_secs(6), spike);
+        assert_eq!(plan.steps.len(), 2);
         let (mut s, _net, inj) = rig(13);
         inj.schedule(&mut s, &plan);
         s.run_until(SimTime::from_secs(7));
@@ -867,11 +728,80 @@ mod tests {
         assert_eq!(s.telemetry.counter("faults-applied"), 2);
     }
 
+    /// What a fault can change: both-way reachability, base RTT and node
+    /// state of every host pair, whether h1's probe runs, and how many of
+    /// ten datagrams from h1 reach h3.
+    fn observe(s: &mut Scheduler, net: &Network, probe: &ServerProbe) -> (Vec<String>, bool, u32) {
+        let mut pairs = Vec::new();
+        for x in HOSTS {
+            for y in HOSTS {
+                let (nx, ny) = (net.node_by_name(x).unwrap(), net.node_by_name(y).unwrap());
+                let (ix, iy) = (ip_of(net, x), ip_of(net, y));
+                pairs.push(format!(
+                    "{x}->{y}: {} {} {:?} {} {}",
+                    net.reachable(ix, iy),
+                    net.reachable(iy, ix),
+                    net.base_rtt(nx, ny),
+                    net.node_up(nx),
+                    net.node_up(ny)
+                ));
+            }
+        }
+        let got = Rc::new(RefCell::new(0u32));
+        let to = Endpoint::new(ip_of(net, "h3"), 7000);
+        let seen = Rc::clone(&got);
+        net.bind_udp(to, move |_s, _d| *seen.borrow_mut() += 1);
+        let from = Endpoint::new(ip_of(net, "h1"), 7001);
+        for _ in 0..10 {
+            net.send_udp(s, from, to, Payload::data(vec![0u8; 64]), None);
+        }
+        s.run_until(s.now() + SimDuration::from_secs(1));
+        net.unbind_udp(to);
+        let delivered = *got.borrow();
+        (pairs, probe.is_running(), delivered)
+    }
+
+    #[test]
+    fn recovery_undoes_injection_for_every_fault() {
+        let faults = [
+            link("h1", "sw1"),
+            FaultKind::Host { host: "h1".into() },
+            FaultKind::Partition {
+                name: "split".into(),
+                side_a: vec!["h1".into(), "h2".into()],
+                side_b: vec!["h3".into(), "h4".into()],
+            },
+            FaultKind::Daemon(Daemon::Probe("h1".into())),
+            FaultKind::Loss { a: "h1".into(), b: "sw1".into(), prob: 1.0 },
+            FaultKind::Latency {
+                a: "h1".into(),
+                b: "sw1".into(),
+                extra: SimDuration::from_millis(50),
+            },
+        ];
+        for fault in faults {
+            let (mut s, net, inj) = rig(19);
+            let h1 = Host::new(HostConfig::new("h1", ip_of(&net, "h1"), CpuModel::P3_866, 512));
+            inj.register_host(h1.clone());
+            let probe = ServerProbe::new(h1, net.clone(), ProbeConfig::new(ip_of(&net, "h4")));
+            probe.start(&mut s);
+            inj.register_probe("h1", probe.clone());
+
+            let before = observe(&mut s, &net, &probe);
+            assert_eq!(before.2, 10, "the rig loses nothing");
+            inj.apply(&mut s, &fault);
+            assert_ne!(observe(&mut s, &net, &probe), before, "{fault:?} changed nothing");
+            inj.recover(&mut s, &fault);
+            assert_eq!(observe(&mut s, &net, &probe), before, "{fault:?} outlived its recovery");
+        }
+    }
+
     #[test]
     fn chaos_config_validation_rejects_silent_no_ops() {
-        assert!(check_chaos_window(SimTime::from_secs(30)).is_ok());
-        assert!(check_chaos_window(SimTime::from_secs(1)).is_ok());
-        let narrow = check_chaos_window(SimTime::from_secs_f64(0.5));
+        let t0 = SimTime::ZERO;
+        assert!(check_chaos_window(t0, SimTime::from_secs(30)).is_ok());
+        assert!(check_chaos_window(t0, SimTime::from_secs(1)).is_ok());
+        let narrow = check_chaos_window(t0, SimTime::from_secs_f64(0.5));
         assert!(narrow.unwrap_err().contains("no fault can ever fire"));
     }
 
@@ -883,13 +813,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid chaos window")]
+    fn chaos_window_is_counted_from_now() {
+        let (mut s, _net, inj) = rig(17);
+        s.run_until(SimTime::from_secs(30));
+        inj.chaos(&mut s, SimTime::from_secs_f64(30.5));
+    }
+
+    #[test]
     fn chaos_is_reproducible_from_its_seed() {
         let run = |seed: u64| -> Vec<String> {
             let (mut s, net, inj) = rig(seed);
             inj.chaos(&mut s, SimTime::from_secs(30));
             s.run_until(SimTime::from_secs(40));
             // Every sampled fault scheduled its recovery: the rig converges.
-            for name in ["h1", "h2", "h3", "h4"] {
+            for name in HOSTS {
                 let node = net.node_by_name(name).unwrap();
                 assert!(net.node_up(node), "{name} recovered after chaos ended");
             }

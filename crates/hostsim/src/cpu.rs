@@ -39,17 +39,13 @@ pub(crate) type OnDone = Box<dyn FnOnce(&mut Scheduler)>;
 pub(crate) struct CpuTask {
     /// Remaining work in madd units; `f64::INFINITY` for perpetual hogs.
     pub remaining: f64,
-    /// Relative scheduler weight (all paper workloads use 1.0).
-    pub weight: f64,
     pub last_update: SimTime,
     pub rate: f64,
     pub completion_event: Option<EventId>,
     pub on_done: Option<OnDone>,
-    /// Counted as user or system time in `/proc/stat`.
-    pub system_time: bool,
 }
 
-/// Fair-share CPU: runnable tasks split `compute_rate` by weight.
+/// Fair-share CPU: runnable tasks split `compute_rate` equally.
 ///
 /// Mirrors the fluid-flow pattern of `smartsock-net`: on every task
 /// arrival/departure, per-task rates are refit and completion events are
@@ -79,14 +75,11 @@ impl CpuTable {
         }
     }
 
-    /// Refit rates: weighted fair share of `compute_rate`.
+    /// Refit rates: an equal share of `compute_rate` each.
     pub fn refit(&mut self, compute_rate: f64) {
-        let total_weight: f64 = self.tasks.values().map(|t| t.weight).sum();
-        if total_weight <= 0.0 {
-            return;
-        }
+        let share = compute_rate / self.tasks.len() as f64;
         for t in self.tasks.values_mut() {
-            t.rate = compute_rate * t.weight / total_weight;
+            t.rate = share;
         }
     }
 
@@ -103,12 +96,10 @@ mod tests {
     fn task(remaining: f64) -> CpuTask {
         CpuTask {
             remaining,
-            weight: 1.0,
             last_update: SimTime::ZERO,
             rate: 0.0,
             completion_event: None,
             on_done: None,
-            system_time: false,
         }
     }
 
@@ -128,16 +119,6 @@ mod tests {
         c.refit(20e6);
         assert_eq!(c.tasks[&a].rate, 10e6);
         assert_eq!(c.tasks[&b].rate, 10e6);
-    }
-
-    #[test]
-    fn weights_bias_the_split() {
-        let mut c = CpuTable::default();
-        let a = c.insert(CpuTask { weight: 3.0, ..task(1e6) });
-        let b = c.insert(task(1e6));
-        c.refit(20e6);
-        assert_eq!(c.tasks[&a].rate, 15e6);
-        assert_eq!(c.tasks[&b].rate, 5e6);
     }
 
     #[test]

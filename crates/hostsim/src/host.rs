@@ -11,6 +11,9 @@ use crate::load::LoadAvg;
 use crate::mem::Memory;
 use crate::workload::{IoRates, Workload};
 
+/// The share of busy CPU time `/proc/stat` books as system time.
+const KERNEL_SHARE: f64 = 0.01;
+
 /// Static configuration of one host (a row of Table 5.1).
 #[derive(Clone, Debug)]
 pub struct HostConfig {
@@ -262,12 +265,10 @@ impl Host {
             st.io = st.io + io;
             let id = st.cpu.insert(CpuTask {
                 remaining: work,
-                weight: 1.0,
                 last_update: now,
                 rate: 0.0,
                 completion_event: None,
                 on_done,
-                system_time: false,
             });
             st.task_mem.insert(id, mem_bytes);
             st.sync_load_and_busy(now);
@@ -449,15 +450,10 @@ impl HostState {
     fn sync_busy_only(&mut self, now: SimTime) {
         let dt = now.since(self.busy_since).as_secs_f64();
         if dt > 0.0 && self.cpu.runnable() > 0 {
-            // The CPU is saturated whenever at least one task runs. Time is
-            // attributed user/system by the weight of tasks flagged as
-            // system work (IO daemons), with a 1% kernel floor.
-            let total_w: f64 = self.cpu.tasks.values().map(|t| t.weight).sum();
-            let sys_w: f64 =
-                self.cpu.tasks.values().filter(|t| t.system_time).map(|t| t.weight).sum();
-            let sys_frac = (sys_w / total_w.max(1e-12)).max(0.01);
-            self.busy_user += dt * (1.0 - sys_frac);
-            self.busy_system += dt * sys_frac;
+            // The CPU is saturated whenever at least one task runs; every
+            // task is user work, and the kernel takes a constant share.
+            self.busy_user += dt * (1.0 - KERNEL_SHARE);
+            self.busy_system += dt * KERNEL_SHARE;
         }
         self.busy_since = now;
     }

@@ -30,16 +30,16 @@
 //!   order is the one reported;
 //! * the checks the actions make *before* descending — assignment to a
 //!   server or user-host variable, call of an unknown function — become a
-//!   lone [`Op::Fail`] in place of the operand: the operand is still parsed
+//!   lone `Op::Fail` in place of the operand: the operand is still parsed
 //!   (so its syntax errors and the temp slots it names are as before) and
 //!   its code truncated, so its own side effects and errors never happen;
 //! * literal-only operands are folded as they reduce, by the interpreter's
-//!   own operations ([`apply`], the builtins) in the same order, so
+//!   own operations (`apply`, the builtins) in the same order, so
 //!   bit-identically; a division by zero is left for run time, where it is
 //!   an error. A variable against a folded literal becomes one `ServerBin`.
 //!
 //! The parser is the only thing that recurses over a requirement, and
-//! [`MAX_NEST`] bounds it, so no requirement can overflow the stack of
+//! `MAX_NEST` bounds it, so no requirement can overflow the stack of
 //! whoever compiles it.
 
 use crate::eval::EvalError;

@@ -2,8 +2,8 @@
 //! drops a configured number of datagrams in each direction.
 //!
 //! This is the live counterpart of `smartsock-faults`' datagram-loss
-//! semantics (`FaultKind::LossSpike` and friends): the interop suite
-//! parks the shim between a [`LiveSock`](crate::client::LiveSock) and a
+//! semantics (`FaultKind::Loss`): the interop suite parks the shim
+//! between a [`LiveSock`](crate::client::LiveSock) and a
 //! [`LiveWizard`](crate::wizard::LiveWizard) to prove the client's
 //! retransmit loop recovers over real sockets, deterministically —
 //! "drop the first N" instead of coin flips.

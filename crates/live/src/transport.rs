@@ -1,6 +1,6 @@
-//! The OS-socket implementation of the backend-neutral
-//! [`Transport`](smartsock_proto::Transport) seam, plus the address
-//! bridge between protocol endpoints and real socket addresses.
+//! The OS-socket implementation of the backend-neutral [`Transport`]
+//! seam, plus the address bridge between protocol endpoints and real
+//! socket addresses.
 //!
 //! Protocol [`Endpoint`]s are plain `(ip, port)` pairs, and the live
 //! backend runs over IPv4 (the 2005 testbed knew nothing else), so the

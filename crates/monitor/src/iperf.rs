@@ -9,8 +9,8 @@
 //!
 //! Implemented as one saturating bulk flow: the measured goodput *is* the
 //! fair-share bandwidth the path would give a greedy TCP. Accurate — and
-//! exactly as intrusive as the paper says, which
-//! [`tests::flooding_disturbs_concurrent_probes`] demonstrates.
+//! exactly as intrusive as the paper says, which the test
+//! `flooding_disturbs_concurrent_probes` demonstrates.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -23,7 +23,7 @@ use smartsock_sim::{Scheduler, SimDuration};
 const DURATION: SimDuration = SimDuration::from_secs(3);
 
 /// Flood the path from `src` to `dst` and report the achieved goodput in
-/// Mbps. The estimate callback fires after [`DURATION`] (3 s).
+/// Mbps. The estimate callback fires after `DURATION` (3 s).
 pub fn estimate(
     s: &mut Scheduler,
     net: &Network,

@@ -298,7 +298,7 @@ pub fn select(
 /// bucket 1000 (health score and freshness tier are at most 1), rank key −∞
 /// (under `#!rank`) and a larger address. Once the kept list is full and its
 /// last place sorts ahead of that, the reply is settled — exactly, by
-/// [`best_first`] — and the walk stops; shards not reached count as pruned.
+/// `best_first` — and the walk stops; shards not reached count as pruned.
 pub fn select_with_stats(
     view: &SelectView<'_>,
     policy: &SelectPolicy,

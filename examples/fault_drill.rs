@@ -90,15 +90,15 @@ fn main() {
     };
     println!("plan: crash {crash} (reboot +25 s), cut {flap}<->{switch} (heal +20 s)\n");
     let plan = FaultPlan::new()
-        .at(t0 + SimDuration::from_secs(2), FaultKind::HostCrash { host: crash.clone() })
-        .at(t0 + SimDuration::from_secs(27), FaultKind::HostReboot { host: crash.clone() })
-        .at(
-            t0 + SimDuration::from_secs(4),
-            FaultKind::LinkDown { a: flap.clone(), b: switch.clone() },
+        .window(
+            t0 + SimDuration::from_secs(2),
+            t0 + SimDuration::from_secs(27),
+            FaultKind::Host { host: crash.clone() },
         )
-        .at(
+        .window(
+            t0 + SimDuration::from_secs(4),
             t0 + SimDuration::from_secs(24),
-            FaultKind::LinkUp { a: flap.clone(), b: switch.clone() },
+            FaultKind::Link { a: flap.clone(), b: switch.clone() },
         );
     inj.schedule(&mut s, &plan);
 

@@ -84,12 +84,11 @@ fn link_flap_is_survived_by_auto_repair() {
     let _guard = group.auto_repair(&mut s, SimDuration::from_secs(2));
     let inj = tb.fault_injector();
     let t0 = s.now();
-    let plan = FaultPlan::new()
-        .at(
-            t0 + SimDuration::from_secs(2),
-            FaultKind::LinkDown { a: victim.clone(), b: switch.clone() },
-        )
-        .at(t0 + SimDuration::from_secs(40), FaultKind::LinkUp { a: victim, b: switch });
+    let plan = FaultPlan::new().window(
+        t0 + SimDuration::from_secs(2),
+        t0 + SimDuration::from_secs(40),
+        FaultKind::Link { a: victim, b: switch },
+    );
     inj.schedule(&mut s, &plan);
 
     s.run_until(t0 + SimDuration::from_secs(60));
@@ -120,9 +119,11 @@ fn host_crash_and_reboot_recover_end_to_end() {
         net.bind_stream(service, |_s, _m| {});
     });
     let t0 = s.now();
-    let plan = FaultPlan::new()
-        .at(t0 + SimDuration::from_secs(2), FaultKind::HostCrash { host: victim.clone() })
-        .at(t0 + SimDuration::from_secs(30), FaultKind::HostReboot { host: victim.clone() });
+    let plan = FaultPlan::new().window(
+        t0 + SimDuration::from_secs(2),
+        t0 + SimDuration::from_secs(30),
+        FaultKind::Host { host: victim.clone() },
+    );
     inj.schedule(&mut s, &plan);
 
     s.run_until(t0 + SimDuration::from_secs(25));
@@ -165,16 +166,15 @@ fn partition_isolating_a_server_group_heals_cleanly() {
     let _guard = group.auto_repair(&mut s, SimDuration::from_secs(2));
     let inj = tb.fault_injector();
     let t0 = s.now();
-    let plan = FaultPlan::new()
-        .at(
-            t0 + SimDuration::from_secs(2),
-            FaultKind::Partition {
-                name: "seg2".to_owned(),
-                side_a: vec!["telesto".to_owned(), "lhost".to_owned()],
-                side_b: vec!["sagit".to_owned(), "dalmatian".to_owned()],
-            },
-        )
-        .at(t0 + SimDuration::from_secs(30), FaultKind::Heal { name: "seg2".to_owned() });
+    let plan = FaultPlan::new().window(
+        t0 + SimDuration::from_secs(2),
+        t0 + SimDuration::from_secs(30),
+        FaultKind::Partition {
+            name: "seg2".to_owned(),
+            side_a: vec!["telesto".to_owned(), "lhost".to_owned()],
+            side_b: vec!["sagit".to_owned(), "dalmatian".to_owned()],
+        },
+    );
     inj.schedule(&mut s, &plan);
 
     s.run_until(t0 + SimDuration::from_secs(25));
@@ -203,11 +203,11 @@ fn partition_isolating_a_server_group_heals_cleanly() {
 fn wizard_daemon_restart_is_ridden_out_by_client_backoff() {
     let (mut s, tb) = with_services(229);
     let inj = tb.fault_injector();
-    inj.apply(&mut s, &FaultKind::DaemonKill { daemon: Daemon::Wizard });
+    let wizard = FaultKind::Daemon(Daemon::Wizard);
+    inj.apply(&mut s, &wizard);
 
     let t0 = s.now();
-    let plan = FaultPlan::new()
-        .at(t0 + SimDuration::from_secs(3), FaultKind::DaemonRestart { daemon: Daemon::Wizard });
+    let plan = FaultPlan::new().recover_at(t0 + SimDuration::from_secs(3), wizard);
     inj.schedule(&mut s, &plan);
 
     let client = tb.client("sagit");
@@ -253,12 +253,11 @@ fn monitor_machine_crash_mid_experiment_recovers_the_stack() {
         net.bind_stream(service, |_s, _m| {});
     });
     let t0 = s.now();
-    let plan = FaultPlan::new()
-        .at(t0 + SimDuration::from_secs(2), FaultKind::HostCrash { host: "dalmatian".to_owned() })
-        .at(
-            t0 + SimDuration::from_secs(20),
-            FaultKind::HostReboot { host: "dalmatian".to_owned() },
-        );
+    let plan = FaultPlan::new().window(
+        t0 + SimDuration::from_secs(2),
+        t0 + SimDuration::from_secs(20),
+        FaultKind::Host { host: "dalmatian".to_owned() },
+    );
     inj.schedule(&mut s, &plan);
 
     // Mid-outage: the group's data path is monitor-free and stays healthy.

@@ -47,10 +47,16 @@ fn scripted_run(seed: u64, sink: Option<Box<dyn Sink>>) -> Scheduler {
     inj.on_reboot("telesto", move |_s| net.bind_stream(ep, |_s, _m| {}));
     let t0 = s.now();
     let plan = FaultPlan::new()
-        .at(t0 + SimDuration::from_secs(2), FaultKind::HostCrash { host: "telesto".to_owned() })
-        .at(t0 + SimDuration::from_secs(20), FaultKind::HostReboot { host: "telesto".to_owned() })
-        .at(t0 + SimDuration::from_secs(5), FaultKind::DaemonKill { daemon: Daemon::Wizard })
-        .at(t0 + SimDuration::from_secs(9), FaultKind::DaemonRestart { daemon: Daemon::Wizard });
+        .window(
+            t0 + SimDuration::from_secs(2),
+            t0 + SimDuration::from_secs(20),
+            FaultKind::Host { host: "telesto".to_owned() },
+        )
+        .window(
+            t0 + SimDuration::from_secs(5),
+            t0 + SimDuration::from_secs(9),
+            FaultKind::Daemon(Daemon::Wizard),
+        );
     inj.schedule(&mut s, &plan);
     s.run_until(t0 + SimDuration::from_secs(40));
     s
