@@ -3,10 +3,11 @@
 # loopback UDP, feed it a synthetic probe report and two procfs-fixture
 # reports, issue a request, overwrite a row and ask again, ask with a
 # requirement mixing a test with other statements, a hostile request, one
-# longer than 4 KiB and one nobody answers, then stop it gracefully and
-# check the stats and the telemetry trace (streamed to its file while the
-# daemon runs, ended with the summary lines at shutdown). Single source of truth
-# for CI (ci.yml `live-smoke` job, under a hard timeout) and for local runs:
+# longer than 4 KiB and one nobody answers, check that the idle daemon
+# uses no CPU, then stop it gracefully and check the stats and the
+# telemetry trace (streamed to its file while the daemon runs, ended with
+# the summary lines at shutdown). Single source of truth for CI (ci.yml
+# `live-smoke` job, under a hard timeout) and for local runs:
 #
 #   ./ci/live_smoke.sh
 #
@@ -131,6 +132,21 @@ if timeout 1 "$bin" request --wizard 127.0.0.1:9 --retries 0 --timeout-ms 500; t
   echo "a request nobody answered reported success"; exit 1
 elif [ $? -eq 124 ]; then
   echo "request --retries 0 --timeout-ms 500 was still waiting after 1 s"; exit 1
+fi
+
+echo "== the idle daemon costs no CPU =="
+# utime + stime of the whole daemon (fields 14 and 15 of its stat, in
+# clock ticks), twice, 1 s apart: a daemon asleep in recv_from gains none,
+# one that kept polling about a hundred. One tick of slack.
+if [ -r "/proc/$wizpid/stat" ]; then
+  ticks() { sed 's/^.*) //' "/proc/$wizpid/stat" | awk '{print $12 + $13}'; }
+  t0="$(ticks)"
+  sleep 1
+  t1="$(ticks)"
+  echo "daemon CPU ticks: $t0 -> $t1"
+  [ $((t1 - t0)) -le 1 ] || { echo "the idle daemon used $((t1 - t0)) ticks in 1 s"; exit 1; }
+else
+  echo "no /proc/$wizpid/stat: skipped"
 fi
 
 echo "== graceful stop & daemon stats =="

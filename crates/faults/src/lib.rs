@@ -489,14 +489,15 @@ impl FaultInjector {
         if let Some(host) = self.sample(HOST_CRASH_PROB, up) {
             self.outage(s, FaultKind::Host { host });
         }
-        // Only flap access links of hosts that are up and whose link is
-        // currently up — no double-cuts, no cutting under a crash.
-        let flappable = |inj: &FaultInjector, h: &str| {
+        let access_link_all = |inj: &FaultInjector, h: &str, ok: fn(&Network, LinkId) -> bool| {
             let net = inj.net();
             let Some(node) = net.node_by_name(h) else { return false };
-            net.node_up(node)
-                && net.links_between(node, inj.access_peer(node)).iter().all(|&l| net.link_up(l))
+            net.links_between(node, inj.access_peer(node)).iter().all(|&l| ok(&net, l))
         };
+        // Only flap access links of hosts that are up and whose link is
+        // currently up — no double-cuts, no cutting under a crash.
+        let flappable =
+            |inj: &FaultInjector, h: &str| up(inj, h) && access_link_all(inj, h, Network::link_up);
         if let Some(a) = self.sample(LINK_DOWN_PROB, flappable) {
             let b = self.access_peer_name(&a);
             self.outage(s, FaultKind::Link { a, b });
@@ -507,8 +508,10 @@ impl FaultInjector {
         if let Some(host) = self.sample(DAEMON_KILL_PROB, running) {
             self.outage(s, FaultKind::Daemon(Daemon::Probe(host)));
         }
-        let known = |inj: &FaultInjector, h: &str| inj.net().node_by_name(h).is_some();
-        if let Some(a) = self.sample(LOSS_SPIKE_PROB, known) {
+        // Never stack spikes: the first one's clear would end both.
+        let unspiked =
+            |inj: &FaultInjector, h: &str| access_link_all(inj, h, |n, l| !n.link_loss_spiked(l));
+        if let Some(a) = self.sample(LOSS_SPIKE_PROB, unspiked) {
             let b = self.access_peer_name(&a);
             let prob = self.inner.borrow_mut().rng.gen_range(0.05..0.4);
             self.outage(s, FaultKind::Loss { a, b, prob });
@@ -818,6 +821,39 @@ mod tests {
         let (mut s, _net, inj) = rig(17);
         s.run_until(SimTime::from_secs(30));
         inj.chaos(&mut s, SimTime::from_secs_f64(30.5));
+    }
+
+    #[test]
+    fn chaos_never_stacks_two_loss_spikes_on_one_link() {
+        for seed in 1..=60 {
+            let (mut s, _net, inj) = rig(seed);
+            inj.chaos(&mut s, SimTime::from_secs(60));
+            s.run_until(SimTime::from_secs(70));
+            // (time, spike?, link): at one instant a clear sorts first.
+            let mut halves: Vec<(u64, bool, String)> = Vec::new();
+            for (name, kind, spike) in
+                [("fault-injected", "loss-spike", true), ("fault-recovered", "loss-clear", false)]
+            {
+                for e in s.telemetry.events_named(name) {
+                    if e.attr("kind") == Some(kind) {
+                        halves.push((e.at_ns, spike, e.attr("target").unwrap().to_owned()));
+                    }
+                }
+            }
+            halves.sort();
+            let mut spiked = BTreeSet::new();
+            for (at, spike, link) in halves {
+                if spike {
+                    assert!(
+                        spiked.insert(link.clone()),
+                        "seed {seed}: {link} spiked twice at {at} ns"
+                    );
+                } else {
+                    spiked.remove(&link);
+                }
+            }
+            assert!(spiked.is_empty(), "seed {seed}: spikes never cleared: {spiked:?}");
+        }
     }
 
     #[test]

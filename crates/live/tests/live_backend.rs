@@ -96,6 +96,52 @@ fn shutdown_is_prompt_without_traffic() {
 }
 
 #[test]
+fn a_report_sent_while_the_daemon_still_polls_is_counted() {
+    // Back to back from one socket, as a busy probe fleet sends: most
+    // reports land while the daemon is still polling after the one before.
+    let wiz = LiveWizard::spawn().unwrap();
+    let sock = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    for i in 0..32u8 {
+        sock.send_to(report("poll", i, 0.5).encode_ascii().as_bytes(), wiz.addr()).unwrap();
+    }
+    wait_for_reports(&wiz, 32);
+    assert_eq!(wiz.live_servers(), 32);
+    assert_eq!(wiz.shutdown().unwrap().reports, 32);
+}
+
+#[test]
+fn a_report_sent_after_the_daemon_blocked_is_counted() {
+    // 50 ms is far past the polling budget: the daemon sleeps in
+    // `recv_from` by then, and the report must wake it.
+    let wiz = LiveWizard::spawn().unwrap();
+    send_live_report(wiz.addr(), &report("first", 1, 0.5)).unwrap();
+    wait_for_reports(&wiz, 1);
+    std::thread::sleep(Duration::from_millis(50));
+    send_live_report(wiz.addr(), &report("second", 2, 0.5)).unwrap();
+    wait_for_reports(&wiz, 2);
+    assert_eq!(wiz.live_servers(), 2);
+    assert_eq!(wiz.shutdown().unwrap().reports, 2);
+}
+
+#[test]
+fn shutdown_is_prompt_while_polling_and_once_blocked() {
+    // Right after a burst the daemon is still polling; after a quiet
+    // spell it is blocked. Either way the wake-up datagram stops it.
+    for quiet in [Duration::ZERO, Duration::from_millis(100)] {
+        let wiz = LiveWizard::spawn().unwrap();
+        let sock = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        for i in 0..32u8 {
+            sock.send_to(report("burst", i, 0.5).encode_ascii().as_bytes(), wiz.addr()).unwrap();
+        }
+        std::thread::sleep(quiet);
+        let clock = Clock::wall();
+        wiz.shutdown().unwrap();
+        let took_ms = clock.now_ns() / 1_000_000;
+        assert!(took_ms < 1000, "shutdown took {took_ms} ms");
+    }
+}
+
+#[test]
 fn live_trace_carries_simulator_telemetry_names() {
     let wiz = LiveWizard::spawn().unwrap();
     send_live_report(wiz.addr(), &report("idle1", 1, 0.97)).unwrap();

@@ -606,6 +606,12 @@ impl Network {
         }
     }
 
+    /// Whether a directed link's loss probability is off its base one.
+    pub fn link_loss_spiked(&self, link: LinkId) -> bool {
+        let st = self.st.borrow();
+        st.links[link].params.loss_prob != st.links[link].base_loss_prob
+    }
+
     /// Inject (or with `None` clear) a transient latency spike: extra
     /// propagation delay on the duplex link between two adjacent nodes.
     pub fn set_link_extra_delay_between(&self, a: NodeId, b: NodeId, extra: Option<SimDuration>) {
