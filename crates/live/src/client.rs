@@ -6,9 +6,10 @@
 //! too) from a blocking socket. Every decision — which reply ends the
 //! wait and how, when to retransmit, back off, hedge or give up — is the
 //! engine's; left here are the socket, the clock its timers are read
-//! against (each wait blocks for exactly `earliest timer − now`) and the
-//! phase types, which make sequence violations compile errors (a socket
-//! owed nothing outlives its `LiveSock`, kept for [`LiveSock::bind`]):
+//! against (each wait lasts until the earliest timer, and no datagram or
+//! read timeout kept from an earlier wait extends it) and the phase
+//! types, which make sequence violations compile errors (a socket owed
+//! nothing outlives its `LiveSock`, kept for [`LiveSock::bind`]):
 //!
 //! ```compile_fail
 //! let sock = smartsock_live::LiveSock::bind("127.0.0.1:1120".parse().unwrap()).unwrap();
@@ -89,10 +90,14 @@ impl Entropy for Mix {
     }
 }
 
-/// How many sockets owed nothing a thread keeps, each with its `Mix`.
+/// A socket owed nothing: its endpoint, its `Mix` and the read timeout it
+/// holds, in milliseconds.
+type Spare = (Rc<UdpSocket>, Endpoint, Mix, u64);
+
+/// How many spares a thread keeps.
 const MAX_SPARES: usize = 8;
 thread_local! {
-    static SPARE: RefCell<Vec<(Rc<UdpSocket>, Endpoint, Mix)>> = const { RefCell::new(Vec::new()) };
+    static SPARE: RefCell<Vec<Spare>> = const { RefCell::new(Vec::new()) };
 }
 
 /// What every phase carries: the socket and what drives the engine on it.
@@ -103,6 +108,8 @@ struct Core {
     clock: Clock,
     engine: ClientEngine,
     rnd: Mix,
+    /// The socket's read timeout in milliseconds, 0 while it has none.
+    timeout_ms: u64,
     /// When each armed engine timer is due — a request has at most three
     /// at once: deadline, hedge (delay, then attempt), attempt.
     timers: [Option<(Timer, u64)>; 3],
@@ -116,7 +123,7 @@ impl Drop for Core {
     /// spare, its `Mix` with it so that no `seq` repeats on its port.
     fn drop(&mut self) {
         let owed = self.fired || self.timers != [None; 3];
-        let spare = (Rc::clone(&self.sock), self.local, Mix(self.rnd.0));
+        let spare = (Rc::clone(&self.sock), self.local, Mix(self.rnd.0), self.timeout_ms);
         let _ = SPARE.try_with(|spares| {
             let mut spares = spares.borrow_mut();
             if !owed && spares.len() < MAX_SPARES {
@@ -164,13 +171,18 @@ impl Core {
 }
 
 /// Block in `recv_from` until a datagram arrives or `clock` reaches
-/// `until_ns`, whichever is first — one `set_read_timeout` of exactly the
-/// time left, so datagrams that do not end the wait cannot extend it.
-/// Linux fails a timed `recv_from` with `EINTR` when the process is
-/// stopped and continued (Ctrl-Z, then `fg`); the wait then resumes with
-/// the time left.
+/// `until_ns`, whichever is first. The socket's read timeout is the time
+/// left rounded down to whole milliseconds, at least 1 (the kernel keeps
+/// it in jiffies anyway); `timeout_ms` is what the socket holds, and the
+/// `setsockopt` is skipped when it already holds that, so back-to-back
+/// waits of one length pay none. A timeout that wakes early loops on the
+/// time left: neither a datagram that does not end the wait nor a timeout
+/// kept from an earlier one can extend it. Linux fails a timed
+/// `recv_from` with `EINTR` when the process is stopped and continued
+/// (Ctrl-Z, then `fg`); the wait then resumes the same way.
 fn recv_until(
     sock: &UdpSocket,
+    timeout_ms: &mut u64,
     clock: &Clock,
     until_ns: u64,
     buf: &mut [u8],
@@ -180,11 +192,14 @@ fn recv_until(
         if left == 0 {
             return Ok(None);
         }
-        sock.set_read_timeout(Some(Duration::from_nanos(left)))?;
+        let ms = (left / 1_000_000).max(1);
+        if ms != *timeout_ms {
+            sock.set_read_timeout(Some(Duration::from_millis(ms)))?;
+            *timeout_ms = ms;
+        }
         match sock.recv_from(buf) {
             Ok(got) => return Ok(Some(got)),
-            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => return Ok(None),
-            Err(e) if e.kind() == Interrupted => {}
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
             Err(e) => return Err(e),
         }
     }
@@ -223,17 +238,19 @@ impl LiveSock<Registered> {
     pub fn bind(wizard: SocketAddr) -> io::Result<LiveSock<Registered>> {
         let unsupported = || io::Error::other("live client requires IPv4 addresses");
         let wizard = endpoint_of(wizard).ok_or_else(unsupported)?;
-        let (sock, local, rnd) = match SPARE.try_with(|s| s.borrow_mut().pop()).ok().flatten() {
+        let spare = SPARE.try_with(|s| s.borrow_mut().pop()).ok().flatten();
+        let (sock, local, rnd, timeout_ms) = match spare {
             Some(spare) => spare,
             None => {
                 let sock = UdpSocket::bind("127.0.0.1:0")?;
                 let local = endpoint_of(sock.local_addr()?).ok_or_else(unsupported)?;
-                (Rc::new(sock), local, Mix(u64::from(local.port)))
+                (Rc::new(sock), local, Mix(u64::from(local.port)), 0)
             }
         };
         let engine = ClientEngine::new(local, wizard);
         let (clock, timers) = (Clock::wall(), [None; 3]);
-        let core = Core { sock, local, clock, engine, rnd, timers, fired: false, tel: None };
+        let core =
+            Core { sock, local, clock, engine, rnd, timeout_ms, timers, fired: false, tel: None };
         let spec = RequestSpec::new("", 0);
         Ok(LiveSock { core, spec, seq: 0, servers: Vec::new(), phase: PhantomData })
     }
@@ -300,7 +317,8 @@ impl LiveSock<Requested> {
             let (timer, at) = armed
                 .min_by_key(|&(_, at)| at)
                 .expect("invariant: an unresolved request has its attempt timer armed");
-            step = match recv_until(&self.core.sock, &self.core.clock, at, &mut buf) {
+            let core = &mut self.core;
+            step = match recv_until(&core.sock, &mut core.timeout_ms, &core.clock, at, &mut buf) {
                 Err(e) => Err(e),
                 Ok(Some((n, from))) => match (endpoint_of(from), buf.get(..n)) {
                     (Some(from), Some(payload)) => {
@@ -378,14 +396,14 @@ pub fn query_stats(
     retries: u32,
 ) -> io::Result<StatsReply> {
     let sock = UdpSocket::bind("127.0.0.1:0")?;
-    let clock = Clock::wall();
+    let (clock, mut timeout_ms) = (Clock::wall(), 0);
     let timeout = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
     let wire = StatsRequest { seq }.encode();
     let mut buf = [0u8; 65536];
     for _ in 0..=retries {
         sock.send_to(&wire, daemon)?;
         let until = clock.now_ns().saturating_add(timeout);
-        while let Some((n, from)) = recv_until(&sock, &clock, until, &mut buf)? {
+        while let Some((n, from)) = recv_until(&sock, &mut timeout_ms, &clock, until, &mut buf)? {
             let reply = buf.get(..n).filter(|_| from == daemon).map(StatsReply::decode);
             // Anything but the daemon's answer to this query is noise.
             if let Some(Ok(reply)) = reply {

@@ -12,7 +12,7 @@ use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 
 use crate::wizard::{wake, MAX_DATAGRAM};
 
@@ -77,22 +77,22 @@ impl FaultShim {
 
     /// Stop the relay promptly.
     pub fn shutdown(mut self) -> io::Result<()> {
+        let joined = self.stop().expect("invariant: only shutdown or drop stops the relay");
+        joined.map_err(|_| io::Error::other("shim thread panicked"))?
+    }
+
+    /// Stop and join the relay thread; `None` once it was.
+    fn stop(&mut self) -> Option<thread::Result<io::Result<()>>> {
         self.shared.stop.store(true, Ordering::SeqCst);
+        let handle = self.handle.take()?;
         wake(self.addr);
-        match self.handle.take() {
-            Some(h) => h.join().map_err(|_| io::Error::other("shim thread panicked"))?,
-            None => Ok(()),
-        }
+        Some(handle.join())
     }
 }
 
 impl Drop for FaultShim {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            wake(self.addr);
-            let _ = h.join();
-        }
+        let _ = self.stop();
     }
 }
 

@@ -191,6 +191,38 @@ fn unregistered_names(trace: &Trace) -> BTreeSet<&str> {
 }
 
 #[test]
+fn a_daemon_past_its_trace_ring_keeps_the_newest_records_and_counts_every_request() {
+    // Two records a request: 2500 requests overflow the ring at least once.
+    const REQUESTS: u32 = 2500;
+    let wiz = LiveWizard::spawn().unwrap();
+    send_live_report(wiz.addr(), &report("idle1", 1, 0.97)).unwrap();
+    wait_for_reports(&wiz, 1);
+    for seq in 0..REQUESTS {
+        let sock = LiveSock::bind(wiz.addr()).unwrap();
+        let waiting = sock.request(req(seq, 1, "host_cpu_free > 0.9\n")).unwrap();
+        assert!(waiting.await_reply(Duration::from_millis(500), 3).is_ok(), "request {seq}");
+    }
+    let stats = wiz.shutdown().unwrap();
+    assert_eq!(stats.served, u64::from(REQUESTS));
+    assert!(stats.dropped > 0, "{REQUESTS} requests never filled the ring");
+
+    let trace = Trace::parse(&stats.trace_jsonl);
+    assert_eq!(trace.skipped, 0);
+    assert_eq!((trace.sink_kind.as_deref(), trace.sink_dropped), (Some("ring"), stats.dropped));
+    assert_eq!(trace.counters["wizard-requests"], u64::from(REQUESTS));
+    assert_eq!(trace.counters["wizard-replies"], u64::from(REQUESTS));
+    assert_eq!(trace.counters["telemetry-dropped"], stats.dropped);
+    // The kept records run on to the last under their global seqs.
+    let records: Vec<&str> =
+        stats.trace_jsonl.lines().take_while(|l| !l.starts_with(r#"{"t":"sink""#)).collect();
+    let kept = records.len() as u64;
+    assert!(kept < 2 * u64::from(REQUESTS), "only the newest records are kept, not {kept}");
+    let seq = |n: u64| format!(r#""seq":{n},"#);
+    assert!(records[0].contains(&seq(stats.dropped)), "{}", records[0]);
+    assert!(records[records.len() - 1].contains(&seq(stats.dropped + kept - 1)));
+}
+
+#[test]
 fn stats_query_snapshots_a_running_daemon() {
     let wiz = LiveWizard::spawn().unwrap();
     send_live_report(wiz.addr(), &report("idle1", 1, 0.97)).unwrap();
@@ -623,6 +655,38 @@ fn stray_datagrams_cannot_extend_a_wait() {
         Err((_, e)) => panic!("expected a timeout, got {e}"),
     }
     assert!(waited < 4 * timeout, "a 60 ms wait under noise took {waited:?}");
+}
+
+#[test]
+fn a_kept_read_timeout_never_outlasts_the_time_left() {
+    // A spare keeps the read timeout of its last wait (≈ 500 ms here); a
+    // 40 ms wait on it must still end on time. Spares are per thread.
+    std::thread::spawn(|| {
+        let wizard = fake_wizard();
+        let waiting = LiveSock::bind(wizard.local_addr().unwrap()).unwrap();
+        let waiting = waiting.request(req(1, 1, "")).unwrap();
+        let (_, from) = next_request(&wizard);
+        answer(&wizard, from, 1, 1);
+        first_server(waiting, Duration::from_millis(500), 0);
+
+        let silent = silent_port();
+        let waiting = LiveSock::bind(silent.local_addr().unwrap()).unwrap();
+        let waiting = waiting.request(req(2, 1, "")).unwrap();
+        let timeout = Duration::from_millis(40);
+        let clock = Clock::wall();
+        let outcome = waiting.await_reply(timeout, 0);
+        let waited = Duration::from_nanos(clock.now_ns());
+        match outcome {
+            Err((_, RequestError::Failed(e))) => assert_eq!(e, ClientError::Timeout { retries: 0 }),
+            Ok(_) => panic!("nobody answered"),
+            Err((_, e)) => panic!("expected a timeout, got {e}"),
+        }
+        let (_, reused) = silent.recv_from(&mut [0u8; 64]).unwrap();
+        assert_eq!(reused.port(), from.port(), "the second request left from the spare");
+        assert!(waited < 3 * timeout, "a 40 ms wait on a spare took {waited:?}");
+    })
+    .join()
+    .unwrap();
 }
 
 #[test]

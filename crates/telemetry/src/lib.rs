@@ -57,6 +57,7 @@ pub mod trace;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 use hist::Histogram;
 pub use sink::{AccumSink, Rollup, RollupSink, SharedBuf, Sink, StreamSink, TeeSink};
@@ -70,7 +71,7 @@ pub struct SpanId(u64);
 pub struct EventRecord {
     pub at_ns: u64,
     pub name: &'static str,
-    pub host: String,
+    pub host: Rc<str>,
     pub attrs: Vec<(&'static str, String)>,
 }
 
@@ -81,18 +82,89 @@ impl EventRecord {
     }
 }
 
-/// One entry of the trace, in global sequence order.
+/// One entry of the trace, in global sequence order. Records naming a
+/// recent host share one copy of its label.
 #[derive(Clone, Debug)]
 pub enum Record {
-    SpanStart { at_ns: u64, id: u64, parent: Option<u64>, name: &'static str, host: String },
-    SpanEnd { at_ns: u64, id: u64, name: &'static str, host: String, dur_ns: u64 },
+    SpanStart { at_ns: u64, id: u64, parent: Option<u64>, name: &'static str, host: Rc<str> },
+    SpanEnd { at_ns: u64, id: u64, name: &'static str, host: Rc<str>, dur_ns: u64 },
     Event(EventRecord),
 }
 
 struct OpenSpan {
+    id: u64,
     name: &'static str,
-    host: String,
+    host: Rc<str>,
     start_ns: u64,
+}
+
+/// The latest host labels, newest first, each allocated once while it
+/// stays here: a daemon names one host for its whole life, and a
+/// simulated exchange alternates between a few. A label not among them
+/// is allocated afresh (as every label once was), so a fleet-wide sweep
+/// over a thousand hosts pays no search.
+struct Hosts([Rc<str>; 4]);
+
+impl Hosts {
+    fn new() -> Hosts {
+        let empty: Rc<str> = Rc::from("");
+        Hosts([(); 4].map(|()| Rc::clone(&empty)))
+    }
+
+    fn intern(&mut self, host: &str) -> Rc<str> {
+        let last = self.0.len() - 1;
+        let at = self.0.iter().position(|h| **h == *host).unwrap_or_else(|| {
+            self.0[last] = host.into();
+            last
+        });
+        self.0[..=at].rotate_right(1);
+        Rc::clone(&self.0[0])
+    }
+}
+
+/// Unlabeled counter bumps land in a slot picked by the name's address,
+/// so the common bump is one pointer compare, not a search of the sorted
+/// map; a slot folds into the map when another name takes it, and every
+/// slot does before anything reads the map.
+const COUNTER_SLOTS: usize = 64;
+
+struct Counters {
+    sorted: BTreeMap<String, u64>,
+    slots: [Option<(&'static str, u64)>; COUNTER_SLOTS],
+}
+
+impl Counters {
+    fn new() -> Counters {
+        Counters { sorted: BTreeMap::new(), slots: [None; COUNTER_SLOTS] }
+    }
+
+    fn bump(&mut self, name: &'static str, delta: u64) {
+        let at = (name.as_ptr() as usize as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+        match &mut self.slots[at as usize % COUNTER_SLOTS] {
+            Some((held, value)) if std::ptr::eq(*held, name) => *value += delta,
+            slot => {
+                if let Some((held, value)) = slot.replace((name, delta)) {
+                    Self::add(&mut self.sorted, held, value);
+                }
+            }
+        }
+    }
+
+    fn add(sorted: &mut BTreeMap<String, u64>, key: &str, delta: u64) {
+        if let Some(v) = sorted.get_mut(key) {
+            *v += delta;
+        } else {
+            sorted.insert(key.to_owned(), delta);
+        }
+    }
+
+    /// The map, with every pending bump folded in.
+    fn sorted(&mut self) -> &mut BTreeMap<String, u64> {
+        for (name, delta) in self.slots.iter_mut().filter_map(Option::take) {
+            Self::add(&mut self.sorted, name, delta);
+        }
+        &mut self.sorted
+    }
 }
 
 /// The deterministic telemetry recorder. One instance lives on the
@@ -105,10 +177,12 @@ pub struct Telemetry {
     next_span: u64,
     next_seq: u64,
     sink: Box<dyn Sink>,
-    open: BTreeMap<u64, OpenSpan>,
-    /// Behind a `RefCell` because the summary tail folds the sink's drop
-    /// total in from `&self`.
-    counters: RefCell<BTreeMap<String, u64>>,
+    /// Newest last; a span usually closes before any opened after it.
+    open: Vec<OpenSpan>,
+    hosts: Hosts,
+    /// Behind a `RefCell` because reads and the summary tail fold the
+    /// pending bumps and the sink's drop total in from `&self`.
+    counters: RefCell<Counters>,
     gauges: BTreeMap<String, i64>,
     hists: BTreeMap<&'static str, Histogram>,
     /// Sink drops already folded into the `telemetry-dropped` counter
@@ -134,8 +208,9 @@ impl Telemetry {
             next_span: 1,
             next_seq: 0,
             sink,
-            open: BTreeMap::new(),
-            counters: RefCell::new(BTreeMap::new()),
+            open: Vec::new(),
+            hosts: Hosts::new(),
+            counters: RefCell::new(Counters::new()),
             gauges: BTreeMap::new(),
             hists: BTreeMap::new(),
             dropped_counted: Cell::new(0),
@@ -146,11 +221,6 @@ impl Telemetry {
     /// records already delivered to the old sink do not migrate.
     pub fn set_sink(&mut self, sink: Box<dyn Sink>) -> Box<dyn Sink> {
         std::mem::replace(&mut self.sink, sink)
-    }
-
-    /// The installed sink.
-    pub fn sink(&self) -> &dyn Sink {
-        self.sink.as_ref()
     }
 
     /// Aggregate view, when the sink (or one side of a tee) folds one.
@@ -178,12 +248,7 @@ impl Telemetry {
 
     /// Add `delta` to counter `name`.
     pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        let mut c = self.counters.borrow_mut();
-        if let Some(v) = c.get_mut(name) {
-            *v += delta;
-        } else {
-            c.insert(name.to_owned(), delta);
-        }
+        self.counters.get_mut().bump(name, delta);
     }
 
     /// Increment counter `name` by one.
@@ -195,28 +260,23 @@ impl Telemetry {
     /// `name/label`. Use this for per-entity counts (per host, per link)
     /// so the metric *name* stays a static literal.
     pub fn counter_add_labeled(&mut self, name: &'static str, label: &str, delta: u64) {
-        let key = format!("{name}/{label}");
-        let mut c = self.counters.borrow_mut();
-        if let Some(v) = c.get_mut(&key) {
-            *v += delta;
-        } else {
-            c.insert(key, delta);
-        }
+        Counters::add(&mut self.counters.get_mut().sorted, &format!("{name}/{label}"), delta);
     }
 
     /// Current value of the unlabeled counter `name` (zero if untouched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.borrow().get(name).copied().unwrap_or(0)
+        self.counters.borrow_mut().sorted().get(name).copied().unwrap_or(0)
     }
 
     /// Value of one labeled dimension of counter `name`.
     pub fn counter_labeled(&self, name: &str, label: &str) -> u64 {
-        self.counters.borrow().get(&format!("{name}/{label}")).copied().unwrap_or(0)
+        self.counters.borrow_mut().sorted().get(&format!("{name}/{label}")).copied().unwrap_or(0)
     }
 
     /// Sum of the unlabeled counter plus every labeled dimension of `name`.
     pub fn counter_total(&self, name: &str) -> u64 {
-        let c = self.counters.borrow();
+        let mut c = self.counters.borrow_mut();
+        let c = c.sorted();
         let mut total = c.get(name).copied().unwrap_or(0);
         let prefix = format!("{name}/");
         total += c
@@ -232,11 +292,6 @@ impl Telemetry {
     /// Set gauge `name` for `label` (last write wins).
     pub fn gauge_set(&mut self, name: &'static str, label: &str, value: i64) {
         self.gauges.insert(format!("{name}/{label}"), value);
-    }
-
-    /// Current value of gauge `name` for `label`.
-    pub fn gauge(&self, name: &str, label: &str) -> Option<i64> {
-        self.gauges.get(&format!("{name}/{label}")).copied()
     }
 
     // ---- histograms -----------------------------------------------------
@@ -266,14 +321,10 @@ impl Telemetry {
     fn span_open(&mut self, name: &'static str, host: &str, parent: Option<u64>) -> SpanId {
         let id = self.next_span;
         self.next_span += 1;
-        self.push(Record::SpanStart {
-            at_ns: self.now_ns,
-            id,
-            parent,
-            name,
-            host: host.to_owned(),
-        });
-        self.open.insert(id, OpenSpan { name, host: host.to_owned(), start_ns: self.now_ns });
+        let host = self.hosts.intern(host);
+        let at_ns = self.now_ns;
+        self.push(Record::SpanStart { at_ns, id, parent, name, host: Rc::clone(&host) });
+        self.open.push(OpenSpan { id, name, host, start_ns: at_ns });
         SpanId(id)
     }
 
@@ -288,7 +339,8 @@ impl Telemetry {
     /// into the histogram of the span's name. Closing an already-closed
     /// span is a no-op.
     pub fn span_end(&mut self, id: SpanId) {
-        let Some(span) = self.open.remove(&id.0) else { return };
+        let Some(at) = self.open.iter().rposition(|s| s.id == id.0) else { return };
+        let span = self.open.remove(at);
         let dur_ns = self.now_ns.saturating_sub(span.start_ns);
         self.push(Record::SpanEnd {
             at_ns: self.now_ns,
@@ -304,10 +356,11 @@ impl Telemetry {
 
     /// Record a point-in-time event.
     pub fn event(&mut self, name: &'static str, host: &str, attrs: &[(&'static str, &str)]) {
+        let host = self.hosts.intern(host);
         self.push(Record::Event(EventRecord {
             at_ns: self.now_ns,
             name,
-            host: host.to_owned(),
+            host,
             attrs: attrs.iter().map(|&(k, v)| (k, v.to_owned())).collect(),
         }));
     }
@@ -355,7 +408,7 @@ impl Telemetry {
     pub fn clear(&mut self) {
         self.sink.reset();
         self.open.clear();
-        self.counters.borrow_mut().clear();
+        *self.counters.get_mut() = Counters::new();
         self.gauges.clear();
         self.hists.clear();
         self.next_span = 1;
@@ -371,8 +424,9 @@ impl Telemetry {
     /// tail comes out — the records already left through the sink.
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
-        for (seq, r) in self.sink.records().iter().enumerate() {
-            sink::write_record_line(&mut out, seq as u64, r);
+        let first = self.sink.first_seq();
+        for (seq, r) in (first..).zip(self.sink.records()) {
+            sink::write_record_line(&mut out, seq, r);
         }
         out.push_str(&self.summary_tail());
         out
@@ -397,7 +451,7 @@ impl Telemetry {
         let dropped = self.sink.dropped();
         if dropped > self.dropped_counted.get() {
             let delta = dropped - self.dropped_counted.get();
-            *self.counters.borrow_mut().entry("telemetry-dropped".to_owned()).or_insert(0) += delta;
+            Counters::add(&mut self.counters.borrow_mut().sorted, "telemetry-dropped", delta);
             self.dropped_counted.set(dropped);
         }
         let mut out = String::new();
@@ -408,7 +462,7 @@ impl Telemetry {
                 self.sink.kind(),
             );
         }
-        for (name, value) in self.counters.borrow().iter() {
+        for (name, value) in self.counters.borrow_mut().sorted().iter() {
             sink::write_scalar(&mut out, "counter", name, value);
         }
         for (name, value) in &self.gauges {

@@ -8,7 +8,8 @@
 //!
 //! * [`AccumSink`] — the original behavior: retain records in memory,
 //!   export at the end. The default; all determinism fingerprints are
-//!   computed over its export.
+//!   computed over its export. [`AccumSink::ring`] is its bounded form, a
+//!   flight recorder keeping only the newest records.
 //! * [`StreamSink`] — bounded-buffer incremental JSONL writer. Records
 //!   serialize into a byte buffer that flushes to an [`io::Write`] each
 //!   time it crosses the configured threshold. **Backpressure policy:
@@ -134,6 +135,12 @@ pub trait Sink {
         &[]
     }
 
+    /// The global sequence number of `records()[0]`: nonzero once a
+    /// bounded sink has evicted its oldest records.
+    fn first_seq(&self) -> u64 {
+        0
+    }
+
     /// Records dropped by the backpressure policy (streaming sinks).
     fn dropped(&self) -> u64 {
         0
@@ -144,9 +151,9 @@ pub trait Sink {
         None
     }
 
-    /// Machine-readable sink kind tag (`accum`, `stream`, `rollup`,
-    /// `tee`), surfaced in the `{"t":"sink",...}` trailer and `telemetry
-    /// summary`.
+    /// Machine-readable sink kind tag (`accum`, `ring`, `stream`,
+    /// `rollup`, `tee`), surfaced in the `{"t":"sink",...}` trailer and
+    /// `telemetry summary`.
     fn kind(&self) -> &'static str;
 
     /// End of run: flush buffered record lines, then write the
@@ -163,17 +170,35 @@ pub trait Sink {
 #[derive(Default)]
 pub struct AccumSink {
     records: Vec<Record>,
+    /// `Some(cap)` for a ring: at `cap` records the oldest half goes.
+    cap: Option<usize>,
+    /// Records evicted so far: the sequence number of `records[0]`.
+    evicted: u64,
 }
 
 impl AccumSink {
     pub fn new() -> AccumSink {
         AccumSink::default()
     }
+
+    /// A flight recorder: retains the newest records in order, between
+    /// `cap / 2` and `cap` of them (`cap` is at least 2), each exported
+    /// under its global sequence number. Evictions count in
+    /// [`Sink::dropped`], so the export ends with a `"kind":"ring"`
+    /// trailer once the first half went. Its memory is allocated up front.
+    pub fn ring(cap: usize) -> AccumSink {
+        let cap = cap.max(2);
+        AccumSink { records: Vec::with_capacity(cap), cap: Some(cap), evicted: 0 }
+    }
 }
 
 impl Sink for AccumSink {
     fn record(&mut self, seq: u64, rec: Record) {
-        debug_assert_eq!(seq, self.records.len() as u64, "accum sink expects dense seq");
+        debug_assert_eq!(seq, self.evicted + self.records.len() as u64, "expects dense seq");
+        if let Some(cap) = self.cap.filter(|&cap| self.records.len() >= cap) {
+            self.records.drain(..cap / 2);
+            self.evicted += (cap / 2) as u64;
+        }
         self.records.push(rec);
     }
 
@@ -181,14 +206,27 @@ impl Sink for AccumSink {
         &self.records
     }
 
+    fn first_seq(&self) -> u64 {
+        self.evicted
+    }
+
+    fn dropped(&self) -> u64 {
+        self.evicted
+    }
+
     fn kind(&self) -> &'static str {
-        "accum"
+        if self.cap.is_some() {
+            "ring"
+        } else {
+            "accum"
+        }
     }
 
     fn finish(&mut self, _tail: &str) {}
 
     fn reset(&mut self) {
         self.records.clear();
+        self.evicted = 0;
     }
 }
 
@@ -417,6 +455,15 @@ impl TeeSink {
     pub fn new(a: Box<dyn Sink>, b: Box<dyn Sink>) -> TeeSink {
         TeeSink { a, b }
     }
+
+    /// The side whose records the tee answers with.
+    fn retaining(&self) -> &dyn Sink {
+        if self.a.records().is_empty() {
+            self.b.as_ref()
+        } else {
+            self.a.as_ref()
+        }
+    }
 }
 
 impl Sink for TeeSink {
@@ -426,11 +473,11 @@ impl Sink for TeeSink {
     }
 
     fn records(&self) -> &[Record] {
-        if self.a.records().is_empty() {
-            self.b.records()
-        } else {
-            self.a.records()
-        }
+        self.retaining().records()
+    }
+
+    fn first_seq(&self) -> u64 {
+        self.retaining().first_seq()
     }
 
     fn dropped(&self) -> u64 {
@@ -652,11 +699,46 @@ mod tests {
         r.fold(&Record::Event(crate::EventRecord {
             at_ns: 1,
             name: "fault-injected",
-            host: "helene".to_owned(),
+            host: "helene".into(),
             attrs: vec![],
         }));
         assert_eq!(r.count("host/helene", "fault-injected"), 1);
         assert!(r.counts().all(|(scope, _, _)| !scope.starts_with("subnet/")));
+    }
+
+    #[test]
+    fn a_ring_keeps_the_newest_records_in_order_under_their_seq() {
+        let mut t = Telemetry::with_sink(Box::new(AccumSink::ring(4)));
+        for i in 0..10 {
+            t.set_now(i);
+            t.event("fault-injected", "helene", &[("i", &i.to_string())]);
+        }
+        // At 4 records the oldest 2 go: 0..4, 2..6, 4..8, 6..10.
+        let kept: Vec<_> = t.events_named("fault-injected").filter_map(|e| e.attr("i")).collect();
+        assert_eq!(kept, ["6", "7", "8", "9"]);
+        assert_eq!(t.dropped(), 6);
+
+        let export = t.export_jsonl();
+        let lines: Vec<&str> = export.lines().collect();
+        assert!(lines[0].starts_with(r#"{"t":"event","seq":6,"ns":6,"#), "{}", lines[0]);
+        assert!(lines[3].starts_with(r#"{"t":"event","seq":9,"ns":9,"#), "{}", lines[3]);
+        assert_eq!(lines[4], r#"{"t":"sink","kind":"ring","dropped":6}"#);
+        assert_eq!(t.counter("telemetry-dropped"), 6);
+        let tr = crate::trace::Trace::parse(&export);
+        assert_eq!((tr.skipped, tr.events.len(), tr.sink_dropped), (0, 4, 6));
+        assert_eq!(tr.sink_kind.as_deref(), Some("ring"));
+
+        t.clear();
+        assert_eq!((t.records().len(), t.dropped()), (0, 0));
+    }
+
+    #[test]
+    fn a_ring_that_never_filled_exports_like_accum() {
+        let mut ring = Telemetry::with_sink(Box::new(AccumSink::ring(64)));
+        emit_sample(&mut ring);
+        let mut plain = Telemetry::new();
+        emit_sample(&mut plain);
+        assert_eq!(ring.export_jsonl(), plain.export_jsonl());
     }
 
     #[test]

@@ -117,10 +117,10 @@ proptest! {
         for r in t.records() {
             match r {
                 Record::SpanStart { at_ns, id, parent, name, host } => {
-                    want_starts.insert(*id, (*name, host.clone(), *parent, *at_ns));
+                    want_starts.insert(*id, (*name, host.to_string(), *parent, *at_ns));
                 }
                 Record::SpanEnd { at_ns, id, name, host, dur_ns } => {
-                    want_spans.push((*id, *name, host.clone(), *at_ns, *dur_ns));
+                    want_spans.push((*id, *name, host.to_string(), *at_ns, *dur_ns));
                 }
                 Record::Event(e) => want_events.push(e),
             }
@@ -151,7 +151,7 @@ proptest! {
         for (got, want) in tr.events.iter().zip(&want_events) {
             prop_assert_eq!(got.at_ns, want.at_ns);
             prop_assert_eq!(got.name.as_str(), want.name);
-            prop_assert_eq!(&got.host, &want.host);
+            prop_assert_eq!(got.host.as_str(), &*want.host);
             let want_attrs: BTreeMap<String, String> =
                 want.attrs.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect();
             prop_assert_eq!(&got.attrs, &want_attrs);

@@ -135,7 +135,7 @@ fn main() {
     for name in ["fault-injected", "fault-recovered", "group-repaired"] {
         for ev in s.telemetry.events_named(name) {
             let detail = ev.attr("kind").or(ev.attr("replaced")).unwrap_or("-");
-            let target = ev.attr("target").unwrap_or(ev.host.as_str());
+            let target = ev.attr("target").unwrap_or(&ev.host);
             println!("  {:>8.3}s  {name:<16} {detail:<14} {target}", ev.at_ns as f64 / 1e9);
         }
     }
