@@ -3,10 +3,12 @@
 //! One background thread owns a [`WizardEngine`] — the one wizard the
 //! simulated daemon also drives — and the [`Telemetry`] the engine
 //! records into, so `telemetry summary` reads a live trace exactly like a
-//! simulated one. Every datagram goes to [`WizardEngine::datagram`], which
-//! tells what it is. What is left here is what only a real daemon has: the
-//! socket, the clock, the heartbeat and the stats reply, which is the
-//! summary lines the trace will end with, as they stand.
+//! simulated one. `serve` is transport glue around
+//! [`WizardEngine::step`]: per datagram it reads the clock once, steps a
+//! sweep tick and then the datagram, and sends the frame that comes back
+//! (a reply, or a stats reply quoting the summary lines the trace will end
+//! with). What is left here is what only a real daemon has: the socket,
+//! the clock, the heartbeat and the side-channel atomics.
 //!
 //! The receive loop polls a few times, then blocks in `recv_from` with
 //! **no read timeout**: a stopped daemon is woken by one empty datagram to
@@ -21,13 +23,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-use smartsock_proto::StatsReply;
 use smartsock_sim::SimTime;
 use smartsock_telemetry::{AccumSink, Sink, StreamSink, Telemetry};
-use smartsock_wizard::{Arrival, Ingest, SelectPolicy, WizardEngine};
+use smartsock_wizard::{Input, SelectPolicy, Stepped, WizardEngine};
 
 use crate::clock::Clock;
-use crate::transport::{endpoint_of, UdpTransport};
+use crate::transport::{endpoint_of, sockaddr_of};
 
 /// How often the daemon self-reports (a `daemon-heartbeat` event with
 /// own-process procfs gauges). Checked opportunistically on every inbound
@@ -235,46 +236,42 @@ fn serve(
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
+        let (Some(bytes), Some(from)) = (buf.get(..n), endpoint_of(from)) else { continue };
         let now = clock.now_ns();
         tel.set_now(now);
         // Opportunistic stale sweep: every inbound datagram advances the
         // expiry horizon, with no timer thread (`select` skips stale rows
         // anyway). Affordable per datagram because the sweep only evicts
         // (one comparison for the health table and one per /24, a walk only
-        // of what is due); `handle` tightens what reports overwrote.
-        // `live_servers()` sees the sweep before any reply leaves.
-        engine.sweep(SimTime(now));
-        engine.record(&mut tel);
+        // of what is due); a request tightens what reports overwrote.
+        engine.step(SimTime(now), Input::Tick, &mut tel);
+        let stepped = engine.step(SimTime(now), Input::Datagram { from, bytes }, &mut tel);
+        // Row count before any reply leaves, and before the report that
+        // moved it is counted: a caller that saw either reads a
+        // `live_servers()` that includes it.
         publish_rows(engine.live_servers());
+        match stepped {
+            Stepped::Report => {
+                shared.reports.fetch_add(1, Ordering::SeqCst);
+            }
+            Stepped::Reply(to, frame) => match sock.send_to(&frame, sockaddr_of(to)) {
+                Ok(_) => {
+                    shared.served.fetch_add(1, Ordering::SeqCst);
+                }
+                // The client's retry loop covers it, exactly as it covers
+                // a datagram lost on the wire.
+                Err(_) => tel.counter_incr("wizard-reply-send-errors"),
+            },
+            Stepped::Stats(to, frame) => {
+                let _ = sock.send_to(&frame, sockaddr_of(to));
+            }
+            Stepped::Quiet => {}
+        }
         // Sonar-style self-report: every so often the daemon describes
         // itself in its own trace, same schema a probe would send about it.
         if last_heartbeat.is_none_or(|at| now.saturating_sub(at) >= HEARTBEAT_INTERVAL_NS) {
             last_heartbeat = Some(now);
             heartbeat(&mut tel, &host, &shared);
-        }
-        let (Some(payload), Some(from_ep)) = (buf.get(..n), endpoint_of(from)) else { continue };
-        let arrival = engine.datagram(&mut UdpTransport::new(&sock, &clock), from_ep, payload);
-        engine.record(&mut tel);
-        // Everything else about the datagram is in the trace the engine
-        // just wrote. Row count first: a caller that waited for
-        // `reports_ingested()` then reads a `live_servers()` that includes
-        // that report.
-        publish_rows(engine.live_servers());
-        match arrival {
-            // A `smartsockd stats` poll: the reply is the trace's own
-            // summary lines, this poll already counted in them.
-            Ok(Arrival::Stats(Some(q))) => {
-                let lines = tel.summary_tail();
-                let reply = StatsReply { seq: q.seq, now_ns: now, truncated: false, lines };
-                let _ = sock.send_to(&reply.encode(), from);
-            }
-            Ok(Arrival::Handled(Ingest::Report(_))) => {
-                shared.reports.fetch_add(1, Ordering::SeqCst);
-            }
-            Ok(Arrival::Handled(Ingest::Replied { .. })) => {
-                shared.served.fetch_add(1, Ordering::SeqCst);
-            }
-            _ => {}
         }
     }
     // Flush a streaming sink's buffer and write its summary tail before

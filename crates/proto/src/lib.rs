@@ -35,6 +35,7 @@ pub mod transport;
 pub mod typestate;
 
 pub use addr::{Endpoint, HostName, Ip};
+pub use bytes::BytesMut;
 pub use framing::{Frame, RecordType};
 pub use netstatus::NetPathRecord;
 pub use outcome::{OutcomeKind, OutcomeReport};

@@ -187,7 +187,9 @@ pub const COUNTER_NAMES: &[&str] = &[
     "transmitter-bytes",
     "transmitter-pulls",
     "transmitter-snapshots",
-    // wizard matching and reply path.
+    // wizard matching and reply path. `wizard-replies` counts the replies
+    // the engine hands out; a backend counts a failed send in
+    // `wizard-reply-send-errors`, so replies sent = the first − the second.
     "wizard-bad-requests",
     "wizard-outcome-reports",
     "wizard-quarantined-assignments",
@@ -202,7 +204,7 @@ pub const COUNTER_NAMES: &[&str] = &[
     "wizard-shards-pruned",
     "wizard-shards-scanned",
     "wizard-stale-evictions",
-    // `SSQ1` stats polls on the wizard's port (the live daemon answers them).
+    // `SSQ1` stats polls on the wizard's port (both backends answer them).
     "wizard-stats-requests",
 ];
 

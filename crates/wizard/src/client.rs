@@ -422,8 +422,9 @@ impl ClientEngine {
 
     /// Record the telemetry owed for the most recent call — the one place
     /// the request path's `client-*` counter, span and event names are
-    /// emitted, for either backend (a sibling of the calls for the reason
-    /// [`crate::WizardEngine::record`] is).
+    /// emitted, for either backend. A sibling of the calls rather than a
+    /// parameter of them because they send through a `Transport`, and the
+    /// simulator's transport and telemetry both live on the scheduler.
     pub fn record(&mut self, tel: &mut Telemetry) {
         let host = &self.local.ip.to_string();
         match std::mem::take(&mut self.last) {

@@ -1,24 +1,25 @@
 //! The wizard engine: the one implementation of the paper's wizard.
 //!
-//! Everything the wizard *does* with a datagram or a sweep tick lives
-//! here, independent of transport — telling apart what reaches its one
-//! port ([`WizardEngine::datagram`]), request decode → match → reply,
-//! outcome report → health transitions, sweep → health poll + per-shard
-//! expiry — together with the state it does it to (health table, group
-//! map, templates, [`SelectPolicy`]) and the telemetry it owes for it
-//! ([`WizardEngine::record`]). The engine owns the wizard machine's three
-//! status databases: reports reach `sysdb` through its own demux, and
-//! receiver snapshots through [`WizardEngine::dbs_mut`] — so a request sees
-//! every write delivered before it, by construction.
+//! Everything the wizard *does* lives here, independent of transport, in
+//! one sans-IO step function, [`WizardEngine::step`]: its whole input is a
+//! datagram on its one port or a sweep tick, and its whole output is the
+//! telemetry it writes and the one frame to send, if any. A datagram is a
+//! stats poll, an outcome report (→ health transitions), a status report
+//! or a request (decode → match → reply); a tick is the sweep (a health
+//! poll and per-shard expiry). The engine holds the state all of it acts
+//! on (health table, group map, templates, [`SelectPolicy`]) and owns the
+//! wizard machine's three status databases: reports reach `sysdb` through
+//! its own demux, and receiver snapshots through
+//! [`WizardEngine::dbs_mut`] — so a request sees every write delivered
+//! before it, by construction.
 //!
 //! The backends are thin drivers over it (DESIGN.md §13): the simulated
 //! daemon ([`crate::Wizard`]) adds port bindings (the receiver port among
 //! them), the sweep timer and distributed mode's pull-then-settle delay;
-//! the live daemon
-//! (`smartsock-live`) adds a socket, a clock and the stats reply.
-//! Both reach the engine through the [`smartsock_proto::Transport`] seam,
-//! so replies and telemetry agree between them by construction — the
-//! interop conformance suite pins it.
+//! the live daemon (`smartsock-live`) adds a socket, a clock and a
+//! heartbeat. Each sends the frames `step` returns, so replies and
+//! telemetry agree between them by construction — the interop conformance
+//! suite pins it.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -32,8 +33,8 @@ use smartsock_monitor::ingest::{ingest_ascii, IngestError};
 use smartsock_monitor::{NetDb, SecDb, StatusDbs, SysDb};
 use smartsock_proto::consts::{ports, timing};
 use smartsock_proto::{
-    addr::NetAddr, Endpoint, Ip, OutcomeReport, ServerStatusReport, StatsRequest, Transport,
-    TransportError, UserRequest, WizardReply, MAX_SERVERS_PER_REPLY,
+    addr::NetAddr, BytesMut, Endpoint, Ip, OutcomeReport, ServerStatusReport, StatsReply,
+    StatsRequest, Transport, TransportError, UserRequest, WizardReply, MAX_SERVERS_PER_REPLY,
 };
 use smartsock_sim::{SimDuration, SimTime, Telemetry};
 
@@ -71,7 +72,7 @@ pub struct SelectView<'a> {
 }
 
 /// How much of the status database one [`select_with_stats`] call
-/// actually touched. [`WizardEngine::record`] feeds these into telemetry
+/// actually touched. [`WizardEngine::step`] feeds these into telemetry
 /// (`wizard-shards-pruned`, `wizard-rows-evaluated`), and the fleet
 /// experiments report the prune ratio as a figure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -310,7 +311,7 @@ pub fn select_with_stats(
     select_compiled(view, policy, now, creq.as_ref(), req.server_num, client_ip)
 }
 
-/// [`select_with_stats`] past the compile, which [`WizardEngine::handle`]
+/// [`select_with_stats`] past the compile, which [`WizardEngine::step`]
 /// does once per distinct requirement.
 fn select_compiled(
     view: &SelectView<'_>,
@@ -422,8 +423,7 @@ pub(crate) fn parse_rank_directive(detail: &str) -> Option<(ServerVar, bool)> {
     None
 }
 
-/// What one inbound datagram turned out to be, after the engine handled
-/// it.
+/// What [`WizardEngine::handle`] made of one datagram.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Ingest {
     /// A probe status report, upserted for this server address.
@@ -432,19 +432,34 @@ pub enum Ingest {
     BadReport(IngestError),
     /// A user request, answered with this reply (already sent).
     Replied { reply: WizardReply, to: Endpoint },
-    /// Neither a report nor a decodable request.
+    /// Neither a report nor a decodable request: a poll, say, or an outcome.
     BadRequest,
 }
 
-/// What [`WizardEngine::datagram`] made of one datagram on the wizard's port.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Arrival {
-    /// A stats poll, `None` if it does not decode: counted, the driver's to answer.
-    Stats(Option<StatsRequest>),
-    /// A client outcome report, fed to the health table.
-    Outcome,
-    /// Anything else, as [`WizardEngine::handle`] took it.
-    Handled(Ingest),
+/// One input to [`WizardEngine::step`]: all a wizard ever reacts to.
+#[derive(Clone, Copy, Debug)]
+pub enum Input<'a> {
+    /// A datagram on the wizard's port (1120 of Table 4.2).
+    Datagram { from: Endpoint, bytes: &'a [u8] },
+    /// The stale sweep is due.
+    Tick,
+}
+
+/// What [`WizardEngine::step`] made of its input: what a backend counts of
+/// it, and the one frame to send, if any.
+#[derive(Debug, PartialEq)]
+pub enum Stepped {
+    /// Nothing to send or count: a tick, an outcome report, a refused datagram.
+    Quiet,
+    /// A status report, ingested.
+    Report,
+    /// A request, matched: send this [`WizardReply`] frame, counted in
+    /// `wizard-replies`; a failed send is the backend's to count, in
+    /// `wizard-reply-send-errors`.
+    Reply(Endpoint, BytesMut),
+    /// A stats poll: send this [`StatsReply`] frame, the summary lines the
+    /// telemetry ends with, this poll counted in them.
+    Stats(Endpoint, BytesMut),
 }
 
 /// The magics that tell a stats poll and a status report from a request.
@@ -456,36 +471,23 @@ pub(crate) fn spells_a_magic(seq: u32) -> bool {
     MAGICS.iter().any(|magic| magic.as_bytes() == seq.to_le_bytes())
 }
 
-/// Whether [`WizardEngine::datagram`] answers these bytes as a user
-/// request: they start with no magic and decode as one.
+/// Whether [`WizardEngine::step`] answers these bytes as a user request:
+/// they start with no magic and decode as one.
 pub(crate) fn is_request(payload: &[u8]) -> bool {
     !MAGICS.iter().any(|magic| payload.starts_with(magic.as_bytes()))
         && UserRequest::decode(payload).is_ok()
 }
 
-/// What the engine's most recent call did, kept until
-/// [`WizardEngine::record`] turns it into telemetry.
-#[derive(Default)]
-enum Done {
-    #[default]
-    Nothing,
-    Report {
-        bytes: usize,
-    },
-    BadReport,
-    BadRequest,
-    Matched {
-        stats: SelectStats,
-        servers: usize,
-        quarantined: usize,
-        sent: bool,
-    },
-    Stats,
+/// What the engine's one core, [`WizardEngine::take`], did with an input:
+/// what `step` writes down as telemetry and the wrappers pass on.
+enum Took {
+    Poll(Endpoint, Option<StatsRequest>),
     Outcome(Vec<Transition>),
-    Swept {
-        transitions: Vec<Transition>,
-        by_shard: Vec<(SubnetKey, Vec<Ip>)>,
-    },
+    Report { ip: Ip, bytes: usize },
+    BadReport(IngestError),
+    Matched { reply: WizardReply, to: Endpoint, stats: SelectStats, quarantined: usize },
+    BadRequest,
+    Swept { transitions: Vec<Transition>, by_shard: Vec<(SubnetKey, Vec<Ip>)> },
 }
 
 /// The wizard daemon's state and behaviour, minus sockets and timers: the
@@ -505,7 +507,6 @@ pub struct WizardEngine {
     /// Compiled requests by what compiles them, `None` where nothing does.
     compiled: BTreeMap<(Option<u8>, String), Option<CompiledRequest>>,
     policy: SelectPolicy,
-    last: Done,
 }
 
 impl WizardEngine {
@@ -520,7 +521,6 @@ impl WizardEngine {
             templates: crate::templates::defaults(),
             compiled: BTreeMap::new(),
             policy,
-            last: Done::Nothing,
         }
     }
 
@@ -578,147 +578,49 @@ impl WizardEngine {
         }
     }
 
-    /// Handle one datagram on the wizard's port (1120 of Table 4.2), as
-    /// both drivers do. By magic and length, before any decode: anything
-    /// starting with `SSQ1` is a stats poll, exactly 7 bytes that decode as
-    /// an [`OutcomeReport`] feed the health table, and the rest goes to
-    /// [`Self::handle`].
-    pub fn datagram<T: Transport>(
-        &mut self,
-        t: &mut T,
-        from: Endpoint,
-        payload: &[u8],
-    ) -> Result<Arrival, TransportError> {
-        if payload.starts_with(StatsRequest::ASCII_MAGIC.as_bytes()) {
-            self.last = Done::Stats;
-            return Ok(Arrival::Stats(StatsRequest::decode(payload).ok()));
-        }
-        if payload.len() == OutcomeReport::LEN {
-            if let Ok(rep) = OutcomeReport::decode(payload) {
-                let now = SimTime(t.now_ns());
-                self.last = Done::Outcome(self.health.record(rep.server, rep.outcome, now));
-                return Ok(Arrival::Outcome);
-            }
-        }
-        self.handle(t, from, payload).map(Arrival::Handled)
-    }
-
-    /// Demux and handle one datagram, replying through the transport when
-    /// it is a user request — the single-socket monitor+wizard loop.
-    /// Datagrams starting with the status-report magic (`SSR1`) are probe
-    /// reports; everything else is decoded as a user request.
-    pub fn handle<T: Transport>(
-        &mut self,
-        t: &mut T,
-        from: Endpoint,
-        payload: &[u8],
-    ) -> Result<Ingest, TransportError> {
-        let now = SimTime(t.now_ns());
-        if payload.starts_with(ServerStatusReport::ASCII_MAGIC.as_bytes()) {
-            let got = ingest_ascii(&mut self.dbs.sys, payload, now);
-            self.last =
-                if got.is_ok() { Done::Report { bytes: payload.len() } } else { Done::BadReport };
-            return Ok(got.map_or_else(Ingest::BadReport, Ingest::Report));
-        }
-        let Ok(UserRequest { seq, server_num, option, detail }) = UserRequest::decode(payload)
-        else {
-            self.last = Done::BadRequest;
-            return Ok(Ingest::BadRequest);
-        };
-        // Reports only widen shard summaries; the one reader makes them exact.
-        self.dbs.sys.tighten();
-        // A client resends its requirement with every request: compile each one once.
-        let mut compiled = std::mem::take(&mut self.compiled); // lent while view() borrows self
-        let key = (option.template, detail);
-        if compiled.len() >= COMPILED_CAP && !compiled.contains_key(&key) {
-            compiled.clear();
-        }
-        let creq = compiled
-            .entry(key)
-            .or_insert_with_key(|(id, detail)| CompiledRequest::new(&self.templates, *id, detail));
-        let (servers, stats) =
-            select_compiled(&self.view(), &self.policy, now, creq.as_ref(), server_num, from.ip);
-        self.compiled = compiled;
-        // Invariant accounting: select() must never hand out a quarantined
-        // server. The count exists so the hostile.* shapes can assert it
-        // stays at zero rather than trusting the exclusion by inspection.
-        let quarantined = servers
-            .iter()
-            .filter(|ep| self.health.effective_state(ep.ip, now) == StateKind::Quarantined)
-            .count();
-        let reply = WizardReply { seq, servers };
-        let sent = t.send(self.endpoint(), from, &reply.encode());
-        self.last =
-            Done::Matched { stats, servers: reply.servers.len(), quarantined, sent: sent.is_ok() };
-        sent?;
-        Ok(Ingest::Replied { reply, to: from })
-    }
-
-    /// The stale sweep: materialize time-based health transitions
-    /// (quarantine expiry → probation → healthy, so they show up even when
-    /// no fresh outcome report arrives for the host) and evict records
-    /// older than the staleness window so dead servers stop being offered.
-    /// Returns exactly which addresses went dark.
-    ///
-    /// Cost per call: one comparison for the health table, one per shard,
-    /// and a walk only of what is due — a host whose quarantine or
-    /// probation ran out, a shard whose oldest row is past the window —
-    /// cheap enough per datagram (live), whatever the datagrams before were.
-    pub fn sweep(&mut self, now: SimTime) -> Vec<Ip> {
-        let transitions = self.health.poll(now);
-        let by_shard = match self.policy.stale_max_age {
-            Some(age) => self.dbs.sys.expire_by_shard(now, age),
-            None => Vec::new(),
-        };
-        let evicted = by_shard.iter().flat_map(|(_, ips)| ips).copied().collect();
-        self.last = Done::Swept { transitions, by_shard };
-        evicted
-    }
-
-    /// Record the telemetry owed for the most recent `datagram`, `handle`
-    /// or `sweep` call — the one place the wizard's
-    /// counter, span and event names are emitted, for either backend. A
-    /// sibling of those calls rather than a parameter of them because the
-    /// simulator's transport and telemetry live on the same scheduler and
-    /// cannot be borrowed at once.
-    pub fn record(&mut self, tel: &mut Telemetry) {
+    /// Take one input and write the telemetry owed for it — the one place
+    /// the wizard's counter, span and event names are emitted, for either
+    /// backend — and hand back the frame to send, if any. Records are
+    /// stamped with `tel`'s own clock, which its owner keeps at `now`.
+    pub fn step(&mut self, now: SimTime, input: Input<'_>, tel: &mut Telemetry) -> Stepped {
+        let took = self.take(now, input);
         let host = self.host.as_str();
-        match std::mem::take(&mut self.last) {
-            Done::Nothing => {}
-            Done::Report { bytes } => {
+        match took {
+            Took::Poll(from, poll) => {
+                tel.counter_incr("wizard-stats-requests");
+                if let Some(StatsRequest { seq }) = poll {
+                    let lines = tel.summary_tail();
+                    let reply = StatsReply { seq, now_ns: now.0, truncated: false, lines };
+                    return Stepped::Stats(from, reply.encode());
+                }
+            }
+            Took::Outcome(transitions) => {
+                tel.counter_incr("wizard-outcome-reports");
+                record_transitions(tel, host, &transitions);
+            }
+            Took::Report { bytes, .. } => {
                 tel.counter_incr("sysmon-reports");
                 tel.counter_add("sysmon-bytes", bytes as u64);
+                return Stepped::Report;
             }
-            Done::BadReport => tel.counter_incr("sysmon-bad-reports"),
-            Done::BadRequest => tel.counter_incr("wizard-bad-requests"),
-            Done::Matched { stats, servers, quarantined, sent } => {
+            Took::BadReport(_) => tel.counter_incr("sysmon-bad-reports"),
+            Took::Matched { reply, to, stats, quarantined } => {
                 tel.counter_incr("wizard-requests");
                 let span = tel.span_start("wizard-match", host);
-                tel.counter_add(
-                    "wizard-shards-scanned",
-                    (stats.shards_total - stats.shards_pruned) as u64,
-                );
+                let scanned = stats.shards_total - stats.shards_pruned;
+                tel.counter_add("wizard-shards-scanned", scanned as u64);
                 tel.counter_add("wizard-shards-pruned", stats.shards_pruned as u64);
                 tel.counter_add("wizard-rows-evaluated", stats.rows_evaluated as u64);
                 if quarantined > 0 {
                     tel.counter_add("wizard-quarantined-assignments", quarantined as u64);
                 }
-                if sent {
-                    tel.counter_incr("wizard-replies");
-                    tel.counter_add("wizard-reply-servers", servers as u64);
-                } else {
-                    // The client's retry loop covers it, exactly as it
-                    // covers a datagram lost on the wire.
-                    tel.counter_incr("wizard-reply-send-errors");
-                }
+                tel.counter_incr("wizard-replies");
+                tel.counter_add("wizard-reply-servers", reply.servers.len() as u64);
                 tel.span_end(span);
+                return Stepped::Reply(to, reply.encode());
             }
-            Done::Stats => tel.counter_incr("wizard-stats-requests"),
-            Done::Outcome(transitions) => {
-                tel.counter_incr("wizard-outcome-reports");
-                record_transitions(tel, host, &transitions);
-            }
-            Done::Swept { transitions, by_shard } => {
+            Took::BadRequest => tel.counter_incr("wizard-bad-requests"),
+            Took::Swept { transitions, by_shard } => {
                 record_transitions(tel, host, &transitions);
                 // The global eviction counter keeps its pre-sharding
                 // meaning: total addresses that went dark this sweep,
@@ -746,6 +648,96 @@ impl WizardEngine {
                 }
             }
         }
+        Stepped::Quiet
+    }
+
+    /// [`Self::step`] on a datagram, without its telemetry, replying
+    /// through `t`. Only `benchmark/` calls it; ROADMAP item 9 removes it.
+    pub fn handle<T: Transport>(
+        &mut self,
+        t: &mut T,
+        from: Endpoint,
+        payload: &[u8],
+    ) -> Result<Ingest, TransportError> {
+        Ok(match self.take(SimTime(t.now_ns()), Input::Datagram { from, bytes: payload }) {
+            Took::Report { ip, .. } => Ingest::Report(ip),
+            Took::BadReport(e) => Ingest::BadReport(e),
+            Took::Matched { reply, to, .. } => {
+                t.send(self.endpoint(), to, &reply.encode())?;
+                Ingest::Replied { reply, to }
+            }
+            _ => Ingest::BadRequest,
+        })
+    }
+
+    /// [`Self::step`] on a tick, without its telemetry: exactly which
+    /// addresses went dark. Only `benchmark/` calls it; ROADMAP item 9
+    /// removes it.
+    pub fn sweep(&mut self, now: SimTime) -> Vec<Ip> {
+        let Took::Swept { by_shard, .. } = self.take(now, Input::Tick) else { return Vec::new() };
+        by_shard.into_iter().flat_map(|(_, evicted)| evicted).collect()
+    }
+
+    /// The one core behind [`Self::step`] and the wrappers.
+    ///
+    /// A datagram is told apart by magic and length before any decode:
+    /// anything starting with `SSQ1` is a stats poll, exactly 7 bytes that
+    /// decode as an [`OutcomeReport`] feed the health table, `SSR1…` is a
+    /// probe status report, and the rest is decoded as a user request —
+    /// the single-socket monitor+wizard loop.
+    ///
+    /// A tick is the stale sweep: time-based health transitions
+    /// (quarantine → probation → healthy, shown even when no outcome report
+    /// arrives for the host), then eviction of rows past the staleness
+    /// window. It costs one comparison for the health table, one per shard
+    /// and a walk only of what is due — cheap enough per datagram (live).
+    fn take(&mut self, now: SimTime, input: Input<'_>) -> Took {
+        let Input::Datagram { from, bytes: payload } = input else {
+            let transitions = self.health.poll(now);
+            let expire = |age| self.dbs.sys.expire_by_shard(now, age);
+            let by_shard = self.policy.stale_max_age.map_or_else(Vec::new, expire);
+            return Took::Swept { transitions, by_shard };
+        };
+        if payload.starts_with(StatsRequest::ASCII_MAGIC.as_bytes()) {
+            return Took::Poll(from, StatsRequest::decode(payload).ok());
+        }
+        if payload.len() == OutcomeReport::LEN {
+            if let Ok(rep) = OutcomeReport::decode(payload) {
+                return Took::Outcome(self.health.record(rep.server, rep.outcome, now));
+            }
+        }
+        if payload.starts_with(ServerStatusReport::ASCII_MAGIC.as_bytes()) {
+            return match ingest_ascii(&mut self.dbs.sys, payload, now) {
+                Ok(ip) => Took::Report { ip, bytes: payload.len() },
+                Err(e) => Took::BadReport(e),
+            };
+        }
+        let Ok(UserRequest { seq, server_num, option, detail }) = UserRequest::decode(payload)
+        else {
+            return Took::BadRequest;
+        };
+        // Reports only widen shard summaries; the one reader makes them exact.
+        self.dbs.sys.tighten();
+        // A client resends its requirement with every request: compile each one once.
+        let mut compiled = std::mem::take(&mut self.compiled); // lent while view() borrows self
+        let key = (option.template, detail);
+        if compiled.len() >= COMPILED_CAP && !compiled.contains_key(&key) {
+            compiled.clear();
+        }
+        let creq = compiled
+            .entry(key)
+            .or_insert_with_key(|(id, detail)| CompiledRequest::new(&self.templates, *id, detail));
+        let (servers, stats) =
+            select_compiled(&self.view(), &self.policy, now, creq.as_ref(), server_num, from.ip);
+        self.compiled = compiled;
+        // Invariant accounting: select() must never hand out a quarantined
+        // server. The count exists so the hostile.* shapes can assert it
+        // stays at zero rather than trusting the exclusion by inspection.
+        let quarantined = servers
+            .iter()
+            .filter(|ep| self.health.effective_state(ep.ip, now) == StateKind::Quarantined)
+            .count();
+        Took::Matched { reply: WizardReply { seq, servers }, to: from, stats, quarantined }
     }
 }
 
@@ -804,16 +796,30 @@ mod tests {
         WizardEngine::new(Ip::new(10, 0, 0, 1), SelectPolicy::default())
     }
 
+    const CLIENT: Endpoint = Endpoint::new(CLIENT_IP, 40001);
+
+    /// A datagram from [`CLIENT`].
+    fn from_client(bytes: &[u8]) -> Input<'_> {
+        Input::Datagram { from: CLIENT, bytes }
+    }
+
+    /// The reply `step` handed back, decoded; it must go to [`CLIENT`].
+    fn reply(got: Stepped) -> WizardReply {
+        let Stepped::Reply(to, frame) = got else { panic!("expected a reply, got {got:?}") };
+        assert_eq!(to, CLIENT);
+        WizardReply::decode(&frame).unwrap()
+    }
+
     #[test]
     fn demux_ingests_reports_and_answers_requests() {
         let mut e = engine();
-        let mut t = NullTransport { now: 0, sent: Vec::new() };
-        let client = Endpoint::new(Ip::new(10, 0, 0, 2), 40001);
-
+        let mut tel = Telemetry::new();
         for (name, last, idle) in [("idle1", 1, 0.97), ("busy", 2, 0.10), ("idle2", 3, 0.95)] {
             let wire = report(name, last, idle).encode_ascii();
-            let got = e.handle(&mut t, client, wire.as_bytes()).unwrap();
-            assert_eq!(got, Ingest::Report(Ip::new(10, 0, 1, last)));
+            assert_eq!(
+                e.step(SimTime::ZERO, from_client(wire.as_bytes()), &mut tel),
+                Stepped::Report
+            );
         }
         assert_eq!(e.live_servers(), 3);
 
@@ -823,77 +829,55 @@ mod tests {
             option: RequestOption::DEFAULT,
             detail: "host_cpu_free > 0.9\n".to_owned(),
         };
-        let got = e.handle(&mut t, client, &req.encode()).unwrap();
-        let Ingest::Replied { reply, to } = got else { panic!("expected a reply, got {got:?}") };
-        assert_eq!(to, client);
-        assert_eq!(reply.seq, 0xabcd);
-        assert_eq!(
-            reply.servers.iter().map(|e| e.ip).collect::<Vec<_>>(),
-            vec![Ip::new(10, 0, 1, 1), Ip::new(10, 0, 1, 3)]
-        );
-        // The reply went out through the transport, byte-for-byte.
-        assert_eq!(t.sent.len(), 1);
-        assert_eq!(t.sent[0].1, reply.encode().to_vec());
+        let got = reply(e.step(SimTime::ZERO, from_client(&req.encode()), &mut tel));
+        assert_eq!(got.seq, 0xabcd);
+        assert_eq!(ips(&got.servers), vec![Ip::new(10, 0, 1, 1), Ip::new(10, 0, 1, 3)]);
     }
 
     #[test]
     fn bad_datagrams_are_classified_not_dropped_silently() {
         let mut e = engine();
-        let mut t = NullTransport { now: 0, sent: Vec::new() };
-        let client = Endpoint::new(Ip::new(10, 0, 0, 2), 40001);
-        let got = e.handle(&mut t, client, b"SSR1 this is not a report").unwrap();
-        assert!(matches!(got, Ingest::BadReport(_)));
-        let got = e.handle(&mut t, client, b"xy").unwrap();
-        assert_eq!(got, Ingest::BadRequest);
-        assert!(t.sent.is_empty());
+        let mut tel = Telemetry::new();
+        for bytes in [&b"SSR1 this is not a report"[..], b"xy"] {
+            assert_eq!(e.step(SimTime::ZERO, from_client(bytes), &mut tel), Stepped::Quiet);
+        }
+        assert_eq!(tel.counter("sysmon-bad-reports"), 1);
+        assert_eq!(tel.counter("wizard-bad-requests"), 1);
     }
 
     #[test]
     fn stale_records_expire_via_sweep_and_are_skipped_by_select() {
         let mut e = engine();
-        let mut t = NullTransport { now: 0, sent: Vec::new() };
-        let client = Endpoint::new(Ip::new(10, 0, 0, 2), 40001);
-        e.handle(&mut t, client, report("old", 1, 0.95).encode_ascii().as_bytes()).unwrap();
-        t.now = SimTime::from_secs(8).0;
-        e.handle(&mut t, client, report("new", 2, 0.95).encode_ascii().as_bytes()).unwrap();
+        let mut tel = Telemetry::new();
+        let old = report("old", 1, 0.95).encode_ascii();
+        e.step(SimTime::ZERO, from_client(old.as_bytes()), &mut tel);
+        let now = SimTime::from_secs(8);
+        e.step(now, from_client(report("new", 2, 0.95).encode_ascii().as_bytes()), &mut tel);
 
         // At t = 8 s the t=0 record is 8 s old (> 6 s window): selection
         // skips it even before any sweep runs.
-        let req = UserRequest {
-            seq: 1,
-            server_num: 5,
-            option: RequestOption::DEFAULT,
-            detail: String::new(),
-        };
-        let Ingest::Replied { reply, .. } = e.handle(&mut t, client, &req.encode()).unwrap() else {
-            panic!("expected reply")
-        };
-        assert_eq!(
-            reply.servers.iter().map(|e| e.ip).collect::<Vec<_>>(),
-            vec![Ip::new(10, 0, 1, 2)]
-        );
-        // And the sweep evicts it for good.
-        assert_eq!(e.sweep(SimTime::from_secs(8)), vec![Ip::new(10, 0, 1, 1)]);
+        let got = reply(e.step(now, from_client(&user_request("", 5).encode()), &mut tel));
+        assert_eq!(ips(&got.servers), vec![Ip::new(10, 0, 1, 2)]);
+        // And the tick evicts it for good.
+        assert_eq!(e.step(now, Input::Tick, &mut tel), Stepped::Quiet);
         assert_eq!(e.live_servers(), 1);
+        assert_eq!(tel.event_count_where("status-db-expired", "server", "10.0.1.1"), 1);
     }
 
+    /// `step` writes what each input owes, once: a tick with nothing due
+    /// writes nothing.
     #[test]
     fn record_emits_each_call_once() {
         let mut e = engine();
-        let mut t = NullTransport { now: 0, sent: Vec::new() };
         let mut tel = Telemetry::new();
-        let client = Endpoint::new(Ip::new(10, 0, 0, 2), 40001);
         let wire = report("idle", 1, 0.95).encode_ascii();
-        e.handle(&mut t, client, wire.as_bytes()).unwrap();
-        e.record(&mut tel);
-        e.record(&mut tel); // nothing owed: a second call records nothing
+        e.step(SimTime::ZERO, from_client(wire.as_bytes()), &mut tel);
         assert_eq!(tel.counter("sysmon-reports"), 1);
         assert_eq!(tel.counter("sysmon-bytes"), wire.len() as u64);
 
-        e.handle(&mut t, client, &user_request("host_cpu_free > 0.9\n", 5).encode()).unwrap();
-        e.record(&mut tel);
-        e.handle(&mut t, client, b"xy").unwrap();
-        e.record(&mut tel);
+        let req = user_request("host_cpu_free > 0.9\n", 5).encode();
+        e.step(SimTime::ZERO, from_client(&req), &mut tel);
+        e.step(SimTime::ZERO, from_client(b"xy"), &mut tel);
         assert_eq!(tel.counter("wizard-requests"), 1);
         assert_eq!(tel.counter("wizard-replies"), 1);
         assert_eq!(tel.counter("wizard-reply-servers"), 1);
@@ -902,42 +886,110 @@ mod tests {
         assert_eq!(tel.counter("wizard-bad-requests"), 1);
         assert_eq!(tel.span_durations_ns("wizard-match").len(), 1, "garbage opens no span");
 
-        e.sweep(SimTime::from_secs(60));
-        e.record(&mut tel);
-        assert_eq!(tel.counter("wizard-stale-evictions"), 1);
+        for _ in 0..2 {
+            e.step(SimTime::from_secs(60), Input::Tick, &mut tel);
+        }
+        assert_eq!(
+            tel.counter("wizard-stale-evictions"),
+            1,
+            "a tick with nothing due writes nothing"
+        );
         assert_eq!(tel.event_count("status-db-shard-swept"), 1);
         assert_eq!(tel.event_count("status-db-expired"), 1);
     }
 
+    /// `step` tells a poll (answered) and an outcome report from the
+    /// reports and requests `handle` also takes.
     #[test]
     fn datagram_tells_polls_and_outcome_reports_from_what_handle_takes() {
         let mut e = engine();
-        let mut t = NullTransport { now: 0, sent: Vec::new() };
         let mut tel = Telemetry::new();
-        let client = Endpoint::new(CLIENT_IP, 40001);
-        let mut take = |e: &mut WizardEngine, bytes: &[u8]| {
-            let got = e.datagram(&mut t, client, bytes).unwrap();
-            e.record(&mut tel);
-            got
+        let now = SimTime::from_secs(3);
+        let mut take =
+            |e: &mut WizardEngine, bytes: &[u8]| e.step(now, from_client(bytes), &mut tel);
+        let Stepped::Stats(to, frame) = take(&mut e, &StatsRequest { seq: 9 }.encode()) else {
+            panic!("a poll is answered")
         };
-        let poll = StatsRequest { seq: 9 };
-        assert_eq!(take(&mut e, &poll.encode()), Arrival::Stats(Some(poll)));
-        assert_eq!(take(&mut e, b"SSQ1 no poll"), Arrival::Stats(None));
+        let poll = StatsReply::decode(&frame).unwrap();
+        assert_eq!((to, poll.seq, poll.now_ns), (CLIENT, 9, now.0));
+        let counted = r#"{"t":"counter","name":"wizard-stats-requests","value":1}"#;
+        assert!(poll.lines.lines().any(|l| l == counted), "the poll is in its own lines");
+        assert_eq!(take(&mut e, b"SSQ1 no poll"), Stepped::Quiet);
         let rep = OutcomeReport { server: Ip::new(10, 0, 1, 1), outcome: OutcomeKind::Timeout };
-        assert_eq!(take(&mut e, &rep.encode()), Arrival::Outcome);
+        assert_eq!(take(&mut e, &rep.encode()), Stepped::Quiet);
         let mut bad = rep.encode();
         bad[4] = 9; // no such outcome kind: a 7-byte datagram that is no report
-        assert_eq!(take(&mut e, &bad), Arrival::Handled(Ingest::BadRequest));
+        assert_eq!(take(&mut e, &bad), Stepped::Quiet);
         let wire = report("idle", 1, 0.95).encode_ascii();
-        assert_eq!(take(&mut e, wire.as_bytes()), Arrival::Handled(Ingest::Report(rep.server)));
-        let req = user_request("", 1);
-        assert!(matches!(take(&mut e, &req.encode()), Arrival::Handled(Ingest::Replied { .. })));
-        assert_eq!(t.sent.len(), 1, "only the request is answered");
+        assert_eq!(take(&mut e, wire.as_bytes()), Stepped::Report);
+        reply(take(&mut e, &user_request("", 1).encode()));
         assert_eq!(tel.counter("wizard-stats-requests"), 2);
         assert_eq!(tel.counter("wizard-outcome-reports"), 1);
         assert_eq!(tel.counter("wizard-bad-requests"), 1);
         assert_eq!(tel.counter("wizard-requests"), 1);
         assert_eq!(tel.counter("sysmon-reports"), 1);
+    }
+
+    /// `handle` and `sweep`, which only the benchmark calls, are `step`
+    /// without its telemetry: one sequence of reports (new and
+    /// overwriting), requests, outcome reports, a poll, garbage and ticks,
+    /// fed to one engine through `step` and to its twin through the
+    /// wrappers, leaves the same reply bytes, evictions and rows after every
+    /// input. (A poll is answered by `step` alone: it is no request.)
+    #[test]
+    fn handle_and_sweep_are_step_without_its_telemetry() {
+        let (mut stepped, mut wrapped) = (engine(), engine());
+        let mut tel = Telemetry::new();
+        let up = |name, last, idle| Some(report(name, last, idle).encode_ascii().into_bytes());
+        let ask = |detail: &str, n| Some(user_request(detail, n).encode().to_vec());
+        let timeout = OutcomeReport { server: Ip::new(10, 0, 1, 2), outcome: OutcomeKind::Timeout };
+        // A row in a second /24, so that a tick evicts from two shards.
+        let mut far = report("d", 1, 0.95);
+        far.ip = Ip::new(10, 0, 2, 1);
+        let inputs = [
+            (0, up("a", 1, 0.95)),
+            (0, up("b", 2, 0.95)),
+            (0, up("c", 3, 0.50)),
+            (0, Some(far.encode_ascii().into_bytes())),
+            (1, ask("host_cpu_free > 0.9\n", 5)),
+            (2, up("a", 1, 0.10)),
+            (2, ask("host_cpu_free > 0.9\n", 5)),
+            (3, Some(timeout.encode().to_vec())),
+            (3, Some(timeout.encode().to_vec())),
+            (4, Some(b"xy".to_vec())),
+            (4, Some(b"SSR1 not a report".to_vec())),
+            (4, Some(StatsRequest { seq: 3 }.encode().to_vec())),
+            (5, ask("", 60)),
+            (5, ask("+++ ~~~", 5)),
+            (7, None),
+            (7, ask("", 60)),
+            (12, up("b", 2, 0.95)),
+            (20, None),
+            (20, ask("", 60)),
+        ];
+        for (secs, bytes) in inputs {
+            let now = SimTime::from_secs(secs);
+            let mut t = NullTransport { now: now.0, sent: Vec::new() };
+            match bytes {
+                Some(bytes) => {
+                    let sent = match stepped.step(now, from_client(&bytes), &mut tel) {
+                        Stepped::Reply(to, frame) => vec![(to, frame.to_vec())],
+                        _ => Vec::new(),
+                    };
+                    wrapped.handle(&mut t, CLIENT, &bytes).unwrap();
+                    assert_eq!(t.sent, sent, "replies at {secs} s");
+                }
+                None => {
+                    let before = tel.counter("wizard-stale-evictions");
+                    stepped.step(now, Input::Tick, &mut tel);
+                    let evicted = tel.counter("wizard-stale-evictions") - before;
+                    assert_eq!(wrapped.sweep(now).len() as u64, evicted, "evictions at {secs} s");
+                }
+            }
+            assert_eq!(stepped.live_servers(), wrapped.live_servers(), "rows at {secs} s");
+        }
+        assert_eq!(tel.counter("health-quarantines"), 1);
+        assert_eq!(tel.counter("wizard-stale-evictions"), 5);
     }
 
     /// A request whose `seq` spells `SSR1` would be taken for a status
@@ -963,8 +1015,11 @@ mod tests {
             let seq = Scripted(vec![u32::from_le_bytes(magic), 7]).seq();
             c.start(&mut t, &RequestSpec::new("", 1), seq);
             let (_, request) = t.sent.pop().unwrap();
-            e.datagram(&mut t, client, &request).unwrap();
-            let (_, reply) = t.sent.pop().expect("the request is answered");
+            let input = Input::Datagram { from: client, bytes: &request };
+            let Stepped::Reply(_, reply) = e.step(SimTime::ZERO, input, &mut Telemetry::new())
+            else {
+                panic!("the request is answered")
+            };
             let [Some(Output::Resolved(7, Ok(servers))), ..] = c.datagram(e.endpoint(), &reply)
             else {
                 panic!("the reply resolves the request")
@@ -1042,9 +1097,8 @@ mod tests {
         upsert(&mut e, report("good", 1, 0.95), SimTime::ZERO);
         upsert(&mut e, report("flaky", 2, 0.95), SimTime::ZERO);
         for at in [1, 2] {
-            let rep = OutcomeReport { server: flaky, outcome: OutcomeKind::Timeout };
-            let mut t = NullTransport { now: SimTime::from_secs(at).0, sent: Vec::new() };
-            e.datagram(&mut t, Endpoint::new(CLIENT_IP, 47000), &rep.encode()).unwrap();
+            let rep = OutcomeReport { server: flaky, outcome: OutcomeKind::Timeout }.encode();
+            e.step(SimTime::from_secs(at), from_client(&rep), &mut Telemetry::new());
         }
         // While quarantined: never offered, even though its record is live.
         let got = e.select(SimTime::from_secs(3), &user_request("", 5), CLIENT_IP);
@@ -1367,18 +1421,13 @@ mod tests {
         // shard's `[lo, hi]` — the flat scan offered it (`NaN != 0.5`)
         // while the pruned walk ruled the whole /24 out on `[0.5, 0.5]`.
         let mut e = engine();
-        let mut t = NullTransport { now: 0, sent: Vec::new() };
-        let from = Endpoint::new(Ip::new(10, 0, 1, 1), 40001);
-        let half = report("half", 1, 0.5).encode_ascii();
-        assert_eq!(e.handle(&mut t, from, half.as_bytes()), Ok(Ingest::Report(from.ip)));
-        let nan = report("nan", 2, 0.5).encode_ascii().replacen(" 0.500 ", " NaN ", 1);
-        assert_eq!(
-            e.handle(&mut t, from, nan.as_bytes()),
-            Ok(Ingest::BadReport(IngestError::BadReport))
-        );
         let mut tel = Telemetry::new();
-        e.record(&mut tel);
+        let half = report("half", 1, 0.5).encode_ascii();
+        assert_eq!(e.step(SimTime::ZERO, from_client(half.as_bytes()), &mut tel), Stepped::Report);
+        let nan = report("nan", 2, 0.5).encode_ascii().replacen(" 0.500 ", " NaN ", 1);
+        assert_eq!(e.step(SimTime::ZERO, from_client(nan.as_bytes()), &mut tel), Stepped::Quiet);
         assert_eq!(tel.counter("sysmon-bad-reports"), 1);
+        assert_eq!(e.live_servers(), 1);
 
         let (flat, pruned, _) =
             both_scans(&e, SimTime::ZERO, &user_request("host_cpu_idle != 0.5\n", 5));
@@ -1506,14 +1555,14 @@ mod tests {
     #[test]
     fn a_request_after_overwrites_prunes_without_a_sweep() {
         let mut e = engine();
-        let mut t = NullTransport { now: 0, sent: Vec::new() };
+        let mut tel = Telemetry::new();
         let probe = Endpoint::new(Ip::new(10, 0, 0, 3), 40000);
-        let client = Endpoint::new(CLIENT_IP, 40001);
-        let mut send = |e: &mut WizardEngine, subnet: u8, last: u8, idle: f64| {
+        let send = |e: &mut WizardEngine, subnet: u8, last: u8, idle: f64| {
             let mut r = ServerStatusReport::empty("h", Ip::new(10, 4, subnet, last));
             r.cpu_idle = idle;
-            let got = e.handle(&mut t, probe, r.encode_ascii().as_bytes());
-            assert_eq!(got, Ok(Ingest::Report(r.ip)));
+            let wire = r.encode_ascii();
+            let input = Input::Datagram { from: probe, bytes: wire.as_bytes() };
+            assert_eq!(e.step(SimTime::ZERO, input, &mut Telemetry::new()), Stepped::Report);
         };
         // Two idle /24s; then every row of the first reports itself busy.
         for (subnet, rows) in [(0, 30), (1, 20)] {
@@ -1530,13 +1579,12 @@ mod tests {
         assert_eq!(widened.range_of("host_cpu_free"), Some((0.10, 0.95)));
 
         let req = user_request("host_cpu_free > 0.9\n", 60);
-        let got = e.handle(&mut t, client, &req.encode()).unwrap();
-        let Ingest::Replied { reply, .. } = got else { panic!("expected a reply, got {got:?}") };
-        let Done::Matched { stats, .. } = e.last else { panic!("a request was matched") };
-        assert_eq!(stats, SelectStats { shards_total: 2, shards_pruned: 1, rows_evaluated: 20 });
+        let got = reply(e.step(SimTime::ZERO, from_client(&req.encode()), &mut tel));
+        let scanned = ["wizard-shards-scanned", "wizard-shards-pruned", "wizard-rows-evaluated"];
+        assert_eq!(scanned.map(|name| tel.counter(name)), [1, 1, 20]);
         let flat = select_flat(&e.view(), e.policy(), SimTime::ZERO, &req, CLIENT_IP);
-        assert_eq!(reply.servers, flat);
-        assert_eq!(reply.servers.len(), 20);
+        assert_eq!(got.servers, flat);
+        assert_eq!(got.servers.len(), 20);
     }
 
     #[test]
@@ -1554,11 +1602,7 @@ mod tests {
 
     /// The servers of the engine's reply to `wire`, sent by the client at `now`.
     fn reply_to(e: &mut WizardEngine, now: SimTime, wire: &[u8]) -> Vec<Endpoint> {
-        let mut t = NullTransport { now: now.0, sent: Vec::new() };
-        match e.handle(&mut t, Endpoint::new(CLIENT_IP, 40001), wire) {
-            Ok(Ingest::Replied { reply, .. }) => reply.servers,
-            got => panic!("expected a reply, got {got:?}"),
-        }
+        reply(e.step(now, from_client(wire), &mut Telemetry::new())).servers
     }
 
     /// `weak` (10.0.1.1, cpu free 0.2) and `strong` (10.0.1.2, 0.95).
@@ -1623,9 +1667,10 @@ mod tests {
         let wire = user_request("+++ ~~~", 5).encode();
         let traces: Vec<String> = (0..2)
             .map(|_| {
-                assert!(reply_to(&mut e, SimTime::ZERO, &wire).is_empty());
                 let mut tel = Telemetry::new();
-                e.record(&mut tel);
+                assert!(reply(e.step(SimTime::ZERO, from_client(&wire), &mut tel))
+                    .servers
+                    .is_empty());
                 tel.export_jsonl()
             })
             .collect();

@@ -38,15 +38,15 @@ pub mod vars;
 use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::rc::Rc;
 
-use smartsock_net::{Network, SimTransport, UdpDatagram};
+use smartsock_net::{Network, Payload, UdpDatagram};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{Endpoint, Ip};
 use smartsock_sim::{Scheduler, SimDuration};
 
 pub use client::{ClientEngine, ClientError, RequestSpec};
 pub use engine::{
-    select, select_flat, select_with_stats, Arrival, Ingest, SelectPolicy, SelectStats, SelectView,
-    WizardEngine,
+    select, select_flat, select_with_stats, Ingest, Input, SelectPolicy, SelectStats, SelectView,
+    Stepped, WizardEngine,
 };
 pub use vars::ServerVars;
 
@@ -78,10 +78,11 @@ pub struct WizardConfig {
 /// a simulated [`Network`], and to the receiver port 1121, whose snapshots
 /// land in the engine's own tables. It owns only what the simulator adds —
 /// the bindings, the sweep timer with its restart epoch, and distributed
-/// mode's pull-then-settle delay; every datagram, snapshot and sweep tick
-/// is one call on the engine. A stats poll is counted and left unanswered:
-/// the telemetry a reply would quote is the scheduler's, shared with every
-/// simulated daemon.
+/// mode's pull-then-settle delay; every datagram and sweep tick is one
+/// [`WizardEngine::step`] into the scheduler's telemetry, whose frame, if
+/// any, it sends, and every snapshot one write into the engine's tables.
+/// A stats poll is answered as the live daemon answers it, with the
+/// summary lines of that telemetry, shared with every simulated daemon.
 #[derive(Clone)]
 pub struct Wizard {
     net: Network,
@@ -168,11 +169,7 @@ impl Wizard {
         if self.epoch.get() != epoch {
             return;
         }
-        {
-            let mut engine = self.engine.borrow_mut();
-            engine.sweep(s.now());
-            engine.record(&mut s.telemetry);
-        }
+        self.engine.borrow_mut().step(s.now(), Input::Tick, &mut s.telemetry);
         let wiz = self.clone();
         s.schedule_in(interval, move |s| wiz.sweep_tick(s, epoch, interval));
     }
@@ -194,10 +191,13 @@ impl Wizard {
 
     fn serve(&self, s: &mut Scheduler, dgram: &UdpDatagram) {
         let mut engine = self.engine.borrow_mut();
+        let input = Input::Datagram { from: dgram.from, bytes: &dgram.payload.data };
         // The simulated network never fails a send: loss is silence.
-        let _ =
-            engine.datagram(&mut SimTransport::new(s, &self.net), dgram.from, &dgram.payload.data);
-        engine.record(&mut s.telemetry);
+        if let Stepped::Reply(to, frame) | Stepped::Stats(to, frame) =
+            engine.step(s.now(), input, &mut s.telemetry)
+        {
+            self.net.send_udp(s, engine.endpoint(), to, Payload::data(frame), None);
+        }
     }
 }
 
@@ -207,10 +207,10 @@ mod tests {
     //! ordering and ingest are tested once, on the engine.
     use super::*;
     use smartsock_monitor::{StateKind, StatusDbs};
-    use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
+    use smartsock_net::{HostParams, LinkParams, NetworkBuilder};
     use smartsock_proto::{
-        OutcomeKind, OutcomeReport, RequestOption, ServerStatusReport, StatsRequest, UserRequest,
-        WizardReply,
+        OutcomeKind, OutcomeReport, RequestOption, ServerStatusReport, StatsReply, StatsRequest,
+        UserRequest, WizardReply,
     };
     use smartsock_sim::SimTime;
     use smartsock_wire::{Mode, Transmitter};
@@ -336,14 +336,25 @@ mod tests {
     }
 
     #[test]
-    fn a_stats_poll_is_counted_and_left_unanswered() {
+    fn a_stats_poll_is_counted_and_answered() {
         let mut r = rig(no_sweep());
         r.upsert(report("srv", Ip::new(10, 0, 0, 9)));
-        // Eight bytes that would decode as a request, were they not a poll.
-        r.send(r.wiz.endpoint(), StatsRequest { seq: 7 }.encode().to_vec());
-        r.send(r.wiz.endpoint(), b"SSQ1".to_vec());
+        let poller = Endpoint::new(CLIENT.ip, 50002);
+        let frames = Rc::new(RefCell::new(Vec::new()));
+        let got = Rc::clone(&frames);
+        r.net.bind_udp(poller, move |_, d| got.borrow_mut().push(d.payload.data.to_vec()));
+        // Eight bytes that would decode as a request, were they not a poll;
+        // then four that are no poll at all, which get no answer.
+        for poll in [StatsRequest { seq: 7 }.encode().to_vec(), b"SSQ1".to_vec()] {
+            r.net.send_udp(&mut r.s, poller, r.wiz.endpoint(), Payload::data(poll), None);
+        }
         r.s.run();
-        assert!(r.replies.borrow().is_empty());
+        let frames = frames.borrow();
+        assert_eq!(frames.len(), 1, "only the valid poll is answered");
+        let answer = StatsReply::decode(&frames[0]).unwrap();
+        assert_eq!(answer.seq, 7);
+        let counted = r#"{"t":"counter","name":"wizard-stats-requests","value":1}"#;
+        assert!(answer.lines.lines().any(|l| l == counted), "{}", answer.lines);
         assert_eq!(r.s.telemetry.counter("wizard-stats-requests"), 2);
         assert_eq!(r.s.telemetry.counter("wizard-requests"), 0);
         assert_eq!(r.s.telemetry.counter("wizard-bad-requests"), 0);

@@ -2,7 +2,8 @@
 //!
 //! Every scenario feeds the *same* encoded wire bytes — ASCII
 //! `ServerStatusReport` lines, binary `UserRequest` frames and, in scenario
-//! 11, outcome reports and stats polls — to both backends:
+//! 11, outcome reports and stats polls, which both answer — to both
+//! backends:
 //!
 //! * **sim**: a `Wizard` on a simulated LAN, reports and requests alike
 //!   sent to its request port, datagrams travelling through the
@@ -103,19 +104,20 @@ fn server_ips(reply: &WizardReply) -> Vec<Ip> {
 /// `request_at_secs` of virtual time, and the raw reply datagram bytes are
 /// captured at the client's UDP binding.
 fn sim_reply(reports: &[Vec<u8>], request_at_secs: u64, request: &[u8]) -> Answer {
-    let (mut replies, s) = sim_run(reports, request_at_secs, request);
+    let (mut replies, s) = sim_run(reports, request_at_secs, &[request]);
     let reply = replies.pop().expect("sim wizard replied");
     let counters = ENGINE_COUNTERS.iter().map(|name| s.telemetry.counter(name)).collect();
     Answer { reply, counters }
 }
 
 /// [`sim_reply`]'s run: `datagrams` sent to the wizard's port at t=0, then
-/// the request. Returns every datagram the sender received, and the
-/// scheduler whose telemetry the wizard wrote.
+/// from `request_at_secs` on the `requests`, 2 s apart. Returns every
+/// datagram the sender received, and the scheduler whose telemetry the
+/// wizard wrote.
 fn sim_run(
     datagrams: &[Vec<u8>],
     request_at_secs: u64,
-    request: &[u8],
+    requests: &[&[u8]],
 ) -> (Vec<Vec<u8>>, Scheduler) {
     let mut b = NetworkBuilder::new(11);
     let w = b.host("wizard", WIZ_IP, HostParams::testbed());
@@ -136,8 +138,10 @@ fn sim_run(
         net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(d.clone()), None);
     }
     s.run_until(SimTime::from_secs(request_at_secs));
-    net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(request.to_vec()), None);
-    s.run_until(s.now() + SimDuration::from_secs(2));
+    for request in requests {
+        net.send_udp(&mut s, client_ep, wiz.endpoint(), Payload::data(request.to_vec()), None);
+        s.run_until(s.now() + SimDuration::from_secs(2));
+    }
     (got.take(), s)
 }
 
@@ -675,7 +679,8 @@ fn connect_failures_reported_by_either_client_quarantine_the_server() {
 // ---------------------------------------------------------------------
 // Scenario 11: one port, one demux — outcome reports, stats polls and a
 // malformed 7-byte datagram reach port 1120 of both wizards, among the
-// reports, and each backend tells them apart as the other does.
+// reports; each backend tells them apart as the other does, and answers
+// the poll quoting the same counters.
 // ---------------------------------------------------------------------
 
 /// The counters each kind of datagram on the wizard's port moves.
@@ -697,25 +702,27 @@ fn every_kind_of_datagram_on_the_wizard_port_is_told_apart_alike() {
     let mut malformed = failed.clone();
     malformed[4] = 9; // no such outcome kind
     let mut datagrams = three_idle_servers();
-    // The valid poll goes last: its answer tells the live sender that the
-    // daemon has handled every datagram before it.
+    datagrams.extend([failed.clone(), failed, malformed, b"SSQ1 no poll".to_vec()]);
     let poll = StatsRequest { seq: 1 }.encode().to_vec();
-    datagrams.extend([failed.clone(), failed, malformed, b"SSQ1 no poll".to_vec(), poll]);
     let request = request_bytes(0xA1A1_0011, 5, "");
 
-    let (sim_replies, s) = sim_run(&datagrams, 1, &request);
+    // The simulated network does not keep datagrams sent in one instant in
+    // order, so the poll follows the rest a second later.
+    let (sim_frames, s) = sim_run(&datagrams, 1, &[&poll, &request]);
     let sim_counters: Vec<u64> = DEMUX_COUNTERS.iter().map(|n| s.telemetry.counter(n)).collect();
 
     let (clock, _hand) = Clock::manual();
     let wiz = LiveWizard::spawn_with("127.0.0.1:0", clock).unwrap();
     let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
     sender.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-    for d in &datagrams {
+    // Loopback keeps one sender's datagrams in order: the poll's answer
+    // tells the sender that the daemon has handled every datagram before it.
+    for d in datagrams.iter().chain([&poll]) {
         sender.send_to(d, wiz.addr()).unwrap();
     }
     let mut buf = [0u8; 65536];
     let (n, _) = sender.recv_from(&mut buf).expect("the live daemon answers a stats poll");
-    assert_eq!(StatsReply::decode(&buf[..n]).unwrap().seq, 1);
+    let live_poll = buf[..n].to_vec();
     sender.send_to(&request, wiz.addr()).unwrap();
     let (n, _) = sender.recv_from(&mut buf).expect("the live daemon answers the request");
     let live_reply = buf[..n].to_vec();
@@ -723,10 +730,26 @@ fn every_kind_of_datagram_on_the_wizard_port_is_told_apart_alike() {
     let live_counters: Vec<u64> =
         DEMUX_COUNTERS.iter().map(|n| trace.counters.get(*n).copied().unwrap_or(0)).collect();
 
-    assert_eq!(sim_replies, [live_reply], "only the request is answered, byte for byte alike");
+    let [sim_poll, sim_reply]: [Vec<u8>; 2] =
+        sim_frames.try_into().expect("the sim wizard answers the poll and the request");
+    assert_eq!(sim_reply, live_reply, "the request is answered byte for byte alike");
+    // Each poll's answer quotes its daemon's own summary lines, which hold
+    // more than the wizard's counters; those must agree.
+    let quoted = |frame: &[u8]| {
+        let answer = StatsReply::decode(frame).unwrap();
+        assert_eq!(answer.seq, 1);
+        let counters = Trace::parse(&answer.lines).counters;
+        DEMUX_COUNTERS.map(|n| counters.get(n).copied().unwrap_or(0))
+    };
+    let at_poll = quoted(&sim_poll);
+    assert_eq!(at_poll, quoted(&live_poll), "the backends' polls quote different counters");
+    // Three reports, the malformed 7-byte datagram, two outcome reports,
+    // two polls (the valid one counted in its own answer) and a quarantine;
+    // the request comes after the poll.
+    assert_eq!(at_poll, [3, 0, 1, 2, 2, 1, 0]);
     assert_eq!(sim_counters, live_counters, "the backends told the datagrams apart differently");
     assert_eq!(sim_counters, [3, 1, 1, 2, 2, 1, 0]);
-    let reply = WizardReply::decode(&sim_replies[0]).unwrap();
+    let reply = WizardReply::decode(&sim_reply).unwrap();
     assert_eq!(
         server_ips(&reply),
         vec![Ip::new(10, 0, 9, 1), Ip::new(10, 0, 9, 3)],

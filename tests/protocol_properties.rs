@@ -7,10 +7,11 @@ use smartsock_hostsim::TopologySpec;
 use smartsock_net::packet::{fragment_sizes, udp_wire_size};
 use smartsock_proto::{
     Endpoint, Frame, Ip, NetPathRecord, OutcomeKind, OutcomeReport, ProtoError, RecordType,
-    RequestOption, SecurityRecord, ServerStatusReport, StatsReply, StatsRequest, Transport,
-    TransportError, UserRequest, WizardReply,
+    RequestOption, SecurityRecord, ServerStatusReport, StatsReply, StatsRequest, UserRequest,
+    WizardReply,
 };
-use smartsock_wizard::{SelectPolicy, WizardEngine};
+use smartsock_sim::{SimTime, Telemetry};
+use smartsock_wizard::{Input, SelectPolicy, Stepped, WizardEngine};
 
 fn arb_ip() -> impl Strategy<Value = Ip> {
     any::<u32>().prop_map(Ip)
@@ -181,7 +182,7 @@ proptest! {
     /// No wire decoder panics or aborts on arbitrary bytes: each call
     /// returns, `Ok` or `Err`. Short inputs probe the length checks;
     /// long ones reach past the first record. The wizard's demux is one
-    /// more decoder, and it answers exactly the requests.
+    /// more decoder, and it answers exactly the requests and the polls.
     #[test]
     fn every_decoder_survives_arbitrary_bytes(
         short in proptest::collection::vec(any::<u8>(), 0..40),
@@ -190,7 +191,7 @@ proptest! {
     ) {
         for bytes in [&short, &long, &port] {
             decode_everything(bytes);
-            the_wizard_answers_only_requests(bytes);
+            the_wizard_answers_only_requests_and_polls(bytes);
         }
     }
 
@@ -275,30 +276,23 @@ fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
-/// Records where each frame it is asked to send goes.
-struct Recorder(Vec<Endpoint>);
-
-impl Transport for Recorder {
-    fn now_ns(&self) -> u64 {
-        0
-    }
-    fn send(&mut self, _from: Endpoint, to: Endpoint, _: &[u8]) -> Result<(), TransportError> {
-        self.0.push(to);
-        Ok(())
-    }
-}
-
-/// `WizardEngine::datagram` sends one frame, to the sender, when the bytes
-/// decode as a request and start with neither magic, and none otherwise.
-fn the_wizard_answers_only_requests(bytes: &[u8]) {
+/// `WizardEngine::step` hands back one frame, for the sender, when the
+/// bytes decode as a request and start with neither magic, or decode as a
+/// stats poll; none otherwise.
+fn the_wizard_answers_only_requests_and_polls(bytes: &[u8]) {
     let mut wizard = WizardEngine::new(Ip::new(10, 0, 0, 1), SelectPolicy::default());
     let from = Endpoint::new(Ip::new(10, 0, 0, 2), 47000);
-    let mut sent = Recorder(Vec::new());
-    let _ = wizard.datagram(&mut sent, from, bytes);
+    let input = Input::Datagram { from, bytes };
+    let sent = match wizard.step(SimTime::ZERO, input, &mut Telemetry::new()) {
+        Stepped::Reply(to, _) | Stepped::Stats(to, _) => vec![to],
+        Stepped::Report | Stepped::Quiet => vec![],
+    };
     let magics = [StatsRequest::ASCII_MAGIC, ServerStatusReport::ASCII_MAGIC];
     let magic = magics.iter().any(|m| bytes.starts_with(m.as_bytes()));
     let request = !magic && UserRequest::decode(bytes).is_ok();
-    assert_eq!(sent.0, if request { vec![from] } else { vec![] }, "{bytes:?}");
+    let poll = bytes.starts_with(StatsRequest::ASCII_MAGIC.as_bytes())
+        && StatsRequest::decode(bytes).is_ok();
+    assert_eq!(sent, if request || poll { vec![from] } else { vec![] }, "{bytes:?}");
 }
 
 fn decode_everything(bytes: &[u8]) {
