@@ -3,10 +3,11 @@
 //! lives there) on the simulator's scheduler.
 //!
 //! The engine decides everything about a request — the reply check, the
-//! retry ladder, the deadline, the hedge, outcome reports, the telemetry.
-//! What is left here is what only the simulator has: the reply port's
-//! binding, scheduler events behind the engine's timers, the seeded RNG,
-//! the simulated service connections (step 4) and the caller's callbacks.
+//! retry ladder, the deadline, the hedge, outcome reports, the frames and
+//! the telemetry. What is left here is what only the simulator has: the
+//! reply port's binding, sending each frame through the packet network,
+//! scheduler events behind the engine's timers, the seeded RNG, the
+//! simulated service connections (step 4) and the caller's callbacks.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -14,11 +15,11 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use smartsock_net::{Network, Payload, SimTransport, StreamMessage};
+use smartsock_net::{Network, Payload, StreamMessage};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{Endpoint, Ip, OutcomeKind};
 use smartsock_sim::{rng as simrng, EventId, Scheduler, SimTime};
-use smartsock_wizard::client::{ClientEngine, Entropy, Output, Outputs, Timer};
+use smartsock_wizard::client::{ClientEngine, Entropy, Input, Output, Stepped, Timer};
 
 pub use smartsock_wizard::client::{ClientError, RequestSpec};
 
@@ -137,10 +138,7 @@ impl SmartClient {
     /// calls it for connect-time outcomes when
     /// [`with_outcome_reports`](Self::with_outcome_reports) is on.
     pub fn report_outcome(&self, s: &mut Scheduler, server: Ip, outcome: OutcomeKind) {
-        self.drive(s, |engine, t, _| {
-            engine.report_outcome(t, server, outcome);
-            Outputs::default()
-        });
+        self.drive(s, Input::Outcome(server, outcome));
     }
 
     /// Request a group of servers; `on_result` receives the connected
@@ -155,7 +153,7 @@ impl SmartClient {
         // replies on the sequence number (§3.6.2 step 3).
         let client = self.clone();
         self.net.bind_udp(self.reply_ep, move |s, dgram| {
-            client.drive(s, |engine, _, _| engine.datagram(dgram.from, &dgram.payload.data));
+            client.drive(s, Input::Datagram { from: dgram.from, bytes: &dgram.payload.data });
         });
         let seq: u32 = {
             let mut st = self.st.borrow_mut();
@@ -163,25 +161,23 @@ impl SmartClient {
             st.callbacks.insert(seq, Box::new(on_result));
             seq
         };
-        self.drive(s, |engine, t, _| engine.start(t, &spec, seq));
+        self.drive(s, Input::Start(&spec, seq));
     }
 
-    /// One engine call: run it over the simulated transport, write down
-    /// its telemetry, then act on what it asks for — timers become
-    /// scheduler events (in the engine's order, which FIFO tie-breaks
-    /// rely on), a resolution becomes connects and the caller's callback.
-    fn drive(
-        &self,
-        s: &mut Scheduler,
-        call: impl FnOnce(&mut ClientEngine, &mut SimTransport<'_>, &mut Draw<'_>) -> Outputs,
-    ) {
-        let outputs = {
+    /// One engine step into the scheduler's telemetry, then what it asks
+    /// for: its frame goes to the wizard (the simulated network never fails
+    /// a send: loss is silence), timers become scheduler events (in the
+    /// engine's order, which FIFO tie-breaks rely on), a resolution becomes
+    /// connects and the caller's callback.
+    fn drive(&self, s: &mut Scheduler, input: Input<'_>) {
+        let Stepped { frame, outputs } = {
             let st = &mut *self.st.borrow_mut();
-            let outputs =
-                call(&mut st.engine, &mut SimTransport::new(s, &self.net), &mut Draw(&mut st.rng));
-            st.engine.record(&mut s.telemetry);
-            outputs
+            st.engine.step(s.now(), input, &mut Draw(&mut st.rng), Some(&mut s.telemetry))
         };
+        if let Some(frame) = frame {
+            let wizard = Endpoint::new(self.wizard_ip, ports::WIZARD);
+            self.net.send_udp(s, self.reply_ep, wizard, Payload::data(frame), None);
+        }
         for output in outputs.into_iter().flatten() {
             match output {
                 Output::Arm(timer, at) => {
@@ -212,7 +208,7 @@ impl SmartClient {
     fn on_timer(&self, s: &mut Scheduler, timer: Timer) {
         self.st.borrow_mut().timers.remove(&timer);
         let path_up = self.net.reachable(self.ip, self.wizard_ip);
-        self.drive(s, |engine, t, rnd| engine.fired(t, timer, path_up, rnd));
+        self.drive(s, Input::Fired { timer, path_up });
     }
 
     /// §3.6.2 step 4: connect to each candidate's service port. A server

@@ -4,12 +4,13 @@
 //! [`LiveSock`] drives the one client engine
 //! (`smartsock_wizard::client`, which the simulated `SmartClient` drives
 //! too) from a blocking socket. Every decision — which reply ends the
-//! wait and how, when to retransmit, back off, hedge or give up — is the
-//! engine's; left here are the socket, the clock its timers are read
-//! against (each wait lasts until the earliest timer, and no datagram or
-//! read timeout kept from an earlier wait extends it) and the phase
-//! types, which make sequence violations compile errors (a socket owed
-//! nothing outlives its `LiveSock`, kept for [`LiveSock::bind`]):
+//! wait and how, when to retransmit, back off, hedge or give up, which
+//! frame to send — is the engine's; left here are the socket that sends
+//! each frame, the clock (one read per engine step; each wait lasts until
+//! the earliest timer, and no datagram or read timeout kept from an
+//! earlier wait extends it) and the phase types, which make sequence
+//! violations compile errors (a socket owed nothing outlives its
+//! `LiveSock`, kept for [`LiveSock::bind`]):
 //!
 //! ```compile_fail
 //! let sock = smartsock_live::LiveSock::bind("127.0.0.1:1120".parse().unwrap()).unwrap();
@@ -46,14 +47,14 @@ use smartsock_proto::{
     WizardReply,
 };
 use smartsock_sim::rng::splitmix64;
-use smartsock_sim::SimDuration;
+use smartsock_sim::{SimDuration, SimTime};
 use smartsock_telemetry::Telemetry;
 use smartsock_wizard::client::{
-    ClientEngine, ClientError, Entropy, Output, Outputs, RequestSpec, Timer, TimerKind,
+    ClientEngine, ClientError, Entropy, Input, Output, RequestSpec, Stepped, Timer, TimerKind,
 };
 
 use crate::clock::Clock;
-use crate::transport::{endpoint_of, UdpTransport};
+use crate::transport::endpoint_of;
 
 /// Why a request did not reach the connected phase.
 #[derive(Debug)]
@@ -105,6 +106,8 @@ struct Core {
     /// Shared only so that `drop` can hand it to the spares.
     sock: Rc<UdpSocket>,
     local: Endpoint,
+    /// Where the engine's frames go.
+    wizard: SocketAddr,
     clock: Clock,
     engine: ClientEngine,
     rnd: Mix,
@@ -142,20 +145,21 @@ fn slot(kind: TimerKind) -> usize {
 }
 
 impl Core {
-    /// One engine call: run it over the socket, write down its telemetry
-    /// if wanted, keep the timer table, and say whether it resolved the
-    /// request. A send the OS refused is the caller's error, as it was.
+    /// One engine step at one clock read, into the telemetry if wanted:
+    /// send its frame to the wizard, keep the timer table, and say whether
+    /// it resolved the request. A send the OS refused is the caller's
+    /// error, and the step's timers stay in the table all the same.
     fn drive(
         &mut self,
-        call: impl FnOnce(&mut ClientEngine, &mut UdpTransport<'_>, &mut Mix) -> Outputs,
+        input: Input<'_>,
     ) -> io::Result<Option<Result<Vec<Endpoint>, ClientError>>> {
-        let mut t = UdpTransport::new(&self.sock, &self.clock);
-        let outputs = call(&mut self.engine, &mut t, &mut self.rnd);
-        let refused = t.refused.take();
+        let now = self.clock.now_ns();
         if let Some(tel) = &mut self.tel {
-            tel.set_now(self.clock.now_ns());
-            self.engine.record(tel);
+            tel.set_now(now);
         }
+        let Stepped { frame, outputs } =
+            self.engine.step(SimTime(now), input, &mut self.rnd, self.tel.as_mut());
+        let sent = frame.map_or(Ok(0), |frame| self.sock.send_to(&frame, self.wizard));
         let mut resolved = None;
         for output in outputs.into_iter().flatten() {
             match output {
@@ -166,7 +170,7 @@ impl Core {
                 }
             }
         }
-        refused.map_or(Ok(resolved), Err)
+        sent.map(|_| resolved)
     }
 }
 
@@ -237,7 +241,7 @@ impl LiveSock<Registered> {
     /// spare; one dropped awaiting (as an I/O error leaves it) closes.
     pub fn bind(wizard: SocketAddr) -> io::Result<LiveSock<Registered>> {
         let unsupported = || io::Error::other("live client requires IPv4 addresses");
-        let wizard = endpoint_of(wizard).ok_or_else(unsupported)?;
+        let wizard_ep = endpoint_of(wizard).ok_or_else(unsupported)?;
         let spare = SPARE.try_with(|s| s.borrow_mut().pop()).ok().flatten();
         let (sock, local, rnd, timeout_ms) = match spare {
             Some(spare) => spare,
@@ -247,10 +251,9 @@ impl LiveSock<Registered> {
                 (Rc::new(sock), local, Mix(u64::from(local.port)), 0)
             }
         };
-        let engine = ClientEngine::new(local, wizard);
-        let (clock, timers) = (Clock::wall(), [None; 3]);
-        let core =
-            Core { sock, local, clock, engine, rnd, timeout_ms, timers, fired: false, tel: None };
+        let engine = ClientEngine::new(local, wizard_ep);
+        let (clock, timers, fired, tel) = (Clock::wall(), [None; 3], false, None);
+        let core = Core { sock, local, wizard, clock, engine, rnd, timeout_ms, timers, fired, tel };
         let spec = RequestSpec::new("", 0);
         Ok(LiveSock { core, spec, seq: 0, servers: Vec::new(), phase: PhantomData })
     }
@@ -271,7 +274,7 @@ impl LiveSock<Registered> {
     }
 
     fn issue(mut self, spec: RequestSpec, seq: u32) -> io::Result<LiveSock<Requested>> {
-        self.core.drive(|engine, t, _| engine.start(t, &spec, seq))?;
+        self.core.drive(Input::Start(&spec, seq))?;
         Ok(LiveSock { spec, seq, ..self.into_phase(Vec::new()) })
     }
 }
@@ -305,7 +308,7 @@ impl LiveSock<Requested> {
     pub fn wait(mut self) -> Result<LiveSock<Connected>, (LiveSock<Requested>, RequestError)> {
         let mut buf = [0u8; 4096];
         // In flight: not sent again, only timed from here. Else: afresh.
-        let mut step = self.core.drive(|engine, t, _| engine.start(t, &self.spec, self.seq));
+        let mut step = self.core.drive(Input::Start(&self.spec, self.seq));
         loop {
             match step {
                 Err(e) => return Err((self, RequestError::Io(e))),
@@ -321,15 +324,13 @@ impl LiveSock<Requested> {
             step = match recv_until(&core.sock, &mut core.timeout_ms, &core.clock, at, &mut buf) {
                 Err(e) => Err(e),
                 Ok(Some((n, from))) => match (endpoint_of(from), buf.get(..n)) {
-                    (Some(from), Some(payload)) => {
-                        self.core.drive(|engine, _, _| engine.datagram(from, payload))
-                    }
+                    (Some(from), Some(bytes)) => self.core.drive(Input::Datagram { from, bytes }),
                     _ => Ok(None),
                 },
                 Ok(None) => {
                     self.core.timers[slot(timer.1)] = None;
                     self.core.fired = true;
-                    self.core.drive(|engine, t, rnd| engine.fired(t, timer, true, rnd))
+                    self.core.drive(Input::Fired { timer, path_up: true })
                 }
             };
         }
@@ -345,11 +346,7 @@ impl LiveSock<Connected> {
     /// Tell the wizard how `server` worked out (DESIGN.md §11): one
     /// datagram, fire-and-forget.
     pub fn report_outcome(&mut self, server: Ip, outcome: OutcomeKind) -> io::Result<()> {
-        let sent = self.core.drive(|engine, t, _| {
-            engine.report_outcome(t, server, outcome);
-            Outputs::default()
-        });
-        sent.map(drop)
+        self.core.drive(Input::Outcome(server, outcome)).map(drop)
     }
 
     /// Surrender the socket for the raw reply.

@@ -29,18 +29,17 @@ pub fn sockaddr_of(ep: Endpoint) -> SocketAddr {
     SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::new(a, b, c, d), ep.port))
 }
 
-/// Borrow of a bound socket plus the deployment clock for the duration of
-/// one engine call — the live twin of `smartsock_net::SimTransport`.
+/// Borrow of a bound socket plus the deployment clock for one
+/// [`WizardEngine::handle`](smartsock_wizard::WizardEngine::handle) call;
+/// both are kept only for `benchmark/`, until ROADMAP item 9.
 pub struct UdpTransport<'a> {
     sock: &'a UdpSocket,
     clock: &'a Clock,
-    /// The OS error behind a failed send (engines see a `TransportError`).
-    pub refused: Option<std::io::Error>,
 }
 
 impl<'a> UdpTransport<'a> {
     pub fn new(sock: &'a UdpSocket, clock: &'a Clock) -> UdpTransport<'a> {
-        UdpTransport { sock, clock, refused: None }
+        UdpTransport { sock, clock }
     }
 }
 
@@ -60,11 +59,7 @@ impl Transport for UdpTransport<'_> {
         // format never carries.
         match self.sock.send_to(payload, sockaddr_of(to)) {
             Ok(_) => Ok(()),
-            Err(e) => {
-                let refused = TransportError(format!("udp send to {to}: {e}"));
-                self.refused = Some(e);
-                Err(refused)
-            }
+            Err(e) => Err(TransportError(format!("udp send to {to}: {e}"))),
         }
     }
 }

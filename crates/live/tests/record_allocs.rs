@@ -2,17 +2,21 @@
 //! `WizardEngine::step` into a ring-sink trace like the live daemon's
 //! allocates exactly what `handle`/`sweep`, the same core without the
 //! telemetry, do — a sweep tick with nothing due, a report that overwrites
-//! a row and a matched request — and those figures are pinned. A binary of
-//! its own, because it installs a counting global allocator.
+//! a row and a matched request — and those figures are pinned. So is what a
+//! warm client request round trip through `ClientEngine::step` allocates,
+//! untraced and traced. A binary of its own, because it installs a counting
+//! global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use smartsock_proto::{
     Endpoint, Ip, RequestOption, ServerStatusReport, Transport, TransportError, UserRequest,
+    WizardReply,
 };
 use smartsock_sim::SimTime;
 use smartsock_telemetry::{AccumSink, Telemetry};
+use smartsock_wizard::client::{self, ClientEngine, Entropy, RequestSpec};
 use smartsock_wizard::{Input, SelectPolicy, Stepped, WizardEngine};
 
 /// Counts the calling thread's allocations and reallocations.
@@ -116,4 +120,56 @@ fn recording_a_match_or_an_overwrite_allocates_nothing() {
     assert_eq!(stepping, [0, 200, 400], "allocations in 100 steps of each");
     assert!(tel.dropped() > 0, "the ring never evicted");
     assert_eq!(tel.counter("wizard-requests"), 200);
+}
+
+/// A round trip draws nothing; a draw would be a change to look at.
+struct NoDice;
+
+impl Entropy for NoDice {
+    fn draw(&mut self) -> u32 {
+        unreachable!("a request answered at once draws nothing")
+    }
+
+    fn jitter(&mut self) -> f64 {
+        unreachable!("a request answered at once draws nothing")
+    }
+}
+
+#[test]
+fn a_warm_client_round_trip_allocates_its_frame_and_its_reply() {
+    let wizard = Endpoint::new(Ip::new(127, 0, 0, 1), 1120);
+    let spec = RequestSpec::new("host_cpu_free > 0.9\n", 1);
+    let servers = vec![Endpoint::new(Ip::new(192, 168, 9, 1), 1200)];
+    let reply = WizardReply { seq: 7, servers }.encode();
+    let now = SimTime(Null.now_ns());
+    // Per 100 round trips (`Start`, then the matching reply), untraced as
+    // `LiveSock` runs by default and into a ring-sink trace.
+    let per_100 = |traced: bool| {
+        let mut engine = ClientEngine::new(Endpoint::new(Ip::new(127, 0, 0, 2), 4000), wizard);
+        let mut tel = Telemetry::with_sink(Box::new(AccumSink::ring(64)));
+        let mut round = || {
+            allocations(|| {
+                for input in [
+                    client::Input::Start(&spec, 7),
+                    client::Input::Datagram { from: wizard, bytes: &reply },
+                ] {
+                    drop(engine.step(now, input, &mut NoDice, traced.then_some(&mut tel)));
+                }
+            })
+        };
+        // Warm-up: the maps' nodes kept, every name and host seen.
+        for _ in 0..100 {
+            round();
+        }
+        let n: u64 = (0..100).map(|_| round()).sum();
+        assert_eq!(tel.counter("client-responses"), if traced { 200 } else { 0 });
+        n
+    };
+    // Per round trip, pinned so a rise fails: the requirement's copy and
+    // its frame at `Start`, the reply's server list at the `Datagram`.
+    assert_eq!(per_100(false), 300, "untraced");
+    // The telemetry adds nothing once warm: the host label is rendered
+    // once, at the first traced step (rendered per record, it cost 2 a
+    // record).
+    assert_eq!(per_100(true), 300, "traced");
 }

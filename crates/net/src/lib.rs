@@ -37,12 +37,10 @@ pub mod builder;
 pub mod flow;
 pub mod packet;
 pub mod state;
-pub mod transport;
 pub mod types;
 
 pub use builder::NetworkBuilder;
 pub use flow::FlowStats;
 pub use packet::{Payload, StreamMessage, UdpDatagram};
 pub use state::Network;
-pub use transport::SimTransport;
 pub use types::{HostParams, LinkId, LinkParams, NodeId};

@@ -1,20 +1,20 @@
-//! The backend seam: one datagram-transport trait, two engines.
+//! A datagram-transport seam: a clock and a best-effort send.
 //!
 //! The paper's control plane is four daemons exchanging UDP datagrams
 //! (probe → monitor, client ↔ wizard). Nothing in the protocol logic
 //! cares *how* a datagram travels — only that bytes sent to an
-//! [`Endpoint`] arrive there. This trait pins that seam so the engine
-//! types (`smartsock_wizard::engine`, `smartsock_probe::engine`) can be
-//! driven by either backend:
-//!
-//! * the deterministic simulator (`smartsock_net::SimTransport`), where
-//!   "now" is virtual scheduler time and sends traverse modeled links;
-//! * real OS sockets (`smartsock_live::UdpTransport`), where "now" is a
-//!   monotonic clock and sends hit 127.0.0.1 (or a LAN).
+//! [`Endpoint`] arrive there. Neither protocol engine sends through this
+//! trait: `smartsock_wizard::WizardEngine::step` and
+//! `smartsock_wizard::client::ClientEngine::step` take the time as an
+//! argument and hand back the frame to send, and each backend's driver
+//! sends it. The trait's remaining users are
+//! `smartsock_wizard::WizardEngine::handle` and its OS-socket
+//! implementation, `smartsock_live::UdpTransport`; both are kept only for
+//! `benchmark/`, until ROADMAP item 9 removes them.
 //!
 //! Time is exposed as plain nanoseconds rather than a clock object:
 //! `u64` is the common denominator between `SimTime` and a monotonic
-//! anchor, and the engines only ever compare ages against windows.
+//! anchor.
 
 use crate::addr::Endpoint;
 

@@ -16,21 +16,22 @@
 //! UDP is unreliable, so the client retries with a timeout — the thesis
 //! leaves recovery unspecified; timeouts, backoff, the deadline and the
 //! hedge (DESIGN.md §11) are library policy, all of it decided here.
-//! [`ClientEngine`] is sans-IO in the [`crate::WizardEngine`] mould: it
-//! reads the clock and sends through [`smartsock_proto::Transport`], asks
-//! its driver for nothing but timers ([`Output`]) and writes its own
-//! telemetry ([`ClientEngine::record`]). The drivers — `SmartClient` on
-//! the simulator's scheduler, `LiveSock` on a real socket — own the
-//! socket, the timers' clock, the randomness and the service connections
-//! (DESIGN.md §13).
+//! [`ClientEngine`] is sans-IO in the [`crate::WizardEngine`] mould: one
+//! call, [`ClientEngine::step`], takes the time and an [`Input`], writes
+//! its own telemetry and returns the frame to send the wizard beside the
+//! timers and resolutions it asks for ([`Stepped`]). The drivers —
+//! `SmartClient` on the simulator's scheduler, `LiveSock` on a real
+//! socket — own the socket, the clock, the timers, the randomness and
+//! the service connections (DESIGN.md §13).
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use smartsock_proto::{
-    Endpoint, Ip, OutcomeKind, OutcomeReport, ReplyStatus, RequestOption, Transport, UserRequest,
+    BytesMut, Endpoint, Ip, OutcomeKind, OutcomeReport, ReplyStatus, RequestOption, UserRequest,
     WizardReply,
 };
-use smartsock_sim::{SimDuration, SpanId, Telemetry};
+use smartsock_sim::{SimDuration, SimTime, SpanId, Telemetry};
 
 /// Why a request failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -175,8 +176,8 @@ pub type Timer = (u32, TimerKind);
 /// What the engine asks of its driver.
 #[derive(Debug, PartialEq)]
 pub enum Output {
-    /// Call [`ClientEngine::fired`] with this timer at the given
-    /// transport time (ns). Arming an armed timer moves it.
+    /// Step [`Input::Fired`] with this timer at the given time (ns).
+    /// Arming an armed timer moves it.
     Arm(Timer, u64),
     /// The request with this sequence number is over — the servers to
     /// connect to (step 4), or why there are none — and every timer still
@@ -214,11 +215,34 @@ struct Request {
     hedge: Option<u32>,
 }
 
-/// What the engine's most recent call did, kept until
-/// [`ClientEngine::record`] turns it into telemetry.
-#[derive(Default)]
-enum Done {
-    #[default]
+/// One input to [`ClientEngine::step`]: all a client ever reacts to.
+#[derive(Clone, Copy, Debug)]
+pub enum Input<'a> {
+    /// Steps 1–2: issue this request under this sequence number.
+    Start(&'a RequestSpec, u32),
+    /// A datagram on the reply socket.
+    Datagram { from: Endpoint, bytes: &'a [u8] },
+    /// A timer the driver was asked to arm has come due. `path_up` is the
+    /// driver's view of the path to the wizard.
+    Fired { timer: Timer, path_up: bool },
+    /// Step 4's verdict on one assigned server, or an application's later
+    /// one, for the wizard's health table.
+    Outcome(Ip, OutcomeKind),
+}
+
+/// What [`ClientEngine::step`] asks of its driver: send `frame` to the
+/// wizard, then act on `outputs`.
+#[derive(Debug, Default)]
+pub struct Stepped {
+    /// A request, its retransmission or hedge, or an outcome report. A send
+    /// that fails is a lost datagram to the engine.
+    pub frame: Option<BytesMut>,
+    pub outputs: Outputs,
+}
+
+/// What the engine did with an input: what [`ClientEngine::step`] writes
+/// down as telemetry.
+enum Took {
     Nothing,
     Started(u32),
     /// `backoff_ms`: how far backoff stretched the new attempt's wait.
@@ -240,200 +264,58 @@ enum Done {
 /// randomness: any number of requests in flight from one local endpoint
 /// to one wizard.
 pub struct ClientEngine {
-    local: Endpoint,
+    local: Ip,
+    /// `local` rendered at the first traced step, once: the host label of
+    /// every record. Not at `new`: a `LiveSock` builds an engine per
+    /// `bind`, and its untraced requests must not pay for a label.
+    host: OnceCell<String>,
     /// Where requests and outcome reports go (DESIGN.md §11).
     wizard: Endpoint,
     requests: BTreeMap<u32, Request>,
-    /// Per recorded request, its end-to-end "client-request" span (opened
+    /// Per traced request, its end-to-end "client-request" span (opened
     /// at `start`, surviving retries, closed with the request) and the
     /// "client-hedge" child span of an outstanding hedge.
     spans: BTreeMap<u32, (SpanId, Option<SpanId>)>,
-    last: Done,
 }
 
 impl ClientEngine {
     pub fn new(local: Endpoint, wizard: Endpoint) -> ClientEngine {
         let (requests, spans) = Default::default();
-        ClientEngine { local, wizard, requests, spans, last: Done::Nothing }
+        ClientEngine { local: local.ip, host: OnceCell::new(), wizard, requests, spans }
     }
 
-    /// Steps 1–2: tag the requirement with `seq`, send it, and arm the
-    /// request's timers — deadline and hedge first, so that on an exact
-    /// tie the deadline outranks an attempt timeout in a FIFO driver.
-    ///
-    /// A `seq` still in flight is not sent again: its current attempt's
-    /// wait restarts under `spec`'s timeout and retries (the live
-    /// typestate sends at `request` and learns both at `await_reply`).
-    pub fn start<T: Transport>(&mut self, t: &mut T, spec: &RequestSpec, seq: u32) -> Outputs {
-        let now = t.now_ns();
-        let mut out = Outputs::default();
-        if let Some(r) = self.requests.get_mut(&seq) {
-            (r.timeout, r.retries) = (spec.timeout, spec.retries);
-            let at = now.saturating_add(clamp(r.timeout, r.deadline_at, now));
-            arm(&mut out, seq, TimerKind::Attempt(r.attempt), at);
-            return out;
-        }
-        let deadline_at = spec.deadline.map(|d| now.saturating_add(d.as_nanos()));
-        if let Some(at) = deadline_at {
-            arm(&mut out, seq, TimerKind::Deadline, at);
-        }
-        if let Some(delay) = spec.hedge_delay {
-            arm(&mut out, seq, TimerKind::Hedge, now.saturating_add(delay.as_nanos()));
-        }
-        let (server_num, option, detail) = (spec.servers, spec.option, spec.requirement.clone());
-        let req = UserRequest { seq, server_num, option, detail };
-        // A send the transport refuses is a lost datagram to the ladder.
-        let _ = t.send(self.local, self.wizard, &req.encode());
-        let at = now.saturating_add(clamp(spec.timeout, deadline_at, now));
-        arm(&mut out, seq, TimerKind::Attempt(0), at);
-        let (timeout, retries) = (spec.timeout, spec.retries);
-        let request = Request { req, timeout, retries, attempt: 0, deadline_at, hedge: None };
-        self.requests.insert(seq, request);
-        self.last = Done::Started(seq);
-        out
-    }
-
-    /// Step 3: one datagram from the reply socket. Only the wizard the
-    /// request went to may answer it; a matching reply resolves the
-    /// request per the shortfall option, whichever of the primary and the
-    /// hedge it answers, and tears the other down.
-    pub fn datagram(&mut self, from: Endpoint, payload: &[u8]) -> Outputs {
-        let mut out = Outputs::default();
-        self.last = Done::Unmatched;
-        if from != self.wizard {
-            return out;
-        }
-        let Ok(reply) = WizardReply::decode(payload) else {
-            self.last = Done::BadReply;
-            return out;
-        };
-        // The reply answers a request or, failing that, a request's hedge.
-        let primary = self.requests.contains_key(&reply.seq).then_some(reply.seq);
-        let hedged = || self.requests.iter().find(|(_, r)| r.hedge == Some(reply.seq));
-        let Some(seq) = primary.or_else(|| hedged().map(|(&seq, _)| seq)) else {
-            return out;
-        };
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: `seq` was found in `requests` just above"
-        )]
-        let r = self.requests.remove(&seq).expect("invariant: found just above");
-        let hedge_won = seq != reply.seq;
-        let result = match reply.status(r.req.server_num) {
-            ReplyStatus::Empty => Err(ClientError::NoServers),
-            ReplyStatus::Short { requested, returned } if !r.req.option.accept_fewer => {
-                Err(ClientError::Shortfall { requested, returned })
-            }
-            _ => Ok(reply.servers),
-        };
-        self.last = Done::Over(seq, Ok(hedge_won));
-        push(&mut out, Output::Resolved(seq, result));
-        out
-    }
-
-    /// A timer the driver was asked to arm has come due. `path_up` is the
-    /// driver's view of the path to the wizard.
-    pub fn fired<T: Transport>(
+    /// Take one input and, when `tel` is given, write the telemetry owed
+    /// for it — the one place the request path's `client-*` counter, span
+    /// and event names are emitted, for either backend — and hand back
+    /// the frame to send and what to do next. Records are stamped with
+    /// `tel`'s own clock, which its owner keeps at `now`; without `tel`
+    /// nothing is written and no span is kept.
+    pub fn step(
         &mut self,
-        t: &mut T,
-        timer: Timer,
-        path_up: bool,
+        now: SimTime,
+        input: Input<'_>,
         rnd: &mut dyn Entropy,
-    ) -> Outputs {
-        let (seq, kind) = timer;
-        let mut out = Outputs::default();
-        let Some(r) = self.requests.get_mut(&seq) else {
-            return out; // resolved in the same instant, just earlier
+        tel: Option<&mut Telemetry>,
+    ) -> Stepped {
+        let mut stepped = Stepped::default();
+        let took = match input {
+            Input::Start(spec, seq) => self.start(now.0, spec, seq, &mut stepped),
+            Input::Datagram { from, bytes } => self.datagram(from, bytes, &mut stepped.outputs),
+            Input::Fired { timer, path_up } => self.fired(now.0, timer, path_up, rnd, &mut stepped),
+            Input::Outcome(server, outcome) => {
+                stepped.frame = Some(OutcomeReport { server, outcome }.encode());
+                Took::OutcomeReported
+            }
         };
-        let now = t.now_ns();
-        match kind {
-            TimerKind::Deadline => {
-                self.requests.remove(&seq);
-                self.last = Done::Over(seq, Err(ClientError::DeadlineExceeded));
-                push(&mut out, Output::Resolved(seq, Err(ClientError::DeadlineExceeded)));
-            }
-            // Re-issue the request under a fresh sequence number — one
-            // shot, no retries of its own, clamped to the remaining
-            // budget. The first usable reply (either number) wins.
-            TimerKind::Hedge => {
-                let hedge_seq = rnd.seq();
-                r.req.seq = hedge_seq;
-                let _ = t.send(self.local, self.wizard, &r.req.encode());
-                r.req.seq = seq;
-                let at = now.saturating_add(clamp(r.timeout, r.deadline_at, now));
-                arm(&mut out, seq, TimerKind::HedgeAttempt, at);
-                r.hedge = Some(hedge_seq);
-                self.last = Done::HedgeFired(seq);
-            }
-            // A hedge that never got an answer goes quietly: the primary's
-            // own retry ladder is still in charge.
-            TimerKind::HedgeAttempt => {
-                if r.hedge.take().is_some() {
-                    self.last = Done::HedgeTimedOut(seq);
-                }
-            }
-            TimerKind::Attempt(n) if n != r.attempt => self.last = Done::StaleTimeout,
-            // The ladder is spent. Distinguish the transient failure
-            // (wizard silent) from the permanent one (no path to it).
-            TimerKind::Attempt(_) if r.attempt >= r.retries => {
-                let retries = r.retries;
-                self.requests.remove(&seq);
-                let err = if path_up {
-                    ClientError::Timeout { retries }
-                } else {
-                    ClientError::Unreachable { retries }
-                };
-                self.last = Done::Over(seq, Err(err.clone()));
-                push(&mut out, Output::Resolved(seq, Err(err)));
-            }
-            // The next rung. Retries wait exponentially longer (doubling,
-            // capped at 8× base) with jitter — the classic backoff that
-            // keeps a herd of retrying clients from re-synchronizing on a
-            // recovering wizard — except while the path to the wizard is
-            // down: that loss is not congestion, so stretching the wait
-            // only delays the verdict.
-            TimerKind::Attempt(_) => {
-                r.attempt += 1;
-                let _ = t.send(self.local, self.wizard, &r.req.encode());
-                let mut timeout = r.timeout;
-                let mut backoff_ms = None;
-                if path_up {
-                    let factor = (1u64 << r.attempt.min(3)) as f64;
-                    let stretched = r.timeout.as_secs_f64() * factor * (1.0 + rnd.jitter());
-                    timeout = SimDuration::from_secs_f64(stretched);
-                    let extra = timeout.as_nanos().saturating_sub(r.timeout.as_nanos());
-                    backoff_ms = Some(extra / 1_000_000);
-                }
-                let at = now.saturating_add(clamp(timeout, r.deadline_at, now));
-                arm(&mut out, seq, TimerKind::Attempt(r.attempt), at);
-                self.last = Done::Retried { attempt: r.attempt, backoff_ms };
-            }
-        }
-        out
-    }
-
-    /// Step 4's verdict on one assigned server, or an application's later
-    /// one: tell the wizard's health table how it worked out — one
-    /// datagram, fire-and-forget.
-    pub fn report_outcome<T: Transport>(&mut self, t: &mut T, server: Ip, outcome: OutcomeKind) {
-        let _ = t.send(self.local, self.wizard, &OutcomeReport { server, outcome }.encode());
-        self.last = Done::OutcomeReported;
-    }
-
-    /// Record the telemetry owed for the most recent call — the one place
-    /// the request path's `client-*` counter, span and event names are
-    /// emitted, for either backend. A sibling of the calls rather than a
-    /// parameter of them because they send through a `Transport`, and the
-    /// simulator's transport and telemetry both live on the scheduler.
-    pub fn record(&mut self, tel: &mut Telemetry) {
-        let host = &self.local.ip.to_string();
-        match std::mem::take(&mut self.last) {
-            Done::Nothing => {}
-            Done::Started(seq) => {
+        let Some(tel) = tel else { return stepped };
+        let host = self.host.get_or_init(|| self.local.to_string()).as_str();
+        match took {
+            Took::Nothing => {}
+            Took::Started(seq) => {
                 self.spans.insert(seq, (tel.span_start("client-request", host), None));
                 tel.counter_incr("client-requests");
             }
-            Done::Retried { attempt, backoff_ms } => {
+            Took::Retried { attempt, backoff_ms } => {
                 let attempt = attempt.to_string();
                 tel.counter_incr("client-retries");
                 tel.event("client-retry", host, &[("attempt", &attempt)]);
@@ -444,7 +326,7 @@ impl ClientEngine {
                     tel.event("client-backoff", host, &attrs);
                 }
             }
-            Done::Over(seq, how) => {
+            Took::Over(seq, how) => {
                 let spans = self.spans.remove(&seq);
                 if let Some((_, Some(hedge))) = spans {
                     tel.span_end(hedge);
@@ -469,23 +351,166 @@ impl ClientEngine {
                     tel.span_end(request);
                 }
             }
-            Done::HedgeFired(seq) => {
+            Took::HedgeFired(seq) => {
                 tel.counter_incr("client-hedges-fired");
                 tel.event("client-hedge-fired", host, &[]);
                 if let Some((request, hedge)) = self.spans.get_mut(&seq) {
                     *hedge = Some(tel.span_child("client-hedge", host, *request));
                 }
             }
-            Done::HedgeTimedOut(seq) => {
+            Took::HedgeTimedOut(seq) => {
                 tel.counter_incr("client-hedge-timeouts");
                 if let Some(hedge) = self.spans.get_mut(&seq).and_then(|(_, hedge)| hedge.take()) {
                     tel.span_end(hedge);
                 }
             }
-            Done::StaleTimeout => tel.counter_incr("client-stale-timeouts"),
-            Done::BadReply => tel.counter_incr("client-bad-replies"),
-            Done::Unmatched => tel.counter_incr("client-unmatched-replies"),
-            Done::OutcomeReported => tel.counter_incr("client-outcome-reports"),
+            Took::StaleTimeout => tel.counter_incr("client-stale-timeouts"),
+            Took::BadReply => tel.counter_incr("client-bad-replies"),
+            Took::Unmatched => tel.counter_incr("client-unmatched-replies"),
+            Took::OutcomeReported => tel.counter_incr("client-outcome-reports"),
+        }
+        stepped
+    }
+
+    /// Steps 1–2: tag the requirement with `seq`, hand out its frame, and
+    /// arm the request's timers — deadline and hedge first, so that on an
+    /// exact tie the deadline outranks an attempt timeout in a FIFO driver.
+    ///
+    /// A `seq` still in flight is not sent again: its current attempt's
+    /// wait restarts under `spec`'s timeout and retries (the live
+    /// typestate sends at `request` and learns both at `await_reply`).
+    fn start(&mut self, now: u64, spec: &RequestSpec, seq: u32, out: &mut Stepped) -> Took {
+        if let Some(r) = self.requests.get_mut(&seq) {
+            (r.timeout, r.retries) = (spec.timeout, spec.retries);
+            let at = now.saturating_add(clamp(r.timeout, r.deadline_at, now));
+            arm(&mut out.outputs, seq, TimerKind::Attempt(r.attempt), at);
+            return Took::Nothing;
+        }
+        let deadline_at = spec.deadline.map(|d| now.saturating_add(d.as_nanos()));
+        if let Some(at) = deadline_at {
+            arm(&mut out.outputs, seq, TimerKind::Deadline, at);
+        }
+        if let Some(delay) = spec.hedge_delay {
+            arm(&mut out.outputs, seq, TimerKind::Hedge, now.saturating_add(delay.as_nanos()));
+        }
+        let (server_num, option, detail) = (spec.servers, spec.option, spec.requirement.clone());
+        let req = UserRequest { seq, server_num, option, detail };
+        out.frame = Some(req.encode());
+        let at = now.saturating_add(clamp(spec.timeout, deadline_at, now));
+        arm(&mut out.outputs, seq, TimerKind::Attempt(0), at);
+        let (timeout, retries) = (spec.timeout, spec.retries);
+        let request = Request { req, timeout, retries, attempt: 0, deadline_at, hedge: None };
+        self.requests.insert(seq, request);
+        Took::Started(seq)
+    }
+
+    /// Step 3: one datagram from the reply socket. Only the wizard the
+    /// request went to may answer it; a matching reply resolves the
+    /// request per the shortfall option, whichever of the primary and the
+    /// hedge it answers, and tears the other down.
+    fn datagram(&mut self, from: Endpoint, payload: &[u8], out: &mut Outputs) -> Took {
+        if from != self.wizard {
+            return Took::Unmatched;
+        }
+        let Ok(reply) = WizardReply::decode(payload) else {
+            return Took::BadReply;
+        };
+        // The reply answers a request or, failing that, a request's hedge.
+        let primary = self.requests.contains_key(&reply.seq).then_some(reply.seq);
+        let hedged = || self.requests.iter().find(|(_, r)| r.hedge == Some(reply.seq));
+        let Some(seq) = primary.or_else(|| hedged().map(|(&seq, _)| seq)) else {
+            return Took::Unmatched;
+        };
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `seq` was found in `requests` just above"
+        )]
+        let r = self.requests.remove(&seq).expect("invariant: found just above");
+        let hedge_won = seq != reply.seq;
+        let result = match reply.status(r.req.server_num) {
+            ReplyStatus::Empty => Err(ClientError::NoServers),
+            ReplyStatus::Short { requested, returned } if !r.req.option.accept_fewer => {
+                Err(ClientError::Shortfall { requested, returned })
+            }
+            _ => Ok(reply.servers),
+        };
+        push(out, Output::Resolved(seq, result));
+        Took::Over(seq, Ok(hedge_won))
+    }
+
+    /// A timer the driver was asked to arm has come due.
+    fn fired(
+        &mut self,
+        now: u64,
+        (seq, kind): Timer,
+        path_up: bool,
+        rnd: &mut dyn Entropy,
+        out: &mut Stepped,
+    ) -> Took {
+        let Some(r) = self.requests.get_mut(&seq) else {
+            return Took::Nothing; // resolved in the same instant, just earlier
+        };
+        match kind {
+            TimerKind::Deadline => {
+                self.requests.remove(&seq);
+                push(&mut out.outputs, Output::Resolved(seq, Err(ClientError::DeadlineExceeded)));
+                Took::Over(seq, Err(ClientError::DeadlineExceeded))
+            }
+            // Re-issue the request under a fresh sequence number — one
+            // shot, no retries of its own, clamped to the remaining
+            // budget. The first usable reply (either number) wins.
+            TimerKind::Hedge => {
+                let hedge_seq = rnd.seq();
+                r.req.seq = hedge_seq;
+                out.frame = Some(r.req.encode());
+                r.req.seq = seq;
+                let at = now.saturating_add(clamp(r.timeout, r.deadline_at, now));
+                arm(&mut out.outputs, seq, TimerKind::HedgeAttempt, at);
+                r.hedge = Some(hedge_seq);
+                Took::HedgeFired(seq)
+            }
+            // A hedge that never got an answer goes quietly: the primary's
+            // own retry ladder is still in charge.
+            TimerKind::HedgeAttempt => match r.hedge.take() {
+                Some(_) => Took::HedgeTimedOut(seq),
+                None => Took::Nothing,
+            },
+            TimerKind::Attempt(n) if n != r.attempt => Took::StaleTimeout,
+            // The ladder is spent. Distinguish the transient failure
+            // (wizard silent) from the permanent one (no path to it).
+            TimerKind::Attempt(_) if r.attempt >= r.retries => {
+                let retries = r.retries;
+                self.requests.remove(&seq);
+                let err = if path_up {
+                    ClientError::Timeout { retries }
+                } else {
+                    ClientError::Unreachable { retries }
+                };
+                push(&mut out.outputs, Output::Resolved(seq, Err(err.clone())));
+                Took::Over(seq, Err(err))
+            }
+            // The next rung. Retries wait exponentially longer (doubling,
+            // capped at 8× base) with jitter — the classic backoff that
+            // keeps a herd of retrying clients from re-synchronizing on a
+            // recovering wizard — except while the path to the wizard is
+            // down: that loss is not congestion, so stretching the wait
+            // only delays the verdict.
+            TimerKind::Attempt(_) => {
+                r.attempt += 1;
+                out.frame = Some(r.req.encode());
+                let mut timeout = r.timeout;
+                let mut backoff_ms = None;
+                if path_up {
+                    let factor = (1u64 << r.attempt.min(3)) as f64;
+                    let stretched = r.timeout.as_secs_f64() * factor * (1.0 + rnd.jitter());
+                    timeout = SimDuration::from_secs_f64(stretched);
+                    let extra = timeout.as_nanos().saturating_sub(r.timeout.as_nanos());
+                    backoff_ms = Some(extra / 1_000_000);
+                }
+                let at = now.saturating_add(clamp(timeout, r.deadline_at, now));
+                arm(&mut out.outputs, seq, TimerKind::Attempt(r.attempt), at);
+                Took::Retried { attempt: r.attempt, backoff_ms }
+            }
         }
     }
 }
@@ -498,9 +523,9 @@ fn clamp(timeout: SimDuration, deadline_at: Option<u64>, now: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    //! The engine alone: a recording transport, scripted randomness, no
-    //! scheduler and no socket. Each test is a table of inputs and the
-    //! exact outputs they must produce.
+    //! The engine alone: scripted randomness, no scheduler and no socket.
+    //! Each test is a table of inputs and the exact outputs they must
+    //! produce.
     use super::TimerKind::{Attempt, Deadline, Hedge as HedgeDelay, HedgeAttempt};
     use super::*;
 
@@ -513,27 +538,6 @@ mod tests {
     const HEDGE_SEQ: u32 = 100;
     const MS: u64 = 1_000_000;
     const S: u64 = 1_000 * MS;
-
-    struct Wire {
-        now: u64,
-        sent: Vec<(Endpoint, Vec<u8>)>,
-    }
-
-    impl Transport for Wire {
-        fn now_ns(&self) -> u64 {
-            self.now
-        }
-        fn send(
-            &mut self,
-            from: Endpoint,
-            to: Endpoint,
-            payload: &[u8],
-        ) -> Result<(), smartsock_proto::TransportError> {
-            assert_eq!(from, LOCAL);
-            self.sent.push((to, payload.to_vec()));
-            Ok(())
-        }
-    }
 
     struct Dice {
         next_seq: u32,
@@ -552,7 +556,9 @@ mod tests {
 
     struct Rig {
         engine: ClientEngine,
-        wire: Wire,
+        now: u64,
+        /// The frames the engine handed out for the wizard, in order.
+        sent: Vec<Vec<u8>>,
         dice: Dice,
         tel: Telemetry,
     }
@@ -560,31 +566,33 @@ mod tests {
     fn rig(jitter: f64) -> Rig {
         Rig {
             engine: ClientEngine::new(LOCAL, WIZARD),
-            wire: Wire { now: 0, sent: Vec::new() },
+            now: 0,
+            sent: Vec::new(),
             dice: Dice { next_seq: HEDGE_SEQ, jitter },
             tel: Telemetry::new(),
         }
     }
 
     impl Rig {
+        fn step(&mut self, input: Input<'_>) -> Vec<Output> {
+            self.tel.set_now(self.now);
+            let Stepped { frame, outputs } =
+                self.engine.step(SimTime(self.now), input, &mut self.dice, Some(&mut self.tel));
+            self.sent.extend(frame.map(|frame| frame.to_vec()));
+            outputs.into_iter().flatten().collect()
+        }
+
         fn start(&mut self, spec: &RequestSpec) -> Vec<Output> {
-            let out = self.engine.start(&mut self.wire, spec, SEQ);
-            self.engine.record(&mut self.tel);
-            out.into_iter().flatten().collect()
+            self.step(Input::Start(spec, SEQ))
         }
 
         fn fire(&mut self, at: u64, kind: TimerKind, path_up: bool) -> Vec<Output> {
-            self.wire.now = at;
-            self.tel.set_now(at);
-            let out = self.engine.fired(&mut self.wire, (SEQ, kind), path_up, &mut self.dice);
-            self.engine.record(&mut self.tel);
-            out.into_iter().flatten().collect()
+            self.now = at;
+            self.step(Input::Fired { timer: (SEQ, kind), path_up })
         }
 
-        fn datagram(&mut self, from: Endpoint, payload: &[u8]) -> Vec<Output> {
-            let out = self.engine.datagram(from, payload);
-            self.engine.record(&mut self.tel);
-            out.into_iter().flatten().collect()
+        fn datagram(&mut self, from: Endpoint, bytes: &[u8]) -> Vec<Output> {
+            self.step(Input::Datagram { from, bytes })
         }
 
         /// A reply carrying `n` servers under `seq`, from `from`.
@@ -623,7 +631,7 @@ mod tests {
             option: RequestOption::DEFAULT,
             detail: "host_cpu_free > 0.5\n".to_owned(),
         };
-        assert_eq!(r.wire.sent, [(WIZARD, frame.encode().to_vec())]);
+        assert_eq!(r.sent, [frame.encode().to_vec()]);
         assert_eq!(r.reply(WIZARD, SEQ, 2), [resolved(Ok(servers(2)))]);
         assert_eq!(r.reply(WIZARD, SEQ, 2), [], "a resolved request answers nothing");
         assert_eq!(r.counter("client-requests"), 1);
@@ -706,8 +714,8 @@ mod tests {
         let timed_out = resolved(Err(ClientError::Timeout { retries: 5 }));
         assert_eq!(r.fire(now + 2 * S, Attempt(5), true), [timed_out]);
 
-        assert_eq!(r.wire.sent.len(), 6);
-        assert!(r.wire.sent.iter().all(|frame| *frame == r.wire.sent[0]), "one frame, six times");
+        assert_eq!(r.sent.len(), 6);
+        assert!(r.sent.iter().all(|frame| *frame == r.sent[0]), "one frame, six times");
         assert_eq!(r.counter("client-requests"), 6);
         assert_eq!(r.counter("client-retries"), 5);
         assert_eq!(r.counter("client-backoff-ms-total"), 2400 + 6800 + 2 * 15600);
@@ -752,7 +760,7 @@ mod tests {
         assert_eq!(r.fire(2 * S, Attempt(0), true), [arm(Attempt(1), 6 * S)]);
         assert_eq!(r.fire(2 * S, Attempt(0), true), [], "attempt 1 is waiting now");
         assert_eq!(r.counter("client-stale-timeouts"), 1);
-        assert_eq!(r.wire.sent.len(), 2, "a stale timer sends nothing");
+        assert_eq!(r.sent.len(), 2, "a stale timer sends nothing");
     }
 
     #[test]
@@ -761,7 +769,7 @@ mod tests {
         let hedged = spec(2).with_hedge(SimDuration::from_secs(1));
         assert_eq!(r.start(&hedged), [arm(HedgeDelay, S), arm(Attempt(0), 2 * S)]);
         assert_eq!(r.fire(S, HedgeDelay, true), [arm(HedgeAttempt, 3 * S)]);
-        let (primary, hedge) = (&r.wire.sent[0].1, &r.wire.sent[1].1);
+        let (primary, hedge) = (&r.sent[0], &r.sent[1]);
         assert_eq!(UserRequest::decode(hedge).unwrap().seq, HEDGE_SEQ);
         assert_eq!(primary[4..], hedge[4..], "the hedge differs in the sequence number alone");
 
@@ -811,13 +819,9 @@ mod tests {
         let mut r = rig(0.0);
         let report = OutcomeReport { server: Ip::new(10, 0, 1, 2), outcome: OutcomeKind::Timeout };
         for _ in 0..2 {
-            r.engine.report_outcome(&mut r.wire, report.server, report.outcome);
-            r.engine.record(&mut r.tel);
+            assert_eq!(r.step(Input::Outcome(report.server, report.outcome)), []);
         }
-        assert_eq!(
-            r.wire.sent,
-            [(WIZARD, report.encode().to_vec()), (WIZARD, report.encode().to_vec())]
-        );
+        assert_eq!(r.sent, [report.encode().to_vec(), report.encode().to_vec()]);
         assert_eq!(r.counter("client-outcome-reports"), 2);
     }
 
@@ -825,17 +829,17 @@ mod tests {
     fn starting_a_request_in_flight_retimes_it_without_resending() {
         let mut r = rig(0.0);
         r.start(&spec(1).with_deadline(SimDuration::from_secs(3)));
-        r.wire.now = S;
+        r.now = S;
         let hurried = RequestSpec { timeout: SimDuration::from_millis(60), retries: 0, ..spec(1) };
         assert_eq!(r.start(&hurried), [arm(Attempt(0), S + 60 * MS)]);
-        assert_eq!(r.wire.sent.len(), 1);
+        assert_eq!(r.sent.len(), 1);
         assert_eq!(r.counter("client-requests"), 1);
         let timed_out = resolved(Err(ClientError::Timeout { retries: 0 }));
         let gone = [timed_out];
         assert_eq!(r.fire(S + 60 * MS, Attempt(0), true), gone);
         // Resolved, so the same call now issues it afresh.
         assert_eq!(r.start(&hurried), [arm(Attempt(0), S + 120 * MS)]);
-        assert_eq!(r.wire.sent.len(), 2);
+        assert_eq!(r.sent.len(), 2);
     }
 
     #[test]
@@ -846,7 +850,7 @@ mod tests {
         let forever = RequestSpec { timeout: SimDuration::from_nanos(end), ..spec(1) };
         let hedged = forever.with_hedge(SimDuration::from_secs(1));
         let mut r = rig(0.1);
-        r.wire.now = S;
+        r.now = S;
         // Each site that arms `now + wait`: start, re-time, hedge, retry.
         assert_eq!(r.start(&hedged), [arm(HedgeDelay, 2 * S), arm(Attempt(0), end)]);
         assert_eq!(r.start(&hedged), [arm(Attempt(0), end)]);

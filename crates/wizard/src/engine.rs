@@ -760,7 +760,7 @@ fn record_transitions(tel: &mut Telemetry, host: &str, transitions: &[Transition
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{ClientEngine, Entropy, Output, RequestSpec};
+    use crate::client::{ClientEngine, Entropy, Input as ClientInput, Output, RequestSpec};
     use smartsock_proto::{
         NetPathRecord, OutcomeKind, RequestOption, SecurityRecord, MAX_SERVERS_PER_REPLY,
     };
@@ -1007,20 +1007,23 @@ mod tests {
             }
         }
         let client = Endpoint::new(CLIENT_IP, 47000);
+        let spec = RequestSpec::new("", 1);
         for magic in [*b"SSR1", *b"SSQ1"] {
             let mut e = engine();
             e.dbs.sys.upsert(report("srv", 1, 0.95), SimTime::ZERO);
-            let mut t = NullTransport { now: 0, sent: Vec::new() };
             let mut c = ClientEngine::new(client, e.endpoint());
-            let seq = Scripted(vec![u32::from_le_bytes(magic), 7]).seq();
-            c.start(&mut t, &RequestSpec::new("", 1), seq);
-            let (_, request) = t.sent.pop().unwrap();
+            let mut dice = Scripted(vec![u32::from_le_bytes(magic), 7]);
+            let seq = dice.seq();
+            let start = ClientInput::Start(&spec, seq);
+            let request = c.step(SimTime::ZERO, start, &mut dice, None).frame.unwrap();
             let input = Input::Datagram { from: client, bytes: &request };
             let Stepped::Reply(_, reply) = e.step(SimTime::ZERO, input, &mut Telemetry::new())
             else {
                 panic!("the request is answered")
             };
-            let [Some(Output::Resolved(7, Ok(servers))), ..] = c.datagram(e.endpoint(), &reply)
+            let input = ClientInput::Datagram { from: e.endpoint(), bytes: &reply };
+            let [Some(Output::Resolved(7, Ok(servers))), ..] =
+                c.step(SimTime::ZERO, input, &mut dice, None).outputs
             else {
                 panic!("the reply resolves the request")
             };
