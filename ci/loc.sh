@@ -42,8 +42,8 @@ printf '%-12s %8d\n' system "$system_total" simulator "$simulator_total" \
 
 # The ceilings: what this tree measured when they were last written.
 # Lower them with every deletion; raising one is a reviewed decision.
-tooling_ceiling=7347
-total_ceiling=21295
+tooling_ceiling=7003
+total_ceiling=20988
 status=0
 if [ "$tooling_total" -gt "$tooling_ceiling" ]; then
     echo "loc: tooling $tooling_total is above its ceiling $tooling_ceiling" >&2

@@ -45,7 +45,7 @@ impl FileServer {
                         s,
                         m.to,
                         m.from,
-                        Payload::data_with_padding(hdr.freeze(), u64::from(bytes)),
+                        Payload::data_with_padding(hdr, u64::from(bytes)),
                     );
                 }
                 _ => s.telemetry.counter_incr("massd-server-bad-msgs"),
@@ -199,7 +199,7 @@ impl Massd {
         };
         let Some((server, tag, bytes)) = req else { return };
         let hdr = AppMsg::BlockRequest { tag: tag as u32, bytes: bytes as u32 }.encode();
-        self.net.send_stream(s, self.local, server, Payload::data(hdr.freeze()));
+        self.net.send_stream(s, self.local, server, Payload::data(hdr));
     }
 
     fn block_done(&self, s: &mut Scheduler) {

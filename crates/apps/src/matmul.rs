@@ -93,7 +93,7 @@ impl MatmulParams {
         n * n * n
     }
 
-    /// Bytes of input a worker holding `tiles` must receive: the union of
+    /// How many bytes of input a worker holding `tiles` must receive: the union of
     /// the A row-blocks and B column-blocks its tiles touch.
     pub fn input_bytes(&self, tiles: &[Tile]) -> u64 {
         let mut rows: Vec<(u32, u32)> = tiles.iter().map(|t| (t.bi, t.r)).collect();
@@ -139,7 +139,7 @@ impl MatmulWorker {
                     // dispatching tiles.
                     let ack = AppMsg::MatInputAck { tag }.encode();
                     host2.note_tx(ack.len() as u64, 1);
-                    net2.send_stream(s, m.to, m.from, Payload::data(ack.freeze()));
+                    net2.send_stream(s, m.to, m.from, Payload::data(ack));
                 }
                 Some(AppMsg::MatTask { tag, r, c, n }) => {
                     let tile = Tile { bi: 0, r, bj: 0, c };
@@ -158,7 +158,7 @@ impl MatmulWorker {
                             s,
                             reply_from,
                             reply_to,
-                            Payload::data_with_padding(hdr.freeze(), out_bytes),
+                            Payload::data_with_padding(hdr, out_bytes),
                         );
                     });
                     if spawned.is_err() {
@@ -331,12 +331,7 @@ impl MatmulMaster {
         };
         for (idx, (remote, bytes)) in plan.into_iter().enumerate() {
             let hdr = AppMsg::MatInput { tag: idx as u32 }.encode();
-            self.net.send_stream(
-                s,
-                self.local,
-                remote,
-                Payload::data_with_padding(hdr.freeze(), bytes),
-            );
+            self.net.send_stream(s, self.local, remote, Payload::data_with_padding(hdr, bytes));
         }
     }
 
@@ -366,7 +361,7 @@ impl MatmulMaster {
             }
         };
         if let Some((m, remote)) = msg {
-            self.net.send_stream(s, self.local, remote, Payload::data(m.encode().freeze()));
+            self.net.send_stream(s, self.local, remote, Payload::data(m.encode()));
         } else {
             self.maybe_finish(s);
         }

@@ -2,9 +2,11 @@
 //!
 //! Headers ride in the real-byte part of a [`smartsock_net::Payload`];
 //! bulk matrix/file content is carried as virtual bytes (its values are
-//! irrelevant to the experiments, only its size is).
+//! irrelevant to the experiments, only its size is). Like every binary
+//! smartsock format they are little-endian: written with `to_le_bytes`,
+//! read through `smartsock_proto`'s [`LeCursor`].
 
-use bytes::{Buf, BufMut, BytesMut};
+use smartsock_proto::LeCursor;
 
 /// One application message header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,37 +35,19 @@ const K_BLOCK_REQUEST: u8 = 10;
 const K_BLOCK_DATA: u8 = 11;
 
 impl AppMsg {
-    pub fn encode(&self) -> BytesMut {
-        let mut out = BytesMut::with_capacity(17);
-        match *self {
-            AppMsg::MatInput { tag } => {
-                out.put_u8(K_MAT_INPUT);
-                out.put_u32_le(tag);
-            }
-            AppMsg::MatInputAck { tag } => {
-                out.put_u8(K_MAT_INPUT_ACK);
-                out.put_u32_le(tag);
-            }
-            AppMsg::MatTask { tag, r, c, n } => {
-                out.put_u8(K_MAT_TASK);
-                out.put_u32_le(tag);
-                out.put_u32_le(r);
-                out.put_u32_le(c);
-                out.put_u32_le(n);
-            }
-            AppMsg::MatResult { tag } => {
-                out.put_u8(K_MAT_RESULT);
-                out.put_u32_le(tag);
-            }
-            AppMsg::BlockRequest { tag, bytes } => {
-                out.put_u8(K_BLOCK_REQUEST);
-                out.put_u32_le(tag);
-                out.put_u32_le(bytes);
-            }
-            AppMsg::BlockData { tag } => {
-                out.put_u8(K_BLOCK_DATA);
-                out.put_u32_le(tag);
-            }
+    pub fn encode(&self) -> Vec<u8> {
+        let (kind, fields) = match *self {
+            AppMsg::MatInput { tag } => (K_MAT_INPUT, &[tag][..]),
+            AppMsg::MatInputAck { tag } => (K_MAT_INPUT_ACK, &[tag][..]),
+            AppMsg::MatTask { tag, r, c, n } => (K_MAT_TASK, &[tag, r, c, n][..]),
+            AppMsg::MatResult { tag } => (K_MAT_RESULT, &[tag][..]),
+            AppMsg::BlockRequest { tag, bytes } => (K_BLOCK_REQUEST, &[tag, bytes][..]),
+            AppMsg::BlockData { tag } => (K_BLOCK_DATA, &[tag][..]),
+        };
+        let mut out = Vec::with_capacity(17);
+        out.push(kind);
+        for field in fields {
+            out.extend_from_slice(&field.to_le_bytes());
         }
         out
     }
@@ -105,18 +89,30 @@ impl AppMsg {
 mod tests {
     use super::*;
 
+    const EVERY_VARIANT: [AppMsg; 6] = [
+        AppMsg::MatInput { tag: 7 },
+        AppMsg::MatInputAck { tag: 7 },
+        AppMsg::MatTask { tag: 9, r: 600, c: 300, n: 1500 },
+        AppMsg::MatResult { tag: 9 },
+        AppMsg::BlockRequest { tag: 1, bytes: 102_400 },
+        AppMsg::BlockData { tag: 1 },
+    ];
+
     #[test]
     fn all_variants_roundtrip() {
-        for msg in [
-            AppMsg::MatInput { tag: 7 },
-            AppMsg::MatInputAck { tag: 7 },
-            AppMsg::MatTask { tag: 9, r: 600, c: 300, n: 1500 },
-            AppMsg::MatResult { tag: 9 },
-            AppMsg::BlockRequest { tag: 1, bytes: 102_400 },
-            AppMsg::BlockData { tag: 1 },
-        ] {
+        for msg in EVERY_VARIANT {
             let wire = msg.encode();
             assert_eq!(AppMsg::decode(&wire), Some(msg));
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_decodes_to_none() {
+        for msg in EVERY_VARIANT {
+            let wire = msg.encode();
+            for cut in 0..wire.len() {
+                assert_eq!(AppMsg::decode(&wire[..cut]), None, "{msg:?} cut at {cut}");
+            }
         }
     }
 

@@ -158,7 +158,7 @@ fn fleet_run(id: &'static str, spec_name: &str, seed: u64) -> Report {
                 option: RequestOption::DEFAULT,
                 detail: REQUIREMENT.to_owned(),
             };
-            net.send_udp(s, client_ep, wizard_ep, Payload::data(req.encode().freeze()), None);
+            net.send_udp(s, client_ep, wizard_ep, Payload::data(req.encode()), None);
         });
     }
 

@@ -549,7 +549,7 @@ mod tests {
             let stranger = Ip::new(10, 0, 0, 3);
             let reply = WizardReply { seq, servers: vec![Endpoint::new(stranger, ports::SERVICE)] };
             let from = Endpoint::new(stranger, ports::WIZARD);
-            net.send_udp(s, from, d.from, Payload::data(reply.encode().freeze()), None);
+            net.send_udp(s, from, d.from, Payload::data(reply.encode()), None);
         });
         let got = Rc::new(RefCell::new(None));
         let g = Rc::clone(&got);

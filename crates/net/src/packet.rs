@@ -22,7 +22,8 @@
 //! * `Overhead_net` — per-fragment forwarding overhead plus exponential
 //!   queueing jitter on each hop.
 
-use bytes::Bytes;
+use std::sync::Arc;
+
 use smartsock_proto::consts::overhead;
 use smartsock_proto::Endpoint;
 use smartsock_sim::{SimDuration, SimTime};
@@ -30,26 +31,27 @@ use smartsock_sim::{SimDuration, SimTime};
 /// A message payload: real bytes for control traffic plus a count of
 /// *virtual* bytes for bulk data whose content is irrelevant to the
 /// experiment (probe padding, matrix blocks, downloaded files). Wire-size
-/// computations use the sum.
+/// computations use the sum. The real bytes are shared, so a payload
+/// cloned per hop copies a pointer.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Payload {
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
     pub virtual_bytes: u64,
 }
 
 impl Payload {
     /// A payload carrying real bytes.
-    pub fn data(data: impl Into<Bytes>) -> Payload {
+    pub fn data(data: impl Into<Arc<[u8]>>) -> Payload {
         Payload { data: data.into(), virtual_bytes: 0 }
     }
 
     /// A payload of `n` content-free bytes (probe padding, bulk data).
     pub fn zeroes(n: u64) -> Payload {
-        Payload { data: Bytes::new(), virtual_bytes: n }
+        Payload { data: Arc::default(), virtual_bytes: n }
     }
 
     /// Real bytes followed by `n` virtual ones (header + bulk body).
-    pub fn data_with_padding(data: impl Into<Bytes>, n: u64) -> Payload {
+    pub fn data_with_padding(data: impl Into<Arc<[u8]>>, n: u64) -> Payload {
         Payload { data: data.into(), virtual_bytes: n }
     }
 

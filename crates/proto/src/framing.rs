@@ -9,8 +9,8 @@
 //! snapshot of one status database: a `u32` record count followed by that
 //! many fixed-size records of the frame's type.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
+use crate::consts::sizes::BINARY_STATUS_RECORD_BYTES;
+use crate::cursor::LeCursor;
 use crate::netstatus::NetPathRecord;
 use crate::security::SecurityRecord;
 use crate::status::ServerStatusReport;
@@ -53,7 +53,7 @@ impl RecordType {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     pub rtype: RecordType,
-    pub data: Bytes,
+    pub data: Vec<u8>,
 }
 
 impl Frame {
@@ -61,10 +61,10 @@ impl Frame {
     pub const HEADER_BYTES: usize = 8;
 
     /// Serialize header + payload.
-    pub fn encode(&self, out: &mut BytesMut) {
-        out.put_u32_le(u32::from(self.rtype));
-        out.put_u32_le(size_header(self.data.len()));
-        out.put_slice(&self.data);
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&u32::from(self.rtype).to_le_bytes());
+        out.extend_from_slice(&size_header(self.data.len()).to_le_bytes());
+        out.extend_from_slice(&self.data);
     }
 
     /// Total on-wire length of this frame.
@@ -72,22 +72,23 @@ impl Frame {
         Self::HEADER_BYTES + self.data.len()
     }
 
-    /// Try to decode one frame from the front of `buf`. Returns `Ok(None)`
-    /// when more bytes are needed (stream reassembly), consuming nothing.
-    pub fn decode(buf: &mut BytesMut) -> Result<Option<Frame>, ProtoError> {
-        if buf.len() < Self::HEADER_BYTES {
+    /// Try to decode one frame from the front of `buf`, advancing it past
+    /// the frame. Returns `Ok(None)` when more bytes are needed (stream
+    /// reassembly); neither that nor an error consumes anything.
+    pub fn decode(buf: &mut &[u8]) -> Result<Option<Frame>, ProtoError> {
+        if buf.remaining() < Self::HEADER_BYTES {
             return Ok(None);
         }
-        let mut peek = &buf[..];
+        let mut peek = *buf;
         let rtype = peek.get_u32_le();
         let size = peek.get_u32_le() as usize;
-        if buf.len() < Self::HEADER_BYTES + size {
+        if peek.remaining() < size {
             return Ok(None);
         }
         let rtype = RecordType::from_u32(rtype)?;
-        buf.advance(Self::HEADER_BYTES);
-        let data = buf.split_to(size).freeze();
-        Ok(Some(Frame { rtype, data }))
+        let (data, rest) = peek.split_at(size);
+        *buf = rest;
+        Ok(Some(Frame { rtype, data: data.to_vec() }))
     }
 
     // ------------------------------------------------------------------
@@ -96,12 +97,11 @@ impl Frame {
 
     /// Build a `System` frame from a database snapshot.
     pub fn system(records: &[ServerStatusReport]) -> Frame {
-        let mut data = BytesMut::with_capacity(4 + records.len() * 204);
-        data.put_u32_le(size_header(records.len()));
+        let mut data = counted(records.len(), BINARY_STATUS_RECORD_BYTES);
         for r in records {
             r.encode_binary(&mut data);
         }
-        Frame { rtype: RecordType::System, data: data.freeze() }
+        Frame { rtype: RecordType::System, data }
     }
 
     /// Build a `SystemAged` frame: each report plus its age in nanoseconds
@@ -110,45 +110,42 @@ impl Frame {
     /// variant lets the wizard machine reconstruct each record's original
     /// report time, so its staleness-aware selection sees true ages.
     pub fn system_aged(records: &[(ServerStatusReport, u64)]) -> Frame {
-        let mut data = BytesMut::with_capacity(4 + records.len() * 212);
-        data.put_u32_le(size_header(records.len()));
+        let mut data = counted(records.len(), BINARY_STATUS_RECORD_BYTES + 8);
         for (r, age_ns) in records {
             r.encode_binary(&mut data);
-            data.put_u64_le(*age_ns);
+            data.extend_from_slice(&age_ns.to_le_bytes());
         }
-        Frame { rtype: RecordType::SystemAged, data: data.freeze() }
+        Frame { rtype: RecordType::SystemAged, data }
     }
 
     /// Build a `Network` frame from a database snapshot.
     pub fn network(records: &[NetPathRecord]) -> Frame {
-        let mut data = BytesMut::with_capacity(4 + records.len() * NetPathRecord::BINARY_BYTES);
-        data.put_u32_le(size_header(records.len()));
+        let mut data = counted(records.len(), NetPathRecord::BINARY_BYTES);
         for r in records {
             r.encode_binary(&mut data);
         }
-        Frame { rtype: RecordType::Network, data: data.freeze() }
+        Frame { rtype: RecordType::Network, data }
     }
 
     /// Build a `Security` frame from a database snapshot.
     pub fn security(records: &[SecurityRecord]) -> Frame {
-        let mut data = BytesMut::with_capacity(4 + records.len() * SecurityRecord::BINARY_BYTES);
-        data.put_u32_le(size_header(records.len()));
+        let mut data = counted(records.len(), SecurityRecord::BINARY_BYTES);
         for r in records {
             r.encode_binary(&mut data);
         }
-        Frame { rtype: RecordType::Security, data: data.freeze() }
+        Frame { rtype: RecordType::Security, data }
     }
 
     /// Decode a `System` payload.
     pub fn decode_system(&self) -> Result<Vec<ServerStatusReport>, ProtoError> {
         self.expect(RecordType::System)?;
-        decode_counted(&self.data[..], ServerStatusReport::decode_binary)
+        decode_counted(&self.data, ServerStatusReport::decode_binary)
     }
 
     /// Decode a `SystemAged` payload into `(report, age_ns)` pairs.
     pub fn decode_system_aged(&self) -> Result<Vec<(ServerStatusReport, u64)>, ProtoError> {
         self.expect(RecordType::SystemAged)?;
-        decode_counted(&self.data[..], |cursor| {
+        decode_counted(&self.data, |cursor| {
             let report = ServerStatusReport::decode_binary(cursor)?;
             if cursor.remaining() < 8 {
                 return Err(ProtoError::Truncated { expected: 8, got: cursor.remaining() });
@@ -160,13 +157,13 @@ impl Frame {
     /// Decode a `Network` payload.
     pub fn decode_network(&self) -> Result<Vec<NetPathRecord>, ProtoError> {
         self.expect(RecordType::Network)?;
-        decode_counted(&self.data[..], NetPathRecord::decode_binary)
+        decode_counted(&self.data, NetPathRecord::decode_binary)
     }
 
     /// Decode a `Security` payload.
     pub fn decode_security(&self) -> Result<Vec<SecurityRecord>, ProtoError> {
         self.expect(RecordType::Security)?;
-        decode_counted(&self.data[..], SecurityRecord::decode_binary)
+        decode_counted(&self.data, SecurityRecord::decode_binary)
     }
 
     fn expect(&self, want: RecordType) -> Result<(), ProtoError> {
@@ -186,9 +183,17 @@ fn size_header(n: usize) -> u32 {
     u32::try_from(n).expect("invariant: frame payload/record count fits the u32 header")
 }
 
-fn decode_counted<T, B: Buf>(
-    mut cursor: B,
-    decode_one: impl Fn(&mut B) -> Result<T, ProtoError>,
+/// A snapshot payload's buffer, sized for `n` records of `record_bytes`
+/// each and holding their `u32` count.
+fn counted(n: usize, record_bytes: usize) -> Vec<u8> {
+    let mut data = Vec::with_capacity(4 + n * record_bytes);
+    data.extend_from_slice(&size_header(n).to_le_bytes());
+    data
+}
+
+fn decode_counted<T>(
+    mut cursor: &[u8],
+    decode_one: impl Fn(&mut &[u8]) -> Result<T, ProtoError>,
 ) -> Result<Vec<T>, ProtoError> {
     if cursor.remaining() < 4 {
         return Err(ProtoError::Truncated { expected: 4, got: cursor.remaining() });
@@ -200,7 +205,7 @@ fn decode_counted<T, B: Buf>(
     for _ in 0..count {
         out.push(decode_one(&mut cursor)?);
     }
-    if cursor.has_remaining() {
+    if cursor.remaining() > 0 {
         return Err(ProtoError::Malformed(format!(
             "{} trailing bytes after {} records",
             cursor.remaining(),
@@ -250,11 +255,8 @@ mod tests {
     fn a_huge_record_count_is_truncated_not_reserved() {
         // 12 bytes: a 4-byte payload claiming u32::MAX records.
         let frame = |rtype: RecordType| {
-            let mut wire = BytesMut::new();
-            wire.put_u32_le(u32::from(rtype));
-            wire.put_u32_le(4);
-            wire.put_u32_le(u32::MAX);
-            Frame::decode(&mut wire).unwrap().unwrap()
+            let wire = [u32::from(rtype), 4, u32::MAX].map(u32::to_le_bytes).concat();
+            Frame::decode(&mut &wire[..]).unwrap().unwrap()
         };
         let truncated =
             |r: Result<usize, ProtoError>| matches!(r, Err(ProtoError::Truncated { .. }));
@@ -267,13 +269,14 @@ mod tests {
     #[test]
     fn frame_roundtrip_over_a_byte_stream() {
         let frame = Frame::system(&[sys_report(1), sys_report(2)]);
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         frame.encode(&mut wire);
         assert_eq!(wire.len(), frame.wire_len());
 
-        let got = Frame::decode(&mut wire).unwrap().unwrap();
+        let mut rest = &wire[..];
+        let got = Frame::decode(&mut rest).unwrap().unwrap();
         assert_eq!(got, frame);
-        assert!(wire.is_empty());
+        assert!(rest.is_empty());
         let records = got.decode_system().unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].host.as_str(), "host2");
@@ -282,9 +285,9 @@ mod tests {
     #[test]
     fn aged_system_frames_carry_per_record_ages() {
         let frame = Frame::system_aged(&[(sys_report(1), 0), (sys_report(2), 4_500_000_000)]);
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         frame.encode(&mut wire);
-        let got = Frame::decode(&mut wire).unwrap().unwrap();
+        let got = Frame::decode(&mut &wire[..]).unwrap().unwrap();
         let records = got.decode_system_aged().unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].1, 0);
@@ -301,21 +304,17 @@ mod tests {
             ip: Ip::new(192, 168, 3, 1),
             level: 2,
         }]);
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         frame.encode(&mut wire);
 
-        // Feed the stream byte by byte; nothing decodes until complete.
-        let mut rx = BytesMut::new();
-        let total = wire.len();
-        for (i, b) in wire.iter().enumerate() {
-            rx.put_u8(*b);
-            let r = Frame::decode(&mut rx).unwrap();
-            if i + 1 < total {
-                assert!(r.is_none(), "decoded early at byte {i}");
-            } else {
-                assert_eq!(r.unwrap(), frame);
-            }
+        // Feed the stream byte by byte; nothing decodes until complete,
+        // and a partial frame is left unconsumed.
+        for len in 0..wire.len() {
+            let mut rx = &wire[..len];
+            assert_eq!(Frame::decode(&mut rx), Ok(None), "decoded early at byte {len}");
+            assert_eq!(rx.len(), len);
         }
+        assert_eq!(Frame::decode(&mut &wire[..]), Ok(Some(frame)));
     }
 
     #[test]
@@ -328,20 +327,19 @@ mod tests {
             bw_mbps: 88.0,
             timestamp_ns: 7,
         }]);
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         f1.encode(&mut wire);
         f2.encode(&mut wire);
-        assert_eq!(Frame::decode(&mut wire).unwrap().unwrap(), f1);
-        assert_eq!(Frame::decode(&mut wire).unwrap().unwrap(), f2);
-        assert!(Frame::decode(&mut wire).unwrap().is_none());
+        let mut rest = &wire[..];
+        assert_eq!(Frame::decode(&mut rest).unwrap().unwrap(), f1);
+        assert_eq!(Frame::decode(&mut rest).unwrap().unwrap(), f2);
+        assert!(Frame::decode(&mut rest).unwrap().is_none());
     }
 
     #[test]
     fn unknown_type_is_an_error() {
-        let mut wire = BytesMut::new();
-        wire.put_u32_le(99);
-        wire.put_u32_le(0);
-        assert_eq!(Frame::decode(&mut wire), Err(ProtoError::UnknownType(99)));
+        let wire = [99u32, 0].map(u32::to_le_bytes).concat();
+        assert_eq!(Frame::decode(&mut &wire[..]), Err(ProtoError::UnknownType(99)));
     }
 
     #[test]
@@ -353,10 +351,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_in_payload_are_rejected() {
-        let mut data = BytesMut::new();
-        data.put_u32_le(0); // zero records...
-        data.put_u8(0xff); // ...but a stray byte
-        let frame = Frame { rtype: RecordType::System, data: data.freeze() };
+        // Zero records, but a stray byte.
+        let frame = Frame { rtype: RecordType::System, data: vec![0, 0, 0, 0, 0xff] };
         assert!(frame.decode_system().is_err());
     }
 

@@ -23,6 +23,7 @@
 
 pub mod addr;
 pub mod consts;
+pub mod cursor;
 pub mod framing;
 pub mod netstatus;
 pub mod outcome;
@@ -35,7 +36,7 @@ pub mod transport;
 pub mod typestate;
 
 pub use addr::{Endpoint, HostName, Ip};
-pub use bytes::BytesMut;
+pub use cursor::LeCursor;
 pub use framing::{Frame, RecordType};
 pub use netstatus::NetPathRecord;
 pub use outcome::{OutcomeKind, OutcomeReport};

@@ -7,9 +7,8 @@
 //! requirements like `monitor_network_delay < 20` or
 //! `monitor_network_bw > 10`.
 
-use bytes::{Buf, BufMut};
-
 use crate::addr::Ip;
+use crate::cursor::LeCursor;
 use crate::ProtoError;
 
 /// Measured metrics of one network path between two monitor groups.
@@ -31,15 +30,15 @@ impl NetPathRecord {
     /// Size of the binary encoding in bytes.
     pub const BINARY_BYTES: usize = 4 + 4 + 8 + 8 + 8;
 
-    pub fn encode_binary(&self, out: &mut impl BufMut) {
-        out.put_u32_le(self.from_monitor.0);
-        out.put_u32_le(self.to_monitor.0);
-        out.put_f64_le(self.delay_ms);
-        out.put_f64_le(self.bw_mbps);
-        out.put_u64_le(self.timestamp_ns);
+    pub fn encode_binary(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.from_monitor.0.to_le_bytes());
+        out.extend_from_slice(&self.to_monitor.0.to_le_bytes());
+        out.extend_from_slice(&self.delay_ms.to_le_bytes());
+        out.extend_from_slice(&self.bw_mbps.to_le_bytes());
+        out.extend_from_slice(&self.timestamp_ns.to_le_bytes());
     }
 
-    pub fn decode_binary(buf: &mut impl Buf) -> Result<Self, ProtoError> {
+    pub fn decode_binary(buf: &mut &[u8]) -> Result<Self, ProtoError> {
         if buf.remaining() < Self::BINARY_BYTES {
             return Err(ProtoError::Truncated {
                 expected: Self::BINARY_BYTES,
@@ -59,7 +58,6 @@ impl NetPathRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     #[test]
     fn binary_roundtrip() {
@@ -70,17 +68,16 @@ mod tests {
             bw_mbps: 92.86,
             timestamp_ns: 42,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode_binary(&mut buf);
         assert_eq!(buf.len(), NetPathRecord::BINARY_BYTES);
-        assert_eq!(NetPathRecord::decode_binary(&mut buf).unwrap(), r);
+        assert_eq!(NetPathRecord::decode_binary(&mut &buf[..]).unwrap(), r);
     }
 
     #[test]
     fn decode_rejects_short_input() {
-        let mut buf = BytesMut::from(&[0u8; 10][..]);
         assert!(matches!(
-            NetPathRecord::decode_binary(&mut buf),
+            NetPathRecord::decode_binary(&mut &[0u8; 10][..]),
             Err(ProtoError::Truncated { .. })
         ));
     }

@@ -13,9 +13,8 @@
 //! UDP and fire-and-forget, like the request path: a lost report only
 //! delays convergence, it never wedges a request.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 use crate::addr::Ip;
+use crate::cursor::LeCursor;
 use crate::ProtoError;
 
 /// What happened with one assigned server.
@@ -85,11 +84,11 @@ impl OutcomeReport {
     /// let rep = OutcomeReport { server: Ip::new(192, 168, 4, 11), outcome: OutcomeKind::Timeout };
     /// assert_eq!(OutcomeReport::decode(&rep.encode()).unwrap(), rep);
     /// ```
-    pub fn encode(&self) -> BytesMut {
-        let mut out = BytesMut::with_capacity(Self::LEN);
-        out.put_u32_le(self.server.0);
-        out.put_u8(self.outcome.to_u8());
-        out.put_u16_le(0); // reserved
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(Self::LEN);
+        out.extend_from_slice(&self.server.0.to_le_bytes());
+        out.push(self.outcome.to_u8());
+        out.extend_from_slice(&0u16.to_le_bytes()); // reserved
         out
     }
 
@@ -100,7 +99,7 @@ impl OutcomeReport {
         let server = Ip(buf.get_u32_le());
         let kind = buf.get_u8();
         let _reserved = buf.get_u16_le();
-        if buf.has_remaining() {
+        if buf.remaining() > 0 {
             return Err(ProtoError::Malformed("trailing bytes after outcome report".into()));
         }
         let outcome = OutcomeKind::from_u8(kind)
@@ -130,7 +129,7 @@ mod tests {
         assert!(OutcomeReport::decode(&wire).is_err());
         let mut wire =
             OutcomeReport { server: Ip::new(1, 2, 3, 4), outcome: OutcomeKind::Completed }.encode();
-        wire.put_u8(0);
+        wire.push(0);
         assert!(OutcomeReport::decode(&wire).is_err());
     }
 

@@ -7,9 +7,8 @@
 //! servers "because the server list is sent back in the UDP message, which
 //! is not reliable when the message becomes long".
 
-use bytes::{Buf, BufMut, BytesMut};
-
 use crate::addr::{Endpoint, Ip};
+use crate::cursor::LeCursor;
 use crate::ProtoError;
 
 /// Upper bound on servers per reply (paper: "Currently the limit is set to
@@ -94,12 +93,12 @@ impl UserRequest {
     /// let wire = req.encode();
     /// assert_eq!(UserRequest::decode(&wire).unwrap(), req);
     /// ```
-    pub fn encode(&self) -> BytesMut {
-        let mut out = BytesMut::with_capacity(8 + self.detail.len());
-        out.put_u32_le(self.seq);
-        out.put_u16_le(self.server_num);
-        out.put_u16_le(self.option.to_u16());
-        out.put_slice(self.detail.as_bytes());
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 + self.detail.len());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&self.server_num.to_le_bytes());
+        out.extend_from_slice(&self.option.to_u16().to_le_bytes());
+        out.extend_from_slice(self.detail.as_bytes());
         out
     }
 
@@ -142,16 +141,16 @@ pub struct WizardReply {
 impl WizardReply {
     /// Encode as a UDP payload. Panics (debug) if over the 60-server cap —
     /// the wizard enforces the cap before constructing the reply.
-    pub fn encode(&self) -> BytesMut {
+    pub fn encode(&self) -> Vec<u8> {
         debug_assert!(self.servers.len() <= MAX_SERVERS_PER_REPLY);
-        let mut out = BytesMut::with_capacity(8 + self.servers.len() * 6);
-        out.put_u32_le(self.seq);
+        let mut out = Vec::with_capacity(8 + self.servers.len() * 6);
+        out.extend_from_slice(&self.seq.to_le_bytes());
         let count = u16::try_from(self.servers.len())
             .expect("invariant: reply capped at MAX_SERVERS_PER_REPLY (60)");
-        out.put_u16_le(count);
+        out.extend_from_slice(&count.to_le_bytes());
         for s in &self.servers {
-            out.put_u32_le(s.ip.0);
-            out.put_u16_le(s.port);
+            out.extend_from_slice(&s.ip.0.to_le_bytes());
+            out.extend_from_slice(&s.port.to_le_bytes());
         }
         out
     }
@@ -174,7 +173,7 @@ impl WizardReply {
             let port = buf.get_u16_le();
             servers.push(Endpoint::new(ip, port));
         }
-        if buf.has_remaining() {
+        if buf.remaining() > 0 {
             return Err(ProtoError::Malformed("trailing bytes after server list".into()));
         }
         Ok(WizardReply { seq, servers })
@@ -220,7 +219,7 @@ mod tests {
             detail: String::new(),
         }
         .encode();
-        wire.put_slice(&[0xff, 0xfe]);
+        wire.extend_from_slice(&[0xff, 0xfe]);
         assert!(UserRequest::decode(&wire).is_err());
     }
 
@@ -257,14 +256,12 @@ mod tests {
 
     #[test]
     fn reply_decode_enforces_cap_and_exact_length() {
-        let mut wire = BytesMut::new();
-        wire.put_u32_le(1);
-        wire.put_u16_le(61); // over the cap
+        let wire = [&1u32.to_le_bytes()[..], &61u16.to_le_bytes()].concat(); // over the cap
         assert!(WizardReply::decode(&wire).is_err());
 
         let reply = WizardReply { seq: 9, servers: vec![Endpoint::new(Ip::new(1, 2, 3, 4), 80)] };
         let mut wire = reply.encode();
-        wire.put_u8(0); // stray byte
+        wire.push(0); // stray byte
         assert!(WizardReply::decode(&wire).is_err());
         let short = &reply.encode()[..8];
         assert!(WizardReply::decode(short).is_err());

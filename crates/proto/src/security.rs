@@ -8,9 +8,8 @@
 //! party agent (the paper cites Cisco NAC) could be substituted by emitting
 //! the same lines.
 
-use bytes::{Buf, BufMut};
-
 use crate::addr::{HostName, Ip};
+use crate::cursor::LeCursor;
 use crate::{take_field, ProtoError};
 
 /// One server's clearance level, as read from the security log.
@@ -56,25 +55,24 @@ impl SecurityRecord {
             .collect()
     }
 
-    pub fn encode_binary(&self, out: &mut impl BufMut) {
+    pub fn encode_binary(&self, out: &mut Vec<u8>) {
         let mut host = [0u8; 24];
         let src = self.host.as_str().as_bytes();
         let n = src.len().min(23);
         host[..n].copy_from_slice(&src[..n]);
-        out.put_slice(&host);
-        out.put_u32_le(self.ip.0);
-        out.put_i32_le(self.level);
+        out.extend_from_slice(&host);
+        out.extend_from_slice(&self.ip.0.to_le_bytes());
+        out.extend_from_slice(&self.level.to_le_bytes());
     }
 
-    pub fn decode_binary(buf: &mut impl Buf) -> Result<Self, ProtoError> {
+    pub fn decode_binary(buf: &mut &[u8]) -> Result<Self, ProtoError> {
         if buf.remaining() < Self::BINARY_BYTES {
             return Err(ProtoError::Truncated {
                 expected: Self::BINARY_BYTES,
                 got: buf.remaining(),
             });
         }
-        let mut host = [0u8; 24];
-        buf.copy_to_slice(&mut host);
+        let host: [u8; 24] = buf.get_array();
         let end = host.iter().position(|&b| b == 0).unwrap_or(host.len());
         let host = HostName::new(String::from_utf8_lossy(&host[..end]).into_owned());
         Ok(SecurityRecord { host, ip: Ip(buf.get_u32_le()), level: buf.get_i32_le() })
@@ -84,7 +82,6 @@ impl SecurityRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     #[test]
     fn log_line_roundtrip() {
@@ -112,9 +109,9 @@ mod tests {
     #[test]
     fn binary_roundtrip() {
         let r = SecurityRecord { host: "titan-x".into(), ip: Ip::new(192, 168, 4, 1), level: 3 };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode_binary(&mut buf);
         assert_eq!(buf.len(), SecurityRecord::BINARY_BYTES);
-        assert_eq!(SecurityRecord::decode_binary(&mut buf).unwrap(), r);
+        assert_eq!(SecurityRecord::decode_binary(&mut &buf[..]).unwrap(), r);
     }
 }

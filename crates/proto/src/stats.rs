@@ -18,8 +18,7 @@
 //! cut any. Requests are matched to replies by the echoed client-chosen
 //! `seq`, same as the wizard request path.
 
-use bytes::{Buf, BufMut, BytesMut};
-
+use crate::cursor::LeCursor;
 use crate::ProtoError;
 
 /// A stats snapshot query.
@@ -34,10 +33,10 @@ impl StatsRequest {
     /// their normal message handling, like `"SSR1"` status reports.
     pub const ASCII_MAGIC: &'static str = "SSQ1";
 
-    pub fn encode(&self) -> BytesMut {
-        let mut out = BytesMut::with_capacity(8);
-        out.put_slice(Self::ASCII_MAGIC.as_bytes());
-        out.put_u32_le(self.seq);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8);
+        out.extend_from_slice(Self::ASCII_MAGIC.as_bytes());
+        out.extend_from_slice(&self.seq.to_le_bytes());
         out
     }
 
@@ -45,13 +44,12 @@ impl StatsRequest {
         if buf.remaining() < 8 {
             return Err(ProtoError::Truncated { expected: 8, got: buf.remaining() });
         }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
+        let magic: [u8; 4] = buf.get_array();
         if magic != Self::ASCII_MAGIC.as_bytes()[..] {
             return Err(ProtoError::Malformed(format!("bad stats-request magic {magic:?}")));
         }
         let seq = buf.get_u32_le();
-        if buf.has_remaining() {
+        if buf.remaining() > 0 {
             return Err(ProtoError::Malformed("trailing bytes after stats request".into()));
         }
         Ok(StatsRequest { seq })
@@ -87,16 +85,16 @@ impl StatsReply {
     /// within [`Self::SOFT_LIMIT`] and setting the truncated flag if
     /// anything was cut. Lines keep their order, so the cut drops the
     /// tail.
-    pub fn encode(&self) -> BytesMut {
+    pub fn encode(&self) -> Vec<u8> {
         let lines = self.lines.as_bytes();
         let window = &lines[..lines.len().min(Self::SOFT_LIMIT - Self::HEADER)];
         let kept = window.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        let mut out = BytesMut::with_capacity(Self::HEADER + kept);
-        out.put_slice(Self::ASCII_MAGIC.as_bytes());
-        out.put_u32_le(self.seq);
-        out.put_u64_le(self.now_ns);
-        out.put_u8(u8::from(self.truncated || kept < lines.len()));
-        out.put_slice(&lines[..kept]);
+        let mut out = Vec::with_capacity(Self::HEADER + kept);
+        out.extend_from_slice(Self::ASCII_MAGIC.as_bytes());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&self.now_ns.to_le_bytes());
+        out.push(u8::from(self.truncated || kept < lines.len()));
+        out.extend_from_slice(&lines[..kept]);
         out
     }
 
@@ -104,8 +102,7 @@ impl StatsReply {
         if buf.remaining() < Self::HEADER {
             return Err(ProtoError::Truncated { expected: Self::HEADER, got: buf.remaining() });
         }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
+        let magic: [u8; 4] = buf.get_array();
         if magic != Self::ASCII_MAGIC.as_bytes()[..] {
             return Err(ProtoError::Malformed(format!("bad stats-reply magic {magic:?}")));
         }
@@ -157,7 +154,7 @@ mod tests {
         bad[0] = b'X';
         assert!(StatsRequest::decode(&bad).is_err());
         let mut long = wire.clone();
-        long.put_u8(0);
+        long.push(0);
         assert!(StatsRequest::decode(&long).is_err());
     }
 
@@ -186,12 +183,12 @@ mod tests {
         let mut flag = wire.clone();
         flag[StatsReply::HEADER - 1] = 2;
         assert!(StatsReply::decode(&flag).is_err());
-        // Bytes after the last newline are a partial line: never sent.
+        // What follows the last newline is a partial line: never sent.
         let mut trailing = wire.clone();
-        trailing.put_u8(b'{');
+        trailing.push(b'{');
         assert!(StatsReply::decode(&trailing).is_err());
         let mut not_utf8 = wire.clone();
-        not_utf8.put_slice(&[0xff, b'\n']);
+        not_utf8.extend_from_slice(&[0xff, b'\n']);
         assert!(StatsReply::decode(&not_utf8).is_err());
     }
 

@@ -13,10 +13,9 @@
 //!   we instead pin an explicit little-endian layout, which preserves the
 //!   efficiency rationale while removing the portability hazard.
 
-use bytes::{Buf, BufMut};
-
 use crate::addr::{HostName, Ip};
 use crate::consts::sizes::BINARY_STATUS_RECORD_BYTES;
+use crate::cursor::LeCursor;
 use crate::services::ServiceMask;
 use crate::{take_field as take, ProtoError};
 
@@ -250,50 +249,48 @@ impl ServerStatusReport {
         clippy::cast_possible_truncation,
         reason = "Table 3.5 gives the loads, cpu shares, bogomips and net rates as f32 fields"
     )]
-    pub fn encode_binary(&self, out: &mut impl BufMut) {
+    pub fn encode_binary(&self, out: &mut Vec<u8>) {
         let mut host = [0u8; Self::HOST_FIELD];
         copy_truncated(&mut host, self.host.as_str().as_bytes());
-        out.put_slice(&host);
-        out.put_u32_le(self.ip.0);
-        out.put_u64_le(self.timestamp_ns);
+        out.extend_from_slice(&host);
+        out.extend_from_slice(&self.ip.0.to_le_bytes());
+        out.extend_from_slice(&self.timestamp_ns.to_le_bytes());
         for v in [self.load1, self.load5, self.load15] {
-            out.put_f32_le(v as f32);
+            out.extend_from_slice(&(v as f32).to_le_bytes());
         }
         for v in [self.cpu_user, self.cpu_nice, self.cpu_system, self.cpu_idle] {
-            out.put_f32_le(v as f32);
+            out.extend_from_slice(&(v as f32).to_le_bytes());
         }
-        out.put_f32_le(self.bogomips as f32);
+        out.extend_from_slice(&(self.bogomips as f32).to_le_bytes());
         for v in [self.mem_total, self.mem_used, self.mem_free, self.mem_buffers, self.mem_cached] {
-            out.put_u64_le(v);
+            out.extend_from_slice(&v.to_le_bytes());
         }
         for v in
             [self.disk_allreq, self.disk_rreq, self.disk_rblocks, self.disk_wreq, self.disk_wblocks]
         {
-            out.put_u64_le(v);
+            out.extend_from_slice(&v.to_le_bytes());
         }
         for v in
             [self.net_rbytes_ps, self.net_rpackets_ps, self.net_tbytes_ps, self.net_tpackets_ps]
         {
-            out.put_f32_le(v as f32);
+            out.extend_from_slice(&(v as f32).to_le_bytes());
         }
         let mut iface = [0u8; Self::IFACE_FIELD];
         copy_truncated(&mut iface, self.iface.as_bytes());
-        out.put_slice(&iface);
-        out.put_u32_le(self.services.0); // §6 service extension
-        out.put_slice(&[0u8; 28]); // reserved
+        out.extend_from_slice(&iface);
+        out.extend_from_slice(&self.services.0.to_le_bytes()); // §6 service extension
+        out.extend_from_slice(&[0u8; 28]); // reserved
     }
 
     /// Decode one 204-byte record, consuming it from `buf`.
-    pub fn decode_binary(buf: &mut impl Buf) -> Result<Self, ProtoError> {
+    pub fn decode_binary(buf: &mut &[u8]) -> Result<Self, ProtoError> {
         if buf.remaining() < BINARY_STATUS_RECORD_BYTES {
             return Err(ProtoError::Truncated {
                 expected: BINARY_STATUS_RECORD_BYTES,
                 got: buf.remaining(),
             });
         }
-        let mut host = [0u8; Self::HOST_FIELD];
-        buf.copy_to_slice(&mut host);
-        let host = HostName::new(cstr_of(&host));
+        let host = HostName::new(cstr_of(&buf.get_array::<{ Self::HOST_FIELD }>()));
         let ip = Ip(buf.get_u32_le());
         let mut r = ServerStatusReport::empty(host, ip);
         r.timestamp_ns = buf.get_u64_le();
@@ -319,11 +316,9 @@ impl ServerStatusReport {
         r.net_rpackets_ps = buf.get_f32_le() as f64;
         r.net_tbytes_ps = buf.get_f32_le() as f64;
         r.net_tpackets_ps = buf.get_f32_le() as f64;
-        let mut iface = [0u8; Self::IFACE_FIELD];
-        buf.copy_to_slice(&mut iface);
-        r.iface = cstr_of(&iface);
+        r.iface = cstr_of(&buf.get_array::<{ Self::IFACE_FIELD }>());
         r.services = ServiceMask(buf.get_u32_le());
-        buf.advance(28); // reserved
+        let _reserved: [u8; 28] = buf.get_array();
         Ok(r)
     }
 }
@@ -341,7 +336,6 @@ fn cstr_of(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn sample() -> ServerStatusReport {
         let mut r = ServerStatusReport::empty("pandora-x", Ip::new(192, 168, 4, 2));
@@ -446,7 +440,7 @@ mod tests {
     #[test]
     fn binary_record_is_exactly_204_bytes() {
         // §5.2: the parsed server status structure is 204 bytes long.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         sample().encode_binary(&mut buf);
         assert_eq!(buf.len(), BINARY_STATUS_RECORD_BYTES);
     }
@@ -454,9 +448,9 @@ mod tests {
     #[test]
     fn binary_roundtrip_preserves_fields() {
         let r = sample();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode_binary(&mut buf);
-        let back = ServerStatusReport::decode_binary(&mut buf).unwrap();
+        let back = ServerStatusReport::decode_binary(&mut &buf[..]).unwrap();
         assert_eq!(back.host, r.host);
         assert_eq!(back.ip, r.ip);
         assert_eq!(back.timestamp_ns, r.timestamp_ns);
@@ -470,11 +464,10 @@ mod tests {
 
     #[test]
     fn binary_decode_rejects_short_buffers() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         sample().encode_binary(&mut buf);
-        let mut short = buf.split_to(100);
         assert_eq!(
-            ServerStatusReport::decode_binary(&mut short),
+            ServerStatusReport::decode_binary(&mut &buf[..100]),
             Err(ProtoError::Truncated { expected: 204, got: 100 })
         );
     }
@@ -483,9 +476,9 @@ mod tests {
     fn long_host_names_are_truncated_not_corrupted() {
         let mut r = sample();
         r.host = "a-very-long-host-name-that-exceeds-the-field".into();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode_binary(&mut buf);
-        let back = ServerStatusReport::decode_binary(&mut buf).unwrap();
+        let back = ServerStatusReport::decode_binary(&mut &buf[..]).unwrap();
         assert_eq!(back.host.as_str(), &r.host.as_str()[..23]);
     }
 }

@@ -28,8 +28,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::BytesMut;
-
 use smartsock_monitor::StatusDbs;
 use smartsock_net::{Network, Payload};
 use smartsock_proto::consts::{ports, timing};
@@ -137,15 +135,14 @@ impl Transmitter {
                 Frame::security(&dbs.sec.snapshot()),
             )
         };
-        let mut wire =
-            BytesMut::with_capacity(sys.wire_len() + net_frame.wire_len() + sec.wire_len());
+        let mut wire = Vec::with_capacity(sys.wire_len() + net_frame.wire_len() + sec.wire_len());
         sys.encode(&mut wire);
         net_frame.encode(&mut wire);
         sec.encode(&mut wire);
         s.telemetry.counter_incr("transmitter-snapshots");
         s.telemetry.counter_add("transmitter-bytes", wire.len() as u64);
         let from = Endpoint::new(self.ip, ports::TRANSMITTER);
-        self.net.send_stream(s, from, self.receiver, Payload::data(wire.freeze()));
+        self.net.send_stream(s, from, self.receiver, Payload::data(wire));
     }
 }
 
@@ -153,10 +150,9 @@ impl Transmitter {
 /// into `dbs`. Snapshots *merge* per record type — several monitor
 /// machines may feed one receiver, and each snapshot carries the full
 /// state of its sender's databases.
-pub fn receive(dbs: &mut StatusDbs, now: SimTime, payload: &[u8], tel: &mut Telemetry) {
-    let mut buf = BytesMut::from(payload);
+pub fn receive(dbs: &mut StatusDbs, now: SimTime, mut payload: &[u8], tel: &mut Telemetry) {
     loop {
-        match Frame::decode(&mut buf) {
+        match Frame::decode(&mut payload) {
             Ok(Some(frame)) => apply(dbs, now, frame, tel),
             Ok(None) => break,
             Err(_) => {

@@ -28,8 +28,7 @@ use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use smartsock_proto::{
-    BytesMut, Endpoint, Ip, OutcomeKind, OutcomeReport, ReplyStatus, RequestOption, UserRequest,
-    WizardReply,
+    Endpoint, Ip, OutcomeKind, OutcomeReport, ReplyStatus, RequestOption, UserRequest, WizardReply,
 };
 use smartsock_sim::{SimDuration, SimTime, SpanId, Telemetry};
 
@@ -236,7 +235,7 @@ pub enum Input<'a> {
 pub struct Stepped {
     /// A request, its retransmission or hedge, or an outcome report. A send
     /// that fails is a lost datagram to the engine.
-    pub frame: Option<BytesMut>,
+    pub frame: Option<Vec<u8>>,
     pub outputs: Outputs,
 }
 

@@ -33,8 +33,8 @@ use smartsock_monitor::ingest::{ingest_ascii, IngestError};
 use smartsock_monitor::{NetDb, SecDb, StatusDbs, SysDb};
 use smartsock_proto::consts::{ports, timing};
 use smartsock_proto::{
-    addr::NetAddr, BytesMut, Endpoint, Ip, OutcomeReport, ServerStatusReport, StatsReply,
-    StatsRequest, Transport, TransportError, UserRequest, WizardReply, MAX_SERVERS_PER_REPLY,
+    addr::NetAddr, Endpoint, Ip, OutcomeReport, ServerStatusReport, StatsReply, StatsRequest,
+    Transport, TransportError, UserRequest, WizardReply, MAX_SERVERS_PER_REPLY,
 };
 use smartsock_sim::{SimDuration, SimTime, Telemetry};
 
@@ -456,10 +456,10 @@ pub enum Stepped {
     /// A request, matched: send this [`WizardReply`] frame, counted in
     /// `wizard-replies`; a failed send is the backend's to count, in
     /// `wizard-reply-send-errors`.
-    Reply(Endpoint, BytesMut),
+    Reply(Endpoint, Vec<u8>),
     /// A stats poll: send this [`StatsReply`] frame, the summary lines the
     /// telemetry ends with, this poll counted in them.
-    Stats(Endpoint, BytesMut),
+    Stats(Endpoint, Vec<u8>),
 }
 
 /// The magics that tell a stats poll and a status report from a request.

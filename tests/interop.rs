@@ -70,7 +70,7 @@ fn report_bytes(name: &str, last_octet: u8, cpu_idle: f64) -> Vec<u8> {
 fn request_bytes(seq: u32, server_num: u16, detail: &str) -> Vec<u8> {
     let req =
         UserRequest { seq, server_num, option: RequestOption::DEFAULT, detail: detail.to_owned() };
-    req.encode().freeze().to_vec()
+    req.encode().to_vec()
 }
 
 /// The counters the engine's ingest and request paths leave behind, in

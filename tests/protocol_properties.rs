@@ -1,6 +1,5 @@
 //! Property-based tests of the wire formats and network-model invariants.
 
-use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
 use smartsock_hostsim::TopologySpec;
@@ -43,7 +42,7 @@ fn arb_report() -> impl Strategy<Value = ServerStatusReport> {
         })
 }
 
-/// Bytes in a stats reply before its lines: magic, `seq`, `now_ns` and
+/// The length of a stats reply before its lines: magic, `seq`, `now_ns` and
 /// the truncated flag.
 const STATS_HEADER: usize = 4 + 4 + 8 + 1;
 
@@ -82,10 +81,10 @@ proptest! {
     /// The binary record is always exactly 204 bytes and round-trips.
     #[test]
     fn binary_report_roundtrip(r in arb_report()) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode_binary(&mut buf);
         prop_assert_eq!(buf.len(), 204);
-        let back = ServerStatusReport::decode_binary(&mut buf).unwrap();
+        let back = ServerStatusReport::decode_binary(&mut &buf[..]).unwrap();
         prop_assert_eq!(back.ip, r.ip);
         prop_assert_eq!(back.timestamp_ns, r.timestamp_ns);
         prop_assert_eq!(back.mem_cached, r.mem_cached);
@@ -99,16 +98,15 @@ proptest! {
         split in 0usize..200,
     ) {
         let frame = Frame::system(&reports);
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         frame.encode(&mut wire);
         let cut = split.min(wire.len());
-        let mut rx = BytesMut::new();
-        rx.extend_from_slice(&wire[..cut]);
+        let mut rx = wire[..cut].to_vec();
         if cut < wire.len() {
-            prop_assert!(Frame::decode(&mut rx).unwrap().is_none() || cut >= frame.wire_len());
+            prop_assert!(Frame::decode(&mut &rx[..]).unwrap().is_none() || cut >= frame.wire_len());
             rx.extend_from_slice(&wire[cut..]);
         }
-        let got = Frame::decode(&mut rx).unwrap().unwrap();
+        let got = Frame::decode(&mut &rx[..]).unwrap().unwrap();
         prop_assert_eq!(got.decode_system().unwrap().len(), reports.len());
     }
 
@@ -145,20 +143,83 @@ proptest! {
         prop_assert_eq!(WizardReply::decode(&wire).unwrap(), reply);
     }
 
-    /// Random prefixes of a valid reply never decode successfully
-    /// (truncation is always detected).
+    /// Every strict prefix of a fixed-layout encoding is refused, never
+    /// decoded to a value or a panic: the wire records, their headers and
+    /// snapshot payloads, and the `[type, size, data]` frame.
     #[test]
     fn truncated_replies_are_rejected(
         servers in proptest::collection::vec(arb_ip(), 1..=10),
-        frac in 0.0f64..0.99,
+        reports in proptest::collection::vec(arb_report(), 1..=3),
+        seq in any::<u32>(),
+        detail in "[ -~\n]{0,40}",
+        lines in arb_stats_lines(),
+        level in any::<i32>(),
     ) {
         let reply = WizardReply {
-            seq: 7,
-            servers: servers.into_iter().map(|ip| Endpoint::new(ip, 1200)).collect(),
+            seq,
+            servers: servers.iter().map(|&ip| Endpoint::new(ip, 1200)).collect(),
         };
-        let wire = reply.encode();
-        let cut = ((wire.len() as f64) * frac) as usize;
-        prop_assert!(WizardReply::decode(&wire[..cut]).is_err());
+        refused_when_cut("WizardReply", &reply.encode(), None, |b| WizardReply::decode(b).is_err());
+        let request = UserRequest { seq, server_num: 3, option: RequestOption::DEFAULT, detail };
+        refused_when_cut("UserRequest", &request.encode(), Some(8), |b| {
+            UserRequest::decode(b).is_err()
+        });
+        let outcome = OutcomeReport { server: servers[0], outcome: OutcomeKind::Timeout };
+        refused_when_cut("OutcomeReport", &outcome.encode(), None, |b| {
+            OutcomeReport::decode(b).is_err()
+        });
+        refused_when_cut("StatsRequest", &StatsRequest { seq }.encode(), None, |b| {
+            StatsRequest::decode(b).is_err()
+        });
+        let stats = StatsReply { seq, now_ns: 5, truncated: false, lines };
+        refused_when_cut("StatsReply", &stats.encode(), Some(STATS_HEADER), |b| {
+            StatsReply::decode(b).is_err()
+        });
+
+        let path = NetPathRecord {
+            from_monitor: servers[0],
+            to_monitor: reports[0].ip,
+            delay_ms: 1.5,
+            bw_mbps: 88.0,
+            timestamp_ns: 7,
+        };
+        let sec = SecurityRecord { host: reports[0].host.clone(), ip: reports[0].ip, level };
+        let binary = |encode: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = Vec::new();
+            encode(&mut out);
+            out
+        };
+        let report = binary(&|o| reports[0].encode_binary(o));
+        refused_when_cut("ServerStatusReport", &report, None, |mut b| {
+            ServerStatusReport::decode_binary(&mut b).is_err()
+        });
+        refused_when_cut("NetPathRecord", &binary(&|o| path.encode_binary(o)), None, |mut b| {
+            NetPathRecord::decode_binary(&mut b).is_err()
+        });
+        refused_when_cut("SecurityRecord", &binary(&|o| sec.encode_binary(o)), None, |mut b| {
+            SecurityRecord::decode_binary(&mut b).is_err()
+        });
+
+        let payload = |rtype, b: &[u8]| Frame { rtype, data: b.to_vec() };
+        refused_when_cut("system", &Frame::system(&reports).data, None, |b| {
+            payload(RecordType::System, b).decode_system().is_err()
+        });
+        let aged: Vec<_> = reports.iter().map(|r| (r.clone(), 4_500_000_000)).collect();
+        let frame = Frame::system_aged(&aged);
+        refused_when_cut("system-aged", &frame.data, None, |b| {
+            payload(RecordType::SystemAged, b).decode_system_aged().is_err()
+        });
+        refused_when_cut("network", &Frame::network(&[path]).data, None, |b| {
+            payload(RecordType::Network, b).decode_network().is_err()
+        });
+        refused_when_cut("security", &Frame::security(std::slice::from_ref(&sec)).data, None, |b| {
+            payload(RecordType::Security, b).decode_security().is_err()
+        });
+        // A cut frame is one still arriving: `Ok(None)`, and nothing consumed.
+        refused_when_cut("Frame", &binary(&|o| frame.encode(o)), None, |b| {
+            let mut rest = b;
+            Frame::decode(&mut rest) == Ok(None) && rest.len() == b.len()
+        });
     }
 
     /// Network/security records round-trip.
@@ -169,14 +230,14 @@ proptest! {
         level in any::<i32>(),
     ) {
         let rec = NetPathRecord { from_monitor: from, to_monitor: to, delay_ms: delay, bw_mbps: bw, timestamp_ns: 9 };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         rec.encode_binary(&mut buf);
-        prop_assert_eq!(NetPathRecord::decode_binary(&mut buf).unwrap(), rec);
+        prop_assert_eq!(NetPathRecord::decode_binary(&mut &buf[..]).unwrap(), rec);
 
         let sec = SecurityRecord { host: "h".into(), ip: from, level };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         sec.encode_binary(&mut buf);
-        prop_assert_eq!(SecurityRecord::decode_binary(&mut buf).unwrap(), sec);
+        prop_assert_eq!(SecurityRecord::decode_binary(&mut &buf[..]).unwrap(), sec);
     }
 
     /// No wire decoder panics or aborts on arbitrary bytes: each call
@@ -257,11 +318,7 @@ proptest! {
 
 // ---- the two positional text parsers, pinned field by field ----------------
 
-/// Feed `bytes` to every wire decoder, discarding the results. They are
-/// also framed as the payload of each record type, whose leading `u32` is
-/// a record count the rest need not back, and parsed as text behind the
-/// status line's magic.
-/// Bytes for the wizard's port: random, a magic and an ASCII tail (which
+/// Datagrams for the wizard's port: random, a magic and an ASCII tail (which
 /// would decode as a request), or of an outcome report's or a stats poll's
 /// length.
 fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
@@ -295,6 +352,26 @@ fn the_wizard_answers_only_requests_and_polls(bytes: &[u8]) {
     assert_eq!(sent, if request || poll { vec![from] } else { vec![] }, "{bytes:?}");
 }
 
+/// `wire` is a valid encoding whose first `fixed` bytes (all of them when
+/// `None`) are fixed layout, and `refuses` its decoder's verdict on a
+/// slice: the whole encoding is taken, every cut short of `fixed` refused.
+fn refused_when_cut(
+    name: &str,
+    wire: &[u8],
+    fixed: Option<usize>,
+    refuses: impl Fn(&[u8]) -> bool,
+) {
+    assert!(!refuses(wire), "{name} refused its own encoding");
+    let fixed = fixed.unwrap_or(wire.len());
+    for cut in 0..fixed {
+        assert!(refuses(&wire[..cut]), "{name} took a {cut}-byte prefix of {fixed}");
+    }
+}
+
+/// Feed `bytes` to every wire decoder, discarding the results. They are
+/// also framed as the payload of each record type, whose leading `u32` is
+/// a record count the rest need not back, and parsed as text behind the
+/// status line's magic.
 fn decode_everything(bytes: &[u8]) {
     let _ = UserRequest::decode(bytes);
     let _ = WizardReply::decode(bytes);
@@ -305,9 +382,9 @@ fn decode_everything(bytes: &[u8]) {
     let _ = NetPathRecord::decode_binary(&mut &bytes[..]);
     let _ = SecurityRecord::decode_binary(&mut &bytes[..]);
 
-    let mut wire = BytesMut::from(bytes);
+    let mut wire = bytes;
     while let Ok(Some(_)) = Frame::decode(&mut wire) {}
-    let framed = |rtype| Frame { rtype, data: Bytes::copy_from_slice(bytes) };
+    let framed = |rtype| Frame { rtype, data: bytes.to_vec() };
     let _ = framed(RecordType::System).decode_system();
     let _ = framed(RecordType::SystemAged).decode_system_aged();
     let _ = framed(RecordType::Network).decode_network();
