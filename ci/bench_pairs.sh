@@ -6,7 +6,8 @@
 #
 # The parent is checked out in a git worktree under .bench_build/ (kept
 # for later runs: `git worktree remove` it when done) and this checkout,
-# uncommitted edits included, is the change; each is built once, offline.
+# uncommitted edits included, is the change; each is built once, offline,
+# and this checkout's benchmark/Cargo.lock is left as the script found it.
 # Each workload then runs PAIRS times on each side (default 10, seed 7),
 # the sides alternating which goes first, every run being the contract's
 # `command` plus `--workload W --seed SEED --seconds run_seconds --trace 0`,
@@ -45,6 +46,11 @@ tree=".bench_build/parent-$parent"
 if [ ! -d "$tree" ]; then
     git worktree add --detach "$tree" "$parent" >/dev/null
 fi
+# The contract's command builds the benchmark unlocked, which prunes stale
+# entries from this checkout's benchmark/Cargo.lock: put it back on exit.
+scratch="$(mktemp -d)"
+cp benchmark/Cargo.lock "$scratch/Cargo.lock"
+trap 'cp "$scratch/Cargo.lock" benchmark/Cargo.lock; rm -rf "$scratch"' EXIT
 for side in "$tree" .; do
     echo "== building $side" >&2
     (cd "$side" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
@@ -96,8 +102,6 @@ fi
 
 nproc="$(nproc)"
 cpu="$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo)"
-scratch="$(mktemp -d)"
-trap 'rm -rf "$scratch"' EXIT
 mapfile -t workloads < <(jq -r '.workloads[].name' BENCHMARK.json)
 bounds="$(jq -c '[.end_to_end[] | {(.name): .bound}] | add' BENCHMARK.json)"
 for workload in "${workloads[@]}"; do

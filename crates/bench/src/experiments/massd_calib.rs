@@ -4,8 +4,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rand::Rng;
-
 use smartsock::Testbed;
 use smartsock_apps::massd::{FileServer, Massd, MassdParams};
 use smartsock_sim::{rng as simrng, SimTime};
@@ -24,7 +22,7 @@ pub fn fig5_3(seed: u64) -> Report {
         // Paper: (data, blk, bw) with bw random; we draw 1–10 Mbps and set
         // data so each run transfers ~8 s worth (the paper's bw = data/100
         // convention gives similar durations).
-        let bw_mbps: f64 = rng.gen_range(1.0..10.0);
+        let bw_mbps = rng.range(1.0..10.0);
         let bw_kbps = bw_mbps * 1e6 / 8.0 / 1024.0;
         let data_kb = (bw_kbps * 8.0) as u64;
 

@@ -4,16 +4,13 @@
 //! servers, without the help from third-party utilities" (§5.3.2) — the
 //! *Random* columns of Tables 5.3–5.9, which [`RandomSelector`] draws.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-
 use smartsock_proto::Endpoint;
-use smartsock_sim::rng as simrng;
+use smartsock_sim::rng::{self as simrng, SimRng};
 
 /// Uniform random selection without replacement from a static pool.
 pub struct RandomSelector {
     pool: Vec<Endpoint>,
-    rng: StdRng,
+    rng: SimRng,
 }
 
 impl RandomSelector {
@@ -24,7 +21,7 @@ impl RandomSelector {
     /// Pick `n` distinct servers (all of them if `n` exceeds the pool).
     pub fn select(&mut self, n: usize) -> Vec<Endpoint> {
         let mut pool = self.pool.clone();
-        pool.shuffle(&mut self.rng);
+        self.rng.shuffle(&mut pool);
         pool.truncate(n);
         pool
     }

@@ -13,12 +13,11 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use rand::Rng;
-
 use smartsock_net::{Network, Payload, StreamMessage};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{Endpoint, Ip, OutcomeKind};
-use smartsock_sim::{rng as simrng, EventId, Scheduler, SimTime};
+use smartsock_sim::rng::{self as simrng, SimRng};
+use smartsock_sim::{EventId, Scheduler, SimTime};
 use smartsock_wizard::client::{ClientEngine, Entropy, Input, Output, Stepped, Timer};
 
 pub use smartsock_wizard::client::{ClientError, RequestSpec};
@@ -69,19 +68,8 @@ struct ClientState {
     /// The scheduler events behind the engine's armed timers.
     timers: BTreeMap<Timer, EventId>,
     next_port: u16,
-    rng: rand::rngs::StdRng,
-}
-
-/// The engine's randomness, drawn from the client's seeded stream.
-struct Draw<'a>(&'a mut rand::rngs::StdRng);
-
-impl Entropy for Draw<'_> {
-    fn draw(&mut self) -> u32 {
-        self.0.gen()
-    }
-    fn jitter(&mut self) -> f64 {
-        self.0.gen_range(0.0..0.25)
-    }
+    /// The engine's randomness: the client's seeded stream.
+    rng: SimRng,
 }
 
 /// The Smart socket client library instance for one client machine.
@@ -157,7 +145,7 @@ impl SmartClient {
         });
         let seq: u32 = {
             let mut st = self.st.borrow_mut();
-            let seq = Draw(&mut st.rng).seq();
+            let seq = st.rng.seq();
             st.callbacks.insert(seq, Box::new(on_result));
             seq
         };
@@ -172,7 +160,7 @@ impl SmartClient {
     fn drive(&self, s: &mut Scheduler, input: Input<'_>) {
         let Stepped { frame, outputs } = {
             let st = &mut *self.st.borrow_mut();
-            st.engine.step(s.now(), input, &mut Draw(&mut st.rng), Some(&mut s.telemetry))
+            st.engine.step(s.now(), input, &mut st.rng, Some(&mut s.telemetry))
         };
         if let Some(frame) = frame {
             let wizard = Endpoint::new(self.wizard_ip, ports::WIZARD);

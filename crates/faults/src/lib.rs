@@ -38,14 +38,12 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
 use smartsock_hostsim::Host;
 use smartsock_monitor::SystemMonitor;
 use smartsock_net::{LinkId, Network, NodeId};
 use smartsock_probe::ServerProbe;
-use smartsock_sim::{rng as simrng, Scheduler, SimDuration, SimTime};
+use smartsock_sim::rng::{self as simrng, SimRng};
+use smartsock_sim::{Scheduler, SimDuration, SimTime};
 use smartsock_wizard::Wizard;
 
 /// Which daemon a [`FaultKind::Daemon`] stops and restarts.
@@ -204,7 +202,7 @@ struct Inner {
     /// Hooks fired after a host reboots (keyed by lowercase host name) —
     /// how a service learns it may re-bind.
     reboot_hooks: BTreeMap<String, Vec<RebootHook>>,
-    rng: StdRng,
+    rng: SimRng,
 }
 
 /// The fault-injection engine. Clones share state.
@@ -513,7 +511,7 @@ impl FaultInjector {
             |inj: &FaultInjector, h: &str| access_link_all(inj, h, |n, l| !n.link_loss_spiked(l));
         if let Some(a) = self.sample(LOSS_SPIKE_PROB, unspiked) {
             let b = self.access_peer_name(&a);
-            let prob = self.inner.borrow_mut().rng.gen_range(0.05..0.4);
+            let prob = self.inner.borrow_mut().rng.range(0.05..0.4);
             self.outage(s, FaultKind::Loss { a, b, prob });
         }
 
@@ -524,7 +522,7 @@ impl FaultInjector {
     /// With probability `prob`, deterministically pick one registered host
     /// satisfying `keep` (uniform over the name-sorted candidate list).
     fn sample(&self, prob: f64, keep: impl Fn(&FaultInjector, &str) -> bool) -> Option<String> {
-        if self.inner.borrow_mut().rng.gen_range(0.0..1.0) >= prob {
+        if self.inner.borrow_mut().rng.unit() >= prob {
             return None;
         }
         let names: Vec<String> = self.inner.borrow().hosts.keys().cloned().collect();
@@ -532,7 +530,7 @@ impl FaultInjector {
         if candidates.is_empty() {
             return None;
         }
-        let idx = self.inner.borrow_mut().rng.gen_range(0..candidates.len());
+        let idx = self.inner.borrow_mut().rng.below(candidates.len() as u64) as usize;
         Some(candidates[idx].clone())
     }
 
@@ -541,7 +539,7 @@ impl FaultInjector {
     fn outage(&self, s: &mut Scheduler, fault: FaultKind) {
         self.apply(s, &fault);
         let (lo, hi) = CHAOS_OUTAGE;
-        let extra = self.inner.borrow_mut().rng.gen_range(0..hi.as_nanos() - lo.as_nanos());
+        let extra = self.inner.borrow_mut().rng.below(hi.as_nanos() - lo.as_nanos());
         let inj = self.clone();
         s.schedule_at(s.now() + lo + SimDuration::from_nanos(extra), move |s| {
             inj.recover(s, &fault);

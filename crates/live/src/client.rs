@@ -8,8 +8,9 @@
 //! frame to send — is the engine's; left here are the socket that sends
 //! each frame, the clock (one read per engine step; each wait lasts until
 //! the earliest timer, and no datagram or read timeout kept from an
-//! earlier wait extends it) and the phase types, which make sequence
-//! violations compile errors (a socket owed nothing outlives its
+//! earlier wait extends it), the randomness (a `SimRng` seeded by the
+//! socket's port, kept across its reuses) and the phase types, which make
+//! sequence violations compile errors (a socket owed nothing outlives its
 //! `LiveSock`, kept for [`LiveSock::bind`]):
 //!
 //! ```compile_fail
@@ -46,7 +47,7 @@ use smartsock_proto::{
     Endpoint, Ip, OutcomeKind, ServerStatusReport, StatsReply, StatsRequest, UserRequest,
     WizardReply,
 };
-use smartsock_sim::rng::splitmix64;
+use smartsock_sim::rng::SimRng;
 use smartsock_sim::{SimDuration, SimTime};
 use smartsock_telemetry::Telemetry;
 use smartsock_wizard::client::{
@@ -76,24 +77,9 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-/// The engine's randomness on this backend: SplitMix64 seeded by the port
-/// at its first bind, continued across reuses (no OS entropy: a hedge's
-/// `seq` need only differ from its request's, jitter only between clients).
-struct Mix(u64);
-
-impl Entropy for Mix {
-    fn draw(&mut self) -> u32 {
-        self.0 = splitmix64(self.0);
-        (self.0 >> 32) as u32
-    }
-    fn jitter(&mut self) -> f64 {
-        f64::from(self.draw()) / 2f64.powi(32) * 0.25
-    }
-}
-
-/// A socket owed nothing: its endpoint, its `Mix` and the read timeout it
-/// holds, in milliseconds.
-type Spare = (Rc<UdpSocket>, Endpoint, Mix, u64);
+/// A socket owed nothing: its endpoint, its generator and the read timeout
+/// it holds, in milliseconds.
+type Spare = (Rc<UdpSocket>, Endpoint, SimRng, u64);
 
 /// How many spares a thread keeps.
 const MAX_SPARES: usize = 8;
@@ -110,7 +96,10 @@ struct Core {
     wizard: SocketAddr,
     clock: Clock,
     engine: ClientEngine,
-    rnd: Mix,
+    /// The engine's randomness: seeded by the port at its first bind and
+    /// continued across reuses (no OS entropy: a hedge's `seq` need only
+    /// differ from its request's, jitter only between clients).
+    rnd: SimRng,
     /// The socket's read timeout in milliseconds, 0 while it has none.
     timeout_ms: u64,
     /// When each armed engine timer is due — a request has at most three
@@ -123,10 +112,10 @@ struct Core {
 
 impl Drop for Core {
     /// Owed nothing (no timer armed, none ever fired), the socket becomes a
-    /// spare, its `Mix` with it so that no `seq` repeats on its port.
+    /// spare, its generator with it so that no `seq` repeats on its port.
     fn drop(&mut self) {
         let owed = self.fired || self.timers != [None; 3];
-        let spare = (Rc::clone(&self.sock), self.local, Mix(self.rnd.0), self.timeout_ms);
+        let spare = (Rc::clone(&self.sock), self.local, self.rnd.clone(), self.timeout_ms);
         let _ = SPARE.try_with(|spares| {
             let mut spares = spares.borrow_mut();
             if !owed && spares.len() < MAX_SPARES {
@@ -248,7 +237,7 @@ impl LiveSock<Registered> {
             None => {
                 let sock = UdpSocket::bind("127.0.0.1:0")?;
                 let local = endpoint_of(sock.local_addr()?).ok_or_else(unsupported)?;
-                (Rc::new(sock), local, Mix(u64::from(local.port)), 0)
+                (Rc::new(sock), local, SimRng::seed_from_u64(u64::from(local.port)), 0)
             }
         };
         let engine = ClientEngine::new(local, wizard_ep);

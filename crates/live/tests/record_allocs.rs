@@ -2,7 +2,8 @@
 //! `WizardEngine::step` into a ring-sink trace like the live daemon's
 //! allocates exactly what `handle`/`sweep`, the same core without the
 //! telemetry, do — a sweep tick with nothing due, a report that overwrites
-//! a row and a matched request — and those figures are pinned. So is what a
+//! a row and a matched request — and those figures are pinned, on an engine
+//! holding one row and on one holding a thousand. So is what a
 //! warm client request round trip through `ClientEngine::step` allocates,
 //! untraced and traced. A binary of its own, because it installs a counting
 //! global allocator.
@@ -73,19 +74,33 @@ impl Transport for Null {
     }
 }
 
-#[test]
-fn recording_a_match_or_an_overwrite_allocates_nothing() {
+/// A row every request below matches.
+fn idle(host: &str, ip: Ip) -> ServerStatusReport {
+    let mut row = ServerStatusReport::empty(host, ip);
+    row.cpu_idle = 0.97;
+    row
+}
+
+/// What 100 warm `step`s of each input allocate — a sweep tick with nothing
+/// due, a report that overwrites `rows[0]` and a request for `server_num`
+/// servers that matches — on an engine holding `rows`, after asserting that
+/// `handle`/`sweep` allocate the same on a twin.
+fn step_allocations(rows: &[ServerStatusReport], server_num: u16) -> [u64; 3] {
     let new = || WizardEngine::new(Ip::new(127, 0, 0, 1), SelectPolicy::default());
     let (mut engine, mut twin) = (new(), new());
     let mut tel = Telemetry::with_sink(Box::new(AccumSink::ring(64)));
     let client = Endpoint::new(Ip::new(127, 0, 0, 2), 4000);
-    let mut row = ServerStatusReport::empty("idle1", Ip::new(192, 168, 9, 1));
-    row.cpu_idle = 0.97;
-    let report = row.encode_ascii();
-    let detail = "host_cpu_free > 0.9\n".to_owned();
-    let request = UserRequest { seq: 7, server_num: 1, option: RequestOption::DEFAULT, detail };
-    let request = request.encode();
     let now = SimTime(Null.now_ns());
+    for row in rows {
+        let bytes = row.encode_ascii();
+        engine.step(now, Input::Datagram { from: client, bytes: bytes.as_bytes() }, &mut tel);
+        assert!(twin.handle(&mut Null, client, bytes.as_bytes()).is_ok());
+    }
+    assert_eq!(engine.live_servers(), rows.len());
+    let report = rows[0].encode_ascii();
+    let detail = "host_cpu_free > 0.9\n".to_owned();
+    let request = UserRequest { seq: 7, server_num, option: RequestOption::DEFAULT, detail };
+    let request = request.encode();
 
     // One input to both engines: what `step` and what its wrapper allocated.
     let mut both = |payload: Option<&[u8]>| {
@@ -110,16 +125,34 @@ fn recording_a_match_or_an_overwrite_allocates_nothing() {
         for (i, payload) in inputs.into_iter().enumerate() {
             let (by_step, by_wrapper, stepped) = both(payload);
             assert_eq!(matches!(stepped, Stepped::Reply(..)), i == 2, "{stepped:?}");
+            if let Stepped::Reply(_, frame) = &stepped {
+                let servers = WizardReply::decode(frame).expect("a reply").servers;
+                assert_eq!(servers.len(), usize::from(server_num).min(rows.len()));
+            }
             stepping[i] += by_step;
             wrapping[i] += by_wrapper;
         }
     }
     assert_eq!(stepping, wrapping, "the telemetry allocated (tick, overwrite, match)");
-    // Per step, pinned so a rise fails: nothing for a tick with nothing
-    // due, 2 for an overwrite and 4 for a match.
-    assert_eq!(stepping, [0, 200, 400], "allocations in 100 steps of each");
     assert!(tel.dropped() > 0, "the ring never evicted");
     assert_eq!(tel.counter("wizard-requests"), 200);
+    stepping
+}
+
+#[test]
+fn recording_a_match_or_an_overwrite_allocates_nothing() {
+    // Per step, pinned so a rise fails: nothing for a tick with nothing
+    // due, 2 for an overwrite and 4 for a match.
+    let one = [idle("idle1", Ip::new(192, 168, 9, 1))];
+    assert_eq!(step_allocations(&one, 1), [0, 200, 400], "one row, 1 server");
+    // At fleet scale, 1 000 rows in 20 /24s, the tick and the overwrite
+    // cost the same and a match for 8 servers one more (its longer list).
+    let fleet: Vec<_> = (0..20u8)
+        .flat_map(|net| {
+            (1..=50u8).map(move |h| idle(&format!("n{net}h{h}"), Ip::new(10, 1, net, h)))
+        })
+        .collect();
+    assert_eq!(step_allocations(&fleet, 8), [0, 200, 500], "1 000 rows, 8 servers");
 }
 
 /// A round trip draws nothing; a draw would be a change to look at.

@@ -4,11 +4,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
 use smartsock_proto::{Endpoint, HostName, Ip};
-use smartsock_sim::{rng as simrng, Scheduler, SimDuration, SimTime, Telemetry};
+use smartsock_sim::rng::{self as simrng, SimRng};
+use smartsock_sim::{Scheduler, SimDuration, SimTime, Telemetry};
 
 use crate::flow::{Flow, FlowStats, FlowTable, OnComplete, LOOPBACK_RATE_BPS};
 use crate::packet::{
@@ -70,7 +68,7 @@ pub(crate) struct State {
     pub udp_handlers: BTreeMap<Endpoint, UdpHandler>,
     pub stream_handlers: BTreeMap<Endpoint, StreamHandler>,
     pub flows: FlowTable,
-    pub rng: StdRng,
+    pub rng: SimRng,
     /// Base round-trip time of the loopback device (Fig 3.6(f) measured
     /// 0.041 ms on the thesis testbed).
     pub loopback_rtt: SimDuration,
@@ -706,7 +704,7 @@ fn transit_time(
         let p = st.links[lid].params.loss_prob;
         if p > 0.0 {
             for _ in 0..frag_count {
-                if st.rng.gen_range(0.0..1.0) < p {
+                if st.rng.unit() < p {
                     return Err(Blocked::Loss);
                 }
             }
@@ -793,15 +791,15 @@ fn flow_alloc(flows: &FlowTable, lid: LinkId) -> f64 {
 }
 
 /// Exponentially distributed jitter with the given mean.
-fn sample_exp(rng: &mut StdRng, mean: SimDuration) -> SimDuration {
+fn sample_exp(rng: &mut SimRng, mean: SimDuration) -> SimDuration {
     if mean == SimDuration::ZERO {
         return SimDuration::ZERO;
     }
-    let u: f64 = rng.gen_range(1e-12..1.0);
+    let u = rng.range(1e-12..1.0);
     SimDuration::from_secs_f64(-mean.as_secs_f64() * u.ln())
 }
 
 /// Derive the network RNG from an experiment seed.
-pub(crate) fn derive_rng(seed: u64) -> StdRng {
+pub(crate) fn derive_rng(seed: u64) -> SimRng {
     simrng::derive(seed, "smartsock-net")
 }

@@ -27,8 +27,9 @@
 //!   `smartsock-telemetry`, clock-synced to virtual time. The harness uses
 //!   it to account bytes/messages per component (Table 5.2 of the paper)
 //!   and to export JSONL traces.
-//! * [`rng`] — helpers for deriving independent, stable RNG streams from a
-//!   single experiment seed.
+//! * [`rng`] — the workspace's one generator, `SimRng` (SplitMix64), and
+//!   the derivation of independent, stable streams from a single
+//!   experiment seed.
 //!
 //! `Telemetry` counters (shared through `Scheduler::telemetry`) are the
 //! single source of truth for every count an experiment reports.

@@ -149,13 +149,14 @@ impl Transmitter {
 /// The receiver (§3.5.2): merge one snapshot message, arrived at `now`,
 /// into `dbs`. Snapshots *merge* per record type — several monitor
 /// machines may feed one receiver, and each snapshot carries the full
-/// state of its sender's databases.
+/// state of its sender's databases. A message arrives whole, so bytes left
+/// that do not make a frame are a bad frame too.
 pub fn receive(dbs: &mut StatusDbs, now: SimTime, mut payload: &[u8], tel: &mut Telemetry) {
     loop {
         match Frame::decode(&mut payload) {
             Ok(Some(frame)) => apply(dbs, now, frame, tel),
-            Ok(None) => break,
-            Err(_) => {
+            Ok(None) if payload.is_empty() => break,
+            Ok(None) | Err(_) => {
                 tel.counter_incr("receiver-bad-frames");
                 break;
             }
@@ -364,6 +365,20 @@ mod tests {
         r.s.run_until(SimTime::from_secs(2));
         assert_eq!(r.s.telemetry.counter("transmitter-bad-requests"), 1);
         assert_eq!(r.s.telemetry.counter("receiver-bad-frames"), 1);
+    }
+
+    #[test]
+    fn a_cut_trailing_frame_is_a_bad_frame() {
+        let r = rig();
+        seed_monitor_dbs(&r);
+        let mut bytes = Vec::new();
+        Frame::security(&r.mon_dbs.borrow().sec.snapshot()).encode(&mut bytes);
+        let mut s = Scheduler::new();
+        let mut dbs = StatusDbs::default();
+        receive(&mut dbs, SimTime::ZERO, &bytes[..bytes.len() - 1], &mut s.telemetry);
+        assert_eq!(s.telemetry.counter("receiver-frames"), 0);
+        assert_eq!(s.telemetry.counter("receiver-bad-frames"), 1);
+        assert_eq!(dbs.sec.level_of(Ip::new(192, 168, 3, 10)), None);
     }
 
     #[test]

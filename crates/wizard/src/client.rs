@@ -30,6 +30,7 @@ use std::collections::BTreeMap;
 use smartsock_proto::{
     Endpoint, Ip, OutcomeKind, OutcomeReport, ReplyStatus, RequestOption, UserRequest, WizardReply,
 };
+use smartsock_sim::rng::SimRng;
 use smartsock_sim::{SimDuration, SimTime, SpanId, Telemetry};
 
 /// Why a request failed.
@@ -154,6 +155,17 @@ pub trait Entropy {
             seq = self.draw();
         }
         seq
+    }
+}
+
+/// Both drivers draw from a `SimRng`: the simulator's seeded per client
+/// machine, a live socket's seeded by its port.
+impl Entropy for SimRng {
+    fn draw(&mut self) -> u32 {
+        self.u32()
+    }
+    fn jitter(&mut self) -> f64 {
+        self.range(0.0..0.25)
     }
 }
 
