@@ -14,8 +14,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The paper's system and its simulated substrate; every other crate, and
-# the vendor shims, are tooling.
+# The paper's system and its simulated substrate; every other crate is
+# tooling.
 system=" probe monitor wizard lang proto wire core live apps "
 simulator=" sim net hostsim "
 
@@ -23,7 +23,7 @@ total=0
 system_total=0
 simulator_total=0
 printf '%-12s %8s\n' crate non-test
-for dir in crates/*/ vendor/*/; do
+for dir in crates/*/; do
     [ -d "${dir}src" ] || continue
     lines=0
     while IFS= read -r -d '' file; do
@@ -42,8 +42,8 @@ printf '%-12s %8d\n' system "$system_total" simulator "$simulator_total" \
 
 # The ceilings: what this tree measured when they were last written.
 # Lower them with every deletion; raising one is a reviewed decision.
-tooling_ceiling=6811
-total_ceiling=20836
+tooling_ceiling=6338
+total_ceiling=20415
 status=0
 if [ "$tooling_total" -gt "$tooling_ceiling" ]; then
     echo "loc: tooling $tooling_total is above its ceiling $tooling_ceiling" >&2

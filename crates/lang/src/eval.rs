@@ -253,7 +253,7 @@ mod tests {
     use super::*;
     use crate::vars::{MONITOR_VARS, SERVER_VARS, SERVICE_VARS};
     use crate::{compile, holds, may_qualify, BinOp, MapRanges};
-    use proptest::prelude::*;
+    use smartsock_sim::rng::{cases, SimRng};
 
     fn vars() -> MapVars {
         MapVars::new()
@@ -638,85 +638,102 @@ mod tests {
     /// named constants, divisions by a literal and by a computed zero and
     /// — rarely, since an error hides the rest of its statement — a
     /// user-host variable and a network address, with assignments to all
-    /// of those and known and unknown calls.
-    fn arb_expr(depth: u32) -> BoxedStrategy<String> {
-        let leaf = prop_oneof![
-            30 => (0u32..4).prop_map(|n| n.to_string()),
-            6 => Just("0.5".to_owned()),
-            10 => Just("host_cpu_free".to_owned()),
-            10 => Just("host_system_load1".to_owned()),
-            4 => Just("monitor_network_bw".to_owned()),
-            12 => Just("t".to_owned()),
-            6 => Just("u".to_owned()),
-            6 => Just("PI".to_owned()),
-            2 => (0u32..3, 0u32..2).prop_map(|(a, b)| format!("{a}/{b}")),
-            1 => Just("t/(u-u)".to_owned()),
-            1 => Just("user_denied_host1".to_owned()),
-            1 => Just("10.0.0.1".to_owned()),
-        ];
+    /// of those and known and unknown calls. Each arm's range is as wide
+    /// as its weight.
+    fn arb_expr(rng: &mut SimRng, depth: u32) -> String {
         if depth == 0 {
-            return leaf.boxed();
+            return arb_leaf(rng);
         }
-        let sub = arb_expr(depth - 1);
-        let target = prop_oneof![
-            6 => Just("t"), 4 => Just("u"), 4 => Just("PI"),
-            1 => Just("host_cpu_free"), 1 => Just("user_denied_host1"),
-        ];
-        let function = prop_oneof![6 => Just("sqrt"), 6 => Just("abs"), 1 => Just("frob")];
-        prop_oneof![
-            4 => leaf,
-            8 => (sub.clone(), 0..OPERATORS.len(), sub.clone())
-                .prop_map(|(a, op, b)| format!("{a} {} {b}", OPERATORS[op])),
-            2 => sub.clone().prop_map(|a| format!("({a})")),
-            1 => sub.clone().prop_map(|a| format!("-{a}")),
-            2 => (target, sub.clone()).prop_map(|(v, a)| format!("({v} = {a})")),
-            1 => (function, sub).prop_map(|(f, a)| format!("{f}({a})")),
-        ]
-        .boxed()
+        let sub = |rng: &mut SimRng| arb_expr(rng, depth - 1);
+        match rng.below(18) {
+            0..4 => arb_leaf(rng),
+            4..12 => {
+                let a = sub(rng);
+                let op = OPERATORS[rng.below(OPERATORS.len() as u64) as usize];
+                format!("{a} {op} {}", sub(rng))
+            }
+            12..14 => format!("({})", sub(rng)),
+            14 => format!("-{}", sub(rng)),
+            15..17 => {
+                let target = match rng.below(16) {
+                    0..6 => "t",
+                    6..10 => "u",
+                    10..14 => "PI",
+                    14 => "host_cpu_free",
+                    _ => "user_denied_host1",
+                };
+                format!("({target} = {})", sub(rng))
+            }
+            _ => {
+                let function = match rng.below(13) {
+                    0..6 => "sqrt",
+                    6..12 => "abs",
+                    _ => "frob",
+                };
+                format!("{function}({})", sub(rng))
+            }
+        }
+    }
+
+    fn arb_leaf(rng: &mut SimRng) -> String {
+        match rng.below(89) {
+            0..30 => rng.below(4).to_string(),
+            30..36 => "0.5".to_owned(),
+            36..46 => "host_cpu_free".to_owned(),
+            46..56 => "host_system_load1".to_owned(),
+            56..60 => "monitor_network_bw".to_owned(),
+            60..72 => "t".to_owned(),
+            72..78 => "u".to_owned(),
+            78..84 => "PI".to_owned(),
+            84..86 => format!("{}/{}", rng.below(3), rng.below(2)),
+            86 => "t/(u-u)".to_owned(),
+            87 => "user_denied_host1".to_owned(),
+            _ => "10.0.0.1".to_owned(),
+        }
     }
 
     /// Values for three server variables, each left undefined one time in
     /// seven.
-    fn arb_provider() -> impl Strategy<Value = MapVars> {
-        let value = || prop_oneof![1 => Just(None), 2 => Just(Some(0.0)), 2 => Just(Some(0.5)), 2 => Just(Some(2.0))];
-        (value(), value(), value()).prop_map(|(cpu, load, bw)| {
-            let names = ["host_cpu_free", "host_system_load1", "monitor_network_bw"];
-            let mut vars = MapVars::new();
-            for (name, v) in names.into_iter().zip([cpu, load, bw]) {
-                if let Some(v) = v {
-                    vars = vars.with(name, v);
-                }
+    fn arb_provider(rng: &mut SimRng) -> MapVars {
+        let names = ["host_cpu_free", "host_system_load1", "monitor_network_bw"];
+        let mut vars = MapVars::new();
+        for name in names {
+            match rng.below(7) {
+                0 => {}
+                v => vars = vars.with(name, [0.0, 0.5, 2.0][(v as usize - 1) / 2]),
             }
-            vars
-        })
+        }
+        vars
     }
 
     /// One statement line: two in five assign a temp, the rest compare two
     /// expressions — one in three of those inside parentheses, which keep
     /// the comparison's logic flag — so that values, not only errors,
     /// decide.
-    fn arb_statement() -> impl Strategy<Value = String> {
-        (arb_expr(3), 0usize..10, arb_expr(1)).prop_map(|(expr, kind, other)| match kind {
+    fn arb_statement(rng: &mut SimRng) -> String {
+        let expr = arb_expr(rng, 3);
+        let kind = rng.below(10) as usize;
+        let other = arb_expr(rng, 1);
+        match kind {
             0 | 1 => format!("t = {expr}\n"),
             2 | 3 => format!("u = {expr}\n"),
             4..=7 => format!("{expr} {} {other}\n", OPERATORS[kind + 1]),
             k => format!("({expr} {} {other})\n", OPERATORS[k - 3]),
-        })
+        }
     }
 
-    proptest! {
-        #[test]
-        fn the_program_is_the_reference_on_generated_requirements(
-            stmts in proptest::collection::vec(arb_statement(), 4..12),
-            vars in proptest::collection::vec(arb_provider(), 4),
-            temps_start_assigned in 0u32..4,
-        ) {
-            let mut src = String::from(if temps_start_assigned > 0 { "t = 1\nu = 2\n" } else { "" });
+    #[test]
+    fn the_program_is_the_reference_on_generated_requirements() {
+        cases("the_program_is_the_reference_on_generated_requirements", |rng| {
+            let stmts: Vec<String> = (0..4 + rng.below(8)).map(|_| arb_statement(rng)).collect();
+            let vars: Vec<MapVars> = (0..4).map(|_| arb_provider(rng)).collect();
+            let temps_start_assigned = rng.below(4) > 0;
+            let mut src = String::from(if temps_start_assigned { "t = 1\nu = 2\n" } else { "" });
             src.extend(stmts);
             for v in &vars {
                 assert_program_matches_the_reference(&src, v);
             }
-        }
+        });
     }
 
     // ---- the tests of a requirement ----------------------------------
@@ -753,60 +770,56 @@ mod tests {
 
     /// `server_var OP rhs`, with every operator — logical or not — and
     /// right-hand sides that fold to a literal, and one that does not.
-    fn arb_test_statement() -> impl Strategy<Value = String> {
-        let var = prop_oneof![
-            Just("host_cpu_free"),
-            Just("host_system_load1"),
-            Just("monitor_network_bw")
-        ];
-        let rhs =
-            prop_oneof![Just("0"), Just("0.5"), Just("2"), Just("1/2"), Just("-(1)"), Just("1/0")];
-        (var, 0..OPERATORS.len(), rhs, 0u32..4).prop_map(|(v, op, rhs, paren)| {
-            let stmt = format!("{v} {} {rhs}", OPERATORS[op]);
-            if paren == 0 {
-                format!("({stmt})\n")
-            } else {
-                format!("{stmt}\n")
-            }
-        })
+    fn arb_test_statement(rng: &mut SimRng) -> String {
+        let var =
+            ["host_cpu_free", "host_system_load1", "monitor_network_bw"][rng.below(3) as usize];
+        let op = OPERATORS[rng.below(OPERATORS.len() as u64) as usize];
+        let rhs = ["0", "0.5", "2", "1/2", "-(1)", "1/0"][rng.below(6) as usize];
+        let stmt = format!("{var} {op} {rhs}");
+        if rng.below(4) == 0 {
+            format!("({stmt})\n")
+        } else {
+            format!("{stmt}\n")
+        }
     }
 
     /// Every server-side variable defined: the three the generators read
     /// at 0, 0.5 or 2, every other one at 1.
-    fn arb_defined() -> impl Strategy<Value = MapVars> {
-        let value = || prop_oneof![Just(0.0), Just(0.5), Just(2.0)];
-        (value(), value(), value()).prop_map(|(cpu, load, bw)| {
-            let all = SERVER_VARS.iter().chain(&SERVICE_VARS).chain(&MONITOR_VARS);
-            all.fold(MapVars::new(), |vars, name| vars.with(name, 1.0))
-                .with("host_cpu_free", cpu)
-                .with("host_system_load1", load)
-                .with("monitor_network_bw", bw)
-        })
+    fn arb_defined(rng: &mut SimRng) -> MapVars {
+        let mut value = || [0.0, 0.5, 2.0][rng.below(3) as usize];
+        let (cpu, load, bw) = (value(), value(), value());
+        let all = SERVER_VARS.iter().chain(&SERVICE_VARS).chain(&MONITOR_VARS);
+        all.fold(MapVars::new(), |vars, name| vars.with(name, 1.0))
+            .with("host_cpu_free", cpu)
+            .with("host_system_load1", load)
+            .with("monitor_network_bw", bw)
     }
 
-    proptest! {
-        /// What lets the wizard screen rows with the tests: on a server
-        /// that defines every variable, a failing test disqualifies, and a
-        /// requirement of tests only qualifies exactly when all hold.
-        #[test]
-        fn a_failing_test_disqualifies_and_tests_alone_decide(
-            stmts in proptest::collection::vec(
-                prop_oneof![2 => arb_test_statement(), 1 => arb_statement()],
-                1..6,
-            ),
-            vars in arb_defined(),
-        ) {
-            let src: String = stmts.concat();
+    /// What lets the wizard screen rows with the tests: on a server that
+    /// defines every variable, a failing test disqualifies, and a
+    /// requirement of tests only qualifies exactly when all hold.
+    #[test]
+    fn a_failing_test_disqualifies_and_tests_alone_decide() {
+        cases("a_failing_test_disqualifies_and_tests_alone_decide", |rng| {
+            let statement = |rng: &mut SimRng| {
+                if rng.below(3) < 2 {
+                    arb_test_statement(rng)
+                } else {
+                    arb_statement(rng)
+                }
+            };
+            let src: String = (0..1 + rng.below(5)).map(|_| statement(rng)).collect();
+            let vars = arb_defined(rng);
             let req = compile(&src).unwrap_or_else(|e| panic!("{src:?} must compile: {e}"));
             let all_hold = req.tests().iter().all(|&(var, op, c)| {
                 holds(op, vars.lookup(var).expect("every variable is defined"), c)
             });
             let d = Evaluator::evaluate(&req, &vars);
-            prop_assert!(all_hold || !d.qualified, "{src:?}: a test failed, yet {d:?}");
+            assert!(all_hold || !d.qualified, "{src:?}: a test failed, yet {d:?}");
             if req.tests_only() {
-                prop_assert_eq!(d.qualified, all_hold, "{:?}: tests only", src);
+                assert_eq!(d.qualified, all_hold, "{src:?}: tests only");
             }
-        }
+        });
     }
 
     #[test]

@@ -423,6 +423,7 @@ pub struct StatusDbs {
 mod tests {
     use super::*;
     use smartsock_proto::HostName;
+    use smartsock_sim::rng::cases;
 
     fn report(ip: Ip, load: f64) -> ServerStatusReport {
         let mut r = ServerStatusReport::empty(HostName::new("h"), ip);
@@ -468,16 +469,14 @@ mod tests {
         assert!(db.get(ip).is_none());
     }
 
-    proptest::proptest! {
-        /// Eviction accounting: `expire` returns exactly the addresses it
-        /// removed — `len(before) == len(after) + evicted.len()` — the
-        /// evicted list is address-ordered, and every survivor is at most
-        /// `max_age` old.
-        #[test]
-        fn expire_accounts_for_every_eviction(
-            ages in proptest::collection::vec(0u64..30, 0..20),
-            max_age in 1u64..25,
-        ) {
+    /// Eviction accounting: `expire` returns exactly the addresses it
+    /// removed — `len(before) == len(after) + evicted.len()` — the evicted
+    /// list is address-ordered, and every survivor is at most `max_age` old.
+    #[test]
+    fn expire_accounts_for_every_eviction() {
+        cases("expire_accounts_for_every_eviction", |rng| {
+            let ages: Vec<u64> = (0..rng.below(20)).map(|_| rng.below(30)).collect();
+            let max_age = 1 + rng.below(24);
             let now = SimTime::from_secs(40);
             let mut db = SysDb::default();
             for (i, &age) in ages.iter().enumerate() {
@@ -487,42 +486,41 @@ mod tests {
             let before = db.len();
             let max_age = SimDuration::from_secs(max_age);
             let evicted = db.expire(now, max_age);
-            proptest::prop_assert_eq!(before, db.len() + evicted.len());
+            assert_eq!(before, db.len() + evicted.len());
             let mut sorted = evicted.clone();
             sorted.sort();
-            proptest::prop_assert_eq!(&evicted, &sorted);
+            assert_eq!(&evicted, &sorted);
             for (_, r) in db.iter() {
-                proptest::prop_assert!(now.since(r.recorded_at) <= max_age);
+                assert!(now.since(r.recorded_at) <= max_age);
             }
             for ip in evicted {
-                proptest::prop_assert!(db.get(ip).is_none());
+                assert!(db.get(ip).is_none());
             }
-        }
+        });
+    }
 
-        /// The `SysDb` contract, call after call, against [`FlatModel`] —
-        /// one flat map of rows whose exact summaries are rebuilt from
-        /// nothing whenever asked. Over any sequence of upserts (new and
-        /// known addresses, equal, later and earlier timestamps), sweeps
-        /// and `tighten`s: the sharded sweep is an exact
-        /// regrouping of the flat one (the same evictions, grouped under
-        /// the shard each /24 prefix names — the ISSUE 10 bugfix:
-        /// `wizard-stale-evictions` must not change meaning), sizes and
-        /// rows agree, every summary *covers* the exact one at all times,
-        /// and after every `tighten` it *is* the exact one (up to the sign
-        /// of a zero, which `==` on floats already ignores).
-        #[test]
-        fn per_shard_evictions_sum_to_the_flat_count(
-            ops in proptest::collection::vec(
-                (0u8..11, 0u8..5, 0u8..6, 0u8..8, 0u64..4, 0u64..9),
-                0..60,
-            ),
-        ) {
+    /// The `SysDb` contract, call after call, against [`FlatModel`] — one
+    /// flat map of rows whose exact summaries are rebuilt from nothing
+    /// whenever asked. Over any sequence of upserts (new and known
+    /// addresses, equal, later and earlier timestamps), sweeps and
+    /// `tighten`s: the sharded sweep is an exact regrouping of the flat one
+    /// (the same evictions, grouped under the shard each /24 prefix names,
+    /// so `wizard-stale-evictions` keeps its meaning), sizes and rows
+    /// agree, every summary *covers* the exact one at all times, and after
+    /// every `tighten` it *is* the exact one (up to the sign of a zero,
+    /// which `==` on floats already ignores).
+    #[test]
+    fn per_shard_evictions_sum_to_the_flat_count() {
+        cases("per_shard_evictions_sum_to_the_flat_count", |rng| {
             let mut db = SysDb::default();
             let mut model = FlatModel::default();
             let mut now = SimTime::from_secs(3);
-            for (kind, subnet, host, load, dt, age) in ops {
+            for _ in 0..rng.below(60) {
+                let kind = rng.below(11);
+                let (subnet, host) = (rng.below(5) as u8, rng.below(6) as u8);
+                let (load, dt, age) = (rng.below(8), rng.below(4), rng.below(9));
                 let row = |subnet: u8, host: u8| {
-                    let mut r = report(Ip::new(10, 0, subnet, host + 1), f64::from(load));
+                    let mut r = report(Ip::new(10, 0, subnet, host + 1), load as f64);
                     r.cpu_idle = 1.0 / (f64::from(host) + 1.0);
                     r
                 };
@@ -541,34 +539,34 @@ mod tests {
                         let flat_evicted = model.expire(now, max_age);
                         let flattened: Vec<Ip> =
                             by_shard.iter().flat_map(|(_, ips)| ips.iter().copied()).collect();
-                        proptest::prop_assert_eq!(&flattened, &flat_evicted);
+                        assert_eq!(&flattened, &flat_evicted);
                         for (key, ips) in &by_shard {
-                            proptest::prop_assert!(!ips.is_empty());
+                            assert!(!ips.is_empty());
                             for ip in ips {
-                                proptest::prop_assert_eq!(subnet_of(*ip), *key);
+                                assert_eq!(subnet_of(*ip), *key);
                             }
                         }
                     }
                     _ => db.tighten(),
                 }
                 let exact = model.summaries();
-                proptest::prop_assert_eq!(db.len(), model.rows.len());
-                proptest::prop_assert_eq!(db.shard_count(), exact.len());
-                proptest::prop_assert!(db.iter().eq(model.rows.iter()));
+                assert_eq!(db.len(), model.rows.len());
+                assert_eq!(db.shard_count(), exact.len());
+                assert!(db.iter().eq(model.rows.iter()));
                 for ((key, shard), (exact_key, exact)) in db.iter_shards().zip(&exact) {
-                    proptest::prop_assert_eq!(key, exact_key);
+                    assert_eq!(key, exact_key);
                     let got = shard.summary();
                     if matches!(kind, 9..=10) {
-                        proptest::prop_assert_eq!(got, exact);
+                        assert_eq!(got, exact);
                     }
-                    proptest::prop_assert_eq!(got.count, exact.count);
-                    proptest::prop_assert!(got.newest_recorded_at >= exact.newest_recorded_at);
+                    assert_eq!(got.count, exact.count);
+                    assert!(got.newest_recorded_at >= exact.newest_recorded_at);
                     let (got, exact) = (&got.ranges, &exact.ranges);
-                    proptest::prop_assert!(got.lo.iter().zip(&exact.lo).all(|(g, e)| g <= e));
-                    proptest::prop_assert!(got.hi.iter().zip(&exact.hi).all(|(g, e)| g >= e));
+                    assert!(got.lo.iter().zip(&exact.lo).all(|(g, e)| g <= e));
+                    assert!(got.hi.iter().zip(&exact.hi).all(|(g, e)| g >= e));
                 }
             }
-        }
+        });
     }
 
     /// Reference for the property test above: the status database as one

@@ -121,8 +121,8 @@ struct HostHealth {
     next_quarantine: SimDuration,
 }
 
-/// The health-score table: one entry per server that ever had an outcome
-/// reported. Unknown servers read as healthy with score 1.0.
+/// The health-score table: an entry per server whose outcomes left it
+/// unlike a fresh one. Unknown servers read as healthy with score 1.0.
 #[derive(Clone, Debug, Default)]
 pub struct HealthTable {
     hosts: BTreeMap<Ip, HostHealth>,
@@ -132,7 +132,7 @@ pub struct HealthTable {
 }
 
 impl HealthTable {
-    /// Number of servers with recorded history.
+    /// Number of servers whose history still shows.
     pub fn len(&self) -> usize {
         self.hosts.len()
     }
@@ -172,8 +172,8 @@ impl HealthTable {
     /// Materialize every pending time-based transition up to `now`.
     /// Returns them in address order; the caller (the wizard's sweep)
     /// turns them into telemetry events. The table is walked only once
-    /// `now` reaches the earliest deadline in it — the live daemon polls on
-    /// every datagram, and entries are never removed.
+    /// `now` reaches the earliest deadline in it, since the live daemon
+    /// polls on every datagram.
     pub fn poll(&mut self, now: SimTime) -> Vec<Transition> {
         if self.next_due.is_none_or(|due| now < due) {
             return Vec::new();
@@ -254,6 +254,11 @@ impl HealthTable {
             transitions.push(Transition { ip, from: before.kind(), to: h.state.kind() });
         }
         self.next_due = earlier(self.next_due, h.state.due());
+        // A fresh entry reads as none (a score of 1.0 relaxes to 1.0).
+        let entry = (h.score, h.state, h.streak, h.next_quarantine);
+        if entry == (1.0, State::Healthy, 0, QUARANTINE_BASE) {
+            self.hosts.remove(&ip);
+        }
         transitions
     }
 
@@ -301,6 +306,7 @@ fn resolve(state: State, now: SimTime) -> State {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartsock_sim::rng::cases;
 
     fn ip() -> Ip {
         Ip::new(192, 168, 4, 11)
@@ -400,21 +406,21 @@ mod tests {
         out
     }
 
-    proptest::proptest! {
-        /// Returning before the walk is invisible: over any interleaving
-        /// of outcomes, polls and clock steps (sub-second to longer than
-        /// the capped quarantine), a table polled through `next_due` and
-        /// one that walks every host on every poll report the same
-        /// transitions in the same order and hold the same state — clocks
-        /// included — for every host after every step. Every score stays in
-        /// `[0, 1]` throughout: the bound the selection's early stop relies on.
-        #[test]
-        fn a_poll_bounded_by_next_due_is_the_walk_over_every_host(
-            steps in proptest::collection::vec((0u8..5, 0u8..6, 0u8..3, 0u64..8), 0..120),
-        ) {
+    /// Returning before the walk is invisible: over any interleaving of
+    /// outcomes, polls and clock steps (sub-second to longer than the
+    /// capped quarantine), a table polled through `next_due` and one that
+    /// walks every host on every poll report the same transitions in the
+    /// same order and hold the same entry — clocks included, or none — for
+    /// each of the six addresses after every step. Every score stays in
+    /// `[0, 1]` throughout: the bound the selection's early stop relies on.
+    #[test]
+    fn a_poll_bounded_by_next_due_is_the_walk_over_every_host() {
+        cases("a_poll_bounded_by_next_due_is_the_walk_over_every_host", |rng| {
             let (mut bounded, mut walked) = (HealthTable::default(), HealthTable::default());
             let mut now = t(1);
-            for (kind, host, outcome, dt) in steps {
+            for _ in 0..rng.below(120) {
+                let (kind, host) = (rng.below(5), rng.below(6) as u8);
+                let (outcome, dt) = (rng.below(3) as usize, rng.below(8));
                 // Mostly whole seconds, so deadlines are hit exactly too.
                 now += match dt {
                     0 => SimDuration::ZERO,
@@ -423,34 +429,23 @@ mod tests {
                     _ => SimDuration::from_secs(dt),
                 };
                 if kind < 2 {
-                    proptest::prop_assert_eq!(
-                        bounded.poll(now),
-                        poll_walking_everything(&mut walked, now)
-                    );
+                    assert_eq!(bounded.poll(now), poll_walking_everything(&mut walked, now));
                 } else {
                     let ip = Ip::new(10, 0, 0, host);
-                    let outcome = [
-                        OutcomeKind::Timeout,
-                        OutcomeKind::Completed,
-                        OutcomeKind::ConnectFailed,
-                    ][usize::from(outcome)];
-                    proptest::prop_assert_eq!(
-                        bounded.record(ip, outcome, now),
-                        walked.record(ip, outcome, now)
-                    );
+                    let outcome =
+                        [OutcomeKind::Timeout, OutcomeKind::Completed, OutcomeKind::ConnectFailed]
+                            [outcome];
+                    assert_eq!(bounded.record(ip, outcome, now), walked.record(ip, outcome, now));
                 }
-                proptest::prop_assert_eq!(bounded.hosts.len(), walked.hosts.len());
-                for ((ip, b), w) in bounded.hosts.iter().zip(walked.hosts.values()) {
-                    proptest::prop_assert_eq!(b.state, w.state, "{} at {:?}", ip, now);
-                    proptest::prop_assert_eq!(
-                        bounded.effective_state(*ip, now),
-                        walked.effective_state(*ip, now)
-                    );
-                    let score = bounded.score(*ip, now);
-                    proptest::prop_assert!((0.0..=1.0).contains(&score), "{} at {:?}", score, now);
+                for ip in (0..6).map(|host| Ip::new(10, 0, 0, host)) {
+                    let entry = |table: &HealthTable| table.hosts.get(&ip).map(|h| h.state);
+                    assert_eq!(entry(&bounded), entry(&walked), "{ip} at {now:?}");
+                    assert_eq!(bounded.effective_state(ip, now), walked.effective_state(ip, now));
+                    let score = bounded.score(ip, now);
+                    assert!((0.0..=1.0).contains(&score), "{score} at {now:?}");
                 }
             }
-        }
+        });
     }
 
     #[test]
@@ -462,6 +457,7 @@ mod tests {
         table.record(Ip::new(10, 0, 0, 1), OutcomeKind::Completed, t(1));
         table.record(Ip::new(10, 0, 0, 2), OutcomeKind::Timeout, t(1));
         assert_eq!(table.next_due, None);
+        assert_eq!(table.len(), 1, "a completed assignment to a new server keeps no entry");
         table.record(ip(), OutcomeKind::Timeout, t(1));
         table.record(ip(), OutcomeKind::Timeout, t(2)); // quarantined until t=10
         assert_eq!(table.next_due, Some(t(10)));
@@ -470,21 +466,48 @@ mod tests {
         // t=3), behind the bound's back: a poll before t=10 returns without
         // looking, so it stays.
         let planted = State::Quarantined { until: t(3) };
-        table.hosts.get_mut(&Ip::new(10, 0, 0, 1)).unwrap().state = planted;
+        table.hosts.get_mut(&Ip::new(10, 0, 0, 2)).unwrap().state = planted;
         assert!(table.poll(t(9)).is_empty());
-        assert_eq!(table.hosts[&Ip::new(10, 0, 0, 1)].state, planted);
+        assert_eq!(table.hosts[&Ip::new(10, 0, 0, 2)].state, planted);
 
         // At the deadline the table is walked — both hosts move — and the
         // bound becomes the earliest deadline left: the planted host's
         // probation ends at t=13, the other's at t=20.
         let tr = table.poll(t(10));
-        assert_eq!(tr.iter().map(|x| x.ip).collect::<Vec<_>>(), [Ip::new(10, 0, 0, 1), ip()]);
+        assert_eq!(tr.iter().map(|x| x.ip).collect::<Vec<_>>(), [Ip::new(10, 0, 0, 2), ip()]);
         assert!(tr.iter().all(|x| x.to == StateKind::Probation));
         assert_eq!(table.next_due, Some(t(13)));
         assert_eq!(table.poll(t(13)).len(), 1);
         assert_eq!(table.next_due, Some(t(20)));
         assert_eq!(table.poll(t(20)).len(), 1);
         assert_eq!(table.next_due, None, "nothing timed is left");
+    }
+
+    #[test]
+    fn completed_assignments_to_unknown_servers_keep_no_entry() {
+        let mut table = HealthTable::default();
+        for i in 0..10_000u32 {
+            table.record(Ip(0x0a00_0000 + i), OutcomeKind::Completed, t(u64::from(i)));
+        }
+        assert_eq!(table.len(), 0);
+    }
+
+    #[test]
+    fn a_host_cleared_by_time_keeps_its_doubled_quarantine() {
+        let mut table = HealthTable::default();
+        table.record(ip(), OutcomeKind::Timeout, t(1));
+        // Quarantined until t=10, then on probation until t=20, which ends
+        // by time. Long after, the score is back at exactly 1.0, yet the
+        // next quarantine stays doubled.
+        table.record(ip(), OutcomeKind::Timeout, t(2));
+        let cleared = Transition { ip: ip(), from: StateKind::Quarantined, to: StateKind::Healthy };
+        assert_eq!(table.record(ip(), OutcomeKind::Completed, t(2000)), [cleared]);
+        assert_eq!(table.score(ip(), t(2000)), 1.0);
+        assert_eq!(table.len(), 1);
+        table.record(ip(), OutcomeKind::Timeout, t(2001));
+        table.record(ip(), OutcomeKind::Timeout, t(2002)); // 16 s: until t=2018
+        assert_eq!(table.effective_state(ip(), t(2017)), StateKind::Quarantined);
+        assert_eq!(table.effective_state(ip(), t(2018)), StateKind::Probation);
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //!
 //! `SimRng` has no entropy constructor on purpose: every stream starts from
 //! a number the caller holds (a run's seed, or a live socket's port).
+//!
+//! Property tests draw from it through [`cases`]: case `i` of `name` runs on
+//! `derive_indexed(CASES_BASE, name, i)`, [`DEFAULT_CASES`] of them unless
+//! `SMARTSOCK_CASES` sets the count. A failing case prints its name, index
+//! and seed as it unwinds; a count above that index replays it.
 
 use std::ops::Range;
 
@@ -87,6 +92,48 @@ pub fn derive(seed: u64, label: &str) -> SimRng {
 /// streams (e.g. one stream per simulated host).
 pub fn derive_indexed(seed: u64, label: &str, index: u64) -> SimRng {
     SimRng::seed_from_u64(splitmix64(splitmix64(seed ^ label_hash(label)).wrapping_add(index)))
+}
+
+/// Cases a property runs when `SMARTSOCK_CASES` is unset.
+pub const DEFAULT_CASES: u64 = 64;
+/// The seed every property case derives from.
+pub const CASES_BASE: u64 = 0xca5e_5eed;
+
+/// Run `body` once per case of the property `name`, on the case's stream.
+pub fn cases(name: &str, body: impl FnMut(&mut SimRng)) {
+    run_cases(name, case_count(std::env::var("SMARTSOCK_CASES").ok()), body);
+}
+
+/// The count `SMARTSOCK_CASES` holds; a value that is no count panics.
+fn case_count(var: Option<String>) -> u64 {
+    var.map_or(DEFAULT_CASES, |v| v.parse().unwrap_or_else(|_| panic!("cases: {v:?} is no count")))
+}
+
+fn run_cases(name: &str, count: u64, mut body: impl FnMut(&mut SimRng)) {
+    for index in 0..count {
+        let _case = Case(name, index);
+        body(&mut derive_indexed(CASES_BASE, name, index));
+    }
+}
+
+/// The case running, named on stderr if it unwinds.
+struct Case<'a>(&'a str, u64);
+
+impl Drop for Case<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("{}", replay_line(self.0, self.1));
+        }
+    }
+}
+
+fn replay_line(name: &str, index: u64) -> String {
+    let seed = derive_indexed(CASES_BASE, name, index).state;
+    format!(
+        "{name}: case {index} failed (base {CASES_BASE:#x}, seed {seed:#x}); \
+         SMARTSOCK_CASES={} replays it",
+        index + 1
+    )
 }
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mixer.
@@ -168,6 +215,54 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..32).collect::<Vec<_>>());
         assert_ne!(v, sorted, "shuffle left the slice untouched");
+    }
+
+    #[test]
+    fn the_same_name_gives_the_same_cases() {
+        let firsts = |name| {
+            let mut words = Vec::new();
+            run_cases(name, 8, |rng| words.push(rng.next_u64()));
+            words
+        };
+        assert_eq!(firsts("a"), firsts("a"));
+        let derived: Vec<u64> =
+            (0..8).map(|i| derive_indexed(CASES_BASE, "a", i).next_u64()).collect();
+        assert_eq!(firsts("a"), derived);
+        assert_ne!(firsts("a"), firsts("b"), "two names, one stream");
+    }
+
+    #[test]
+    fn the_case_count_is_the_variable_when_set() {
+        assert_eq!(case_count(None), DEFAULT_CASES);
+        assert_eq!(case_count(Some("5".to_owned())), 5);
+        let mut ran = 0;
+        run_cases("count", case_count(Some("5".to_owned())), |_| ran += 1);
+        assert_eq!(ran, 5);
+        let bad = std::panic::catch_unwind(|| case_count(Some("many".to_owned())));
+        assert!(bad.is_err(), "a count that is no number must not fall back");
+    }
+
+    #[test]
+    fn a_failing_case_is_named_and_replays() {
+        // Fail on the first case whose first word is a multiple of 4.
+        let fails = |word: u64| word % 4 == 0;
+        let mut seen = Vec::new();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_cases("replay", DEFAULT_CASES, |rng| {
+                seen.push(rng.next_u64());
+                assert!(!fails(seen[seen.len() - 1]), "planted failure");
+            })
+        }));
+        assert!(run.is_err(), "no case of 64 failed");
+        let index = seen.len() as u64 - 1;
+        let line = replay_line("replay", index);
+        assert!(line.starts_with(&format!("replay: case {index} failed")), "{line}");
+        assert!(line.ends_with(&format!("SMARTSOCK_CASES={} replays it", index + 1)), "{line}");
+        // The replay: the same count reaches the same case with the same draw.
+        let mut replayed = None;
+        run_cases("replay", index + 1, |rng| replayed = Some(rng.next_u64()));
+        assert_eq!(replayed, seen.last().copied());
+        assert!(fails(replayed.unwrap_or_default()));
     }
 
     /// The stream every `trace_sha` is drawn from, as the `rand` stand-in

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use proptest::prelude::*;
+use smartsock_sim::rng::cases;
 use smartsock_telemetry::trace::Trace;
 use smartsock_telemetry::{Record, SpanId, Telemetry};
 
@@ -43,15 +43,15 @@ fn pick(pool: &[&'static str], x: u64) -> &'static str {
     pool[(x % pool.len() as u64) as usize]
 }
 
-proptest! {
-    /// Apply an arbitrary op sequence (open/close spans in arbitrary order,
-    /// events with hostile attribute values, labeled counters, gauges,
-    /// histogram samples, clock advances), export, re-parse, and compare
-    /// against the in-memory records field by field.
-    #[test]
-    fn export_then_parse_reconstructs_every_record(
-        ops in proptest::collection::vec((0u8..7, any::<u64>(), any::<u64>()), 0..80),
-    ) {
+/// Apply an arbitrary op sequence (open/close spans in arbitrary order,
+/// events with hostile attribute values, labeled counters, gauges,
+/// histogram samples, clock advances), export, re-parse, and compare
+/// against the in-memory records field by field.
+#[test]
+fn export_then_parse_reconstructs_every_record() {
+    cases("export_then_parse_reconstructs_every_record", |rng| {
+        let ops: Vec<(u64, u64, u64)> =
+            (0..rng.below(80)).map(|_| (rng.below(7), rng.next_u64(), rng.next_u64())).collect();
         let mut t = Telemetry::new();
         let mut now = 0u64;
         let mut open: Vec<SpanId> = Vec::new();
@@ -109,7 +109,7 @@ proptest! {
 
         let export = t.export_jsonl();
         let tr = Trace::parse(&export);
-        prop_assert_eq!(tr.skipped, 0, "parser rejected writer output:\n{}", export);
+        assert_eq!(tr.skipped, 0, "parser rejected writer output:\n{}", export);
 
         let mut want_starts: BTreeMap<u64, (&str, String, Option<u64>, u64)> = BTreeMap::new();
         let mut want_spans = Vec::new();
@@ -126,45 +126,48 @@ proptest! {
             }
         }
 
-        prop_assert_eq!(tr.spans.len(), want_spans.len());
+        assert_eq!(tr.spans.len(), want_spans.len());
         for (got, (id, name, host, end_ns, dur_ns)) in tr.spans.iter().zip(&want_spans) {
-            prop_assert_eq!(got.id, *id);
-            prop_assert_eq!(got.name.as_str(), *name);
-            prop_assert_eq!(&got.host, host);
-            prop_assert_eq!(got.end_ns, *end_ns);
-            prop_assert_eq!(got.dur_ns, *dur_ns);
+            assert_eq!(got.id, *id);
+            assert_eq!(got.name.as_str(), *name);
+            assert_eq!(&got.host, host);
+            assert_eq!(got.end_ns, *end_ns);
+            assert_eq!(got.dur_ns, *dur_ns);
             let (_, _, parent, start_ns) = &want_starts[id];
-            prop_assert_eq!(got.parent, *parent);
-            prop_assert_eq!(got.start_ns, *start_ns);
+            assert_eq!(got.parent, *parent);
+            assert_eq!(got.start_ns, *start_ns);
         }
 
-        prop_assert_eq!(tr.starts.len(), want_starts.len(), "unclosed spans must parse too");
+        assert_eq!(tr.starts.len(), want_starts.len(), "unclosed spans must parse too");
         for (id, (name, host, parent, at_ns)) in &want_starts {
             let got = &tr.starts[id];
-            prop_assert_eq!(got.0.as_str(), *name);
-            prop_assert_eq!(&got.1, host);
-            prop_assert_eq!(got.2, *parent);
-            prop_assert_eq!(got.3, *at_ns);
+            assert_eq!(got.0.as_str(), *name);
+            assert_eq!(&got.1, host);
+            assert_eq!(got.2, *parent);
+            assert_eq!(got.3, *at_ns);
         }
 
-        prop_assert_eq!(tr.events.len(), want_events.len());
+        assert_eq!(tr.events.len(), want_events.len());
         for (got, want) in tr.events.iter().zip(&want_events) {
-            prop_assert_eq!(got.at_ns, want.at_ns);
-            prop_assert_eq!(got.name.as_str(), want.name);
-            prop_assert_eq!(got.host.as_str(), &*want.host);
+            assert_eq!(got.at_ns, want.at_ns);
+            assert_eq!(got.name.as_str(), want.name);
+            assert_eq!(got.host.as_str(), &*want.host);
             let want_attrs: BTreeMap<String, String> =
                 want.attrs.iter().map(|(k, v)| ((*k).to_owned(), v.clone())).collect();
-            prop_assert_eq!(&got.attrs, &want_attrs);
+            assert_eq!(&got.attrs, &want_attrs);
         }
 
-        prop_assert_eq!(&tr.counters, &want_counters);
-    }
+        assert_eq!(&tr.counters, &want_counters);
+    });
+}
 
-    /// The exporter is a pure function of the recorded state, and parsing
-    /// is stable under re-parse: two exports are byte-identical and yield
-    /// the same span/event counts.
-    #[test]
-    fn export_is_idempotent(seed in any::<u64>()) {
+/// The exporter is a pure function of the recorded state, and parsing is
+/// stable under re-parse: two exports are byte-identical and yield the
+/// same span/event counts.
+#[test]
+fn export_is_idempotent() {
+    cases("export_is_idempotent", |rng| {
+        let seed = rng.next_u64();
         let mut t = Telemetry::new();
         t.set_now(seed % 1000);
         let root = t.span_start(pick(NAMES, seed), &wild_string(seed));
@@ -173,10 +176,10 @@ proptest! {
         t.span_end(root);
         let a = t.export_jsonl();
         let b = t.export_jsonl();
-        prop_assert_eq!(&a, &b);
+        assert_eq!(&a, &b);
         let ta = Trace::parse(&a);
-        prop_assert_eq!(ta.skipped, 0);
-        prop_assert_eq!(ta.spans.len(), 1);
-        prop_assert_eq!(ta.events.len(), 1);
-    }
+        assert_eq!(ta.skipped, 0);
+        assert_eq!(ta.spans.len(), 1);
+        assert_eq!(ta.events.len(), 1);
+    });
 }

@@ -764,6 +764,7 @@ mod tests {
     use smartsock_proto::{
         NetPathRecord, OutcomeKind, RequestOption, SecurityRecord, MAX_SERVERS_PER_REPLY,
     };
+    use smartsock_sim::rng::{cases, SimRng};
 
     struct NullTransport {
         now: u64,
@@ -1262,17 +1263,23 @@ mod tests {
 
     /// A row's idle share: uniform, or on a tenth, so that the `==`, `!=`
     /// and `>=` shapes meet their constant and `host_cpu_free * 2` meets 0.
-    fn cpu_idle() -> impl proptest::Strategy<Value = f64> {
-        use proptest::prelude::*;
-        prop_oneof![0.0f64..1.0, (0u8..=10).prop_map(|t| f64::from(t) / 10.0)]
+    fn cpu_idle(rng: &mut SimRng) -> f64 {
+        if rng.below(2) == 0 {
+            rng.unit()
+        } else {
+            rng.below(11) as f64 / 10.0
+        }
     }
 
     /// When a row was recorded, in seconds, for a request at t = 12 s:
     /// anywhere up to stale, or — as often — in the freshest tier, so that
     /// full score buckets, the ones the walk may stop on, are common.
-    fn recorded_at() -> impl proptest::Strategy<Value = u64> {
-        use proptest::prelude::*;
-        prop_oneof![0u64..12, 9u64..13]
+    fn recorded_at(rng: &mut SimRng) -> u64 {
+        if rng.below(2) == 0 {
+            rng.below(12)
+        } else {
+            9 + rng.below(4)
+        }
     }
 
     /// Outcome histories, one per generator draw below 4 (the other half
@@ -1291,16 +1298,15 @@ mod tests {
     /// share, load, and (memory in MiB, security level, outcome history).
     type Host = (u8, u8, u64, f64, f64, (u64, u8, usize));
 
-    fn hosts() -> impl proptest::Strategy<Value = Vec<Host>> {
-        let host = (
-            0u8..6,
-            1u8..250,
-            recorded_at(),
-            cpu_idle(),
-            0.0f64..4.0,
-            (1u64..512, 0u8..8, 0usize..8),
-        );
-        proptest::collection::vec(host, 1..60)
+    /// One to 59 generated hosts.
+    fn hosts(rng: &mut SimRng) -> Vec<Host> {
+        let host = |rng: &mut SimRng| {
+            let (subnet, last) = (rng.below(6) as u8, 1 + rng.below(249) as u8);
+            let (at, idle, load) = (recorded_at(rng), cpu_idle(rng), rng.range(0.0..4.0));
+            let rest = (1 + rng.below(511), rng.below(8) as u8, rng.below(8) as usize);
+            (subnet, last, at, idle, load, rest)
+        };
+        (0..1 + rng.below(59)).map(|_| host(rng)).collect()
     }
 
     /// An engine holding `hosts`, and requirement shape `req_idx` with the
@@ -1332,67 +1338,61 @@ mod tests {
         (e, detail)
     }
 
-    proptest::proptest! {
-        /// The tentpole invariant: prune-then-descend, stopped once the
-        /// reply settles, returns exactly what the flat per-row scan
-        /// returns, for random fleets and every requirement shape, at every
-        /// staleness and health mix.
-        #[test]
-        fn pruned_selection_is_identical_to_the_flat_scan(
-            hosts in hosts(),
-            req_idx in 0usize..REQUIREMENTS.len(),
+    /// Prune-then-descend, stopped once the reply settles, returns exactly
+    /// what the flat per-row scan returns, for random fleets and every
+    /// requirement shape, at every staleness and health mix.
+    #[test]
+    fn pruned_selection_is_identical_to_the_flat_scan() {
+        cases("pruned_selection_is_identical_to_the_flat_scan", |rng| {
+            let hosts = hosts(rng);
+            let req_idx = rng.below(REQUIREMENTS.len() as u64) as usize;
             // Half the draws small, so the kept list often fills early.
-            server_num in proptest::prop_oneof![0u16..20, 1u16..5],
-        ) {
+            let server_num = if rng.below(2) == 0 { rng.below(20) } else { 1 + rng.below(4) };
             let (e, detail) = fleet(&hosts, req_idx);
-            let req = user_request(&detail, server_num);
+            let req = user_request(&detail, server_num as u16);
 
             let (flat, pruned, stats) = both_scans(&e, SimTime::from_secs(12), &req);
-            proptest::prop_assert_eq!(&pruned, &flat);
-            proptest::prop_assert!(stats.rows_evaluated <= e.live_servers());
-            proptest::prop_assert!(stats.shards_pruned <= stats.shards_total);
-            proptest::prop_assert_eq!(stats.shards_total, e.dbs.sys.shard_count());
-        }
+            assert_eq!(&pruned, &flat);
+            assert!(stats.rows_evaluated <= e.live_servers());
+            assert!(stats.shards_pruned <= stats.shards_total);
+            assert_eq!(stats.shards_total, e.dbs.sys.shard_count());
+        });
     }
 
-    proptest::proptest! {
-        /// The compiled form the engine keeps is invisible: a request, and
-        /// the same wire bytes again a second later, are each answered as
-        /// the flat scan answers them at that time.
-        #[test]
-        fn a_repeated_request_is_answered_as_the_flat_scan_answers(
-            hosts in hosts(),
-            req_idx in 0usize..REQUIREMENTS.len(),
-            server_num in 0u16..20,
-        ) {
+    /// The compiled form the engine keeps is invisible: a request, and the
+    /// same wire bytes again a second later, are each answered as the flat
+    /// scan answers them at that time.
+    #[test]
+    fn a_repeated_request_is_answered_as_the_flat_scan_answers() {
+        cases("a_repeated_request_is_answered_as_the_flat_scan_answers", |rng| {
+            let hosts = hosts(rng);
+            let req_idx = rng.below(REQUIREMENTS.len() as u64) as usize;
+            let server_num = rng.below(20) as u16;
             let (mut e, detail) = fleet(&hosts, req_idx);
             let req = user_request(&detail, server_num);
             let wire = req.encode();
             for now in [12, 13].map(SimTime::from_secs) {
                 let flat = select_flat(&e.view(), e.policy(), now, &req, CLIENT_IP);
-                proptest::prop_assert_eq!(reply_to(&mut e, now, &wire), flat);
+                assert_eq!(reply_to(&mut e, now, &wire), flat);
             }
-        }
+        });
     }
 
-    proptest::proptest! {
-        /// The bounded selection is the head of the full sort: whatever
-        /// arrives in whatever order, `offer` ends up keeping exactly what
-        /// sorting every candidate and cutting would — ties in every key
-        /// but the address included.
-        #[test]
-        fn streaming_selection_is_the_head_of_the_full_sort(
-            keys in proptest::collection::vec((0usize..4, 0i64..3, -2i32..3, 0u64..u64::MAX), 0..200),
-            cap_idx in 0usize..6,
-        ) {
-            // Few distinct values per key (rank keys of both signs, as
-            // `asc` and `desc` produce), so most candidates differ from
-            // some other in nothing but the address; arrival order is the
-            // shuffle the last component induces.
-            let mut arrivals: Vec<(u64, Candidate)> = keys
-                .iter()
-                .enumerate()
-                .map(|(i, &(preferred, score, rank, at))| {
+    /// The bounded selection is the head of the full sort: whatever arrives
+    /// in whatever order, `offer` ends up keeping exactly what sorting every
+    /// candidate and cutting would — ties in every key but the address
+    /// included.
+    #[test]
+    fn streaming_selection_is_the_head_of_the_full_sort() {
+        cases("streaming_selection_is_the_head_of_the_full_sort", |rng| {
+            // Few distinct values per key (rank keys of both signs, as `asc`
+            // and `desc` produce), so most candidates differ from some other
+            // in nothing but the address; arrival order is the shuffle the
+            // draw `at` induces.
+            let mut arrivals: Vec<(u64, Candidate)> = (0..rng.below(200))
+                .map(|i| {
+                    let (preferred, score) = (rng.below(4) as usize, rng.below(3) as i64);
+                    let (rank, at) = (rng.below(5) as i32 - 2, rng.next_u64());
                     let c = Candidate {
                         ip: Ip::new(10, 0, (i / 250) as u8, (i % 250) as u8),
                         preferred_rank: preferred.checked_sub(1),
@@ -1403,18 +1403,18 @@ mod tests {
                 })
                 .collect();
             arrivals.sort_by_key(|(at, _)| *at);
-            let cap = reply_cap([0, 1, 8, 60, 61, 1000][cap_idx]);
+            let cap = reply_cap([0, 1, 8, 60, 61, 1000][rng.below(6) as usize]);
 
             let mut best = Vec::new();
             for (_, c) in &arrivals {
                 offer(&mut best, cap, c.clone());
-                proptest::prop_assert!(best.len() <= cap);
+                assert!(best.len() <= cap);
             }
             let mut all: Vec<Candidate> = arrivals.into_iter().map(|(_, c)| c).collect();
             all.sort_by(best_first);
             all.truncate(cap);
-            proptest::prop_assert_eq!(best, all);
-        }
+            assert_eq!(best, all);
+        });
     }
 
     #[test]

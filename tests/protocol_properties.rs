@@ -1,7 +1,5 @@
 //! Property-based tests of the wire formats and network-model invariants.
 
-use proptest::prelude::*;
-
 use smartsock_hostsim::TopologySpec;
 use smartsock_net::packet::{fragment_sizes, udp_wire_size};
 use smartsock_proto::{
@@ -9,37 +7,48 @@ use smartsock_proto::{
     RequestOption, SecurityRecord, ServerStatusReport, StatsReply, StatsRequest, UserRequest,
     WizardReply,
 };
+use smartsock_sim::rng::{cases, SimRng};
 use smartsock_sim::{SimTime, Telemetry};
 use smartsock_wizard::{Input, SelectPolicy, Stepped, WizardEngine};
 
-fn arb_ip() -> impl Strategy<Value = Ip> {
-    any::<u32>().prop_map(Ip)
+fn arb_ip(rng: &mut SimRng) -> Ip {
+    Ip(rng.u32())
 }
 
-fn arb_report() -> impl Strategy<Value = ServerStatusReport> {
-    (
-        "[a-z][a-z0-9-]{0,14}",
-        arb_ip(),
-        0.0f64..100.0,
-        proptest::collection::vec(0u64..1u64 << 33, 5),
-        0.0f64..1e8,
-    )
-        .prop_map(|(host, ip, load, mems, rate)| {
-            let mut r = ServerStatusReport::empty(host.as_str(), ip);
-            r.load1 = load;
-            r.load5 = load / 2.0;
-            r.cpu_idle = 0.5;
-            r.cpu_user = 0.5;
-            r.mem_total = mems[0];
-            r.mem_used = mems[1];
-            r.mem_free = mems[2];
-            r.mem_buffers = mems[3];
-            r.mem_cached = mems[4];
-            r.disk_rblocks = mems[0] % 100_000;
-            r.net_tbytes_ps = rate;
-            r.timestamp_ns = mems[1];
-            r
-        })
+/// Up to `max` characters, each drawn from `alphabet`.
+fn text(rng: &mut SimRng, alphabet: &[char], max: u64) -> String {
+    (0..rng.below(max + 1)).map(|_| alphabet[rng.below(alphabet.len() as u64) as usize]).collect()
+}
+
+/// Printable ASCII, then `extra`.
+fn printable(extra: &[char]) -> Vec<char> {
+    (' '..='~').chain(extra.iter().copied()).collect()
+}
+
+/// A report whose host is a lower-case letter and up to 14 more of
+/// `[a-z0-9-]`, with random load, memory and traffic figures.
+fn arb_report(rng: &mut SimRng) -> ServerStatusReport {
+    let tail: Vec<char> = ('a'..='z').chain('0'..='9').chain(['-']).collect();
+    let first = char::from(b'a' + rng.below(26) as u8);
+    let host = format!("{first}{}", text(rng, &tail, 14));
+    let ip = arb_ip(rng);
+    let load = rng.range(0.0..100.0);
+    let mems: Vec<u64> = (0..5).map(|_| rng.below(1 << 33)).collect();
+    let rate = rng.range(0.0..1e8);
+    let mut r = ServerStatusReport::empty(host.as_str(), ip);
+    r.load1 = load;
+    r.load5 = load / 2.0;
+    r.cpu_idle = 0.5;
+    r.cpu_user = 0.5;
+    r.mem_total = mems[0];
+    r.mem_used = mems[1];
+    r.mem_free = mems[2];
+    r.mem_buffers = mems[3];
+    r.mem_cached = mems[4];
+    r.disk_rblocks = mems[0] % 100_000;
+    r.net_tbytes_ps = rate;
+    r.timestamp_ns = mems[1];
+    r
 }
 
 /// The length of a stats reply before its lines: magic, `seq`, `now_ns` and
@@ -48,77 +57,82 @@ const STATS_HEADER: usize = 4 + 4 + 8 + 1;
 
 /// A stats body of whole lines that fits the reply's cap uncut: the lines
 /// a generator draws, kept while the frame stays within `SOFT_LIMIT`.
-fn arb_stats_lines() -> impl Strategy<Value = String> {
-    proptest::collection::vec("[ -~]{0,120}", 0..=60).prop_map(|drawn| {
-        let mut lines = String::new();
-        for line in drawn {
-            if STATS_HEADER + lines.len() + line.len() + 1 > StatsReply::SOFT_LIMIT {
-                break;
-            }
-            lines.push_str(&line);
-            lines.push('\n');
+fn arb_stats_lines(rng: &mut SimRng) -> String {
+    let ascii = printable(&[]);
+    let mut lines = String::new();
+    for _ in 0..rng.below(61) {
+        let line = text(rng, &ascii, 120);
+        if STATS_HEADER + lines.len() + line.len() + 1 > StatsReply::SOFT_LIMIT {
+            break;
         }
-        lines
-    })
+        lines.push_str(&line);
+        lines.push('\n');
+    }
+    lines
 }
 
-proptest! {
-    /// Every generated report's ASCII encoding stays under the paper's
-    /// 200-byte bound and round-trips its integer fields exactly.
-    #[test]
-    fn ascii_report_roundtrip_and_bound(r in arb_report()) {
+/// Every generated report's ASCII encoding stays under the paper's
+/// 200-byte bound and round-trips its integer fields exactly.
+#[test]
+fn ascii_report_roundtrip_and_bound() {
+    cases("ascii_report_roundtrip_and_bound", |rng| {
+        let r = arb_report(rng);
         let line = r.encode_ascii();
-        prop_assert!(line.len() < 200, "{} bytes", line.len());
+        assert!(line.len() < 200, "{} bytes", line.len());
         let back = ServerStatusReport::parse_ascii(&line).unwrap();
-        prop_assert_eq!(back.host, r.host);
-        prop_assert_eq!(back.ip, r.ip);
-        prop_assert_eq!(back.mem_total, r.mem_total);
-        prop_assert_eq!(back.mem_free, r.mem_free);
-        prop_assert_eq!(back.disk_rblocks, r.disk_rblocks);
-        prop_assert!((back.load1 - r.load1).abs() <= 0.005);
-    }
+        assert_eq!(back.host, r.host);
+        assert_eq!(back.ip, r.ip);
+        assert_eq!(back.mem_total, r.mem_total);
+        assert_eq!(back.mem_free, r.mem_free);
+        assert_eq!(back.disk_rblocks, r.disk_rblocks);
+        assert!((back.load1 - r.load1).abs() <= 0.005);
+    });
+}
 
-    /// The binary record is always exactly 204 bytes and round-trips.
-    #[test]
-    fn binary_report_roundtrip(r in arb_report()) {
+/// The binary record is always exactly 204 bytes and round-trips.
+#[test]
+fn binary_report_roundtrip() {
+    cases("binary_report_roundtrip", |rng| {
+        let r = arb_report(rng);
         let mut buf = Vec::new();
         r.encode_binary(&mut buf);
-        prop_assert_eq!(buf.len(), 204);
+        assert_eq!(buf.len(), 204);
         let back = ServerStatusReport::decode_binary(&mut &buf[..]).unwrap();
-        prop_assert_eq!(back.ip, r.ip);
-        prop_assert_eq!(back.timestamp_ns, r.timestamp_ns);
-        prop_assert_eq!(back.mem_cached, r.mem_cached);
-    }
+        assert_eq!(back.ip, r.ip);
+        assert_eq!(back.timestamp_ns, r.timestamp_ns);
+        assert_eq!(back.mem_cached, r.mem_cached);
+    });
+}
 
-    /// Frames of arbitrary record batches round-trip over a reassembled
-    /// byte stream, even when delivered in two arbitrary chunks.
-    #[test]
-    fn frame_roundtrip_with_arbitrary_split(
-        reports in proptest::collection::vec(arb_report(), 0..20),
-        split in 0usize..200,
-    ) {
+/// Frames of arbitrary record batches round-trip over a reassembled
+/// byte stream, even when delivered in two arbitrary chunks.
+#[test]
+fn frame_roundtrip_with_arbitrary_split() {
+    cases("frame_roundtrip_with_arbitrary_split", |rng| {
+        let reports: Vec<ServerStatusReport> =
+            (0..rng.below(20)).map(|_| arb_report(rng)).collect();
+        let split = rng.below(200) as usize;
         let frame = Frame::system(&reports);
         let mut wire = Vec::new();
         frame.encode(&mut wire);
         let cut = split.min(wire.len());
         let mut rx = wire[..cut].to_vec();
         if cut < wire.len() {
-            prop_assert!(Frame::decode(&mut &rx[..]).unwrap().is_none() || cut >= frame.wire_len());
+            assert!(Frame::decode(&mut &rx[..]).unwrap().is_none() || cut >= frame.wire_len());
             rx.extend_from_slice(&wire[cut..]);
         }
         let got = Frame::decode(&mut &rx[..]).unwrap().unwrap();
-        prop_assert_eq!(got.decode_system().unwrap().len(), reports.len());
-    }
+        assert_eq!(got.decode_system().unwrap().len(), reports.len());
+    });
+}
 
-    /// User requests round-trip for any detail text and option bits.
-    #[test]
-    fn user_request_roundtrip(
-        seq in any::<u32>(),
-        n in any::<u16>(),
-        accept in any::<bool>(),
-        template in proptest::option::of(any::<u8>()),
-        detail in "[ -~\n]{0,300}",
-    ) {
+/// User requests round-trip for any detail text and option bits.
+#[test]
+fn user_request_roundtrip() {
+    cases("user_request_roundtrip", |rng| {
+        let (seq, n, accept) = (rng.u32(), rng.next_u64() as u16, rng.below(2) == 1);
+        let template = (rng.below(4) > 0).then(|| rng.next_u64() as u8);
+        let detail = text(rng, &printable(&['\n']), 300);
         let req = UserRequest {
             seq,
             server_num: n,
@@ -126,35 +140,36 @@ proptest! {
             detail,
         };
         let wire = req.encode();
-        prop_assert_eq!(UserRequest::decode(&wire).unwrap(), req);
-    }
+        assert_eq!(UserRequest::decode(&wire).unwrap(), req);
+    });
+}
 
-    /// Wizard replies round-trip for any legal server list.
-    #[test]
-    fn wizard_reply_roundtrip(
-        seq in any::<u32>(),
-        servers in proptest::collection::vec((arb_ip(), any::<u16>()), 0..=60),
-    ) {
-        let reply = WizardReply {
-            seq,
-            servers: servers.into_iter().map(|(ip, p)| Endpoint::new(ip, p)).collect(),
-        };
+/// Wizard replies round-trip for any legal server list.
+#[test]
+fn wizard_reply_roundtrip() {
+    cases("wizard_reply_roundtrip", |rng| {
+        let seq = rng.u32();
+        let servers =
+            (0..rng.below(61)).map(|_| Endpoint::new(arb_ip(rng), rng.next_u64() as u16)).collect();
+        let reply = WizardReply { seq, servers };
         let wire = reply.encode();
-        prop_assert_eq!(WizardReply::decode(&wire).unwrap(), reply);
-    }
+        assert_eq!(WizardReply::decode(&wire).unwrap(), reply);
+    });
+}
 
-    /// Every strict prefix of a fixed-layout encoding is refused, never
-    /// decoded to a value or a panic: the wire records, their headers and
-    /// snapshot payloads, and the `[type, size, data]` frame.
-    #[test]
-    fn truncated_replies_are_rejected(
-        servers in proptest::collection::vec(arb_ip(), 1..=10),
-        reports in proptest::collection::vec(arb_report(), 1..=3),
-        seq in any::<u32>(),
-        detail in "[ -~\n]{0,40}",
-        lines in arb_stats_lines(),
-        level in any::<i32>(),
-    ) {
+/// Every strict prefix of a fixed-layout encoding is refused, never
+/// decoded to a value or a panic: the wire records, their headers and
+/// snapshot payloads, and the `[type, size, data]` frame.
+#[test]
+fn truncated_replies_are_rejected() {
+    cases("truncated_replies_are_rejected", |rng| {
+        let servers: Vec<Ip> = (0..1 + rng.below(10)).map(|_| arb_ip(rng)).collect();
+        let reports: Vec<ServerStatusReport> =
+            (0..1 + rng.below(3)).map(|_| arb_report(rng)).collect();
+        let seq = rng.u32();
+        let detail = text(rng, &printable(&['\n']), 40);
+        let lines = arb_stats_lines(rng);
+        let level = rng.u32() as i32;
         let reply = WizardReply {
             seq,
             servers: servers.iter().map(|&ip| Endpoint::new(ip, 1200)).collect(),
@@ -212,108 +227,127 @@ proptest! {
         refused_when_cut("network", &Frame::network(&[path]).data, None, |b| {
             payload(RecordType::Network, b).decode_network().is_err()
         });
-        refused_when_cut("security", &Frame::security(std::slice::from_ref(&sec)).data, None, |b| {
-            payload(RecordType::Security, b).decode_security().is_err()
-        });
+        refused_when_cut(
+            "security",
+            &Frame::security(std::slice::from_ref(&sec)).data,
+            None,
+            |b| payload(RecordType::Security, b).decode_security().is_err(),
+        );
         // A cut frame is one still arriving: `Ok(None)`, and nothing consumed.
         refused_when_cut("Frame", &binary(&|o| frame.encode(o)), None, |b| {
             let mut rest = b;
             Frame::decode(&mut rest) == Ok(None) && rest.len() == b.len()
         });
-    }
+    });
+}
 
-    /// Network/security records round-trip.
-    #[test]
-    fn net_and_sec_record_roundtrip(
-        from in arb_ip(), to in arb_ip(),
-        delay in 0.0f64..1e4, bw in 0.0f64..1e4,
-        level in any::<i32>(),
-    ) {
-        let rec = NetPathRecord { from_monitor: from, to_monitor: to, delay_ms: delay, bw_mbps: bw, timestamp_ns: 9 };
+/// Network/security records round-trip.
+#[test]
+fn net_and_sec_record_roundtrip() {
+    cases("net_and_sec_record_roundtrip", |rng| {
+        let (from, to) = (arb_ip(rng), arb_ip(rng));
+        let (delay, bw) = (rng.range(0.0..1e4), rng.range(0.0..1e4));
+        let level = rng.u32() as i32;
+        let rec = NetPathRecord {
+            from_monitor: from,
+            to_monitor: to,
+            delay_ms: delay,
+            bw_mbps: bw,
+            timestamp_ns: 9,
+        };
         let mut buf = Vec::new();
         rec.encode_binary(&mut buf);
-        prop_assert_eq!(NetPathRecord::decode_binary(&mut &buf[..]).unwrap(), rec);
+        assert_eq!(NetPathRecord::decode_binary(&mut &buf[..]).unwrap(), rec);
 
         let sec = SecurityRecord { host: "h".into(), ip: from, level };
         let mut buf = Vec::new();
         sec.encode_binary(&mut buf);
-        prop_assert_eq!(SecurityRecord::decode_binary(&mut &buf[..]).unwrap(), sec);
-    }
+        assert_eq!(SecurityRecord::decode_binary(&mut &buf[..]).unwrap(), sec);
+    });
+}
 
-    /// No wire decoder panics or aborts on arbitrary bytes: each call
-    /// returns, `Ok` or `Err`. Short inputs probe the length checks;
-    /// long ones reach past the first record. The wizard's demux is one
-    /// more decoder, and it answers exactly the requests and the polls.
-    #[test]
-    fn every_decoder_survives_arbitrary_bytes(
-        short in proptest::collection::vec(any::<u8>(), 0..40),
-        long in proptest::collection::vec(any::<u8>(), 0..600),
-        port in arb_datagram(),
-    ) {
+/// No wire decoder panics or aborts on arbitrary bytes: each call
+/// returns, `Ok` or `Err`. Short inputs probe the length checks;
+/// long ones reach past the first record. The wizard's demux is one
+/// more decoder, and it answers exactly the requests and the polls.
+#[test]
+fn every_decoder_survives_arbitrary_bytes() {
+    cases("every_decoder_survives_arbitrary_bytes", |rng| {
+        let len = rng.below(40);
+        let short = arb_bytes(rng, len);
+        let len = rng.below(600);
+        let long = arb_bytes(rng, len);
+        let port = arb_datagram(rng);
         for bytes in [&short, &long, &port] {
             decode_everything(bytes);
             the_wizard_answers_only_requests_and_polls(bytes);
         }
-    }
+    });
+}
 
-    /// Fragmentation conserves payload bytes, never exceeds the MTU, and
-    /// its fragment count is monotone in the payload size.
-    #[test]
-    fn fragmentation_invariants(payload in 0u64..100_000, mtu in 100u32..9000) {
+/// Fragmentation conserves payload bytes, never exceeds the MTU, and
+/// its fragment count is monotone in the payload size.
+#[test]
+fn fragmentation_invariants() {
+    cases("fragmentation_invariants", |rng| {
+        let (payload, mtu) = (rng.below(100_000), 100 + rng.below(8900) as u32);
         let frags = fragment_sizes(payload, mtu);
         let total: u64 = frags.iter().sum();
         let n = frags.len() as u64;
-        prop_assert_eq!(total, payload + 8 + 20 * n);
-        prop_assert!(frags.iter().all(|&f| f <= u64::from(mtu.max(28))));
+        assert_eq!(total, payload + 8 + 20 * n);
+        assert!(frags.iter().all(|&f| f <= u64::from(mtu.max(28))));
         let frags_bigger = fragment_sizes(payload + 1480, mtu);
-        prop_assert!(frags_bigger.len() >= frags.len());
-        prop_assert!(udp_wire_size(payload) == payload + 28);
-    }
+        assert!(frags_bigger.len() >= frags.len());
+        assert!(udp_wire_size(payload) == payload + 28);
+    });
+}
 
-    /// Stats requests round-trip for any `seq`.
-    #[test]
-    fn stats_request_roundtrip(seq in any::<u32>()) {
+/// Stats requests round-trip for any `seq`.
+#[test]
+fn stats_request_roundtrip() {
+    cases("stats_request_roundtrip", |rng| {
+        let seq = rng.u32();
         let req = StatsRequest { seq };
-        prop_assert_eq!(StatsRequest::decode(&req.encode()).unwrap(), req);
-    }
+        assert_eq!(StatsRequest::decode(&req.encode()).unwrap(), req);
+    });
+}
 
-    /// Stats replies round-trip every field, up to the datagram cap: a
-    /// body that fits travels whole and the truncated flag as it was set.
-    #[test]
-    fn stats_reply_roundtrip(
-        seq in any::<u32>(),
-        now_ns in any::<u64>(),
-        truncated in any::<bool>(),
-        lines in arb_stats_lines(),
-    ) {
+/// Stats replies round-trip every field, up to the datagram cap: a
+/// body that fits travels whole and the truncated flag as it was set.
+#[test]
+fn stats_reply_roundtrip() {
+    cases("stats_reply_roundtrip", |rng| {
+        let (seq, now_ns, truncated) = (rng.u32(), rng.next_u64(), rng.below(2) == 1);
+        let lines = arb_stats_lines(rng);
         let reply = StatsReply { seq, now_ns, truncated, lines };
         let wire = reply.encode();
-        prop_assert!(wire.len() <= StatsReply::SOFT_LIMIT, "{} bytes", wire.len());
-        prop_assert_eq!(StatsReply::decode(&wire).unwrap(), reply);
-    }
+        assert!(wire.len() <= StatsReply::SOFT_LIMIT, "{} bytes", wire.len());
+        assert_eq!(StatsReply::decode(&wire).unwrap(), reply);
+    });
+}
 
-    /// Outcome reports round-trip for any server and every kind.
-    #[test]
-    fn outcome_report_roundtrip(
-        server in arb_ip(),
-        outcome in prop_oneof![
-            Just(OutcomeKind::Completed),
-            Just(OutcomeKind::Timeout),
-            Just(OutcomeKind::ConnectFailed),
-        ],
-    ) {
+/// Outcome reports round-trip for any server and every kind.
+#[test]
+fn outcome_report_roundtrip() {
+    cases("outcome_report_roundtrip", |rng| {
+        let server = arb_ip(rng);
+        let outcome = [OutcomeKind::Completed, OutcomeKind::Timeout, OutcomeKind::ConnectFailed]
+            [rng.below(3) as usize];
         let rep = OutcomeReport { server, outcome };
         let wire = rep.encode();
-        prop_assert_eq!(wire.len(), 7);
-        prop_assert_eq!(OutcomeReport::decode(&wire).unwrap(), rep);
-    }
+        assert_eq!(wire.len(), 7);
+        assert_eq!(OutcomeReport::decode(&wire).unwrap(), rep);
+    });
+}
 
-    /// Endpoint display/parse round-trips.
-    #[test]
-    fn endpoint_roundtrip(ip in arb_ip(), port in any::<u16>()) {
+/// Endpoint display/parse round-trips.
+#[test]
+fn endpoint_roundtrip() {
+    cases("endpoint_roundtrip", |rng| {
+        let (ip, port) = (arb_ip(rng), rng.next_u64() as u16);
         let e = Endpoint::new(ip, port);
-        prop_assert_eq!(e.to_string().parse::<Endpoint>().unwrap(), e);
-    }
+        assert_eq!(e.to_string().parse::<Endpoint>().unwrap(), e);
+    });
 }
 
 // ---- the two positional text parsers, pinned field by field ----------------
@@ -321,16 +355,24 @@ proptest! {
 /// Datagrams for the wizard's port: random, a magic and an ASCII tail (which
 /// would decode as a request), or of an outcome report's or a stats poll's
 /// length.
-fn arb_datagram() -> impl Strategy<Value = Vec<u8>> {
-    let bytes = |len: usize| proptest::collection::vec(any::<u8>(), len);
-    let magic = prop_oneof![Just(*b"SSR1"), Just(*b"SSQ1")];
-    let ascii = proptest::collection::vec(0u8..128, 0..40);
-    prop_oneof![
-        proptest::collection::vec(any::<u8>(), 0..40),
-        (magic, ascii).prop_map(|(magic, rest)| [&magic[..], &rest].concat()),
-        bytes(7),
-        bytes(8),
-    ]
+fn arb_datagram(rng: &mut SimRng) -> Vec<u8> {
+    match rng.below(4) {
+        0 => {
+            let len = rng.below(40);
+            arb_bytes(rng, len)
+        }
+        1 => {
+            let magic = if rng.below(2) == 0 { b"SSR1" } else { b"SSQ1" };
+            let ascii = (0..rng.below(40)).map(|_| rng.below(128) as u8);
+            magic.iter().copied().chain(ascii).collect()
+        }
+        2 => arb_bytes(rng, 7),
+        _ => arb_bytes(rng, 8),
+    }
+}
+
+fn arb_bytes(rng: &mut SimRng, len: u64) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
 /// `WizardEngine::step` hands back one frame, for the sender, when the
