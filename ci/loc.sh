@@ -42,8 +42,8 @@ printf '%-12s %8d\n' system "$system_total" simulator "$simulator_total" \
 
 # The ceilings: what this tree measured when they were last written.
 # Lower them with every deletion; raising one is a reviewed decision.
-tooling_ceiling=6338
-total_ceiling=20415
+tooling_ceiling=6336
+total_ceiling=20408
 status=0
 if [ "$tooling_total" -gt "$tooling_ceiling" ]; then
     echo "loc: tooling $tooling_total is above its ceiling $tooling_ceiling" >&2

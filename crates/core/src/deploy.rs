@@ -7,9 +7,9 @@
 //!   `/24`s plus the campus network holding `sagit`), joined by a core
 //!   switch and the `dalmatian` gateway's segment;
 //! * a server probe on every machine;
-//! * system + security monitors and the transmitter on the *monitor
-//!   machine*, `MONITOR_MACHINE` — the Table 5.2 resource figures were
-//!   measured there;
+//! * the system monitor, the security log (loaded once into `secdb`) and
+//!   the transmitter on the *monitor machine*, `MONITOR_MACHINE` — the
+//!   Table 5.2 resource figures were measured there;
 //! * one network monitor per declared server group (§3.3.3), all writing
 //!   the one `netdb` of the monitor machine;
 //! * the wizard, whose receiver port fills its tables, on the same machine;
@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use smartsock_hostsim::{machine_specs, Host, MachineSpec};
-use smartsock_monitor::{NetworkMonitor, SecurityMonitor, StatusDbs, SystemMonitor};
+use smartsock_monitor::{secmon, NetworkMonitor, StatusDbs, SystemMonitor};
 use smartsock_net::{HostParams, LinkParams, Network, NetworkBuilder};
 use smartsock_probe::{ProbeConfig, ServerProbe};
 use smartsock_proto::consts::ports;
@@ -188,22 +188,18 @@ impl TestbedBuilder {
         let mut sysmons = Vec::new();
         let mut transmitters = Vec::new();
         let mut netmons = Vec::new();
-        let mut secmon = None;
         let mut primary_dbs = None;
         for &stack_ip in &stack_ips {
             let dbs: Rc<RefCell<StatusDbs>> = Rc::default();
             let sysmon = SystemMonitor::new(stack_ip, Rc::clone(&dbs), self.probe_interval);
             sysmon.start(s, &net);
             sysmons.push(sysmon);
-            let sm = SecurityMonitor::new(Rc::clone(&dbs), self.security_log.clone());
             #[expect(
                 clippy::expect_used,
                 reason = "invariant: the built-in security log template parses"
             )]
-            sm.start(s).expect("invariant: the built-in security log template parses");
-            if secmon.is_none() {
-                secmon = Some(sm);
-            }
+            secmon::load(&mut dbs.borrow_mut().sec, &self.security_log)
+                .expect("invariant: the built-in security log template parses");
             if self.multi_monitor {
                 // Each group's network monitor writes its own netdb.
                 let pairs = self.netmon_pairs_per_round;
@@ -238,11 +234,6 @@ impl TestbedBuilder {
         #[expect(clippy::expect_used, reason = "invariant: one stack per stack_ip, never empty")]
         let sysmon =
             sysmons.first().expect("invariant: one stack per stack_ip, never empty").clone();
-        #[expect(clippy::expect_used, reason = "invariant: one stack per stack_ip, never empty")]
-        let transmitter =
-            transmitters.first().expect("invariant: one stack per stack_ip, never empty").clone();
-        #[expect(clippy::expect_used, reason = "invariant: set on the first stack iteration")]
-        let secmon = secmon.expect("invariant: set on the first stack iteration");
 
         // ---- probes ----
         let mut probes = Vec::new();
@@ -304,9 +295,7 @@ impl TestbedBuilder {
             probes,
             sysmon,
             sysmons,
-            secmon,
             netmons,
-            transmitter,
             transmitters,
             wizard,
             dbs,
@@ -327,10 +316,7 @@ pub struct Testbed {
     pub sysmon: SystemMonitor,
     /// Every system monitor (one per group in multi-monitor mode).
     pub sysmons: Vec<SystemMonitor>,
-    pub secmon: SecurityMonitor,
     pub netmons: Vec<NetworkMonitor>,
-    /// The primary transmitter.
-    pub transmitter: Transmitter,
     /// Every transmitter (one per group in multi-monitor mode).
     pub transmitters: Vec<Transmitter>,
     /// The wizard; its engine holds the wizard machine's copies of the

@@ -18,9 +18,12 @@
 //!
 //! Quarantined servers are excluded from the wizard's `select` outright;
 //! probation servers are selectable again (ordered last by their low
-//! score) so the system re-learns whether they recovered. Everything is a
-//! pure function of the reported outcomes and simulation time — no RNG, no
-//! wall clock — so runs stay byte-reproducible.
+//! score) so the system re-learns whether they recovered. An entry with
+//! no quarantine behind it is forgotten 864 s after its last outcome, when
+//! its score reads 1.0 again (a suspect server turns healthy); one whose
+//! doubled quarantine is pending stays. Everything is a pure function of
+//! the reported outcomes and simulation time — no RNG, no wall clock — so
+//! runs stay byte-reproducible.
 
 use std::collections::BTreeMap;
 
@@ -53,6 +56,10 @@ const QUARANTINE_MAX: SimDuration = SimDuration::from_secs(64);
 const PROBATION_WINDOW: SimDuration = SimDuration::from_secs(10);
 /// Successes on probation that clear it early.
 const PROBATION_SUCCESSES: u32 = 2;
+/// How long after its last outcome an entry with no quarantine history is
+/// forgotten, streak and all: 54 half-lives, the age at which `relax` reads
+/// exactly 1.0 for any score.
+const FORGIVEN_AFTER: SimDuration = SimDuration::from_secs(54 * 16);
 
 /// The four observable states (time parameters resolved away).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,14 +128,59 @@ struct HostHealth {
     next_quarantine: SimDuration,
 }
 
+impl HostHealth {
+    /// When time forgives this entry, if it ever does: only one with no
+    /// quarantine running or behind it (a doubled one stays pending).
+    fn forgiven_at(&self) -> Option<SimTime> {
+        let clean = self.state.due().is_none() && self.next_quarantine == QUARANTINE_BASE;
+        clean.then(|| self.updated_at + FORGIVEN_AFTER)
+    }
+
+    /// The state at `now`, time-based transitions resolved: forgiveness
+    /// ends healthy, quarantine expiry opens a probation window, and an
+    /// uneventful probation window ends healthy.
+    fn state_at(&self, now: SimTime) -> State {
+        match self.state {
+            _ if self.forgiven_at().is_some_and(|at| now >= at) => State::Healthy,
+            State::Quarantined { until } if now >= until + PROBATION_WINDOW => State::Healthy,
+            State::Quarantined { until } if now >= until => {
+                State::Probation { until: until + PROBATION_WINDOW, successes: 0 }
+            }
+            State::Probation { until, .. } if now >= until => State::Healthy,
+            other => other,
+        }
+    }
+
+    /// Materialize what time did to this entry by `now`, pushing the
+    /// transition onto `out` if its state moved. `false` when time forgave
+    /// it: the caller drops it, or feeds it as the fresh entry it now reads
+    /// as (its score relaxes to exactly 1.0, and its streak is forgotten).
+    fn settle(&mut self, ip: Ip, now: SimTime, out: &mut Vec<Transition>) -> bool {
+        let forgiven = self.forgiven_at().is_some_and(|at| now >= at);
+        let (from, to) = (self.state.kind(), self.state_at(now));
+        if from != to.kind() {
+            out.push(Transition { ip, from, to: to.kind() });
+        }
+        self.state = to;
+        if forgiven {
+            self.streak = 0;
+        }
+        !forgiven
+    }
+}
+
 /// The health-score table: an entry per server whose outcomes left it
-/// unlike a fresh one. Unknown servers read as healthy with score 1.0.
+/// unlike a fresh one, until time forgives them. Unknown servers read as
+/// healthy with score 1.0.
 #[derive(Clone, Debug, Default)]
 pub struct HealthTable {
     hosts: BTreeMap<Ip, HostHealth>,
     /// No quarantine or probation ends before this (`None`: none is
     /// running), so a `poll` before it has nothing to materialize.
     next_due: Option<SimTime>,
+    /// No entry is forgiven before this (`None`: none can be), the other
+    /// bound a `poll` before which has nothing to do.
+    next_forgiven: Option<SimTime>,
 }
 
 impl HealthTable {
@@ -153,13 +205,13 @@ impl HealthTable {
 
     /// The state the machine would be in at `now`, resolving time-based
     /// transitions (quarantine expiry → probation, probation window end →
-    /// healthy) *without* mutating. Selection uses this so a read path
-    /// never changes state behind the telemetry's back.
+    /// healthy, forgiveness → healthy) *without* mutating. Selection uses
+    /// this so a read path never changes state behind the telemetry's back.
     #[inline]
     pub fn effective_state(&self, ip: Ip, now: SimTime) -> StateKind {
         match self.hosts.get(&ip) {
             None => StateKind::Healthy,
-            Some(h) => resolve(h.state, now).kind(),
+            Some(h) => h.state_at(now).kind(),
         }
     }
 
@@ -169,30 +221,33 @@ impl HealthTable {
         self.effective_state(ip, now) != StateKind::Quarantined
     }
 
-    /// Materialize every pending time-based transition up to `now`.
-    /// Returns them in address order; the caller (the wizard's sweep)
-    /// turns them into telemetry events. The table is walked only once
-    /// `now` reaches the earliest deadline in it, since the live daemon
-    /// polls on every datagram.
+    /// Materialize every pending time-based transition up to `now` and
+    /// drop the entries time has forgiven (a suspect one moves to healthy).
+    /// Returns the transitions in address order; the caller (the wizard's
+    /// sweep) turns them into telemetry events. The table is walked only
+    /// once `now` reaches the earliest deadline or forgiveness in it, since
+    /// the live daemon polls on every datagram.
     pub fn poll(&mut self, now: SimTime) -> Vec<Transition> {
-        if self.next_due.is_none_or(|due| now < due) {
+        if earlier(self.next_due, self.next_forgiven).is_none_or(|due| now < due) {
             return Vec::new();
         }
         let mut out = Vec::new();
-        self.next_due = None;
-        for (&ip, h) in self.hosts.iter_mut() {
-            let resolved = resolve(h.state, now);
-            if resolved.kind() != h.state.kind() {
-                out.push(Transition { ip, from: h.state.kind(), to: resolved.kind() });
+        let (mut next_due, mut next_forgiven) = (None, None);
+        self.hosts.retain(|&ip, h| {
+            let kept = h.settle(ip, now, &mut out);
+            if kept {
+                next_due = earlier(next_due, h.state.due());
+                next_forgiven = earlier(next_forgiven, h.forgiven_at());
             }
-            h.state = resolved;
-            self.next_due = earlier(self.next_due, resolved.due());
-        }
+            kept
+        });
+        (self.next_due, self.next_forgiven) = (next_due, next_forgiven);
         out
     }
 
     /// Feed one outcome. Returns the transitions it caused (a pending
-    /// time-based one first, then the observation's own, if any).
+    /// time-based one first, then the observation's own, if any). A
+    /// forgiven entry is resolved first too: the outcome starts a fresh one.
     pub fn record(&mut self, ip: Ip, outcome: OutcomeKind, now: SimTime) -> Vec<Transition> {
         let h = self.hosts.entry(ip).or_insert_with(|| HostHealth {
             score: 1.0,
@@ -202,11 +257,7 @@ impl HealthTable {
             next_quarantine: QUARANTINE_BASE,
         });
         let mut transitions = Vec::new();
-        let resolved = resolve(h.state, now);
-        if resolved.kind() != h.state.kind() {
-            transitions.push(Transition { ip, from: h.state.kind(), to: resolved.kind() });
-        }
-        h.state = resolved;
+        h.settle(ip, now, &mut transitions);
 
         // Score update: relax history toward 1.0, then pull toward the
         // sample with the observation gain.
@@ -254,6 +305,7 @@ impl HealthTable {
             transitions.push(Transition { ip, from: before.kind(), to: h.state.kind() });
         }
         self.next_due = earlier(self.next_due, h.state.due());
+        self.next_forgiven = earlier(self.next_forgiven, h.forgiven_at());
         // A fresh entry reads as none (a score of 1.0 relaxes to 1.0).
         let entry = (h.score, h.state, h.streak, h.next_quarantine);
         if entry == (1.0, State::Healthy, 0, QUARANTINE_BASE) {
@@ -284,23 +336,6 @@ fn relax(score: f64, updated_at: SimTime, now: SimTime) -> f64 {
         return score;
     }
     1.0 - (1.0 - score) * 0.5f64.powf(dt / HALF_LIFE.as_secs_f64())
-}
-
-/// Resolve time-based transitions: quarantine expiry opens a probation
-/// window; an uneventful probation window ends healthy.
-fn resolve(state: State, now: SimTime) -> State {
-    match state {
-        State::Quarantined { until } if now >= until => {
-            let probation_until = until + PROBATION_WINDOW;
-            if now >= probation_until {
-                State::Healthy
-            } else {
-                State::Probation { until: probation_until, successes: 0 }
-            }
-        }
-        State::Probation { until, .. } if now >= until => State::Healthy,
-        other => other,
-    }
 }
 
 #[cfg(test)]
@@ -392,17 +427,11 @@ mod tests {
         assert_eq!(table.effective_state(ip(), t(12)), StateKind::Healthy);
     }
 
-    /// The reference: `poll` without the `next_due` bound — every host,
-    /// every call.
+    /// The reference: `poll` without the `next_due` and `next_forgiven`
+    /// bounds — every host, every call, forgiven ones dropped.
     fn poll_walking_everything(table: &mut HealthTable, now: SimTime) -> Vec<Transition> {
         let mut out = Vec::new();
-        for (&ip, h) in table.hosts.iter_mut() {
-            let resolved = resolve(h.state, now);
-            if resolved.kind() != h.state.kind() {
-                out.push(Transition { ip, from: h.state.kind(), to: resolved.kind() });
-            }
-            h.state = resolved;
-        }
+        table.hosts.retain(|&ip, h| h.settle(ip, now, &mut out));
         out
     }
 
@@ -490,6 +519,71 @@ mod tests {
             table.record(Ip(0x0a00_0000 + i), OutcomeKind::Completed, t(u64::from(i)));
         }
         assert_eq!(table.len(), 0);
+    }
+
+    /// 864 s after its last outcome a score of 0 relaxes to exactly 1.0, so
+    /// an entry forgotten then reads as it did.
+    #[test]
+    fn forgiveness_comes_when_the_score_reads_exactly_one() {
+        assert_eq!(FORGIVEN_AFTER, HALF_LIFE.saturating_mul(54));
+        assert_eq!(relax(0.0, t(1), t(1) + FORGIVEN_AFTER), 1.0);
+        assert!(relax(0.0, t(2), t(1) + FORGIVEN_AFTER) < 1.0);
+    }
+
+    /// 10 000 single timeouts, and as many timeouts each followed by a
+    /// success (healthy, score ≈ 0.76), are all kept 863 s after the last
+    /// outcome and all forgotten at 864 s; only the suspect ones report a
+    /// transition.
+    #[test]
+    fn single_failure_floods_are_forgotten_at_864_s() {
+        let hosts = || (0..10_000u32).map(|i| Ip(0x0a00_0000 + i));
+        let mut suspects = HealthTable::default();
+        let mut recovered = HealthTable::default();
+        for ip in hosts() {
+            suspects.record(ip, OutcomeKind::Timeout, t(1));
+            recovered.record(ip, OutcomeKind::Timeout, t(1));
+            recovered.record(ip, OutcomeKind::Completed, t(2));
+        }
+        let first = Ip(0x0a00_0000);
+        assert_eq!(recovered.effective_state(first, t(2)), StateKind::Healthy);
+        for (table, last, was) in
+            [(&mut suspects, 1, StateKind::Suspect), (&mut recovered, 2, StateKind::Healthy)]
+        {
+            assert!(table.poll(t(last + 863)).is_empty());
+            assert_eq!(table.len(), 10_000);
+            assert_eq!(table.effective_state(first, t(last + 863)), was);
+            assert_eq!(table.effective_state(first, t(last + 864)), StateKind::Healthy);
+            let forgiven = table.poll(t(last + 864));
+            assert_eq!(table.len(), 0);
+            assert_eq!((table.next_due, table.next_forgiven), (None, None));
+            let cleared = hosts().map(|ip| Transition { ip, from: was, to: StateKind::Healthy });
+            assert_eq!(forgiven, cleared.filter(|x| x.from != x.to).collect::<Vec<_>>());
+        }
+    }
+
+    /// An outcome about a forgiven host resolves the forgiveness first, as
+    /// any pending time-based transition, and starts a fresh entry: its
+    /// streak is gone with it.
+    #[test]
+    fn a_forgiven_host_starts_a_fresh_entry() {
+        let suspect = |to| Transition { ip: ip(), from: StateKind::Suspect, to };
+        let healthy = Transition { ip: ip(), from: StateKind::Healthy, to: StateKind::Suspect };
+        let mut table = HealthTable::default();
+        table.record(ip(), OutcomeKind::Timeout, t(1));
+        assert_eq!(table.poll(t(865)), [suspect(StateKind::Healthy)]);
+        assert_eq!(table.record(ip(), OutcomeKind::Timeout, t(900)), [healthy]);
+
+        // Without a poll between: forgiven, then suspected afresh, so the
+        // failure 100 s later is its second in a row, not its third, and
+        // does not quarantine it.
+        let forgiven = t(900) + FORGIVEN_AFTER;
+        assert_eq!(
+            table.record(ip(), OutcomeKind::Timeout, forgiven),
+            [suspect(StateKind::Healthy), healthy]
+        );
+        let later = forgiven + SimDuration::from_secs(100);
+        assert!(table.record(ip(), OutcomeKind::Timeout, later).is_empty());
+        assert_eq!(table.effective_state(ip(), later), StateKind::Suspect);
     }
 
     #[test]

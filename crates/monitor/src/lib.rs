@@ -12,8 +12,9 @@
 //!   simultaneously") with the one-way UDP stream method of §3.3.2, and
 //!   records `(delay, bandwidth)` pairs per neighbouring group in `netdb`
 //!   (Table 3.4).
-//! * [`SecurityMonitor`] — §3.4's deliberately open security component:
-//!   reads host clearance levels from a dummy security log into `secdb`.
+//! * [`secmon::load`] — §3.4's deliberately open security component:
+//!   loads host clearance levels from a dummy security log into `secdb`,
+//!   once, since nothing changes the log.
 //!
 //! The databases stand in for the paper's System-V shared-memory segments
 //! (Tables 4.2/4.3). A simulated monitor machine's daemons share one
@@ -43,5 +44,4 @@ pub use estimator::{bandwidth_mbps_from_pair, BwEstimate, ProbePairSpec};
 pub use health::{HealthTable, StateKind, Transition};
 pub use ingest::{ingest_ascii, IngestError};
 pub use netmon::NetworkMonitor;
-pub use secmon::SecurityMonitor;
 pub use sysmon::SystemMonitor;

@@ -2,60 +2,20 @@
 //!
 //! Deliberately a thin, pluggable component: "the security monitor reads
 //! the security records from a dummy security log". The log format is one
-//! `<host> <ip> <level>` line per server.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! `<host> <ip> <level>` line per server. Nothing else writes a monitor
+//! machine's `secdb` and the log never changes, so it is loaded once.
 
 use smartsock_proto::{ProtoError, SecurityRecord};
-use smartsock_sim::{Scheduler, SimDuration};
 
-use crate::db::StatusDbs;
+use crate::db::SecDb;
 
-/// The security monitor daemon.
-#[derive(Clone)]
-pub struct SecurityMonitor {
-    /// The monitor machine's databases; this daemon writes `sec`.
-    dbs: Rc<RefCell<StatusDbs>>,
-    log_text: String,
-    rescan_interval: SimDuration,
-}
-
-impl SecurityMonitor {
-    /// Create a monitor over a dummy security log (§3.4.1).
-    pub fn new(dbs: Rc<RefCell<StatusDbs>>, log_text: impl Into<String>) -> SecurityMonitor {
-        SecurityMonitor {
-            dbs,
-            log_text: log_text.into(),
-            rescan_interval: SimDuration::from_secs(30),
-        }
+/// Parse a dummy security log (§3.4.1) into `secdb`; a malformed log loads
+/// nothing.
+pub fn load(secdb: &mut SecDb, log: &str) -> Result<(), ProtoError> {
+    for r in SecurityRecord::parse_log(log)? {
+        secdb.upsert(r);
     }
-
-    /// Parse the log and load `secdb`, then keep rescanning periodically
-    /// (the log may be rotated by an external agent).
-    pub fn start(&self, s: &mut Scheduler) -> Result<(), ProtoError> {
-        self.scan()?;
-        let mon = self.clone();
-        s.schedule_in(self.rescan_interval, move |s| mon.tick(s));
-        Ok(())
-    }
-
-    fn tick(&self, s: &mut Scheduler) {
-        if self.scan().is_err() {
-            s.telemetry.counter_incr("secmon-bad-scans");
-        }
-        let mon = self.clone();
-        s.schedule_in(self.rescan_interval, move |s| mon.tick(s));
-    }
-
-    fn scan(&self) -> Result<(), ProtoError> {
-        let records = SecurityRecord::parse_log(&self.log_text)?;
-        let mut dbs = self.dbs.borrow_mut();
-        for r in records {
-            dbs.sec.upsert(r);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -64,22 +24,19 @@ mod tests {
     use smartsock_proto::Ip;
 
     #[test]
-    fn log_is_loaded_into_secdb_on_start() {
-        let dbs: Rc<RefCell<StatusDbs>> = Rc::default();
+    fn log_is_loaded_into_secdb() {
+        let mut secdb = SecDb::default();
         let log = "# dummy security log\nhelene 192.168.3.10 5\nmimas 192.168.1.11 2\n";
-        let mon = SecurityMonitor::new(Rc::clone(&dbs), log);
-        let mut s = Scheduler::new();
-        mon.start(&mut s).unwrap();
-        let dbs = dbs.borrow();
-        assert_eq!(dbs.sec.level_of(Ip::new(192, 168, 3, 10)), Some(5));
-        assert_eq!(dbs.sec.level_of(Ip::new(192, 168, 1, 11)), Some(2));
-        assert_eq!(dbs.sec.len(), 2);
+        load(&mut secdb, log).unwrap();
+        assert_eq!(secdb.level_of(Ip::new(192, 168, 3, 10)), Some(5));
+        assert_eq!(secdb.level_of(Ip::new(192, 168, 1, 11)), Some(2));
+        assert_eq!(secdb.len(), 2);
     }
 
     #[test]
-    fn malformed_logs_error_at_start() {
-        let mon = SecurityMonitor::new(Rc::default(), "helene not-an-ip 5\n");
-        let mut s = Scheduler::new();
-        assert!(mon.start(&mut s).is_err());
+    fn a_malformed_log_is_an_error_and_loads_nothing() {
+        let mut secdb = SecDb::default();
+        assert!(load(&mut secdb, "mimas 192.168.1.11 2\nhelene not-an-ip 5\n").is_err());
+        assert!(secdb.is_empty());
     }
 }

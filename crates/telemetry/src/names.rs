@@ -168,8 +168,6 @@ pub const COUNTER_NAMES: &[&str] = &[
     "receiver-bytes",
     "receiver-frames",
     "receiver-pull-requests",
-    // monitor tools.
-    "secmon-bad-scans",
     // sim scheduler.
     "sim-events-dispatched",
     // monitor tools.

@@ -100,16 +100,17 @@ struct CompiledRequest {
     rank: Option<(ServerVar, bool)>,
     /// The tests on report variables (every row defines them), as `ServerVars` reads them.
     screen: Vec<(ReportVar, BinOp, f64)>,
-    /// The screen is the whole requirement (never set for the flat oracle).
+    /// The screen is the whole requirement, so the program need not run.
     screen_decides: bool,
 }
 
 impl CompiledRequest {
-    /// `None` when the requirement does not compile (an empty reply).
+    /// `None` when the requirement does not compile (an empty reply); no screen unless `screened`.
     fn new(
         templates: &BTreeMap<u8, String>,
         template: Option<u8>,
         detail: &str,
+        screened: bool,
     ) -> Option<CompiledRequest> {
         // Prepend a template when the option asks for one.
         let detail = match template.and_then(|id| templates.get(&id)) {
@@ -121,12 +122,12 @@ impl CompiledRequest {
         let resolve = |hosts: Vec<String>| hosts.iter().filter_map(|h| h.parse().ok()).collect();
         let (preferred, denied) = (resolve(preferred), resolve(denied));
         let rank = parse_rank_directive(&detail);
-        let tests = requirement.tests();
+        let tests = if screened { requirement.tests() } else { &[] };
         let screen: Vec<_> = tests
             .iter()
             .filter_map(|&(var, op, c)| REPORT_VARS.get(var.index()).map(|&row| (row, op, c)))
             .collect();
-        let screen_decides = requirement.tests_only() && screen.len() == tests.len();
+        let screen_decides = screened && requirement.tests_only() && screen.len() == tests.len();
         Some(CompiledRequest { requirement, preferred, denied, rank, screen, screen_decides })
     }
 }
@@ -143,9 +144,23 @@ struct Candidate {
     rank_key: f64,
 }
 
-/// Evaluate one status row against the compiled request; `Some` when the
-/// server qualifies. Shared by the sharded walk and the flat reference scan,
-/// which differ only in *which* rows they visit and whether a screen decided them.
+/// Why [`consider_row`] turned a row away, in the order it asks: a screened
+/// test fails (never for an unscreened request), the row is older than the
+/// staleness window, its server is quarantined, a denied-host designator
+/// names it, or the requirement's program does not qualify it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rejected {
+    Screened,
+    Stale,
+    Quarantined,
+    Denied,
+    Unqualified,
+}
+
+/// The one per-row decision (§3.6.1 step 3): a candidate, or why the row is
+/// out. Shared by the sharded walk and the flat reference scan, which differ
+/// only in *which* rows they visit and whether their request is screened.
+#[inline]
 fn consider_row(
     view: &SelectView<'_>,
     policy: &SelectPolicy,
@@ -154,21 +169,22 @@ fn consider_row(
     client_mon: Option<Ip>,
     ip: Ip,
     timed: &TimedReport,
-) -> Option<Candidate> {
-    if let Some(max_age) = policy.stale_max_age {
-        if now.since(timed.recorded_at) > max_age {
-            return None;
-        }
+) -> Result<Candidate, Rejected> {
+    let report = &timed.report;
+    if !creq.screen.iter().all(|&((_, f), op, c)| holds(op, f(report), c)) {
+        return Err(Rejected::Screened);
+    }
+    if policy.stale_max_age.is_some_and(|max_age| now.since(timed.recorded_at) > max_age) {
+        return Err(Rejected::Stale);
     }
     // Quarantined servers are never offered; probation servers
     // stay eligible (their low score orders them last) so the
     // system re-learns whether they recovered.
     if !view.health.selectable(ip, now) {
-        return None;
+        return Err(Rejected::Quarantined);
     }
-    let report = &timed.report;
     if creq.denied.iter().any(|d| designates(d, report)) {
-        return None;
+        return Err(Rejected::Denied);
     }
     let server_mon = view.group_map.get(&ip).copied();
     let net_rec = match (client_mon, server_mon) {
@@ -183,7 +199,7 @@ fn consider_row(
         same_group,
     };
     if !creq.screen_decides && !Evaluator::evaluate(&creq.requirement, &sv).qualified {
-        return None;
+        return Err(Rejected::Unqualified);
     }
     let preferred_rank = creq.preferred.iter().position(|p| designates(p, report));
     let rank_key = creq.rank.map_or(0.0, |(var, descending)| {
@@ -215,7 +231,7 @@ fn consider_row(
         _ => 1.0,
     };
     let score_bucket = (view.health.score(ip, now) * freshness_tier * 1000.0).round() as i64;
-    Some(Candidate { ip, preferred_rank, score_bucket, rank_key })
+    Ok(Candidate { ip, preferred_rank, score_bucket, rank_key })
 }
 
 /// Ordering: preferred first (by preference index), then healthier
@@ -292,8 +308,8 @@ pub fn select(
 }
 
 /// [`select`], plus counters describing how much work pruning saved. Every
-/// row visited counts in `rows_evaluated`; it pays one `holds` per screened
-/// test, then — if all hold — `consider_row`, minus the program when the
+/// row visited counts in `rows_evaluated`; `consider_row` screens it first
+/// (one `holds` per screened test) and skips the program when the
 /// tests are the whole requirement. Rows arrive in address order, so a row
 /// not yet visited is at best a candidate with preferred index 0 (if any),
 /// bucket 1000 (health score and freshness tier are at most 1), rank key −∞
@@ -307,7 +323,7 @@ pub fn select_with_stats(
     req: &UserRequest,
     client_ip: Ip,
 ) -> (Vec<Endpoint>, SelectStats) {
-    let creq = CompiledRequest::new(view.templates, req.option.template, &req.detail);
+    let creq = CompiledRequest::new(view.templates, req.option.template, &req.detail, true);
     select_compiled(view, policy, now, creq.as_ref(), req.server_num, client_ip)
 }
 
@@ -331,9 +347,6 @@ fn select_compiled(
         return (Vec::new(), SelectStats { shards_pruned: stats.shards_total, ..stats });
     }
     let client_mon = view.group_map.get(&client_ip).copied();
-    let passes =
-        |r: &ServerStatusReport| creq.screen.iter().all(|&((_, f), op, c)| holds(op, f(r), c));
-
     let preferred_rank = (!creq.preferred.is_empty()).then_some(0);
     let rank_key = if creq.rank.is_some() { f64::NEG_INFINITY } else { 0.0 };
     let bound = |ip| Candidate { ip, preferred_rank, score_bucket: 1000, rank_key };
@@ -351,10 +364,12 @@ fn select_compiled(
             continue;
         }
         descended += 1;
-        let visited = shard.rows().inspect(|_| stats.rows_evaluated += 1);
-        for (&ip, timed) in visited.filter(|(_, t)| passes(&t.report)) {
-            if let Some(c) = consider_row(view, policy, now, creq, client_mon, ip, timed) {
-                offer(&mut best, cap, c);
+        for (&ip, timed) in shard.rows() {
+            stats.rows_evaluated += 1;
+            match consider_row(view, policy, now, creq, client_mon, ip, timed) {
+                Ok(c) => offer(&mut best, cap, c),
+                Err(Rejected::Screened) => continue, // the kept list is as it was
+                Err(_) => {}
             }
             // Settled: no row still to come (a larger address) can beat the last place.
             if best.len() == cap && best.last().is_some_and(|l| best_first(l, &bound(ip)).is_le()) {
@@ -377,16 +392,15 @@ pub fn select_flat(
     req: &UserRequest,
     client_ip: Ip,
 ) -> Vec<Endpoint> {
-    let Some(mut creq) = CompiledRequest::new(view.templates, req.option.template, &req.detail)
+    let Some(creq) = CompiledRequest::new(view.templates, req.option.template, &req.detail, false)
     else {
         return Vec::new();
     };
-    creq.screen_decides = false; // nothing is screened here: every row runs the program
     let client_mon = view.group_map.get(&client_ip).copied();
     let mut qualified: Vec<Candidate> = view
         .sysdb
         .iter()
-        .filter_map(|(&ip, timed)| consider_row(view, policy, now, &creq, client_mon, ip, timed))
+        .filter_map(|(&ip, t)| consider_row(view, policy, now, &creq, client_mon, ip, t).ok())
         .collect();
     qualified.sort_by(best_first);
     qualified.truncate(reply_cap(req.server_num));
@@ -724,9 +738,9 @@ impl WizardEngine {
         if compiled.len() >= COMPILED_CAP && !compiled.contains_key(&key) {
             compiled.clear();
         }
-        let creq = compiled
-            .entry(key)
-            .or_insert_with_key(|(id, detail)| CompiledRequest::new(&self.templates, *id, detail));
+        let creq = compiled.entry(key).or_insert_with_key(|(id, detail)| {
+            CompiledRequest::new(&self.templates, *id, detail, true)
+        });
         let (servers, stats) =
             select_compiled(&self.view(), &self.policy, now, creq.as_ref(), server_num, from.ip);
         self.compiled = compiled;
@@ -1356,6 +1370,57 @@ mod tests {
             assert!(stats.rows_evaluated <= e.live_servers());
             assert!(stats.shards_pruned <= stats.shards_total);
             assert_eq!(stats.shards_total, e.dbs.sys.shard_count());
+        });
+    }
+
+    /// `consider_row` names the first reason a row is out, in one order: for
+    /// random fleets at t = 12 s and every requirement shape, the flat
+    /// oracle's verdict on each row is read here without it — stale, else
+    /// quarantined, else denied, else unqualified by the interpreter, else a
+    /// candidate — and the walk's is `Screened` when a test on a report
+    /// variable fails, else the oracle's, the same candidate included.
+    #[test]
+    fn a_row_is_out_for_the_first_reason_that_holds() {
+        cases("a_row_is_out_for_the_first_reason_that_holds", |rng| {
+            let (hosts, now) = (hosts(rng), SimTime::from_secs(12));
+            for req_idx in 0..REQUIREMENTS.len() {
+                let (e, detail) = fleet(&hosts, req_idx);
+                let (view, policy) = (e.view(), e.policy());
+                let window = policy.stale_max_age.unwrap();
+                let requirement = compile(&detail).unwrap();
+                // The tests on report variables: the ones the walk screens.
+                let mut screen = requirement.tests().to_vec();
+                screen.retain(|(var, _, _)| REPORT_VARS.get(var.index()).is_some());
+                let [oracle, walk] = [false, true]
+                    .map(|screened| CompiledRequest::new(view.templates, None, &detail, screened));
+                let (oracle, walk) = (oracle.unwrap(), walk.unwrap());
+                for (&ip, timed) in e.dbs.sys.iter() {
+                    let report = &timed.report;
+                    let security_level = e.dbs.sec.level_of(ip);
+                    let sv =
+                        ServerVars { report, security_level, net_record: None, same_group: false };
+                    let expected = if now.since(timed.recorded_at) > window {
+                        Some(Rejected::Stale)
+                    } else if !e.health.selectable(ip, now) {
+                        Some(Rejected::Quarantined)
+                    } else if detail.contains(&format!("user_denied_host1 = {ip}\n")) {
+                        Some(Rejected::Denied)
+                    } else if !Evaluator::evaluate(&requirement, &sv).qualified {
+                        Some(Rejected::Unqualified)
+                    } else {
+                        None
+                    };
+                    let verdict = |creq| consider_row(&view, policy, now, creq, None, ip, timed);
+                    let flat = verdict(&oracle);
+                    assert_eq!(flat.as_ref().err().copied(), expected, "{detail:?} at {ip}");
+                    let fails = |&(var, op, c): &(ServerVar, BinOp, f64)| {
+                        !holds(op, sv.lookup(var).unwrap(), c)
+                    };
+                    let walked =
+                        if screen.iter().any(fails) { Err(Rejected::Screened) } else { flat };
+                    assert_eq!(verdict(&walk), walked, "{detail:?} at {ip}");
+                }
+            }
         });
     }
 
