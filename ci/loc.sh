@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Non-test Rust lines per crate, and how they split between the paper's
 # system, the simulator it runs on and the tooling around both (ROADMAP
-# item 7), so the trends are visible in CI output — and held: the script
-# exits non-zero when the tooling or total row is above the ceiling
-# written at the bottom, so the count only rises by editing that line.
+# aim 2), so the trends are visible in CI output — and held: the script
+# exits non-zero when the system, tooling or total row is above its
+# ceiling written at the bottom, so a count only rises by editing that
+# line.
 #
 # "Non-test" is what ships: every line of a crate's src/**/*.rs above the
 # file's first `#[cfg(test)]` (unit-test modules sit at the bottom of their
@@ -42,9 +43,14 @@ printf '%-12s %8d\n' system "$system_total" simulator "$simulator_total" \
 
 # The ceilings: what this tree measured when they were last written.
 # Lower them with every deletion; raising one is a reviewed decision.
+system_ceiling=10455
 tooling_ceiling=6336
-total_ceiling=20408
+total_ceiling=20405
 status=0
+if [ "$system_total" -gt "$system_ceiling" ]; then
+    echo "loc: system $system_total is above its ceiling $system_ceiling" >&2
+    status=1
+fi
 if [ "$tooling_total" -gt "$tooling_ceiling" ]; then
     echo "loc: tooling $tooling_total is above its ceiling $tooling_ceiling" >&2
     status=1

@@ -1,4 +1,4 @@
-//! Deterministic fleet topology generation (ROADMAP item 1).
+//! Deterministic fleet topology generation (DESIGN.md §15, fleet scale-out).
 //!
 //! The thesis evaluates the wizard on the eleven machines of Table 5.1; a
 //! production wizard selects among thousands. This module expands a seeded

@@ -31,7 +31,7 @@ pub fn sockaddr_of(ep: Endpoint) -> SocketAddr {
 
 /// Borrow of a bound socket plus the deployment clock for one
 /// [`WizardEngine::handle`](smartsock_wizard::WizardEngine::handle) call;
-/// both are kept only for `benchmark/`, until ROADMAP item 9.
+/// both are kept only for `benchmark/`, until ROADMAP's real-daemon benchmark item.
 pub struct UdpTransport<'a> {
     sock: &'a UdpSocket,
     clock: &'a Clock,

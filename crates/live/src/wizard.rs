@@ -242,8 +242,8 @@ fn serve(
         // Opportunistic stale sweep: every inbound datagram advances the
         // expiry horizon, with no timer thread (`select` skips stale rows
         // anyway). Affordable per datagram because the sweep only evicts
-        // (one comparison for the health table and one per /24, a walk only
-        // of what is due); a request tightens what reports overwrote.
+        // what each table's deadline set says is due (one comparison when
+        // nothing is); a request tightens what reports overwrote.
         engine.step(SimTime(now), Input::Tick, &mut tel);
         let stepped = engine.step(SimTime(now), Input::Datagram { from, bytes }, &mut tel);
         // Row count before any reply leaves, and before the report that

@@ -20,7 +20,7 @@
 //! (`iter`, `snapshot`, `expire`, …) is behaviorally unchanged.
 //!
 //! Each shard additionally maintains a conservative [`ShardSummary`]:
-//! row count, the newest `recorded_at`, and per-variable min/max ranges
+//! the newest `recorded_at` and per-variable min/max ranges
 //! over the report-derived server variables. Summaries are **widened** on
 //! upsert (cheap, always a superset of the true ranges) and made **exact**
 //! again by `tighten`, which the wizard calls before it reads them. The
@@ -34,18 +34,19 @@
 //! departed value behind as an extreme, so that marks a shard dirty — and
 //! nothing more: a report costs its upsert, whatever the report before it
 //! was. The sweep (`expire`) only *evicts*. Nothing can be evicted before
-//! a shard's oldest row (a lower bound is kept) passes `max_age`, so a
-//! shard not yet due costs one comparison and is otherwise left alone,
-//! dirty or not; a due shard is walked once, which drops its stale rows
-//! and, being the same pass, leaves its summary exact. The request
-//! (`tighten`, called by the wizard just before it lends out the view)
-//! walks the shards still dirty, so pruning always reads exact summaries
-//! (up to the sign of a zero, which no reader of a range can see) —
-//! however many reports arrived since the last request, each dirty shard
-//! is walked once. The live daemon sweeps on every datagram: O(shards)
-//! comparisons.
+//! a shard's oldest row (a lower bound is kept) passes `max_age`, and the
+//! bounds sit in one ordered set, so a sweep pops only the due shards off
+//! its head and leaves the rest alone, dirty or not; a due shard is walked
+//! once, which drops its stale rows and, being the same pass, leaves its
+//! summary and its bound exact. The request (`tighten`, called by the
+//! wizard just before it lends out the view) walks the shards still dirty,
+//! so pruning always reads exact summaries (up to the sign of a zero, which
+//! no reader of a range can see) — however many reports arrived since the
+//! last request, each dirty shard is walked once. The live daemon sweeps on
+//! every datagram: with nothing due, that is one comparison with the head
+//! of the set, whatever the shard count.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use smartsock_proto::{Ip, NetPathRecord, SecurityRecord, ServerStatusReport};
 use smartsock_sim::{SimDuration, SimTime};
@@ -155,8 +156,6 @@ impl VarRanges {
 /// superset of the true per-row state (see module docs).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardSummary {
-    /// Exact row count.
-    pub count: usize,
     /// At least as new as the newest row's `recorded_at` — exact after
     /// every `tighten`, never older than the truth in between.
     pub newest_recorded_at: SimTime,
@@ -169,8 +168,9 @@ pub struct ShardSummary {
 pub struct Shard {
     rows: BTreeMap<Ip, TimedReport>,
     summary: ShardSummary,
-    /// No row is older than this (exact after a walk of the shard), so a
-    /// sweep before `oldest + max_age` cannot evict here.
+    /// No row is older than this (exact after a sweep walks the shard), so
+    /// a sweep before `oldest + max_age` cannot evict here. Kept in
+    /// [`SysDb`]'s deadline set too.
     oldest_recorded_at: SimTime,
     /// A row was overwritten since the summary was last recomputed, so a
     /// range may still cover the value that left — until `tighten`.
@@ -196,8 +196,9 @@ impl Shard {
     }
 
     /// One pass over the rows: drop the `stale` ones (returned in address
-    /// order) and rebuild the summary exactly from the rest.
-    fn sweep(&mut self, stale: impl Fn(&TimedReport) -> bool) -> Vec<Ip> {
+    /// order) and rebuild the summary exactly from the rest, whose oldest
+    /// `recorded_at` is returned too.
+    fn sweep(&mut self, stale: impl Fn(&TimedReport) -> bool) -> (Vec<Ip>, SimTime) {
         let mut evicted = Vec::new();
         let (mut summary, mut oldest) = (ShardSummary::default(), SimTime(u64::MAX));
         self.rows.retain(|&ip, t| {
@@ -210,9 +211,8 @@ impl Shard {
             summary.ranges.widen(&t.report);
             true
         });
-        summary.count = self.rows.len();
-        (self.summary, self.oldest_recorded_at, self.dirty) = (summary, oldest, false);
-        evicted
+        (self.summary, self.dirty) = (summary, false);
+        (evicted, oldest)
     }
 }
 
@@ -221,6 +221,9 @@ impl Shard {
 #[derive(Clone, Debug, Default)]
 pub struct SysDb {
     shards: BTreeMap<SubnetKey, Shard>,
+    /// Every shard's `oldest_recorded_at`, earliest first, so a sweep
+    /// visits only the shards that may hold a stale row.
+    deadlines: BTreeSet<(SimTime, SubnetKey)>,
     total: usize,
 }
 
@@ -231,17 +234,18 @@ impl SysDb {
     /// the shard dirty) until the next [`SysDb::tighten`] — a reader that
     /// skipped it would only prune *less*.
     pub fn upsert(&mut self, report: ServerStatusReport, now: SimTime) {
-        let shard = self.shards.entry(subnet_of(report.ip)).or_default();
-        let ip = report.ip;
+        let (ip, key) = (report.ip, subnet_of(report.ip));
+        let shard = self.shards.entry(key).or_default();
         shard.summary.ranges.widen(&report);
         if now > shard.summary.newest_recorded_at {
             shard.summary.newest_recorded_at = now;
         }
         if shard.rows.is_empty() || now < shard.oldest_recorded_at {
+            self.deadlines.remove(&(shard.oldest_recorded_at, key));
+            self.deadlines.insert((now, key));
             shard.oldest_recorded_at = now;
         }
         if shard.rows.insert(ip, TimedReport { report, recorded_at: now }).is_none() {
-            shard.summary.count += 1;
             self.total += 1;
         } else {
             shard.dirty = true;
@@ -273,35 +277,39 @@ impl SysDb {
     /// is pinned by `per_shard_evictions_sum_to_the_flat_count`.
     ///
     /// Emptied shards are dropped. Only due shards — the oldest row may
-    /// be past `max_age` — are walked; the rest cost a comparison, and an
-    /// overwrite makes no sweep walk anything (module docs).
+    /// be past `max_age` — are walked, popped off the head of the deadline
+    /// set; an overwrite makes no sweep walk anything (module docs).
     pub fn expire_by_shard(
         &mut self,
         now: SimTime,
         max_age: SimDuration,
     ) -> Vec<(SubnetKey, Vec<Ip>)> {
+        let mut due = Vec::new();
+        while self.deadlines.first().is_some_and(|&(oldest, _)| now.since(oldest) > max_age) {
+            due.extend(self.deadlines.pop_first().map(|(_, key)| key));
+        }
+        due.sort_unstable();
         let mut by_shard = Vec::new();
-        let mut emptied = false;
-        for (key, shard) in &mut self.shards {
-            if now.since(shard.oldest_recorded_at) <= max_age {
-                continue;
+        for key in due {
+            let Some(shard) = self.shards.get_mut(&key) else { continue };
+            let (evicted, oldest) = shard.sweep(|t| now.since(t.recorded_at) > max_age);
+            if shard.rows.is_empty() {
+                self.shards.remove(&key);
+            } else {
+                shard.oldest_recorded_at = oldest;
+                self.deadlines.insert((oldest, key));
             }
-            let evicted = shard.sweep(|t| now.since(t.recorded_at) > max_age);
-            emptied |= shard.rows.is_empty();
             if !evicted.is_empty() {
                 self.total -= evicted.len();
-                by_shard.push((*key, evicted));
+                by_shard.push((key, evicted));
             }
-        }
-        if emptied {
-            self.shards.retain(|_, s| !s.rows.is_empty());
         }
         by_shard
     }
 
     /// Make every summary exact: re-walk the shards a report overwrote
-    /// since their last walk. What a reader of summaries calls first; rows
-    /// and counts are untouched.
+    /// since their last walk. What a reader of summaries calls first; rows,
+    /// counts and the sweep's bounds are untouched.
     pub fn tighten(&mut self) {
         for shard in self.shards.values_mut().filter(|s| s.dirty) {
             shard.sweep(|_| false);
@@ -559,7 +567,10 @@ mod tests {
                     if matches!(kind, 9..=10) {
                         assert_eq!(got, exact);
                     }
-                    assert_eq!(got.count, exact.count);
+                    assert_eq!(
+                        shard.len(),
+                        model.rows.keys().filter(|&&ip| subnet_of(ip) == *key).count()
+                    );
                     assert!(got.newest_recorded_at >= exact.newest_recorded_at);
                     let (got, exact) = (&got.ranges, &exact.ranges);
                     assert!(got.lo.iter().zip(&exact.lo).all(|(g, e)| g <= e));
@@ -599,12 +610,39 @@ mod tests {
             let mut exact: BTreeMap<SubnetKey, ShardSummary> = BTreeMap::new();
             for (&ip, t) in &self.rows {
                 let s = exact.entry(subnet_of(ip)).or_default();
-                s.count += 1;
                 s.newest_recorded_at = s.newest_recorded_at.max(t.recorded_at);
                 s.ranges.widen(&t.report);
             }
             exact
         }
+    }
+
+    /// Over any upserts (back-dated ones included), sweeps and `tighten`s,
+    /// the set holds exactly each shard's bound, and each bound is at most
+    /// its shard's oldest row: nothing stale is left for a sweep to pop.
+    #[test]
+    fn the_deadline_set_holds_each_shards_bound() {
+        cases("the_deadline_set_holds_each_shards_bound", |rng| {
+            let mut db = SysDb::default();
+            let mut now = SimTime::from_secs(3);
+            for _ in 0..rng.below(60) {
+                let ip = Ip::new(10, 0, rng.below(5) as u8, rng.below(6) as u8);
+                match rng.below(4) {
+                    0 => db.upsert(report(ip, 0.0), SimTime(now.0 - rng.below(9) * 300_000_000)),
+                    1 => db.upsert(report(ip, 1.0), now),
+                    2 => {
+                        now += SimDuration::from_secs(rng.below(4));
+                        db.expire(now, SimDuration::from_secs(rng.below(9)));
+                    }
+                    _ => db.tighten(),
+                }
+                let bounds = db.shards.iter().map(|(&key, s)| (s.oldest_recorded_at, key));
+                assert!(db.deadlines.iter().copied().eq(bounds.collect::<BTreeSet<_>>()));
+                for shard in db.shards.values() {
+                    assert!(shard.rows().all(|(_, t)| shard.oldest_recorded_at <= t.recorded_at));
+                }
+            }
+        });
     }
 
     #[test]
@@ -613,42 +651,81 @@ mod tests {
         let max_age = SimDuration::from_secs(6);
         let load1 =
             |db: &SysDb| db.shards[&[10, 0, 0]].summary.ranges.range_of("host_system_load1");
+        let dirty = |db: &SysDb| db.shards.values().map(|s| s.dirty).collect::<Vec<_>>();
+        let oldest =
+            |db: &SysDb| db.shards.values().map(|s| s.oldest_recorded_at).collect::<Vec<_>>();
+        let deadlines = |db: &SysDb| db.deadlines.iter().copied().collect::<Vec<_>>();
         let mut db = SysDb::default();
         for subnet in 0..3 {
-            db.upsert(report(Ip::new(10, 0, subnet, 1), 1.0), secs(2));
-            db.upsert(report(Ip::new(10, 0, subnet, 2), 2.0), secs(3));
+            db.upsert(report(Ip::new(10, 0, subnet, 1), 1.0), secs(2 + u64::from(subnet)));
+            db.upsert(report(Ip::new(10, 0, subnet, 2), 2.0), secs(5));
         }
-        // New rows leave a shard clean; only the overwrite marks one.
-        db.upsert(report(Ip::new(10, 0, 0, 2), 0.5), secs(4));
-        let dirty = |db: &SysDb| db.shards.values().map(|s| s.dirty).collect::<Vec<_>>();
+        // New rows leave a shard clean; only the overwrite marks one, and
+        // its bound stays that of the row it overwrote (a lower bound).
+        db.upsert(report(Ip::new(10, 0, 0, 1), 3.0), secs(6));
         assert_eq!(dirty(&db), [true, false, false]);
+        assert_eq!(
+            deadlines(&db),
+            [(secs(2), [10, 0, 0]), (secs(3), [10, 0, 1]), (secs(4), [10, 0, 2])]
+        );
 
-        // Lower every bound by 1 ns: still a lower bound, but any walk
-        // would put the exact value back.
-        let marked = SimTime(secs(2).0 - 1);
+        // Plant a zero bound on every shard, behind the set's back: any
+        // walk would put the exact value back.
         for shard in db.shards.values_mut() {
-            shard.oldest_recorded_at = marked;
+            shard.oldest_recorded_at = SimTime::ZERO;
         }
-        // An overwrite alone makes no sweep walk the shard: nothing is due,
-        // so the mark, the dirty bit and the widened range all stay.
-        assert!(db.expire(secs(4), max_age).is_empty());
+        // Nothing is due (the head's row is aged exactly `max_age`), so the
+        // overwrite alone makes no sweep walk a shard: the marks, the dirty
+        // bit and the widened range all stay.
+        assert!(db.expire(secs(8), max_age).is_empty());
         assert_eq!(dirty(&db), [true, false, false]);
-        assert!(db.shards.values().all(|s| s.oldest_recorded_at == marked));
-        assert_eq!(load1(&db), Some((0.5, 2.0)));
+        assert_eq!(oldest(&db), [SimTime::ZERO; 3]);
+        assert_eq!(load1(&db), Some((1.0, 3.0)));
 
-        // `tighten` walks the dirty shard, and only it.
+        // Past the head's deadline only the head shard is walked, though
+        // its rows (at 5 s and 6 s) all stay: its bound, summary and dirty
+        // bit turn exact, and the other shards keep their marks.
+        let later = secs(8) + SimDuration::from_millis(500);
+        assert!(db.expire(later, max_age).is_empty());
+        assert_eq!(dirty(&db), [false, false, false]);
+        assert_eq!(load1(&db), Some((2.0, 3.0)));
+        assert_eq!(oldest(&db), [secs(5), SimTime::ZERO, SimTime::ZERO]);
+        assert_eq!(
+            deadlines(&db),
+            [(secs(3), [10, 0, 1]), (secs(4), [10, 0, 2]), (secs(5), [10, 0, 0])]
+        );
+
+        // `tighten` walks the dirty shard, and only it, and writes no bound.
+        db.upsert(report(Ip::new(10, 0, 1, 2), 0.5), secs(7));
         db.tighten();
         assert_eq!(dirty(&db), [false, false, false]);
-        assert_eq!(load1(&db), Some((0.5, 1.0)));
-        let oldest: Vec<SimTime> = db.shards.values().map(|s| s.oldest_recorded_at).collect();
-        assert_eq!(oldest, [secs(2), marked, marked]);
+        assert_eq!(oldest(&db), [secs(5), SimTime::ZERO, SimTime::ZERO]);
 
-        // Due by the bound: walked (exact bound restored) though the rows,
-        // aged exactly `max_age`, all stay.
-        db.upsert(report(Ip::new(10, 0, 1, 9), 3.0), secs(5));
-        assert!(db.expire(secs(8), max_age).is_empty());
-        assert!(db.shards.values().all(|s| s.oldest_recorded_at == secs(2)));
-        assert_eq!(db.len(), 7);
+        // At the next deadline the next shard evicts its stale row alone.
+        let evicted = db.expire(secs(9) + SimDuration::from_millis(500), max_age);
+        assert_eq!(evicted, [Ip::new(10, 0, 1, 1)]);
+        assert_eq!(oldest(&db), [secs(5), secs(7), SimTime::ZERO]);
+        assert_eq!(db.len(), 5);
+    }
+
+    /// With 1 000 /24 shards and nothing due, a sweep walks none of them:
+    /// a zero bound and a dirty bit planted on every shard, which any walk
+    /// would clear, all stay.
+    #[test]
+    fn a_sweep_over_a_thousand_shards_with_nothing_due_walks_none() {
+        let mut db = SysDb::default();
+        for shard in 0..1_000u32 {
+            db.upsert(report(Ip(0x0a00_0001 + (shard << 8)), 1.0), SimTime::from_secs(2));
+        }
+        assert_eq!(db.shard_count(), 1_000);
+        for shard in db.shards.values_mut() {
+            (shard.oldest_recorded_at, shard.dirty) = (SimTime::ZERO, true);
+        }
+        for at in 2..=8 {
+            assert!(db.expire(SimTime::from_secs(at), SimDuration::from_secs(6)).is_empty());
+        }
+        assert!(db.shards.values().all(|s| s.oldest_recorded_at == SimTime::ZERO && s.dirty));
+        assert_eq!(db.deadlines.len(), 1_000);
     }
 
     #[test]
@@ -685,7 +762,7 @@ mod tests {
     fn shard_summaries_cover_rows_and_tighten_on_expire() {
         let load1 = |db: &SysDb| {
             let (_, shard) = db.iter_shards().next().unwrap();
-            assert_eq!(shard.summary().count, 2);
+            assert_eq!(shard.len(), 2);
             shard.summary().ranges.range_of("host_system_load1")
         };
         let mut db = SysDb::default();

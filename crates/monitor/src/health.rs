@@ -25,7 +25,7 @@
 //! the reported outcomes and simulation time — no RNG, no wall clock — so
 //! runs stay byte-reproducible.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use smartsock_proto::{Ip, OutcomeKind};
 use smartsock_sim::{SimDuration, SimTime};
@@ -100,14 +100,6 @@ impl State {
             State::Probation { .. } => StateKind::Probation,
         }
     }
-
-    /// When the clock alone next changes this state, if it ever does.
-    fn due(self) -> Option<SimTime> {
-        match self {
-            State::Quarantined { until } | State::Probation { until, .. } => Some(until),
-            State::Healthy | State::Suspect => None,
-        }
-    }
 }
 
 /// One observed state-machine transition, for telemetry.
@@ -132,8 +124,18 @@ impl HostHealth {
     /// When time forgives this entry, if it ever does: only one with no
     /// quarantine running or behind it (a doubled one stays pending).
     fn forgiven_at(&self) -> Option<SimTime> {
-        let clean = self.state.due().is_none() && self.next_quarantine == QUARANTINE_BASE;
+        let clean = matches!(self.state, State::Healthy | State::Suspect)
+            && self.next_quarantine == QUARANTINE_BASE;
         clean.then(|| self.updated_at + FORGIVEN_AFTER)
+    }
+
+    /// When the clock alone next changes this entry (its quarantine or
+    /// probation ends, or time forgives it), if it ever does.
+    fn deadline(&self) -> Option<SimTime> {
+        match self.state {
+            State::Quarantined { until } | State::Probation { until, .. } => Some(until),
+            State::Healthy | State::Suspect => self.forgiven_at(),
+        }
     }
 
     /// The state at `now`, time-based transitions resolved: forgiveness
@@ -175,12 +177,9 @@ impl HostHealth {
 #[derive(Clone, Debug, Default)]
 pub struct HealthTable {
     hosts: BTreeMap<Ip, HostHealth>,
-    /// No quarantine or probation ends before this (`None`: none is
-    /// running), so a `poll` before it has nothing to materialize.
-    next_due: Option<SimTime>,
-    /// No entry is forgiven before this (`None`: none can be), the other
-    /// bound a `poll` before which has nothing to do.
-    next_forgiven: Option<SimTime>,
+    /// Every entry's [`HostHealth::deadline`], earliest first, so a `poll`
+    /// visits only the entries due.
+    deadlines: BTreeSet<(SimTime, Ip)>,
 }
 
 impl HealthTable {
@@ -224,24 +223,24 @@ impl HealthTable {
     /// Materialize every pending time-based transition up to `now` and
     /// drop the entries time has forgiven (a suspect one moves to healthy).
     /// Returns the transitions in address order; the caller (the wizard's
-    /// sweep) turns them into telemetry events. The table is walked only
-    /// once `now` reaches the earliest deadline or forgiveness in it, since
-    /// the live daemon polls on every datagram.
+    /// sweep) turns them into telemetry events. Only the entries whose
+    /// deadline has come are visited, since the live daemon polls on every
+    /// datagram.
     pub fn poll(&mut self, now: SimTime) -> Vec<Transition> {
-        if earlier(self.next_due, self.next_forgiven).is_none_or(|due| now < due) {
-            return Vec::new();
+        let mut due = Vec::new();
+        while self.deadlines.first().is_some_and(|&(at, _)| at <= now) {
+            due.extend(self.deadlines.pop_first().map(|(_, ip)| ip));
         }
+        due.sort_unstable();
         let mut out = Vec::new();
-        let (mut next_due, mut next_forgiven) = (None, None);
-        self.hosts.retain(|&ip, h| {
-            let kept = h.settle(ip, now, &mut out);
-            if kept {
-                next_due = earlier(next_due, h.state.due());
-                next_forgiven = earlier(next_forgiven, h.forgiven_at());
+        for ip in due {
+            let Some(h) = self.hosts.get_mut(&ip) else { continue };
+            if h.settle(ip, now, &mut out) {
+                self.deadlines.extend(h.deadline().map(|at| (at, ip)));
+            } else {
+                self.hosts.remove(&ip);
             }
-            kept
-        });
-        (self.next_due, self.next_forgiven) = (next_due, next_forgiven);
+        }
         out
     }
 
@@ -256,6 +255,9 @@ impl HealthTable {
             streak: 0,
             next_quarantine: QUARANTINE_BASE,
         });
+        if let Some(at) = h.deadline() {
+            self.deadlines.remove(&(at, ip));
+        }
         let mut transitions = Vec::new();
         h.settle(ip, now, &mut transitions);
 
@@ -304,29 +306,15 @@ impl HealthTable {
         if h.state.kind() != before.kind() {
             transitions.push(Transition { ip, from: before.kind(), to: h.state.kind() });
         }
-        self.next_due = earlier(self.next_due, h.state.due());
-        self.next_forgiven = earlier(self.next_forgiven, h.forgiven_at());
         // A fresh entry reads as none (a score of 1.0 relaxes to 1.0).
         let entry = (h.score, h.state, h.streak, h.next_quarantine);
         if entry == (1.0, State::Healthy, 0, QUARANTINE_BASE) {
             self.hosts.remove(&ip);
+        } else {
+            self.deadlines.extend(h.deadline().map(|at| (at, ip)));
         }
         transitions
     }
-
-    /// Servers currently quarantined at `now`, in address order.
-    pub fn quarantined(&self, now: SimTime) -> Vec<Ip> {
-        self.hosts
-            .keys()
-            .copied()
-            .filter(|&ip| self.effective_state(ip, now) == StateKind::Quarantined)
-            .collect()
-    }
-}
-
-/// The earlier of two optional deadlines (`None`: no deadline).
-fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    a.into_iter().chain(b).min()
 }
 
 /// Relaxation toward 1.0: `1 - (1 - score) * 0.5^(Δt / HALF_LIFE)`.
@@ -427,8 +415,8 @@ mod tests {
         assert_eq!(table.effective_state(ip(), t(12)), StateKind::Healthy);
     }
 
-    /// The reference: `poll` without the `next_due` and `next_forgiven`
-    /// bounds — every host, every call, forgiven ones dropped.
+    /// The reference: `poll` without the deadline set — every host, every
+    /// call, forgiven ones dropped.
     fn poll_walking_everything(table: &mut HealthTable, now: SimTime) -> Vec<Transition> {
         let mut out = Vec::new();
         table.hosts.retain(|&ip, h| h.settle(ip, now, &mut out));
@@ -437,8 +425,8 @@ mod tests {
 
     /// Returning before the walk is invisible: over any interleaving of
     /// outcomes, polls and clock steps (sub-second to longer than the
-    /// capped quarantine), a table polled through `next_due` and one that
-    /// walks every host on every poll report the same transitions in the
+    /// capped quarantine), a table polled through its deadline set and one
+    /// that walks every host on every poll report the same transitions in the
     /// same order and hold the same entry — clocks included, or none — for
     /// each of the six addresses after every step. Every score stays in
     /// `[0, 1]` throughout: the bound the selection's early stop relies on.
@@ -477,39 +465,84 @@ mod tests {
         });
     }
 
+    /// Over any interleaving of outcomes, polls and clock steps long enough
+    /// for forgiveness, the set holds exactly one deadline per entry that
+    /// has one: nothing stale is left for a poll to pop.
+    #[test]
+    fn the_deadline_set_holds_each_entrys_one_deadline() {
+        cases("the_deadline_set_holds_each_entrys_one_deadline", |rng| {
+            let mut table = HealthTable::default();
+            let mut now = t(1);
+            for _ in 0..rng.below(120) {
+                now +=
+                    [0, 300, 5_000, 500_000].map(SimDuration::from_millis)[rng.below(4) as usize];
+                let outcome = [OutcomeKind::Timeout, OutcomeKind::Completed][rng.below(2) as usize];
+                match rng.below(3) {
+                    0 => drop(table.poll(now)),
+                    _ => drop(table.record(Ip::new(10, 0, 0, rng.below(6) as u8), outcome, now)),
+                }
+                let want = table.hosts.iter().filter_map(|(&ip, h)| Some((h.deadline()?, ip)));
+                assert!(table.deadlines.iter().copied().eq(want.collect::<BTreeSet<_>>()));
+            }
+        });
+    }
+
     #[test]
     fn a_poll_with_nothing_due_visits_no_host() {
+        let (a, b) = (ip(), Ip::new(10, 0, 0, 2));
+        let deadlines = |table: &HealthTable| table.deadlines.iter().copied().collect::<Vec<_>>();
         let mut table = HealthTable::default();
-        // No outcome ever reported, or only healthy and suspect hosts:
-        // nothing is timed, so there is no deadline to reach.
-        assert_eq!(table.next_due, None);
         table.record(Ip::new(10, 0, 0, 1), OutcomeKind::Completed, t(1));
-        table.record(Ip::new(10, 0, 0, 2), OutcomeKind::Timeout, t(1));
-        assert_eq!(table.next_due, None);
-        assert_eq!(table.len(), 1, "a completed assignment to a new server keeps no entry");
-        table.record(ip(), OutcomeKind::Timeout, t(1));
-        table.record(ip(), OutcomeKind::Timeout, t(2)); // quarantined until t=10
-        assert_eq!(table.next_due, Some(t(10)));
+        assert_eq!(table.len(), 0, "a completed assignment to a new server keeps no entry");
+        assert!(table.deadlines.is_empty());
+        // A suspect is due when time forgives it; a quarantine when it ends.
+        table.record(b, OutcomeKind::Timeout, t(1));
+        table.record(a, OutcomeKind::Timeout, t(1));
+        table.record(a, OutcomeKind::Timeout, t(2)); // quarantined until t=10
+        assert_eq!(deadlines(&table), [(t(10), a), (t(865), b)]);
 
-        // Plant a state any walk would resolve (its quarantine ran out at
-        // t=3), behind the bound's back: a poll before t=10 returns without
-        // looking, so it stays.
+        // Plant on the suspect a state any visit would resolve (its
+        // quarantine ran out at t=3), behind its deadline's back: the polls
+        // at the other host's deadlines visit that host alone, so it stays.
         let planted = State::Quarantined { until: t(3) };
-        table.hosts.get_mut(&Ip::new(10, 0, 0, 2)).unwrap().state = planted;
+        table.hosts.get_mut(&b).unwrap().state = planted;
         assert!(table.poll(t(9)).is_empty());
-        assert_eq!(table.hosts[&Ip::new(10, 0, 0, 2)].state, planted);
-
-        // At the deadline the table is walked — both hosts move — and the
-        // bound becomes the earliest deadline left: the planted host's
-        // probation ends at t=13, the other's at t=20.
-        let tr = table.poll(t(10));
-        assert_eq!(tr.iter().map(|x| x.ip).collect::<Vec<_>>(), [Ip::new(10, 0, 0, 2), ip()]);
-        assert!(tr.iter().all(|x| x.to == StateKind::Probation));
-        assert_eq!(table.next_due, Some(t(13)));
-        assert_eq!(table.poll(t(13)).len(), 1);
-        assert_eq!(table.next_due, Some(t(20)));
+        let released = Transition { ip: a, from: StateKind::Quarantined, to: StateKind::Probation };
+        assert_eq!(table.poll(t(10)), [released]);
+        assert_eq!(deadlines(&table), [(t(20), a), (t(865), b)]);
         assert_eq!(table.poll(t(20)).len(), 1);
-        assert_eq!(table.next_due, None, "nothing timed is left");
+        assert_eq!(table.hosts[&b].state, planted);
+        // Healthy with its doubled quarantine pending: nothing timed is
+        // left for it, and the suspect is visited at its own deadline.
+        assert_eq!(deadlines(&table), [(t(865), b)]);
+        let resolved = Transition { ip: b, from: StateKind::Quarantined, to: StateKind::Healthy };
+        assert_eq!(table.poll(t(865)), [resolved]);
+    }
+
+    /// A flood of single failures spread over time: 10 000 `Timeout`s 1 ms
+    /// apart, polled every 1 ms from the first forgiveness. Each poll
+    /// forgives exactly one host, and a sentinel due after them all keeps a
+    /// planted state (its forgiveness moved to the first poll, so any visit
+    /// would drop it) until its own deadline.
+    #[test]
+    fn a_flood_spread_over_time_is_forgiven_one_entry_a_poll() {
+        let ms = |k: u64| t(1) + SimDuration::from_millis(k);
+        let host = |i: u64| Ip(0x0a00_0000 + i as u32);
+        let forgiven = |ip| [Transition { ip, from: StateKind::Suspect, to: StateKind::Healthy }];
+        let sentinel = Ip::new(192, 168, 0, 1);
+        let mut table = HealthTable::default();
+        for i in 0..10_000 {
+            table.record(host(i), OutcomeKind::Timeout, ms(i));
+        }
+        table.record(sentinel, OutcomeKind::Timeout, ms(10_000));
+        table.hosts.get_mut(&sentinel).unwrap().updated_at = t(1);
+        for i in 0..10_000 {
+            assert_eq!(table.poll(ms(i) + FORGIVEN_AFTER), forgiven(host(i)));
+            assert_eq!(table.len(), 10_000 - i as usize);
+        }
+        assert_eq!(table.hosts[&sentinel].updated_at, t(1));
+        assert_eq!(table.poll(ms(10_000) + FORGIVEN_AFTER), forgiven(sentinel));
+        assert!(table.is_empty() && table.deadlines.is_empty());
     }
 
     #[test]
@@ -555,7 +588,7 @@ mod tests {
             assert_eq!(table.effective_state(first, t(last + 864)), StateKind::Healthy);
             let forgiven = table.poll(t(last + 864));
             assert_eq!(table.len(), 0);
-            assert_eq!((table.next_due, table.next_forgiven), (None, None));
+            assert!(table.deadlines.is_empty());
             let cleared = hosts().map(|ip| Transition { ip, from: was, to: StateKind::Healthy });
             assert_eq!(forgiven, cleared.filter(|x| x.from != x.to).collect::<Vec<_>>());
         }
@@ -602,17 +635,5 @@ mod tests {
         table.record(ip(), OutcomeKind::Timeout, t(2002)); // 16 s: until t=2018
         assert_eq!(table.effective_state(ip(), t(2017)), StateKind::Quarantined);
         assert_eq!(table.effective_state(ip(), t(2018)), StateKind::Probation);
-    }
-
-    #[test]
-    fn quarantined_listing_is_address_ordered() {
-        let mut table = HealthTable::default();
-        for last in [9u8, 3, 6] {
-            let ip = Ip::new(10, 0, 0, last);
-            table.record(ip, OutcomeKind::Timeout, t(1));
-            table.record(ip, OutcomeKind::Timeout, t(2));
-        }
-        let q = table.quarantined(t(3));
-        assert_eq!(q, vec![Ip::new(10, 0, 0, 3), Ip::new(10, 0, 0, 6), Ip::new(10, 0, 0, 9)]);
     }
 }

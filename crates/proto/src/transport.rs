@@ -10,7 +10,7 @@
 //! sends it. The trait's remaining users are
 //! `smartsock_wizard::WizardEngine::handle` and its OS-socket
 //! implementation, `smartsock_live::UdpTransport`; both are kept only for
-//! `benchmark/`, until ROADMAP item 9 removes them.
+//! `benchmark/`, until ROADMAP's real-daemon benchmark item removes them.
 //!
 //! Time is exposed as plain nanoseconds rather than a clock object:
 //! `u64` is the common denominator between `SimTime` and a monotonic

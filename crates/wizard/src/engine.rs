@@ -666,7 +666,8 @@ impl WizardEngine {
     }
 
     /// [`Self::step`] on a datagram, without its telemetry, replying
-    /// through `t`. Only `benchmark/` calls it; ROADMAP item 9 removes it.
+    /// through `t`. Only `benchmark/` calls it; ROADMAP's real-daemon
+    /// benchmark item removes it.
     pub fn handle<T: Transport>(
         &mut self,
         t: &mut T,
@@ -685,8 +686,8 @@ impl WizardEngine {
     }
 
     /// [`Self::step`] on a tick, without its telemetry: exactly which
-    /// addresses went dark. Only `benchmark/` calls it; ROADMAP item 9
-    /// removes it.
+    /// addresses went dark. Only `benchmark/` calls it; ROADMAP's
+    /// real-daemon benchmark item removes it.
     pub fn sweep(&mut self, now: SimTime) -> Vec<Ip> {
         let Took::Swept { by_shard, .. } = self.take(now, Input::Tick) else { return Vec::new() };
         by_shard.into_iter().flat_map(|(_, evicted)| evicted).collect()
@@ -703,8 +704,8 @@ impl WizardEngine {
     /// A tick is the stale sweep: time-based health transitions
     /// (quarantine → probation → healthy, shown even when no outcome report
     /// arrives for the host), then eviction of rows past the staleness
-    /// window. It costs one comparison for the health table, one per shard
-    /// and a walk only of what is due — cheap enough per datagram (live).
+    /// window. Each table pops only what is due off its deadline set: one
+    /// comparison each with nothing due, cheap enough per datagram (live).
     fn take(&mut self, now: SimTime, input: Input<'_>) -> Took {
         let Input::Datagram { from, bytes: payload } = input else {
             let transitions = self.health.poll(now);
