@@ -2,9 +2,8 @@
 # Non-test Rust lines per crate, and how they split between the paper's
 # system, the simulator it runs on and the tooling around both (ROADMAP
 # aim 2), so the trends are visible in CI output — and held: the script
-# exits non-zero when the system, tooling or total row is above its
-# ceiling written at the bottom, so a count only rises by editing that
-# line.
+# exits non-zero when any of the four rows is above its ceiling written
+# at the bottom, so a count only rises by editing that line.
 #
 # "Non-test" is what ships: every line of a crate's src/**/*.rs above the
 # file's first `#[cfg(test)]` (unit-test modules sit at the bottom of their
@@ -43,20 +42,19 @@ printf '%-12s %8d\n' system "$system_total" simulator "$simulator_total" \
 
 # The ceilings: what this tree measured when they were last written.
 # Lower them with every deletion; raising one is a reviewed decision.
-system_ceiling=10455
+system_ceiling=10454
+simulator_ceiling=3548
 tooling_ceiling=6336
-total_ceiling=20405
+total_ceiling=20338
 status=0
-if [ "$system_total" -gt "$system_ceiling" ]; then
-    echo "loc: system $system_total is above its ceiling $system_ceiling" >&2
-    status=1
-fi
-if [ "$tooling_total" -gt "$tooling_ceiling" ]; then
-    echo "loc: tooling $tooling_total is above its ceiling $tooling_ceiling" >&2
-    status=1
-fi
-if [ "$total" -gt "$total_ceiling" ]; then
-    echo "loc: total $total is above its ceiling $total_ceiling" >&2
-    status=1
-fi
+check() { # row, figure, ceiling
+    if [ "$2" -gt "$3" ]; then
+        echo "loc: $1 $2 is above its ceiling $3" >&2
+        status=1
+    fi
+}
+check system "$system_total" "$system_ceiling"
+check simulator "$simulator_total" "$simulator_ceiling"
+check tooling "$tooling_total" "$tooling_ceiling"
+check total "$total" "$total_ceiling"
 exit "$status"

@@ -25,6 +25,8 @@
 
 use std::collections::BTreeMap;
 
+use smartsock_proto::addr::NetAddr;
+
 use crate::program::{apply, Op, Program, Requirement};
 use crate::vars::{ServerVar, BUILTINS};
 
@@ -61,19 +63,13 @@ impl VarProvider for MapVars {
 }
 
 /// The preferred/denied host lists of a requirement (`store_uparams` in
-/// Fig 4.2), collected by the parser. Order follows statement order; the
-/// wizard gives earlier preferred hosts priority.
+/// Fig 4.2), collected and parsed by the parser; [`Requirement::hosts`]
+/// lends them. Order follows statement order; the wizard gives earlier
+/// preferred hosts priority.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HostLists {
-    pub preferred: Vec<String>,
-    pub denied: Vec<String>,
-}
-
-impl HostLists {
-    /// The host lists of a compiled requirement.
-    pub fn from_requirement(req: &Requirement) -> HostLists {
-        req.hosts.clone()
-    }
+    pub preferred: Vec<NetAddr>,
+    pub denied: Vec<NetAddr>,
 }
 
 /// An error raised while evaluating a requirement for one server.
@@ -390,9 +386,10 @@ mod tests {
             "user_denied_host1 = telesto\nuser_denied_host2 = mimas\nuser_preferred_host1 = sagit.comp.nus.edu.sg\nhost_cpu_free > 0.5\n",
         )
         .unwrap();
-        let lists = HostLists::from_requirement(&req);
-        assert_eq!(lists.denied, vec!["telesto".to_owned(), "mimas".to_owned()]);
-        assert_eq!(lists.preferred, vec!["sagit.comp.nus.edu.sg".to_owned()]);
+        let lists = req.hosts();
+        let addrs = |names: &[&str]| names.iter().map(|n| n.parse().unwrap()).collect::<Vec<_>>();
+        assert_eq!(lists.denied, addrs(&["telesto", "mimas"]));
+        assert_eq!(lists.preferred, addrs(&["sagit.comp.nus.edu.sg"]));
         // Host assignments are invisible to per-server evaluation.
         let d = Evaluator::evaluate(&req, &vars());
         assert_eq!(d.statements_total, 1);

@@ -151,7 +151,7 @@ user_preferred_host1 = sagit.ddns.comp.nus.edu.sg
 ";
         let req = compile(text).expect("paper sample must compile");
         assert_eq!((req.program.stmts.len(), req.logical_count()), (4, 4));
-        let lists = HostLists::from_requirement(&req);
+        let lists = req.hosts();
         assert_eq!((lists.denied.len(), lists.preferred.len()), (1, 1));
     }
 

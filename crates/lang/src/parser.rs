@@ -42,6 +42,8 @@
 //! `MAX_NEST` bounds it, so no requirement can overflow the stack of
 //! whoever compiles it.
 
+use smartsock_proto::addr::NetAddr;
+
 use crate::eval::EvalError;
 use crate::program::{apply, BinOp, Op, Requirement};
 use crate::token::Token;
@@ -211,19 +213,20 @@ impl<'a> Parser<'a> {
     }
 
     /// Right-hand side of a user host-list assignment: one IP, domain name
-    /// or bare host-name token.
-    fn host_designator(&mut self) -> Result<String, ParseError> {
-        match self.bump() {
-            Some(Token::NetAddr(a)) => Ok(a.clone()),
-            Some(Token::Ident(h)) => Ok(h.clone()),
-            other => Err(ParseError {
-                at: self.pos.saturating_sub(1),
-                message: format!(
-                    "expected a host (IP, domain or host name), found {}",
-                    other.map_or("end of input".to_owned(), |t| t.to_string())
-                ),
-            }),
-        }
+    /// or bare host-name token, parsed as the wizard matches it.
+    fn host_designator(&mut self) -> Result<NetAddr, ParseError> {
+        let token = self.bump();
+        let parsed = match token {
+            Some(Token::NetAddr(a) | Token::Ident(a)) => a.parse().ok(),
+            _ => None,
+        };
+        parsed.ok_or_else(|| ParseError {
+            at: self.pos.saturating_sub(1),
+            message: format!(
+                "expected a host (IP, domain or host name), found {}",
+                token.map_or("end of input".to_owned(), |t| t.to_string())
+            ),
+        })
     }
 
     /// Precedence of a binary operator token, or `None` if not binary.
@@ -506,8 +509,9 @@ mod tests {
     #[test]
     fn host_assignments_route_to_host_lists() {
         let r = req("user_denied_host1 = 137.132.90.182\nuser_preferred_host1 = sagit.ddns.comp.nus.edu.sg\nuser_denied_host2 = titan-x\n");
-        assert_eq!(r.hosts.denied, ["137.132.90.182", "titan-x"]);
-        assert_eq!(r.hosts.preferred, ["sagit.ddns.comp.nus.edu.sg"]);
+        let addrs = |names: &[&str]| names.iter().map(|n| n.parse().unwrap()).collect::<Vec<_>>();
+        assert_eq!(r.hosts.denied, addrs(&["137.132.90.182", "titan-x"]));
+        assert_eq!(r.hosts.preferred, addrs(&["sagit.ddns.comp.nus.edu.sg"]));
         assert_eq!(r.program, Program::default(), "host lists are request-level: no code");
     }
 

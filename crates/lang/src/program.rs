@@ -121,6 +121,11 @@ impl Requirement {
         self.program.stmts.iter().filter(|&&(_, logical)| logical).count()
     }
 
+    /// The preferred/denied host lists its `user_*_hostN` statements named.
+    pub fn hosts(&self) -> &HostLists {
+        &self.hosts
+    }
+
     /// The tests — `server_var CMP constant` statements — in order.
     pub fn tests(&self) -> &[(ServerVar, BinOp, f64)] {
         &self.program.tests

@@ -18,10 +18,11 @@
 //! * [`SimTime`] / [`SimDuration`] — integer nanosecond timestamps. Integer
 //!   time avoids floating-point drift in long simulations and gives a total
 //!   order for the event queue.
-//! * [`Scheduler`] — a binary-heap event queue. Events are boxed `FnOnce`
-//!   closures receiving `&mut Scheduler`, so handlers can schedule follow-up
-//!   events. Ties in time break on a monotone sequence number, making runs
-//!   deterministic regardless of heap internals.
+//! * [`Scheduler`] — an event queue, one ordered map keyed by time and then
+//!   a monotone sequence number, so ties run FIFO and runs are
+//!   deterministic. Events are boxed `FnOnce` closures receiving
+//!   `&mut Scheduler`, so handlers can schedule follow-up events;
+//!   cancelling one removes it from the queue.
 //! * [`Scheduler::telemetry`] — the deterministic observability sink
 //!   (spans, events, counters, gauges, histograms) from
 //!   `smartsock-telemetry`, clock-synced to virtual time. The harness uses

@@ -1,5 +1,5 @@
-//! The event scheduler: a deterministic, cancellable priority queue of
-//! timed callbacks.
+//! The event scheduler: a deterministic, cancellable queue of timed
+//! callbacks.
 //!
 //! All of the paper's daemons — server probes reporting every few seconds
 //! (§3.2), the network monitor's sequential probing schedule (§3.3.3), the
@@ -7,52 +7,23 @@
 //! (§3.6) — are expressed as events on this queue. Handlers receive
 //! `&mut Scheduler` and may schedule further events, so the entire system is
 //! a single-threaded cooperative simulation with a total event order.
+//!
+//! The queue is one ordered map keyed by [`EventId`]: time, then insertion
+//! sequence. Scheduling inserts, cancelling removes, and running pops the
+//! first entry, so the queue holds exactly the events still to run.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeMap;
 
 use smartsock_telemetry::Telemetry;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a scheduled event; used for cancellation.
+/// Identifier of a scheduled event, used for cancellation, and its place
+/// in the queue: earliest time first, then FIFO by insertion sequence.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId(SimTime, u64);
 
 type EventFn = Box<dyn FnOnce(&mut Scheduler)>;
-
-struct Entry {
-    at: SimTime,
-    seq: u64,
-    run: EventFn,
-}
-
-/// Heap key: earliest time first, then FIFO by insertion sequence.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct Key(SimTime, u64);
-
-impl Entry {
-    fn key(&self) -> Key {
-        Key(self.at, self.seq)
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
 
 /// Deterministic discrete-event scheduler.
 ///
@@ -71,8 +42,7 @@ impl Ord for Entry {
 pub struct Scheduler {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Reverse<Entry>>,
-    cancelled: BTreeSet<u64>,
+    queue: BTreeMap<EventId, EventFn>,
     /// The deterministic observability sink: counters, gauges, histograms,
     /// spans and events, all keyed to virtual time. The scheduler keeps its
     /// clock in sync before dispatching each event.
@@ -96,8 +66,7 @@ impl Scheduler {
         Scheduler {
             now: SimTime::ZERO,
             seq: 0,
-            heap: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
+            queue: BTreeMap::new(),
             telemetry: Telemetry::new(),
             processed: 0,
         }
@@ -110,20 +79,6 @@ impl Scheduler {
         self.telemetry.set_now(at.0);
     }
 
-    /// Run one event callback with dispatch accounting. Every path that
-    /// runs an event comes through here, so here is where the guard is.
-    ///
-    /// Panics past `EVENT_LIMIT` (2×10⁸) events.
-    fn dispatch(&mut self, run: EventFn) {
-        self.processed += 1;
-        assert!(
-            self.processed <= EVENT_LIMIT,
-            "scheduler event limit exceeded ({EVENT_LIMIT}); runaway periodic task?"
-        );
-        self.telemetry.counter_incr("sim-events-dispatched");
-        run(self);
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -134,9 +89,10 @@ impl Scheduler {
         self.processed
     }
 
-    /// Number of events still pending (including cancelled tombstones).
+    /// Number of events still to run: scheduled, and neither run nor
+    /// cancelled.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// Schedule `f` to run at absolute time `at`.
@@ -148,11 +104,10 @@ impl Scheduler {
         at: SimTime,
         f: impl FnOnce(&mut Scheduler) + 'static,
     ) -> EventId {
-        let at = at.max(self.now);
-        let seq = self.seq;
+        let id = EventId(at.max(self.now), self.seq);
         self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, run: Box::new(f) }));
-        EventId(seq)
+        self.queue.insert(id, Box::new(f));
+        id
     }
 
     /// Schedule `f` to run `after` from now.
@@ -167,10 +122,11 @@ impl Scheduler {
     /// Cancel a previously scheduled event. Cancelling an event that already
     /// ran (or was already cancelled) is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id.0);
+        self.queue.remove(&id);
     }
 
-    /// Run events until the queue is empty.
+    /// Run events until the queue is empty; afterwards `now()` is the time
+    /// of the last event that ran.
     pub fn run(&mut self) {
         self.run_until(SimTime::FAR_FUTURE);
     }
@@ -180,13 +136,7 @@ impl Scheduler {
     ///
     /// Panics past `EVENT_LIMIT` (2×10⁸) events.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse(entry)) = self.heap.peek_mut_pop_if(deadline) {
-            self.advance_clock(entry.at);
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.dispatch(entry.run);
-        }
+        while self.step_by(deadline) {}
         if deadline != SimTime::FAR_FUTURE {
             self.advance_clock(self.now.max(deadline));
         }
@@ -200,55 +150,38 @@ impl Scheduler {
     ///
     /// Panics past `EVENT_LIMIT` (2×10⁸) events.
     pub fn run_while(&mut self, deadline: SimTime, mut keep_going: impl FnMut() -> bool) {
-        while keep_going() {
-            match self.next_event_time() {
-                Some(t) if t <= deadline => {
-                    self.step();
-                }
-                _ => break,
-            }
-        }
+        while keep_going() && self.step_by(deadline) {}
     }
 
     /// Timestamp of the next pending event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.queue.first_key_value().map(|(id, _)| id.0)
     }
 
-    /// Run a single event if one is pending; returns whether one ran
-    /// (cancelled tombstones are skipped transparently).
+    /// Run a single event if one is pending; returns whether one ran.
     ///
     /// Panics past `EVENT_LIMIT` (2×10⁸) events.
     pub fn step(&mut self) -> bool {
-        loop {
-            match self.heap.pop() {
-                None => return false,
-                Some(Reverse(entry)) => {
-                    self.advance_clock(entry.at);
-                    if self.cancelled.remove(&entry.seq) {
-                        continue;
-                    }
-                    self.dispatch(entry.run);
-                    return true;
-                }
-            }
-        }
+        self.step_by(SimTime(u64::MAX))
     }
-}
 
-/// Extension trait hack: `BinaryHeap` has no "pop if key <= deadline", so we
-/// wrap peek+pop behind one call used by `run_until`.
-trait PopIf {
-    fn peek_mut_pop_if(&mut self, deadline: SimTime) -> Option<Reverse<Entry>>;
-}
-
-impl PopIf for BinaryHeap<Reverse<Entry>> {
-    fn peek_mut_pop_if(&mut self, deadline: SimTime) -> Option<Reverse<Entry>> {
-        if self.peek().is_some_and(|Reverse(e)| e.at <= deadline) {
-            self.pop()
-        } else {
-            None
-        }
+    /// Pop the first event if it is due by `deadline` and run it; returns
+    /// whether one ran. Every path that runs an event comes through here,
+    /// so here is where the event limit is guarded.
+    fn step_by(&mut self, deadline: SimTime) -> bool {
+        let Some(head) = self.queue.first_entry().filter(|e| e.key().0 <= deadline) else {
+            return false;
+        };
+        let (EventId(at, _), run) = head.remove_entry();
+        self.advance_clock(at);
+        self.processed += 1;
+        assert!(
+            self.processed <= EVENT_LIMIT,
+            "scheduler event limit exceeded ({EVENT_LIMIT}); runaway periodic task?"
+        );
+        self.telemetry.counter_incr("sim-events-dispatched");
+        run(self);
+        true
     }
 }
 
@@ -309,8 +242,42 @@ mod tests {
         sim.cancel(id);
         sim.run();
         assert_eq!(*hits.borrow(), 0);
-        // Cancelling again (already consumed tombstone) is harmless.
+        // Cancelling again (already removed) is harmless.
         sim.cancel(id);
+    }
+
+    #[test]
+    fn pending_drops_when_an_event_is_cancelled() {
+        let mut sim = Scheduler::new();
+        let first = sim.schedule_in(SimDuration::from_secs(1), |_| {});
+        sim.schedule_in(SimDuration::from_secs(2), |_| {});
+        assert_eq!(sim.pending(), 2);
+        sim.cancel(first);
+        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.next_event_time(), Some(SimTime::from_secs(2)));
+    }
+
+    #[test]
+    fn run_while_stops_at_its_deadline_behind_a_cancelled_head() {
+        let mut sim = Scheduler::new();
+        let head = sim.schedule_at(SimTime::from_secs(5), |_| {});
+        let ran = Rc::new(RefCell::new(false));
+        let r = Rc::clone(&ran);
+        sim.schedule_at(SimTime::from_secs(10), move |_| *r.borrow_mut() = true);
+        sim.cancel(head);
+        sim.run_while(SimTime::from_secs(7), || true);
+        assert!(!*ran.borrow(), "the 10 s event is past the 7 s deadline");
+        assert_eq!((sim.pending(), sim.events_processed()), (1, 0));
+    }
+
+    #[test]
+    fn run_leaves_the_clock_at_the_last_event_that_ran() {
+        let mut sim = Scheduler::new();
+        sim.schedule_at(SimTime::from_secs(5), |_| {});
+        let last = sim.schedule_at(SimTime::from_secs(10), |_| {});
+        sim.cancel(last);
+        sim.run();
+        assert_eq!(sim.now(), SimTime::from_secs(5));
     }
 
     #[test]
@@ -401,6 +368,134 @@ mod tests {
     #[should_panic(expected = "event limit")]
     fn event_limit_trips_on_runaway_loops_under_run_while() {
         runaway().run_while(SimTime::FAR_FUTURE, || true);
+    }
+
+    /// Random `schedule_at` (past times included, some events scheduling a
+    /// follow-up when they run), `cancel` (of ids already run or cancelled
+    /// too), `step`, `run_until` and `run_while` calls against [`Model`]:
+    /// exactly the model's due, uncancelled events run, in (time, seq)
+    /// order, and `now()`, `pending()` and `next_event_time()` agree with it
+    /// after every call.
+    #[test]
+    fn the_queue_is_the_naive_model() {
+        crate::rng::cases("the_queue_is_the_naive_model", |rng| {
+            let mut sim = Scheduler::new();
+            let mut model = Model::default();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let ids = Rc::new(RefCell::new(Vec::new()));
+            for _ in 0..=rng.below(60) {
+                let deadline = match rng.below(8) {
+                    0 => SimTime::FAR_FUTURE,
+                    _ => SimTime(sim.now().0 + rng.below(8)),
+                };
+                let ran = match rng.below(7) {
+                    0..=2 => {
+                        let at = SimTime((sim.now().0 + rng.below(12)).saturating_sub(3));
+                        let child = (rng.below(2) == 0).then(|| rng.below(4));
+                        let id = sim.schedule_at(at, event(child, &log, &ids));
+                        ids.borrow_mut().push(id);
+                        model.schedule(at, child);
+                        None
+                    }
+                    3 if model.scheduled > 0 => {
+                        let label = rng.below(model.scheduled as u64) as usize;
+                        sim.cancel(ids.borrow()[label]);
+                        model.queue.retain(|e| e.1 != label);
+                        None
+                    }
+                    3 | 4 => Some((sim.step(), model.step_by(SimTime(u64::MAX)))),
+                    5 => {
+                        sim.run_until(deadline);
+                        model.run_until(deadline);
+                        None
+                    }
+                    _ => {
+                        let budget = rng.below(4);
+                        let mut left = budget;
+                        sim.run_while(deadline, || {
+                            let go = left > 0;
+                            left = left.saturating_sub(1);
+                            go
+                        });
+                        for _ in 0..budget {
+                            if !model.step_by(deadline) {
+                                break;
+                            }
+                        }
+                        None
+                    }
+                };
+                if let Some((got, want)) = ran {
+                    assert_eq!(got, want, "step's return");
+                }
+                assert_eq!(*log.borrow(), model.ran, "the events run, in order");
+                assert_eq!(sim.now(), model.now);
+                assert_eq!(sim.pending(), model.queue.len());
+                assert_eq!(sim.next_event_time(), model.head().map(|e| e.0));
+            }
+        });
+    }
+
+    /// An event that logs its label (its index among all scheduled ids)
+    /// and, given a delay, schedules a follow-up that much later.
+    fn event(
+        child: Option<u64>,
+        log: &Rc<RefCell<Vec<usize>>>,
+        ids: &Rc<RefCell<Vec<EventId>>>,
+    ) -> impl FnOnce(&mut Scheduler) + 'static {
+        let label = ids.borrow().len();
+        let (log, ids) = (Rc::clone(log), Rc::clone(ids));
+        move |s| {
+            log.borrow_mut().push(label);
+            if let Some(delay) = child {
+                let id = s.schedule_in(SimDuration::from_nanos(delay), event(None, &log, &ids));
+                ids.borrow_mut().push(id);
+            }
+        }
+    }
+
+    /// The naive queue: an unordered `Vec` of (time, label, follow-up
+    /// delay), scanned for its earliest entry. Labels count the events
+    /// scheduled, so a label is also the event's insertion sequence.
+    #[derive(Default)]
+    struct Model {
+        now: SimTime,
+        queue: Vec<(SimTime, usize, Option<u64>)>,
+        scheduled: usize,
+        /// The labels of the events run, in order.
+        ran: Vec<usize>,
+    }
+
+    impl Model {
+        fn schedule(&mut self, at: SimTime, child: Option<u64>) {
+            self.queue.push((at.max(self.now), self.scheduled, child));
+            self.scheduled += 1;
+        }
+
+        fn head(&self) -> Option<&(SimTime, usize, Option<u64>)> {
+            self.queue.iter().min_by_key(|e| (e.0, e.1))
+        }
+
+        fn step_by(&mut self, deadline: SimTime) -> bool {
+            let Some(&head) = self.head().filter(|e| e.0 <= deadline) else {
+                return false;
+            };
+            self.queue.retain(|e| e.1 != head.1);
+            let (at, label, child) = head;
+            self.now = at;
+            self.ran.push(label);
+            if let Some(delay) = child {
+                self.schedule(at + SimDuration::from_nanos(delay), None);
+            }
+            true
+        }
+
+        fn run_until(&mut self, deadline: SimTime) {
+            while self.step_by(deadline) {}
+            if deadline != SimTime::FAR_FUTURE {
+                self.now = self.now.max(deadline);
+            }
+        }
     }
 
     /// A self-rescheduling task on a scheduler 100 events short of the

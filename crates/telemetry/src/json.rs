@@ -2,8 +2,8 @@
 //! recursive-descent parser for the trace-query CLI.
 //!
 //! The crate is deliberately dependency-free (the telemetry layer sits
-//! below everything else, including the vendored shims), so it carries its
-//! own ~150-line parser rather than pulling one in. Numbers keep their raw
+//! below every other crate of the workspace), so it carries its own
+//! ~150-line parser rather than pulling one in. Numbers keep their raw
 //! token text: simulated timestamps are `u64` nanoseconds and must not be
 //! round-tripped through `f64`.
 

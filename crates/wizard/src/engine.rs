@@ -25,7 +25,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use smartsock_lang::{
-    compile, holds, may_qualify, BinOp, Evaluator, HostLists, RangeProvider, ServerVar, VarProvider,
+    compile, holds, may_qualify, BinOp, Evaluator, RangeProvider, ServerVar, VarProvider,
 };
 use smartsock_monitor::db::{ReportVar, SubnetKey, TimedReport, VarRanges, REPORT_VARS};
 use smartsock_monitor::health::{HealthTable, StateKind, Transition};
@@ -93,9 +93,6 @@ const COMPILED_CAP: usize = 64;
 /// The per-request compiled state shared by every row evaluation.
 struct CompiledRequest {
     requirement: smartsock_lang::Requirement,
-    /// The host lists, resolved once per request (every designator parses).
-    preferred: Vec<NetAddr>,
-    denied: Vec<NetAddr>,
     /// The `#!rank` directive, its variable resolved once per request.
     rank: Option<(ServerVar, bool)>,
     /// The tests on report variables (every row defines them), as `ServerVars` reads them.
@@ -118,9 +115,6 @@ impl CompiledRequest {
             None => detail.to_owned(),
         };
         let requirement = compile(&detail).ok()?;
-        let HostLists { preferred, denied } = HostLists::from_requirement(&requirement);
-        let resolve = |hosts: Vec<String>| hosts.iter().filter_map(|h| h.parse().ok()).collect();
-        let (preferred, denied) = (resolve(preferred), resolve(denied));
         let rank = parse_rank_directive(&detail);
         let tests = if screened { requirement.tests() } else { &[] };
         let screen: Vec<_> = tests
@@ -128,7 +122,7 @@ impl CompiledRequest {
             .filter_map(|&(var, op, c)| REPORT_VARS.get(var.index()).map(|&row| (row, op, c)))
             .collect();
         let screen_decides = screened && requirement.tests_only() && screen.len() == tests.len();
-        Some(CompiledRequest { requirement, preferred, denied, rank, screen, screen_decides })
+        Some(CompiledRequest { requirement, rank, screen, screen_decides })
     }
 }
 
@@ -183,7 +177,7 @@ fn consider_row(
     if !view.health.selectable(ip, now) {
         return Err(Rejected::Quarantined);
     }
-    if creq.denied.iter().any(|d| designates(d, report)) {
+    if creq.requirement.hosts().denied.iter().any(|d| designates(d, report)) {
         return Err(Rejected::Denied);
     }
     let server_mon = view.group_map.get(&ip).copied();
@@ -201,7 +195,8 @@ fn consider_row(
     if !creq.screen_decides && !Evaluator::evaluate(&creq.requirement, &sv).qualified {
         return Err(Rejected::Unqualified);
     }
-    let preferred_rank = creq.preferred.iter().position(|p| designates(p, report));
+    let preferred_rank =
+        creq.requirement.hosts().preferred.iter().position(|p| designates(p, report));
     let rank_key = creq.rank.map_or(0.0, |(var, descending)| {
         let value = sv.lookup(var).unwrap_or(0.0);
         if descending {
@@ -347,7 +342,7 @@ fn select_compiled(
         return (Vec::new(), SelectStats { shards_pruned: stats.shards_total, ..stats });
     }
     let client_mon = view.group_map.get(&client_ip).copied();
-    let preferred_rank = (!creq.preferred.is_empty()).then_some(0);
+    let preferred_rank = (!creq.requirement.hosts().preferred.is_empty()).then_some(0);
     let rank_key = if creq.rank.is_some() { f64::NEG_INFINITY } else { 0.0 };
     let bound = |ip| Candidate { ip, preferred_rank, score_bucket: 1000, rank_key };
     let mut best = Vec::new();
