@@ -4,10 +4,10 @@
 #
 #   ./ci/bench_pairs.sh [--record] PARENT_REV [SEED] [PAIRS]
 #
-# The parent is checked out in a git worktree under .bench_build/ (kept
-# for later runs: `git worktree remove` it when done) and this checkout,
-# uncommitted edits included, is the change; each is built once, offline,
-# and this checkout's benchmark/Cargo.lock is left as the script found it.
+# The parent is exported with git archive into a temporary directory that
+# is removed on exit, and this checkout, uncommitted edits included, is the
+# change; each is built once, offline (the parent from cold), and this
+# checkout's benchmark/Cargo.lock is left as the script found it.
 # Each workload then runs PAIRS times on each side (default 10, seed 7),
 # the sides alternating which goes first, every run being the contract's
 # `command` plus `--workload W --seed SEED --seconds run_seconds --trace 0`,
@@ -24,7 +24,7 @@
 # in ms are printed and written as `noise_ms` into the one JSON line per
 # workload that --record appends to BENCH_wall.json, so that records
 # taken in a slow stretch can be told apart.
-# Needs git, cargo and jq.
+# Needs git, tar, cargo and jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,15 +42,14 @@ seed="${2:-7}"
 pairs="${3:-10}"
 commit="$(git describe --always --dirty --abbrev=12)"
 
-tree=".bench_build/parent-$parent"
-if [ ! -d "$tree" ]; then
-    git worktree add --detach "$tree" "$parent" >/dev/null
-fi
 # The contract's command builds the benchmark unlocked, which prunes stale
 # entries from this checkout's benchmark/Cargo.lock: put it back on exit.
 scratch="$(mktemp -d)"
 cp benchmark/Cargo.lock "$scratch/Cargo.lock"
 trap 'cp "$scratch/Cargo.lock" benchmark/Cargo.lock; rm -rf "$scratch"' EXIT
+tree="$scratch/parent-$parent"
+mkdir "$tree"
+git archive "$parent" | tar -x -C "$tree"
 for side in "$tree" .; do
     echo "== building $side" >&2
     (cd "$side" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)

@@ -42,10 +42,10 @@ printf '%-12s %8d\n' system "$system_total" simulator "$simulator_total" \
 
 # The ceilings: what this tree measured when they were last written.
 # Lower them with every deletion; raising one is a reviewed decision.
-system_ceiling=10454
+system_ceiling=10443
 simulator_ceiling=3548
 tooling_ceiling=6336
-total_ceiling=20338
+total_ceiling=20327
 status=0
 check() { # row, figure, ceiling
     if [ "$2" -gt "$3" ]; then

@@ -4,17 +4,18 @@
 #
 #   ./ci/same_bytes.sh PARENT_REV
 #
-# The parent is checked out in a git worktree under .bench_build/ (shared
-# with ci/bench_pairs.sh; `git worktree remove` it when done) and this
-# checkout, uncommitted edits included, is the change; each is built once,
-# offline, in release. Each side then runs, in its own directory:
-#   repro --jobs 4 --trace-out <t> all        (stdout and the trace)
-#   profile bench --jobs 4 --out <f> all      (the profile document)
+# The parent is exported with git archive into a temporary directory that
+# is removed on exit, and this checkout, uncommitted edits included, is the
+# change; each is built once, offline, in release (the parent from cold).
+# Each side then runs, in its own directory, with one job per CPU (neither
+# output depends on the job count):
+#   repro --jobs N --trace-out <t> all        (stdout and the trace)
+#   profile bench --jobs N --out <f> all      (the profile document)
 #   the fault_drill example with --trace <t>  (stdout and the trace)
 # and the two sides' files are compared with cmp. Prints `same bytes` and
 # exits 0, or names each differing file and exits 1.
 # A tool, not a gate: a change that moves trace bytes on purpose re-pins.
-# Needs git and cargo.
+# Needs git, tar and cargo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,13 +24,12 @@ if [ $# -ne 1 ]; then
     exit 2
 fi
 parent="$(git rev-parse --short=12 "$1^{commit}")"
-tree=".bench_build/parent-$parent"
-if [ ! -d "$tree" ]; then
-    git worktree add --detach "$tree" "$parent" >/dev/null
-fi
-
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
+tree="$out/parent-$parent"
+mkdir "$tree"
+git archive "$parent" | tar -x -C "$tree"
+jobs="$(nproc)"
 # Paths the outputs name are relative to each side's directory, so both
 # sides print the same text.
 files=(repro.out repro.trace profile.json drill.out drill.trace)
@@ -43,9 +43,9 @@ for side in parent change; do
             -p smartsock-profile --bin profile
         cargo build --release --offline --quiet --example fault_drill
         mkdir -p target/same_bytes
-        ./target/release/repro --jobs 4 --trace-out target/same_bytes/repro.trace all \
+        ./target/release/repro --jobs "$jobs" --trace-out target/same_bytes/repro.trace all \
             >target/same_bytes/repro.out
-        ./target/release/profile bench --jobs 4 --out target/same_bytes/profile.json all \
+        ./target/release/profile bench --jobs "$jobs" --out target/same_bytes/profile.json all \
             >/dev/null
         ./target/release/examples/fault_drill --trace target/same_bytes/drill.trace \
             >target/same_bytes/drill.out

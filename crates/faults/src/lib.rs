@@ -327,7 +327,7 @@ impl FaultInjector {
                             self.inner.borrow().probes.get(&host.to_ascii_lowercase()).cloned();
                         match probe {
                             Some(p) if recover => p.restart(s),
-                            Some(p) => p.stop(),
+                            Some(p) => p.stop(s),
                             None => {}
                         }
                     }
@@ -336,7 +336,7 @@ impl FaultInjector {
                         let wizard = self.inner.borrow().wizard.clone();
                         match wizard {
                             Some(w) if recover => w.restart(s),
-                            Some(w) => w.stop(),
+                            Some(w) => w.stop(s),
                             None => {}
                         }
                     }
@@ -383,13 +383,13 @@ impl FaultInjector {
         };
         if !recover {
             if let Some(p) = probe {
-                p.stop();
+                p.stop(s);
             }
             if let Some(m) = monitor {
-                m.stop(&net);
+                m.stop(s, &net);
             }
             if let Some(w) = wizard {
-                w.stop();
+                w.stop(s);
             }
             if let Some(h) = sim_host {
                 h.crash(s);
@@ -587,6 +587,7 @@ mod tests {
     use smartsock_net::{HostParams, LinkParams, NetworkBuilder, Payload};
     use smartsock_probe::ProbeConfig;
     use smartsock_proto::{Endpoint, Ip};
+    use smartsock_wizard::WizardConfig;
 
     const HOSTS: [&str; 4] = ["h1", "h2", "h3", "h4"];
 
@@ -795,6 +796,54 @@ mod tests {
             inj.recover(&mut s, &fault);
             assert_eq!(observe(&mut s, &net, &probe), before, "{fault:?} outlived its recovery");
         }
+    }
+
+    /// The injector's own path, as the experiments drive it: a daemon kill
+    /// and a host crash, each with its recovery, leave exactly one pending
+    /// tick per daemon they touch, and the probes report once per interval
+    /// again afterwards.
+    #[test]
+    fn each_stop_and_restart_leaves_one_pending_tick_per_daemon() {
+        let (mut s, net, inj) = rig(23);
+        let (h1, h4) = (ip_of(&net, "h1"), ip_of(&net, "h4"));
+        let monitor = SystemMonitor::new(h4, Rc::default(), SimDuration::from_secs(2));
+        monitor.start(&mut s, &net);
+        inj.register_monitor("h4", monitor);
+        let wizard = Wizard::new(h4, net.clone(), WizardConfig::default());
+        wizard.start(&mut s);
+        inj.register_wizard(wizard);
+        let mut probes = Vec::new();
+        for (name, ip) in [("h1", h1), ("h4", h4)] {
+            let host = Host::new(HostConfig::new(name, ip, CpuModel::P3_866, 512));
+            inj.register_host(host.clone());
+            let probe = ServerProbe::new(host, net.clone(), ProbeConfig::new(h4));
+            probe.start(&mut s);
+            inj.register_probe(name, probe.clone());
+            probes.push(probe);
+        }
+        // Between ticks nothing is in flight: four daemons, four ticks.
+        s.run_until(SimTime::from_secs(5));
+        assert_eq!(s.pending(), 4);
+
+        let kill = FaultKind::Daemon(Daemon::Probe("h1".into()));
+        inj.apply(&mut s, &kill);
+        assert_eq!(s.pending(), 3, "the killed probe holds no tick");
+        inj.recover(&mut s, &kill);
+        assert_eq!(s.pending(), 4, "its restart arms exactly one");
+
+        let crash = FaultKind::Host { host: "h4".into() };
+        inj.apply(&mut s, &crash);
+        assert_eq!(s.pending(), 1, "h4's probe, monitor and wizard hold no tick");
+        inj.recover(&mut s, &crash);
+        assert_eq!(s.pending(), 4, "the reboot restarts each with exactly one");
+
+        let sent: Vec<u64> = probes.iter().map(ServerProbe::reports_sent).collect();
+        let received = s.telemetry.counter("sysmon-reports");
+        s.run_until(SimTime::from_secs(16)); // t=7,9,11,13,15
+        for (probe, before) in probes.iter().zip(sent) {
+            assert_eq!(probe.reports_sent() - before, 5, "one report per interval");
+        }
+        assert_eq!(s.telemetry.counter("sysmon-reports") - received, 10, "all reach the monitor");
     }
 
     #[test]

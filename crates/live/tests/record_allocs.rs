@@ -5,8 +5,10 @@
 //! a row and a matched request — and those figures are pinned, on an engine
 //! holding one row and on one holding a thousand. So is what a
 //! warm client request round trip through `ClientEngine::step` allocates,
-//! untraced and traced. A binary of its own, because it installs a counting
-//! global allocator.
+//! untraced and traced. And once warm, an engine of a thousand rows under a
+//! steady load of reports, requests and ticks holds its heap flat: the
+//! high-water mark of its live bytes stops moving. A binary of its own,
+//! because it installs a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,34 +22,55 @@ use smartsock_telemetry::{AccumSink, Telemetry};
 use smartsock_wizard::client::{self, ClientEngine, Entropy, RequestSpec};
 use smartsock_wizard::{Input, SelectPolicy, Stepped, WizardEngine};
 
-/// Counts the calling thread's allocations and reallocations.
+/// Counts the calling thread's allocations and reallocations, and tracks
+/// its live bytes and their high-water mark.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread; a block freed on
+    /// another thread than the one that allocated it skews both, so only
+    /// differences on one thread are read.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn grow(bytes: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).unwrap_or(i64::MAX)
+}
+
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        grow(size(layout.size()));
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        grow(size(layout.size()));
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        grow(size(new_size) - size(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-size(layout.size()));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -153,6 +176,56 @@ fn recording_a_match_or_an_overwrite_allocates_nothing() {
         })
         .collect();
     assert_eq!(step_allocations(&fleet, 8), [0, 200, 500], "1 000 rows, 8 servers");
+}
+
+/// The live daemon's trace ring (`AccumSink::ring(TRACE_RING)` in
+/// `crates/live/src/wizard.rs`).
+const TRACE_RING: usize = 4096;
+
+#[test]
+fn a_warm_engine_holds_its_heap_flat() {
+    let mut engine = WizardEngine::new(Ip::new(127, 0, 0, 1), SelectPolicy::default());
+    let mut tel = Telemetry::with_sink(Box::new(AccumSink::ring(TRACE_RING)));
+    let client = Endpoint::new(Ip::new(127, 0, 0, 2), 4000);
+    let now = SimTime(Null.now_ns());
+    // 1 000 hosts in 20 /24s, filled through `step` as the daemon is.
+    let reports: Vec<String> = (0..20u8)
+        .flat_map(|net| (1..=50u8).map(move |h| (net, h)))
+        .map(|(net, h)| idle(&format!("n{net}h{h}"), Ip::new(10, 1, net, h)).encode_ascii())
+        .collect();
+    for bytes in &reports {
+        engine.step(now, Input::Datagram { from: client, bytes: bytes.as_bytes() }, &mut tel);
+    }
+    assert_eq!(engine.live_servers(), 1_000);
+    let detail = "host_cpu_free > 0.9\n".to_owned();
+    let request = UserRequest { seq: 7, server_num: 8, option: RequestOption::DEFAULT, detail };
+    let request = request.encode();
+    // One round: a report that overwrites a row, the same request, a tick.
+    let mut round = |tel: &mut Telemetry, i: usize| {
+        let report = reports[i % reports.len()].as_bytes();
+        for input in [
+            Input::Datagram { from: client, bytes: report },
+            Input::Datagram { from: client, bytes: &request },
+            Input::Tick,
+        ] {
+            drop(engine.step(now, input, tel));
+        }
+    };
+    let peak = || PEAK.with(Cell::get);
+
+    // Warm-up from a fresh mark: every row overwritten eight times and the
+    // ring through several of its evictions, so its fullest is in the mark.
+    PEAK.with(|p| p.set(LIVE.with(Cell::get)));
+    for i in 0..8_000 {
+        round(&mut tel, i);
+    }
+    let evictions = tel.dropped() / (TRACE_RING / 2) as u64;
+    assert!(evictions >= 4, "the ring evicted {evictions} times");
+    let warm = peak();
+    for i in 0..10_000 {
+        round(&mut tel, i);
+    }
+    assert_eq!(peak(), warm, "the high-water mark of live bytes grew once warm");
 }
 
 /// A round trip draws nothing; a draw would be a change to look at.

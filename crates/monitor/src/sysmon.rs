@@ -6,7 +6,7 @@ use std::rc::Rc;
 use smartsock_net::Network;
 use smartsock_proto::consts::{ports, timing};
 use smartsock_proto::{Endpoint, Ip};
-use smartsock_sim::{Scheduler, SimDuration};
+use smartsock_sim::{EventId, Scheduler, SimDuration};
 
 use crate::db::StatusDbs;
 use crate::ingest::ingest_ascii;
@@ -20,16 +20,15 @@ pub struct SystemMonitor {
     /// The probes' reporting interval, and the sweep's: a server missing
     /// [`timing::FAILURE_INTERVALS`] consecutive intervals is expired.
     probe_interval: SimDuration,
-    /// Restart generation for the sweep loop (same epoch scheme as the
-    /// probe daemon): a stopped monitor's pending sweep fires into a dead
-    /// epoch and dies quietly instead of double-scheduling.
-    epoch: Rc<Cell<u64>>,
+    /// The sweep loop's one pending tick while the daemon runs, and `None`
+    /// once it is stopped: `stop` cancels it.
+    tick: Rc<Cell<Option<EventId>>>,
 }
 
 impl SystemMonitor {
     /// A monitor whose stale sweep runs once per `probe_interval`.
     pub fn new(ip: Ip, dbs: Rc<RefCell<StatusDbs>>, probe_interval: SimDuration) -> SystemMonitor {
-        SystemMonitor { ip, dbs, probe_interval, epoch: Rc::new(Cell::new(0)) }
+        SystemMonitor { ip, dbs, probe_interval, tick: Rc::default() }
     }
 
     /// The endpoint probes report to.
@@ -51,35 +50,38 @@ impl SystemMonitor {
                 Err(_) => s.telemetry.counter_incr("sysmon-bad-reports"),
             }
         });
-        let mon = self.clone();
-        let epoch = self.epoch.get();
-        s.schedule_in(self.probe_interval, move |s| mon.sweep(s, epoch));
+        self.schedule_sweep(s);
     }
 
-    /// Kill the daemon: unbind the report socket and halt the sweep loop.
-    /// Reports sent while it is down are lost, exactly like a real machine
-    /// crash; records it held go stale on its next restart sweep.
-    pub fn stop(&self, net: &Network) {
-        self.epoch.set(self.epoch.get() + 1);
+    /// Kill the daemon: unbind the report socket and cancel the sweep
+    /// loop's pending tick. Reports sent while it is down are lost, exactly
+    /// like a real machine crash; records it held go stale on its next
+    /// restart sweep.
+    pub fn stop(&self, s: &mut Scheduler, net: &Network) {
+        if let Some(id) = self.tick.take() {
+            s.cancel(id);
+        }
         net.unbind_udp(self.endpoint());
     }
 
-    /// Restart a stopped daemon: rebind, sweep immediately (everything
-    /// that expired during the outage is purged at once), resume the loop.
+    /// Restart the daemon: stop it if it runs, rebind, sweep immediately
+    /// (everything that expired during the outage is purged at once), and
+    /// resume one sweep loop.
     pub fn restart(&self, s: &mut Scheduler, net: &Network) {
-        self.epoch.set(self.epoch.get() + 1);
+        self.stop(s, net);
         s.telemetry.counter_incr("sysmon-restarts");
         self.start(s, net);
         self.sweep_once(s);
     }
 
-    fn sweep(&self, s: &mut Scheduler, epoch: u64) {
-        if self.epoch.get() != epoch {
-            return;
-        }
+    fn sweep(&self, s: &mut Scheduler) {
         self.sweep_once(s);
+        self.schedule_sweep(s);
+    }
+
+    fn schedule_sweep(&self, s: &mut Scheduler) {
         let mon = self.clone();
-        s.schedule_in(self.probe_interval, move |s| mon.sweep(s, epoch));
+        self.tick.set(Some(s.schedule_in(self.probe_interval, move |s| mon.sweep(s))));
     }
 
     fn sweep_once(&self, s: &mut Scheduler) {
@@ -163,6 +165,26 @@ mod tests {
         hosts[0].recover();
         s.run_until(SimTime::from_secs(17));
         assert_eq!(mon.live_servers(), 2, "recovered server rejoins");
+    }
+
+    #[test]
+    fn stop_cancels_the_pending_sweep_and_restart_arms_exactly_one() {
+        // No probes: the monitor's sweep is the only event on the queue.
+        let (mut s, net, _hosts, mon) = rig(0);
+        s.run_until(SimTime::from_secs(5)); // sweeps at t=2,4
+        assert_eq!(s.events_processed(), 2);
+        mon.stop(&mut s, &net);
+        assert_eq!(s.pending(), 0, "stop cancels the one pending sweep");
+        s.run_until(SimTime::from_secs(9));
+        assert_eq!(s.events_processed(), 2, "a stopped monitor does not sweep");
+
+        mon.restart(&mut s, &net);
+        assert_eq!(s.pending(), 1, "restart arms exactly one sweep");
+        mon.restart(&mut s, &net); // a running monitor's restart replaces its loop
+        assert_eq!(s.pending(), 1);
+        s.run_until(SimTime::from_secs(16)); // t=11,13,15
+        assert_eq!(s.events_processed(), 5, "one sweep per interval, no doubled loop");
+        assert_eq!(s.telemetry.counter("sysmon-restarts"), 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use smartsock_hostsim::Host;
 use smartsock_net::{Network, Payload};
 use smartsock_proto::consts::{ports, timing};
 use smartsock_proto::{Endpoint, ServerStatusReport};
-use smartsock_sim::{Scheduler, SimDuration, SimTime};
+use smartsock_sim::{EventId, Scheduler, SimDuration, SimTime};
 
 pub use engine::{ProbeIdentity, ProcSample, ReportEngine};
 
@@ -63,11 +63,10 @@ struct ProbeState {
     /// daemon runs the identical code over the real `/proc`.
     engine: ReportEngine,
     reports_sent: u64,
-    /// Restart generation. A scheduled tick carries the epoch it was
-    /// armed under and dies quietly if the daemon was stopped or
-    /// restarted since — stop/restart never double-schedules the loop.
-    epoch: u64,
-    running: bool,
+    /// The reporting loop's one pending tick while the daemon runs, and
+    /// `None` once it is stopped: `stop` cancels it, so a stopped probe
+    /// holds nothing on the scheduler.
+    tick: Option<EventId>,
 }
 
 /// One probe daemon instance.
@@ -88,8 +87,7 @@ impl ServerProbe {
             st: Rc::new(RefCell::new(ProbeState {
                 engine: ReportEngine::new(),
                 reports_sent: 0,
-                epoch: 0,
-                running: false,
+                tick: None,
             })),
         }
     }
@@ -99,34 +97,23 @@ impl ServerProbe {
     pub fn start(&self, s: &mut Scheduler) {
         // Take the baseline scan now.
         let _ = self.scan(s.now());
-        let epoch = {
-            let mut st = self.st.borrow_mut();
-            st.running = true;
-            st.epoch
-        };
-        let probe = self.clone();
-        s.schedule_in(self.cfg.interval, move |s| probe.tick(s, epoch));
+        self.schedule_tick(s);
     }
 
-    /// Kill the daemon: the reporting loop halts after the current epoch's
-    /// pending tick fires into a dead generation.
-    pub fn stop(&self) {
-        let mut st = self.st.borrow_mut();
-        st.running = false;
-        st.epoch += 1;
+    /// Kill the daemon: cancel the reporting loop's pending tick.
+    pub fn stop(&self, s: &mut Scheduler) {
+        if let Some(id) = self.st.borrow_mut().tick.take() {
+            s.cancel(id);
+        }
     }
 
     /// Restart a stopped daemon: re-baseline the differentiated counters
     /// (a fresh process has no previous scan) and resume the loop.
     pub fn restart(&self, s: &mut Scheduler) {
-        {
-            let mut st = self.st.borrow_mut();
-            if st.running {
-                return;
-            }
-            st.epoch += 1;
-            st.engine.reset();
+        if self.is_running() {
+            return;
         }
+        self.st.borrow_mut().engine.reset();
         s.telemetry.counter_incr("probe-restarts");
         self.start(s);
     }
@@ -136,9 +123,9 @@ impl ServerProbe {
         &self.host
     }
 
-    /// Whether the reporting loop is currently running.
+    /// Whether the reporting loop is running: it holds a pending tick.
     pub fn is_running(&self) -> bool {
-        self.st.borrow().running
+        self.st.borrow().tick.is_some()
     }
 
     /// Number of reports sent so far.
@@ -146,21 +133,20 @@ impl ServerProbe {
         self.st.borrow().reports_sent
     }
 
-    fn tick(&self, s: &mut Scheduler, epoch: u64) {
-        {
-            let st = self.st.borrow();
-            if !st.running || st.epoch != epoch {
-                return;
-            }
-        }
+    fn tick(&self, s: &mut Scheduler) {
         if !self.host.is_failed() {
             let span = s.telemetry.span_start("probe-report", self.host.name().as_str());
             let report = self.scan(s.now());
             self.send(s, report);
             s.telemetry.span_end(span);
         }
+        self.schedule_tick(s);
+    }
+
+    fn schedule_tick(&self, s: &mut Scheduler) {
         let probe = self.clone();
-        s.schedule_in(self.cfg.interval, move |s| probe.tick(s, epoch));
+        let id = s.schedule_in(self.cfg.interval, move |s| probe.tick(s));
+        self.st.borrow_mut().tick = Some(id);
     }
 
     /// One probing pass: render the /proc files, parse them back, and
@@ -294,6 +280,28 @@ mod tests {
         host.recover();
         s.run_until(SimTime::from_secs(15)); // resumes at t=12,14
         assert_eq!(got.borrow().len(), 4);
+    }
+
+    #[test]
+    fn stop_cancels_the_pending_tick_and_restart_arms_exactly_one() {
+        let (mut s, net, host, got) = rig();
+        let probe = ServerProbe::new(host, net, ProbeConfig::new(Ip::new(192, 168, 3, 1)));
+        probe.start(&mut s);
+        s.run_until(SimTime::from_secs(5)); // t=2,4 → 2 reports
+        let running = s.pending();
+        probe.stop(&mut s);
+        assert_eq!(s.pending(), running - 1, "stop cancels the one pending tick");
+        assert!(!probe.is_running());
+        s.run_until(SimTime::from_secs(9));
+        assert_eq!(got.borrow().len(), 2, "a stopped probe is silent");
+
+        let stopped = s.pending();
+        probe.restart(&mut s);
+        probe.restart(&mut s); // a running probe's restart is a no-op
+        assert_eq!(s.pending(), stopped + 1, "restart arms exactly one tick");
+        s.run_until(SimTime::from_secs(16)); // t=11,13,15
+        assert_eq!(got.borrow().len(), 5, "one report per interval, no doubled loop");
+        assert_eq!(s.telemetry.counter("probe-restarts"), 1);
     }
 
     #[test]

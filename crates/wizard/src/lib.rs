@@ -41,7 +41,7 @@ use std::rc::Rc;
 use smartsock_net::{Network, Payload, UdpDatagram};
 use smartsock_proto::consts::ports;
 use smartsock_proto::{Endpoint, Ip};
-use smartsock_sim::{Scheduler, SimDuration};
+use smartsock_sim::{EventId, Scheduler, SimDuration};
 
 pub use client::{ClientEngine, ClientError, RequestSpec};
 pub use engine::{
@@ -77,7 +77,7 @@ pub struct WizardConfig {
 /// The simulated wizard machine: a [`WizardEngine`] bound to port 1120 of
 /// a simulated [`Network`], and to the receiver port 1121, whose snapshots
 /// land in the engine's own tables. It owns only what the simulator adds —
-/// the bindings, the sweep timer with its restart epoch, and distributed
+/// the bindings, the sweep timer's pending tick, and distributed
 /// mode's pull-then-settle delay; every datagram and sweep tick is one
 /// [`WizardEngine::step`] into the scheduler's telemetry, whose frame, if
 /// any, it sends, and every snapshot one write into the engine's tables.
@@ -88,9 +88,9 @@ pub struct Wizard {
     net: Network,
     engine: Rc<RefCell<WizardEngine>>,
     mode: WizardMode,
-    /// Restart generation for the stale sweep (same epoch scheme as the
-    /// probe daemon): a stopped wizard's pending sweep dies quietly.
-    epoch: Rc<Cell<u64>>,
+    /// The stale sweep's one pending tick while the daemon runs, and `None`
+    /// once it is stopped (or when the sweep is disabled): `stop` cancels it.
+    tick: Rc<Cell<Option<EventId>>>,
 }
 
 impl Wizard {
@@ -99,7 +99,7 @@ impl Wizard {
             net,
             engine: Rc::new(RefCell::new(WizardEngine::new(ip, cfg.policy))),
             mode: cfg.mode,
-            epoch: Rc::new(Cell::new(0)),
+            tick: Rc::default(),
         }
     }
 
@@ -142,36 +142,37 @@ impl Wizard {
         });
         if let Some(age) = self.engine.borrow().policy().stale_max_age {
             let interval = SimDuration::from_nanos((age.as_nanos() / 2).max(1));
-            let wiz = self.clone();
-            let epoch = self.epoch.get();
-            s.schedule_in(interval, move |s| wiz.sweep_tick(s, epoch, interval));
+            self.schedule_sweep(s, interval);
         }
     }
 
-    /// Kill the daemon: unbind the request socket and halt the sweep.
-    /// In-flight requests get no answer — clients rely on their own
-    /// retry/backoff loop. The receiver port stays bound, so the tables
-    /// keep taking snapshots until the machine itself goes down.
-    pub fn stop(&self) {
-        self.epoch.set(self.epoch.get() + 1);
+    /// Kill the daemon: unbind the request socket and cancel the sweep's
+    /// pending tick. In-flight requests get no answer — clients rely on
+    /// their own retry/backoff loop. The receiver port stays bound, so the
+    /// tables keep taking snapshots until the machine itself goes down.
+    pub fn stop(&self, s: &mut Scheduler) {
+        if let Some(id) = self.tick.take() {
+            s.cancel(id);
+        }
         self.net.unbind_udp(self.endpoint());
     }
 
-    /// Restart a stopped wizard (or a rebooted machine's): rebind and
-    /// resume sweeping.
+    /// Restart the wizard (a stopped one, or a rebooted machine's): stop
+    /// it if it runs, rebind, and resume one sweep loop.
     pub fn restart(&self, s: &mut Scheduler) {
-        self.epoch.set(self.epoch.get() + 1);
+        self.stop(s);
         s.telemetry.counter_incr("wizard-restarts");
         self.start(s);
     }
 
-    fn sweep_tick(&self, s: &mut Scheduler, epoch: u64, interval: SimDuration) {
-        if self.epoch.get() != epoch {
-            return;
-        }
+    fn sweep_tick(&self, s: &mut Scheduler, interval: SimDuration) {
         self.engine.borrow_mut().step(s.now(), Input::Tick, &mut s.telemetry);
+        self.schedule_sweep(s, interval);
+    }
+
+    fn schedule_sweep(&self, s: &mut Scheduler, interval: SimDuration) {
         let wiz = self.clone();
-        s.schedule_in(interval, move |s| wiz.sweep_tick(s, epoch, interval));
+        self.tick.set(Some(s.schedule_in(interval, move |s| wiz.sweep_tick(s, interval))));
     }
 
     /// §3.6.1 step 2: centralized status is already here; in distributed
@@ -390,12 +391,12 @@ mod tests {
     #[test]
     fn a_stopped_wizard_neither_answers_nor_sweeps_until_restarted() {
         let mut r = rig(WizardConfig::default());
-        r.wiz.stop();
+        r.wiz.stop(&mut r.s);
         r.upsert(report("old", Ip::new(10, 0, 1, 1)));
         r.send(r.wiz.endpoint(), request_bytes(""));
         r.s.run_until(SimTime::from_secs(10));
         assert!(r.replies.borrow().is_empty(), "no socket, no answer");
-        assert_eq!(r.wizard_rows(), 1, "the pending sweep died with the old epoch");
+        assert_eq!(r.wizard_rows(), 1, "the stopped wizard's sweep was cancelled");
 
         r.wiz.restart(&mut r.s);
         r.send(r.wiz.endpoint(), request_bytes(""));
@@ -403,6 +404,25 @@ mod tests {
         assert_eq!(r.replies.borrow().len(), 1, "rebound and serving");
         assert_eq!(r.s.telemetry.counter("wizard-restarts"), 1);
         assert_eq!(r.s.telemetry.counter("wizard-stale-evictions"), 1, "sweeping again");
+    }
+
+    #[test]
+    fn stop_cancels_the_pending_sweep_and_restart_arms_exactly_one() {
+        // The default policy sweeps every 3 s, and nothing else is queued.
+        let mut r = rig(WizardConfig::default());
+        r.s.run_until(SimTime::from_secs(7)); // sweeps at t=3,6
+        assert_eq!(r.s.events_processed(), 2);
+        r.wiz.stop(&mut r.s);
+        assert_eq!(r.s.pending(), 0, "stop cancels the one pending sweep");
+        r.s.run_until(SimTime::from_secs(10));
+        assert_eq!(r.s.events_processed(), 2, "a stopped wizard does not sweep");
+
+        r.wiz.restart(&mut r.s);
+        assert_eq!(r.s.pending(), 1, "restart arms exactly one sweep");
+        r.wiz.restart(&mut r.s); // a running wizard's restart replaces its loop
+        assert_eq!(r.s.pending(), 1);
+        r.s.run_until(SimTime::from_secs(20)); // t=13,16,19
+        assert_eq!(r.s.events_processed(), 5, "one sweep per interval, no doubled loop");
     }
 
     #[test]
@@ -479,7 +499,7 @@ mod tests {
     #[test]
     fn a_stopped_wizard_keeps_taking_snapshots() {
         let mut r = rig(no_sweep());
-        r.wiz.stop();
+        r.wiz.stop(&mut r.s);
         r.transmitter().push_snapshot(&mut r.s);
         r.s.run();
         assert_eq!(r.s.telemetry.counter("receiver-frames"), 3, "the receiver port stayed bound");
@@ -494,7 +514,7 @@ mod tests {
     fn snapshots_land_again_after_the_wizard_machine_reboots() {
         let mut r = rig(no_sweep());
         let node = r.net.node_by_ip(WIZ_IP).unwrap();
-        r.wiz.stop();
+        r.wiz.stop(&mut r.s);
         r.net.crash_node(&mut r.s, node);
         r.net.revive_node(&mut r.s, node);
         r.transmitter().push_snapshot(&mut r.s);
